@@ -113,20 +113,6 @@ void BM_MatchRunParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchRunParallel)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_WindowedMatch(benchmark::State& state) {
-  const auto& store = snapshot().store;
-  core::WindowedMatcher::Config config;
-  config.window = util::hours(static_cast<double>(state.range(0)));
-  config.lookback = util::days(2);
-  const core::WindowedMatcher matcher(store, config);
-  for (auto _ : state) {
-    const auto result = matcher.run(core::MatchOptions::rm2());
-    benchmark::DoNotOptimize(result.matched_job_count());
-  }
-  state.counters["windows"] = static_cast<double>(matcher.window_count());
-}
-BENCHMARK(BM_WindowedMatch)->Arg(2)->Arg(6)->Arg(24);
-
 void BM_DiagnoseAllJobs(benchmark::State& state) {
   const auto& store = snapshot().store;
   const core::Matcher matcher(store);

@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "replayed " << replay.lines_parsed << " events ("
-              << replay.flow_events.size() << " flow/transfer rows)\n";
-    flows = analysis::rebuild_flows(replay);
+              << replay.flows->totals().flows << " flows)\n";
+    flows = analysis::analyze_flows(replay);
   }
 
   if (flows.flows.empty()) {

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "analysis/event_source.hpp"
-#include "analysis/health_replay.hpp"
+#include "analysis/events_replay.hpp"
 #include "analysis/metric_query.hpp"
 
 namespace {

@@ -9,11 +9,9 @@
 // the transfer heatmap.
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "analysis/events_replay.hpp"
-#include "analysis/health_replay.hpp"
 #include "analysis/report_html.hpp"
 
 int main(int argc, char** argv) {
@@ -26,8 +24,13 @@ int main(int argc, char** argv) {
   const std::string events_path = argv[1];
   const std::string html_path = argc == 3 ? argv[2] : "report.html";
 
+  // One streaming pass also feeds the health detectors: the report's
+  // alert timeline and SLO table come from the same engine /api/alerts
+  // serves, derived out-of-core from the file.
+  obs::HealthEngine health;
+  health.set_emit_events(false);
   const analysis::ReplayResult replay =
-      analysis::replay_events_file(events_path);
+      analysis::replay_events_file(events_path, &health);
   if (replay.lines_parsed == 0) {
     std::cerr << "pandarus-report: no events parsed from " << events_path
               << '\n';
@@ -39,19 +42,13 @@ int main(int argc, char** argv) {
             << replay.store.transfers().size() << " transfers, "
             << replay.samples.size() << " sampler ticks\n";
 
-  // Second streaming pass through the health detectors: the report's
-  // alert timeline and SLO table come from the same engine /api/alerts
-  // serves, derived out-of-core from the file.
-  const std::unique_ptr<obs::HealthEngine> health =
-      analysis::derive_health_file(events_path);
-
   std::ofstream out(html_path);
   if (!out) {
     std::cerr << "pandarus-report: cannot write " << html_path << '\n';
     return 1;
   }
   analysis::HtmlReportOptions options;
-  options.health = health.get();
+  options.health = &health;
   analysis::write_html_report(out, replay, options);
   std::cout << "wrote " << html_path << '\n';
   return 0;

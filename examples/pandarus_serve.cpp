@@ -95,8 +95,12 @@ int main(int argc, char** argv) {
   obs::install_env_hooks();
 
   if (!replay_path.empty()) {
+    // /api/alerts comes from health detectors fed in the replay's own
+    // pass — the replay twin of a live PANDARUS_ALERTS run.
+    obs::HealthEngine health;
+    health.set_emit_events(false);
     auto replay = std::make_shared<const analysis::ReplayResult>(
-        analysis::replay_events_file(replay_path));
+        analysis::replay_events_file(replay_path, &health));
     if (replay->lines_parsed == 0) {
       std::cerr << "pandarus-serve: no events parsed from " << replay_path
                 << "\n";
@@ -110,14 +114,9 @@ int main(int argc, char** argv) {
       std::cerr << "pandarus-serve: cannot bind 127.0.0.1:" << port << "\n";
       return 1;
     }
-    // /api/alerts is derived by a second streaming pass through the
-    // health detectors — the replay twin of a live PANDARUS_ALERTS run.
-    std::shared_ptr<const std::string> alerts_json;
-    if (auto health = analysis::derive_health_file(replay_path)) {
-      alerts_json =
-          std::make_shared<const std::string>(health->status_json());
-    }
-    analysis::attach_replay_status(server, replay, alerts_json);
+    analysis::attach_replay_status(
+        server, replay,
+        std::make_shared<const std::string>(health.status_json()));
     std::cout << "serving replay of " << replay_path << " ("
               << replay->lines_parsed << " lines) on http://127.0.0.1:"
               << server.port() << "/\n"

@@ -75,64 +75,12 @@ FlowAnalysis analyze_flows(const obs::FlowTracker& tracker,
   return out;
 }
 
-FlowAnalysis rebuild_flows(const ReplayResult& replay) {
-  using Op = ReplayResult::FlowEventRow::Op;
-  obs::FlowTracker tracker(/*emit=*/false);
-  for (const ReplayResult::FlowEventRow& row : replay.flow_events) {
-    const auto tid = static_cast<std::uint64_t>(row.entity);
-    switch (row.op) {
-      case Op::kFlowBegin:
-        tracker.begin_flow(row.entity, row.task, row.attempt, row.ts);
-        break;
-      case Op::kFlowBroker:
-        // Live order is broker_scored (inside choose_site) then
-        // broker_decision; the flow_broker line carries both.
-        tracker.broker_scored(row.entity, row.candidates);
-        tracker.broker_decision(row.entity, row.site, row.ts);
-        break;
-      case Op::kFlowStage:
-        tracker.stage_begin(row.entity, row.ts);
-        break;
-      case Op::kFlowLink:
-        tracker.link_transfer(row.entity, row.transfer, row.ts, row.flag);
-        break;
-      case Op::kFlowQueue:
-        tracker.queue_enter(row.entity, row.ts, row.flag);
-        break;
-      case Op::kFlowRun:
-        tracker.run_begin(row.entity, row.ts);
-        break;
-      case Op::kFlowStageOut:
-        tracker.stage_out_begin(row.entity, row.ts);
-        break;
-      case Op::kFlowEnd:
-        tracker.end_flow(row.entity, row.ts, row.flag, row.error);
-        break;
-      case Op::kTransferSubmit:
-        tracker.transfer_submitted(tid, row.file, row.src, row.dst, row.ts);
-        break;
-      case Op::kTransferStart:
-        tracker.attempt_start(tid, static_cast<std::uint32_t>(row.attempt),
-                              row.src, row.dst, row.ts);
-        break;
-      case Op::kTransferReroute:
-        tracker.transfer_rerouted(tid);
-        break;
-      case Op::kTransferRetry:
-        tracker.attempt_end(tid, row.ts, /*success=*/false,
-                            /*terminal=*/false, /*registered=*/false);
-        break;
-      case Op::kTransferTerminal:
-        tracker.attempt_end(tid, row.ts, row.flag, /*terminal=*/true,
-                            row.registered);
-        break;
-    }
-  }
+FlowAnalysis analyze_flows(const ReplayResult& replay) {
   std::map<std::int64_t, std::string> names;
   for (const auto& [id, name] : replay.site_names) {
     names[static_cast<std::int64_t>(id)] = name;
   }
-  return analyze_flows(tracker, std::move(names));
+  return analyze_flows(*replay.flows, std::move(names));
 }
 
 std::string render_attribution(const FlowAnalysis& analysis,

@@ -5,14 +5,14 @@
 //   * analyze_flows(tracker)  — read a live obs::FlowTracker after a
 //     campaign (the online path already ran the decomposition; this
 //     just harvests and ranks);
-//   * rebuild_flows(replay)   — feed the flow/transfer lifecycle rows
-//     captured by analysis::replay_events, in stream order, to a
-//     detached (silent) FlowTracker.  Because the rebuild engine *is*
-//     the live analyzer, a replayed stream — NDJSON text or a binary
-//     colstore file, both arrive through analysis::EventSource — yields
-//     bit-identical phase breakdowns, flags and link attributions; the
-//     cross-check test in tests/events_replay_test.cpp asserts exactly
-//     that.
+//   * analyze_flows(replay)   — read the detached (silent) FlowTracker
+//     that analysis::replay_events fed the stream's flow/transfer
+//     lifecycle lines, in stream order.  Because the rebuild engine
+//     *is* the live analyzer, a replayed stream — NDJSON text or a
+//     binary colstore file, both arrive through analysis::EventSource —
+//     yields bit-identical phase breakdowns, flags and link
+//     attributions; the cross-check test in
+//     tests/events_replay_test.cpp asserts exactly that.
 //
 // On top of the per-flow summaries this module computes exact per-phase
 // quantiles (the offline path can afford to sort; the online path uses
@@ -66,9 +66,9 @@ struct FlowAnalysis {
     const obs::FlowTracker& tracker,
     std::map<std::int64_t, std::string> site_names = {});
 
-/// Rebuilds flows from a replayed event stream via a detached
-/// FlowTracker fed replay.flow_events in stream order.
-[[nodiscard]] FlowAnalysis rebuild_flows(const ReplayResult& replay);
+/// Harvests the tracker a replay rebuilt, labelling sites from the
+/// stream's site_record events.
+[[nodiscard]] FlowAnalysis analyze_flows(const ReplayResult& replay);
 
 /// Fixed-width wait-attribution report: phase quantiles, campaign
 /// totals, the top-offending links, and the flagged sequential-staging

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "analysis/event_source.hpp"
-#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace pandarus::analysis {
@@ -67,64 +66,51 @@ void replay_transfer_record(const util::json::Value& v, std::int64_t entity,
   store.record_transfer(std::move(t));
 }
 
-using FlowOp = ReplayResult::FlowEventRow::Op;
-
-/// Captures one flow/transfer lifecycle line as a FlowEventRow; returns
-/// false for kinds that are not part of the flow-rebuild vocabulary.
-bool capture_flow_event(std::string_view kind, const util::json::Value& v,
-                        std::int64_t ts, std::int64_t entity,
-                        std::vector<ReplayResult::FlowEventRow>& rows) {
-  ReplayResult::FlowEventRow row;
-  row.ts = ts;
-  row.entity = entity;
+/// Makes the obs::FlowTracker call the live simulation made for one
+/// flow/transfer lifecycle line; other kinds are ignored.
+void replay_flow_event(std::string_view kind, const util::json::Value& v,
+                       std::int64_t ts, std::int64_t entity,
+                       obs::FlowTracker& tracker) {
+  const auto tid = static_cast<std::uint64_t>(entity);
   if (kind == "flow_begin") {
-    row.op = FlowOp::kFlowBegin;
-    row.task = v.get_int("task", -1);
-    row.attempt = static_cast<std::int32_t>(v.get_int("attempt", 1));
+    tracker.begin_flow(entity, v.get_int("task", -1),
+                       static_cast<std::int32_t>(v.get_int("attempt", 1)), ts);
   } else if (kind == "flow_broker") {
-    row.op = FlowOp::kFlowBroker;
-    row.site = v.get_int("site", -1);
-    row.candidates = v.get_int("candidates", -1);
+    // Live order is broker_scored (inside choose_site) then
+    // broker_decision; the flow_broker line carries both.
+    tracker.broker_scored(entity, v.get_int("candidates", -1));
+    tracker.broker_decision(entity, v.get_int("site", -1), ts);
   } else if (kind == "flow_stage") {
-    row.op = FlowOp::kFlowStage;
+    tracker.stage_begin(entity, ts);
   } else if (kind == "flow_link") {
-    row.op = FlowOp::kFlowLink;
-    row.transfer = static_cast<std::uint64_t>(v.get_int("transfer"));
-    row.flag = v.get_bool("shared");
+    tracker.link_transfer(entity,
+                          static_cast<std::uint64_t>(v.get_int("transfer")),
+                          ts, v.get_bool("shared"));
   } else if (kind == "flow_queue") {
-    row.op = FlowOp::kFlowQueue;
-    row.flag = v.get_bool("watchdog");
+    tracker.queue_enter(entity, ts, v.get_bool("watchdog"));
   } else if (kind == "flow_run") {
-    row.op = FlowOp::kFlowRun;
+    tracker.run_begin(entity, ts);
   } else if (kind == "flow_stage_out") {
-    row.op = FlowOp::kFlowStageOut;
+    tracker.stage_out_begin(entity, ts);
   } else if (kind == "flow_end") {
-    row.op = FlowOp::kFlowEnd;
-    row.flag = v.get_bool("failed");
-    row.error = static_cast<std::int32_t>(v.get_int("error"));
+    tracker.end_flow(entity, ts, v.get_bool("failed"),
+                     static_cast<std::int32_t>(v.get_int("error")));
   } else if (kind == "transfer_submit") {
-    row.op = FlowOp::kTransferSubmit;
-    row.file = v.get_int("file", -1);
-    row.src = v.get_int("src", -1);
-    row.dst = v.get_int("dst", -1);
+    tracker.transfer_submitted(tid, v.get_int("file", -1),
+                               v.get_int("src", -1), v.get_int("dst", -1), ts);
   } else if (kind == "transfer_start") {
-    row.op = FlowOp::kTransferStart;
-    row.src = v.get_int("src", -1);
-    row.dst = v.get_int("dst", -1);
-    row.attempt = static_cast<std::int32_t>(v.get_int("attempt", 1));
+    tracker.attempt_start(tid,
+                          static_cast<std::uint32_t>(v.get_int("attempt", 1)),
+                          v.get_int("src", -1), v.get_int("dst", -1), ts);
   } else if (kind == "transfer_reroute") {
-    row.op = FlowOp::kTransferReroute;
+    tracker.transfer_rerouted(tid);
   } else if (kind == "transfer_retry") {
-    row.op = FlowOp::kTransferRetry;
+    tracker.attempt_end(tid, ts, /*success=*/false, /*terminal=*/false,
+                        /*registered=*/false);
   } else if (kind == "transfer_done" || kind == "transfer_fail") {
-    row.op = FlowOp::kTransferTerminal;
-    row.flag = kind == "transfer_done";
-    row.registered = v.get_bool("registered");
-  } else {
-    return false;
+    tracker.attempt_end(tid, ts, kind == "transfer_done", /*terminal=*/true,
+                        v.get_bool("registered"));
   }
-  rows.push_back(row);
-  return true;
 }
 
 }  // namespace
@@ -136,92 +122,92 @@ std::string ReplayResult::site_name(grid::SiteId id) const {
                                 : "site-" + std::to_string(id);
 }
 
-ReplayResult replay_events(EventSource& source) {
+void ReplayResult::observe(const util::json::Value& v) {
+  const std::string_view kind = v.get_string("kind");
+  const util::json::Value* ts_field = v.find("ts");
+  if (kind.empty() || ts_field == nullptr) {
+    ++lines_skipped;
+    return;
+  }
+  ++lines_parsed;
+  ++kind_counts[std::string(kind)];
+  const std::int64_t ts = ts_field->as_int();
+  const std::int64_t entity = v.get_int("entity");
+
+  if (kind == "job_record") {
+    replay_job_record(v, entity, store);
+  } else if (kind == "file_record") {
+    replay_file_record(v, entity, store);
+  } else if (kind == "transfer_record") {
+    replay_transfer_record(v, entity, store);
+    const std::int32_t terr = static_cast<std::int32_t>(v.get_int("terr"));
+    if (terr != 0) ++failure_causes[terr];
+  } else if (kind == "fault_window") {
+    FaultWindowEvent fw;
+    fw.ts = ts;
+    fw.fault_kind = std::string(v.get_string("fault"));
+    fw.begin = v.get_string("phase") == "begin";
+    fw.site = site_of(v, "site");
+    fw.src = site_of(v, "src");
+    fw.dst = site_of(v, "dst");
+    fw.window_begin = v.get_int("begin");
+    fw.window_end = v.get_int("end");
+    fault_windows.push_back(std::move(fw));
+  } else if (kind == "site_record") {
+    const auto id = static_cast<grid::SiteId>(entity);
+    site_names[id] = std::string(v.get_string("name"));
+    site_tiers[id] = static_cast<std::int32_t>(v.get_int("tier"));
+  } else if (kind == "log_stats") {
+    log_stats.present = true;
+    log_stats.events = static_cast<std::uint64_t>(v.get_int("events"));
+    log_stats.dropped = static_cast<std::uint64_t>(v.get_int("dropped"));
+    log_stats.bytes = static_cast<std::uint64_t>(v.get_int("bytes"));
+  } else if (kind == "campaign_meta") {
+    seed = static_cast<std::uint64_t>(v.get_int("seed"));
+    days = v.get_double("days");
+    window_begin = v.get_int("window_begin");
+    window_end = v.get_int("window_end");
+    sample_interval_ms = v.get_int("sample_interval_ms");
+  } else if (kind == "sample") {
+    // Column order comes from the first sample; later samples are
+    // matched by name so a mixed stream still lines up.
+    if (sample_columns.empty()) {
+      for (const auto& [key, value] : v.obj) {
+        if (key == "ts" || key == "kind" || key == "entity") continue;
+        sample_columns.push_back(key);
+      }
+    }
+    Sample row;
+    row.ts = ts;
+    row.values.reserve(sample_columns.size());
+    for (const std::string& col : sample_columns) {
+      row.values.push_back(v.get_int(col));
+    }
+    samples.push_back(std::move(row));
+  } else if (kind == "link_sample") {
+    LinkSample ls;
+    ls.ts = ts;
+    ls.src = site_of(v, "src");
+    ls.dst = site_of(v, "dst");
+    ls.active = v.get_int("active");
+    ls.queued = v.get_int("queued");
+    ls.bytes_in_flight = v.get_int("bytes_in_flight");
+    ls.rate_bps = v.get_double("rate_bps");
+    ls.utilization = v.get_double("utilization");
+    link_samples.push_back(ls);
+  } else {
+    // Flow/transfer lifecycle lines drive the tracker; the rest
+    // (job_state, rule_*, sched_epoch, ...) are lifecycle telemetry:
+    // counted above, not re-simulated.
+    replay_flow_event(kind, v, ts, entity, *flows);
+  }
+}
+
+ReplayResult replay_events(EventSource& source, obs::HealthEngine* health) {
   ReplayResult result;
   while (const util::json::Value* event = source.next()) {
-    const util::json::Value& v = *event;
-    const std::string_view kind = v.get_string("kind");
-    const util::json::Value* ts_field = v.find("ts");
-    if (kind.empty() || ts_field == nullptr) {
-      ++result.lines_skipped;
-      continue;
-    }
-    ++result.lines_parsed;
-    ++result.kind_counts[std::string(kind)];
-    const std::int64_t ts = ts_field->as_int();
-    const std::int64_t entity = v.get_int("entity");
-
-    if (kind == "job_record") {
-      replay_job_record(v, entity, result.store);
-    } else if (kind == "file_record") {
-      replay_file_record(v, entity, result.store);
-    } else if (kind == "transfer_record") {
-      replay_transfer_record(v, entity, result.store);
-      const std::int32_t terr =
-          static_cast<std::int32_t>(v.get_int("terr"));
-      if (terr != 0) ++result.failure_causes[terr];
-    } else if (kind == "fault_window") {
-      ReplayResult::FaultWindowEvent fw;
-      fw.ts = ts;
-      fw.fault_kind = std::string(v.get_string("fault"));
-      fw.begin = v.get_string("phase") == "begin";
-      fw.site = site_of(v, "site");
-      fw.src = site_of(v, "src");
-      fw.dst = site_of(v, "dst");
-      fw.window_begin = v.get_int("begin");
-      fw.window_end = v.get_int("end");
-      result.fault_windows.push_back(std::move(fw));
-    } else if (kind == "site_record") {
-      const auto id = static_cast<grid::SiteId>(entity);
-      result.site_names[id] = std::string(v.get_string("name"));
-      result.site_tiers[id] = static_cast<std::int32_t>(v.get_int("tier"));
-    } else if (kind == "log_stats") {
-      result.log_stats.present = true;
-      result.log_stats.events = static_cast<std::uint64_t>(
-          v.get_int("events"));
-      result.log_stats.dropped = static_cast<std::uint64_t>(
-          v.get_int("dropped"));
-      result.log_stats.bytes = static_cast<std::uint64_t>(
-          v.get_int("bytes"));
-    } else if (kind == "campaign_meta") {
-      result.seed = static_cast<std::uint64_t>(v.get_int("seed"));
-      result.days = v.get_double("days");
-      result.window_begin = v.get_int("window_begin");
-      result.window_end = v.get_int("window_end");
-      result.sample_interval_ms = v.get_int("sample_interval_ms");
-    } else if (kind == "sample") {
-      // Column order comes from the first sample; later samples are
-      // matched by name so a mixed stream still lines up.
-      if (result.sample_columns.empty()) {
-        for (const auto& [key, value] : v.obj) {
-          if (key == "ts" || key == "kind" || key == "entity") continue;
-          result.sample_columns.push_back(key);
-        }
-      }
-      ReplayResult::Sample row;
-      row.ts = ts;
-      row.values.reserve(result.sample_columns.size());
-      for (const std::string& col : result.sample_columns) {
-        row.values.push_back(v.get_int(col));
-      }
-      result.samples.push_back(std::move(row));
-    } else if (kind == "link_sample") {
-      ReplayResult::LinkSample ls;
-      ls.ts = ts;
-      ls.src = site_of(v, "src");
-      ls.dst = site_of(v, "dst");
-      ls.active = v.get_int("active");
-      ls.queued = v.get_int("queued");
-      ls.bytes_in_flight = v.get_int("bytes_in_flight");
-      ls.rate_bps = v.get_double("rate_bps");
-      ls.utilization = v.get_double("utilization");
-      result.link_samples.push_back(ls);
-    } else {
-      // Flow/transfer lifecycle lines become rebuild rows; the rest
-      // (job_state, rule_*, sched_epoch, ...) are lifecycle telemetry:
-      // counted above, not re-simulated.
-      capture_flow_event(kind, v, ts, entity, result.flow_events);
-    }
+    result.observe(*event);
+    if (health != nullptr) health->observe_json(*event);
   }
   result.lines_skipped += source.skipped();
   if (const std::string err = source.error(); !err.empty()) {
@@ -235,13 +221,26 @@ ReplayResult replay_events(std::istream& in) {
   return replay_events(*source);
 }
 
-ReplayResult replay_events_file(const std::string& path) {
+ReplayResult replay_events_file(const std::string& path,
+                                obs::HealthEngine* health) {
   const auto source = open_event_source(path);
   if (!source) {
     util::log_warning() << "events replay: cannot open " << path;
     return {};
   }
-  return replay_events(*source);
+  return replay_events(*source, health);
+}
+
+std::unique_ptr<obs::HealthEngine> derive_health_file(
+    const std::string& path, obs::HealthConfig config) {
+  const auto source = open_event_source(path);
+  if (source == nullptr) return nullptr;
+  auto engine = std::make_unique<obs::HealthEngine>(config);
+  engine->set_emit_events(false);
+  while (const util::json::Value* event = source->next()) {
+    engine->observe_json(*event);
+  }
+  return engine;
 }
 
 }  // namespace pandarus::analysis

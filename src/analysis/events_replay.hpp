@@ -1,6 +1,6 @@
 // Offline event replay: rebuilds an analyzable MetadataStore — plus the
-// sampled time series — from a PANDARUS_EVENTS NDJSON stream, without
-// touching any live simulator state.
+// sampled time series and the causal flows — from a PANDARUS_EVENTS
+// stream, without touching any live simulator state.
 //
 // The campaign closes its event stream with a harvest (campaign_meta,
 // site_record, then one job_record / file_record / transfer_record per
@@ -12,17 +12,24 @@
 //
 // Live lifecycle events (job_state, transfer_submit, sample, ...) are
 // tallied by kind and — for sample / link_sample — decoded into columnar
-// series for the report generator.
+// series for the report generator.  flow_* / transfer_* lines drive a
+// silent obs::FlowTracker in stream order, and replay_events can feed
+// an obs::HealthEngine in the same loop, so one pass over the file
+// yields the store, the flows and the alert state together.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "grid/site.hpp"
+#include "obs/flow.hpp"
+#include "obs/health.hpp"
 #include "telemetry/store.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace pandarus::analysis {
@@ -83,44 +90,13 @@ struct ReplayResult {
   /// by dms::TransferError value (aborted, stalled_terminal, ...).
   std::map<std::int32_t, std::size_t> failure_causes;
 
-  /// Flow/transfer lifecycle hooks captured in stream order: exactly
-  /// the obs::FlowTracker calls the live simulation made, so
-  /// analysis::rebuild_flows can feed them to a detached tracker and
-  /// reproduce the online critical-path analysis verbatim.  flow_* rows
-  /// only exist when the stream was recorded with flows armed;
-  /// transfer_* rows are always present.
-  struct FlowEventRow {
-    enum class Op : std::uint8_t {
-      kFlowBegin,
-      kFlowBroker,
-      kFlowStage,
-      kFlowLink,
-      kFlowQueue,
-      kFlowRun,
-      kFlowStageOut,
-      kFlowEnd,
-      kTransferSubmit,
-      kTransferStart,
-      kTransferReroute,
-      kTransferRetry,
-      kTransferTerminal,
-    };
-    Op op = Op::kFlowBegin;
-    std::int64_t ts = 0;
-    std::int64_t entity = 0;       ///< pandaid (flow ops) / transfer id
-    std::int64_t task = -1;        ///< kFlowBegin
-    std::int64_t site = -1;        ///< kFlowBroker
-    std::int64_t candidates = -1;  ///< kFlowBroker
-    std::uint64_t transfer = 0;    ///< kFlowLink
-    std::int64_t file = -1;        ///< kTransferSubmit
-    std::int64_t src = -1;         ///< kTransferSubmit / kTransferStart
-    std::int64_t dst = -1;
-    std::int32_t attempt = 1;      ///< kFlowBegin / kTransferStart
-    std::int32_t error = 0;        ///< kFlowEnd
-    bool flag = false;  ///< shared / watchdog / failed / success
-    bool registered = false;  ///< kTransferTerminal
-  };
-  std::vector<FlowEventRow> flow_events;
+  /// A silent tracker fed each flow_* / transfer_* line as it is
+  /// replayed: exactly the calls the live simulation made, so it ends in
+  /// the live tracker's state and analysis::analyze_flows reproduces the
+  /// online critical-path analysis verbatim.  It completes flows only
+  /// when the stream was recorded with flows armed (PANDARUS_FLOWS).
+  std::unique_ptr<obs::FlowTracker> flows =
+      std::make_unique<obs::FlowTracker>(/*emit=*/false);
 
   /// The terminal log_stats event the EventLog appends on close():
   /// what the producing process actually wrote and dropped.  A nonzero
@@ -139,13 +115,19 @@ struct ReplayResult {
   std::size_t lines_parsed = 0;
   std::size_t lines_skipped = 0;  ///< unparsable or missing kind/ts
 
+  /// Folds one event into the result.  Events missing `kind` or `ts`
+  /// count as skipped; the rest are tallied and decoded by kind.
+  void observe(const util::json::Value& event);
+
   [[nodiscard]] std::string site_name(grid::SiteId id) const;
 };
 
 /// Replays any event source (NDJSON or colstore) with bounded memory;
 /// malformed events are counted and skipped, never fatal (a truncated
-/// tail must not lose the whole stream).
-ReplayResult replay_events(EventSource& source);
+/// tail must not lose the whole stream).  A non-null `health` is fed
+/// every event the source yields, in the same pass.
+ReplayResult replay_events(EventSource& source,
+                           obs::HealthEngine* health = nullptr);
 
 /// Line-streaming NDJSON convenience wrapper over the same replay.
 ReplayResult replay_events(std::istream& in);
@@ -153,6 +135,14 @@ ReplayResult replay_events(std::istream& in);
 /// Opens `path` via open_event_source (format sniffed: colstore magic
 /// or NDJSON text) and replays it; returns a result with lines_parsed
 /// == 0 and a warning log when the file cannot be opened.
-ReplayResult replay_events_file(const std::string& path);
+ReplayResult replay_events_file(const std::string& path,
+                                obs::HealthEngine* health = nullptr);
+
+/// Health-only pass: streams `path` into a fresh engine and nothing
+/// else.  Event emission is disabled on the returned engine, so deriving
+/// health from a stream never re-emits that stream's own alerts into an
+/// installed EventLog.  nullptr when the file cannot be opened.
+std::unique_ptr<obs::HealthEngine> derive_health_file(
+    const std::string& path, obs::HealthConfig config = {});
 
 }  // namespace pandarus::analysis

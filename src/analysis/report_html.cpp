@@ -425,17 +425,10 @@ void write_sampler_section(std::ostream& os, const ReplayResult& replay) {
 
 void write_flow_section(std::ostream& os, const ReplayResult& replay) {
   // Only meaningful when the stream was recorded with flows armed
-  // (PANDARUS_FLOWS): without flow_begin rows the rebuild yields no
-  // completed flows and the section is skipped.
-  using Op = ReplayResult::FlowEventRow::Op;
-  const bool has_flows =
-      std::any_of(replay.flow_events.begin(), replay.flow_events.end(),
-                  [](const ReplayResult::FlowEventRow& r) {
-                    return r.op == Op::kFlowBegin;
-                  });
-  if (!has_flows) return;
-  const FlowAnalysis flows = rebuild_flows(replay);
-  if (flows.flows.empty()) return;
+  // (PANDARUS_FLOWS): without flow_* lines the replay completes no
+  // flows and the section is skipped.
+  if (replay.flows->completed().empty()) return;
+  const FlowAnalysis flows = analyze_flows(replay);
 
   os << "<h2>Critical-path wait attribution (causal flows)</h2>"
      << "<p>" << flows.flows.size() << " flows rebuilt from flow_* events; "

@@ -27,8 +27,9 @@ struct HtmlReportOptions {
   std::size_t breakdown_top_n = 10;
   /// Transfer time must exceed this share of queuing time to qualify.
   double breakdown_min_fraction = 0.1;
-  /// Replay-derived health engine (analysis::derive_health) for the
-  /// alert-timeline and SLO sections; both are skipped when null.
+  /// Replay-derived health engine (fed by analysis::replay_events or
+  /// derive_health_file) for the alert-timeline and SLO sections; both
+  /// are skipped when null.
   const obs::HealthEngine* health = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "analysis/serve_endpoints.hpp"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,13 +11,14 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/critical_path.hpp"
+#include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
 #include "analysis/summary.hpp"
 #include "core/relaxed.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "obs/serve.hpp"
 
 namespace pandarus::analysis {
@@ -196,54 +198,70 @@ std::map<std::int64_t, std::string> wide_site_names(
   return names;
 }
 
-/// Memoized live snapshot: every /api body except critical-path is
-/// rebuilt only when the EventLog publication watermark moves.
+/// Live snapshot folded incrementally: `replay` holds the first
+/// `watermark` published lines of `log`, each folded exactly once, and
+/// every /api body except critical-path is rebuilt only when the
+/// publication watermark moves.
 struct LiveCache {
   std::mutex mutex;
   bool valid = false;
+  const obs::EventLog* log = nullptr;
   std::uint64_t watermark = 0;
+  ReplayResult replay;
+  core::TriMatchResult tri;
+  /// Store rows (jobs, files, transfers) `tri` was matched on.
+  std::array<std::size_t, 3> matched_rows{};
   std::string summary;
   std::string tables;
   std::string series;
   std::map<std::int64_t, std::string> site_names;
+  obs::Counter& replayed_lines = obs::Registry::global().counter(
+      "pandarus_serve_replayed_lines_total",
+      "Published event lines folded into the live /api cache");
 
-  /// mutex held.  Replays the published prefix and rebuilds the bodies
-  /// when the watermark moved; no-op otherwise.
+  /// mutex held.  Folds the newly published suffix and rebuilds the
+  /// bodies when the watermark moved; no-op otherwise.
   void refresh() {
-    obs::EventLog* log = obs::EventLog::installed();
-    if (log == nullptr) {
-      if (!valid) {
-        const ReplayResult empty;
-        const core::TriMatchResult tri;
-        summary = summary_json(empty, tri, 0, false);
-        tables = tables_json(empty, tri, 0);
-        series = series_json(empty, 0);
-        valid = true;
-      }
-      return;
+    obs::EventLog* installed = obs::EventLog::installed();
+    if (installed != log) {  // a different log: start over
+      log = installed;
+      watermark = 0;
+      replay = ReplayResult{};
+      tri = {};
+      matched_rows = {};
+      valid = false;
     }
-    if (valid && log->watermark() == watermark) return;
-    std::string ndjson;
-    const std::uint64_t wm = log->snapshot_ndjson(ndjson);
-    std::istringstream in(std::move(ndjson));
-    const ReplayResult replay = replay_events(in);
-    // Match only once harvest records exist: the store is empty until
-    // the campaign's closing harvest, and skipping the matcher before
-    // that keeps mid-campaign scrapes from advancing the global match
-    // counters the Sampler records (NDJSON byte-identity, server on or
-    // off).
-    core::TriMatchResult tri;
-    const auto counts = replay.store.counts();
-    if (counts.jobs > 0 || counts.transfers > 0) {
+    if (valid && (log == nullptr || log->watermark() == watermark)) return;
+    if (log != nullptr) {
+      std::string suffix;
+      const std::uint64_t wm = log->snapshot_ndjson(suffix, watermark);
+      std::istringstream in(std::move(suffix));
+      const auto source = make_ndjson_source(in);
+      while (const util::json::Value* event = source->next()) {
+        replay.observe(*event);
+      }
+      replay.lines_skipped += source->skipped();
+      replayed_lines.inc(wm - watermark);
+      watermark = wm;
+    }
+    // Match only once harvest records exist, and again only when they
+    // change: the store is empty until the campaign's closing harvest,
+    // and skipping the matcher before that keeps mid-campaign scrapes
+    // from advancing the global match counters the Sampler records
+    // (NDJSON byte-identity, server on or off).
+    const std::array<std::size_t, 3> rows{replay.store.jobs().size(),
+                                          replay.store.files().size(),
+                                          replay.store.transfers().size()};
+    if (rows != matched_rows && (rows[0] > 0 || rows[2] > 0)) {
       const core::Matcher matcher(replay.store);
       tri = core::run_all_methods(matcher);
+      matched_rows = rows;
     }
-    const bool closed = log->closed();
-    summary = summary_json(replay, tri, wm, closed);
-    tables = tables_json(replay, tri, wm);
-    series = series_json(replay, wm);
+    const bool closed = log != nullptr && log->closed();
+    summary = summary_json(replay, tri, watermark, closed);
+    tables = tables_json(replay, tri, watermark);
+    series = series_json(replay, watermark);
     site_names = wide_site_names(replay);
-    watermark = wm;
     valid = true;
   }
 };
@@ -306,7 +324,6 @@ void attach_replay_status(obs::StatusServer& server,
   const auto watermark =
       static_cast<std::uint64_t>(replay->lines_parsed);
   const bool closed = replay->log_stats.present;
-  const FlowAnalysis flows = rebuild_flows(*replay);
   auto summary = std::make_shared<const std::string>(
       summary_json(*replay, tri, watermark, closed));
   auto tables = std::make_shared<const std::string>(
@@ -314,8 +331,8 @@ void attach_replay_status(obs::StatusServer& server,
   auto series = std::make_shared<const std::string>(
       series_json(*replay, watermark));
   auto critical = std::make_shared<const std::string>(critical_path_json(
-      flows.totals, flows.link_ranking, wide_site_names(*replay), watermark,
-      true));
+      replay->flows->totals(), replay->flows->link_ranking(),
+      wide_site_names(*replay), watermark, true));
   server.set_json_endpoint("/api/summary", [summary] { return *summary; });
   server.set_json_endpoint("/api/tables", [tables] { return *tables; });
   server.set_json_endpoint("/api/series", [series] { return *series; });

@@ -11,13 +11,16 @@
 //   /api/critical-path  per-link critical-seconds ranking
 //
 // Live mode reads the installed EventLog's *published prefix* only
-// (EventLog::snapshot_ndjson), replays it into a fresh store, runs the
-// matchers, and memoizes all bodies keyed by the publication watermark
-// — a scrape never blocks the sim thread and two scrapes at one
-// watermark cost one replay.  Matching runs only once harvest records
-// exist (the store stays empty mid-campaign), so scrapes during the
-// simulation cannot perturb the sampled matcher counters and the
-// campaign NDJSON stays byte-identical server on or off.
+// (EventLog::snapshot_ndjson).  It keeps one ReplayResult between
+// scrapes and folds into it only the lines published since the last
+// one, so each line is replayed exactly once (counted by
+// pandarus_serve_replayed_lines_total); bodies are memoized on the
+// publication watermark, and a scrape never blocks the sim thread.
+// Matching reruns only when the store's row counts changed, and never
+// before harvest records exist (the store stays empty mid-campaign),
+// so scrapes during the simulation cannot perturb the sampled matcher
+// counters and the campaign NDJSON stays byte-identical server on or
+// off.
 #pragma once
 
 #include <memory>
@@ -38,8 +41,9 @@ void attach_live_status(obs::StatusServer& server);
 /// Registers the same endpoints precomputed from a finished replay
 /// (`pandarus-serve --replay <file>`): bodies are built once here.
 /// `alerts_json` — a HealthEngine::status_json() document derived from
-/// the same stream (analysis::derive_health) — backs /api/alerts when
-/// provided; without it the endpoint reports {"enabled":false}.
+/// the same stream (replay_events with a health engine) — backs
+/// /api/alerts when provided; without it the endpoint reports
+/// {"enabled":false}.
 void attach_replay_status(obs::StatusServer& server,
                           std::shared_ptr<const ReplayResult> replay,
                           std::shared_ptr<const std::string> alerts_json =

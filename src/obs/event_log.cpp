@@ -263,24 +263,23 @@ void EventLog::emit_sideband(Event event) {
   }
 }
 
-void EventLog::note_drained_locked(std::uint64_t seq) {
-  if (seq == watermark_) {
-    ++watermark_;
-    while (!ahead_.empty() && ahead_.front() == watermark_) {
-      std::pop_heap(ahead_.begin(), ahead_.end(), std::greater<>());
-      ahead_.pop_back();
-      ++watermark_;
-    }
-  } else {
-    ahead_.push_back(seq);
-    std::push_heap(ahead_.begin(), ahead_.end(), std::greater<>());
+void EventLog::publish_locked(std::uint64_t seq, std::string text) {
+  if (seq != drained_.size()) {
+    ahead_.emplace(seq, std::move(text));
+    return;
+  }
+  drained_.push_back(std::move(text));
+  // This line may have closed the gap below lines held in ahead_.
+  for (auto it = ahead_.begin();
+       it != ahead_.end() && it->first == drained_.size();
+       it = ahead_.erase(it)) {
+    drained_.push_back(std::move(it->second));
   }
 }
 
 void EventLog::drain_locked(Buffer& buffer) {
   for (Line& line : buffer.staged) {
-    note_drained_locked(line.seq);
-    drained_.push_back(std::move(line));
+    publish_locked(line.seq, std::move(line.text));
   }
   buffer.staged.clear();
 }
@@ -289,33 +288,29 @@ std::uint64_t EventLog::publish() {
   Buffer& buffer = local_buffer();
   std::scoped_lock lock(mutex_);
   drain_locked(buffer);
-  return watermark_;
+  return drained_.size();
 }
 
 std::uint64_t EventLog::watermark() const {
   std::scoped_lock lock(mutex_);
-  return watermark_;
+  return drained_.size();
 }
 
 std::uint64_t EventLog::snapshot_ndjson(std::string& out,
                                         std::uint64_t from_seq) const {
   std::scoped_lock lock(mutex_);
-  if (from_seq >= watermark_) return watermark_;
-  std::vector<const Line*> lines;
-  lines.reserve(static_cast<std::size_t>(watermark_ - from_seq));
-  for (const Line& l : drained_) {
-    if (l.seq >= from_seq && l.seq < watermark_) lines.push_back(&l);
-  }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
+  const std::uint64_t watermark = drained_.size();
+  if (from_seq >= watermark) return watermark;
+  const auto first =
+      drained_.begin() + static_cast<std::ptrdiff_t>(from_seq);
   std::size_t total = 0;
-  for (const Line* l : lines) total += l->text.size() + 1;
+  for (auto it = first; it != drained_.end(); ++it) total += it->size() + 1;
   out.reserve(out.size() + total);
-  for (const Line* l : lines) {
-    out += l->text;
+  for (auto it = first; it != drained_.end(); ++it) {
+    out += *it;
     out += '\n';
   }
-  return watermark_;
+  return watermark;
 }
 
 void EventLog::close() {
@@ -339,9 +334,8 @@ void EventLog::close() {
   bytes_.fetch_add(event.line_.size() + 1, std::memory_order_relaxed);
   accepted_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  note_drained_locked(seq);
-  drained_.push_back({seq, std::move(event.line_)});
+  publish_locked(next_seq_.fetch_add(1, std::memory_order_relaxed),
+                 std::move(event.line_));
   // Emitters have quiesced (close's contract), so every remaining
   // staged line can be drained here — the publication watermark then
   // covers the whole stream and snapshot readers see it all.
@@ -350,44 +344,36 @@ void EventLog::close() {
 
 std::size_t EventLog::event_count() const {
   std::scoped_lock lock(mutex_);
-  std::size_t n = drained_.size();
+  std::size_t n = drained_.size() + ahead_.size();
   for (const auto& buffer : buffers_) n += buffer->staged.size();
   return n;
 }
 
 std::string EventLog::to_ndjson() const {
-  std::scoped_lock lock(mutex_);
-  std::vector<const Line*> lines;
-  lines.reserve(drained_.size());
-  for (const Line& l : drained_) lines.push_back(&l);
-  for (const auto& buffer : buffers_) {
-    for (const Line& l : buffer->staged) lines.push_back(&l);
-  }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
   std::size_t total = 0;
-  for (const Line* l : lines) total += l->text.size() + 1;
+  for_each_line([&total](std::string_view line) { total += line.size() + 1; });
   std::string out;
   out.reserve(total);
-  for (const Line* l : lines) {
-    out += l->text;
+  for_each_line([&out](std::string_view line) {
+    out += line;
     out += '\n';
-  }
+  });
   return out;
 }
 
 void EventLog::for_each_line(
     const std::function<void(std::string_view)>& fn) const {
   std::scoped_lock lock(mutex_);
-  std::vector<const Line*> lines;
-  lines.reserve(drained_.size());
-  for (const Line& l : drained_) lines.push_back(&l);
+  for (const std::string& line : drained_) fn(line);
+  // Only the unpublished tail — lines held above a gap or still staged
+  // — needs ordering.
+  std::vector<std::pair<std::uint64_t, const std::string*>> tail;
+  for (const auto& [seq, text] : ahead_) tail.emplace_back(seq, &text);
   for (const auto& buffer : buffers_) {
-    for (const Line& l : buffer->staged) lines.push_back(&l);
+    for (const Line& l : buffer->staged) tail.emplace_back(l.seq, &l.text);
   }
-  std::sort(lines.begin(), lines.end(),
-            [](const Line* a, const Line* b) { return a->seq < b->seq; });
-  for (const Line* l : lines) fn(l->text);
+  std::sort(tail.begin(), tail.end());
+  for (const auto& [seq, text] : tail) fn(*text);
 }
 
 bool EventLog::start_periodic_flush(const std::string& path,

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -166,8 +167,9 @@ class EventLog {
   /// Appends the published lines with seq in [from_seq, watermark())
   /// to `out` as NDJSON in sequence order and returns the watermark
   /// used as the exclusive bound.  Safe concurrently with emitters —
-  /// only the central sink is read.  Pass the returned value back as
-  /// `from_seq` to stream the log incrementally.
+  /// only the central sink is read — and costs only the returned
+  /// slice.  Pass the returned value back as `from_seq` to stream the
+  /// log incrementally.
   std::uint64_t snapshot_ndjson(std::string& out,
                                 std::uint64_t from_seq = 0) const;
 
@@ -247,10 +249,11 @@ class EventLog {
   static constexpr std::size_t kDrainBatch = 1024;
 
   Buffer& local_buffer();
-  /// Moves `buffer`'s staged lines into drained_; mutex_ held.
+  /// Publishes every line staged in `buffer`; mutex_ held.
   void drain_locked(Buffer& buffer);
-  /// Accounts one drained seq into the watermark; mutex_ held.
-  void note_drained_locked(std::uint64_t seq);
+  /// Appends line `seq` to drained_, or holds it in ahead_ until the
+  /// gap below it closes; mutex_ held.
+  void publish_locked(std::uint64_t seq, std::string text);
   void flush_loop(int interval_ms);
   void flush_once();
   /// fsyncs flush_file_ per fsync_ policy; flush_mutex_ held.
@@ -273,13 +276,14 @@ class EventLog {
   std::atomic<bool> closed_{false};
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Buffer>> buffers_;
-  std::vector<Line> drained_;  ///< MPSC sink fed by full staging buffers
 
-  // Publication watermark (guarded by mutex_): drained lines with seq
-  // >= watermark_ wait in ahead_ (a min-heap) until the gap below them
-  // is drained too.
-  std::uint64_t watermark_ = 0;
-  std::vector<std::uint64_t> ahead_;
+  // Central sink (guarded by mutex_).  drained_ holds exactly the
+  // published lines in sequence order — seqs are dense, so index ==
+  // seq and the watermark is drained_.size().  A drained line above a
+  // gap (another thread still stages a lower seq) waits in ahead_ until
+  // the gap closes.
+  std::vector<std::string> drained_;
+  std::map<std::uint64_t, std::string> ahead_;
 
   // Periodic flusher (PANDARUS_EVENTS_FLUSH_MS).
   std::mutex flush_mutex_;

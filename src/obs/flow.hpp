@@ -133,7 +133,7 @@ struct FlowTotals {
 /// Online causal-flow tracker.  Hook methods are called from the
 /// simulation thread via `if (auto* f = FlowTracker::installed())`
 /// guards; a detached tracker (never installed) doubles as the offline
-/// rebuild engine for analysis::critical_path, fed the same calls in
+/// rebuild engine for analysis::replay_events, fed the same calls in
 /// event-stream order.  All hooks take the tracker mutex; disabled
 /// sites never reach it.
 class FlowTracker {

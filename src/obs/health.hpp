@@ -7,7 +7,7 @@
 //     transitions, terminal transfer outcomes) call the typed on_*()
 //     feeds directly, guarded by `HealthEngine::installed()` exactly
 //     like EventLog emit sites;
-//   * replay — analysis::derive_health() streams a recorded NDJSON or
+//   * replay — analysis::replay_events() streams a recorded NDJSON or
 //     colstore file through observe_json(), which maps the canonical
 //     event vocabulary ("sample", "link_sample", "breaker_state",
 //     "transfer_done"/"transfer_fail") onto the *same* typed feeds.
@@ -139,8 +139,8 @@ class HealthEngine {
   }
 
   /// Alert lifecycle transitions mirror to the installed EventLog as
-  /// `alert` events when enabled (the default).  derive_health()
-  /// disables it so replaying a stream never re-emits its own alerts.
+  /// `alert` events when enabled (the default).  Replay engines disable
+  /// it so replaying a stream never re-emits its own alerts.
   void set_emit_events(bool emit) noexcept { emit_events_ = emit; }
 
   // --- typed feeds (live instrumentation sites) -----------------------------

@@ -23,7 +23,6 @@
 #include "analysis/critical_path.hpp"
 #include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
-#include "analysis/health_replay.hpp"
 #include "analysis/heatmap.hpp"
 #include "analysis/imbalance.hpp"
 #include "analysis/metric_query.hpp"
@@ -41,7 +40,6 @@
 #include "core/metrics.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
-#include "core/windowed.hpp"
 #include "dms/catalog.hpp"
 #include "dms/did.hpp"
 #include "dms/rse.hpp"
@@ -72,13 +70,11 @@
 #include "sim/scheduler.hpp"
 #include "telemetry/corruption.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/query.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/records.hpp"
 #include "telemetry/store.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
-#include "util/histogram.hpp"
 #include "util/interner.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"

@@ -36,26 +36,6 @@ void MetadataStore::finalize_task(std::int64_t jeditaskid,
   for (std::size_t idx : it->second) jobs_[idx].task_status = status;
 }
 
-std::vector<std::size_t> MetadataStore::jobs_completed_in(
-    util::SimTime t0, util::SimTime t1) const {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (jobs_[i].end_time >= t0 && jobs_[i].end_time < t1) result.push_back(i);
-  }
-  return result;
-}
-
-std::vector<std::size_t> MetadataStore::transfers_started_in(
-    util::SimTime t0, util::SimTime t1) const {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < transfers_.size(); ++i) {
-    if (transfers_[i].started_at >= t0 && transfers_[i].started_at < t1) {
-      result.push_back(i);
-    }
-  }
-  return result;
-}
-
 MetadataStore::Counts MetadataStore::counts() const noexcept {
   Counts c;
   c.jobs = jobs_.size();

@@ -1,10 +1,8 @@
 // MetadataStore: the OpenSearch stand-in (paper §4.1).
 //
-// Append-only record streams with the time-window query semantics the
-// paper relies on: the query module "only reports jobs that are completed
-// before the end of the interval, excluding all jobs still running"
-// (§4.2).  Indexes used by the matcher (file records by (pandaid,
-// jeditaskid), transfers by lfn) are built on demand by the core module;
+// Append-only record streams.  Indexes used by the matcher (file
+// records by (pandaid, jeditaskid), transfers by lfn) are built on
+// demand by the core module;
 // the store itself stays a dumb, faithful record base — plus one piece
 // of derived state: a shared symbol table.  record_file/record_transfer
 // intern the string attributes (lfn, dataset, proddblock, scope) to
@@ -65,15 +63,6 @@ class MetadataStore {
   [[nodiscard]] std::vector<TransferRecord>& transfers_mutable() noexcept {
     return transfers_;
   }
-
-  /// Indices of jobs completed within [t0, t1) — the paper's window
-  /// pre-selection: a job is visible only once it has completed.
-  [[nodiscard]] std::vector<std::size_t> jobs_completed_in(
-      util::SimTime t0, util::SimTime t1) const;
-
-  /// Indices of transfers that started within [t0, t1).
-  [[nodiscard]] std::vector<std::size_t> transfers_started_in(
-      util::SimTime t0, util::SimTime t1) const;
 
   struct Counts {
     std::size_t jobs = 0;

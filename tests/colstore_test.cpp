@@ -295,7 +295,7 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   EXPECT_EQ(from_text.lines_skipped, from_col.lines_skipped);
   EXPECT_EQ(from_text.kind_counts, from_col.kind_counts);
   EXPECT_EQ(from_text.samples.size(), from_col.samples.size());
-  EXPECT_EQ(from_text.flow_events.size(), from_col.flow_events.size());
+  EXPECT_EQ(from_text.flows->totals().flows, from_col.flows->totals().flows);
   EXPECT_TRUE(from_col.log_stats.present);
   EXPECT_EQ(from_col.log_stats.dropped, 0u);
 

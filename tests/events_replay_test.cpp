@@ -1,10 +1,12 @@
 // Event-log and replay tests: NDJSON round-trip (multi-threaded emit,
 // overflow), sampler/event-stream determinism (a traced run must produce
-// byte-identical NDJSON to an untraced one), and the replay cross-check
-// (analyses on an events-rebuilt store must equal the in-memory ones).
+// byte-identical NDJSON to an untraced one), the replay cross-check
+// (analyses on an events-rebuilt store must equal the in-memory ones),
+// and one-pass replay + health parity with the two-pass path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -14,13 +16,17 @@
 #include "analysis/breakdown.hpp"
 #include "analysis/casestudy.hpp"
 #include "analysis/critical_path.hpp"
+#include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
+#include "analysis/report_html.hpp"
 #include "analysis/summary.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
 #include "json_validator.hpp"
+#include "obs/colstore.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
+#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -337,8 +343,8 @@ TEST(EventsFlows, FlowsOnStreamIsFlowsOffStreamPlusFlowLines) {
 }
 
 // The offline rebuild engine IS the online analyzer (a detached
-// FlowTracker fed the captured rows in stream order), so a replayed
-// stream must reproduce the live tracker's analysis bit for bit.
+// FlowTracker replay feeds in stream order), so a replayed stream must
+// reproduce the live tracker's analysis bit for bit.
 TEST(EventsFlows, RebuiltFlowsMatchLiveTrackerBitForBit) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.5;
@@ -361,8 +367,8 @@ TEST(EventsFlows, RebuiltFlowsMatchLiveTrackerBitForBit) {
 
   std::istringstream stream(log.to_ndjson());
   const analysis::ReplayResult replay = analysis::replay_events(stream);
-  EXPECT_GT(replay.flow_events.size(), 0u);
-  const analysis::FlowAnalysis rebuilt = analysis::rebuild_flows(replay);
+  EXPECT_GT(replay.kind_counts.at("flow_begin"), 0u);
+  const analysis::FlowAnalysis rebuilt = analysis::analyze_flows(replay);
 
   ASSERT_EQ(rebuilt.flows.size(), live.flows.size());
   ASSERT_GT(live.flows.size(), 0u);
@@ -423,6 +429,69 @@ TEST(EventsFlows, RebuiltFlowsMatchLiveTrackerBitForBit) {
   EXPECT_EQ(rebuilt.collapsed, live.collapsed);
   EXPECT_EQ(analysis::render_attribution(rebuilt),
             analysis::render_attribution(live));
+}
+
+// --- one pass ---------------------------------------------------------------
+
+// Feeding the health engine inside the replay loop must give the same
+// bytes as the two-pass path (replay, then a health-only pass), over
+// both container formats.
+TEST(EventsReplay, OnePassEqualsReplayPlusDeriveHealth) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 20250401;
+  config.faults.intensity = 2.0;
+  config.with_self_healing();
+
+  obs::FlowTracker tracker;
+  tracker.install();
+  obs::HealthEngine engine;
+  engine.install();
+  obs::EventLog log;
+  log.install();
+  std::ignore = scenario::run_campaign(config);
+  log.uninstall();
+  engine.uninstall();
+  tracker.uninstall();
+  log.close();
+
+  const std::string ndjson_path = "events_replay_one_pass.ndjson";
+  const std::string col_path = "events_replay_one_pass.colstore";
+  ASSERT_TRUE(log.write_ndjson(ndjson_path));
+  ASSERT_TRUE(obs::write_colstore(log, col_path));
+
+  const auto report = [](const analysis::ReplayResult& replay,
+                         const obs::HealthEngine& health) {
+    analysis::HtmlReportOptions options;
+    options.health = &health;
+    std::ostringstream html;
+    analysis::write_html_report(html, replay, options);
+    return html.str();
+  };
+  std::vector<std::string> one_pass_reports;
+  for (const std::string& path : {ndjson_path, col_path}) {
+    const analysis::ReplayResult two_pass =
+        analysis::replay_events_file(path);
+    const auto derived = analysis::derive_health_file(path);
+    ASSERT_NE(derived, nullptr);
+
+    obs::HealthEngine health;
+    health.set_emit_events(false);
+    const auto source = analysis::open_event_source(path);
+    ASSERT_NE(source, nullptr);
+    const analysis::ReplayResult one_pass =
+        analysis::replay_events(*source, &health);
+
+    EXPECT_GT(derived->counts().fired, 0u) << path;
+    EXPECT_EQ(health.status_json(), derived->status_json()) << path;
+    const std::string html = report(one_pass, health);
+    EXPECT_NE(html.find("Critical-path wait attribution"), std::string::npos);
+    EXPECT_EQ(html, report(two_pass, *derived)) << path;
+    one_pass_reports.push_back(html);
+  }
+  EXPECT_EQ(one_pass_reports[0], one_pass_reports[1]);
+  std::remove(ndjson_path.c_str());
+  std::remove(col_path.c_str());
 }
 
 // --- harvest ----------------------------------------------------------------

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/health_replay.hpp"
+#include "analysis/events_replay.hpp"
 #include "obs/event_log.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"

@@ -1,11 +1,12 @@
 // Unit tests for the parallel utilities: thread pool, parallel_for,
-// deterministic parallel_reduce, sharded map.
+// deterministic parallel_reduce.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <vector>
 
-#include "parallel/sharded_map.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace pandarus::parallel {
@@ -106,47 +107,6 @@ TEST(ParallelReduce, DeterministicCombineOrder) {
   const std::string first = run();
   for (int rep = 0; rep < 5; ++rep) EXPECT_EQ(run(), first);
   EXPECT_EQ(first, "0,256,512,768,1024,1280,1536,1792,");
-}
-
-TEST(ShardedMap, PutGetContains) {
-  ShardedMap<int, std::string> map(8);
-  map.put(1, "one");
-  map.put(2, "two");
-  map.put(1, "uno");  // overwrite
-  std::string out;
-  EXPECT_TRUE(map.get(1, out));
-  EXPECT_EQ(out, "uno");
-  EXPECT_TRUE(map.contains(2));
-  EXPECT_FALSE(map.contains(3));
-  EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(ShardedMap, UpdateCreatesDefault) {
-  ShardedMap<int, int> map(4);
-  map.update(7, [](int& v) { v += 5; });
-  map.update(7, [](int& v) { v += 5; });
-  int out = 0;
-  EXPECT_TRUE(map.get(7, out));
-  EXPECT_EQ(out, 10);
-}
-
-TEST(ShardedMap, ConcurrentUpdatesDontLoseWrites) {
-  ShardedMap<int, int> map(16);
-  ThreadPool pool(4);
-  constexpr int kKeys = 64;
-  constexpr int kPerKey = 500;
-  std::vector<std::future<void>> futures;
-  for (int t = 0; t < 4; ++t) {
-    futures.push_back(pool.submit([&] {
-      for (int i = 0; i < kKeys * kPerKey / 4; ++i) {
-        map.update(i % kKeys, [](int& v) { ++v; });
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-  std::uint64_t total = 0;
-  map.for_each([&](int, int v) { total += static_cast<std::uint64_t>(v); });
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kKeys) * kPerKey);
 }
 
 }  // namespace

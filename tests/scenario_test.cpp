@@ -8,7 +8,6 @@
 #include "analysis/summary.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
-#include "core/windowed.hpp"
 #include "scenario/campaign.hpp"
 
 namespace pandarus::scenario {
@@ -171,69 +170,6 @@ TEST(Matching, ParallelDriverMatchesSerial) {
       EXPECT_EQ(serial.jobs[i].transfer_indices,
                 parallel_result.jobs[i].transfer_indices);
     }
-  }
-}
-
-TEST(Matching, WindowedMatcherEquivalentWithSufficientLookback) {
-  // With lookback covering every job lifetime, windowed matching must
-  // reproduce the global result exactly (the paper's pre-selection
-  // soundness condition: "no shorter than the end-to-end lifetime of
-  // the jobs of interest").
-  const ScenarioResult& r = shared_result();
-  util::SimDuration max_lifetime = 0;
-  for (const auto& j : r.store.jobs()) {
-    max_lifetime = std::max(max_lifetime, j.lifetime());
-  }
-  core::WindowedMatcher::Config config;
-  config.window = util::hours(4);
-  // Transfers may also start before job creation (pre-placement), so
-  // cover the whole campaign span for strict equality.
-  config.lookback = r.window_end + max_lifetime;
-  const core::WindowedMatcher windowed(r.store, config);
-  EXPECT_GT(windowed.window_count(), 1u);
-
-  for (const auto options :
-       {core::MatchOptions::exact(), core::MatchOptions::rm2()}) {
-    const core::Matcher matcher(r.store);
-    const auto global = matcher.run(options);
-    const auto sliced = windowed.run(options);
-    ASSERT_EQ(global.matched_job_count(), sliced.matched_job_count());
-    for (std::size_t i = 0; i < global.jobs.size(); ++i) {
-      EXPECT_EQ(global.jobs[i].job_index, sliced.jobs[i].job_index);
-      EXPECT_EQ(global.jobs[i].transfer_indices,
-                sliced.jobs[i].transfer_indices);
-    }
-  }
-}
-
-TEST(Matching, WindowedMatcherShortLookbackOnlyLosesMatches) {
-  // An under-sized lookback may drop candidates (recall loss) but can
-  // never invent matches that the global matcher would not produce...
-  // except through the size-sum gate, which can *pass* on a truncated
-  // candidate set.  RM1 has no gate, so RM1 windowed results must be a
-  // subset of global RM1 per job.
-  const ScenarioResult& r = shared_result();
-  core::WindowedMatcher::Config config;
-  config.window = util::hours(4);
-  config.lookback = util::minutes(30);
-  const core::WindowedMatcher windowed(r.store, config);
-  const core::Matcher matcher(r.store);
-  const auto global = matcher.run(core::MatchOptions::rm1());
-  const auto sliced = windowed.run(core::MatchOptions::rm1());
-  EXPECT_LE(sliced.matched_job_count(), global.matched_job_count());
-  // Every sliced match is contained in the corresponding global match.
-  std::size_t gi = 0;
-  for (const auto& m : sliced.jobs) {
-    while (gi < global.jobs.size() &&
-           global.jobs[gi].job_index < m.job_index) {
-      ++gi;
-    }
-    ASSERT_LT(gi, global.jobs.size());
-    ASSERT_EQ(global.jobs[gi].job_index, m.job_index);
-    EXPECT_TRUE(std::includes(global.jobs[gi].transfer_indices.begin(),
-                              global.jobs[gi].transfer_indices.end(),
-                              m.transfer_indices.begin(),
-                              m.transfer_indices.end()));
   }
 }
 

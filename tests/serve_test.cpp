@@ -39,6 +39,7 @@
 #include "obs/serve.hpp"
 #include "promtext_validator.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/checkpoint.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
 
@@ -386,6 +387,55 @@ TEST(ServeEndpoints, LiveSummaryEqualsPostHocAnalysis) {
   server.uninstall();
   server.stop();
   tracker.uninstall();
+  log.uninstall();
+}
+
+// The live cache folds only the newly published suffix: scraping after
+// every publish() of a campaign folds each line exactly once, and the
+// final bodies equal those of a fresh full replay of the stream.
+TEST(ServeEndpoints, LiveCacheFoldsEachPublishedLineOnce) {
+  obs::Registry::global().reset_for_test();
+  obs::EventLog log;
+  log.install();
+  obs::StatusServer server;
+  ASSERT_TRUE(server.start());
+  server.install();
+
+  // The campaign publishes at every day boundary (this hook runs right
+  // after), after the harvest (run_campaign returns) and on close().
+  std::size_t scrapes = 0;
+  const auto scrape = [&server, &scrapes] {
+    ++scrapes;
+    http_get(server.port(), "/api/summary");
+  };
+  auto previous = scenario::detail::exchange_day_boundary_hook(
+      [&scrape](const scenario::detail::DayBoundary&) { scrape(); });
+  std::ignore = scenario::run_campaign(scenario::ScenarioConfig::small());
+  scenario::detail::exchange_day_boundary_hook(std::move(previous));
+  scrape();
+  log.close();
+  scrape();
+  EXPECT_GT(scrapes, 3u);
+
+  const std::uint64_t folded =
+      obs::Registry::global().snapshot().counter_value(
+          "pandarus_serve_replayed_lines_total");
+  EXPECT_EQ(folded, log.watermark());
+
+  std::istringstream stream(log.to_ndjson());
+  auto replay = std::make_shared<const analysis::ReplayResult>(
+      analysis::replay_events(stream));
+  obs::StatusServer replay_server;
+  ASSERT_TRUE(replay_server.start());
+  analysis::attach_replay_status(replay_server, replay);
+  for (const char* path : {"/api/summary", "/api/tables", "/api/series"}) {
+    EXPECT_EQ(body_of(http_get(server.port(), path)),
+              body_of(http_get(replay_server.port(), path)))
+        << path;
+  }
+  replay_server.stop();
+  server.uninstall();
+  server.stop();
   log.uninstall();
 }
 

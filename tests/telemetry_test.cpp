@@ -1,4 +1,4 @@
-// Unit tests for the telemetry layer: records, store queries, recorder
+// Unit tests for the telemetry layer: records, the store, recorder
 // conversion, corruption injection, CSV round-trips.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 
 #include "telemetry/corruption.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/query.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/store.hpp"
 
@@ -67,19 +66,6 @@ TEST(Store, CountsAndTaskidTally) {
   EXPECT_EQ(counts.jobs, 1u);
   EXPECT_EQ(counts.transfers, 2u);
   EXPECT_EQ(counts.transfers_with_taskid, 1u);
-}
-
-TEST(Store, WindowQueries) {
-  MetadataStore store;
-  store.record_job(basic_job(1, 5, 1000));
-  store.record_job(basic_job(2, 5, 5000));
-  store.record_transfer(basic_transfer(1));   // starts at 100
-  store.record_transfer(basic_transfer(30));  // starts at 3000
-  EXPECT_EQ(store.jobs_completed_in(0, 2000),
-            (std::vector<std::size_t>{0}));
-  EXPECT_EQ(store.jobs_completed_in(0, 10'000).size(), 2u);
-  EXPECT_EQ(store.transfers_started_in(0, 1000),
-            (std::vector<std::size_t>{0}));
 }
 
 TEST(Store, FinalizeTaskBackfillsStatus) {
@@ -283,80 +269,6 @@ TEST(Corruption, DropChannelsShrinkStores) {
   EXPECT_EQ(store.files().size(), 1000 - report.file_records_dropped);
   EXPECT_EQ(store.jobs().size(), 1000 - report.job_records_dropped);
   EXPECT_NEAR(static_cast<double>(report.file_records_dropped), 300.0, 80.0);
-}
-
-TEST(Query, TransferFiltersCompose) {
-  MetadataStore store;
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    TransferRecord t = basic_transfer(i, i % 2 == 0 ? 5 : -1);
-    t.file_size = 1000 * (i + 1);
-    t.destination_site = i % 4 == 0 ? 1u : 2u;
-    t.source_site = 1;
-    t.success = i % 5 != 0;
-    t.activity = i < 10 ? dms::Activity::kAnalysisDownload
-                        : dms::Activity::kDataRebalance;
-    store.record_transfer(t);
-  }
-
-  EXPECT_EQ(TransferQuery(store).count(), 20u);
-  EXPECT_EQ(TransferQuery(store).with_taskid().count(), 10u);
-  EXPECT_EQ(TransferQuery(store)
-                .activity(dms::Activity::kAnalysisDownload)
-                .count(),
-            10u);
-  EXPECT_EQ(TransferQuery(store).to_site(1).local().count(), 5u);
-  // Composition ANDs: downloads with taskid, successful, to site 2.
-  const auto selected = TransferQuery(store)
-                            .activity(dms::Activity::kAnalysisDownload)
-                            .with_taskid()
-                            .successful()
-                            .to_site(2)
-                            .indices();
-  for (std::size_t i : selected) {
-    const auto& t = store.transfers()[i];
-    EXPECT_TRUE(t.has_jeditaskid());
-    EXPECT_TRUE(t.success);
-    EXPECT_EQ(t.destination_site, 2u);
-  }
-  // total_bytes sums only the selection (sizes are 1000..20000; strictly
-  // greater than 18000 leaves {19000, 20000}).
-  EXPECT_EQ(TransferQuery(store).larger_than(18'000).count(), 2u);
-  EXPECT_EQ(TransferQuery(store).larger_than(18'000).total_bytes(),
-            20'000u + 19'000u);
-}
-
-TEST(Query, TimeWindowsMatchStoreHelpers) {
-  MetadataStore store;
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    store.record_transfer(basic_transfer(i));  // starts at i*100
-    store.record_job(
-        basic_job(static_cast<std::int64_t>(i), 5,
-                  static_cast<util::SimTime>(i * 100 + 10)));
-  }
-  EXPECT_EQ(TransferQuery(store).started_in(0, 1000).indices(),
-            store.transfers_started_in(0, 1000));
-  EXPECT_EQ(JobQuery(store).completed_in(0, 1000).indices(),
-            store.jobs_completed_in(0, 1000));
-}
-
-TEST(Query, JobFiltersAndAggregates) {
-  MetadataStore store;
-  JobRecord ok = basic_job(1, 5, 1000);
-  store.record_job(ok);
-  JobRecord bad = basic_job(2, 5, 2000);
-  bad.failed = true;
-  bad.error_code = 1305;
-  bad.computing_site = 3;
-  store.record_job(bad);
-
-  EXPECT_EQ(JobQuery(store).failed().count(), 1u);
-  EXPECT_EQ(JobQuery(store).failed().with_error(1305).count(), 1u);
-  EXPECT_EQ(JobQuery(store).failed().with_error(1099).count(), 0u);
-  EXPECT_EQ(JobQuery(store).at_site(3).indices(),
-            (std::vector<std::size_t>{1}));
-  // Queuing: ok waits 500, bad waits 1000.
-  EXPECT_EQ(JobQuery(store).total_queuing_time(), 1500);
-  EXPECT_EQ(JobQuery(store).failed().total_queuing_time(), 1000);
 }
 
 TEST(Io, RoundTripPreservesRecords) {

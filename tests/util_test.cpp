@@ -1,5 +1,5 @@
 // Unit tests for the util module: RNG determinism and distribution
-// sanity, statistics accumulators, histograms, time/format helpers, CSV.
+// sanity, statistics accumulators, time/format helpers, CSV.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "util/csv.hpp"
 #include "util/format.hpp"
-#include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -211,39 +210,6 @@ TEST(PearsonCorrelation, PerfectAndNone) {
   const double z[] = {5, 5, 5, 5, 5};
   EXPECT_NEAR(pearson_correlation(x, y), 1.0, 1e-12);
   EXPECT_EQ(pearson_correlation(x, z), 0.0);  // zero variance side
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(5.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, CumulativeBelow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.cumulative_below(5.0), 5.0, 0.51);
-  EXPECT_DOUBLE_EQ(h.cumulative_below(0.0), 0.0);
-  EXPECT_NEAR(h.cumulative_below(100.0), 10.0, 1e-9);
-}
-
-TEST(Log2Histogram, CountsPowers) {
-  Log2Histogram h;
-  h.add(1.5);
-  h.add(2.5);
-  h.add(1024.0);
-  h.add(0.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_FALSE(h.to_string().empty());
 }
 
 TEST(Time, FormatAnchorsToAprilFirst) {
