@@ -2,20 +2,23 @@
 // checkpoint/resume path.
 //
 // One reference campaign runs to completion in-process; then, for each
-// iteration, a forked child re-runs the same campaign with the durable
-// NDJSON sink armed (periodic flush + fsync, per-day checkpoints) and
-// is SIGKILLed once its events file grows past a seeded random byte
-// threshold — progress-based, so the kill always lands mid-campaign no
-// matter how fast the machine is.  Some iterations also arm the
-// write-delay hook (PANDARUS_EVENTS_WRITE_DELAY_US's API twin) so the
-// kill lands *mid-flush*, leaving a torn final line.  The parent then
-// exercises the full recovery story:
+// iteration, a forked child re-runs the same campaign with both durable
+// sinks armed (NDJSON + colstore, written as lines are published, fsync
+// per drain, per-day checkpoints) and is SIGKILLed once its events file
+// grows past a seeded random byte threshold — progress-based, so the
+// kill always lands mid-campaign no matter how fast the machine is.
+// Some iterations also arm the write-delay hook
+// (PANDARUS_EVENTS_WRITE_DELAY_US's API twin) so the kill lands
+// *mid-write*, leaving a torn final line.  The parent then exercises
+// the full recovery story:
 //
 //   1. obs::recover_ndjson_file salvages the longest valid prefix,
 //   2. scenario::resume_campaign re-executes from the newest snapshot
 //      (or from scratch when the kill predates the first day boundary),
 //   3. the salvaged prefix must be a byte-exact prefix of the resumed
-//      stream, and salvaged + suffix must equal the reference bytes.
+//      stream, and salvaged + suffix must equal the reference bytes,
+//   4. obs::recover_colstore_file salvages the colstore file's whole
+//      chunks, which must decode to a byte prefix of the reference.
 //
 // After all iterations the final spliced stream is replayed and matched
 // (the paper's three methods); with the default --seed 7 --days 1 the
@@ -37,6 +40,7 @@
 
 #include "analysis/events_replay.hpp"
 #include "core/relaxed.hpp"
+#include "obs/colstore.hpp"
 #include "obs/event_log.hpp"
 #include "obs/recover.hpp"
 #include "scenario/campaign.hpp"
@@ -92,23 +96,34 @@ scenario::ScenarioConfig make_config(const Args& args) {
   return config;
 }
 
+/// Decodes a colstore file back to NDJSON bytes.
+std::string decode_colstore(const std::string& path) {
+  obs::ColReader reader(path);
+  obs::DecodedEvent event;
+  std::string out;
+  while (reader.next(event)) {
+    obs::append_ndjson(event, out);
+    out += '\n';
+  }
+  return out;
+}
+
 /// The child's whole life: durable sinks on, checkpoints on, run, exit.
-/// Called only after fork() — threads started here never exist in the
-/// parent, so fork stays async-signal-safe for the parent's part.
+/// Called only after fork().
 [[noreturn]] void run_child(const Args& args, const std::string& events_path,
+                            const std::string& col_path,
                             const std::string& ckpt_dir, int write_delay_us) {
   scenario::ScenarioConfig config = make_config(args);
   config.checkpoint_dir = ckpt_dir;
-  obs::EventLog log;
-  obs::FsyncConfig fsync;
-  fsync.policy = obs::FsyncPolicy::kFlush;
-  log.set_fsync(fsync);
-  log.set_flush_write_delay_us(write_delay_us);
-  log.start_periodic_flush(events_path, /*interval_ms=*/2);
+  obs::EventSinks sinks;
+  sinks.ndjson_path = events_path;
+  sinks.colstore_path = col_path;
+  sinks.fsync.policy = obs::FsyncPolicy::kFlush;
+  sinks.write_delay_us = write_delay_us;
+  obs::EventLog log(sinks);
   log.install();
   (void)scenario::run_campaign(config);
   log.close();
-  log.stop_periodic_flush();
   log.uninstall();
   // Skip atexit teardown: the parent's state must stay untouched.
   std::_Exit(0);
@@ -173,8 +188,10 @@ int main(int argc, char** argv) {
         args.dir + "/iter-" + std::to_string(iter);
     const std::string ckpt_dir = iter_dir + "/ckpt";
     const std::string events_path = iter_dir + "/events.ndjson";
+    const std::string col_path = iter_dir + "/events.colstore";
     ::mkdir(iter_dir.c_str(), 0777);
     std::remove(events_path.c_str());
+    std::remove(col_path.c_str());
 
     // Kill points are drawn from the harness seed, so a CI run is
     // reproducible.  The threshold is a fraction of the reference size:
@@ -188,7 +205,7 @@ int main(int argc, char** argv) {
     // checkpoint — bytes beyond that publish only become visible after
     // the day-0 snapshot's rename, because both happen in the sim
     // thread in order.  Every other iteration arms the write-delay
-    // hook, stretching each 4 KiB flush block long enough for the
+    // hook, stretching each 4 KiB write block long enough for the
     // SIGKILL to land mid-line.
     const std::uint64_t kill_pct =
         10 + static_cast<std::uint64_t>(iter % 5) * 18 +
@@ -202,7 +219,9 @@ int main(int argc, char** argv) {
       std::perror("fork");
       return 1;
     }
-    if (pid == 0) run_child(args, events_path, ckpt_dir, write_delay_us);
+    if (pid == 0) {
+      run_child(args, events_path, col_path, ckpt_dir, write_delay_us);
+    }
 
     std::uint64_t kill_at_bytes = 0;
     bool child_exited_early = false;
@@ -243,6 +262,20 @@ int main(int argc, char** argv) {
       }
       read_file(events_path, salvaged);
     }
+    // The colstore sink holds whole chunks plus at most a torn tail;
+    // what survives must decode to a prefix of the reference stream.
+    const obs::RecoveryReport col_report =
+        obs::recover_colstore_file(col_path, col_path);
+    const std::string col_salvaged =
+        col_report.ok ? decode_colstore(col_path) : std::string();
+    const bool col_prefix_ok =
+        col_report.ok && col_salvaged.size() <= reference.size() &&
+        reference.compare(0, col_salvaged.size(), col_salvaged) == 0;
+    if (!col_prefix_ok) {
+      std::fprintf(stderr, "iter %d: colstore salvage: %s\n", iter,
+                   col_report.ok ? "not a prefix of the reference"
+                                 : col_report.detail.c_str());
+    }
 
     // --- resume -------------------------------------------------------
     scenario::ResumeOutcome resume =
@@ -261,12 +294,13 @@ int main(int argc, char** argv) {
     std::string spliced = salvaged;
     if (prefix_ok) spliced += resume.full_ndjson.substr(salvaged.size());
     const bool parity = prefix_ok && spliced == reference;
-    if (!parity) ++failures;
+    if (!parity || !col_prefix_ok) ++failures;
     std::printf(
         "{\"iter\":%d,\"kill_at_bytes\":%llu,\"write_delay_us\":%d,"
         "\"killed\":%s,\"salvaged_bytes\":%llu,\"dropped_bytes\":%llu,"
         "\"torn_tail\":%s,\"had_checkpoint\":%s,\"resumed_day\":%lld,"
-        "\"prefix_ok\":%s,\"parity\":%s}\n",
+        "\"prefix_ok\":%s,\"parity\":%s,\"col_salvaged_events\":%llu,"
+        "\"col_prefix_ok\":%s}\n",
         iter, static_cast<unsigned long long>(kill_at_bytes), write_delay_us,
         killed ? "true" : "false",
         static_cast<unsigned long long>(salvaged.size()),
@@ -274,10 +308,13 @@ int main(int argc, char** argv) {
         report.truncated ? "true" : "false",
         resume.had_checkpoint ? "true" : "false",
         static_cast<long long>(resume.resumed_day),
-        prefix_ok ? "true" : "false", parity ? "true" : "false");
+        prefix_ok ? "true" : "false", parity ? "true" : "false",
+        static_cast<unsigned long long>(col_report.salvaged_events),
+        col_prefix_ok ? "true" : "false");
     if (parity) final_stream = std::move(spliced);
     if (!args.keep) {
       std::remove(events_path.c_str());
+      std::remove(col_path.c_str());
     }
   }
 

@@ -8,7 +8,6 @@
 
 #include "obs/event_log.hpp"
 #include "util/crc32.hpp"
-#include "util/log.hpp"
 
 namespace pandarus::obs {
 namespace {
@@ -549,6 +548,16 @@ bool ColWriter::flush_chunk() {
   return true;
 }
 
+bool ColWriter::flush(bool durable) {
+  if (!ok() || out_ == nullptr) return false;
+  if (std::fflush(out_) != 0) {
+    fail("flush failed");
+  } else if (durable && ::fsync(fileno(out_)) != 0) {
+    fail("fsync failed");
+  }
+  return ok();
+}
+
 bool ColWriter::close() {
   if (closed_) return ok();
   closed_ = true;
@@ -561,7 +570,7 @@ bool ColWriter::close() {
         ::fsync(fileno(out_)) != 0) {
       fail("fsync failed on close");
     }
-    std::fclose(out_);
+    if (std::fclose(out_) != 0) fail("close failed");
     out_ = nullptr;
   }
   return ok();
@@ -1174,35 +1183,6 @@ std::optional<ColStats> colstore_stats(const std::string& path,
     if (at > 0) stats.file_bytes = static_cast<std::uint64_t>(at);
   }
   return stats;
-}
-
-bool write_colstore(const EventLog& log, const std::string& path,
-                    ColWriterOptions options) {
-  // The log's durability policy covers both sinks: any non-off fsync
-  // policy also syncs the colstore file before close.
-  if (log.fsync_config().policy != FsyncPolicy::kOff) {
-    options.fsync_on_close = true;
-  }
-  ColWriter writer(path, options);
-  if (!writer.ok()) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open colstore output file " + path);
-    return false;
-  }
-  log.for_each_line(
-      [&writer](std::string_view line) { writer.append_ndjson_line(line); });
-  if (!writer.close()) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: colstore write failed: " + writer.error());
-    return false;
-  }
-  if (writer.stats().rejected != 0) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: colstore sink rejected " +
-                       std::to_string(writer.stats().rejected) +
-                       " event line(s)");
-  }
-  return true;
 }
 
 }  // namespace pandarus::obs

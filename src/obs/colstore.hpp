@@ -51,8 +51,6 @@
 
 namespace pandarus::obs {
 
-class EventLog;
-
 /// One event decoded from a chunk.  string_views point into the
 /// reader's dictionary and stay valid for the reader's lifetime.
 struct DecodedEvent {
@@ -89,8 +87,8 @@ struct ColWriterOptions {
   /// Rows buffered per chunk; the flush granularity and the unit a
   /// reader decodes (and can skip) at a time.
   std::size_t rows_per_chunk = 65536;
-  /// fsync before closing the file (armed by PANDARUS_EVENTS_FSYNC for
-  /// the env sink); default off, matching the NDJSON sink.
+  /// fsync before closing the file (EventLog's colstore sink sets it
+  /// under any PANDARUS_EVENTS_FSYNC policy but off).
   bool fsync_on_close = false;
 };
 
@@ -112,8 +110,14 @@ class ColWriter {
   /// rejected, not fatal.
   bool append_ndjson_line(std::string_view line);
 
+  /// Hands every chunk completed so far to the OS (and, with
+  /// `durable`, fsyncs it), so a reader or a crash sees them all; the
+  /// open tail chunk stays buffered.  False, latching error(), on
+  /// failure.
+  bool flush(bool durable);
+
   /// Flushes the tail chunk and closes the file.  Idempotent; returns
-  /// false when any write failed.
+  /// false when any write, flush, fsync or the close itself failed.
   bool close();
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
@@ -297,11 +301,5 @@ struct ColStats {
 };
 [[nodiscard]] std::optional<ColStats> colstore_stats(
     const std::string& path, std::string* error = nullptr);
-
-/// Drains an EventLog's ordered lines into a colstore file (the binary
-/// sibling of EventLog::write_ndjson); false with a warning logged on
-/// I/O failure.  Armed process-wide by PANDARUS_EVENTS_COL.
-bool write_colstore(const EventLog& log, const std::string& path,
-                    ColWriterOptions options = {});
 
 }  // namespace pandarus::obs

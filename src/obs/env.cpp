@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/colstore.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
@@ -20,8 +19,6 @@ namespace {
 
 std::string g_metrics_path;
 std::string g_trace_path;
-std::string g_events_path;
-std::string g_events_col_path;
 std::string g_flows_path;
 std::string g_alerts_path;
 TraceRecorder* g_env_recorder = nullptr;
@@ -35,15 +32,21 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// Writes an exit dump (metrics, alerts), warning when the open, the
+/// write or the close fails.
 void write_text_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open metrics output file " + path);
+                   "obs: cannot open output file " + path);
     return;
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) {
+    util::log_line(util::LogLevel::kWarning,
+                   "obs: write to output file " + path + " failed");
+  }
 }
 
 void dump_at_exit() {
@@ -62,18 +65,9 @@ void dump_at_exit() {
     g_env_recorder->write_chrome_trace(g_trace_path);
   }
   if (g_env_event_log != nullptr) {
-    // Terminal log_stats line first, so both sinks carry it.
+    // Every published line is already in the files; close() appends
+    // log_stats, drains the rest, and flushes and closes both sinks.
     g_env_event_log->close();
-    // The periodic flusher (if armed) has appended the published
-    // prefix; the rewrite below produces identical bytes plus whatever
-    // the final publish added, so both paths end at the same file.
-    g_env_event_log->stop_periodic_flush();
-    if (!g_events_path.empty()) {
-      g_env_event_log->write_ndjson(g_events_path);
-    }
-    if (!g_events_col_path.empty()) {
-      write_colstore(*g_env_event_log, g_events_col_path);
-    }
   }
   if (g_env_flow_tracker != nullptr && !g_flows_path.empty()) {
     g_env_flow_tracker->write_collapsed(g_flows_path);
@@ -106,47 +100,26 @@ bool install_once() {
     g_env_recorder = new TraceRecorder();
     g_env_recorder->install();
   }
-  if (events != nullptr) g_events_path = events;
-  if (events_col != nullptr) g_events_col_path = events_col;
   if (events != nullptr || events_col != nullptr) {
-    // One log feeds both sinks.  Leaked for the same reason as the
-    // trace recorder.
-    g_env_event_log = new EventLog();
-    g_env_event_log->install();
-    // Durability policy must be set before the flusher starts so the
-    // very first flush pass already honours it.
-    FsyncConfig fsync_config;
+    // One log feeds both sinks, written as lines are published.  Leaked
+    // for the same reason as the trace recorder.
+    EventSinks sinks;
+    if (events != nullptr) sinks.ndjson_path = events;
+    if (events_col != nullptr) sinks.colstore_path = events_col;
     if (const char* fsync = std::getenv("PANDARUS_EVENTS_FSYNC");
-        fsync != nullptr && fsync[0] != '\0') {
-      if (parse_fsync_policy(fsync, fsync_config)) {
-        g_env_event_log->set_fsync(fsync_config);
-      } else {
-        util::log_line(util::LogLevel::kWarning,
-                       std::string("obs: bad PANDARUS_EVENTS_FSYNC value "
-                                   "(want off|flush|interval:<ms>): ") +
-                           fsync);
-      }
+        fsync != nullptr && fsync[0] != '\0' &&
+        !parse_fsync_policy(fsync, sinks.fsync)) {
+      util::log_line(util::LogLevel::kWarning,
+                     std::string("obs: bad PANDARUS_EVENTS_FSYNC value "
+                                 "(want off|flush|interval:<ms>): ") +
+                         fsync);
     }
     if (const char* delay = std::getenv("PANDARUS_EVENTS_WRITE_DELAY_US");
         delay != nullptr) {
-      g_env_event_log->set_flush_write_delay_us(std::atoi(delay));
+      sinks.write_delay_us = std::atoi(delay);
     }
-    // Periodic incremental flush of the published prefix (default off;
-    // needs an NDJSON path to flush into).  An interval fsync policy
-    // arms it at its own cadence when FLUSH_MS is unset — durable
-    // telemetry needs bytes in flight to the file.
-    int interval = 0;
-    if (const char* flush_ms = std::getenv("PANDARUS_EVENTS_FLUSH_MS");
-        flush_ms != nullptr) {
-      interval = std::atoi(flush_ms);
-    }
-    if (interval <= 0 &&
-        fsync_config.policy == FsyncPolicy::kInterval) {
-      interval = fsync_config.interval_ms;
-    }
-    if (interval > 0 && !g_events_path.empty()) {
-      g_env_event_log->start_periodic_flush(g_events_path, interval);
-    }
+    g_env_event_log = new EventLog(sinks);
+    g_env_event_log->install();
   }
   if (flows != nullptr) {
     // The value is the collapsed-stack dump path ("" arms the tracker

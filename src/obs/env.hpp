@@ -6,18 +6,22 @@
 //   PANDARUS_TRACE=<path>    install a process-lifetime TraceRecorder
 //                            now and write Chrome trace JSON at exit;
 //   PANDARUS_EVENTS=<path>   install a process-lifetime EventLog now
-//                            and write the NDJSON event stream at exit
-//                            (consumed offline by pandarus-report and
+//                            whose NDJSON sink writes each event line to
+//                            <path> as it is published (consumed offline
+//                            by pandarus-report and
 //                            analysis::replay_events);
 //   PANDARUS_EVENTS_COL=<path>
-//                            same EventLog, written at exit as a
-//                            chunk-compressed columnar .colstore file
-//                            (obs::colstore; query with pandarus-events).
+//                            same EventLog, with a chunk-compressed
+//                            columnar .colstore sink (obs::colstore;
+//                            query with pandarus-events) that writes
+//                            each 64k-event chunk as it completes.
 //                            Combine with PANDARUS_EVENTS to write both
-//                            sinks from one stream; either alone also
-//                            arms the log.  The exit dump closes the
-//                            log first, appending a terminal log_stats
-//                            event (events written/dropped/bytes);
+//                            files from one stream; either alone also
+//                            arms the log.  Published lines reach the
+//                            files during the run; the exit hook closes
+//                            the log, appending a terminal log_stats
+//                            event (events written/dropped/bytes) and
+//                            flushing and closing both files;
 //   PANDARUS_FLOWS=<path>    install a process-lifetime FlowTracker now
 //                            (flow_* events appear in the EventLog
 //                            stream, flow lanes in the Chrome trace) and
@@ -33,32 +37,25 @@
 //                            pandarus_build_info and process gauges.
 //                            The server stops before the exit dumps so
 //                            in-flight scrapes quiesce first;
-//   PANDARUS_EVENTS_FLUSH_MS=<ms>
-//                            with PANDARUS_EVENTS: append newly
-//                            *published* event lines to the NDJSON file
-//                            every <ms> milliseconds, so tail -f and
-//                            SSE consumers see data before close().
-//                            Default off — without it the file is
-//                            written once at exit.  The exit dump still
-//                            rewrites the complete stream, so the final
-//                            bytes are identical either way;
 //   PANDARUS_EVENTS_FSYNC=off|flush|interval:<ms>
 //                            durability policy for the event sinks.
-//                            `flush` fsyncs after every flush pass and
-//                            the final write; `interval:<ms>` fsyncs at
-//                            most once per <ms> of wall time.  The
-//                            default `off` issues no fsync and leaves
-//                            every byte-identity guarantee untouched.
-//                            `interval:<ms>` arms the periodic flusher
-//                            at <ms> when PANDARUS_EVENTS_FLUSH_MS is
-//                            unset (durability needs data on its way to
-//                            the file);
+//                            `flush` fsyncs after every drain that
+//                            reaches the files; `interval:<ms>` at most
+//                            once per <ms> of wall time; both fsync once
+//                            more at close.  The default `off` issues no
+//                            fsync and leaves every byte-identity
+//                            guarantee untouched;
 //   PANDARUS_EVENTS_WRITE_DELAY_US=<us>
-//                            crash-injection hook: the flush thread
+//                            crash-injection hook: the NDJSON sink
 //                            sleeps <us> after each 4 KiB block so a
-//                            SIGKILL can land mid-flush (used by
+//                            SIGKILL can land mid-line (used by
 //                            examples/crash_harness; not for production
 //                            runs).
+//
+// A sink path that cannot be opened, or a failed write, flush, fsync or
+// close, is warned, counted in EventLog::io_errors() (log_stats,
+// /healthz) and stops that file; the run goes on.  The metrics and
+// alerts dumps warn on failure too.
 //
 // One call near the start of main() is enough; binaries need no other
 // per-binary wiring.

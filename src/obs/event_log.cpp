@@ -7,9 +7,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <thread>
 
+#include "obs/colstore.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -22,9 +22,27 @@ std::uint64_t next_log_id() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The flush thread writes in blocks this size so the crash harness's
-/// write-delay hook can stretch a flush across many kill opportunities.
-constexpr std::size_t kFlushBlock = 4096;
+/// With the write-delay hook armed the NDJSON file is written in blocks
+/// this size, so one drain spans many kill opportunities.
+constexpr std::size_t kWriteBlock = 4096;
+
+/// Writes `text` and flushes it: whole, or with `delay_us` > 0 in
+/// kWriteBlock pieces, each flushed and followed by that pause.  False
+/// at the first short write or failed flush.
+bool write_flushed(std::FILE* f, std::string_view text, int delay_us) {
+  const std::size_t block = delay_us > 0 ? kWriteBlock : text.size();
+  for (std::size_t off = 0; off < text.size(); off += block) {
+    const std::size_t want = std::min(block, text.size() - off);
+    if (std::fwrite(text.data() + off, 1, want, f) != want ||
+        std::fflush(f) != 0) {
+      return false;
+    }
+    if (delay_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -197,11 +215,33 @@ Event&& Event::field(std::string_view key, const char* v) && {
 std::atomic<EventLog*> EventLog::g_installed{nullptr};
 
 EventLog::EventLog(std::size_t max_events)
-    : id_(next_log_id()), max_events_(max_events) {}
+    : EventLog(EventSinks{}, max_events) {}
+
+EventLog::EventLog(const EventSinks& sinks, std::size_t max_events)
+    : id_(next_log_id()), max_events_(max_events), sinks_(sinks) {
+  if (!sinks_.ndjson_path.empty()) {
+    ndjson_file_ = std::fopen(sinks_.ndjson_path.c_str(), "w");
+    if (ndjson_file_ == nullptr) {
+      sink_failed(sinks_.ndjson_path, "cannot open for writing");
+    }
+  }
+  if (!sinks_.colstore_path.empty()) {
+    ColWriterOptions options;
+    options.fsync_on_close = sinks_.fsync.policy != FsyncPolicy::kOff;
+    col_writer_ = std::make_unique<ColWriter>(sinks_.colstore_path, options);
+    // The file header goes out now: from the first moment a reader or a
+    // crash can see the file, it is a valid (empty) colstore.
+    if (!col_writer_->flush(false)) {
+      sink_failed(sinks_.colstore_path, col_writer_->error());
+      col_writer_.reset();
+    }
+  }
+}
 
 EventLog::~EventLog() {
-  stop_periodic_flush();
   uninstall();
+  std::scoped_lock lock(mutex_);
+  close_sinks_locked();
 }
 
 void EventLog::install() noexcept {
@@ -228,6 +268,20 @@ EventLog::Buffer& EventLog::local_buffer() {
   return *t_buffer;
 }
 
+std::size_t EventLog::stage(Event event) {
+  event.line_ += '}';
+  const std::size_t size = event.line_.size();
+  Buffer& buffer = local_buffer();
+  buffer.staged.push_back(
+      {next_seq_.fetch_add(1, std::memory_order_relaxed),
+       std::move(event.line_)});
+  if (buffer.staged.size() >= kDrainBatch) {
+    std::scoped_lock lock(mutex_);
+    drain_locked(buffer);
+  }
+  return size;
+}
+
 void EventLog::emit(Event event) {
   if (accepted_.fetch_add(1, std::memory_order_relaxed) >= max_events_) {
     accepted_.fetch_sub(1, std::memory_order_relaxed);
@@ -239,29 +293,10 @@ void EventLog::emit(Event event) {
     }
     return;
   }
-  event.line_ += '}';
-  bytes_.fetch_add(event.line_.size() + 1, std::memory_order_relaxed);
-  Buffer& buffer = local_buffer();
-  buffer.staged.push_back(
-      {next_seq_.fetch_add(1, std::memory_order_relaxed),
-       std::move(event.line_)});
-  if (buffer.staged.size() >= kDrainBatch) {
-    std::scoped_lock lock(mutex_);
-    drain_locked(buffer);
-  }
+  bytes_.fetch_add(stage(std::move(event)) + 1, std::memory_order_relaxed);
 }
 
-void EventLog::emit_sideband(Event event) {
-  event.line_ += '}';
-  Buffer& buffer = local_buffer();
-  buffer.staged.push_back(
-      {next_seq_.fetch_add(1, std::memory_order_relaxed),
-       std::move(event.line_)});
-  if (buffer.staged.size() >= kDrainBatch) {
-    std::scoped_lock lock(mutex_);
-    drain_locked(buffer);
-  }
-}
+void EventLog::emit_sideband(Event event) { stage(std::move(event)); }
 
 void EventLog::publish_locked(std::uint64_t seq, std::string text) {
   if (seq != drained_.size()) {
@@ -278,10 +313,14 @@ void EventLog::publish_locked(std::uint64_t seq, std::string text) {
 }
 
 void EventLog::drain_locked(Buffer& buffer) {
+  const std::size_t from = drained_.size();
   for (Line& line : buffer.staged) {
     publish_locked(line.seq, std::move(line.text));
   }
   buffer.staged.clear();
+  // Lines of other threads held in ahead_ may have joined too; each line
+  // reaches the files exactly once, in the drain that publishes it.
+  if (drained_.size() > from) write_sinks_locked(from);
 }
 
 std::uint64_t EventLog::publish() {
@@ -296,13 +335,9 @@ std::uint64_t EventLog::watermark() const {
   return drained_.size();
 }
 
-std::uint64_t EventLog::snapshot_ndjson(std::string& out,
-                                        std::uint64_t from_seq) const {
-  std::scoped_lock lock(mutex_);
-  const std::uint64_t watermark = drained_.size();
-  if (from_seq >= watermark) return watermark;
-  const auto first =
-      drained_.begin() + static_cast<std::ptrdiff_t>(from_seq);
+void EventLog::append_published_locked(std::string& out,
+                                       std::size_t from) const {
+  const auto first = drained_.begin() + static_cast<std::ptrdiff_t>(from);
   std::size_t total = 0;
   for (auto it = first; it != drained_.end(); ++it) total += it->size() + 1;
   out.reserve(out.size() + total);
@@ -310,6 +345,13 @@ std::uint64_t EventLog::snapshot_ndjson(std::string& out,
     out += *it;
     out += '\n';
   }
+}
+
+std::uint64_t EventLog::snapshot_ndjson(std::string& out,
+                                        std::uint64_t from_seq) const {
+  std::scoped_lock lock(mutex_);
+  const std::uint64_t watermark = drained_.size();
+  if (from_seq < watermark) append_published_locked(out, from_seq);
   return watermark;
 }
 
@@ -320,26 +362,25 @@ void EventLog::close() {
   const std::uint64_t drops = dropped();
   const std::uint64_t bytes = bytes_written();
   // The terminal line must survive max_events truncation (that is the
-  // condition it exists to report), so it bypasses emit()'s bound and
-  // goes straight into the central sink.  io_errors/fsyncs make sink
-  // trouble (full disk, failed fsync) visible in replay; both are 0 in
-  // the default configuration, keeping byte-identity across runs.
-  Event event = Event("log_stats", 0, std::int64_t{0})
-                    .field("events", events)
-                    .field("dropped", drops)
-                    .field("bytes", bytes)
-                    .field("io_errors", io_errors())
-                    .field("fsyncs", fsyncs());
-  event.line_ += '}';
-  bytes_.fetch_add(event.line_.size() + 1, std::memory_order_relaxed);
+  // condition it exists to report), so it bypasses emit()'s bound.
+  // io_errors/fsyncs make sink trouble (full disk, failed fsync)
+  // visible in replay; both are 0 in the default configuration,
+  // keeping byte-identity across runs.
   accepted_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(stage(Event("log_stats", 0, std::int64_t{0})
+                             .field("events", events)
+                             .field("dropped", drops)
+                             .field("bytes", bytes)
+                             .field("io_errors", io_errors())
+                             .field("fsyncs", fsyncs())) +
+                       1,
+                   std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
-  publish_locked(next_seq_.fetch_add(1, std::memory_order_relaxed),
-                 std::move(event.line_));
   // Emitters have quiesced (close's contract), so every remaining
   // staged line can be drained here — the publication watermark then
-  // covers the whole stream and snapshot readers see it all.
+  // covers the whole stream, and so do the files.
   for (const auto& buffer : buffers_) drain_locked(*buffer);
+  close_sinks_locked();
 }
 
 std::size_t EventLog::event_count() const {
@@ -350,21 +391,7 @@ std::size_t EventLog::event_count() const {
 }
 
 std::string EventLog::to_ndjson() const {
-  std::size_t total = 0;
-  for_each_line([&total](std::string_view line) { total += line.size() + 1; });
-  std::string out;
-  out.reserve(total);
-  for_each_line([&out](std::string_view line) {
-    out += line;
-    out += '\n';
-  });
-  return out;
-}
-
-void EventLog::for_each_line(
-    const std::function<void(std::string_view)>& fn) const {
   std::scoped_lock lock(mutex_);
-  for (const std::string& line : drained_) fn(line);
   // Only the unpublished tail — lines held above a gap or still staged
   // — needs ordering.
   std::vector<std::pair<std::uint64_t, const std::string*>> tail;
@@ -373,140 +400,99 @@ void EventLog::for_each_line(
     for (const Line& l : buffer->staged) tail.emplace_back(l.seq, &l.text);
   }
   std::sort(tail.begin(), tail.end());
-  for (const auto& [seq, text] : tail) fn(*text);
-}
-
-bool EventLog::start_periodic_flush(const std::string& path,
-                                    int interval_ms) {
-  if (interval_ms <= 0) return false;
-  std::scoped_lock lock(flush_mutex_);
-  if (flush_thread_.joinable()) return false;  // already running
-  flush_file_ = std::fopen(path.c_str(), "w");
-  if (flush_file_ == nullptr) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open event flush file " + path);
-    return false;
+  std::string out;
+  append_published_locked(out, 0);
+  for (const auto& [seq, text] : tail) {
+    out += *text;
+    out += '\n';
   }
-  flush_stop_ = false;
-  flush_cursor_ = 0;
-  flush_thread_ = std::thread([this, interval_ms] { flush_loop(interval_ms); });
-  return true;
+  return out;
 }
 
-void EventLog::flush_once() {
-  // flush_mutex_ held (serializes cursor/file against stop).
-  std::string chunk;
-  flush_cursor_ = snapshot_ndjson(chunk, flush_cursor_);
-  if (chunk.empty()) return;
-  // Blockwise so the crash harness's write-delay hook can hold the file
-  // in a torn state between blocks; a plain run takes the loop in one
-  // or a few full-size passes with no extra cost.
-  std::size_t off = 0;
-  while (off < chunk.size()) {
-    const std::size_t want = std::min(chunk.size() - off, kFlushBlock);
-    const std::size_t wrote =
-        std::fwrite(chunk.data() + off, 1, want, flush_file_);
-    if (wrote != want) {
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!warned_io_error_.exchange(true, std::memory_order_relaxed)) {
-        util::log_line(util::LogLevel::kWarning,
-                       "obs: short write on event flush file");
-      }
-      // Skip the unwritable remainder but keep the cursor advanced:
-      // the final write_ndjson() rewrites the full stream anyway, and
-      // io_errors in log_stats records that this file is suspect.
-      break;
-    }
-    off += wrote;
-    if (flush_write_delay_us_ > 0) {
-      std::fflush(flush_file_);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(flush_write_delay_us_));
-    }
-  }
-  std::fflush(flush_file_);
-  sync_flush_file_locked();
+// --- sink files -------------------------------------------------------------
+
+void EventLog::sink_failed(const std::string& path, const std::string& what) {
+  io_errors_.fetch_add(1, std::memory_order_relaxed);
+  util::log_line(util::LogLevel::kWarning,
+                 "obs: event sink " + path + " stopped: " + what);
 }
 
-void EventLog::sync_flush_file_locked() {
-  if (flush_file_ == nullptr) return;
-  switch (fsync_.policy) {
+bool EventLog::fsync_due() {
+  switch (sinks_.fsync.policy) {
     case FsyncPolicy::kOff:
-      return;
+      return false;
     case FsyncPolicy::kFlush:
+      return true;
+    case FsyncPolicy::kInterval:
       break;
-    case FsyncPolicy::kInterval: {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_fsync_ <
-          std::chrono::milliseconds(fsync_.interval_ms)) {
-        return;
-      }
-      last_fsync_ = now;
-      break;
-    }
   }
-  if (::fsync(fileno(flush_file_)) == 0) {
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (!warned_io_error_.exchange(true, std::memory_order_relaxed)) {
-      util::log_line(util::LogLevel::kWarning,
-                     "obs: fsync failed on event flush file");
-    }
-  }
-}
-
-void EventLog::flush_loop(int interval_ms) {
-  std::unique_lock lock(flush_mutex_);
-  while (!flush_stop_) {
-    flush_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                       [this] { return flush_stop_; });
-    flush_once();
-  }
-}
-
-void EventLog::stop_periodic_flush() {
-  {
-    std::scoped_lock lock(flush_mutex_);
-    if (!flush_thread_.joinable()) return;
-    flush_stop_ = true;
-  }
-  flush_cv_.notify_all();
-  flush_thread_.join();
-  std::scoped_lock lock(flush_mutex_);
-  flush_once();  // the thread's last pass may predate close()
-  std::fclose(flush_file_);
-  flush_file_ = nullptr;
-}
-
-bool EventLog::write_ndjson(const std::string& path) const {
-  const std::string text = to_ndjson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: cannot open event log output file " + path);
+  const auto now = std::chrono::steady_clock::now();
+  if (now - last_fsync_ < std::chrono::milliseconds(sinks_.fsync.interval_ms)) {
     return false;
   }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  if (written != text.size()) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::fclose(f);
-    util::log_line(util::LogLevel::kWarning,
-                   "obs: short write to event log output file " + path);
-    return false;
-  }
-  if (fsync_.policy != FsyncPolicy::kOff) {
-    std::fflush(f);
-    if (::fsync(fileno(f)) == 0) {
-      fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      util::log_line(util::LogLevel::kWarning,
-                     "obs: fsync failed on event log output file " + path);
-    }
-  }
-  std::fclose(f);
+  last_fsync_ = now;
   return true;
+}
+
+bool EventLog::fsync_file(std::FILE* f) {
+  if (::fsync(fileno(f)) != 0) return false;
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void EventLog::write_sinks_locked(std::size_t from) {
+  if (ndjson_file_ == nullptr && col_writer_ == nullptr) return;
+  const bool durable = fsync_due();
+  if (ndjson_file_ != nullptr) {
+    std::string text;
+    append_published_locked(text, from);
+    if (!write_flushed(ndjson_file_, text, sinks_.write_delay_us) ||
+        (durable && !fsync_file(ndjson_file_))) {
+      sink_failed(sinks_.ndjson_path, "write, flush or fsync failed");
+      std::fclose(ndjson_file_);
+      ndjson_file_ = nullptr;
+    }
+  }
+  if (col_writer_ != nullptr) {
+    for (std::size_t i = from; i < drained_.size(); ++i) {
+      col_writer_->append_ndjson_line(drained_[i]);
+    }
+    // flush() pushes out every chunk append() completed above.
+    if (col_writer_->flush(durable)) {
+      if (durable) fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      sink_failed(sinks_.colstore_path, col_writer_->error());
+      col_writer_.reset();
+    }
+  }
+}
+
+void EventLog::close_sinks_locked() {
+  const bool durable = sinks_.fsync.policy != FsyncPolicy::kOff;
+  if (ndjson_file_ != nullptr) {
+    const bool synced = std::fflush(ndjson_file_) == 0 &&
+                        (!durable || fsync_file(ndjson_file_));
+    if (std::fclose(ndjson_file_) != 0 || !synced) {
+      sink_failed(sinks_.ndjson_path, "flush, fsync or close failed");
+    }
+    ndjson_file_ = nullptr;
+  }
+  if (col_writer_ != nullptr) {
+    // close() encodes the tail chunk, then flushes, fsyncs when
+    // `durable` (fsync_on_close) and closes.
+    if (!col_writer_->close()) {
+      sink_failed(sinks_.colstore_path, col_writer_->error());
+    } else if (durable) {
+      fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (col_writer_->stats().rejected != 0) {
+      util::log_line(util::LogLevel::kWarning,
+                     "obs: colstore sink rejected " +
+                         std::to_string(col_writer_->stats().rejected) +
+                         " event line(s)");
+    }
+    col_writer_.reset();
+  }
 }
 
 }  // namespace pandarus::obs

@@ -10,6 +10,13 @@
 // and the whole stream is bounded by `max_events`; overflow is counted,
 // never blocking.
 //
+// File sinks (EventSinks: an NDJSON file, a colstore file, or both) are
+// fixed at construction and written on that same drain: a line goes to
+// every open file the moment it joins the published prefix, on the
+// draining thread and under the mutex that already orders lines.  This
+// is the only write path; close() appends the log_stats line, drains
+// what is left, and flushes, fsyncs and closes the files.
+//
 // The disabled path follows the same cost discipline as ScopedSpan:
 // when no EventLog is installed, an emit site is one relaxed-ish atomic
 // load (EventLog::installed()) and nothing else — no clock reads, no
@@ -28,16 +35,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace pandarus::obs {
@@ -51,9 +55,9 @@ void append_json_double(std::string& out, double v);
 }  // namespace detail
 
 /// Durability level for the file sinks (the PANDARUS_EVENTS_FSYNC
-/// knob).  kOff is the default and leaves every existing byte-identity
-/// guarantee untouched; kFlush fsyncs after each flush pass; kInterval
-/// fsyncs at most once per `interval_ms` of wall time.
+/// knob).  kOff is the default and issues no fsync; kFlush fsyncs after
+/// every drain that reaches the files; kInterval fsyncs at most once per
+/// `interval_ms` of wall time.  Both fsync once more at close().
 enum class FsyncPolicy { kOff, kFlush, kInterval };
 
 struct FsyncConfig {
@@ -64,6 +68,20 @@ struct FsyncConfig {
 /// Parses "off" | "flush" | "interval:<ms>" (case-sensitive); false on
 /// a malformed spec, leaving `out` unchanged.
 bool parse_fsync_policy(std::string_view spec, FsyncConfig& out);
+
+/// The files an EventLog writes its stream to (PANDARUS_EVENTS and
+/// PANDARUS_EVENTS_COL).  Given at construction, so each file holds the
+/// stream from its first line.
+struct EventSinks {
+  std::string ndjson_path;    ///< empty: no NDJSON file
+  std::string colstore_path;  ///< empty: no colstore file
+  FsyncConfig fsync;
+  /// Crash-injection hook (PANDARUS_EVENTS_WRITE_DELAY_US): the NDJSON
+  /// file is written in 4 KiB blocks with this pause after each, so the
+  /// file sits torn mid-line long enough for a SIGKILL to land there.
+  /// Zero or less disables.
+  int write_delay_us = 0;
+};
 
 /// Mirrors the installed log's durability counters (events written /
 /// dropped / bytes, io_errors, fsyncs, watermark) into
@@ -96,15 +114,25 @@ class Event {
   std::string line_;  ///< open JSON object; emit() appends the '}'
 };
 
+class ColWriter;
+
 /// Collects events from any thread; install at most one log at a time.
 /// The log must outlive every thread that observed it as installed, and
-/// to_ndjson()/write_ndjson() are only safe once emitters have
-/// quiesced (same contract as TraceRecorder).
+/// to_ndjson() is only safe once emitters have quiesced (same contract
+/// as TraceRecorder).
 class EventLog {
  public:
+  static constexpr std::size_t kDefaultMaxEvents = std::size_t{1} << 22;
+
   /// `max_events` bounds the whole stream across all threads; events
   /// past the bound are counted as dropped (warned once).
-  explicit EventLog(std::size_t max_events = std::size_t{1} << 22);
+  explicit EventLog(std::size_t max_events = kDefaultMaxEvents);
+  /// Same, writing the stream to `sinks` as it is published.  A path
+  /// that cannot be opened counts as an io_error (warned) and the log
+  /// runs without that file.
+  explicit EventLog(const EventSinks& sinks,
+                    std::size_t max_events = kDefaultMaxEvents);
+  /// Closes the files without appending log_stats (see close()).
   ~EventLog();
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -135,7 +163,8 @@ class EventLog {
   /// and reports.  The stats line bypasses the max_events bound.
   /// Also drains every staging buffer into the central sink (emitters
   /// have quiesced by contract), so the publication watermark reaches
-  /// the end of the stream.  Idempotent; call once emitters have
+  /// the end of the stream, then flushes, fsyncs (per policy) and
+  /// closes the sink files.  Idempotent; call once emitters have
   /// quiesced.
   void close();
   [[nodiscard]] bool closed() const noexcept {
@@ -155,8 +184,10 @@ class EventLog {
   // emitter for more than the sink mutex.
 
   /// Drains the calling thread's staging buffer into the central sink
-  /// and returns the new publication watermark.  Cheap when the buffer
-  /// is empty; call from the emitting thread only.
+  /// and returns the new publication watermark W.  On return the NDJSON
+  /// file holds exactly lines [0, W) and the colstore file every chunk
+  /// completed within them.  Cheap when the buffer is empty; call from
+  /// the emitting thread only.
   std::uint64_t publish();
 
   /// One past the highest sequence number of the contiguous published
@@ -173,36 +204,11 @@ class EventLog {
   std::uint64_t snapshot_ndjson(std::string& out,
                                 std::uint64_t from_seq = 0) const;
 
-  /// Starts a background thread appending newly published lines to
-  /// `path` every `interval_ms` (the PANDARUS_EVENTS_FLUSH_MS knob), so
-  /// `tail -f` and SSE consumers see events before close().  The file
-  /// is truncated on start; only *published* lines are flushed, so the
-  /// producer must publish() (or fill drain batches) for data to
-  /// appear.  Default-off: without this call nothing is written until
-  /// the final write_ndjson().  False when the file cannot be opened or
-  /// a flusher is already running.
-  bool start_periodic_flush(const std::string& path, int interval_ms);
-  /// Stops the flush thread after one final flush (call after close()
-  /// and the file holds the complete stream).  Idempotent.
-  void stop_periodic_flush();
-
-  /// Sets the durability policy for the flush thread and
-  /// write_ndjson().  Call before start_periodic_flush(); with kOff
-  /// (the default) no fsync is ever issued.
-  void set_fsync(FsyncConfig config) noexcept { fsync_ = config; }
-  [[nodiscard]] FsyncConfig fsync_config() const noexcept { return fsync_; }
-
-  /// Crash-injection hook (PANDARUS_EVENTS_WRITE_DELAY_US): the flush
-  /// thread sleeps this long after every 4 KiB block it writes, holding
-  /// the file in a torn, partially flushed state long enough for a
-  /// SIGKILL to land mid-flush deterministically.  Zero disables.
-  void set_flush_write_delay_us(int us) noexcept {
-    flush_write_delay_us_ = us < 0 ? 0 : us;
-  }
-
-  /// Short writes and failed fsyncs observed by any sink path.  These
-  /// are surfaced in the terminal log_stats line and by /healthz, so a
-  /// full disk is visible in replay instead of silently truncating.
+  /// Sink I/O failures: an unopenable path, or a failed write, flush,
+  /// fsync or close.  A file stops being written at its first failure,
+  /// so it stays a prefix recovery can salvage.  Surfaced in the
+  /// terminal log_stats line and by /healthz, so a full disk is visible
+  /// instead of silently truncating.
   [[nodiscard]] std::uint64_t io_errors() const noexcept {
     return io_errors_.load(std::memory_order_relaxed);
   }
@@ -227,15 +233,6 @@ class EventLog {
   /// The full stream as NDJSON, lines ordered by emission sequence
   /// (deterministic for single-threaded emitters), '\n' after each line.
   [[nodiscard]] std::string to_ndjson() const;
-  /// Writes to_ndjson() to `path`; false (with a warning logged) on I/O
-  /// failure.
-  bool write_ndjson(const std::string& path) const;
-
-  /// Visits every line (without trailing '\n') in emission-sequence
-  /// order under the log's lock — the streaming sibling of to_ndjson()
-  /// used by the colstore sink.  Same quiescence contract.
-  void for_each_line(
-      const std::function<void(std::string_view)>& fn) const;
 
  private:
   struct Line {
@@ -249,15 +246,29 @@ class EventLog {
   static constexpr std::size_t kDrainBatch = 1024;
 
   Buffer& local_buffer();
-  /// Publishes every line staged in `buffer`; mutex_ held.
+  /// Finalizes `event`'s line and stages it on this thread's buffer,
+  /// draining a full batch; returns the line's length without '\n'.
+  std::size_t stage(Event event);
+  /// Publishes every line staged in `buffer` and writes the newly
+  /// published lines to the sinks; mutex_ held.
   void drain_locked(Buffer& buffer);
   /// Appends line `seq` to drained_, or holds it in ahead_ until the
   /// gap below it closes; mutex_ held.
   void publish_locked(std::uint64_t seq, std::string text);
-  void flush_loop(int interval_ms);
-  void flush_once();
-  /// fsyncs flush_file_ per fsync_ policy; flush_mutex_ held.
-  void sync_flush_file_locked();
+  /// Appends drained_[from, end) to `out`, '\n' after each; mutex_ held.
+  void append_published_locked(std::string& out, std::size_t from) const;
+  /// Writes drained_[from, end) to every open sink file, then flushes
+  /// and fsyncs per policy; mutex_ held.
+  void write_sinks_locked(std::size_t from);
+  /// Flushes, fsyncs (any policy but kOff) and closes both files;
+  /// mutex_ held.
+  void close_sinks_locked();
+  /// True when this write pass should fsync under the policy.
+  bool fsync_due();
+  /// fsyncs `f`, counting the outcome in fsyncs_; false on failure.
+  bool fsync_file(std::FILE* f);
+  /// Counts one sink I/O failure and warns; the caller stops the sink.
+  void sink_failed(const std::string& path, const std::string& what);
 
   static std::atomic<EventLog*> g_installed;
 
@@ -267,11 +278,8 @@ class EventLog {
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  // mutable: write_ndjson() is logically const but must account I/O
-  // failures it observes.
-  mutable std::atomic<std::uint64_t> io_errors_{0};
-  mutable std::atomic<std::uint64_t> fsyncs_{0};
-  mutable std::atomic<bool> warned_io_error_{false};
+  std::atomic<std::uint64_t> io_errors_{0};
+  std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<bool> warned_dropped_{false};
   std::atomic<bool> closed_{false};
   mutable std::mutex mutex_;
@@ -285,17 +293,11 @@ class EventLog {
   std::vector<std::string> drained_;
   std::map<std::uint64_t, std::string> ahead_;
 
-  // Periodic flusher (PANDARUS_EVENTS_FLUSH_MS).
-  std::mutex flush_mutex_;
-  std::condition_variable flush_cv_;
-  std::thread flush_thread_;
-  std::FILE* flush_file_ = nullptr;
-  std::uint64_t flush_cursor_ = 0;
-  bool flush_stop_ = false;
-
-  // Durability (PANDARUS_EVENTS_FSYNC) + crash-window hook.
-  FsyncConfig fsync_;
-  int flush_write_delay_us_ = 0;
+  // Sink files (guarded by mutex_).  Null when not configured, and set
+  // null at a file's first I/O failure so it is never written again.
+  const EventSinks sinks_;
+  std::FILE* ndjson_file_ = nullptr;
+  std::unique_ptr<ColWriter> col_writer_;
   std::chrono::steady_clock::time_point last_fsync_{};
 };
 

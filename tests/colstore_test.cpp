@@ -68,6 +68,18 @@ std::string decode_to_ndjson(const std::string& path,
   return out;
 }
 
+/// Encodes NDJSON text into a colstore file line by line, as
+/// `pandarus-events convert` does; lets a test pick a small chunk size.
+void encode_colstore(const std::string& ndjson, const std::string& path,
+                    obs::ColWriterOptions options) {
+  obs::ColWriter writer(path, options);
+  std::istringstream in(ndjson);
+  std::string line;
+  while (std::getline(in, line)) writer.append_ndjson_line(line);
+  ASSERT_TRUE(writer.close()) << writer.error();
+  ASSERT_EQ(writer.stats().rejected, 0u);
+}
+
 /// Emits a mixed-shape, escape-heavy random stream; the same generator
 /// seeds both sides of every comparison.
 void emit_random_events(obs::EventLog& log, int count, std::uint64_t seed) {
@@ -122,7 +134,7 @@ TEST(ColstoreTest, RoundTripsRandomEventsByteExact) {
   TempFile file("colstore_roundtrip.colstore");
   obs::ColWriterOptions options;
   options.rows_per_chunk = 128;  // force many chunks
-  ASSERT_TRUE(obs::write_colstore(log, file.path(), options));
+  encode_colstore(ndjson, file.path(), options);
   ASSERT_TRUE(obs::is_colstore_file(file.path()));
 
   EXPECT_EQ(decode_to_ndjson(file.path()), ndjson);
@@ -147,7 +159,7 @@ TEST(ColstoreTest, RejectsTruncatedAndCorruptChunks) {
   TempFile file("colstore_corrupt.colstore");
   obs::ColWriterOptions options;
   options.rows_per_chunk = 100;
-  ASSERT_TRUE(obs::write_colstore(log, file.path(), options));
+  encode_colstore(log.to_ndjson(), file.path(), options);
   const std::string bytes = read_file(file.path());
   ASSERT_GT(bytes.size(), 64u);
 
@@ -202,9 +214,9 @@ TEST(ColstoreTest, TimeWindowAndKindFiltersSkipChunksCorrectly) {
   TempFile file("colstore_skip.colstore");
   obs::ColWriterOptions options;
   options.rows_per_chunk = 200;
-  ASSERT_TRUE(obs::write_colstore(log, file.path(), options));
-
   const std::string full = log.to_ndjson();
+  encode_colstore(full, file.path(), options);
+
   // Brute-force reference from the NDJSON text.
   const auto reference = [&full](auto&& keep) {
     std::string out;
@@ -273,19 +285,21 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.25;
   config.seed = 20250401;
-  obs::EventLog log;
+  TempFile ndjson_file("colstore_campaign.ndjson");
+  TempFile col_file("colstore_campaign.colstore");
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson_file.path();
+  sinks.colstore_path = col_file.path();
+  obs::EventLog log(sinks);
   log.install();
   const auto live = scenario::run_campaign(config);
   log.uninstall();
   log.close();
-
-  TempFile ndjson_file("colstore_campaign.ndjson");
-  TempFile col_file("colstore_campaign.colstore");
-  ASSERT_TRUE(log.write_ndjson(ndjson_file.path()));
-  ASSERT_TRUE(obs::write_colstore(log, col_file.path()));
+  ASSERT_EQ(log.io_errors(), 0u);
 
   // Byte parity: decoding the colstore re-renders the NDJSON exactly.
   EXPECT_EQ(decode_to_ndjson(col_file.path()), log.to_ndjson());
+  EXPECT_EQ(read_file(ndjson_file.path()), log.to_ndjson());
 
   // Replay parity through the sniffing open_event_source path.
   const auto from_text = analysis::replay_events_file(ndjson_file.path());

@@ -447,18 +447,19 @@ TEST(EventsReplay, OnePassEqualsReplayPlusDeriveHealth) {
   tracker.install();
   obs::HealthEngine engine;
   engine.install();
-  obs::EventLog log;
+  const std::string ndjson_path = "events_replay_one_pass.ndjson";
+  const std::string col_path = "events_replay_one_pass.colstore";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson_path;
+  sinks.colstore_path = col_path;
+  obs::EventLog log(sinks);
   log.install();
   std::ignore = scenario::run_campaign(config);
   log.uninstall();
   engine.uninstall();
   tracker.uninstall();
   log.close();
-
-  const std::string ndjson_path = "events_replay_one_pass.ndjson";
-  const std::string col_path = "events_replay_one_pass.colstore";
-  ASSERT_TRUE(log.write_ndjson(ndjson_path));
-  ASSERT_TRUE(obs::write_colstore(log, col_path));
+  ASSERT_EQ(log.io_errors(), 0u);
 
   const auto report = [](const analysis::ReplayResult& replay,
                          const obs::HealthEngine& health) {

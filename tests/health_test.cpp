@@ -439,7 +439,10 @@ TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
   baseline_log.close();
 
   // Same campaign with the engine armed and alert emission on.
-  obs::EventLog health_log;
+  TempFile file("health_campaign.ndjson");
+  obs::EventSinks sinks;
+  sinks.ndjson_path = file.path();
+  obs::EventLog health_log(sinks);
   obs::HealthEngine engine;
   health_log.install();
   engine.install();
@@ -463,8 +466,7 @@ TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
   EXPECT_EQ(strip_alert_lines(health_ndjson), baseline_log.to_ndjson());
 
   // Replaying the health-on stream derives the exact live state.
-  TempFile file("health_campaign.ndjson");
-  ASSERT_TRUE(health_log.write_ndjson(file.path()));
+  ASSERT_EQ(health_log.io_errors(), 0u);
   const auto derived = analysis::derive_health_file(file.path());
   ASSERT_NE(derived, nullptr);
   EXPECT_EQ(derived->status_json(), engine.status_json());

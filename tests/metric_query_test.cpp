@@ -200,16 +200,17 @@ TEST(MetricQuery, NdjsonAndColstoreProduceIdenticalJson) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.25;
   config.seed = 20250401;
-  obs::EventLog log;
+  TempFile ndjson_file("mq_campaign.ndjson");
+  TempFile col_file("mq_campaign.colstore");
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson_file.path();
+  sinks.colstore_path = col_file.path();
+  obs::EventLog log(sinks);
   log.install();
   (void)scenario::run_campaign(config);
   log.uninstall();
   log.close();
-
-  TempFile ndjson_file("mq_campaign.ndjson");
-  TempFile col_file("mq_campaign.colstore");
-  ASSERT_TRUE(log.write_ndjson(ndjson_file.path()));
-  ASSERT_TRUE(obs::write_colstore(log, col_file.path()));
+  ASSERT_EQ(log.io_errors(), 0u);
 
   const std::vector<analysis::MetricQuerySpec> specs = [] {
     std::vector<analysis::MetricQuerySpec> out;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,15 @@ const SyntheticStream& synthetic() {
     log.close();
     s->ndjson = log.to_ndjson();
     s->events = log.events_written();  // includes the terminal log_stats
+    // Small chunks, so encode the text as `pandarus-events convert`
+    // does rather than through the log's default-sized sink.
     obs::ColWriterOptions options;
     options.rows_per_chunk = 64;
-    EXPECT_TRUE(obs::write_colstore(log, s->colstore_path, options));
+    obs::ColWriter writer(s->colstore_path, options);
+    std::istringstream in(s->ndjson);
+    std::string line;
+    while (std::getline(in, line)) writer.append_ndjson_line(line);
+    EXPECT_TRUE(writer.close()) << writer.error();
     return s;
   }();
   return *stream;

@@ -30,6 +30,7 @@
 #include "core/exact.hpp"
 #include "core/relaxed.hpp"
 #include "json_validator.hpp"
+#include "obs/colstore.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
@@ -563,7 +564,7 @@ TEST(ServeEndpoints, ScrapedCampaignNdjsonIsByteIdenticalToUnscraped) {
   EXPECT_TRUE(baseline == scraped);
 }
 
-// --- EventLog publication / flush knob --------------------------------------
+// --- EventLog publication and file sinks -----------------------------------
 
 TEST(EventLogServe, PublishAdvancesTheWatermark) {
   obs::EventLog log;
@@ -621,34 +622,144 @@ TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
   EXPECT_EQ(all, log.to_ndjson());
 }
 
-TEST(EventLogServe, PeriodicFlushWritesPublishedPrefixBeforeClose) {
-  const std::string path = ::testing::TempDir() + "serve_flush_test.ndjson";
-  obs::EventLog log;
-  log.install();
-  ASSERT_TRUE(log.start_periodic_flush(path, 10));
-  log.emit(obs::Event("early", 1, std::int64_t{1}));
-  log.publish();
-  // Within a few intervals the published line must be on disk.
-  std::string on_disk;
-  for (int i = 0; i < 100; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::ifstream in(path);
-    std::stringstream read;
-    read << in.rdbuf();
-    on_disk = read.str();
-    if (!on_disk.empty()) break;
-  }
-  EXPECT_NE(on_disk.find("\"early\""), std::string::npos);
-  log.emit(obs::Event("late", 2, std::int64_t{2}));
-  log.close();
-  log.stop_periodic_flush();
-  log.uninstall();
-  std::ifstream in(path);
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   std::stringstream read;
   read << in.rdbuf();
-  // After the final flush the file holds the complete stream.
-  EXPECT_EQ(read.str(), log.to_ndjson());
+  return read.str();
+}
+
+/// Decodes a colstore file with salvage on: whole chunks only, a torn
+/// or open tail ends the scan cleanly.
+std::string decode_salvaged(const std::string& path) {
+  obs::ColReadOptions options;
+  options.recover = true;
+  obs::ColReader reader(path, {}, options);
+  obs::DecodedEvent event;
+  std::string out;
+  while (reader.next(event)) {
+    obs::append_ndjson(event, out);
+    out += '\n';
+  }
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  return out;
+}
+
+TEST(EventLogServe, NdjsonSinkHoldsExactlyThePublishedPrefix) {
+  const std::string path = ::testing::TempDir() + "serve_sink_test.ndjson";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = path;
+  obs::EventLog log(sinks);
+  log.install();
+  log.emit(obs::Event("early", 1, std::int64_t{1}));
+  log.emit(obs::Event("early", 2, std::int64_t{2}));
+  const std::uint64_t watermark = log.publish();
+  EXPECT_EQ(watermark, 2u);
+  // Staged, not published: must not reach the file yet.
+  log.emit(obs::Event("late", 3, std::int64_t{3}));
+  std::string published;
+  EXPECT_EQ(log.snapshot_ndjson(published), watermark);
+  EXPECT_EQ(read_text(path), published);
+  log.close();
+  log.uninstall();
+  EXPECT_EQ(read_text(path), log.to_ndjson());
+  EXPECT_NE(log.to_ndjson().find("\"late\""), std::string::npos);
+  EXPECT_EQ(log.io_errors(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(EventLogServe, ColstoreSinkHoldsEveryCompleteChunkBeforeClose) {
+  const std::string path = ::testing::TempDir() + "serve_sink_test.colstore";
+  constexpr std::size_t kChunkRows = obs::ColWriterOptions{}.rows_per_chunk;
+  obs::EventSinks sinks;
+  sinks.colstore_path = path;
+  obs::EventLog log(sinks);
+  for (std::size_t i = 0; i <= kChunkRows; ++i) {
+    log.emit(obs::Event("tick", static_cast<std::int64_t>(i),
+                        static_cast<std::int64_t>(i))
+                 .field("n", static_cast<std::uint64_t>(i)));
+  }
+  EXPECT_EQ(log.publish(), kChunkRows + 1);
+  // One full chunk is on disk; the one-row tail chunk is still open.
+  std::string published;
+  log.snapshot_ndjson(published);
+  std::size_t cut = 0;
+  for (std::size_t line = 0; line < kChunkRows; ++line) {
+    cut = published.find('\n', cut) + 1;
+  }
+  EXPECT_EQ(decode_salvaged(path), published.substr(0, cut));
+  log.close();
+  EXPECT_EQ(decode_salvaged(path), log.to_ndjson());
+  EXPECT_EQ(log.io_errors(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(EventLogServe, TwoThreadEmitWithBothSinksArmed) {
+  const std::string ndjson = ::testing::TempDir() + "serve_two_thread.ndjson";
+  const std::string col = ::testing::TempDir() + "serve_two_thread.colstore";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson;
+  sinks.colstore_path = col;
+  obs::EventLog log(sinks);
+  log.install();
+  // Enough lines per thread to cross several drain batches, so both
+  // threads write the files while the other is still emitting.
+  constexpr int kPerThread = 5000;
+  const auto emitter = [&log](std::int64_t thread) {
+    for (int i = 0; i < kPerThread; ++i) {
+      log.emit(obs::Event("tick", i, thread).field("i", std::int64_t{i}));
+      if (i % 997 == 0) log.publish();
+    }
+    log.publish();
+  };
+  std::thread a(emitter, 1);
+  std::thread b(emitter, 2);
+  a.join();
+  b.join();
+  log.close();
+  log.uninstall();
+  const std::string all = log.to_ndjson();
+  EXPECT_EQ(log.watermark(), 2u * kPerThread + 1);
+  EXPECT_EQ(read_text(ndjson), all);
+  EXPECT_EQ(decode_salvaged(col), all);
+  EXPECT_EQ(log.io_errors(), 0u);
+  std::remove(ndjson.c_str());
+  std::remove(col.c_str());
+}
+
+TEST(EventLogServe, FullDiskIsCountedAndDegradesHealthz) {
+  obs::EventSinks sinks;
+  sinks.ndjson_path = "/dev/full";
+  obs::EventLog log(sinks);
+  log.install();
+  obs::StatusServer server;
+  ASSERT_TRUE(server.start());
+  for (std::int64_t i = 0; i < 10; ++i) log.emit(obs::Event("tick", i, i));
+  log.publish();
+  log.emit(obs::Event("after_failure", 11, std::int64_t{11}));
+  log.close();
+  // The first failed flush is counted and stops the sink, so the run
+  // goes on and the count stays at one.
+  EXPECT_EQ(log.io_errors(), 1u);
+  const std::string healthz = body_of(http_get(server.port(), "/healthz"));
+  server.stop();
+  log.uninstall();
+  EXPECT_TRUE(testing::JsonValidator(healthz).valid()) << healthz;
+  EXPECT_NE(healthz.find("\"status\":\"degraded\""), std::string::npos)
+      << healthz;
+  EXPECT_NE(healthz.find("\"io_errors\":1"), std::string::npos) << healthz;
+}
+
+TEST(EventLogServe, UnopenableSinkPathIsCountedAndTheRunGoesOn) {
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ::testing::TempDir() + "no-such-dir/events.ndjson";
+  sinks.colstore_path = ::testing::TempDir() + "no-such-dir/events.colstore";
+  obs::EventLog log(sinks);
+  EXPECT_EQ(log.io_errors(), 2u);
+  log.emit(obs::Event("tick", 1, std::int64_t{1}));
+  log.close();
+  EXPECT_EQ(log.io_errors(), 2u);
+  EXPECT_EQ(log.event_count(), 2u);  // + terminal log_stats
 }
 
 }  // namespace
