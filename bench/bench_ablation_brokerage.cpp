@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace pandarus;
+  obs::install_env_hooks();
   bench::banner("Ablation - brokerage policy (data-locality vs load-aware "
                 "vs hybrid)",
                 "locality minimizes WAN traffic but risks hot-site "

@@ -10,6 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace pandarus;
+  obs::install_env_hooks();
   bench::banner(
       "Fig. 3 - file-transfer pattern among computing sites",
       "957.98 PB total, 77% local; mean 77.75 TB vs geomean 1.11 TB per "

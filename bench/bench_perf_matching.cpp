@@ -177,21 +177,17 @@ BENCHMARK(BM_CampaignSimulation)->Unit(benchmark::kMillisecond);
 // --- colstore: the ROADMAP's telemetry-at-scale path --------------------
 
 /// NDJSON event stream of a small recorded campaign, captured once.
-/// The process-wide log (PANDARUS_EVENTS/_COL hooks) is saved and
-/// restored around the recording so this bench never pollutes the
-/// env-armed stream CI replays and gates on.
+/// The recording runs in a session of its own, so it never pollutes the
+/// env-armed stream (PANDARUS_EVENTS/_COL hooks) CI replays and gates
+/// on.
 const std::string& recorded_ndjson() {
   static const std::string text = [] {
-    obs::EventLog* prev = obs::EventLog::installed();
     obs::EventLog log;
-    log.install();
     scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
     config.days = 0.5;
     config.seed = 7;
-    const auto result = scenario::run_campaign(config);
+    const auto result = scenario::run_campaign(config, {.events = &log});
     benchmark::DoNotOptimize(result.events_processed);
-    log.uninstall();
-    if (prev != nullptr) prev->install();
     log.close();
     return log.to_ndjson();
   }();
@@ -317,7 +313,6 @@ void BM_HealthDetectors(benchmark::State& state) {
   std::uint64_t observations = 0;
   for (auto _ : state) {
     obs::HealthEngine engine;
-    engine.set_emit_events(false);
     for (int i = 0; i < kTicks; ++i) {
       const std::int64_t ts = 1000 + 1800 * i;
       // Queue depth spikes every 100 ticks; counters keep advancing.

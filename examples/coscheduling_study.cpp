@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace pandarus;
+  obs::install_env_hooks();
 
   std::uint64_t seed = 20250401;
   if (argc > 1) seed = std::strtoull(argv[1], nullptr, 10);

@@ -113,18 +113,15 @@ std::string decode_colstore(const std::string& path) {
 [[noreturn]] void run_child(const Args& args, const std::string& events_path,
                             const std::string& col_path,
                             const std::string& ckpt_dir, int write_delay_us) {
-  scenario::ScenarioConfig config = make_config(args);
-  config.checkpoint_dir = ckpt_dir;
   obs::EventSinks sinks;
   sinks.ndjson_path = events_path;
   sinks.colstore_path = col_path;
   sinks.fsync.policy = obs::FsyncPolicy::kFlush;
   sinks.write_delay_us = write_delay_us;
   obs::EventLog log(sinks);
-  log.install();
-  (void)scenario::run_campaign(config);
+  (void)scenario::run_campaign(make_config(args),
+                               {.events = &log, .checkpoint_dir = ckpt_dir});
   log.close();
-  log.uninstall();
   // Skip atexit teardown: the parent's state must stay untouched.
   std::_Exit(0);
 }
@@ -172,11 +169,9 @@ int main(int argc, char** argv) {
   std::string reference;
   {
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(config, {.events = &log});
     log.close();
     reference = log.to_ndjson();
-    log.uninstall();
   }
   std::fprintf(stderr, "reference: %zu bytes\n", reference.size());
 

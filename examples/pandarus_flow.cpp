@@ -9,8 +9,8 @@
 // top links by critical stage-in seconds, and the flagged
 // sequential-staging case-study jobs with their bottleneck link.
 //
-// Demo mode runs a small campaign with a live FlowTracker installed and
-// prints the same attribution from the online analyzer — the numbers a
+// Demo mode runs a small campaign with a live FlowTracker and prints
+// the same attribution from the online analyzer — the numbers a
 // replay of that campaign's stream would reproduce bit-for-bit.
 //
 // Both modes write a flamegraph collapsed-stack file (feed it to
@@ -61,22 +61,22 @@ int main(int argc, char** argv) {
     }
     if (arg < argc) stacks_path = argv[arg];
 
-    // A live tracker for the whole campaign (a no-op when
-    // PANDARUS_FLOWS already installed one).
+    // A live tracker for the whole campaign: the env session's when
+    // PANDARUS_FLOWS armed one, else this one.
+    obs::Session session = obs::env_session();
     obs::FlowTracker tracker;
-    if (obs::FlowTracker::installed() == nullptr) tracker.install();
-    obs::FlowTracker& active = *obs::FlowTracker::installed();
+    if (session.flows == nullptr) session.flows = &tracker;
 
     std::cout << "Running a " << config.days << "-day campaign (seed "
               << config.seed << ") with causal flows on ...\n";
-    const scenario::ScenarioResult result = scenario::run_campaign(config);
+    const scenario::ScenarioResult result =
+        scenario::run_campaign(config, session);
 
     std::map<std::int64_t, std::string> names;
     for (const grid::Site& s : result.topology.sites()) {
       names[static_cast<std::int64_t>(s.id)] = s.name;
     }
-    flows = analysis::analyze_flows(active, std::move(names));
-    if (&active == &tracker) tracker.uninstall();
+    flows = analysis::analyze_flows(*session.flows, std::move(names));
   } else {
     const std::string events_path = argv[1];
     if (argc > 2) stacks_path = argv[2];

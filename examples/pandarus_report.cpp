@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   // alert timeline and SLO table come from the same engine /api/alerts
   // serves, derived out-of-core from the file.
   obs::HealthEngine health;
-  health.set_emit_events(false);
   const analysis::ReplayResult replay =
       analysis::replay_events_file(events_path, &health);
   if (replay.lines_parsed == 0) {

@@ -98,7 +98,6 @@ int main(int argc, char** argv) {
     // /api/alerts comes from health detectors fed in the replay's own
     // pass — the replay twin of a live PANDARUS_ALERTS run.
     obs::HealthEngine health;
-    health.set_emit_events(false);
     auto replay = std::make_shared<const analysis::ReplayResult>(
         analysis::replay_events_file(replay_path, &health));
     if (replay->lines_parsed == 0) {
@@ -127,16 +126,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Live mode.  The env hooks may already have armed a server + log
-  // (PANDARUS_SERVE / PANDARUS_EVENTS); arm whatever is still missing
-  // so the bare binary works without any environment.
+  // Live mode.  The env session may already hold a server, log or
+  // tracker (PANDARUS_SERVE / PANDARUS_EVENTS / PANDARUS_FLOWS); fill in
+  // whatever is still missing so the bare binary works without any
+  // environment.
+  obs::Session session = obs::env_session();
   static obs::EventLog self_log;
-  if (obs::EventLog::installed() == nullptr) self_log.install();
+  if (session.events == nullptr) session.events = &self_log;
   static obs::FlowTracker self_tracker;
-  if (obs::FlowTracker::installed() == nullptr) self_tracker.install();
+  if (session.flows == nullptr) session.flows = &self_tracker;
 
   std::unique_ptr<obs::StatusServer> self_server;
-  if (obs::StatusServer::installed() == nullptr) {
+  if (session.server == nullptr) {
     obs::StatusServer::Options options;
     options.port = port;
     self_server = std::make_unique<obs::StatusServer>(options);
@@ -145,10 +146,10 @@ int main(int argc, char** argv) {
       std::cerr << "pandarus-serve: cannot bind 127.0.0.1:" << port << "\n";
       return 1;
     }
-    self_server->install();
+    session.server = self_server.get();
   }
-  obs::StatusServer* server = obs::StatusServer::installed();
-  std::cout << "listening on http://127.0.0.1:" << server->port() << "/\n"
+  std::cout << "listening on http://127.0.0.1:" << session.server->port()
+            << "/\n"
             << std::flush;
 
   scenario::ScenarioConfig config = small
@@ -166,7 +167,8 @@ int main(int argc, char** argv) {
   std::cout << "running a " << config.days << "-day campaign (seed "
             << config.seed << ") ...\n"
             << std::flush;
-  const scenario::ScenarioResult result = scenario::run_campaign(config);
+  const scenario::ScenarioResult result =
+      scenario::run_campaign(config, session);
 
   const auto counts = result.store.counts();
   std::cout << "campaign complete: " << counts.jobs << " jobs, "
@@ -176,9 +178,6 @@ int main(int argc, char** argv) {
     std::cout << "serving until SIGINT/SIGTERM ...\n" << std::flush;
     linger();
   }
-  if (self_server) {
-    self_server->uninstall();
-    self_server->stop();
-  }
+  if (self_server) self_server->stop();
   return 0;
 }

@@ -236,7 +236,6 @@ std::unique_ptr<obs::HealthEngine> derive_health_file(
   const auto source = open_event_source(path);
   if (source == nullptr) return nullptr;
   auto engine = std::make_unique<obs::HealthEngine>(config);
-  engine->set_emit_events(false);
   while (const util::json::Value* event = source->next()) {
     engine->observe_json(*event);
   }

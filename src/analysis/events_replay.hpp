@@ -90,13 +90,14 @@ struct ReplayResult {
   /// by dms::TransferError value (aborted, stalled_terminal, ...).
   std::map<std::int32_t, std::size_t> failure_causes;
 
-  /// A silent tracker fed each flow_* / transfer_* line as it is
-  /// replayed: exactly the calls the live simulation made, so it ends in
-  /// the live tracker's state and analysis::analyze_flows reproduces the
-  /// online critical-path analysis verbatim.  It completes flows only
-  /// when the stream was recorded with flows armed (PANDARUS_FLOWS).
+  /// A silent (never wired) tracker fed each flow_* / transfer_* line
+  /// as it is replayed: exactly the calls the live simulation made, so
+  /// it ends in the live tracker's state and analysis::analyze_flows
+  /// reproduces the online critical-path analysis verbatim.  It
+  /// completes flows only when the stream was recorded with flows armed
+  /// (PANDARUS_FLOWS).
   std::unique_ptr<obs::FlowTracker> flows =
-      std::make_unique<obs::FlowTracker>(/*emit=*/false);
+      std::make_unique<obs::FlowTracker>();
 
   /// The terminal log_stats event the EventLog appends on close():
   /// what the producing process actually wrote and dropped.  A nonzero
@@ -139,9 +140,9 @@ ReplayResult replay_events_file(const std::string& path,
                                 obs::HealthEngine* health = nullptr);
 
 /// Health-only pass: streams `path` into a fresh engine and nothing
-/// else.  Event emission is disabled on the returned engine, so deriving
-/// health from a stream never re-emits that stream's own alerts into an
-/// installed EventLog.  nullptr when the file cannot be opened.
+/// else.  The engine is never wired to a log, so deriving health from a
+/// stream never re-emits that stream's own alerts.  nullptr when the
+/// file cannot be opened.
 std::unique_ptr<obs::HealthEngine> derive_health_file(
     const std::string& path, obs::HealthConfig config = {});
 

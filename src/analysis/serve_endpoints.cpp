@@ -203,9 +203,11 @@ std::map<std::int64_t, std::string> wide_site_names(
 /// every /api body except critical-path is rebuilt only when the
 /// publication watermark moves.
 struct LiveCache {
+  explicit LiveCache(const obs::EventLog* session_log) : log(session_log) {}
+
   std::mutex mutex;
   bool valid = false;
-  const obs::EventLog* log = nullptr;
+  const obs::EventLog* const log;
   std::uint64_t watermark = 0;
   ReplayResult replay;
   core::TriMatchResult tri;
@@ -222,15 +224,6 @@ struct LiveCache {
   /// mutex held.  Folds the newly published suffix and rebuilds the
   /// bodies when the watermark moved; no-op otherwise.
   void refresh() {
-    obs::EventLog* installed = obs::EventLog::installed();
-    if (installed != log) {  // a different log: start over
-      log = installed;
-      watermark = 0;
-      replay = ReplayResult{};
-      tri = {};
-      matched_rows = {};
-      valid = false;
-    }
     if (valid && (log == nullptr || log->watermark() == watermark)) return;
     if (log != nullptr) {
       std::string suffix;
@@ -268,8 +261,10 @@ struct LiveCache {
 
 }  // namespace
 
-void attach_live_status(obs::StatusServer& server) {
-  auto cache = std::make_shared<LiveCache>();
+void attach_live_status(obs::StatusServer& server,
+                        const obs::Session& session) {
+  server.attach(session);
+  auto cache = std::make_shared<LiveCache>(session.events);
   server.set_json_endpoint("/api/summary", [cache] {
     std::scoped_lock lock(cache->mutex);
     cache->refresh();
@@ -285,29 +280,28 @@ void attach_live_status(obs::StatusServer& server) {
     cache->refresh();
     return cache->series;
   });
-  server.set_json_endpoint("/api/critical-path", [cache] {
+  const obs::FlowTracker* tracker = session.flows;
+  server.set_json_endpoint("/api/critical-path", [cache, tracker] {
     // Totals and ranking come mutex-guarded from the live tracker, so
     // this endpoint is always current; only the site-name resolution
     // rides on the memoized replay.
     obs::FlowTotals totals;
     std::vector<obs::LinkCritical> ranking;
-    const bool tracker = obs::FlowTracker::installed() != nullptr;
-    if (tracker) {
-      totals = obs::FlowTracker::installed()->totals();
-      ranking = obs::FlowTracker::installed()->link_ranking();
+    if (tracker != nullptr) {
+      totals = tracker->totals();
+      ranking = tracker->link_ranking();
     }
     std::scoped_lock lock(cache->mutex);
     cache->refresh();
     return critical_path_json(totals, ranking, cache->site_names,
-                              cache->watermark, tracker);
+                              cache->watermark, tracker != nullptr);
   });
-  server.set_json_endpoint("/api/alerts", [] {
-    // Straight from the installed engine's mutex-guarded state — the
+  const obs::HealthEngine* health = session.health;
+  server.set_json_endpoint("/api/alerts", [health] {
+    // Straight from the session engine's mutex-guarded state — the
     // same document a replay of the published stream derives, which is
     // exactly what the CI parity gate compares.
-    if (obs::HealthEngine* health = obs::HealthEngine::installed()) {
-      return health->status_json();
-    }
+    if (health != nullptr) return health->status_json();
     return std::string("{\"enabled\":false}");
   });
 }

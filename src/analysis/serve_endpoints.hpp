@@ -10,7 +10,7 @@
 //   /api/series         the obs::Sampler columnar time series
 //   /api/critical-path  per-link critical-seconds ranking
 //
-// Live mode reads the installed EventLog's *published prefix* only
+// Live mode reads the session EventLog's *published prefix* only
 // (EventLog::snapshot_ndjson).  It keeps one ReplayResult between
 // scrapes and folds into it only the lines published since the last
 // one, so each line is replayed exactly once (counted by
@@ -25,18 +25,18 @@
 
 #include <memory>
 
-namespace pandarus::obs {
-class StatusServer;
-}
+#include "obs/session.hpp"
 
 namespace pandarus::analysis {
 
 struct ReplayResult;
 
-/// Registers the live /api endpoints on `server`, computing from the
-/// installed EventLog and FlowTracker.  scenario::run_campaign calls
-/// this automatically when a StatusServer is installed.
-void attach_live_status(obs::StatusServer& server);
+/// Attaches `session` to `server` (StatusServer::attach) and registers
+/// the live /api endpoints, computed from the session's EventLog,
+/// FlowTracker and HealthEngine.  scenario::run_campaign calls this at
+/// start for its session's server.
+void attach_live_status(obs::StatusServer& server,
+                        const obs::Session& session);
 
 /// Registers the same endpoints precomputed from a finished replay
 /// (`pandarus-serve --replay <file>`): bodies are built once here.

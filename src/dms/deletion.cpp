@@ -42,7 +42,7 @@ std::uint32_t DeletionDaemon::sweep_once() {
       ++stats_.datasets_expired;
     }
   }
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("deletion_sweep", scheduler_.now(),
                          static_cast<std::int64_t>(stats_.sweeps))
                   .field("expired", expired)

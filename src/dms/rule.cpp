@@ -87,7 +87,7 @@ std::uint32_t RuleEngine::evaluate_once() {
     }
   }
   stats_.transfers_submitted += submitted;
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("rule_pass", scheduler_.now(),
                          static_cast<std::int64_t>(stats_.passes))
                   .field("rules", static_cast<std::uint64_t>(rules_.size()))
@@ -125,7 +125,7 @@ std::uint32_t RuleEngine::stage_from_tape(DatasetId dataset,
     ++submitted;
   }
   stats_.staged_from_tape += submitted;
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("rule_stage", scheduler_.now(),
                          static_cast<std::int64_t>(dataset))
                   .field("site", site)

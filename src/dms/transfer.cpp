@@ -161,7 +161,7 @@ std::uint64_t TransferEngine::submit(TransferRequest request) {
   ++in_flight_;
   EngineMetrics::get().submitted.inc();
   EngineMetrics::get().in_flight.add(1);
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     const TransferRequest& req = ls.pending.back()->request;
     log->emit(obs::Event("transfer_submit", scheduler_.now(),
                          static_cast<std::int64_t>(id))
@@ -172,7 +172,7 @@ std::uint64_t TransferEngine::submit(TransferRequest request) {
                   .field("activity", static_cast<std::int32_t>(req.activity))
                   .field("task", req.jeditaskid));
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     const TransferRequest& req = ls.pending.back()->request;
     flows->transfer_submitted(id, static_cast<std::int64_t>(req.file),
                               req.src, req.dst, scheduler_.now());
@@ -269,7 +269,7 @@ TransferEngine::LinkState* TransferEngine::reroute_target(Active& active) {
   }
   ++stats_.alt_source_retries;
   EngineMetrics::get().alt_source.inc();
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("transfer_reroute", scheduler_.now(),
                          static_cast<std::int64_t>(active.id))
                   .field("old_src", active.request.src)
@@ -277,7 +277,7 @@ TransferEngine::LinkState* TransferEngine::reroute_target(Active& active) {
                   .field("dst", active.request.dst)
                   .field("attempt", active.attempt));
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->transfer_rerouted(active.id);
   }
   active.request.src = src;
@@ -306,7 +306,7 @@ void TransferEngine::start_one(LinkState& ls) {
   abort_prob += boost;
   active->doomed = rng_.bernoulli(abort_prob);
   if (active->doomed && boost > 0.0) active->fault_tainted = true;
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("transfer_start", scheduler_.now(),
                          static_cast<std::int64_t>(active->id))
                   .field("src", ls.key.src)
@@ -314,7 +314,7 @@ void TransferEngine::start_one(LinkState& ls) {
                   .field("attempt", active->attempt)
                   .field("effective_start", active->started_at));
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->attempt_start(active->id, active->attempt, ls.key.src, ls.key.dst,
                          scheduler_.now());
   }
@@ -400,7 +400,7 @@ void TransferEngine::breaker_on_result(LinkState& ls, bool attempt_failed) {
     util::log_warning() << "circuit breaker open: link " << ls.key.src << "->"
                         << ls.key.dst << " after " << ls.consecutive_failures
                         << " consecutive failed attempts";
-    if (obs::EventLog* log = obs::EventLog::installed()) {
+    if (obs::EventLog* log = scheduler_.session().events) {
       log->emit(obs::Event("breaker_state", scheduler_.now(),
                            link_entity(ls.key.src, ls.key.dst))
                     .field("src", ls.key.src)
@@ -409,7 +409,7 @@ void TransferEngine::breaker_on_result(LinkState& ls, bool attempt_failed) {
                     .field("consecutive_failures", ls.consecutive_failures)
                     .field("open_until", ls.open_until));
     }
-    if (obs::HealthEngine* health = obs::HealthEngine::installed()) {
+    if (obs::HealthEngine* health = scheduler_.session().health) {
       health->on_breaker(scheduler_.now(), ls.key.src, ls.key.dst,
                          /*open=*/true);
     }
@@ -420,7 +420,7 @@ void TransferEngine::breaker_on_result(LinkState& ls, bool attempt_failed) {
     ls.breaker = LinkState::Breaker::kClosed;
     if (open_breakers_ > 0) --open_breakers_;
     EngineMetrics::get().breakers_open.add(-1);
-    if (obs::EventLog* log = obs::EventLog::installed()) {
+    if (obs::EventLog* log = scheduler_.session().events) {
       log->emit(obs::Event("breaker_state", scheduler_.now(),
                            link_entity(ls.key.src, ls.key.dst))
                     .field("src", ls.key.src)
@@ -429,7 +429,7 @@ void TransferEngine::breaker_on_result(LinkState& ls, bool attempt_failed) {
                     .field("consecutive_failures", std::uint32_t{0})
                     .field("open_until", util::SimTime{0}));
     }
-    if (obs::HealthEngine* health = obs::HealthEngine::installed()) {
+    if (obs::HealthEngine* health = scheduler_.session().health) {
       health->on_breaker(scheduler_.now(), ls.key.src, ls.key.dst,
                          /*open=*/false);
     }
@@ -491,7 +491,7 @@ void TransferEngine::complete(LinkState& ls, Active* active) {
     }
     const util::SimDuration delay =
         backoff_delay(done->id, done->attempt + 1);
-    if (obs::EventLog* log = obs::EventLog::installed()) {
+    if (obs::EventLog* log = scheduler_.session().events) {
       log->emit(obs::Event("transfer_retry", scheduler_.now(),
                            static_cast<std::int64_t>(done->id))
                     .field("failed_attempt", done->attempt)
@@ -500,7 +500,7 @@ void TransferEngine::complete(LinkState& ls, Active* active) {
                     .field("next_src", target->key.src)
                     .field("backoff_ms", delay));
     }
-    if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+    if (obs::FlowTracker* flows = scheduler_.session().flows) {
       flows->attempt_end(done->id, scheduler_.now(), /*success=*/false,
                          /*terminal=*/false, /*registered=*/false);
     }
@@ -598,7 +598,7 @@ void TransferEngine::finalize(std::unique_ptr<Active> active, bool success) {
   --in_flight_;
   EngineMetrics::get().in_flight.add(-1);
 
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event(outcome.success ? "transfer_done" : "transfer_fail",
                          outcome.finished_at,
                          static_cast<std::int64_t>(outcome.transfer_id))
@@ -614,12 +614,12 @@ void TransferEngine::finalize(std::unique_ptr<Active> active, bool success) {
                   .field("registered", outcome.replica_registered)
                   .field("error", transfer_error_name(outcome.error)));
   }
-  if (obs::HealthEngine* health = obs::HealthEngine::installed()) {
+  if (obs::HealthEngine* health = scheduler_.session().health) {
     health->on_transfer_terminal(outcome.finished_at, outcome.success,
                                  transfer_error_name(outcome.error),
                                  outcome.finished_at - outcome.submitted_at);
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->attempt_end(outcome.transfer_id, outcome.finished_at,
                        outcome.success, /*terminal=*/true,
                        outcome.replica_registered);

@@ -96,7 +96,7 @@ void Injector::transition(std::size_t index, bool begin) {
 
 void Injector::emit_event(const FaultWindow& window, std::size_t index,
                           bool begin) const {
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("fault_window", scheduler_.now(),
                          static_cast<std::int64_t>(index))
                   .field("fault", kind_name(window.kind))

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -22,10 +23,8 @@ std::string g_trace_path;
 std::string g_flows_path;
 std::string g_alerts_path;
 TraceRecorder* g_env_recorder = nullptr;
-EventLog* g_env_event_log = nullptr;
-FlowTracker* g_env_flow_tracker = nullptr;
-StatusServer* g_env_status_server = nullptr;
-HealthEngine* g_env_health_engine = nullptr;
+/// Written once, by install_once(); read-only afterwards.
+Session g_env_session;
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -52,8 +51,9 @@ void write_text_file(const std::string& path, const std::string& text) {
 void dump_at_exit() {
   // The server goes first: once stopped, no scrape can race the close/
   // dump sequence below.
-  if (g_env_status_server != nullptr) {
-    g_env_status_server->stop();
+  const Session& session = g_env_session;
+  if (session.server != nullptr) {
+    session.server->stop();
     sample_process_metrics();  // final values for the metrics dump
   }
   if (!g_metrics_path.empty()) {
@@ -64,18 +64,18 @@ void dump_at_exit() {
   if (g_env_recorder != nullptr) {
     g_env_recorder->write_chrome_trace(g_trace_path);
   }
-  if (g_env_event_log != nullptr) {
+  if (session.events != nullptr) {
     // Every published line is already in the files; close() appends
     // log_stats, drains the rest, and flushes and closes both sinks.
-    g_env_event_log->close();
+    session.events->close();
   }
-  if (g_env_flow_tracker != nullptr && !g_flows_path.empty()) {
-    g_env_flow_tracker->write_collapsed(g_flows_path);
+  if (session.flows != nullptr && !g_flows_path.empty()) {
+    session.flows->write_collapsed(g_flows_path);
   }
-  if (g_env_health_engine != nullptr && !g_alerts_path.empty()) {
+  if (session.health != nullptr && !g_alerts_path.empty()) {
     // After the log close above, detectors have quiesced; the dump is
     // the same document /api/alerts served.
-    write_text_file(g_alerts_path, g_env_health_engine->status_json());
+    write_text_file(g_alerts_path, session.health->status_json());
   }
 }
 
@@ -87,11 +87,14 @@ bool install_once() {
   const char* flows = std::getenv("PANDARUS_FLOWS");
   const char* serve = std::getenv("PANDARUS_SERVE");
   const char* alerts = std::getenv("PANDARUS_ALERTS");
+  const char* checkpoint = std::getenv("PANDARUS_CHECKPOINT");
   if (metrics == nullptr && trace == nullptr && events == nullptr &&
       events_col == nullptr && flows == nullptr && serve == nullptr &&
-      alerts == nullptr) {
+      alerts == nullptr && checkpoint == nullptr) {
     return false;
   }
+  Session& session = g_env_session;
+  if (checkpoint != nullptr) session.checkpoint_dir = checkpoint;
   if (metrics != nullptr) g_metrics_path = metrics;
   if (trace != nullptr) {
     g_trace_path = trace;
@@ -118,16 +121,14 @@ bool install_once() {
         delay != nullptr) {
       sinks.write_delay_us = std::atoi(delay);
     }
-    g_env_event_log = new EventLog(sinks);
-    g_env_event_log->install();
+    session.events = new EventLog(sinks);
   }
   if (flows != nullptr) {
     // The value is the collapsed-stack dump path ("" arms the tracker
     // without a dump).  Leaked like the recorder: end_flow may fire
     // during static destruction.
     g_flows_path = flows;
-    g_env_flow_tracker = new FlowTracker();
-    g_env_flow_tracker->install();
+    session.flows = new FlowTracker();
   }
   if (alerts != nullptr) {
     // The value is the status_json dump path; "" or "1" arms the
@@ -136,8 +137,7 @@ bool install_once() {
     if (alerts[0] != '\0' && std::string_view(alerts) != "1") {
       g_alerts_path = alerts;
     }
-    g_env_health_engine = new HealthEngine();
-    g_env_health_engine->install();
+    session.health = new HealthEngine();
   }
   if (serve != nullptr) {
     // Leaked like the others; dump_at_exit stops it before any dump
@@ -146,11 +146,9 @@ bool install_once() {
     StatusServer::Options options;
     options.port = static_cast<std::uint16_t>(
         port > 0 && port <= 65535 ? port : 0);
-    g_env_status_server = new StatusServer(options);
+    auto server = std::make_unique<StatusServer>(options);
     register_process_metrics();
-    if (g_env_status_server->start()) {
-      g_env_status_server->install();
-    }
+    if (server->start()) session.server = server.release();
   }
   std::atexit(dump_at_exit);
   return true;
@@ -165,5 +163,7 @@ bool install_env_hooks() {
   static const bool active = install_once();
   return active;
 }
+
+const Session& env_session() { return g_env_session; }
 
 }  // namespace pandarus::obs

@@ -1,11 +1,14 @@
-// Environment-driven observability hooks shared by every bench/example:
+// Environment-driven observability hooks shared by every bench/example.
+// install_env_hooks() reads the variables once and builds from them the
+// env session (obs::Session, see obs/session.hpp), which
+// scenario::run_campaign reports to unless given another:
 //
 //   PANDARUS_METRICS=<path>  dump a global-registry snapshot at exit
 //                            (Prometheus text if <path> ends in .prom,
 //                            JSON otherwise);
 //   PANDARUS_TRACE=<path>    install a process-lifetime TraceRecorder
 //                            now and write Chrome trace JSON at exit;
-//   PANDARUS_EVENTS=<path>   install a process-lifetime EventLog now
+//   PANDARUS_EVENTS=<path>   the session's EventLog, process-lifetime,
 //                            whose NDJSON sink writes each event line to
 //                            <path> as it is published (consumed offline
 //                            by pandarus-report and
@@ -22,12 +25,12 @@
 //                            the log, appending a terminal log_stats
 //                            event (events written/dropped/bytes) and
 //                            flushing and closing both files;
-//   PANDARUS_FLOWS=<path>    install a process-lifetime FlowTracker now
+//   PANDARUS_FLOWS=<path>    the session's FlowTracker, process-lifetime
 //                            (flow_* events appear in the EventLog
 //                            stream, flow lanes in the Chrome trace) and
 //                            write flamegraph collapsed stacks to <path>
 //                            at exit (empty value: track, no dump);
-//   PANDARUS_SERVE=<port>    install a process-lifetime StatusServer on
+//   PANDARUS_SERVE=<port>    the session's StatusServer, started now on
 //                            127.0.0.1:<port> (0 picks an ephemeral
 //                            port, logged at startup): GET /metrics
 //                            Prometheus scrape, /healthz, /api/* JSON
@@ -37,6 +40,16 @@
 //                            pandarus_build_info and process gauges.
 //                            The server stops before the exit dumps so
 //                            in-flight scrapes quiesce first;
+//   PANDARUS_ALERTS=<path>   the session's HealthEngine, process-lifetime:
+//                            typed `alert` events in the EventLog stream
+//                            and its status_json() written to <path> at
+//                            exit ("" or "1": detect, no dump);
+//   PANDARUS_CHECKPOINT=<dir>
+//                            the session's checkpoint directory: each
+//                            campaign writes one scenario::Checkpoint
+//                            snapshot, ckpt-day-NNNN.pckpt, per
+//                            completed simulated day (observation only:
+//                            stream bytes are identical on or off);
 //   PANDARUS_EVENTS_FSYNC=off|flush|interval:<ms>
 //                            durability policy for the event sinks.
 //                            `flush` fsyncs after every drain that
@@ -57,16 +70,25 @@
 // /healthz) and stops that file; the run goes on.  The metrics and
 // alerts dumps warn on failure too.
 //
-// One call near the start of main() is enough; binaries need no other
-// per-binary wiring.
+// One call near the start of main(), before any other thread starts, is
+// enough; binaries need no other per-binary wiring.  A binary that
+// brings its own log, tracker or server copies env_session() and fills
+// in the missing pointer.
 #pragma once
+
+#include "obs/session.hpp"
 
 namespace pandarus::obs {
 
-/// Reads the variables once and registers the atexit writer when any is
-/// set.  Idempotent — repeated calls return the first call's result and
-/// never register duplicate atexit dumps.  Returns true iff a hook is
-/// active.
+/// Reads the variables once, builds the env session and registers the
+/// atexit writer when any is set.  Idempotent — repeated calls return
+/// the first call's result and never register duplicate atexit dumps.
+/// Returns true iff a hook is active.
 bool install_env_hooks();
+
+/// The session install_env_hooks() built; it never changes afterwards.
+/// Empty (every pointer null, no checkpoint directory) before that call
+/// or when no variable is set.
+[[nodiscard]] const Session& env_session();
 
 }  // namespace pandarus::obs

@@ -69,13 +69,12 @@ bool parse_fsync_policy(std::string_view spec, FsyncConfig& out) {
   return false;
 }
 
-void export_event_log_metrics() {
-  EventLog* log = EventLog::installed();
+void export_event_log_metrics(const EventLog* log) {
   if (log == nullptr) return;
   Registry& registry = Registry::global();
   registry
       .gauge("pandarus_events_written",
-             "Events accepted into the installed log")
+             "Events accepted into the session event log")
       .set(static_cast<std::int64_t>(log->events_written()));
   registry
       .gauge("pandarus_events_dropped",
@@ -95,7 +94,7 @@ void export_event_log_metrics() {
       .set(static_cast<std::int64_t>(log->fsyncs()));
   registry
       .gauge("pandarus_events_watermark",
-             "Publication watermark of the installed log")
+             "Publication watermark of the session event log")
       .set(static_cast<std::int64_t>(log->watermark()));
 }
 
@@ -212,8 +211,6 @@ Event&& Event::field(std::string_view key, const char* v) && {
 
 // --- EventLog ---------------------------------------------------------------
 
-std::atomic<EventLog*> EventLog::g_installed{nullptr};
-
 EventLog::EventLog(std::size_t max_events)
     : EventLog(EventSinks{}, max_events) {}
 
@@ -239,19 +236,8 @@ EventLog::EventLog(const EventSinks& sinks, std::size_t max_events)
 }
 
 EventLog::~EventLog() {
-  uninstall();
   std::scoped_lock lock(mutex_);
   close_sinks_locked();
-}
-
-void EventLog::install() noexcept {
-  g_installed.store(this, std::memory_order_release);
-}
-
-void EventLog::uninstall() noexcept {
-  EventLog* self = this;
-  g_installed.compare_exchange_strong(self, nullptr,
-                                      std::memory_order_acq_rel);
 }
 
 EventLog::Buffer& EventLog::local_buffer() {

@@ -17,12 +17,12 @@
 // is the only write path; close() appends the log_stats line, drains
 // what is left, and flushes, fsyncs and closes the files.
 //
-// The disabled path follows the same cost discipline as ScopedSpan:
-// when no EventLog is installed, an emit site is one relaxed-ish atomic
-// load (EventLog::installed()) and nothing else — no clock reads, no
-// string building.  Guard every emit site with
+// A campaign reports to the log in its obs::Session (obs/session.hpp).
+// The disabled path costs one pointer load from the scheduler's session
+// and nothing else — no clock reads, no string building.  Guard every
+// emit site with
 //
-//   if (obs::EventLog* log = obs::EventLog::installed()) {
+//   if (obs::EventLog* log = scheduler_.session().events) {
 //     log->emit(obs::Event("transfer_submit", now, id)
 //                   .field("src", src)
 //                   .field("bytes", bytes));
@@ -83,12 +83,14 @@ struct EventSinks {
   int write_delay_us = 0;
 };
 
-/// Mirrors the installed log's durability counters (events written /
-/// dropped / bytes, io_errors, fsyncs, watermark) into
-/// `pandarus_events_*` registry gauges so /metrics scrapes and metric
-/// dumps carry them; no-op without an installed log.  Gauges never
-/// touch the event stream, so this is determinism-neutral.
-void export_event_log_metrics();
+class EventLog;
+
+/// Mirrors `log`'s durability counters (events written / dropped /
+/// bytes, io_errors, fsyncs, watermark) into `pandarus_events_*`
+/// registry gauges so /metrics scrapes and metric dumps carry them;
+/// no-op when `log` is null.  Gauges never touch the event stream, so
+/// this is determinism-neutral.
+void export_event_log_metrics(const EventLog* log);
 
 /// Builder for one event line.  The constructor writes the common
 /// prefix (`ts`, `kind`, `entity`); field() appends one key/value pair
@@ -116,10 +118,9 @@ class Event {
 
 class ColWriter;
 
-/// Collects events from any thread; install at most one log at a time.
-/// The log must outlive every thread that observed it as installed, and
-/// to_ndjson() is only safe once emitters have quiesced (same contract
-/// as TraceRecorder).
+/// Collects events from any thread.  The log must outlive every thread
+/// that emits to it, and to_ndjson() is only safe once emitters have
+/// quiesced (same contract as TraceRecorder).
 class EventLog {
  public:
   static constexpr std::size_t kDefaultMaxEvents = std::size_t{1} << 22;
@@ -136,14 +137,6 @@ class EventLog {
   ~EventLog();
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
-
-  /// Makes this the process-wide log emit sites report to.
-  void install() noexcept;
-  /// Stops recording (no-op if another log was installed since).
-  void uninstall() noexcept;
-  [[nodiscard]] static EventLog* installed() noexcept {
-    return g_installed.load(std::memory_order_acquire);
-  }
 
   /// Finalizes the event's line and appends it to this thread's staging
   /// buffer (draining to the central sink when the buffer fills).
@@ -269,8 +262,6 @@ class EventLog {
   bool fsync_file(std::FILE* f);
   /// Counts one sink I/O failure and warns; the caller stops the sink.
   void sink_failed(const std::string& path, const std::string& what);
-
-  static std::atomic<EventLog*> g_installed;
 
   const std::uint64_t id_;  ///< process-unique, never reused
   const std::size_t max_events_;

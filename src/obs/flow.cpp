@@ -61,24 +61,15 @@ struct FlowTracker::Metrics {
   Histogram& stage_out;
 };
 
-std::atomic<FlowTracker*> FlowTracker::g_installed{nullptr};
+FlowTracker::FlowTracker(std::size_t max_summaries)
+    : max_summaries_(max_summaries) {}
 
-FlowTracker::FlowTracker(bool emit, std::size_t max_summaries)
-    : emit_(emit), max_summaries_(max_summaries) {}
+FlowTracker::~FlowTracker() { delete metrics_; }
 
-FlowTracker::~FlowTracker() {
-  uninstall();
-  delete metrics_;
-}
-
-void FlowTracker::install() noexcept {
-  g_installed.store(this, std::memory_order_release);
-}
-
-void FlowTracker::uninstall() noexcept {
-  FlowTracker* self = this;
-  g_installed.compare_exchange_strong(self, nullptr,
-                                      std::memory_order_acq_rel);
+void FlowTracker::wire(EventLog* log) {
+  std::scoped_lock lock(mutex_);
+  live_ = true;
+  log_ = log;
 }
 
 FlowTracker::Metrics& FlowTracker::metrics() {
@@ -144,12 +135,10 @@ void FlowTracker::begin_flow(std::int64_t pandaid, std::int64_t taskid,
   flow.attempt = attempt;
   flow.created_ms = ts;
   open_[pandaid] = std::move(flow);
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_begin", ts, pandaid)
-                    .field("task", taskid)
-                    .field("attempt", attempt));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_begin", ts, pandaid)
+                  .field("task", taskid)
+                  .field("attempt", attempt));
   }
 }
 
@@ -166,13 +155,11 @@ void FlowTracker::broker_decision(std::int64_t pandaid, std::int64_t site,
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.site = site;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_broker", ts, pandaid)
-                    .field("parent", pandaid)
-                    .field("site", site)
-                    .field("candidates", it->second.candidates));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_broker", ts, pandaid)
+                  .field("parent", pandaid)
+                  .field("site", site)
+                  .field("candidates", it->second.candidates));
   }
 }
 
@@ -181,10 +168,8 @@ void FlowTracker::stage_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.stage_begin_ms = ts;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_stage", ts, pandaid).field("parent", pandaid));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_stage", ts, pandaid).field("parent", pandaid));
   }
 }
 
@@ -200,8 +185,8 @@ void FlowTracker::link_transfer(std::int64_t pandaid,
   if (shared) ++flow.shared_hits;
   const auto tr = transfers_.find(transfer_id);
   if (tr != transfers_.end()) ++tr->second.refs;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
+  if (live_) {
+    if (EventLog* log = log_) {
       log->emit(Event("flow_link", ts, pandaid)
                     .field("parent", pandaid)
                     .field("transfer", transfer_id)
@@ -236,12 +221,10 @@ void FlowTracker::queue_enter(std::int64_t pandaid, std::int64_t ts,
   if (it == open_.end()) return;
   it->second.queued_ms = ts;
   it->second.watchdog_release = watchdog_release;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_queue", ts, pandaid)
-                    .field("parent", pandaid)
-                    .field("watchdog", watchdog_release));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_queue", ts, pandaid)
+                  .field("parent", pandaid)
+                  .field("watchdog", watchdog_release));
   }
 }
 
@@ -250,10 +233,8 @@ void FlowTracker::run_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.run_ms = ts;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_run", ts, pandaid).field("parent", pandaid));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_run", ts, pandaid).field("parent", pandaid));
   }
 }
 
@@ -262,10 +243,8 @@ void FlowTracker::stage_out_begin(std::int64_t pandaid, std::int64_t ts) {
   const auto it = open_.find(pandaid);
   if (it == open_.end()) return;
   it->second.stage_out_ms = ts;
-  if (emit_) {
-    if (EventLog* log = EventLog::installed()) {
-      log->emit(Event("flow_stage_out", ts, pandaid).field("parent", pandaid));
-    }
+  if (EventLog* log = log_) {
+    log->emit(Event("flow_stage_out", ts, pandaid).field("parent", pandaid));
   }
 }
 
@@ -403,7 +382,7 @@ void FlowTracker::end_flow(std::int64_t pandaid, std::int64_t ts, bool failed,
     site.link_ms[link_key(share.src, share.dst)] += share.ms;
   }
 
-  if (emit_) {
+  if (live_) {
     Metrics& m = metrics();
     m.flows.inc();
     if (failed) m.failed.inc();
@@ -417,7 +396,7 @@ void FlowTracker::end_flow(std::int64_t pandaid, std::int64_t ts, bool failed,
     m.queue.observe(static_cast<double>(ph.queue_ms));
     m.run.observe(static_cast<double>(ph.run_ms));
     m.stage_out.observe(static_cast<double>(ph.stage_out_ms));
-    if (EventLog* log = EventLog::installed()) {
+    if (EventLog* log = log_) {
       log->emit(Event("flow_end", ts, pandaid)
                     .field("parent", pandaid)
                     .field("task", out.taskid)
@@ -487,7 +466,7 @@ void FlowTracker::transfer_submitted(std::uint64_t id, std::int64_t file,
   if (presence.in_flight > 0 || presence.unregistered_success) {
     trace.redundant = true;
     ++totals_.redundant_transfers;
-    if (emit_) metrics().redundant.inc();
+    if (live_) metrics().redundant.inc();
   }
   ++presence.in_flight;
   (void)src;  // attempt spans carry the per-attempt source
@@ -524,7 +503,7 @@ void FlowTracker::attempt_end(std::uint64_t id, std::int64_t ts, bool success,
     AttemptSpan& span = trace.attempts.back();
     span.end_ms = ts;
     span.success = success;
-    if (emit_) {
+    if (live_) {
       if (TraceRecorder* rec = TraceRecorder::installed()) {
         emit_sim_lane_metadata();
         TraceEvent ev{};

@@ -27,9 +27,9 @@
 // was actually waiting for), producing a per-link "critical seconds"
 // ranking.
 //
-// Cost discipline matches EventLog/TraceRecorder exactly: when no
-// tracker is installed an instrumentation site is one relaxed-ish
-// atomic load (FlowTracker::installed()) and nothing else, and a
+// Cost discipline matches EventLog exactly: a campaign without a
+// tracker in its obs::Session pays one pointer load from the
+// scheduler's session per instrumentation site and nothing else, and a
 // campaign's NDJSON event stream is byte-identical with flows on vs.
 // off except for the added flow_* lines (observers consume no
 // simulation RNG and carry simulated time only).  Flow spans rendered
@@ -39,7 +39,6 @@
 // lanes.  See DESIGN.md §13.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -50,6 +49,7 @@
 namespace pandarus::obs {
 
 class Counter;
+class EventLog;
 class Histogram;
 
 /// The wall-clock partition of one finished job, in simulated ms.
@@ -131,29 +131,27 @@ struct FlowTotals {
 };
 
 /// Online causal-flow tracker.  Hook methods are called from the
-/// simulation thread via `if (auto* f = FlowTracker::installed())`
-/// guards; a detached tracker (never installed) doubles as the offline
-/// rebuild engine for analysis::replay_events, fed the same calls in
-/// event-stream order.  All hooks take the tracker mutex; disabled
-/// sites never reach it.
+/// simulation thread via `if (auto* f = scheduler_.session().flows)`
+/// guards.  A tracker that was never wired is silent: hooks aggregate
+/// but mirror nothing, which makes it the offline rebuild engine for
+/// analysis::replay_events, fed the same calls in event-stream order.
+/// All hooks take the tracker mutex; disabled sites never reach it.
 class FlowTracker {
  public:
-  /// `emit` false builds a silent tracker (replay/rebuild): hooks still
-  /// aggregate but never mirror to the installed EventLog /
-  /// TraceRecorder.  `max_summaries` bounds retained FlowSummary
-  /// records; aggregates keep counting past the bound.
-  explicit FlowTracker(bool emit = true,
-                       std::size_t max_summaries = std::size_t{1} << 20);
+  /// `max_summaries` bounds retained FlowSummary records; aggregates
+  /// keep counting past the bound.
+  explicit FlowTracker(std::size_t max_summaries = std::size_t{1} << 20);
 
   FlowTracker(const FlowTracker&) = delete;
   FlowTracker& operator=(const FlowTracker&) = delete;
   ~FlowTracker();
 
-  void install() noexcept;
-  void uninstall() noexcept;
-  [[nodiscard]] static FlowTracker* installed() noexcept {
-    return g_installed.load(std::memory_order_acquire);
-  }
+  /// Makes this a live tracker: from now on its hooks emit flow_*
+  /// events to `log` (none when null), draw flow lanes into the
+  /// installed TraceRecorder and count into the pandarus_flow_* metrics.
+  /// scenario::run_campaign wires its session's tracker to the
+  /// session's log before the first event.
+  void wire(EventLog* log);
 
   // --- job lifecycle hooks (wms::PandaServer) -----------------------------
   void begin_flow(std::int64_t pandaid, std::int64_t taskid,
@@ -278,11 +276,10 @@ class FlowTracker {
   Metrics& metrics();
   void emit_sim_lane_metadata();
 
-  static std::atomic<FlowTracker*> g_installed;
-
-  const bool emit_;
   const std::size_t max_summaries_;
   mutable std::mutex mutex_;
+  bool live_ = false;         ///< wired: mirror to log_, trace, metrics
+  EventLog* log_ = nullptr;
   std::unordered_map<std::int64_t, Flow> open_;
   std::unordered_map<std::uint64_t, TransferTrace> transfers_;
   std::unordered_map<std::uint64_t, FilePresence> file_presence_;

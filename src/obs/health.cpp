@@ -9,8 +9,6 @@
 
 namespace pandarus::obs {
 
-std::atomic<HealthEngine*> HealthEngine::g_installed{nullptr};
-
 std::string_view alert_phase_name(AlertPhase phase) noexcept {
   switch (phase) {
     case AlertPhase::kPending:
@@ -122,14 +120,9 @@ HealthEngine::HealthEngine(HealthConfig config)
                      config_);
 }
 
-void HealthEngine::install() noexcept {
-  g_installed.store(this, std::memory_order_release);
-}
-
-void HealthEngine::uninstall() noexcept {
-  HealthEngine* expected = this;
-  g_installed.compare_exchange_strong(expected, nullptr,
-                                      std::memory_order_acq_rel);
+void HealthEngine::wire(EventLog* log) {
+  std::scoped_lock lock(mutex_);
+  log_ = log;
 }
 
 void HealthEngine::reset_locked() {
@@ -189,20 +182,18 @@ void HealthEngine::transition_locked(Lifecycle& lc, std::int64_t ts,
   }
   transitions_.push_back(std::move(t));
 
-  if (emit_events_) {
-    if (EventLog* log = EventLog::installed()) {
-      // Sideband: alert lines ride the stream but stay out of its
-      // self-accounting, so health-on minus alert lines is bitwise
-      // health-off (log_stats included).
-      log->emit_sideband(
-          Event("alert", ts, std::string_view(lc.state.entity))
-                    .field("detector", lc.state.detector)
-                    .field("phase", alert_phase_name(phase))
-                    .field("severity", lc.state.severity)
-                    .field("value", lc.state.value)
-                    .field("threshold", lc.state.threshold)
-                    .field("fire_count", lc.state.fire_count));
-    }
+  if (log_ != nullptr) {
+    // Sideband: alert lines ride the stream but stay out of its
+    // self-accounting, so health-on minus alert lines is bitwise
+    // health-off (log_stats included).
+    log_->emit_sideband(
+        Event("alert", ts, std::string_view(lc.state.entity))
+            .field("detector", lc.state.detector)
+            .field("phase", alert_phase_name(phase))
+            .field("severity", lc.state.severity)
+            .field("value", lc.state.value)
+            .field("threshold", lc.state.threshold)
+            .field("fire_count", lc.state.fire_count));
   }
 }
 

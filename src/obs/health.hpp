@@ -5,8 +5,8 @@
 //
 //   * live — instrumented sites (sampler rows, per-link probes, breaker
 //     transitions, terminal transfer outcomes) call the typed on_*()
-//     feeds directly, guarded by `HealthEngine::installed()` exactly
-//     like EventLog emit sites;
+//     feeds directly, guarded by the scheduler's `session().health`
+//     exactly like EventLog emit sites;
 //   * replay — analysis::replay_events() streams a recorded NDJSON or
 //     colstore file through observe_json(), which maps the canonical
 //     event vocabulary ("sample", "link_sample", "breaker_state",
@@ -20,13 +20,14 @@
 //
 // Detectors hold bounded state (EWMA scalars and fixed-width bucket
 // rings), so memory is O(active links + detectors), never O(events).
-// Alert lifecycle is pending → firing → resolved; every transition
-// emits one typed `alert` NDJSON event through the installed EventLog
-// (when emission is enabled), so stripping `alert` lines from a
-// health-on stream restores the health-off bytes exactly.
+// Alert lifecycle is pending → firing → resolved; a wired engine emits
+// every transition as one typed `alert` NDJSON event into its session's
+// EventLog, so stripping `alert` lines from a health-on stream restores
+// the health-off bytes exactly.  An engine that was never wired (the
+// replay face) emits nothing, so replaying a stream never re-emits its
+// own alerts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -38,6 +39,8 @@
 #include "util/json.hpp"
 
 namespace pandarus::obs {
+
+class EventLog;
 
 enum class AlertPhase { kPending, kFiring, kResolved };
 [[nodiscard]] std::string_view alert_phase_name(AlertPhase phase) noexcept;
@@ -131,17 +134,10 @@ class HealthEngine {
  public:
   explicit HealthEngine(HealthConfig config = {});
 
-  /// Makes this the process-wide engine the live feed sites report to.
-  void install() noexcept;
-  void uninstall() noexcept;
-  [[nodiscard]] static HealthEngine* installed() noexcept {
-    return g_installed.load(std::memory_order_acquire);
-  }
-
-  /// Alert lifecycle transitions mirror to the installed EventLog as
-  /// `alert` events when enabled (the default).  Replay engines disable
-  /// it so replaying a stream never re-emits its own alerts.
-  void set_emit_events(bool emit) noexcept { emit_events_ = emit; }
+  /// Alert lifecycle transitions from now on mirror to `log` as sideband
+  /// `alert` events (none when null).  scenario::run_campaign wires its
+  /// session's engine to the session's log before the first event.
+  void wire(EventLog* log);
 
   // --- typed feeds (live instrumentation sites) -----------------------------
   // All feeds are read-only observers of the simulation: they consume
@@ -248,12 +244,10 @@ class HealthEngine {
     [[nodiscard]] double burn(std::int64_t now, bool fast);
   };
 
-  static std::atomic<HealthEngine*> g_installed;
-
   const HealthConfig config_;
-  bool emit_events_ = true;
 
   mutable std::mutex mutex_;
+  EventLog* log_ = nullptr;
   std::int64_t last_ts_ = INT64_MIN;
   std::uint64_t observations_ = 0;
   std::uint64_t fired_ = 0;

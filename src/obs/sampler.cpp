@@ -17,10 +17,6 @@ void Sampler::add_counter(const Counter& counter) {
   });
 }
 
-void Sampler::add_gauge(const Gauge& gauge) {
-  add_column(gauge.name(), [&gauge] { return gauge.value(); });
-}
-
 void Sampler::add_emitter(Emitter emitter) {
   emitters_.push_back(std::move(emitter));
 }
@@ -35,7 +31,7 @@ void Sampler::sample_at(std::int64_t ts) {
   row.values.reserve(probes_.size());
   for (const Probe& probe : probes_) row.values.push_back(probe());
 
-  if (EventLog* log = EventLog::installed()) {
+  if (EventLog* log = log_) {
     Event event("sample", ts, static_cast<std::int64_t>(rows_.size()));
     for (std::size_t i = 0; i < names_.size(); ++i) {
       // field() is &&-qualified (chained-temporary builder); it appends

@@ -1,8 +1,7 @@
-// Simulated-clock periodic sampler: snapshots a fixed set of gauges,
-// counters, and caller-supplied probes into a columnar time series,
-// emitting one flat "sample" event per tick through the installed
-// EventLog (plus any registered free-form emitters, e.g. per-link
-// samples).
+// Simulated-clock periodic sampler: snapshots a fixed set of counters
+// and caller-supplied probes into a columnar time series, emitting one
+// flat "sample" event per tick to its EventLog (plus any registered
+// free-form emitters, e.g. per-link samples).
 //
 // The sampler itself knows nothing about the simulation scheduler —
 // obs sits below sim in the module layering — so the owner registers
@@ -21,6 +20,8 @@
 
 namespace pandarus::obs {
 
+class EventLog;
+
 class Sampler {
  public:
   /// Reads one column value at sample time.
@@ -36,19 +37,19 @@ class Sampler {
       std::int64_t ts, const std::vector<std::string>& names,
       const std::vector<std::int64_t>& values)>;
 
-  explicit Sampler(std::int64_t interval_ms) : interval_ms_(interval_ms) {}
+  /// Rows go to `log` as "sample" events; null records them only.
+  explicit Sampler(std::int64_t interval_ms, EventLog* log = nullptr)
+      : interval_ms_(interval_ms), log_(log) {}
 
   void add_column(std::string name, Probe probe);
   /// Column named after the counter, sampling its current total.
   void add_counter(const Counter& counter);
-  /// Column named after the gauge, sampling its current value.
-  void add_gauge(const Gauge& gauge);
   void add_emitter(Emitter emitter);
   void set_row_observer(RowObserver observer);
 
   /// Evaluates every probe at simulated time `ts`, retains the row,
   /// emits a "sample" event (entity = tick index, one field per column)
-  /// through the installed EventLog, then runs the free-form emitters.
+  /// to the log, then runs the free-form emitters.
   void sample_at(std::int64_t ts);
 
   [[nodiscard]] std::int64_t interval_ms() const noexcept {
@@ -68,6 +69,7 @@ class Sampler {
 
  private:
   std::int64_t interval_ms_;
+  EventLog* log_;
   std::vector<std::string> names_;
   std::vector<Probe> probes_;
   std::vector<Emitter> emitters_;

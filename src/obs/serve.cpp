@@ -135,8 +135,6 @@ std::string json_error(std::string_view message) {
 
 }  // namespace
 
-std::atomic<StatusServer*> StatusServer::g_installed{nullptr};
-
 StatusServer::StatusServer() : StatusServer(Options()) {}
 
 StatusServer::StatusServer(Options options)
@@ -150,10 +148,7 @@ StatusServer::StatusServer(Options options)
                                 .backlog = 16,
                                 .max_pending_connections = 64}) {}
 
-StatusServer::~StatusServer() {
-  stop();
-  uninstall();
-}
+StatusServer::~StatusServer() { stop(); }
 
 bool StatusServer::start() {
   if (!http_.start()) return false;
@@ -165,20 +160,22 @@ bool StatusServer::start() {
 
 void StatusServer::stop() { http_.stop(); }
 
-void StatusServer::install() noexcept {
-  g_installed.store(this, std::memory_order_release);
-}
-
-void StatusServer::uninstall() noexcept {
-  StatusServer* self = this;
-  g_installed.compare_exchange_strong(self, nullptr,
-                                      std::memory_order_acq_rel);
-}
-
 void StatusServer::set_json_endpoint(std::string path,
                                      JsonProvider provider) {
-  std::scoped_lock lock(routes_mutex_);
+  std::scoped_lock lock(mutex_);
   routes_[std::move(path)] = std::move(provider);
+}
+
+void StatusServer::attach(const Session& session) {
+  std::scoped_lock lock(mutex_);
+  log_ = session.events;
+  health_ = session.health;
+}
+
+std::pair<const EventLog*, const HealthEngine*> StatusServer::attached()
+    const {
+  std::scoped_lock lock(mutex_);
+  return {log_, health_};
 }
 
 HttpResponse StatusServer::handle(const HttpRequest& request) {
@@ -187,13 +184,12 @@ HttpResponse StatusServer::handle(const HttpRequest& request) {
             nullptr};
   }
   if (request.path == "/healthz") {
-    const EventLog* health_log = EventLog::installed();
-    const bool degraded =
-        health_log != nullptr && health_log->io_errors() > 0;
+    const EventLog* log = attached().first;
+    const bool degraded = log != nullptr && log->io_errors() > 0;
     std::string body = degraded ? "{\"status\":\"degraded\""
                                 : "{\"status\":\"ok\"";
     body += ",\"requests\":" + std::to_string(http_.requests_served());
-    if (const EventLog* log = EventLog::installed()) {
+    if (log != nullptr) {
       body += ",\"event_log\":true,\"watermark\":" +
               std::to_string(log->watermark());
       // Sink I/O failures flip the health verdict: the process is up,
@@ -212,14 +208,14 @@ HttpResponse StatusServer::handle(const HttpRequest& request) {
     // counters (written/dropped/io_errors/fsyncs) into gauges so a
     // full disk is scrapeable, not just visible in /healthz.
     sample_process_metrics();
-    export_event_log_metrics();
+    export_event_log_metrics(attached().first);
     return {200, "text/plain; version=0.0.4; charset=utf-8",
             export_prometheus(), nullptr};
   }
   if (request.path == "/events/stream") return events_stream();
   JsonProvider provider;
   {
-    std::scoped_lock lock(routes_mutex_);
+    std::scoped_lock lock(mutex_);
     const auto it = routes_.find(request.path);
     if (it != routes_.end()) provider = it->second;
   }
@@ -233,14 +229,15 @@ HttpResponse StatusServer::events_stream() const {
   HttpResponse response;
   response.content_type = "text/event-stream";
   const int interval_ms = options_.sse_interval_ms;
-  response.stream = [interval_ms](HttpStream& stream) {
+  response.stream = [this, interval_ms](HttpStream& stream) {
     if (!stream.write("retry: 2000\n\n")) return;
     std::uint64_t frame = 0;
     do {
       const Snapshot snap = Registry::global().snapshot();
+      const auto [log, health] = attached();
       std::string data = "event: tick\ndata: {\"frame\":" +
                          std::to_string(frame++);
-      if (const EventLog* log = EventLog::installed()) {
+      if (log != nullptr) {
         data += ",\"watermark\":" + std::to_string(log->watermark());
         data += ",\"events_written\":" + std::to_string(log->events_written());
         data += ",\"dropped\":" + std::to_string(log->dropped());
@@ -254,7 +251,7 @@ HttpResponse StatusServer::events_stream() const {
                                        "pandarus_campaign_sim_now_ms"));
       data += ",\"window_end_ms\":" + std::to_string(snap.gauge_value(
                                           "pandarus_campaign_window_end_ms"));
-      if (const HealthEngine* health = HealthEngine::installed()) {
+      if (health != nullptr) {
         const HealthEngine::Counts counts = health->counts();
         data += ",\"alerts_firing\":" + std::to_string(counts.active_firing);
         data += ",\"alerts_pending\":" + std::to_string(counts.active_pending);

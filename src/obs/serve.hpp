@@ -14,9 +14,9 @@
 // /api/summary, /api/tables, /api/series and /api/critical-path bodies
 // live in analysis::attach_live_status / attach_replay_status, which
 // register providers through set_json_endpoint().  scenario::
-// run_campaign attaches the live providers automatically when a
-// StatusServer is installed, so `PANDARUS_SERVE=<port>` is all a binary
-// needs.
+// run_campaign attaches its obs::Session to the session's server at
+// start, so /healthz, SSE and /api/* report on that campaign and
+// `PANDARUS_SERVE=<port>` is all a binary needs.
 //
 // Snapshot discipline: providers must read only (a) the EventLog's
 // published prefix via snapshot_ndjson()/watermark(), (b) mutex-guarded
@@ -25,15 +25,16 @@
 // scrape observes a consistent store without blocking the sim thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "obs/http.hpp"
+#include "obs/session.hpp"
 
 namespace pandarus::obs {
 
@@ -68,23 +69,24 @@ class StatusServer {
   /// conventionally live under /api/.
   void set_json_endpoint(std::string path, JsonProvider provider);
 
-  /// Makes this the process-wide server higher layers attach endpoints
-  /// to (same single-slot discipline as EventLog/FlowTracker).
-  void install() noexcept;
-  void uninstall() noexcept;
-  [[nodiscard]] static StatusServer* installed() noexcept {
-    return g_installed.load(std::memory_order_acquire);
-  }
+  /// /healthz, /metrics and SSE report on `session`'s event log and
+  /// health engine from now on (none attached: no log, no alerts).  Both
+  /// must outlive the serving, or the next attach().
+  void attach(const Session& session);
 
  private:
   HttpResponse handle(const HttpRequest& request);
   HttpResponse events_stream() const;
+  /// The attached session's log and engine, read under mutex_.
+  [[nodiscard]] std::pair<const EventLog*, const HealthEngine*> attached()
+      const;
 
   Options options_;
   HttpServer http_;
-  mutable std::mutex routes_mutex_;
+  mutable std::mutex mutex_;  ///< guards routes_, log_, health_
   std::map<std::string, JsonProvider> routes_;
-  static std::atomic<StatusServer*> g_installed;
+  const EventLog* log_ = nullptr;
+  const HealthEngine* health_ = nullptr;
 };
 
 }  // namespace pandarus::obs

@@ -63,6 +63,7 @@
 #include "obs/process.hpp"
 #include "obs/sampler.hpp"
 #include "obs/serve.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"

@@ -16,7 +16,6 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "obs/serve.hpp"
 #include "obs/trace.hpp"
 #include "scenario/checkpoint.hpp"
 #include "sim/scheduler.hpp"
@@ -52,19 +51,34 @@ void create_rses(const grid::Topology& topology, dms::RseRegistry& rses) {
 
 }  // namespace
 
-ScenarioResult run_campaign(const ScenarioConfig& config) {
+ScenarioResult run_campaign(const ScenarioConfig& config,
+                            const obs::Session& session) {
+  return detail::run_campaign(config, session, {});
+}
+
+namespace detail {
+
+ScenarioResult run_campaign(const ScenarioConfig& config,
+                            const obs::Session& session,
+                            const DayBoundaryHook& on_day) {
   const obs::ScopedSpan campaign_span("campaign/run", "scenario");
   const std::int64_t wall_start_us = obs::TraceRecorder::now_us();
   obs::Registry::global()
       .counter("pandarus_campaign_runs_total", "Campaigns simulated")
       .inc();
 
-  // A campaign binary with a StatusServer installed (PANDARUS_SERVE)
-  // gets the /api endpoints for free — the providers read only the
-  // EventLog's published prefix and mutex-guarded aggregates, never
-  // live simulator state.
-  if (obs::StatusServer* server = obs::StatusServer::installed()) {
-    analysis::attach_live_status(*server);
+  // Wire the session once, before the first event: the tracker and the
+  // health engine mirror into the session's log, and the session's
+  // server (PANDARUS_SERVE) reports on this campaign — its /api
+  // providers read only the log's published prefix and mutex-guarded
+  // aggregates, never live simulator state.
+  obs::EventLog* const log = session.events;
+  obs::FlowTracker* const flows = session.flows;
+  obs::HealthEngine* const health = session.health;
+  if (flows != nullptr) flows->wire(log);
+  if (health != nullptr) health->wire(log);
+  if (session.server != nullptr) {
+    analysis::attach_live_status(*session.server, session);
   }
 
   ScenarioResult result;
@@ -86,7 +100,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
   create_rses(result.topology, result.rses);
 
   dms::ReplicaCatalog replicas(result.catalog, result.rses);
-  sim::Scheduler scheduler;
+  sim::Scheduler scheduler(session);
 
   dms::TransferEngine engine(scheduler, result.topology, replicas,
                              rng.fork(0x7e), config.transfer);
@@ -280,16 +294,15 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
     deletion.start(result.window_end);
   }
 
-  // Periodic time-series sampling, only when an event log or health
-  // engine is installed: probes are read-only and consume no simulation
+  // Periodic time-series sampling, only when the session has an event
+  // log or health engine: probes are read-only and consume no simulation
   // RNG, so a sampled run is bit-identical to an unsampled one.  Ticks
   // are pre-scheduled like the carousel waves, so no event outlives
   // this scope.
   std::optional<obs::Sampler> sampler;
-  if ((obs::EventLog::installed() != nullptr ||
-       obs::HealthEngine::installed() != nullptr) &&
+  if ((log != nullptr || health != nullptr) &&
       config.sample_interval_ms > 0) {
-    sampler.emplace(config.sample_interval_ms);
+    sampler.emplace(config.sample_interval_ms, log);
     sampler->add_column("jobs_queued", [&queues] {
       return static_cast<std::int64_t>(queues.total_queued());
     });
@@ -317,20 +330,24 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
     // Telemetry self-audit: the stream's own drop counter rides in the
     // stream, so the health engine's event-drop watchdog works from
     // the sampled series alone (live and in replay).
-    sampler->add_column("events_dropped", [] {
-      obs::EventLog* log = obs::EventLog::installed();
+    sampler->add_column("events_dropped", [log] {
       return log != nullptr ? static_cast<std::int64_t>(log->dropped())
                             : std::int64_t{0};
     });
-    // Fault/recovery health: live fault windows and open breakers show
-    // up alongside queue depth in the sampled series.
-    sampler->add_gauge(obs::Registry::global().gauge(
-        "pandarus_fault_windows_active", "Fault windows currently active"));
-    sampler->add_gauge(obs::Registry::global().gauge(
-        "pandarus_dms_breakers_open",
-        "Links with an open (or probing) circuit breaker"));
+    // Fault/recovery health: this campaign's live fault windows and open
+    // breakers show up alongside queue depth in the sampled series,
+    // whatever other campaigns in the process are doing.
+    sampler->add_column("pandarus_fault_windows_active", [&injector] {
+      return injector ? static_cast<std::int64_t>(injector->active_count())
+                      : std::int64_t{0};
+    });
+    sampler->add_column("pandarus_dms_breakers_open", [&engine] {
+      return static_cast<std::int64_t>(engine.open_breakers());
+    });
     // Matcher funnel totals: flat during the campaign itself, live when
-    // a matcher shares the process (method-comparison sweeps).
+    // a matcher shares the process (method-comparison sweeps).  These
+    // are process-wide counters, the one sampled input another campaign
+    // in the process can move.
     sampler->add_counter(obs::Registry::global().counter(
         "pandarus_match_candidates_scanned_total",
         "Transfer candidates scanned by the matcher"));
@@ -339,21 +356,16 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
     // The health engine consumes the same row the "sample" event
     // carries, at the same stream position, so its detectors see
     // identical sequences live and in replay.
-    if (obs::HealthEngine::installed() != nullptr) {
+    if (health != nullptr) {
       sampler->set_row_observer(
-          [](std::int64_t ts, const std::vector<std::string>& names,
-             const std::vector<std::int64_t>& values) {
-            if (obs::HealthEngine* health = obs::HealthEngine::installed()) {
-              health->on_sample(ts, names, values);
-            }
+          [health](std::int64_t ts, const std::vector<std::string>& names,
+                   const std::vector<std::int64_t>& values) {
+            health->on_sample(ts, names, values);
           });
     }
     // Per-link load: one link_sample event per currently active link,
     // mirrored into the health engine's link-utilization detector.
-    sampler->add_emitter([&engine, &result](std::int64_t ts) {
-      obs::EventLog* log = obs::EventLog::installed();
-      obs::HealthEngine* health = obs::HealthEngine::installed();
-      if (log == nullptr && health == nullptr) return;
+    sampler->add_emitter([&engine, &result, log, health](std::int64_t ts) {
       for (const dms::TransferEngine::LinkProbe& p : engine.probe_links()) {
         const double cap =
             result.topology.link(p.key.src, p.key.dst).effective_capacity(ts);
@@ -389,22 +401,21 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
   workload.start(arrivals_until);
   phase_span.reset();
 
-  // Per-day checkpointing (config.checkpoint_dir / PANDARUS_CHECKPOINT)
-  // and the resume-verification seam share one observation point: the
-  // day boundary, right after that day's publish().  Assembling the
-  // fingerprints costs a few container walks per simulated day and is
-  // skipped entirely when neither consumer is armed, so default runs
-  // stay byte- and cost-identical.
-  CheckpointWriter checkpoints(config);
+  // Per-day checkpointing (session.checkpoint_dir, PANDARUS_CHECKPOINT
+  // in the env session) and the resume verifier `on_day` share one
+  // observation point: the day boundary, right after that day's
+  // publish().  Assembling the fingerprints costs a few container walks
+  // per simulated day and is skipped entirely when neither consumer is
+  // armed, so default runs stay byte- and cost-identical.
+  CheckpointWriter checkpoints(config, session.checkpoint_dir);
   const auto day_boundary = [&](std::int64_t day) {
-    if (!checkpoints.active()) return;
-    detail::DayBoundary boundary;
+    if (!checkpoints.active() && !on_day) return;
+    DayBoundary boundary;
     boundary.day = day;
     boundary.sim_now = scheduler.now();
     boundary.store = &result.store;
-    boundary.log = obs::EventLog::installed();
-    obs::FlowTracker* flows = obs::FlowTracker::installed();
-    boundary.flows_installed = flows != nullptr;
+    boundary.log = log;
+    boundary.flows_tracked = flows != nullptr;
     Fingerprint& f = boundary.fingerprint;
     f.scheduler_processed = scheduler.processed_count();
     f.scheduler_queued = scheduler.queued_count();
@@ -416,7 +427,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
     f.store_files = counts.files;
     f.store_transfers = counts.transfers;
     checkpoints.on_day_boundary(boundary);
-    detail::notify_day_boundary(boundary);
+    if (on_day) on_day(boundary);
   };
 
   // The drain loop is segmented at simulated-day boundaries purely for
@@ -441,9 +452,9 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
       const obs::ScopedSpan day_span("campaign/day", "scenario", day);
       scheduler.run_until(t);
       sim_now.set(t);
-      // Publish this day's events so snapshot readers (serve, periodic
-      // flush) can see a consistent prefix while the campaign runs.
-      if (obs::EventLog* log = obs::EventLog::installed()) log->publish();
+      // Publish this day's events so snapshot readers (serve, the sink
+      // files) can see a consistent prefix while the campaign runs.
+      if (log != nullptr) log->publish();
       day_boundary(day);
     }
   }
@@ -465,11 +476,11 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
         result.store, config.corruption, rng.fork(0xc0de));
   }
 
-  // Harvest: with an event log installed, close the stream with the
-  // campaign header, the site table, and one *_record event per store
-  // row.  This runs after corruption injection, so a replay of the
-  // NDJSON rebuilds exactly the store the analyses see.
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  // Harvest: with an event log in the session, close the stream with
+  // the campaign header, the site table, and one *_record event per
+  // store row.  This runs after corruption injection, so a replay of
+  // the NDJSON rebuilds exactly the store the analyses see.
+  if (log != nullptr) {
     log->emit(
         obs::Event("campaign_meta", scheduler.now(), std::int64_t{0})
             .field("seed", config.seed)
@@ -490,7 +501,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
                     .field("tier", static_cast<std::int32_t>(s.tier))
                     .field("cpu_slots", s.cpu_slots));
     }
-    telemetry::emit_store_events(result.store, scheduler.now());
+    telemetry::emit_store_events(result.store, scheduler.now(), log);
     // Harvest published immediately: a live /api/summary scrape from
     // here on replays the full record set and equals the post-hoc
     // analysis::report numbers.
@@ -506,7 +517,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
 
   // Causal-flow harvest: aggregates only — flow tracking must leave the
   // non-flow_* event stream byte-identical, so nothing is emitted here.
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (flows != nullptr) {
     result.flow_totals = flows->totals();
     result.flow_link_ranking = flows->link_ranking();
   }
@@ -519,4 +530,5 @@ ScenarioResult run_campaign(const ScenarioConfig& config) {
   return result;
 }
 
+}  // namespace detail
 }  // namespace pandarus::scenario

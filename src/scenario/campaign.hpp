@@ -11,7 +11,9 @@
 #include "dms/deletion.hpp"
 #include "dms/rse.hpp"
 #include "grid/topology.hpp"
+#include "obs/env.hpp"
 #include "obs/flow.hpp"
+#include "obs/session.hpp"
 #include "scenario/config.hpp"
 #include "telemetry/corruption.hpp"
 #include "telemetry/store.hpp"
@@ -43,15 +45,20 @@ struct ScenarioResult {
   /// Fault windows that began during the run (0 on fault-free runs).
   std::uint64_t fault_windows = 0;
 
-  /// Causal-flow aggregates, harvested when a FlowTracker was installed
-  /// for the run (all-zero / empty otherwise).  Purely in-memory: flow
+  /// Causal-flow aggregates, harvested when the session had a
+  /// FlowTracker (all-zero / empty otherwise).  Purely in-memory: flow
   /// tracking never alters the campaign's non-flow_* event stream.
   obs::FlowTotals flow_totals{};
   std::vector<obs::LinkCritical> flow_link_ranking;
 };
 
-/// Runs one deterministic campaign.  Equal configs (including seed)
-/// produce bit-identical results.
-[[nodiscard]] ScenarioResult run_campaign(const ScenarioConfig& config);
+/// Runs one deterministic campaign, reporting to `session` (default:
+/// the session the PANDARUS_* variables describe, empty unless the
+/// binary called obs::install_env_hooks).  Equal configs (including
+/// seed) produce bit-identical results; campaigns with disjoint
+/// sessions may run concurrently.
+[[nodiscard]] ScenarioResult run_campaign(
+    const ScenarioConfig& config,
+    const obs::Session& session = obs::env_session());
 
 }  // namespace pandarus::scenario

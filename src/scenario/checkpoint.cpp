@@ -101,7 +101,7 @@ std::string serialize_payload(const Checkpoint& ckpt) {
   put_u64_le(payload, ckpt.log_bytes);
   put_u64_le(payload, ckpt.prefix_bytes);
   put_u32_le(payload, ckpt.prefix_crc);
-  payload.push_back(ckpt.flows_installed ? '\1' : '\0');
+  payload.push_back(ckpt.flows_tracked ? '\1' : '\0');
   const Fingerprint& f = ckpt.fingerprint;
   put_u64_le(payload, f.scheduler_processed);
   put_u64_le(payload, f.scheduler_queued);
@@ -129,7 +129,7 @@ bool parse_payload(const std::string& payload, Checkpoint& out) {
   out.log_bytes = r.u64();
   out.prefix_bytes = r.u64();
   out.prefix_crc = r.u32();
-  out.flows_installed = r.u8() != 0;
+  out.flows_tracked = r.u8() != 0;
   Fingerprint& f = out.fingerprint;
   f.scheduler_processed = r.u64();
   f.scheduler_queued = r.u64();
@@ -188,9 +188,7 @@ std::uint64_t config_digest(const ScenarioConfig& c) {
     std::memcpy(&b, &v, sizeof b);
     return b;
   };
-  // Determinism-relevant knobs only: checkpoint_dir and other pure
-  // output settings are deliberately excluded, so a resume pointed at a
-  // different snapshot directory still matches.
+  // Determinism-relevant knobs only.
   std::uint64_t h = util::hash_mix(0x70636b7074ull, c.seed, dbits(c.days));
   h = util::hash_mix(h, dbits(c.arrival_tail_days), dbits(c.slot_scale));
   h = util::hash_mix(h, c.replicated_datasets,
@@ -320,49 +318,12 @@ std::optional<Checkpoint> load_latest_checkpoint(const std::string& dir,
   return std::nullopt;
 }
 
-namespace detail {
-namespace {
-
-DayBoundaryHook& hook_slot() {
-  static DayBoundaryHook hook;
-  return hook;
-}
-
-}  // namespace
-
-DayBoundaryHook exchange_day_boundary_hook(DayBoundaryHook hook) {
-  DayBoundaryHook previous = std::move(hook_slot());
-  hook_slot() = std::move(hook);
-  return previous;
-}
-
-bool day_boundary_hook_installed() {
-  return static_cast<bool>(hook_slot());
-}
-
-void notify_day_boundary(const DayBoundary& boundary) {
-  if (hook_slot()) hook_slot()(boundary);
-}
-
-}  // namespace detail
-
-CheckpointWriter::CheckpointWriter(const ScenarioConfig& config)
-    : config_digest_(config_digest(config)), dir_(config.checkpoint_dir) {
-  if (dir_.empty()) {
-    if (const char* env = std::getenv("PANDARUS_CHECKPOINT")) dir_ = env;
-  }
-}
-
-bool CheckpointWriter::active() const {
-  return !dir_.empty() || detail::day_boundary_hook_installed();
-}
+CheckpointWriter::CheckpointWriter(const ScenarioConfig& config,
+                                   std::string dir)
+    : config_digest_(config_digest(config)), dir_(std::move(dir)) {}
 
 void CheckpointWriter::on_day_boundary(const detail::DayBoundary& b) {
   if (dir_.empty()) return;
-  // A verification hook means this run is resume_campaign()'s re-
-  // execution: it must read the crashed run's snapshots, not replace
-  // them.
-  if (detail::day_boundary_hook_installed()) return;
   std::string fresh;
   if (b.log != nullptr) {
     cursor_ = b.log->snapshot_ndjson(fresh, cursor_);
@@ -381,7 +342,7 @@ void CheckpointWriter::on_day_boundary(const detail::DayBoundary& b) {
   }
   ckpt.prefix_bytes = prefix_bytes_;
   ckpt.prefix_crc = prefix_crc_.value();
-  ckpt.flows_installed = b.flows_installed;
+  ckpt.flows_tracked = b.flows_tracked;
   ckpt.fingerprint = b.fingerprint;
   if (b.store != nullptr) {
     ckpt.store_jobs_csv = store_csv(&telemetry::write_jobs_csv, *b.store);
@@ -395,11 +356,6 @@ void CheckpointWriter::on_day_boundary(const detail::DayBoundary& b) {
 ResumeOutcome resume_campaign(const ScenarioConfig& config,
                               const std::string& checkpoint_dir) {
   ResumeOutcome out;
-  if (obs::EventLog::installed() != nullptr) {
-    out.error = "resume_campaign: an EventLog is already installed";
-    return out;
-  }
-
   std::string load_error;
   std::optional<Checkpoint> ckpt =
       load_latest_checkpoint(checkpoint_dir, &load_error);
@@ -414,12 +370,6 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
     }
   }
 
-  // The re-execution must not overwrite the crashed run's snapshots —
-  // belt (cleared config) and suspenders (the installed hook below
-  // suppresses CheckpointWriter, covering PANDARUS_CHECKPOINT too).
-  ScenarioConfig run_config = config;
-  run_config.checkpoint_dir.clear();
-
   struct VerifyState {
     std::uint64_t cursor = 0;
     util::Crc32 crc;
@@ -430,7 +380,7 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
     bool prefix_ok = false;
   } state;
 
-  detail::DayBoundaryHook previous = detail::exchange_day_boundary_hook(
+  const detail::DayBoundaryHook verify =
       [&state, &ckpt](const detail::DayBoundary& b) {
         std::string fresh;
         if (b.log != nullptr) {
@@ -441,7 +391,7 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
         if (!ckpt || b.day != ckpt->day) return;
         state.saw_day = true;
         state.fingerprint_ok = b.fingerprint == ckpt->fingerprint &&
-                               b.flows_installed == ckpt->flows_installed;
+                               b.flows_tracked == ckpt->flows_tracked;
         state.prefix_ok = state.bytes == ckpt->prefix_bytes &&
                           state.crc.value() == ckpt->prefix_crc &&
                           (b.log == nullptr ||
@@ -455,26 +405,22 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
                 ckpt->store_files_csv &&
             store_csv(&telemetry::write_transfers_csv, *b.store) ==
                 ckpt->store_transfers_csv;
-      });
+      };
 
   // Fresh sinks for the deterministic re-execution; same defaults as a
   // from-scratch run so the terminal log_stats line matches byte for
-  // byte.
+  // byte.  No checkpoint directory: the re-run reads the crashed run's
+  // snapshots and must never replace them.
   obs::EventLog log;
-  log.install();
   std::optional<obs::FlowTracker> flows;
-  if (ckpt && ckpt->flows_installed) {
-    flows.emplace();
-    flows->install();
-  }
+  obs::Session session;
+  session.events = &log;
+  if (ckpt && ckpt->flows_tracked) session.flows = &flows.emplace();
 
-  out.result = run_campaign(run_config);
+  out.result = detail::run_campaign(config, session, verify);
 
-  detail::exchange_day_boundary_hook(std::move(previous));
   log.close();
   out.full_ndjson = log.to_ndjson();
-  log.uninstall();
-  if (flows) flows->uninstall();
 
   if (!ckpt) {
     // Nothing to resume from (crash before the first day boundary, or

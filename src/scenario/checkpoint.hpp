@@ -15,7 +15,8 @@
 //     prefix at that boundary.
 //
 // resume_campaign() then re-executes the campaign from its seed with a
-// fresh EventLog and, at the checkpointed day, verifies that every
+// fresh EventLog in its own obs::Session (so it runs beside any other
+// log in the process) and, at the checkpointed day, verifies that every
 // fingerprint, the store blobs, and the regenerated prefix CRC match
 // the snapshot.  When they do, the regenerated stream is bit-identical
 // to the crashed run's, so its suffix can be spliced onto whatever
@@ -40,10 +41,6 @@
 #include "scenario/config.hpp"
 #include "util/crc32.hpp"
 
-namespace pandarus::obs {
-class EventLog;
-}  // namespace pandarus::obs
-
 namespace pandarus::scenario {
 
 /// Deterministic digests of every stateful campaign component at one
@@ -55,7 +52,7 @@ struct Fingerprint {
   std::uint64_t scheduler_queued = 0;
   std::uint64_t transfer_digest = 0;
   std::uint64_t injector_digest = 0;  ///< 0 when no injector is armed
-  std::uint64_t flow_digest = 0;      ///< 0 when no FlowTracker installed
+  std::uint64_t flow_digest = 0;      ///< 0 when the session has no tracker
   std::uint64_t store_jobs = 0;
   std::uint64_t store_files = 0;
   std::uint64_t store_transfers = 0;
@@ -77,7 +74,7 @@ struct Checkpoint {
   /// Published-prefix NDJSON at the boundary: byte count and CRC32.
   std::uint64_t prefix_bytes = 0;
   std::uint32_t prefix_crc = 0;
-  bool flows_installed = false;
+  bool flows_tracked = false;
   Fingerprint fingerprint;
   std::string store_jobs_csv;
   std::string store_files_csv;
@@ -107,43 +104,35 @@ std::optional<Checkpoint> load_latest_checkpoint(const std::string& dir,
 namespace detail {
 
 /// Everything the campaign drain loop exposes at a day boundary (after
-/// that day's publish()).  Handed to the installed observer and to the
-/// CheckpointWriter.
+/// that day's publish()).  Handed to the CheckpointWriter and to the
+/// observer of run_campaign below.
 struct DayBoundary {
   std::int64_t day = 0;
   std::int64_t sim_now = 0;
   Fingerprint fingerprint;
   const telemetry::MetadataStore* store = nullptr;
-  obs::EventLog* log = nullptr;  ///< installed log; may be null
-  bool flows_installed = false;
+  obs::EventLog* log = nullptr;  ///< the session's log; may be null
+  bool flows_tracked = false;  ///< the session has a FlowTracker
 };
 
 using DayBoundaryHook = std::function<void(const DayBoundary&)>;
 
-/// Installs the process-wide day-boundary observer, returning the
-/// previous one.  resume_campaign() uses this seam to verify
-/// fingerprints mid-run; while a hook is installed, CheckpointWriter
-/// suppresses snapshot writing (the verify re-run must not clobber the
-/// crashed run's snapshots).  Campaigns are single-threaded; this seam
-/// is not thread-safe and must not be raced with a running campaign.
-DayBoundaryHook exchange_day_boundary_hook(DayBoundaryHook hook);
-[[nodiscard]] bool day_boundary_hook_installed();
-void notify_day_boundary(const DayBoundary& boundary);
+/// scenario::run_campaign with a day-boundary observer: `on_day` (may
+/// be empty) sees every boundary, after that day's publish() and after
+/// any snapshot.  resume_campaign() verifies fingerprints through it.
+ScenarioResult run_campaign(const ScenarioConfig& config,
+                            const obs::Session& session,
+                            const DayBoundaryHook& on_day);
 
 }  // namespace detail
 
-/// Owned by run_campaign(): resolves the snapshot directory from
-/// `config.checkpoint_dir`, falling back to the PANDARUS_CHECKPOINT
-/// environment variable, and writes one snapshot per completed day.
-/// Inert when neither names a directory or a verification hook is
-/// installed.
+/// Owned by run_campaign(): writes one snapshot per completed day into
+/// the session's `checkpoint_dir`.  Inert when that is empty.
 class CheckpointWriter {
  public:
-  explicit CheckpointWriter(const ScenarioConfig& config);
+  CheckpointWriter(const ScenarioConfig& config, std::string dir);
 
-  /// True when day boundaries must assemble a DayBoundary record —
-  /// either to write snapshots or to feed an installed observer.
-  [[nodiscard]] bool active() const;
+  [[nodiscard]] bool active() const noexcept { return !dir_.empty(); }
 
   void on_day_boundary(const detail::DayBoundary& boundary);
 
@@ -181,15 +170,15 @@ struct ResumeOutcome {
   std::string suffix;
 };
 
-/// Re-executes the campaign deterministically with a fresh EventLog
-/// (and FlowTracker, when the snapshot says one was installed),
-/// verifying reconvergence against the newest valid snapshot in
-/// `checkpoint_dir`.  With no loadable snapshot the run proceeds as a
-/// plain from-scratch execution (`had_checkpoint == false`, still ok).
-/// A config digest mismatch or failed verification yields ok == false.
-/// Installs its own EventLog for the duration and uninstalls it before
-/// returning; the caller must not have one installed (resume refuses
-/// with an error rather than clobbering a live log).
+/// Re-executes the campaign deterministically in a session of its own:
+/// a fresh EventLog (and FlowTracker, when the snapshot says the crashed
+/// run had one), no server, no health engine and no checkpoint
+/// directory, so the re-run never touches another log in the process
+/// nor the crashed run's snapshots.  Verifies reconvergence against the
+/// newest valid snapshot in `checkpoint_dir`.  With no loadable snapshot
+/// the run proceeds as a plain from-scratch execution
+/// (`had_checkpoint == false`, still ok).  A config digest mismatch or
+/// failed verification yields ok == false.
 ResumeOutcome resume_campaign(const ScenarioConfig& config,
                               const std::string& checkpoint_dir);
 

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include <string>
 #include <vector>
 
 #include "dms/rule.hpp"
@@ -70,7 +68,8 @@ struct ScenarioConfig {
 
   /// Simulated-clock period of the obs::Sampler time series (queue
   /// depths, in-flight transfers, per-link load).  Only consulted when
-  /// an obs::EventLog is installed; <= 0 disables sampling entirely.
+  /// the campaign's obs::Session has an event log or health engine;
+  /// <= 0 disables sampling entirely.
   std::int64_t sample_interval_ms = 30 * 60 * 1000;
 
   /// Infrastructure faults.  `faults.intensity > 0` samples a seeded
@@ -80,12 +79,6 @@ struct ScenarioConfig {
   /// bit-identical to a fault-free build.
   fault::Plan::SampleParams faults{};
   std::vector<fault::FaultWindow> fault_windows;
-
-  /// Directory for per-day scenario::Checkpoint snapshots; empty (the
-  /// default) disables checkpointing.  The PANDARUS_CHECKPOINT
-  /// environment variable supplies a fallback when this is empty, so
-  /// existing binaries gain crash-resumable campaigns without a rebuild.
-  std::string checkpoint_dir;
 
   /// Turns on the transfer engine's recovery stack (exponential backoff,
   /// per-link circuit breaker, alternate-source retry, deeper retry

@@ -24,8 +24,9 @@ bool Scheduler::EventHandle::pending() const noexcept {
   return state_ && !state_->cancelled && !state_->fired;
 }
 
-Scheduler::Scheduler()
-    : ev_scheduled_(&obs::Registry::global().counter(
+Scheduler::Scheduler(obs::Session session)
+    : session_(std::move(session)),
+      ev_scheduled_(&obs::Registry::global().counter(
           "pandarus_sim_events_scheduled_total",
           "Events pushed onto the simulation heap")),
       ev_fired_(&obs::Registry::global().counter(
@@ -87,7 +88,7 @@ void Scheduler::run_until(SimTime t) {
   now_ = std::max(now_, t);
   // One epoch per drained prefix: the campaign's day-segmented drain
   // loop shows up as a sched_epoch series in the event stream.
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = session_.events) {
     log->emit(obs::Event("sched_epoch", now_,
                          static_cast<std::int64_t>(epoch_))
                   .field("fired", processed_ - fired_before)

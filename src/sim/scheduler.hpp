@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "util/time.hpp"
 
 namespace pandarus::sim {
@@ -45,10 +46,15 @@ class Scheduler {
     std::shared_ptr<State> state_;
   };
 
-  Scheduler();
+  /// `session` is the observability wiring every component built on
+  /// this scheduler reports to (default: none).
+  explicit Scheduler(obs::Session session = {});
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  [[nodiscard]] const obs::Session& session() const noexcept {
+    return session_;
+  }
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::uint64_t processed_count() const noexcept {
@@ -93,6 +99,7 @@ class Scheduler {
     }
   };
 
+  const obs::Session session_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

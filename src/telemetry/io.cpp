@@ -185,8 +185,8 @@ std::size_t read_transfers_csv(std::istream& is, MetadataStore& store) {
   return skipped;
 }
 
-std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts) {
-  obs::EventLog* log = obs::EventLog::installed();
+std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
+                              obs::EventLog* log) {
   if (log == nullptr) return 0;
   std::size_t emitted = 0;
   for (const JobRecord& j : store.jobs()) {

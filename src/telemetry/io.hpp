@@ -8,6 +8,10 @@
 
 #include "telemetry/store.hpp"
 
+namespace pandarus::obs {
+class EventLog;
+}  // namespace pandarus::obs
+
 namespace pandarus::telemetry {
 
 /// Writes one CSV per record family with a header row.
@@ -26,12 +30,12 @@ std::size_t read_files_csv(std::istream& is, MetadataStore& store);
 std::size_t read_transfers_csv(std::istream& is, MetadataStore& store);
 
 /// Emits one job_record / file_record / transfer_record event per store
-/// row to the installed obs::EventLog (no-op when none is installed),
-/// all stamped `ts`.  Rows go out in store order, so a replay that
-/// re-records them rebuilds an index-compatible store.  This is the
-/// harvest step: it runs after any post-hoc corruption, so the event
-/// stream reflects exactly what the analyses see.  Returns the number of
-/// events emitted.
-std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts);
+/// row to `log` (no-op when null), all stamped `ts`.  Rows go out in
+/// store order, so a replay that re-records them rebuilds an
+/// index-compatible store.  This is the harvest step: it runs after any
+/// post-hoc corruption, so the event stream reflects exactly what the
+/// analyses see.  Returns the number of events emitted.
+std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
+                              obs::EventLog* log);
 
 }  // namespace pandarus::telemetry

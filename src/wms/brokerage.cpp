@@ -47,7 +47,8 @@ bool Brokerage::eligible(const grid::Site& site, const Job& job) const {
 }
 
 grid::SiteId Brokerage::choose_site(const Job& job, const SiteQueues& queues,
-                                    util::Rng& rng) const {
+                                    util::Rng& rng,
+                                    obs::FlowTracker* flows) const {
   std::int64_t scored = 0;
   grid::SiteId best = pick(job, queues, rng, /*skip_down_sites=*/true, &scored);
   if (best == grid::kUnknownSite) {
@@ -56,7 +57,7 @@ grid::SiteId Brokerage::choose_site(const Job& job, const SiteQueues& queues,
     best = pick(job, queues, rng, /*skip_down_sites=*/false, &scored);
   }
   assert(best != grid::kUnknownSite);
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (flows != nullptr) {
     flows->broker_scored(static_cast<std::int64_t>(job.pandaid), scored);
   }
   return best;

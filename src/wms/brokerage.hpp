@@ -47,10 +47,12 @@ class Brokerage {
 
   /// Chooses the computing site for `job` given current queue state.
   /// Ties (e.g. no input data anywhere) break toward bigger, less busy
-  /// sites with deterministic randomness from `rng`.
-  [[nodiscard]] grid::SiteId choose_site(const Job& job,
-                                         const SiteQueues& queues,
-                                         util::Rng& rng) const;
+  /// sites with deterministic randomness from `rng`.  `flows` (the
+  /// caller's session tracker, may be null) learns how many candidate
+  /// sites were scored.
+  [[nodiscard]] grid::SiteId choose_site(
+      const Job& job, const SiteQueues& queues, util::Rng& rng,
+      obs::FlowTracker* flows = nullptr) const;
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 

@@ -18,9 +18,10 @@ std::uint64_t staging_key(dms::FileId file, grid::SiteId site) {
 
 /// One job_state event per lifecycle transition (the PanDA status-change
 /// stream the paper's job records are distilled from).
-void emit_job_state(const Job& job, const char* state, util::SimTime ts) {
-  if (obs::EventLog* log = obs::EventLog::installed()) {
-    log->emit(obs::Event("job_state", ts,
+void emit_job_state(const sim::Scheduler& scheduler, const Job& job,
+                    const char* state) {
+  if (obs::EventLog* log = scheduler.session().events) {
+    log->emit(obs::Event("job_state", scheduler.now(),
                          static_cast<std::int64_t>(job.pandaid))
                   .field("state", state)
                   .field("task", job.jeditaskid)
@@ -88,27 +89,28 @@ void PandaServer::submit_job(Job job) {
   rt->job = std::move(job);
   // The flow root opens before brokerage so the brokerage hook can
   // annotate it with the number of candidates it scored.
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->begin_flow(static_cast<std::int64_t>(rt->job.pandaid),
                       rt->job.jeditaskid,
                       static_cast<std::int32_t>(rt->job.attempt),
                       scheduler_.now());
   }
-  rt->job.computing_site = brokerage_.choose_site(rt->job, queues_, rng_);
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  rt->job.computing_site = brokerage_.choose_site(rt->job, queues_, rng_,
+                                                  scheduler_.session().flows);
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->broker_decision(static_cast<std::int64_t>(rt->job.pandaid),
                            rt->job.computing_site, scheduler_.now());
   }
   JobRuntime& ref = *rt;
   jobs_.emplace(ref.job.pandaid, std::move(rt));
-  emit_job_state(ref.job, "submitted", scheduler_.now());
+  emit_job_state(scheduler_, ref.job, "submitted");
   begin_staging(ref);
 }
 
 void PandaServer::begin_staging(JobRuntime& rt) {
   rt.job.status = JobStatus::kStaging;
-  emit_job_state(rt.job, "staging", scheduler_.now());
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  emit_job_state(scheduler_, rt.job, "staging");
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->stage_begin(static_cast<std::int64_t>(rt.job.pandaid),
                        scheduler_.now());
   }
@@ -198,7 +200,7 @@ void PandaServer::request_file(JobRuntime& rt, dms::FileId file,
     it->second.waiters.push_back(rt.job.pandaid);
     ++stats_.shared_stage_hits;
     if (it->second.transfer_id != 0) {
-      if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+      if (obs::FlowTracker* flows = scheduler_.session().flows) {
         flows->link_transfer(static_cast<std::int64_t>(rt.job.pandaid),
                              it->second.transfer_id, scheduler_.now(),
                              /*shared=*/true);
@@ -243,7 +245,7 @@ void PandaServer::request_file(JobRuntime& rt, dms::FileId file,
     entry->second.transfer_id = transfer_id;
   }
   ++stats_.stage_in_transfers;
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->link_transfer(static_cast<std::int64_t>(rt.job.pandaid),
                          transfer_id, scheduler_.now(), /*shared=*/false);
   }
@@ -313,7 +315,7 @@ void PandaServer::on_stage_done(JobId job, dms::FileId /*file*/,
 void PandaServer::proceed_to_queue(JobRuntime& rt) {
   rt.queued_or_later = true;
   rt.job.status = JobStatus::kQueued;
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("job_state", scheduler_.now(),
                          static_cast<std::int64_t>(rt.job.pandaid))
                   .field("state", "queued")
@@ -322,7 +324,7 @@ void PandaServer::proceed_to_queue(JobRuntime& rt) {
                   .field("attempt", rt.job.attempt)
                   .field("watchdog_release", rt.released_by_watchdog));
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->queue_enter(static_cast<std::int64_t>(rt.job.pandaid),
                        scheduler_.now(), rt.released_by_watchdog);
   }
@@ -340,8 +342,8 @@ void PandaServer::proceed_to_queue(JobRuntime& rt) {
 void PandaServer::start_execution(JobRuntime& rt) {
   rt.job.status = JobStatus::kRunning;
   rt.job.start_time = scheduler_.now();
-  emit_job_state(rt.job, "running", scheduler_.now());
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  emit_job_state(scheduler_, rt.job, "running");
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->run_begin(static_cast<std::int64_t>(rt.job.pandaid),
                      scheduler_.now());
   }
@@ -372,7 +374,7 @@ void PandaServer::start_execution(JobRuntime& rt) {
       if (it != jobs_.end()) it->second->direct_io_failed = true;
     };
     const std::uint64_t transfer_id = engine_.submit(std::move(req));
-    if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+    if (obs::FlowTracker* flows = scheduler_.session().flows) {
       flows->link_transfer(static_cast<std::int64_t>(id), transfer_id,
                            scheduler_.now(), /*shared=*/false);
     }
@@ -441,7 +443,7 @@ void PandaServer::finish_execution(JobRuntime& rt) {
 void PandaServer::begin_stage_out(JobRuntime& rt, bool payload_failed,
                                   std::int32_t error_code) {
   const grid::SiteId site = rt.job.computing_site;
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->stage_out_begin(static_cast<std::int64_t>(rt.job.pandaid),
                            scheduler_.now());
   }
@@ -500,7 +502,7 @@ void PandaServer::begin_stage_out(JobRuntime& rt, bool payload_failed,
             }
           };
           const std::uint64_t transfer_id = engine_.submit(std::move(req));
-          if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+          if (obs::FlowTracker* flows = scheduler_.session().flows) {
             flows->link_transfer(static_cast<std::int64_t>(id), transfer_id,
                                  scheduler_.now(), /*shared=*/false);
           }
@@ -527,7 +529,7 @@ void PandaServer::finalize_job(JobRuntime& rt, bool failed,
   rt.job.end_time = scheduler_.now();
   rt.job.status = failed ? JobStatus::kFailed : JobStatus::kFinished;
   rt.job.error_code = failed ? error_code : errors::kNone;
-  if (obs::EventLog* log = obs::EventLog::installed()) {
+  if (obs::EventLog* log = scheduler_.session().events) {
     log->emit(obs::Event("job_state", scheduler_.now(),
                          static_cast<std::int64_t>(rt.job.pandaid))
                   .field("state", failed ? "failed" : "finished")
@@ -536,7 +538,7 @@ void PandaServer::finalize_job(JobRuntime& rt, bool failed,
                   .field("attempt", rt.job.attempt)
                   .field("error", rt.job.error_code));
   }
-  if (obs::FlowTracker* flows = obs::FlowTracker::installed()) {
+  if (obs::FlowTracker* flows = scheduler_.session().flows) {
     flows->end_flow(static_cast<std::int64_t>(rt.job.pandaid),
                     scheduler_.now(), failed, rt.job.error_code);
   }

@@ -59,7 +59,7 @@ Checkpoint sample_checkpoint(std::int64_t day) {
   ckpt.log_bytes = 99'000;
   ckpt.prefix_bytes = 98'765;
   ckpt.prefix_crc = 0xDEADBEEF;
-  ckpt.flows_installed = true;
+  ckpt.flows_tracked = true;
   ckpt.fingerprint = {11, 22, 33, 44, 55, 66, 77, 88};
   ckpt.store_jobs_csv = "pandaid,jeditaskid\n1,2\n";
   ckpt.store_files_csv = "lfn\nfile.root\n";
@@ -83,7 +83,7 @@ TEST(CheckpointTest, SnapshotRoundTrip) {
   EXPECT_EQ(loaded->log_bytes, ckpt.log_bytes);
   EXPECT_EQ(loaded->prefix_bytes, ckpt.prefix_bytes);
   EXPECT_EQ(loaded->prefix_crc, ckpt.prefix_crc);
-  EXPECT_EQ(loaded->flows_installed, ckpt.flows_installed);
+  EXPECT_EQ(loaded->flows_tracked, ckpt.flows_tracked);
   EXPECT_EQ(loaded->fingerprint, ckpt.fingerprint);
   EXPECT_EQ(loaded->store_jobs_csv, ckpt.store_jobs_csv);
   EXPECT_EQ(loaded->store_files_csv, ckpt.store_files_csv);
@@ -118,8 +118,6 @@ TEST(CheckpointTest, ConfigDigestSeparatesSeedsNotOutputKnobs) {
   scenario::ScenarioConfig a = scenario::ScenarioConfig::small();
   scenario::ScenarioConfig b = a;
   EXPECT_EQ(scenario::config_digest(a), scenario::config_digest(b));
-  b.checkpoint_dir = "/somewhere/else";  // output knob: digest-neutral
-  EXPECT_EQ(scenario::config_digest(a), scenario::config_digest(b));
   b.seed = a.seed + 1;
   EXPECT_NE(scenario::config_digest(a), scenario::config_digest(b));
   b = a;
@@ -135,24 +133,20 @@ TEST(CheckpointTest, CampaignWritesPerDaySnapshotsAndStaysByteIdentical) {
   std::string reference;
   {
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(config, {.events = &log});
     log.close();
     reference = log.to_ndjson();
-    log.uninstall();
   }
   ASSERT_FALSE(reference.empty());
 
   TempDir dir("ckpt_campaign");
-  config.checkpoint_dir = dir.path();
   std::string checkpointed;
   {
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(
+        config, {.events = &log, .checkpoint_dir = dir.path()});
     log.close();
     checkpointed = log.to_ndjson();
-    log.uninstall();
   }
   // Checkpointing is observation-only: the stream is untouched.
   EXPECT_EQ(checkpointed, reference);
@@ -174,15 +168,13 @@ TEST(CheckpointTest, ResumeSplicesBackToByteParity) {
   config.seed = 7;
 
   TempDir dir("ckpt_resume");
-  config.checkpoint_dir = dir.path();
   std::string reference;
   {
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(
+        config, {.events = &log, .checkpoint_dir = dir.path()});
     log.close();
     reference = log.to_ndjson();
-    log.uninstall();
   }
 
   // Simulate the crash: the on-disk stream ends mid-line somewhere past
@@ -192,7 +184,6 @@ TEST(CheckpointTest, ResumeSplicesBackToByteParity) {
   ASSERT_TRUE(salvage.ok);
   const std::string salvaged = torn.substr(0, salvage.salvaged_bytes);
 
-  config.checkpoint_dir.clear();
   const scenario::ResumeOutcome resume =
       scenario::resume_campaign(config, dir.path());
   ASSERT_TRUE(resume.ok) << resume.error;
@@ -214,6 +205,39 @@ TEST(CheckpointTest, ResumeSplicesBackToByteParity) {
             resume.full_ndjson.size());
 }
 
+TEST(CheckpointTest, ResumeRunsBesideAnotherLogAndLeavesItAlone) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.seed = 7;
+  TempDir dir("ckpt_beside");
+  std::string reference;
+  {
+    obs::EventLog log;
+    (void)scenario::run_campaign(
+        config, {.events = &log, .checkpoint_dir = dir.path()});
+    log.close();
+    reference = log.to_ndjson();
+  }
+
+  // Another log in the process, holding published lines of its own.
+  obs::EventLog other;
+  other.emit(obs::Event("probe", 1, std::int64_t{1}));
+  other.emit(obs::Event("probe", 2, std::int64_t{2}));
+  ASSERT_EQ(other.publish(), 2u);
+  const std::string before = other.to_ndjson();
+
+  const scenario::ResumeOutcome resume =
+      scenario::resume_campaign(config, dir.path());
+  ASSERT_TRUE(resume.ok) << resume.error;
+  EXPECT_TRUE(resume.had_checkpoint);
+  EXPECT_TRUE(resume.fingerprint_verified);
+  EXPECT_TRUE(resume.prefix_verified);
+  EXPECT_EQ(resume.full_ndjson, reference);
+  // The re-execution reported to its own session only.
+  EXPECT_EQ(other.events_written(), 2u);
+  EXPECT_EQ(other.watermark(), 2u);
+  EXPECT_EQ(other.to_ndjson(), before);
+}
+
 TEST(CheckpointTest, ResumeWithoutSnapshotsRunsFromScratch) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.seed = 7;
@@ -231,16 +255,13 @@ TEST(CheckpointTest, ResumeRejectsMismatchedConfig) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.seed = 7;
   TempDir dir("ckpt_mismatch");
-  config.checkpoint_dir = dir.path();
   {
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(
+        config, {.events = &log, .checkpoint_dir = dir.path()});
     log.close();
-    log.uninstall();
   }
   scenario::ScenarioConfig other = config;
-  other.checkpoint_dir.clear();
   other.seed = 8;
   const scenario::ResumeOutcome resume =
       scenario::resume_campaign(other, dir.path());

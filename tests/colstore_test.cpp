@@ -291,9 +291,7 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   sinks.ndjson_path = ndjson_file.path();
   sinks.colstore_path = col_file.path();
   obs::EventLog log(sinks);
-  log.install();
-  const auto live = scenario::run_campaign(config);
-  log.uninstall();
+  const auto live = scenario::run_campaign(config, {.events = &log});
   log.close();
   ASSERT_EQ(log.io_errors(), 0u);
 

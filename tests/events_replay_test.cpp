@@ -52,15 +52,12 @@ std::vector<std::string> split_lines(const std::string& ndjson) {
 
 TEST(EventLog, RoundTripsThroughJsonParser) {
   obs::EventLog log;
-  log.install();
-  obs::EventLog::installed()->emit(
-      obs::Event("unit", 1234, std::int64_t{42})
-          .field("count", std::uint64_t{7})
-          .field("ratio", 0.25)
-          .field("ok", true)
-          .field("name", "alpha \"quoted\"\n\ttab")
-          .field("big", std::int64_t{1} << 60));
-  log.uninstall();
+  log.emit(obs::Event("unit", 1234, std::int64_t{42})
+               .field("count", std::uint64_t{7})
+               .field("ratio", 0.25)
+               .field("ok", true)
+               .field("name", "alpha \"quoted\"\n\ttab")
+               .field("big", std::int64_t{1} << 60));
 
   ASSERT_EQ(log.event_count(), 1u);
   const auto lines = split_lines(log.to_ndjson());
@@ -83,16 +80,15 @@ TEST(EventLog, RoundTripsThroughJsonParser) {
 
 TEST(EventLog, MultiThreadedEmitKeepsEveryLineWellFormed) {
   obs::EventLog log;
-  log.install();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3000;  // crosses the drain-batch boundary
   {
     parallel::ThreadPool pool(kThreads);
     std::vector<std::future<void>> futures;
     for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.submit([t] {
+      futures.push_back(pool.submit([&log, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          obs::EventLog::installed()->emit(
+          log.emit(
               obs::Event("mt", i, std::int64_t{t}).field("i", std::int64_t{i}));
         }
       }));
@@ -100,7 +96,6 @@ TEST(EventLog, MultiThreadedEmitKeepsEveryLineWellFormed) {
     for (auto& f : futures) f.get();
     pool.wait_idle();
   }
-  log.uninstall();
 
   EXPECT_EQ(log.event_count(), std::size_t{kThreads} * kPerThread);
   EXPECT_EQ(log.dropped(), 0u);
@@ -113,11 +108,9 @@ TEST(EventLog, MultiThreadedEmitKeepsEveryLineWellFormed) {
 
 TEST(EventLog, OverflowDropsCountedAndStreamStaysValid) {
   obs::EventLog log(/*max_events=*/8);
-  log.install();
   for (int i = 0; i < 20; ++i) {
-    obs::EventLog::installed()->emit(obs::Event("tiny", i, std::int64_t{i}));
+    log.emit(obs::Event("tiny", i, std::int64_t{i}));
   }
-  log.uninstall();
   EXPECT_EQ(log.event_count(), 8u);
   EXPECT_EQ(log.dropped(), 12u);
   for (const std::string& line : split_lines(log.to_ndjson())) {
@@ -126,7 +119,6 @@ TEST(EventLog, OverflowDropsCountedAndStreamStaysValid) {
 }
 
 TEST(EventLog, DisabledMeansNoRecording) {
-  ASSERT_EQ(obs::EventLog::installed(), nullptr);
   obs::EventLog log;
   EXPECT_EQ(log.event_count(), 0u);
   EXPECT_EQ(log.to_ndjson(), "");
@@ -137,13 +129,11 @@ TEST(EventLog, DisabledMeansNoRecording) {
 TEST(Sampler, ColumnsAndEmittedRowsAgree)
 {
   obs::EventLog log;
-  log.install();
-  obs::Sampler sampler(1000);
+  obs::Sampler sampler(1000, &log);
   std::int64_t tick = 0;
   sampler.add_column("tick", [&tick] { return tick; });
   sampler.add_column("twice", [&tick] { return 2 * tick; });
   for (tick = 1; tick <= 3; ++tick) sampler.sample_at(tick * 1000);
-  log.uninstall();
 
   ASSERT_EQ(sampler.rows().size(), 3u);
   EXPECT_EQ(sampler.columns(), (std::vector<std::string>{"tick", "twice"}));
@@ -178,13 +168,12 @@ TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
     obs::TraceRecorder recorder;
     if (traced) recorder.install();
     obs::EventLog log;
-    log.install();
-    const scenario::ScenarioResult result = scenario::run_campaign(config);
+    const scenario::ScenarioResult result =
+        scenario::run_campaign(config, {.events = &log});
     parallel::ThreadPool pool(4);
     const core::Matcher matcher(result.store, pool);
     const core::MatchResult exact =
         core::ParallelMatchDriver(matcher, pool).run(core::MatchOptions::exact());
-    log.uninstall();
     if (traced) recorder.uninstall();
     return std::tuple{log.to_ndjson(), exact.matched_job_count()};
   };
@@ -205,9 +194,8 @@ TEST(EventsReplay, ReplayedStoreReproducesInMemoryAnalyses) {
   config.seed = 20250401;
 
   obs::EventLog log;
-  log.install();
-  const scenario::ScenarioResult result = scenario::run_campaign(config);
-  log.uninstall();
+  const scenario::ScenarioResult result =
+      scenario::run_campaign(config, {.events = &log});
 
   std::istringstream stream(log.to_ndjson());
   const analysis::ReplayResult replay = analysis::replay_events(stream);
@@ -303,7 +291,7 @@ TEST(EventsReplay, ReplayedStoreReproducesInMemoryAnalyses) {
 
 // --- flows ------------------------------------------------------------------
 
-// With a FlowTracker installed the NDJSON stream must be the flows-off
+// With a FlowTracker in the session the NDJSON stream must be the flows-off
 // stream plus flow_* lines and nothing else: observers consume no
 // simulation RNG and carry simulated time only.
 TEST(EventsFlows, FlowsOnStreamIsFlowsOffStreamPlusFlowLines) {
@@ -314,12 +302,9 @@ TEST(EventsFlows, FlowsOnStreamIsFlowsOffStreamPlusFlowLines) {
   const auto run_once = [&config](bool flows) {
     obs::Registry::global().reset_for_test();
     obs::FlowTracker tracker;
-    if (flows) tracker.install();
     obs::EventLog log;
-    log.install();
-    std::ignore = scenario::run_campaign(config);
-    log.uninstall();
-    if (flows) tracker.uninstall();
+    std::ignore = scenario::run_campaign(
+        config, {.events = &log, .flows = flows ? &tracker : nullptr});
     return log.to_ndjson();
   };
 
@@ -351,12 +336,9 @@ TEST(EventsFlows, RebuiltFlowsMatchLiveTrackerBitForBit) {
   config.seed = 20250401;
 
   obs::FlowTracker tracker;
-  tracker.install();
   obs::EventLog log;
-  log.install();
-  const scenario::ScenarioResult result = scenario::run_campaign(config);
-  log.uninstall();
-  tracker.uninstall();
+  const scenario::ScenarioResult result =
+      scenario::run_campaign(config, {.events = &log, .flows = &tracker});
 
   std::map<std::int64_t, std::string> names;
   for (const grid::Site& s : result.topology.sites()) {
@@ -444,20 +426,15 @@ TEST(EventsReplay, OnePassEqualsReplayPlusDeriveHealth) {
   config.with_self_healing();
 
   obs::FlowTracker tracker;
-  tracker.install();
   obs::HealthEngine engine;
-  engine.install();
   const std::string ndjson_path = "events_replay_one_pass.ndjson";
   const std::string col_path = "events_replay_one_pass.colstore";
   obs::EventSinks sinks;
   sinks.ndjson_path = ndjson_path;
   sinks.colstore_path = col_path;
   obs::EventLog log(sinks);
-  log.install();
-  std::ignore = scenario::run_campaign(config);
-  log.uninstall();
-  engine.uninstall();
-  tracker.uninstall();
+  std::ignore = scenario::run_campaign(
+      config, {.events = &log, .flows = &tracker, .health = &engine});
   log.close();
   ASSERT_EQ(log.io_errors(), 0u);
 
@@ -477,7 +454,6 @@ TEST(EventsReplay, OnePassEqualsReplayPlusDeriveHealth) {
     ASSERT_NE(derived, nullptr);
 
     obs::HealthEngine health;
-    health.set_emit_events(false);
     const auto source = analysis::open_event_source(path);
     ASSERT_NE(source, nullptr);
     const analysis::ReplayResult one_pass =
@@ -509,12 +485,10 @@ TEST(EventsHarvest, EmitStoreEventsCountsEveryRecord) {
   f.lfn = "lfn-1";
   store.record_file(f);
 
-  EXPECT_EQ(telemetry::emit_store_events(store, 99), 0u);  // no log: no-op
+  EXPECT_EQ(telemetry::emit_store_events(store, 99, nullptr), 0u);  // no-op
 
   obs::EventLog log;
-  log.install();
-  EXPECT_EQ(telemetry::emit_store_events(store, 99), 2u);
-  log.uninstall();
+  EXPECT_EQ(telemetry::emit_store_events(store, 99, &log), 2u);
   EXPECT_EQ(log.event_count(), 2u);
 }
 

@@ -1,11 +1,14 @@
 // Fault injection and the self-healing transfer path: plan sampling,
 // injector window activation, retry backoff, circuit breakers,
 // alternate-source rerouting, and the campaign-level invariants
-// (drain + transfer conservation + byte-identical replay) under chaos.
+// (drain + transfer conservation + byte-identical replay) under chaos,
+// including campaigns that share a process: beside a foreign injector
+// and concurrently on two threads, each in its own obs::Session.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/events_replay.hpp"
@@ -15,6 +18,8 @@
 #include "fault/injector.hpp"
 #include "grid/builder.hpp"
 #include "obs/event_log.hpp"
+#include "obs/flow.hpp"
+#include "obs/health.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/scheduler.hpp"
 #include "wms/panda_server.hpp"
@@ -464,12 +469,10 @@ TEST(CampaignFaults, SiteOutageKillsRunningJobsAndBrokerageSkips) {
 TEST(CampaignFaults, IdenticalSeedAndPlanGiveByteIdenticalEvents) {
   auto run = [] {
     obs::EventLog log;
-    log.install();
     scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
     config.faults.intensity = 2.0;
     config.with_self_healing();
-    (void)scenario::run_campaign(config);
-    log.uninstall();
+    (void)scenario::run_campaign(config, {.events = &log});
     return log.to_ndjson();
   };
   const std::string a = run();
@@ -482,6 +485,104 @@ TEST(CampaignFaults, IdenticalSeedAndPlanGiveByteIdenticalEvents) {
   const analysis::ReplayResult replay = analysis::replay_events(in);
   EXPECT_FALSE(replay.fault_windows.empty());
   EXPECT_GT(replay.kind_counts.count("fault_window"), 0u);
+}
+
+TEST(CampaignFaults, ForeignInjectorLeavesAFaultFreeCampaignAlone) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 7;
+  const auto record = [&config] {
+    obs::EventLog log;
+    (void)scenario::run_campaign(config, {.events = &log});
+    log.close();
+    return log.to_ndjson();
+  };
+  const std::string solo = record();
+
+  // Another simulation in the process holds one fault window open.
+  sim::Scheduler elsewhere;
+  fault::Injector foreign(elsewhere);
+  fault::FaultWindow blackout;
+  blackout.kind = fault::FaultKind::kLinkBlackout;
+  blackout.link = {0, 1};
+  blackout.begin = 0;
+  blackout.end = util::days(1);
+  fault::Plan plan;
+  plan.add(blackout);
+  foreign.arm(plan);
+  elsewhere.run_until(util::hours(1));
+  ASSERT_EQ(foreign.active_count(), 1u);
+
+  const std::string beside = record();
+  EXPECT_EQ(beside, solo);
+  // The sampled fault column counts this campaign's windows: none.
+  const std::size_t sample = beside.find("\"kind\":\"sample\"");
+  ASSERT_NE(sample, std::string::npos);
+  const std::string row =
+      beside.substr(sample, beside.find('\n', sample) - sample);
+  EXPECT_NE(row.find("\"pandarus_fault_windows_active\":0,"),
+            std::string::npos)
+      << row;
+}
+
+/// What one chaos campaign leaves in its own session.
+struct ChaosRun {
+  std::string ndjson;
+  std::string alerts;
+  obs::FlowTotals flows;
+  std::uint64_t fault_windows = 0;
+};
+
+ChaosRun run_chaos(std::uint64_t seed) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = seed;
+  config.faults.intensity = 2.0;
+  config.with_self_healing();
+  obs::EventLog log;
+  obs::FlowTracker flows;
+  obs::HealthEngine health;
+  const scenario::ScenarioResult result = scenario::run_campaign(
+      config, {.events = &log, .flows = &flows, .health = &health});
+  log.close();
+  return {log.to_ndjson(), health.status_json(), flows.totals(),
+          result.fault_windows};
+}
+
+void expect_same_run(const ChaosRun& got, const ChaosRun& want) {
+  EXPECT_EQ(got.ndjson, want.ndjson);
+  EXPECT_EQ(got.alerts, want.alerts);
+  EXPECT_EQ(got.flows.flows, want.flows.flows);
+  EXPECT_EQ(got.flows.failed, want.flows.failed);
+  EXPECT_EQ(got.flows.sequential_staging, want.flows.sequential_staging);
+  EXPECT_EQ(got.flows.redundant_transfers, want.flows.redundant_transfers);
+  EXPECT_EQ(got.flows.watchdog_releases, want.flows.watchdog_releases);
+  EXPECT_EQ(got.flows.reroutes, want.flows.reroutes);
+  EXPECT_EQ(got.fault_windows, want.fault_windows);
+}
+
+TEST(CampaignFaults, TwoChaosCampaignsOnTwoThreadsMatchTheirSoloRuns) {
+  const ChaosRun solo_a = run_chaos(7);
+  const ChaosRun solo_b = run_chaos(11);
+  ASSERT_GE(solo_a.fault_windows, 1u);
+  ASSERT_GE(solo_b.fault_windows, 1u);
+  ASSERT_GT(solo_a.flows.flows, 0u);
+  ASSERT_NE(solo_a.ndjson, solo_b.ndjson);
+
+  ChaosRun a;
+  ChaosRun b;
+  std::thread first([&a] { a = run_chaos(7); });
+  std::thread second([&b] { b = run_chaos(11); });
+  first.join();
+  second.join();
+  {
+    SCOPED_TRACE("seed 7");
+    expect_same_run(a, solo_a);
+  }
+  {
+    SCOPED_TRACE("seed 11");
+    expect_same_run(b, solo_b);
+  }
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ std::int64_t phase_sum(const obs::PhaseBreakdown& ph) {
 // --- critical-path decomposition --------------------------------------------
 
 TEST(FlowCriticalPath, PureSequentialStagingIsFlaggedWithOverlapZero) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder(tracker)
       .begin(1, 0)
       .broker(7, 10);
@@ -116,7 +116,7 @@ TEST(FlowCriticalPath, PureSequentialStagingIsFlaggedWithOverlapZero) {
 }
 
 TEST(FlowCriticalPath, ParallelStagingOverlapsAndChargesLastFinisher) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(2, 0).broker(7, 10);
   tracker.stage_begin(2, 10);
@@ -146,7 +146,7 @@ TEST(FlowCriticalPath, ParallelStagingOverlapsAndChargesLastFinisher) {
 }
 
 TEST(FlowCriticalPath, RetryAndRerouteChainAttributesPerAttemptLink) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(3, 100, 2, 0);
   tracker.broker_decision(3, 7, 0);
   tracker.stage_begin(3, 0);
@@ -191,7 +191,7 @@ TEST(FlowCriticalPath, RetryAndRerouteChainAttributesPerAttemptLink) {
 }
 
 TEST(FlowCriticalPath, WatchdogReleaseChargesInFlightAttemptToWindowEnd) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(4, 100, 1, 0);
   tracker.broker_decision(4, 7, 0);
   tracker.stage_begin(4, 0);
@@ -217,7 +217,7 @@ TEST(FlowCriticalPath, WatchdogReleaseChargesInFlightAttemptToWindowEnd) {
 }
 
 TEST(FlowCriticalPath, MissingBoundariesCollapseAndPartitionStaysExact) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   // A job killed before it ever staged: only begin and end exist.
   tracker.begin_flow(5, 100, 1, 100);
   tracker.end_flow(5, 500, /*failed=*/true, /*error=*/42);
@@ -239,7 +239,7 @@ TEST(FlowCriticalPath, MissingBoundariesCollapseAndPartitionStaysExact) {
 // --- redundancy -------------------------------------------------------------
 
 TEST(FlowRedundancy, SecondTransferOfUnregisteredFileIsRedundant) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(6, 0).broker(7, 0);
   tracker.stage_begin(6, 0);
@@ -259,7 +259,7 @@ TEST(FlowRedundancy, SecondTransferOfUnregisteredFileIsRedundant) {
 }
 
 TEST(FlowRedundancy, ConcurrentInFlightDuplicateIsRedundant) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   tracker.begin_flow(7, 100, 1, 0);
   tracker.stage_begin(7, 0);
   tracker.transfer_submitted(71, 900, 2, 7, 0);
@@ -282,7 +282,7 @@ TEST(FlowRedundancy, ConcurrentInFlightDuplicateIsRedundant) {
 // --- collapsed stacks -------------------------------------------------------
 
 TEST(FlowCollapsed, StacksAreLabeledAndDeterministic) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   FlowBuilder fb(tracker);
   fb.begin(8, 0).broker(7, 10);
   tracker.stage_begin(8, 10);
@@ -319,14 +319,11 @@ TEST(FlowCollapsed, StacksAreLabeledAndDeterministic) {
 
 // --- event emission ---------------------------------------------------------
 
-TEST(FlowEmission, FlowEventsReachTheInstalledEventLog) {
-  ASSERT_EQ(obs::FlowTracker::installed(), nullptr);
+TEST(FlowEmission, FlowEventsReachTheWiredEventLog) {
   obs::EventLog log;
-  log.install();
   {
-    obs::FlowTracker tracker;  // emitting
-    tracker.install();
-    ASSERT_EQ(obs::FlowTracker::installed(), &tracker);
+    obs::FlowTracker tracker;
+    tracker.wire(&log);  // emitting
     FlowBuilder fb(tracker);
     fb.begin(9, 0).broker(7, 10);
     tracker.stage_begin(9, 10);
@@ -335,10 +332,7 @@ TEST(FlowEmission, FlowEventsReachTheInstalledEventLog) {
     tracker.run_begin(9, 200);
     tracker.stage_out_begin(9, 300);
     tracker.end_flow(9, 350, false, 0);
-    tracker.uninstall();
   }
-  EXPECT_EQ(obs::FlowTracker::installed(), nullptr);
-  log.uninstall();
 
   const std::string ndjson = log.to_ndjson();
   for (const char* kind :
@@ -362,9 +356,8 @@ TEST(FlowCampaign, PhasesPartitionWallAndRunsAreDeterministic) {
 
   const auto run_once = [&config] {
     obs::FlowTracker tracker;
-    tracker.install();
-    const scenario::ScenarioResult result = scenario::run_campaign(config);
-    tracker.uninstall();
+    const scenario::ScenarioResult result =
+        scenario::run_campaign(config, {.flows = &tracker});
     return std::tuple{std::vector<obs::FlowSummary>(tracker.completed()),
                       tracker.totals(), tracker.link_ranking(),
                       result.events_processed};
@@ -417,7 +410,7 @@ TEST(FlowCampaign, PhasesPartitionWallAndRunsAreDeterministic) {
 // --- analyzer quantiles -----------------------------------------------------
 
 TEST(FlowQuantiles, PhaseQuantilesCoverEveryPhaseRow) {
-  obs::FlowTracker tracker(/*emit=*/false);
+  obs::FlowTracker tracker;
   for (std::int64_t i = 1; i <= 4; ++i) {
     tracker.begin_flow(i, 100, 1, 0);
     tracker.stage_begin(i, 10 * i);

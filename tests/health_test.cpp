@@ -371,7 +371,6 @@ TEST(HealthEngine, ObserveJsonMatchesTypedFeeds) {
       R"({"ts":4200,"kind":"job_state","entity":3,"state":"running"})",
   };
   obs::HealthEngine replayed;
-  replayed.set_emit_events(false);
   for (const std::string& line : lines) {
     const auto parsed = util::json::parse(line);
     ASSERT_TRUE(parsed.has_value()) << line;
@@ -433,9 +432,8 @@ std::string strip_alert_lines(const std::string& ndjson) {
 TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
   // Baseline: instrumented campaign without the health engine.
   obs::EventLog baseline_log;
-  baseline_log.install();
-  const auto baseline = scenario::run_campaign(chaos_config());
-  baseline_log.uninstall();
+  const auto baseline =
+      scenario::run_campaign(chaos_config(), {.events = &baseline_log});
   baseline_log.close();
 
   // Same campaign with the engine armed and alert emission on.
@@ -444,11 +442,8 @@ TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
   sinks.ndjson_path = file.path();
   obs::EventLog health_log(sinks);
   obs::HealthEngine engine;
-  health_log.install();
-  engine.install();
-  const auto health_run = scenario::run_campaign(chaos_config());
-  engine.uninstall();
-  health_log.uninstall();
+  const auto health_run = scenario::run_campaign(
+      chaos_config(), {.events = &health_log, .health = &engine});
   health_log.close();
 
   // Armed detectors are read-only: the simulation is untouched.
@@ -477,11 +472,8 @@ TEST(HealthCampaign, SameSeedSameAlerts) {
   for (int run = 0; run < 2; ++run) {
     obs::EventLog log;
     obs::HealthEngine engine;
-    log.install();
-    engine.install();
-    (void)scenario::run_campaign(chaos_config());
-    engine.uninstall();
-    log.uninstall();
+    (void)scenario::run_campaign(chaos_config(),
+                                 {.events = &log, .health = &engine});
     log.close();
     if (run == 0) {
       first = engine.status_json();

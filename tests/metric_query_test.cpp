@@ -206,9 +206,7 @@ TEST(MetricQuery, NdjsonAndColstoreProduceIdenticalJson) {
   sinks.ndjson_path = ndjson_file.path();
   sinks.colstore_path = col_file.path();
   obs::EventLog log(sinks);
-  log.install();
-  (void)scenario::run_campaign(config);
-  log.uninstall();
+  (void)scenario::run_campaign(config, {.events = &log});
   log.close();
   ASSERT_EQ(log.io_errors(), 0u);
 

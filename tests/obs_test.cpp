@@ -344,11 +344,10 @@ TEST(ObsDeterminism, InstrumentedRunMatchesUninstrumentedRun) {
 
 TEST(ObsSampler, ZeroDayCampaignProducesNoRowsAndNoCrash) {
   obs::EventLog log;
-  log.install();
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.0;
-  const scenario::ScenarioResult result = scenario::run_campaign(config);
-  log.uninstall();
+  const scenario::ScenarioResult result =
+      scenario::run_campaign(config, {.events = &log});
   log.close();
   EXPECT_TRUE(result.drained);
   // A zero-length window schedules no sampler ticks: the stream holds

@@ -106,10 +106,8 @@ const CampaignStream& campaign() {
     scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
     config.seed = 7;
     obs::EventLog log;
-    log.install();
-    (void)scenario::run_campaign(config);
+    (void)scenario::run_campaign(config, {.events = &log});
     log.close();
-    log.uninstall();
     s->ndjson = log.to_ndjson();
     TempFile full("recovery_full.ndjson");
     write_file(full.path(), s->ndjson);

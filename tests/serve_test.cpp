@@ -323,15 +323,13 @@ TEST(StatusServer, SseStreamDeliversTicks) {
 TEST(ServeEndpoints, LiveSummaryEqualsPostHocAnalysis) {
   obs::Registry::global().reset_for_test();
   obs::EventLog log;
-  log.install();
   obs::FlowTracker tracker;
-  tracker.install();
   obs::StatusServer server;
   ASSERT_TRUE(server.start());
-  server.install();
 
   const scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
-  const scenario::ScenarioResult result = scenario::run_campaign(config);
+  const scenario::ScenarioResult result = scenario::run_campaign(
+      config, {.events = &log, .flows = &tracker, .server = &server});
 
   // Ground truth: post-hoc replay of the full stream + the matchers.
   std::istringstream stream(log.to_ndjson());
@@ -385,10 +383,7 @@ TEST(ServeEndpoints, LiveSummaryEqualsPostHocAnalysis) {
   ASSERT_NE(links, nullptr);
   EXPECT_EQ(links->arr.size(), tracker.link_ranking().size());
 
-  server.uninstall();
   server.stop();
-  tracker.uninstall();
-  log.uninstall();
 }
 
 // The live cache folds only the newly published suffix: scraping after
@@ -397,22 +392,20 @@ TEST(ServeEndpoints, LiveSummaryEqualsPostHocAnalysis) {
 TEST(ServeEndpoints, LiveCacheFoldsEachPublishedLineOnce) {
   obs::Registry::global().reset_for_test();
   obs::EventLog log;
-  log.install();
   obs::StatusServer server;
   ASSERT_TRUE(server.start());
-  server.install();
 
-  // The campaign publishes at every day boundary (this hook runs right
-  // after), after the harvest (run_campaign returns) and on close().
+  // The campaign publishes at every day boundary (this observer runs
+  // right after), after the harvest (run_campaign returns) and on
+  // close().
   std::size_t scrapes = 0;
   const auto scrape = [&server, &scrapes] {
     ++scrapes;
     http_get(server.port(), "/api/summary");
   };
-  auto previous = scenario::detail::exchange_day_boundary_hook(
+  std::ignore = scenario::detail::run_campaign(
+      scenario::ScenarioConfig::small(), {.events = &log, .server = &server},
       [&scrape](const scenario::detail::DayBoundary&) { scrape(); });
-  std::ignore = scenario::run_campaign(scenario::ScenarioConfig::small());
-  scenario::detail::exchange_day_boundary_hook(std::move(previous));
   scrape();
   log.close();
   scrape();
@@ -435,19 +428,15 @@ TEST(ServeEndpoints, LiveCacheFoldsEachPublishedLineOnce) {
         << path;
   }
   replay_server.stop();
-  server.uninstall();
   server.stop();
-  log.uninstall();
 }
 
 TEST(ServeEndpoints, ReplayModeServesPrecomputedBodies) {
   obs::Registry::global().reset_for_test();
   obs::EventLog log;
-  log.install();
   const scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
-  std::ignore = scenario::run_campaign(config);
+  std::ignore = scenario::run_campaign(config, {.events = &log});
   log.close();
-  log.uninstall();
 
   std::istringstream stream(log.to_ndjson());
   auto replay = std::make_shared<const analysis::ReplayResult>(
@@ -472,21 +461,20 @@ TEST(ServeEndpoints, AlertsEndpointServesLiveEngineState) {
   obs::Registry::global().reset_for_test();
   obs::StatusServer server;
   ASSERT_TRUE(server.start());
-  server.install();
 
-  // No engine installed: the endpoint reports itself disabled.
-  analysis::attach_live_status(server);
+  // No engine in the session: the endpoint reports itself disabled.
+  analysis::attach_live_status(server, {});
   const std::string disabled = body_of(http_get(server.port(), "/api/alerts"));
   EXPECT_EQ(disabled, "{\"enabled\":false}");
 
   obs::HealthEngine engine;
-  engine.install();
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.25;
   config.seed = 20250401;
   config.faults.intensity = 2.0;
   config.with_self_healing();
-  std::ignore = scenario::run_campaign(config);
+  std::ignore =
+      scenario::run_campaign(config, {.health = &engine, .server = &server});
 
   const std::string body = body_of(http_get(server.port(), "/api/alerts"));
   ASSERT_TRUE(testing::JsonValidator(body).valid()) << body;
@@ -497,8 +485,6 @@ TEST(ServeEndpoints, AlertsEndpointServesLiveEngineState) {
   ASSERT_NE(counts, nullptr);
   EXPECT_GE(counts->get_int("fired"), 1);
 
-  engine.uninstall();
-  server.uninstall();
   server.stop();
 }
 
@@ -523,22 +509,18 @@ TEST(ServeEndpoints, ScrapedCampaignNdjsonIsByteIdenticalToUnscraped) {
   {
     obs::Registry::global().reset_for_test();
     obs::EventLog log;
-    log.install();
-    std::ignore = scenario::run_campaign(config);
-    log.uninstall();
+    std::ignore = scenario::run_campaign(config, {.events = &log});
     baseline = log.to_ndjson();
   }
 
-  // Same campaign with a status server installed and a client hammering
-  // /metrics, /api/summary and /healthz throughout the run.
+  // Same campaign with a status server in its session and a client
+  // hammering /metrics, /api/summary and /healthz throughout the run.
   std::string scraped;
   {
     obs::Registry::global().reset_for_test();
     obs::EventLog log;
-    log.install();
     obs::StatusServer server;
     ASSERT_TRUE(server.start());
-    server.install();
     std::atomic<bool> done{false};
     std::thread scraper([&server, &done] {
       while (!done.load(std::memory_order_acquire)) {
@@ -547,16 +529,15 @@ TEST(ServeEndpoints, ScrapedCampaignNdjsonIsByteIdenticalToUnscraped) {
         http_get(server.port(), "/healthz");
       }
     });
-    std::ignore = scenario::run_campaign(config);
+    std::ignore =
+        scenario::run_campaign(config, {.events = &log, .server = &server});
     done.store(true, std::memory_order_release);
     scraper.join();
     // One last scrape after the campaign finished (post-harvest path).
     const std::string body =
         body_of(http_get(server.port(), "/api/summary"));
     EXPECT_TRUE(testing::JsonValidator(body).valid());
-    server.uninstall();
     server.stop();
-    log.uninstall();
     scraped = log.to_ndjson();
   }
 
@@ -568,7 +549,6 @@ TEST(ServeEndpoints, ScrapedCampaignNdjsonIsByteIdenticalToUnscraped) {
 
 TEST(EventLogServe, PublishAdvancesTheWatermark) {
   obs::EventLog log;
-  log.install();
   for (std::int64_t i = 0; i < 10; ++i) {
     log.emit(obs::Event("tick", i, i));
   }
@@ -579,13 +559,11 @@ TEST(EventLogServe, PublishAdvancesTheWatermark) {
   EXPECT_EQ(log.watermark(), 10u);
   std::string snapshot;
   EXPECT_EQ(log.snapshot_ndjson(snapshot), 10u);
-  log.uninstall();
   EXPECT_EQ(snapshot, log.to_ndjson());
 }
 
 TEST(EventLogServe, SnapshotStreamsIncrementally) {
   obs::EventLog log;
-  log.install();
   log.emit(obs::Event("a", 1, std::int64_t{1}));
   log.publish();
   std::string first;
@@ -594,7 +572,6 @@ TEST(EventLogServe, SnapshotStreamsIncrementally) {
   log.publish();
   std::string second;
   EXPECT_EQ(log.snapshot_ndjson(second, cursor), 2u);
-  log.uninstall();
   EXPECT_EQ(first + second, log.to_ndjson());
   EXPECT_NE(second.find("\"b\""), std::string::npos);
   EXPECT_EQ(second.find("\"a\""), std::string::npos);
@@ -602,7 +579,6 @@ TEST(EventLogServe, SnapshotStreamsIncrementally) {
 
 TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
   obs::EventLog log;
-  log.install();
   // A second thread emits one line and exits without filling its batch:
   // its line is staged, unpublished.
   std::thread other([&log] { log.emit(obs::Event("other", 1, 1)); });
@@ -618,7 +594,6 @@ TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
   EXPECT_EQ(log.watermark(), 3u);
   std::string all;
   log.snapshot_ndjson(all);
-  log.uninstall();
   EXPECT_EQ(all, log.to_ndjson());
 }
 
@@ -650,7 +625,6 @@ TEST(EventLogServe, NdjsonSinkHoldsExactlyThePublishedPrefix) {
   obs::EventSinks sinks;
   sinks.ndjson_path = path;
   obs::EventLog log(sinks);
-  log.install();
   log.emit(obs::Event("early", 1, std::int64_t{1}));
   log.emit(obs::Event("early", 2, std::int64_t{2}));
   const std::uint64_t watermark = log.publish();
@@ -661,7 +635,6 @@ TEST(EventLogServe, NdjsonSinkHoldsExactlyThePublishedPrefix) {
   EXPECT_EQ(log.snapshot_ndjson(published), watermark);
   EXPECT_EQ(read_text(path), published);
   log.close();
-  log.uninstall();
   EXPECT_EQ(read_text(path), log.to_ndjson());
   EXPECT_NE(log.to_ndjson().find("\"late\""), std::string::npos);
   EXPECT_EQ(log.io_errors(), 0u);
@@ -701,7 +674,6 @@ TEST(EventLogServe, TwoThreadEmitWithBothSinksArmed) {
   sinks.ndjson_path = ndjson;
   sinks.colstore_path = col;
   obs::EventLog log(sinks);
-  log.install();
   // Enough lines per thread to cross several drain batches, so both
   // threads write the files while the other is still emitting.
   constexpr int kPerThread = 5000;
@@ -717,7 +689,6 @@ TEST(EventLogServe, TwoThreadEmitWithBothSinksArmed) {
   a.join();
   b.join();
   log.close();
-  log.uninstall();
   const std::string all = log.to_ndjson();
   EXPECT_EQ(log.watermark(), 2u * kPerThread + 1);
   EXPECT_EQ(read_text(ndjson), all);
@@ -731,9 +702,9 @@ TEST(EventLogServe, FullDiskIsCountedAndDegradesHealthz) {
   obs::EventSinks sinks;
   sinks.ndjson_path = "/dev/full";
   obs::EventLog log(sinks);
-  log.install();
   obs::StatusServer server;
   ASSERT_TRUE(server.start());
+  server.attach({.events = &log});
   for (std::int64_t i = 0; i < 10; ++i) log.emit(obs::Event("tick", i, i));
   log.publish();
   log.emit(obs::Event("after_failure", 11, std::int64_t{11}));
@@ -743,7 +714,6 @@ TEST(EventLogServe, FullDiskIsCountedAndDegradesHealthz) {
   EXPECT_EQ(log.io_errors(), 1u);
   const std::string healthz = body_of(http_get(server.port(), "/healthz"));
   server.stop();
-  log.uninstall();
   EXPECT_TRUE(testing::JsonValidator(healthz).valid()) << healthz;
   EXPECT_NE(healthz.find("\"status\":\"degraded\""), std::string::npos)
       << healthz;
