@@ -387,6 +387,46 @@ void BM_SchedulerThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerThroughput);
 
+/// Finish-time churn as the transfer engine makes it: 10,000 live events,
+/// each moved three times before it fires, so three of every four pushed
+/// entries end up cancelled (the paper-scale campaign: 1.57M of 2.05M).
+void BM_SchedulerRescheduleChurn(benchmark::State& state) {
+  constexpr int kEvents = 10'000;
+  constexpr int kMoves = 3;
+  const auto counter = [](const char* name) {
+    return obs::Registry::global().snapshot().counter_value(name);
+  };
+  const std::uint64_t pushed_before =
+      counter("pandarus_sim_events_scheduled_total");
+  const std::uint64_t cancelled_before =
+      counter("pandarus_sim_events_cancelled_total");
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    sim::Scheduler scheduler;
+    std::vector<sim::Scheduler::EventHandle> handles;
+    handles.reserve(kEvents);
+    for (int i = 0; i < kEvents; ++i) {
+      handles.push_back(
+          scheduler.schedule_at((i * 7919) % 100'000, [&fired] { ++fired; }));
+    }
+    for (int move = 1; move <= kMoves; ++move) {
+      for (int i = 0; i < kEvents; ++i) {
+        scheduler.reschedule(handles[static_cast<std::size_t>(i)],
+                             ((i + move) * 7919) % 100'000);
+      }
+    }
+    scheduler.run();
+  }
+  benchmark::DoNotOptimize(fired);
+  const auto pushed = static_cast<double>(
+      counter("pandarus_sim_events_scheduled_total") - pushed_before);
+  const auto cancelled = static_cast<double>(
+      counter("pandarus_sim_events_cancelled_total") - cancelled_before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(pushed));
+  state.counters["cancelled_share"] = pushed > 0 ? cancelled / pushed : 0.0;
+}
+BENCHMARK(BM_SchedulerRescheduleChurn);
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN so the PANDARUS_METRICS / PANDARUS_TRACE env

@@ -357,16 +357,18 @@ void TransferEngine::update_rates(LinkState& ls) {
                           active->bytes_done);
     const auto eta = static_cast<util::SimDuration>(
         std::ceil(remaining / active->rate_bps * 1000.0));
-    active->finish_event.cancel();
     Active* raw = active.get();
     const util::SimTime finish_at =
         active->abort_immediately
             ? now
             : active->last_update + std::max<util::SimDuration>(eta, 1);
-    active->finish_event =
-        scheduler_.schedule_at(finish_at, [this, &ls, raw] {
-          complete(ls, raw);
-        });
+    // Same firing order as cancel + schedule_at, without a new closure.
+    if (!scheduler_.reschedule(active->finish_event, finish_at)) {
+      active->finish_event =
+          scheduler_.schedule_at(finish_at, [this, &ls, raw] {
+            complete(ls, raw);
+          });
+    }
   }
 }
 

@@ -7,23 +7,6 @@
 
 namespace pandarus::sim {
 
-struct Scheduler::EventHandle::State {
-  Callback callback;
-  bool cancelled = false;
-  bool fired = false;
-};
-
-bool Scheduler::EventHandle::cancel() noexcept {
-  if (!state_ || state_->cancelled || state_->fired) return false;
-  state_->cancelled = true;
-  state_->callback = nullptr;  // release captures eagerly
-  return true;
-}
-
-bool Scheduler::EventHandle::pending() const noexcept {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
 Scheduler::Scheduler(obs::Session session)
     : session_(std::move(session)),
       ev_scheduled_(&obs::Registry::global().counter(
@@ -37,15 +20,22 @@ Scheduler::Scheduler(obs::Session session)
           "Cancelled events skipped when popped")),
       heap_size_(&obs::Registry::global().gauge(
           "pandarus_sim_heap_size",
-          "Live size of the simulation event heap (last observed)")) {}
+          "Entries in the simulation event heap, cancelled ones included "
+          "until popped (last observed)")) {}
 
 Scheduler::EventHandle Scheduler::schedule_at(SimTime t, Callback fn) {
-  auto state = std::make_shared<EventHandle::State>();
-  state->callback = std::move(fn);
-  queue_.push(Entry{std::max(t, now_), next_seq_++, state});
-  ev_scheduled_->inc();
-  heap_size_->set(static_cast<std::int64_t>(queue_.size()));
-  return EventHandle(std::move(state));
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].seq = seq;
+  push(t, seq, slot);
+  return EventHandle(this, slot, seq);
 }
 
 Scheduler::EventHandle Scheduler::schedule_after(SimDuration delay,
@@ -53,21 +43,44 @@ Scheduler::EventHandle Scheduler::schedule_after(SimDuration delay,
   return schedule_at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
+bool Scheduler::reschedule(EventHandle& handle, SimTime t) {
+  if (handle.owner_ != this || !handle.pending()) return false;
+  const std::uint64_t seq = next_seq_++;
+  slots_[handle.slot_].seq = seq;  // the old entry is now a cancelled one
+  push(t, seq, handle.slot_);
+  handle.seq_ = seq;
+  return true;
+}
+
+void Scheduler::push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  heap_.push_back(Entry{std::max(t, now_), seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ev_scheduled_->inc();
+  heap_size_->set(static_cast<std::int64_t>(heap_.size()));
+}
+
+void Scheduler::release(std::uint32_t slot) noexcept {
+  slots_[slot].seq = kNoSeq;
+  slots_[slot].fn = nullptr;  // release captures eagerly
+  slots_[slot].next_free = free_head_;
+  free_head_ = slot;
+}
+
 bool Scheduler::step() {
-  while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    if (entry.state->cancelled) {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    if (slots_[entry.slot].seq != entry.seq) {
       ev_cancelled_->inc();
       continue;
     }
     now_ = entry.time;
-    entry.state->fired = true;
-    Callback fn = std::move(entry.state->callback);
-    entry.state->callback = nullptr;
+    Callback fn = std::move(slots_[entry.slot].fn);
+    release(entry.slot);
     ++processed_;
     ev_fired_->inc();
-    heap_size_->set(static_cast<std::int64_t>(queue_.size()));
+    heap_size_->set(static_cast<std::int64_t>(heap_.size()));
     fn();
     return true;
   }
@@ -82,7 +95,7 @@ void Scheduler::run() {
 
 void Scheduler::run_until(SimTime t) {
   const std::uint64_t fired_before = processed_;
-  while (!queue_.empty() && queue_.top().time <= t) {
+  while (!heap_.empty() && heap_.front().time <= t) {
     if (!step()) break;
   }
   now_ = std::max(now_, t);
@@ -93,7 +106,7 @@ void Scheduler::run_until(SimTime t) {
                          static_cast<std::int64_t>(epoch_))
                   .field("fired", processed_ - fired_before)
                   .field("fired_total", processed_)
-                  .field("heap", static_cast<std::uint64_t>(queue_.size())));
+                  .field("heap", static_cast<std::uint64_t>(heap_.size())));
   }
   ++epoch_;
 }

@@ -3,14 +3,42 @@
 // A single-threaded scheduler with a monotonic clock and a min-heap of
 // (time, sequence) ordered events.  Ties are broken by insertion order,
 // which — together with the seeded RNG — makes every campaign run
-// bit-for-bit deterministic.  Events may be cancelled (the transfer
-// engine reschedules completion events whenever link sharing changes).
+// bit-for-bit deterministic.  Events may be cancelled or moved (the
+// transfer engine moves completion events whenever link sharing
+// changes).
+//
+// Storage.  Callbacks live in a slab of reusable slots; each slot holds
+// one callback and the `seq` of its live heap entry, and an intrusive
+// free list recycles slots.  The heap is a vector of trivially copyable
+// {time, seq, slot} entries ordered by (time, seq), so the scheduler
+// allocates nothing to push, pop or move an event once the slab and heap
+// have grown to the campaign's working set, and reschedule() keeps the
+// callback it already holds.  Every push takes a fresh `seq`,
+// and an entry is live iff its slot still carries that `seq`: cancelling
+// or firing an event clears its slot, so a recycled slot never revives a
+// stale entry, and an `EventHandle` ({scheduler, slot, seq}) goes inert
+// the moment its event fires, is cancelled or is moved through another
+// copy of the handle.
+//
+// Cancelled entries are not removed from the heap; they are skipped,
+// and counted in `pandarus_sim_events_cancelled_total`, when popped.
+// Until then `queued_count()` and the `pandarus_sim_heap_size` gauge
+// count them, and two outputs depend on that count: the `heap` field of
+// the event stream's `sched_epoch` lines and scenario::Checkpoint's
+// `scheduler_queued` fingerprint.
+//
+// Lifetime.  An EventHandle points at its Scheduler and must not be used
+// (cancel, pending, reschedule) after that Scheduler is destroyed;
+// destroying or overwriting a handle never touches the scheduler.  Every
+// handle in the simulator lives in a component (TransferEngine,
+// PandaServer) that a campaign constructs after its Scheduler and so
+// destroys first.  The Scheduler is neither copyable nor movable, so a
+// handle's pointer stays valid for the scheduler's whole life.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -35,15 +63,18 @@ class Scheduler {
     /// Prevents the callback from running.  Returns true if the event was
     /// still pending (i.e. this call actually cancelled it).
     bool cancel() noexcept;
-    /// True while the event is scheduled and not yet fired or cancelled.
+    /// True while the event is scheduled and not yet fired, cancelled or
+    /// moved through another copy of this handle.
     [[nodiscard]] bool pending() const noexcept;
 
    private:
     friend class Scheduler;
-    struct State;
-    explicit EventHandle(std::shared_ptr<State> state)
-        : state_(std::move(state)) {}
-    std::shared_ptr<State> state_;
+    EventHandle(Scheduler* owner, std::uint32_t slot,
+                std::uint64_t seq) noexcept
+        : owner_(owner), slot_(slot), seq_(seq) {}
+    Scheduler* owner_ = nullptr;
+    std::uint32_t slot_ = 0;
+    std::uint64_t seq_ = 0;
   };
 
   /// `session` is the observability wiring every component built on
@@ -56,15 +87,16 @@ class Scheduler {
     return session_;
   }
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::uint64_t processed_count() const noexcept {
     return processed_;
   }
-  /// Heap entries still queued (cancelled-but-unswept entries count;
-  /// the pair (processed, queued) is a cheap deterministic fingerprint
-  /// of scheduler progress used by scenario::Checkpoint).
+  /// Heap entries still queued.  Cancelled and moved-away entries count
+  /// until they are popped; the pair (processed, queued) is a cheap
+  /// deterministic fingerprint of scheduler progress used by
+  /// scenario::Checkpoint, and `sched_epoch` events report it as `heap`.
   [[nodiscard]] std::uint64_t queued_count() const noexcept {
-    return queue_.size();
+    return heap_.size();
   }
 
   /// Schedules `fn` at absolute time `t`; times in the past are clamped
@@ -74,10 +106,31 @@ class Scheduler {
   /// Schedules `fn` after `delay` (clamped to >= 0) from now().
   EventHandle schedule_after(SimDuration delay, Callback fn);
 
+  /// Moves the pending event `handle` refers to to max(t, now()), keeping
+  /// its callback, and points `handle` at the moved event.  Firing order,
+  /// queued_count() and the scheduled/fired/cancelled counters come out
+  /// exactly as after `handle.cancel()` followed by `schedule_at(t, fn)`
+  /// with the same callback: the move takes one new `seq` and leaves the
+  /// old entry in the heap as a cancelled one.  Returns false, and
+  /// changes nothing, when `handle` is not pending on this scheduler
+  /// (fired, cancelled, moved through another copy, or default).
+  bool reschedule(EventHandle& handle, SimTime t);
+
   /// Runs until the queue is empty.
   void run();
 
   /// Runs all events with time <= `t`, then advances the clock to `t`.
+  ///
+  /// Known horizon behaviour, kept on purpose: the loop tests the time
+  /// of the heap's top entry, which may be a cancelled one, and step()
+  /// then fires the next *live* event whatever its time.  So with an
+  /// event cancelled at 10 and a live one at 30, run_until(20) fires the
+  /// one at 30 (and leaves the clock there).  scenario::run_campaign
+  /// decides `drained` (an empty heap) after its last run_until, and this
+  /// sweep also empties a heap whose remaining entries are all
+  /// cancelled; a bounded loop would leave them queued, which can move
+  /// `sched_epoch` `heap` values and `drained`.  Changing it is a
+  /// behaviour change of its own.
   void run_until(SimTime t);
 
   /// Fires at most one event (skipping cancelled entries); returns false
@@ -85,26 +138,41 @@ class Scheduler {
   bool step();
 
  private:
+  /// One heap entry: live iff `slots_[slot].seq == seq`.
   struct Entry {
     SimTime time;
     std::uint64_t seq;
-    std::shared_ptr<EventHandle::State> state;
+    std::uint32_t slot;
   };
-  struct EntryCompare {
+  static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
+  /// std::push_heap/pop_heap build a max-heap; invert for earliest-first,
+  /// breaking ties by insertion sequence.
+  struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      // std::priority_queue is a max-heap; invert for earliest-first,
-      // breaking ties by insertion sequence.
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  struct Slot {
+    Callback fn;
+    std::uint64_t seq = kNoSeq;        ///< seq of the live entry; kNoSeq: free
+    std::uint32_t next_free = kNoSlot;  ///< free-list link while free
+  };
+
+  void push(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  /// Clears `slot` (dropping its callback's captures) and recycles it.
+  void release(std::uint32_t slot) noexcept;
 
   const obs::Session session_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t epoch_ = 0;  ///< run_until calls completed (event log)
-  std::priority_queue<Entry, std::vector<Entry>, EntryCompare> queue_;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
   // Process-wide simulator metrics; the heap gauge is last-writer-wins
   // when several schedulers coexist (e.g. benchmark iterations).
   obs::Counter* ev_scheduled_;
@@ -112,5 +180,15 @@ class Scheduler {
   obs::Counter* ev_cancelled_;
   obs::Gauge* heap_size_;
 };
+
+inline bool Scheduler::EventHandle::pending() const noexcept {
+  return owner_ != nullptr && owner_->slots_[slot_].seq == seq_;
+}
+
+inline bool Scheduler::EventHandle::cancel() noexcept {
+  if (!pending()) return false;
+  owner_->release(slot_);
+  return true;
+}
 
 }  // namespace pandarus::sim

@@ -3,11 +3,14 @@
 // paper-shape properties) checked on the resulting telemetry.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "analysis/breakdown.hpp"
 #include "analysis/heatmap.hpp"
 #include "analysis/summary.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/campaign.hpp"
 
 namespace pandarus::scenario {
@@ -106,6 +109,37 @@ TEST(Campaign, DifferentSeedsDiffer) {
   config.seed = 2;
   const auto b = run_campaign(config);
   EXPECT_NE(a.events_processed, b.events_processed);
+}
+
+/// The 1-day seed-7 small campaign that CI, the crash harness and the
+/// microbenchmarks pin at 115/250/274 matched jobs.  The scheduler-work
+/// counters make any change to how much the simulator pushes, fires or
+/// cancels show up here, not only in CI's downstream steps.
+TEST(Campaign, SmallCampaignPinsMatchedJobsAndSchedulerWork) {
+  const auto counters = [] {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    return std::array<std::uint64_t, 3>{
+        snap.counter_value("pandarus_sim_events_scheduled_total"),
+        snap.counter_value("pandarus_sim_events_cancelled_total"),
+        snap.counter_value("pandarus_dms_transfer_reschedules_total")};
+  };
+  ScenarioConfig config = ScenarioConfig::small();
+  config.days = 1.0;
+  config.seed = 7;
+  const auto before = counters();
+  const ScenarioResult r = run_campaign(config, obs::Session{});
+  const auto after = counters();
+
+  const core::Matcher matcher(r.store);
+  const core::TriMatchResult tri = core::run_all_methods(matcher);
+  EXPECT_EQ(tri.exact.matched_job_count(), 115u);
+  EXPECT_EQ(tri.rm1.matched_job_count(), 250u);
+  EXPECT_EQ(tri.rm2.matched_job_count(), 274u);
+
+  EXPECT_EQ(r.events_processed, 25'451u);
+  EXPECT_EQ(after[0] - before[0], 80'992u);  // scheduled
+  EXPECT_EQ(after[1] - before[1], 55'541u);  // cancelled
+  EXPECT_EQ(after[2] - before[2], 62'809u);  // finish-time updates
 }
 
 TEST(Matching, MethodInclusionHoldsCampaignWide) {

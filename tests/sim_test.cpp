@@ -1,9 +1,16 @@
 // Unit tests for the discrete-event scheduler: ordering, tie-breaking,
-// cancellation, clock semantics, nested scheduling.
+// cancellation, rescheduling, slot reuse, clock semantics, nested
+// scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
 namespace pandarus::sim {
@@ -166,6 +173,174 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   s.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(s.processed_count(), 10'000u);
+}
+
+TEST(Scheduler, RunUntilSweepsPastHorizonWhenTopIsCancelled) {
+  // Known behaviour, kept on purpose (see run_until's comment): a
+  // cancelled entry inside the horizon lets step() fire the next live
+  // event even when it lies beyond the horizon.
+  Scheduler s;
+  bool fired = false;
+  auto early = s.schedule_at(10, [] {});
+  s.schedule_at(30, [&] { fired = true; });
+  early.cancel();
+  s.run_until(20);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(s.now(), 30);
+}
+
+TEST(Scheduler, RescheduleMovesEventAndKeepsCallback) {
+  Scheduler s;
+  std::vector<int> order;
+  auto moved = s.schedule_at(10, [&] { order.push_back(1); });
+  s.schedule_at(20, [&] { order.push_back(2); });
+  EXPECT_TRUE(s.reschedule(moved, 30));
+  EXPECT_TRUE(moved.pending());
+  EXPECT_EQ(s.queued_count(), 3u);  // the old entry stays until popped
+  s.run_until(25);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_TRUE(s.reschedule(moved, 5));  // past: clamped to now()
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(s.now(), 25);
+  EXPECT_FALSE(moved.pending());
+}
+
+TEST(Scheduler, StaleHandleIgnoresReusedSlot) {
+  Scheduler s;
+  bool a_fired = false;
+  bool b_fired = false;
+  auto a = s.schedule_at(10, [&] { a_fired = true; });
+  ASSERT_TRUE(a.cancel());
+  // The free list hands A's slot straight to B.
+  auto b = s.schedule_at(10, [&] { b_fired = true; });
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(a.cancel());
+  EXPECT_FALSE(s.reschedule(a, 20));
+  EXPECT_TRUE(b.pending());
+  s.run();
+  EXPECT_FALSE(a_fired);
+  EXPECT_TRUE(b_fired);
+  EXPECT_EQ(s.processed_count(), 1u);
+}
+
+TEST(Scheduler, RescheduleOfFiredCancelledOrDefaultHandleIsANoOp) {
+  const auto counters = [] {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    return std::array<std::uint64_t, 3>{
+        snap.counter_value("pandarus_sim_events_scheduled_total"),
+        snap.counter_value("pandarus_sim_events_fired_total"),
+        snap.counter_value("pandarus_sim_events_cancelled_total")};
+  };
+  Scheduler s;
+  Scheduler other;
+  auto fired = s.schedule_at(1, [] {});
+  s.run_until(1);
+  auto cancelled = s.schedule_at(5, [] {});
+  cancelled.cancel();
+  s.schedule_at(9, [] {});
+  auto foreign = other.schedule_at(5, [] {});
+  Scheduler::EventHandle none;
+
+  const auto before = counters();
+  const std::uint64_t queued = s.queued_count();
+  for (Scheduler::EventHandle* h : {&fired, &cancelled, &none, &foreign}) {
+    EXPECT_FALSE(s.reschedule(*h, 3));
+  }
+  EXPECT_EQ(s.queued_count(), queued);
+  EXPECT_EQ(s.processed_count(), 1u);
+  EXPECT_EQ(counters(), before);
+  EXPECT_TRUE(foreign.pending());  // still on its own scheduler
+  EXPECT_EQ(other.queued_count(), 1u);
+}
+
+/// One side of the differential test: a scheduler whose events record
+/// (time, id) when they fire, and move another event when their id is a
+/// multiple of three (as a rate change does from inside a callback).
+/// `use_reschedule` picks how events move.
+class MoveDriver {
+ public:
+  MoveDriver(bool use_reschedule, std::uint64_t seed)
+      : use_reschedule_(use_reschedule), rng_(seed) {}
+
+  void add(SimTime t) {
+    const std::size_t id = handles_.size();
+    handles_.push_back(s.schedule_at(t, callback(id)));
+  }
+  bool cancel(std::size_t id) { return handles_[id].cancel(); }
+  bool move(std::size_t id, SimTime t) {
+    if (use_reschedule_) return s.reschedule(handles_[id], t);
+    if (!handles_[id].cancel()) return false;
+    handles_[id] = s.schedule_at(t, callback(id));
+    return true;
+  }
+  [[nodiscard]] std::size_t size() const { return handles_.size(); }
+
+  Scheduler s;
+  std::vector<std::pair<SimTime, std::size_t>> fired;
+
+ private:
+  Scheduler::Callback callback(std::size_t id) {
+    return [this, id] {
+      fired.emplace_back(s.now(), id);
+      if (id % 3 == 0) {
+        const std::size_t other = rng_() % handles_.size();
+        move(other, s.now() + static_cast<SimTime>(rng_() % 50));
+      }
+    };
+  }
+
+  bool use_reschedule_;
+  std::mt19937_64 rng_;
+  std::vector<Scheduler::EventHandle> handles_;
+};
+
+TEST(Scheduler, RescheduleMatchesCancelPlusScheduleAt) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    MoveDriver a(/*use_reschedule=*/true, seed);
+    MoveDriver b(/*use_reschedule=*/false, seed);
+    std::mt19937_64 rng(seed * 7919);
+    SimTime horizon = 0;
+    std::size_t moves = 0;
+    for (int slice = 0; slice < 300; ++slice) {
+      const std::uint64_t ops = rng() % 40;
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        const std::uint64_t op = rng() % 10;
+        // Times may fall before now(); both sides clamp them alike.
+        const SimTime t = horizon + static_cast<SimTime>(rng() % 200) - 20;
+        if (op < 4 || a.size() == 0) {
+          a.add(t);
+          b.add(t);
+          continue;
+        }
+        // Mostly recent ids, so that most cancels and moves hit a
+        // pending event.
+        const std::size_t id =
+            a.size() - 1 - rng() % std::min<std::size_t>(a.size(), 32);
+        if (op < 6) {
+          ASSERT_EQ(a.cancel(id), b.cancel(id));
+        } else {
+          const bool moved = a.move(id, t);
+          ASSERT_EQ(moved, b.move(id, t));
+          if (moved) ++moves;
+        }
+      }
+      horizon += static_cast<SimTime>(rng() % 60);
+      a.s.run_until(horizon);
+      b.s.run_until(horizon);
+      ASSERT_EQ(a.fired, b.fired) << "seed " << seed << " slice " << slice;
+      ASSERT_EQ(a.s.processed_count(), b.s.processed_count());
+      ASSERT_EQ(a.s.queued_count(), b.s.queued_count());
+      ASSERT_EQ(a.s.now(), b.s.now());
+    }
+    a.s.run();
+    b.s.run();
+    EXPECT_EQ(a.fired, b.fired);
+    EXPECT_EQ(a.s.processed_count(), b.s.processed_count());
+    EXPECT_EQ(a.s.queued_count(), 0u);
+    EXPECT_GT(moves, 500u) << moves;
+    EXPECT_GT(a.fired.size(), 1000u);
+  }
 }
 
 }  // namespace
