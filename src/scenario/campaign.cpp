@@ -405,15 +405,16 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   // in the env session) and the resume verifier `on_day` share one
   // observation point: the day boundary, right after that day's
   // publish().  Assembling the fingerprints costs a few container walks
-  // per simulated day and is skipped entirely when neither consumer is
-  // armed, so default runs stay byte- and cost-identical.
+  // and one pass over the store per simulated day (the store digest is
+  // recomputed in full, because finalize_task() backfills job rows), and
+  // is skipped entirely when neither consumer is armed, so default runs
+  // stay byte- and cost-identical.
   CheckpointWriter checkpoints(config, session.checkpoint_dir);
   const auto day_boundary = [&](std::int64_t day) {
     if (!checkpoints.active() && !on_day) return;
     DayBoundary boundary;
     boundary.day = day;
     boundary.sim_now = scheduler.now();
-    boundary.store = &result.store;
     boundary.log = log;
     boundary.flows_tracked = flows != nullptr;
     Fingerprint& f = boundary.fingerprint;
@@ -426,6 +427,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
     f.store_jobs = counts.jobs;
     f.store_files = counts.files;
     f.store_transfers = counts.transfers;
+    f.store_digest = telemetry::store_digest(result.store);
     checkpoints.on_day_boundary(boundary);
     if (on_day) on_day(boundary);
   };

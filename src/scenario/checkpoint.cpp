@@ -8,13 +8,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
-#include "telemetry/io.hpp"
 #include "util/crc32.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -22,7 +20,9 @@
 namespace pandarus::scenario {
 namespace {
 
-constexpr char kMagic[8] = {'P', 'C', 'K', 'P', 'T', '0', '1', '\n'};
+constexpr char kMagic[8] = {'P', 'C', 'K', 'P', 'T', '0', '2', '\n'};
+/// Shared by every frame version; the two digits after it name one.
+constexpr std::size_t kMagicFamily = 5;
 
 void put_u32_le(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v & 0xFF));
@@ -36,13 +36,8 @@ void put_u64_le(std::string& out, std::uint64_t v) {
   put_u32_le(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-void put_blob(std::string& out, const std::string& s) {
-  put_u64_le(out, s.size());
-  out.append(s);
-}
-
 /// Bounds-checked little-endian reader over a serialized payload; any
-/// short read trips `ok` and subsequent reads return zero/empty.
+/// short read trips `ok` and subsequent reads return zero.
 struct Reader {
   const unsigned char* p = nullptr;
   std::size_t n = 0;
@@ -77,17 +72,6 @@ struct Reader {
     --n;
     return v;
   }
-  std::string blob() {
-    const std::uint64_t len = u64();
-    if (!ok || n < len) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), len);
-    p += len;
-    n -= len;
-    return s;
-  }
 };
 
 std::string serialize_payload(const Checkpoint& ckpt) {
@@ -111,9 +95,7 @@ std::string serialize_payload(const Checkpoint& ckpt) {
   put_u64_le(payload, f.store_jobs);
   put_u64_le(payload, f.store_files);
   put_u64_le(payload, f.store_transfers);
-  put_blob(payload, ckpt.store_jobs_csv);
-  put_blob(payload, ckpt.store_files_csv);
-  put_blob(payload, ckpt.store_transfers_csv);
+  put_u64_le(payload, f.store_digest);
   return payload;
 }
 
@@ -139,9 +121,7 @@ bool parse_payload(const std::string& payload, Checkpoint& out) {
   f.store_jobs = r.u64();
   f.store_files = r.u64();
   f.store_transfers = r.u64();
-  out.store_jobs_csv = r.blob();
-  out.store_files_csv = r.blob();
-  out.store_transfers_csv = r.blob();
+  f.store_digest = r.u64();
   return r.ok && r.n == 0;
 }
 
@@ -170,14 +150,6 @@ bool read_whole_file(const std::string& path, std::string& out,
   std::fclose(f);
   if (!ok && error != nullptr) *error = "read error on " + path;
   return ok;
-}
-
-std::string store_csv(void (*writer)(std::ostream&,
-                                     const telemetry::MetadataStore&),
-                      const telemetry::MetadataStore& store) {
-  std::ostringstream os;
-  writer(os, store);
-  return std::move(os).str();
 }
 
 }  // namespace
@@ -238,6 +210,16 @@ std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
   std::string frame;
   if (!read_whole_file(path, frame, error)) return std::nullopt;
   const std::size_t header = sizeof kMagic + 8;
+  if (frame.size() >= sizeof kMagic &&
+      std::memcmp(frame.data(), kMagic, kMagicFamily) == 0 &&
+      std::memcmp(frame.data(), kMagic, sizeof kMagic) != 0) {
+    if (error != nullptr) {
+      *error = path + ": unsupported checkpoint format " +
+               frame.substr(0, sizeof kMagic - 1) + " (this build reads " +
+               std::string(kMagic, sizeof kMagic - 1) + ")";
+    }
+    return std::nullopt;
+  }
   if (frame.size() < header + 4 ||
       std::memcmp(frame.data(), kMagic, sizeof kMagic) != 0) {
     if (error != nullptr) *error = path + ": not a checkpoint file";
@@ -344,12 +326,6 @@ void CheckpointWriter::on_day_boundary(const detail::DayBoundary& b) {
   ckpt.prefix_crc = prefix_crc_.value();
   ckpt.flows_tracked = b.flows_tracked;
   ckpt.fingerprint = b.fingerprint;
-  if (b.store != nullptr) {
-    ckpt.store_jobs_csv = store_csv(&telemetry::write_jobs_csv, *b.store);
-    ckpt.store_files_csv = store_csv(&telemetry::write_files_csv, *b.store);
-    ckpt.store_transfers_csv =
-        store_csv(&telemetry::write_transfers_csv, *b.store);
-  }
   if (write_checkpoint(ckpt, dir_)) ++written_;
 }
 
@@ -376,7 +352,6 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
     std::uint64_t bytes = 0;
     bool saw_day = false;
     bool fingerprint_ok = false;
-    bool store_ok = false;
     bool prefix_ok = false;
   } state;
 
@@ -397,14 +372,6 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
                           (b.log == nullptr ||
                            (b.log->watermark() == ckpt->log_watermark &&
                             b.log->bytes_written() == ckpt->log_bytes));
-        state.store_ok =
-            b.store != nullptr &&
-            store_csv(&telemetry::write_jobs_csv, *b.store) ==
-                ckpt->store_jobs_csv &&
-            store_csv(&telemetry::write_files_csv, *b.store) ==
-                ckpt->store_files_csv &&
-            store_csv(&telemetry::write_transfers_csv, *b.store) ==
-                ckpt->store_transfers_csv;
       };
 
   // Fresh sinks for the deterministic re-execution; same defaults as a
@@ -425,27 +392,20 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
   if (!ckpt) {
     // Nothing to resume from (crash before the first day boundary, or
     // every snapshot torn): the from-scratch run stands on its own.
-    out.suffix = out.full_ndjson;
     out.ok = true;
     return out;
   }
 
-  out.checkpoint = std::move(*ckpt);
-  out.fingerprint_verified =
-      state.saw_day && state.fingerprint_ok && state.store_ok;
+  out.fingerprint_verified = state.saw_day && state.fingerprint_ok;
   out.prefix_verified = state.saw_day && state.prefix_ok;
   out.ok = out.fingerprint_verified && out.prefix_verified;
-  if (out.ok) {
-    out.suffix = out.full_ndjson.substr(
-        std::min<std::size_t>(out.checkpoint.prefix_bytes,
-                              out.full_ndjson.size()));
-  } else if (!state.saw_day) {
+  if (out.ok) return out;
+  if (!state.saw_day) {
     out.error = "resume_campaign: re-run never reached the checkpoint day";
   } else {
     out.error = std::string("resume_campaign: re-run diverged at day ") +
-                std::to_string(out.checkpoint.day) + " (" +
+                std::to_string(ckpt->day) + " (" +
                 (state.fingerprint_ok ? "" : "fingerprint ") +
-                (state.store_ok ? "" : "store ") +
                 (state.prefix_ok ? "" : "prefix ") + "mismatch)";
   }
   return out;

@@ -9,27 +9,33 @@
 //
 //   - a digest of the determinism-relevant config knobs,
 //   - fingerprints of every stateful component (scheduler event
-//     counts, TransferEngine/Injector/FlowTracker state_digest()s),
-//   - the full MetadataStore as CSV blobs,
+//     counts, TransferEngine/Injector/FlowTracker state_digest()s, the
+//     MetadataStore's row counts and telemetry::store_digest),
 //   - the byte count and CRC32 of the EventLog's published NDJSON
 //     prefix at that boundary.
+//
+// That is 161 bytes whatever the campaign's size: the event stream is
+// the log, so a snapshot needs a position and digests, not a second
+// copy of the state.
 //
 // resume_campaign() then re-executes the campaign from its seed with a
 // fresh EventLog in its own obs::Session (so it runs beside any other
 // log in the process) and, at the checkpointed day, verifies that every
-// fingerprint, the store blobs, and the regenerated prefix CRC match
-// the snapshot.  When they do, the regenerated stream is bit-identical
-// to the crashed run's, so its suffix can be spliced onto whatever
-// prefix obs::recover salvaged from disk:
+// fingerprint and the regenerated prefix CRC match the snapshot.  When
+// they do, the regenerated stream is bit-identical to the crashed
+// run's, so its suffix can be spliced onto whatever prefix obs::recover
+// salvaged from disk:
 //
 //   salvaged == full[:salvaged.size()]           (prefix invariant)
 //   salvaged + full[salvaged.size():] == uninterrupted run   (parity)
 //
-// Snapshot files are self-validating: magic + length-framed payload +
-// trailing CRC32, written tmp→fsync→rename so a crash mid-write never
-// leaves a loadable-but-torn file.  load_latest_checkpoint() walks the
-// directory newest-day-first and skips snapshots that fail validation,
-// so a torn final snapshot silently falls back to the previous day.
+// Snapshot files are self-validating: magic (`PCKPT02`, frame v2) +
+// length-framed payload + trailing CRC32, written tmp→fsync→rename so a
+// crash mid-write never leaves a loadable-but-torn file.  A file of
+// another frame version is rejected with an error naming its format.
+// load_latest_checkpoint() walks the directory newest-day-first and
+// skips snapshots that fail validation, so a torn (or older-format)
+// final snapshot falls back to the previous day.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +62,12 @@ struct Fingerprint {
   std::uint64_t store_jobs = 0;
   std::uint64_t store_files = 0;
   std::uint64_t store_transfers = 0;
+  std::uint64_t store_digest = 0;  ///< telemetry::store_digest
 
   [[nodiscard]] bool operator==(const Fingerprint&) const = default;
 };
 
-/// One per-day snapshot.  `store_*_csv` carry the full MetadataStore so
-/// verification compares actual content, not just counts.
+/// One per-day snapshot.
 struct Checkpoint {
   std::uint64_t config_digest = 0;
   std::int64_t day = -1;     ///< day index just completed (0-based)
@@ -76,9 +82,6 @@ struct Checkpoint {
   std::uint32_t prefix_crc = 0;
   bool flows_tracked = false;
   Fingerprint fingerprint;
-  std::string store_jobs_csv;
-  std::string store_files_csv;
-  std::string store_transfers_csv;
 };
 
 /// Digest of the determinism-relevant ScenarioConfig knobs; stored in
@@ -91,8 +94,8 @@ struct Checkpoint {
 bool write_checkpoint(const Checkpoint& ckpt, const std::string& dir);
 
 /// Parses and validates one snapshot file.  nullopt (with `error` set
-/// when non-null) on open failure, bad magic, short payload, or CRC
-/// mismatch.
+/// when non-null) on open failure, bad magic, another frame version
+/// (the error names it), short payload, or CRC mismatch.
 std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
                                                std::string* error = nullptr);
 
@@ -110,7 +113,6 @@ struct DayBoundary {
   std::int64_t day = 0;
   std::int64_t sim_now = 0;
   Fingerprint fingerprint;
-  const telemetry::MetadataStore* store = nullptr;
   obs::EventLog* log = nullptr;  ///< the session's log; may be null
   bool flows_tracked = false;  ///< the session has a FlowTracker
 };
@@ -151,9 +153,9 @@ class CheckpointWriter {
 
 /// Result of resume_campaign().  When `had_checkpoint`, `ok` requires
 /// both verification bits; `full_ndjson` is the regenerated complete
-/// stream (byte-identical to an uninterrupted run) and `suffix` is the
-/// part after the checkpointed prefix.  Callers splice at whatever
-/// prefix length they actually salvaged from disk:
+/// stream (byte-identical to an uninterrupted run), of which the
+/// checkpointed prefix is the first `prefix_bytes`.  Callers splice at
+/// whatever prefix length they actually salvaged from disk:
 ///   final = salvaged + full_ndjson.substr(salvaged.size())
 /// after checking salvaged == full_ndjson[:salvaged.size()].
 struct ResumeOutcome {
@@ -164,10 +166,8 @@ struct ResumeOutcome {
   std::uint64_t prefix_bytes = 0;
   bool fingerprint_verified = false;
   bool prefix_verified = false;
-  Checkpoint checkpoint;
   ScenarioResult result;
   std::string full_ndjson;
-  std::string suffix;
 };
 
 /// Re-executes the campaign deterministically in a session of its own:

@@ -1,29 +1,17 @@
 #include "telemetry/io.hpp"
 
-#include <charconv>
 #include <fstream>
+#include <functional>
 #include <ostream>
+#include <string_view>
 
 #include "obs/event_log.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace pandarus::telemetry {
 namespace {
-
-template <typename T>
-bool parse_num(const std::string& s, T& out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-bool parse_site(const std::string& s, grid::SiteId& out) {
-  if (s == "UNKNOWN") {
-    out = grid::kUnknownSite;
-    return true;
-  }
-  return parse_num(s, out);
-}
 
 std::string site_str(grid::SiteId site) {
   return site == grid::kUnknownSite ? "UNKNOWN" : std::to_string(site);
@@ -89,102 +77,6 @@ bool export_store(const std::string& prefix, const MetadataStore& store) {
   return true;
 }
 
-std::size_t read_jobs_csv(std::istream& is, MetadataStore& store) {
-  std::size_t skipped = 0;
-  bool header = true;
-  for (const auto& row : util::read_csv(is)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    JobRecord j;
-    int failed = 0;
-    int direct_io = 0;
-    int task_status = 0;
-    if (row.size() != 12 || !parse_num(row[0], j.pandaid) ||
-        !parse_num(row[1], j.jeditaskid) ||
-        !parse_site(row[2], j.computing_site) ||
-        !parse_num(row[3], j.creation_time) ||
-        !parse_num(row[4], j.start_time) ||
-        !parse_num(row[5], j.end_time) ||
-        !parse_num(row[6], j.ninputfilebytes) ||
-        !parse_num(row[7], j.noutputfilebytes) ||
-        !parse_num(row[8], failed) || !parse_num(row[9], j.error_code) ||
-        !parse_num(row[10], direct_io) || !parse_num(row[11], task_status)) {
-      ++skipped;
-      continue;
-    }
-    j.failed = failed != 0;
-    j.direct_io = direct_io != 0;
-    j.task_status = static_cast<wms::TaskStatus>(task_status);
-    store.record_job(std::move(j));
-  }
-  return skipped;
-}
-
-std::size_t read_files_csv(std::istream& is, MetadataStore& store) {
-  std::size_t skipped = 0;
-  bool header = true;
-  for (const auto& row : util::read_csv(is)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    FileRecord f;
-    int direction = 0;
-    if (row.size() != 8 || !parse_num(row[0], f.pandaid) ||
-        !parse_num(row[1], f.jeditaskid) || !parse_num(row[6], f.file_size) ||
-        !parse_num(row[7], direction)) {
-      ++skipped;
-      continue;
-    }
-    f.lfn = row[2];
-    f.dataset = row[3];
-    f.proddblock = row[4];
-    f.scope = row[5];
-    f.direction = static_cast<FileDirection>(direction);
-    store.record_file(std::move(f));
-  }
-  return skipped;
-}
-
-std::size_t read_transfers_csv(std::istream& is, MetadataStore& store) {
-  std::size_t skipped = 0;
-  bool header = true;
-  for (const auto& row : util::read_csv(is)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    TransferRecord t;
-    int activity = 0;
-    int success = 0;
-    int error = 0;
-    // 13-column files predate the error column; keep reading them.
-    const bool has_error = row.size() == 14;
-    if ((row.size() != 13 && row.size() != 14) ||
-        !parse_num(row[0], t.transfer_id) ||
-        !parse_num(row[1], t.jeditaskid) || !parse_num(row[6], t.file_size) ||
-        !parse_site(row[7], t.source_site) ||
-        !parse_site(row[8], t.destination_site) ||
-        !parse_num(row[9], activity) || !parse_num(row[10], t.started_at) ||
-        !parse_num(row[11], t.finished_at) || !parse_num(row[12], success) ||
-        (has_error && !parse_num(row[13], error))) {
-      ++skipped;
-      continue;
-    }
-    t.lfn = row[2];
-    t.dataset = row[3];
-    t.proddblock = row[4];
-    t.scope = row[5];
-    t.activity = static_cast<dms::Activity>(activity);
-    t.success = success != 0;
-    t.error = static_cast<dms::TransferError>(error);
-    store.record_transfer(std::move(t));
-  }
-  return skipped;
-}
-
 std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
                               obs::EventLog* log) {
   if (log == nullptr) return 0;
@@ -234,6 +126,44 @@ std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
     ++emitted;
   }
   return emitted;
+}
+
+std::uint64_t store_digest(const MetadataStore& store) {
+  const auto text = [](const std::string& s) -> std::uint64_t {
+    return std::hash<std::string_view>{}(s);
+  };
+  const auto i64 = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(v);
+  };
+  std::uint64_t h = util::hash_mix(store.jobs().size(), store.files().size(),
+                                   store.transfers().size());
+  for (const JobRecord& j : store.jobs()) {
+    h = util::hash_mix(h, i64(j.pandaid), i64(j.jeditaskid));
+    h = util::hash_mix(h, j.computing_site, i64(j.creation_time));
+    h = util::hash_mix(h, i64(j.start_time), i64(j.end_time));
+    h = util::hash_mix(h, j.ninputfilebytes, j.noutputfilebytes);
+    h = util::hash_mix(h, j.failed, i64(j.error_code));
+    h = util::hash_mix(h, j.direct_io,
+                       static_cast<std::uint64_t>(j.task_status));
+  }
+  for (const FileRecord& f : store.files()) {
+    h = util::hash_mix(h, i64(f.pandaid), i64(f.jeditaskid));
+    h = util::hash_mix(h, text(f.lfn), text(f.dataset));
+    h = util::hash_mix(h, text(f.proddblock), text(f.scope));
+    h = util::hash_mix(h, f.file_size,
+                       static_cast<std::uint64_t>(f.direction));
+  }
+  for (const TransferRecord& t : store.transfers()) {
+    h = util::hash_mix(h, t.transfer_id, i64(t.jeditaskid));
+    h = util::hash_mix(h, text(t.lfn), text(t.dataset));
+    h = util::hash_mix(h, text(t.proddblock), text(t.scope));
+    h = util::hash_mix(h, t.file_size, t.source_site);
+    h = util::hash_mix(h, t.destination_site,
+                       static_cast<std::uint64_t>(t.activity));
+    h = util::hash_mix(h, i64(t.started_at), i64(t.finished_at));
+    h = util::hash_mix(h, t.success, static_cast<std::uint64_t>(t.error));
+  }
+  return h;
 }
 
 }  // namespace pandarus::telemetry

@@ -1,8 +1,11 @@
-// CSV export/import of a MetadataStore, so campaigns can be archived and
-// re-analyzed without re-simulating (and so external tools can plot the
-// figure artefacts).
+// Per-field walks over a MetadataStore: CSV export (raw telemetry and
+// figure artefacts for external tools), the harvest into the event
+// stream, and the store digest that checkpoints compare.  There is no
+// CSV import: a store is rebuilt from disk by replaying the harvest
+// records of an event stream (analysis::replay_events).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -23,12 +26,6 @@ void write_transfers_csv(std::ostream& os, const MetadataStore& store);
 /// Returns false (with a warning log) if any file could not be opened.
 bool export_store(const std::string& prefix, const MetadataStore& store);
 
-/// Reads record streams back.  Rows that fail to parse are skipped and
-/// counted in the returned value.
-std::size_t read_jobs_csv(std::istream& is, MetadataStore& store);
-std::size_t read_files_csv(std::istream& is, MetadataStore& store);
-std::size_t read_transfers_csv(std::istream& is, MetadataStore& store);
-
 /// Emits one job_record / file_record / transfer_record event per store
 /// row to `log` (no-op when null), all stamped `ts`.  Rows go out in
 /// store order, so a replay that re-records them rebuilds an
@@ -37,5 +34,12 @@ std::size_t read_transfers_csv(std::istream& is, MetadataStore& store);
 /// analyses see.  Returns the number of events emitted.
 std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
                               obs::EventLog* log);
+
+/// Order-sensitive hash of every field of every row, family by family.
+/// String fields contribute their bytes, not their symbol ids (ids are
+/// local to one store's interner), so two stores holding equal rows in
+/// equal order agree however they were built.  Deterministic for one
+/// build; a full pass, because finalize_task() backfills job rows.
+[[nodiscard]] std::uint64_t store_digest(const MetadataStore& store);
 
 }  // namespace pandarus::telemetry

@@ -1,6 +1,5 @@
 #include "util/csv.hpp"
 
-#include <istream>
 #include <ostream>
 
 namespace pandarus::util {
@@ -31,48 +30,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
     write_field(os_, fields[i]);
   }
   os_ << '\n';
-}
-
-std::vector<std::string> parse_csv_line(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current += ch;
-      }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else if (ch == '\r') {
-      // tolerate CRLF
-    } else {
-      current += ch;
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
-std::vector<std::vector<std::string>> read_csv(std::istream& is) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line == "\r") continue;
-    rows.push_back(parse_csv_line(line));
-  }
-  return rows;
 }
 
 }  // namespace pandarus::util

@@ -1,8 +1,7 @@
-// Minimal CSV reading/writing (RFC-4180 quoting) for telemetry
-// export/import and figure artefacts.
+// Minimal CSV writing (RFC-4180 quoting) for telemetry export and
+// figure artefacts.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -38,13 +37,5 @@ class CsvWriter {
 
   std::ostream& os_;
 };
-
-/// Parses one CSV line into fields (handles quoted fields with embedded
-/// commas and doubled quotes; embedded newlines are not supported since
-/// the telemetry exporters never produce them).
-[[nodiscard]] std::vector<std::string> parse_csv_line(std::string_view line);
-
-/// Reads all rows from a stream; skips fully empty lines.
-[[nodiscard]] std::vector<std::vector<std::string>> read_csv(std::istream& is);
 
 }  // namespace pandarus::util

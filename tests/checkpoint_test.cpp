@@ -1,7 +1,8 @@
-// Checkpoint/resume: snapshot round trips, torn-snapshot fallback,
-// per-day snapshot emission from run_campaign, and the core resume
-// invariant — the resumed stream is byte-identical to an uninterrupted
-// run, so any salvaged on-disk prefix splices back to full parity.
+// Checkpoint/resume: snapshot round trips, torn and older-format
+// snapshot fallback, per-day snapshot emission from run_campaign, the
+// core resume invariant — the resumed stream is byte-identical to an
+// uninterrupted run, so any salvaged on-disk prefix splices back to
+// full parity — and rejection of a snapshot whose store digest differs.
 //
 // None of these tests may touch core::Matcher: its metric counters feed
 // the campaign sampler, so a match run between two campaigns would
@@ -20,6 +21,8 @@
 #include "scenario/campaign.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/config.hpp"
+#include "telemetry/io.hpp"
+#include "util/crc32.hpp"
 
 namespace pandarus {
 namespace {
@@ -60,11 +63,14 @@ Checkpoint sample_checkpoint(std::int64_t day) {
   ckpt.prefix_bytes = 98'765;
   ckpt.prefix_crc = 0xDEADBEEF;
   ckpt.flows_tracked = true;
-  ckpt.fingerprint = {11, 22, 33, 44, 55, 66, 77, 88};
-  ckpt.store_jobs_csv = "pandaid,jeditaskid\n1,2\n";
-  ckpt.store_files_csv = "lfn\nfile.root\n";
-  ckpt.store_transfers_csv = "";
+  ckpt.fingerprint = {11, 22, 33, 44, 55, 66, 77, 88, 99};
   return ckpt;
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
 }
 
 TEST(CheckpointTest, SnapshotRoundTrip) {
@@ -85,9 +91,6 @@ TEST(CheckpointTest, SnapshotRoundTrip) {
   EXPECT_EQ(loaded->prefix_crc, ckpt.prefix_crc);
   EXPECT_EQ(loaded->flows_tracked, ckpt.flows_tracked);
   EXPECT_EQ(loaded->fingerprint, ckpt.fingerprint);
-  EXPECT_EQ(loaded->store_jobs_csv, ckpt.store_jobs_csv);
-  EXPECT_EQ(loaded->store_files_csv, ckpt.store_files_csv);
-  EXPECT_EQ(loaded->store_transfers_csv, ckpt.store_transfers_csv);
 }
 
 TEST(CheckpointTest, TornNewestSnapshotFallsBackToPrevious) {
@@ -112,6 +115,30 @@ TEST(CheckpointTest, TornNewestSnapshotFallsBackToPrevious) {
   const auto none = scenario::load_latest_checkpoint(dir.path(), &error);
   EXPECT_FALSE(none.has_value());
   EXPECT_FALSE(error.empty());
+}
+
+TEST(CheckpointTest, OlderFrameVersionIsRejectedByName) {
+  TempDir dir("ckpt_v1");
+  ASSERT_TRUE(scenario::write_checkpoint(sample_checkpoint(0), dir.path()));
+  // A newer snapshot in the retired v1 frame.  Its length and CRC are
+  // valid, so only the format version can reject it.
+  const std::string payload = "v1 payload with three CSV blobs";
+  std::string frame = "PCKPT01\n";
+  put_le(frame, payload.size(), 8);
+  frame += payload;
+  put_le(frame, util::crc32(payload), 4);
+  const std::string v1_path = dir.path() + "/ckpt-day-0001.pckpt";
+  std::FILE* f = std::fopen(v1_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+  ASSERT_EQ(std::fclose(f), 0);
+
+  std::string error;
+  EXPECT_FALSE(scenario::load_checkpoint_file(v1_path, &error).has_value());
+  EXPECT_NE(error.find("PCKPT01"), std::string::npos) << error;
+  const auto loaded = scenario::load_latest_checkpoint(dir.path(), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->day, 0);
 }
 
 TEST(CheckpointTest, ConfigDigestSeparatesSeedsNotOutputKnobs) {
@@ -160,7 +187,8 @@ TEST(CheckpointTest, CampaignWritesPerDaySnapshotsAndStaysByteIdentical) {
   EXPECT_GT(latest->prefix_bytes, 0u);
   EXPECT_GT(latest->fingerprint.scheduler_processed, 0u);
   EXPECT_GT(latest->fingerprint.store_transfers, 0u);
-  EXPECT_FALSE(latest->store_jobs_csv.empty());
+  EXPECT_NE(latest->fingerprint.store_digest,
+            telemetry::store_digest(telemetry::MetadataStore{}));
 }
 
 TEST(CheckpointTest, ResumeSplicesBackToByteParity) {
@@ -200,9 +228,13 @@ TEST(CheckpointTest, ResumeSplicesBackToByteParity) {
   EXPECT_EQ(resume.full_ndjson.compare(0, salvaged.size(), salvaged), 0);
   EXPECT_EQ(salvaged + resume.full_ndjson.substr(salvaged.size()),
             reference);
-  // The checkpointed prefix is consistent with the returned suffix.
-  EXPECT_EQ(resume.prefix_bytes + resume.suffix.size(),
-            resume.full_ndjson.size());
+  // The checkpointed prefix ends on a line of the regenerated stream;
+  // the suffix after it carries at least the harvest.
+  ASSERT_GT(resume.prefix_bytes, 0u);
+  ASSERT_LT(resume.prefix_bytes, resume.full_ndjson.size());
+  EXPECT_EQ(resume.full_ndjson[resume.prefix_bytes - 1], '\n');
+  const std::string suffix = resume.full_ndjson.substr(resume.prefix_bytes);
+  EXPECT_NE(suffix.find("\"transfer_record\""), std::string::npos);
 }
 
 TEST(CheckpointTest, ResumeRunsBesideAnotherLogAndLeavesItAlone) {
@@ -248,7 +280,8 @@ TEST(CheckpointTest, ResumeWithoutSnapshotsRunsFromScratch) {
   EXPECT_FALSE(resume.had_checkpoint);
   EXPECT_EQ(resume.resumed_day, -1);
   EXPECT_FALSE(resume.full_ndjson.empty());
-  EXPECT_EQ(resume.suffix, resume.full_ndjson);
+  // No checkpointed prefix: the whole stream is the suffix.
+  EXPECT_EQ(resume.prefix_bytes, 0u);
 }
 
 TEST(CheckpointTest, ResumeRejectsMismatchedConfig) {
@@ -267,6 +300,34 @@ TEST(CheckpointTest, ResumeRejectsMismatchedConfig) {
       scenario::resume_campaign(other, dir.path());
   EXPECT_FALSE(resume.ok);
   EXPECT_NE(resume.error.find("config"), std::string::npos);
+}
+
+TEST(CheckpointTest, ResumeRejectsSnapshotWithDifferentStoreDigest) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.seed = 7;
+  TempDir dir("ckpt_tamper");
+  {
+    obs::EventLog log;
+    (void)scenario::run_campaign(
+        config, {.events = &log, .checkpoint_dir = dir.path()});
+    log.close();
+  }
+  std::string error;
+  const auto latest = scenario::load_latest_checkpoint(dir.path(), &error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  Checkpoint tampered = *latest;
+  tampered.fingerprint.store_digest ^= 1;
+  ASSERT_TRUE(scenario::write_checkpoint(tampered, dir.path()));
+
+  const scenario::ResumeOutcome resume =
+      scenario::resume_campaign(config, dir.path());
+  EXPECT_TRUE(resume.had_checkpoint);
+  EXPECT_EQ(resume.resumed_day, latest->day);
+  EXPECT_FALSE(resume.ok);
+  EXPECT_FALSE(resume.fingerprint_verified);
+  EXPECT_TRUE(resume.prefix_verified);
+  EXPECT_NE(resume.error.find("fingerprint mismatch"), std::string::npos)
+      << resume.error;
 }
 
 }  // namespace

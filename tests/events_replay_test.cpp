@@ -213,6 +213,8 @@ TEST(EventsReplay, ReplayedStoreReproducesInMemoryAnalyses) {
   ASSERT_EQ(rep_counts.transfers, mem_counts.transfers);
   EXPECT_EQ(rep_counts.transfers_with_taskid,
             mem_counts.transfers_with_taskid);
+  EXPECT_EQ(telemetry::store_digest(replay.store),
+            telemetry::store_digest(result.store));
 
   // Matching: all three methods agree job-for-job.
   const core::Matcher mem_matcher(result.store);

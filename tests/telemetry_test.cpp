@@ -1,8 +1,12 @@
 // Unit tests for the telemetry layer: records, the store, recorder
-// conversion, corruption injection, CSV round-trips.
+// conversion, corruption injection, CSV export bytes and the store
+// digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "telemetry/corruption.hpp"
 #include "telemetry/io.hpp"
@@ -271,7 +275,20 @@ TEST(Corruption, DropChannelsShrinkStores) {
   EXPECT_NEAR(static_cast<double>(report.file_records_dropped), 300.0, 80.0);
 }
 
-TEST(Io, RoundTripPreservesRecords) {
+FileRecord basic_file(std::string lfn) {
+  FileRecord f;
+  f.pandaid = 1;
+  f.jeditaskid = 5;
+  f.lfn = std::move(lfn);
+  f.dataset = "ds";
+  f.proddblock = "blk";
+  f.scope = "mc23";
+  f.file_size = 42;
+  f.direction = FileDirection::kOutput;
+  return f;
+}
+
+TEST(Io, CsvWritersEmitGoldenBytes) {
   MetadataStore store;
   store.record_job(basic_job(1, 5, 1000));
   JobRecord failed = basic_job(2, 6, 2000);
@@ -280,63 +297,127 @@ TEST(Io, RoundTripPreservesRecords) {
   failed.task_status = wms::TaskStatus::kFailed;
   failed.computing_site = grid::kUnknownSite;
   store.record_job(failed);
-
-  FileRecord f;
-  f.pandaid = 1;
-  f.jeditaskid = 5;
-  f.lfn = "a,b";  // comma forces quoting
-  f.dataset = "ds";
-  f.proddblock = "blk";
-  f.scope = "mc23";
-  f.file_size = 42;
-  f.direction = FileDirection::kOutput;
-  store.record_file(f);
-
+  store.record_file(basic_file("a,b"));  // comma forces quoting
   TransferRecord t = basic_transfer(9);
   t.destination_site = grid::kUnknownSite;
   t.success = false;
+  t.error = dms::TransferError::kStalledTerminal;
   store.record_transfer(t);
 
-  std::stringstream jobs_csv;
-  std::stringstream files_csv;
-  std::stringstream transfers_csv;
-  write_jobs_csv(jobs_csv, store);
-  write_files_csv(files_csv, store);
-  write_transfers_csv(transfers_csv, store);
-
-  MetadataStore loaded;
-  EXPECT_EQ(read_jobs_csv(jobs_csv, loaded), 0u);
-  EXPECT_EQ(read_files_csv(files_csv, loaded), 0u);
-  EXPECT_EQ(read_transfers_csv(transfers_csv, loaded), 0u);
-
-  ASSERT_EQ(loaded.jobs().size(), 2u);
-  EXPECT_EQ(loaded.jobs()[1].pandaid, 2);
-  EXPECT_TRUE(loaded.jobs()[1].failed);
-  EXPECT_EQ(loaded.jobs()[1].error_code, 1305);
-  EXPECT_EQ(loaded.jobs()[1].task_status, wms::TaskStatus::kFailed);
-  EXPECT_EQ(loaded.jobs()[1].computing_site, grid::kUnknownSite);
-
-  ASSERT_EQ(loaded.files().size(), 1u);
-  EXPECT_EQ(loaded.files()[0].lfn, "a,b");
-  EXPECT_EQ(loaded.files()[0].direction, FileDirection::kOutput);
-
-  ASSERT_EQ(loaded.transfers().size(), 1u);
-  EXPECT_EQ(loaded.transfers()[0].destination_site, grid::kUnknownSite);
-  EXPECT_FALSE(loaded.transfers()[0].success);
-  EXPECT_EQ(loaded.transfers()[0].lfn, "f9");
+  std::ostringstream jobs;
+  std::ostringstream files;
+  std::ostringstream transfers;
+  write_jobs_csv(jobs, store);
+  write_files_csv(files, store);
+  write_transfers_csv(transfers, store);
+  EXPECT_EQ(jobs.str(),
+            "pandaid,jeditaskid,computing_site,creation_time,start_time,"
+            "end_time,ninputfilebytes,noutputfilebytes,failed,error_code,"
+            "direct_io,task_status\n"
+            "1,5,1,0,500,1000,123,0,0,0,0,0\n"
+            "2,6,UNKNOWN,0,1000,2000,123,0,1,1305,0,2\n");
+  EXPECT_EQ(files.str(),
+            "pandaid,jeditaskid,lfn,dataset,proddblock,scope,file_size,"
+            "direction\n"
+            "1,5,\"a,b\",ds,blk,mc23,42,1\n");
+  EXPECT_EQ(transfers.str(),
+            "transfer_id,jeditaskid,lfn,dataset,proddblock,scope,file_size,"
+            "source_site,destination_site,activity,started_at,finished_at,"
+            "success,error\n"
+            "9,5,f9,ds,blk,mc23,1009,1,UNKNOWN,0,900,950,0,2\n");
 }
 
-TEST(Io, MalformedRowsSkippedNotFatal) {
-  std::stringstream bad(
-      "pandaid,jeditaskid,computing_site,creation_time,start_time,end_time,"
-      "ninputfilebytes,noutputfilebytes,failed,error_code,direct_io,"
-      "task_status\n"
-      "not,a,valid,row,at,all,x,x,x,x,x,x\n"
-      "1,5,2,0,10,20,100,0,0,0,0,1\n");
-  MetadataStore store;
-  EXPECT_EQ(read_jobs_csv(bad, store), 1u);
-  ASSERT_EQ(store.jobs().size(), 1u);
-  EXPECT_EQ(store.jobs()[0].pandaid, 1);
+TEST(Io, StoreDigestCoversEveryField) {
+  struct Rows {
+    JobRecord job = basic_job(1, 5, 1000);
+    FileRecord file = basic_file("f1");
+    TransferRecord transfer = basic_transfer(9);
+  };
+  const auto digest = [](const Rows& rows) {
+    MetadataStore store;
+    store.record_job(rows.job);
+    store.record_file(rows.file);
+    store.record_transfer(rows.transfer);
+    return store_digest(store);
+  };
+  using Edit = void (*)(Rows&);
+  struct Family {
+    const char* name;
+    void (*writer)(std::ostream&, const MetadataStore&);
+    std::vector<Edit> edits;  ///< one per CSV column, in column order
+  };
+  const Family families[] = {
+      {"job",
+       &write_jobs_csv,
+       {[](Rows& r) { ++r.job.pandaid; },
+        [](Rows& r) { ++r.job.jeditaskid; },
+        [](Rows& r) { r.job.computing_site = grid::kUnknownSite; },
+        [](Rows& r) { ++r.job.creation_time; },
+        [](Rows& r) { ++r.job.start_time; },
+        [](Rows& r) { ++r.job.end_time; },
+        [](Rows& r) { ++r.job.ninputfilebytes; },
+        [](Rows& r) { ++r.job.noutputfilebytes; },
+        [](Rows& r) { r.job.failed = true; },
+        [](Rows& r) { r.job.error_code = 1305; },
+        [](Rows& r) { r.job.direct_io = true; },
+        [](Rows& r) { r.job.task_status = wms::TaskStatus::kDone; }}},
+      {"file",
+       &write_files_csv,
+       {[](Rows& r) { ++r.file.pandaid; },
+        [](Rows& r) { ++r.file.jeditaskid; },
+        [](Rows& r) { r.file.lfn += "x"; },
+        [](Rows& r) { r.file.dataset += "x"; },
+        [](Rows& r) { r.file.proddblock += "x"; },
+        [](Rows& r) { r.file.scope += "x"; },
+        [](Rows& r) { ++r.file.file_size; },
+        [](Rows& r) { r.file.direction = FileDirection::kInput; }}},
+      {"transfer",
+       &write_transfers_csv,
+       {[](Rows& r) { ++r.transfer.transfer_id; },
+        [](Rows& r) { r.transfer.jeditaskid = -1; },
+        [](Rows& r) { r.transfer.lfn += "x"; },
+        [](Rows& r) { r.transfer.dataset += "x"; },
+        [](Rows& r) { r.transfer.proddblock += "x"; },
+        [](Rows& r) { r.transfer.scope += "x"; },
+        [](Rows& r) { ++r.transfer.file_size; },
+        [](Rows& r) { r.transfer.source_site = 3; },
+        [](Rows& r) { r.transfer.destination_site = 3; },
+        [](Rows& r) { r.transfer.activity = dms::Activity::kAnalysisUpload; },
+        [](Rows& r) { ++r.transfer.started_at; },
+        [](Rows& r) { ++r.transfer.finished_at; },
+        [](Rows& r) { r.transfer.success = false; },
+        [](Rows& r) { r.transfer.error = dms::TransferError::kAborted; }}},
+  };
+  const std::uint64_t base = digest(Rows{});
+  for (const Family& family : families) {
+    std::ostringstream header;
+    family.writer(header, MetadataStore{});
+    const std::string columns = header.str();
+    ASSERT_EQ(family.edits.size(),
+              static_cast<std::size_t>(
+                  std::count(columns.begin(), columns.end(), ',')) +
+                  1)
+        << family.name;
+    for (std::size_t i = 0; i < family.edits.size(); ++i) {
+      Rows rows;
+      family.edits[i](rows);
+      EXPECT_NE(digest(rows), base) << family.name << " column " << i;
+    }
+  }
+
+  // Equal rows under different symbol ids: this store interned a file
+  // row it then dropped, as the corruption injector does.
+  MetadataStore shifted;
+  const Rows rows;
+  shifted.record_file(basic_file("dropped"));
+  shifted.record_job(rows.job);
+  shifted.record_file(rows.file);
+  shifted.record_transfer(rows.transfer);
+  shifted.files_mutable().erase(shifted.files_mutable().begin());
+  MetadataStore plain;
+  plain.record_file(rows.file);
+  ASSERT_NE(shifted.files()[0].lfn_sym, plain.files()[0].lfn_sym);
+  EXPECT_EQ(store_digest(shifted), base);
 }
 
 }  // namespace

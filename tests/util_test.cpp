@@ -262,27 +262,12 @@ TEST(Table, RendersAlignedRows) {
   EXPECT_NE(s.find("| long |  22 |"), std::string::npos);
 }
 
-TEST(Csv, RoundTripsQuoting) {
+TEST(Csv, WriterQuotesOnlyFieldsThatNeedIt) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.row("plain", "with,comma", "with\"quote", 42);
-  const auto rows = [&] {
-    std::istringstream is(os.str());
-    return read_csv(is);
-  }();
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), 4u);
-  EXPECT_EQ(rows[0][0], "plain");
-  EXPECT_EQ(rows[0][1], "with,comma");
-  EXPECT_EQ(rows[0][2], "with\"quote");
-  EXPECT_EQ(rows[0][3], "42");
-}
-
-TEST(Csv, ParsesEmptyFields) {
-  const auto fields = parse_csv_line("a,,c,");
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[3], "");
+  w.row("plain", "with,comma", "with\"quote", "two\nlines", "", 42);
+  EXPECT_EQ(os.str(),
+            "plain,\"with,comma\",\"with\"\"quote\",\"two\nlines\",,42\n");
 }
 
 TEST(Json, ParsesFlatEventObject) {
