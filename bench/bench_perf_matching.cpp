@@ -238,6 +238,35 @@ void BM_ColstoreEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_ColstoreEncode)->Unit(benchmark::kMillisecond);
 
+/// Records the 0.5-day `small` campaign through a log whose only sink is
+/// colstore: the live encode path, from the Event builder's typed
+/// records and with lines freed once written.  The campaign runs in a
+/// session of its own, like recorded_ndjson(); events_per_sec counts
+/// every line of the stream over the whole record, campaign included.
+void BM_ColstoreSinkRecord(benchmark::State& state) {
+  const std::string path = "bench-colstore-sink.tmp";
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    obs::EventSinks sinks;
+    sinks.colstore_path = path;
+    obs::EventLog log(sinks);
+    scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+    config.days = 0.5;
+    config.seed = 7;
+    const auto result = scenario::run_campaign(config, {.events = &log});
+    benchmark::DoNotOptimize(result.events_processed);
+    log.close();
+    events = log.watermark();
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(events),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ColstoreSinkRecord)->Unit(benchmark::kMillisecond);
+
 /// Encoded-once colstore file shared by the scan benches; removed by
 /// the last bench registration's teardown (process exit).
 const std::string& encoded_colstore() {

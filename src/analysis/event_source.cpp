@@ -144,7 +144,7 @@ class ColstoreSource final : public EventSource {
         case obs::DecodedEvent::FieldType::kDouble:
           fv.kind = Value::Kind::kNumber;
           fv.num_v = f.double_v;
-          fv.int_v = static_cast<std::int64_t>(f.double_v);
+          fv.int_v = util::json::saturating_int(f.double_v);
           fv.is_int = false;
           break;
         case obs::DecodedEvent::FieldType::kBool:

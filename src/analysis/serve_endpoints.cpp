@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -198,16 +199,20 @@ std::map<std::int64_t, std::string> wide_site_names(
   return names;
 }
 
-/// Live snapshot folded incrementally: `replay` holds the first
-/// `watermark` published lines of `log`, each folded exactly once, and
-/// every /api body except critical-path is rebuilt only when the
-/// publication watermark moves.
+/// Live snapshot folded incrementally: `replay` holds the lines `log`
+/// published before `watermark`, read through a registered reader and
+/// each folded exactly once, and every /api body except critical-path
+/// is rebuilt only when the publication watermark moves.
 struct LiveCache {
-  explicit LiveCache(const obs::EventLog* session_log) : log(session_log) {}
+  explicit LiveCache(obs::EventLog* session_log) : log(session_log) {
+    if (log != nullptr) watermark = reader.emplace(*log).position();
+  }
 
   std::mutex mutex;
   bool valid = false;
-  const obs::EventLog* const log;
+  obs::EventLog* const log;
+  /// Pins the lines it has not read yet, so none is freed unfolded.
+  std::optional<obs::EventLog::Reader> reader;
   std::uint64_t watermark = 0;
   ReplayResult replay;
   core::TriMatchResult tri;
@@ -227,7 +232,7 @@ struct LiveCache {
     if (valid && (log == nullptr || log->watermark() == watermark)) return;
     if (log != nullptr) {
       std::string suffix;
-      const std::uint64_t wm = log->snapshot_ndjson(suffix, watermark);
+      const std::uint64_t wm = reader->read(suffix);
       std::istringstream in(std::move(suffix));
       const auto source = make_ndjson_source(in);
       while (const util::json::Value* event = source->next()) {

@@ -10,10 +10,12 @@
 //   /api/series         the obs::Sampler columnar time series
 //   /api/critical-path  per-link critical-seconds ranking
 //
-// Live mode reads the session EventLog's *published prefix* only
-// (EventLog::snapshot_ndjson).  It keeps one ReplayResult between
-// scrapes and folds into it only the lines published since the last
-// one, so each line is replayed exactly once (counted by
+// Live mode reads the session EventLog's *published prefix* only,
+// through a registered EventLog::Reader (attached at campaign start, so
+// it sees the campaign's every line; until a scrape reads them, the log
+// keeps them in memory).  It keeps one ReplayResult between scrapes and
+// folds into it only the lines published since the last one, so each
+// line is replayed exactly once (counted by
 // pandarus_serve_replayed_lines_total); bodies are memoized on the
 // publication watermark, and a scrape never blocks the sim thread.
 // Matching reruns only when the store's row counts changed, and never

@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "obs/event_log.hpp"
 #include "util/crc32.hpp"
+#include "util/json.hpp"
 
 namespace pandarus::obs {
 namespace {
@@ -246,19 +249,60 @@ std::uint32_t decode_u32_le(const unsigned char* p) noexcept {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-FieldType value_field_type(const util::json::Value& v) noexcept {
-  using Kind = util::json::Value::Kind;
-  switch (v.kind) {
-    case Kind::kNumber: return v.is_int ? FieldType::kInt : FieldType::kDouble;
-    case Kind::kBool: return FieldType::kBool;
-    case Kind::kString: return FieldType::kString;
-    case Kind::kNull: return FieldType::kNull;
-    default: return FieldType::kNull;  // callers reject arrays/objects first
+/// Inverts detail::append_json_escaped, whose only escapes are \", \\,
+/// \n, \t and \u00XX (a control byte).
+void append_unescaped(std::string& out, std::string_view s) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '\\' || i + 1 == s.size()) {
+      out += s[i];
+      continue;
+    }
+    switch (s[++i]) {
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned code = 0;
+        const std::string_view hex = s.substr(i + 1, 4);
+        std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+        out += static_cast<char>(code);
+        i += hex.size();
+        break;
+      }
+      default: out += s[i];  // '"' or '\\'
+    }
   }
 }
 
-bool is_core_key(std::string_view key) noexcept {
-  return key == "ts" || key == "kind" || key == "entity";
+/// A record of one parsed member: key and string value are appended to
+/// `text` unescaped (util::json decoded them).  Nullopt for an array or
+/// object value.
+std::optional<FieldRecord> member_record(std::string& text,
+                                         const std::string& key,
+                                         const util::json::Value& value) {
+  using Kind = util::json::Value::Kind;
+  FieldRecord f{static_cast<std::uint32_t>(text.size()),
+                static_cast<std::uint32_t>(key.size()), 0, FieldType::kNull,
+                false, false};
+  text += key;
+  switch (value.kind) {
+    case Kind::kNumber:
+      f.type = value.is_int ? FieldType::kInt : FieldType::kDouble;
+      f.value = value.is_int ? int_bits(value.int_v) : double_bits(value.num_v);
+      break;
+    case Kind::kBool:
+      f.type = FieldType::kBool;
+      f.value = value.bool_v ? 1 : 0;
+      break;
+    case Kind::kString:
+      f.type = FieldType::kString;
+      f.value = FieldRecord::pack_span(text.size(), value.str_v.size());
+      text += value.str_v;
+      break;
+    case Kind::kNull: break;
+    case Kind::kArray:
+    case Kind::kObject: return std::nullopt;
+  }
+  return f;
 }
 
 constexpr std::uint64_t col_key(util::Symbol key, std::uint8_t type) noexcept {
@@ -328,62 +372,132 @@ void ColWriter::fail(const std::string& message) {
   if (error_.empty()) error_ = message;
 }
 
-bool ColWriter::append(const util::json::Value& event) {
-  using Kind = util::json::Value::Kind;
-  if (!ok() || closed_) return false;
+util::Symbol ColWriter::intern(std::string_view text, std::uint64_t pos,
+                               std::uint64_t len, bool escaped) {
+  const std::string_view s = text.substr(pos, len);
+  if (!escaped) return dict_.intern(s);
+  unescaped_.clear();
+  append_unescaped(unescaped_, s);
+  return dict_.intern(unescaped_);
+}
 
-  // Validation pass: the event must fit the flat schema before any
-  // column state is touched, so a rejected event leaves no residue.
-  if (event.kind != Kind::kObject) {
+util::Symbol ColWriter::intern_value(std::string_view text,
+                                     const FieldRecord& f) {
+  return intern(text, f.value >> 32, f.value & 0xFFFFFFFFu, f.value_escaped);
+}
+
+bool ColWriter::append(std::string_view line, const EventRecord& record) {
+  if (!record.complete) return append_ndjson_line(line);
+  return encode(line, record.ts, record.kind, record.entity,
+                std::span(record.fields.data(), record.field_count));
+}
+
+bool ColWriter::append_ndjson_line(std::string_view line) {
+  if (line.empty()) return true;
+  const auto parsed = util::json::parse(line);
+  // Spans are 32-bit offsets into line_text_, which is never longer
+  // than the line.
+  if (!parsed || parsed->kind != util::json::Value::Kind::kObject ||
+      line.size() > std::numeric_limits<std::uint32_t>::max()) {
     ++stats_.rejected;
     return false;
   }
-  const util::json::Value* ts = event.find("ts");
-  const util::json::Value* kind = event.find("kind");
-  const util::json::Value* entity = event.find("entity");
-  const bool entity_ok =
-      entity != nullptr &&
-      ((entity->kind == Kind::kNumber && entity->is_int) ||
-       entity->kind == Kind::kString);
-  if (ts == nullptr || ts->kind != Kind::kNumber || !ts->is_int ||
-      kind == nullptr || kind->kind != Kind::kString || !entity_ok) {
-    ++stats_.rejected;
-    return false;
-  }
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
-    if (value.kind == Kind::kArray || value.kind == Kind::kObject) {
+  if (!ok() || closed_) return false;
+  // Validate the whole event before any column state is touched, so a
+  // rejected line leaves no residue.
+  line_text_.clear();
+  line_fields_.clear();
+  std::optional<FieldRecord> ts;
+  std::optional<FieldRecord> kind;
+  std::optional<FieldRecord> entity;
+  for (const auto& [key, value] : parsed->obj) {
+    const std::optional<FieldRecord> f = member_record(line_text_, key, value);
+    if (!f) {
       ++stats_.rejected;
       return false;
     }
+    std::optional<FieldRecord>* core = key == "ts"       ? &ts
+                                       : key == "kind"   ? &kind
+                                       : key == "entity" ? &entity
+                                                         : nullptr;
+    if (core != nullptr && !core->has_value()) {
+      *core = f;
+    } else {
+      line_fields_.push_back(*f);
+    }
   }
+  if (!ts || ts->type != FieldType::kInt || !kind ||
+      kind->type != FieldType::kString || !entity ||
+      (entity->type != FieldType::kInt &&
+       entity->type != FieldType::kString)) {
+    ++stats_.rejected;
+    return false;
+  }
+  return encode(line_text_, *ts, *kind, *entity, line_fields_);
+}
 
-  // Shape: kind + entity kind + ordered (key, type) list.
-  const util::Symbol kind_sym = dict_.intern(kind->str_v);
-  const std::uint8_t entity_kind =
-      entity->kind == Kind::kString ? kEntityString : kEntityInt;
+std::uint32_t ColWriter::shape_of(std::string_view text,
+                                  const FieldRecord& kind,
+                                  std::uint8_t entity_kind,
+                                  std::span<const FieldRecord> fields) {
+  // The shape's spelling — kind, entity kind, each key and type, as the
+  // bytes sit in `text` — names it without interning anything.  Escape
+  // flags are part of it: the same bytes escaped or raw are different
+  // strings.
+  const auto spell = [this, text](std::uint64_t pos, std::uint64_t len,
+                                  bool escaped) {
+    put_varint(spelling_, len);
+    spelling_ += static_cast<char>(escaped ? 1 : 0);
+    spelling_.append(text.substr(pos, len));
+  };
+  spelling_.clear();
+  spell(kind.value >> 32, kind.value & 0xFFFFFFFFu, kind.value_escaped);
+  spelling_ += static_cast<char>(entity_kind);
+  for (const FieldRecord& f : fields) {
+    spell(f.key_pos, f.key_len, f.key_escaped);
+    spelling_ += static_cast<char>(f.type);
+  }
+  const auto [spelled, first_sight] =
+      shape_by_spelling_.try_emplace(spelling_, 0);
+  if (!first_sight) return spelled->second;
+
+  // New spelling: intern the kind and keys — in that order, then the
+  // entity and string values in encode(), which fixes the dictionary's
+  // bytes — and find the shape by symbols, since another spelling may
+  // name the same one.
   ShapeDef def;
-  def.kind = kind_sym;
+  def.kind = intern_value(text, kind);
   def.entity_kind = entity_kind;
   std::string sig;
-  put_varint(sig, kind_sym);
+  put_varint(sig, def.kind);
   sig += static_cast<char>(entity_kind);
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
-    const util::Symbol key_sym = dict_.intern(key);
-    const auto type = static_cast<std::uint8_t>(value_field_type(value));
-    def.fields.emplace_back(key_sym, type);
+  for (const FieldRecord& f : fields) {
+    const util::Symbol key_sym =
+        intern(text, f.key_pos, f.key_len, f.key_escaped);
+    def.fields.emplace_back(key_sym, static_cast<std::uint8_t>(f.type));
     put_varint(sig, key_sym);
-    sig += static_cast<char>(type);
+    sig += static_cast<char>(f.type);
   }
-  const auto [it, inserted] =
-      shape_ids_.try_emplace(std::move(sig),
-                             static_cast<std::uint32_t>(shapes_.size()));
+  const auto [it, inserted] = shape_ids_.try_emplace(
+      std::move(sig), static_cast<std::uint32_t>(shapes_.size()));
   if (inserted) shapes_.push_back(std::move(def));
-  const std::uint32_t shape_id = it->second;
+  spelled->second = it->second;
+  return it->second;
+}
+
+bool ColWriter::encode(std::string_view text, const FieldRecord& ts,
+                       const FieldRecord& kind, const FieldRecord& entity,
+                       std::span<const FieldRecord> fields) {
+  if (!ok() || closed_) return false;
+
+  // Shape: kind + entity kind + ordered (key, type) list.
+  const std::uint8_t entity_kind =
+      entity.type == FieldType::kString ? kEntityString : kEntityInt;
+  const std::uint32_t shape_id = shape_of(text, kind, entity_kind, fields);
+  const ShapeDef& shape = shapes_[shape_id];
 
   // Row core columns.
-  const std::int64_t ts_v = ts->int_v;
+  const std::int64_t ts_v = bits_int(ts.value);
   if (row_shapes_.empty()) {
     min_ts_ = max_ts_ = ts_v;
   } else {
@@ -393,21 +507,18 @@ bool ColWriter::append(const util::json::Value& event) {
   row_shapes_.push_back(shape_id);
   row_ts_.push_back(ts_v);
   if (entity_kind == kEntityString) {
-    ent_strs_.push_back(dict_.intern(entity->str_v));
+    ent_strs_.push_back(intern_value(text, entity));
   } else {
-    ent_ints_.push_back(entity->int_v);
+    ent_ints_.push_back(bits_int(entity.value));
   }
-  ++kind_counts_[kind_sym];
+  ++kind_counts_[shape.kind];
 
   // Field columns, keyed (key symbol, type); values packed in row order.
-  const ShapeDef& shape = shapes_[shape_id];
-  std::size_t field_index = 0;
-  for (const auto& [key, value] : event.obj) {
-    if (is_core_key(key)) continue;
-    const auto [key_sym, type] = shape.fields[field_index++];
-    const std::uint64_t ck = col_key(key_sym, type);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const FieldRecord& f = fields[i];
+    const auto [key_sym, type] = shape.fields[i];
     const auto [col_it, col_inserted] =
-        col_index_.try_emplace(ck, cols_.size());
+        col_index_.try_emplace(col_key(key_sym, type), cols_.size());
     if (col_inserted) {
       ColBuild col;
       col.key = key_sym;
@@ -415,19 +526,21 @@ bool ColWriter::append(const util::json::Value& event) {
       cols_.push_back(std::move(col));
     }
     ColBuild& col = cols_[col_it->second];
-    switch (static_cast<FieldType>(type)) {
-      case FieldType::kInt:
-        put_varint(col.bytes, delta_encode(value.int_v, col.prev_int));
-        col.prev_int = value.int_v;
+    switch (f.type) {
+      case FieldType::kInt: {
+        const std::int64_t v = bits_int(f.value);
+        put_varint(col.bytes, delta_encode(v, col.prev_int));
+        col.prev_int = v;
         break;
+      }
       case FieldType::kDouble:
-        put_u64_le(col.bytes, double_bits(value.num_v));
+        put_u64_le(col.bytes, f.value);
         break;
       case FieldType::kBool:
-        col.bytes += static_cast<char>(value.bool_v ? 1 : 0);
+        col.bytes += static_cast<char>(f.value != 0 ? 1 : 0);
         break;
       case FieldType::kString:
-        put_varint(col.bytes, dict_.intern(value.str_v));
+        put_varint(col.bytes, intern_value(text, f));
         break;
       case FieldType::kNull:
         break;  // presence is carried by the shape
@@ -438,16 +551,6 @@ bool ColWriter::append(const util::json::Value& event) {
   ++stats_.rows;
   if (row_shapes_.size() >= options_.rows_per_chunk) return flush_chunk();
   return ok();
-}
-
-bool ColWriter::append_ndjson_line(std::string_view line) {
-  if (line.empty()) return true;
-  const auto parsed = util::json::parse(line);
-  if (!parsed || parsed->kind != util::json::Value::Kind::kObject) {
-    ++stats_.rejected;
-    return false;
-  }
-  return append(*parsed);
 }
 
 bool ColWriter::flush_chunk() {

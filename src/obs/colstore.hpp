@@ -30,6 +30,16 @@
 // with append_ndjson() reproduces the Event builder's NDJSON bytes
 // (field order, escaping and %.17g doubles preserved), which is what
 // the replay bit-parity tests and `pandarus-events convert` rely on.
+// Values are typed as util::json::parse reads the rendered bytes, so the
+// only lines that do not round-trip are those whose rendering parse
+// itself reads back differently: `-0` becomes `0`, and an integer past
+// INT64_MAX becomes a double.
+//
+// ColWriter has one encoder, over an obs::EventRecord: the Event
+// builder's record of each field's type and position (the EventLog sink
+// passes it straight through, so recording a campaign parses no JSON),
+// or one append_ndjson_line() fills from a parsed line.  Both yield the
+// same bytes for the same line.
 //
 // ColReader is an out-of-core cursor: it holds one chunk's decoded rows
 // at a time (chunked fread, bounded memory) regardless of file size.
@@ -40,27 +50,22 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/recover.hpp"
 #include "util/interner.hpp"
-#include "util/json.hpp"
 
 namespace pandarus::obs {
 
 /// One event decoded from a chunk.  string_views point into the
 /// reader's dictionary and stay valid for the reader's lifetime.
 struct DecodedEvent {
-  enum class FieldType : std::uint8_t {
-    kInt = 0,
-    kDouble = 1,
-    kBool = 2,
-    kString = 3,
-    kNull = 4,
-  };
+  using FieldType = obs::FieldType;
   struct Field {
     std::string_view key;
     FieldType type = FieldType::kInt;
@@ -95,7 +100,9 @@ struct ColWriterOptions {
 /// Streaming encoder.  Accepts flat event objects (`ts` int, `kind`
 /// string, `entity` int-or-string, remaining fields int/double/bool/
 /// string/null); events with nested values are counted as rejected and
-/// skipped — the Event builder never produces them.
+/// skipped — the Event builder never produces them.  The first member
+/// named `ts`, `kind` or `entity` is the core value; a later member of
+/// the same name is an ordinary field.
 class ColWriter {
  public:
   explicit ColWriter(const std::string& path, ColWriterOptions options = {});
@@ -103,11 +110,14 @@ class ColWriter {
   ColWriter(const ColWriter&) = delete;
   ColWriter& operator=(const ColWriter&) = delete;
 
-  /// Appends one event; false (and ++stats().rejected) when the event
-  /// does not fit the flat schema.  I/O failures latch error().
-  bool append(const util::json::Value& event);
-  /// Parses one NDJSON line and appends it; malformed lines are
-  /// rejected, not fatal.
+  /// Appends one event from its builder record, whose spans index
+  /// `line` (the Event builder's rendering); an incomplete record is
+  /// encoded by parsing `line`.  False once an I/O failure has latched
+  /// error().
+  bool append(std::string_view line, const EventRecord& record);
+  /// Parses one NDJSON line into a record and appends it; false (and
+  /// ++stats().rejected) for a malformed line or one that does not fit
+  /// the flat schema — rejected, not fatal.
   bool append_ndjson_line(std::string_view line);
 
   /// Hands every chunk completed so far to the OS (and, with
@@ -145,6 +155,20 @@ class ColWriter {
     std::string bytes;
   };
 
+  /// The one encoder: appends the event whose spans index `text`.
+  bool encode(std::string_view text, const FieldRecord& ts,
+              const FieldRecord& kind, const FieldRecord& entity,
+              std::span<const FieldRecord> fields);
+  /// The shape id of an event, interning its kind and keys the first
+  /// time their spelling is seen.
+  std::uint32_t shape_of(std::string_view text, const FieldRecord& kind,
+                         std::uint8_t entity_kind,
+                         std::span<const FieldRecord> fields);
+  /// Interns the (unescaped) string at [pos, pos + len) of `text`.
+  util::Symbol intern(std::string_view text, std::uint64_t pos,
+                      std::uint64_t len, bool escaped);
+  /// Interns a kString record's value.
+  util::Symbol intern_value(std::string_view text, const FieldRecord& f);
   bool flush_chunk();
   void fail(const std::string& message);
 
@@ -156,9 +180,17 @@ class ColWriter {
 
   util::StringInterner dict_;
   std::size_t dict_flushed_ = 0;
-  std::unordered_map<std::string, std::uint32_t> shape_ids_;
+  std::unordered_map<std::string, std::uint32_t> shape_ids_;  ///< by symbols
+  std::unordered_map<std::string, std::uint32_t> shape_by_spelling_;
   std::vector<ShapeDef> shapes_;
   std::size_t shapes_flushed_ = 0;
+
+  // Scratch reused across events: encoding allocates only when a table
+  // or a column grows.
+  std::string spelling_;    ///< shape spelling being looked up
+  std::string unescaped_;   ///< one unescaped span
+  std::string line_text_;   ///< append_ndjson_line: unescaped strings
+  std::vector<FieldRecord> line_fields_;
 
   // Per-chunk staging, cleared on flush.
   std::vector<std::uint32_t> row_shapes_;

@@ -16,15 +16,18 @@
 //   PANDARUS_EVENTS_COL=<path>
 //                            same EventLog, with a chunk-compressed
 //                            columnar .colstore sink (obs::colstore;
-//                            query with pandarus-events) that writes
-//                            each 64k-event chunk as it completes.
-//                            Combine with PANDARUS_EVENTS to write both
-//                            files from one stream; either alone also
-//                            arms the log.  Published lines reach the
-//                            files during the run; the exit hook closes
-//                            the log, appending a terminal log_stats
-//                            event (events written/dropped/bytes) and
-//                            flushing and closing both files;
+//                            query with pandarus-events) that encodes
+//                            from the builder's typed records (no JSON
+//                            parse) and writes each 64k-event chunk as
+//                            it completes.  Combine with PANDARUS_EVENTS
+//                            to write both files from one stream; either
+//                            alone also arms the log.  Published lines
+//                            reach the files during the run and are then
+//                            freed, so memory stays bounded while the
+//                            stream itself has no cap; the exit hook
+//                            closes the log, appending a terminal
+//                            log_stats event (events written/dropped/
+//                            bytes) and flushing and closing both files;
 //   PANDARUS_FLOWS=<path>    the session's FlowTracker, process-lifetime
 //                            (flow_* events appear in the EventLog
 //                            stream, flow lanes in the Chrome trace) and

@@ -7,6 +7,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/colstore.hpp"
@@ -96,27 +99,38 @@ void export_event_log_metrics(const EventLog* log) {
       .gauge("pandarus_events_watermark",
              "Publication watermark of the session event log")
       .set(static_cast<std::int64_t>(log->watermark()));
+  registry
+      .gauge("pandarus_events_resident_lines",
+             "Event lines held in memory (staged, or not yet read by "
+             "every reader)")
+      .set(static_cast<std::int64_t>(log->resident_lines()));
 }
 
 namespace detail {
 
 void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
 void append_json_double(std::string& out, double v) {
@@ -136,44 +150,115 @@ using detail::append_json_double;
 using detail::append_json_escaped;
 }  // namespace
 
-// --- Event ------------------------------------------------------------------
+// --- EventRecord / Event -------------------------------------------------
+
+namespace {
+
+std::uint64_t double_bits(double v) noexcept {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+FieldRecord int_record(std::int64_t v) noexcept {
+  return {0, 0, static_cast<std::uint64_t>(v), FieldType::kInt, false, false};
+}
+
+}  // namespace
+
+EventRecord::EventRecord(const EventRecord& other) noexcept { *this = other; }
+
+EventRecord& EventRecord::operator=(const EventRecord& other) noexcept {
+  ts = other.ts;
+  kind = other.kind;
+  entity = other.entity;
+  field_count = other.field_count;
+  complete = other.complete;
+  std::copy_n(other.fields.begin(), field_count, fields.begin());
+  return *this;
+}
+
+template <typename Int>
+void Event::append_int(Int v) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  line_.append(buf, result.ptr);
+}
+
+FieldRecord Event::append_string(std::string_view s) {
+  const std::size_t pos = line_.size();
+  append_json_escaped(line_, s);
+  const std::size_t len = line_.size() - pos;
+  // Every escape lengthens the text, so equal lengths mean none.
+  return {0, 0, FieldRecord::pack_span(pos, len), FieldType::kString, false,
+          len != s.size()};
+}
 
 Event::Event(std::string_view kind, std::int64_t ts, std::int64_t entity) {
   line_.reserve(96);
   line_ += "{\"ts\":";
-  line_ += std::to_string(ts);
+  append_int(ts);
   line_ += ",\"kind\":\"";
-  append_json_escaped(line_, kind);
+  record_.kind = append_string(kind);
   line_ += "\",\"entity\":";
-  line_ += std::to_string(entity);
+  append_int(entity);
+  record_.ts = int_record(ts);
+  record_.entity = int_record(entity);
 }
 
 Event::Event(std::string_view kind, std::int64_t ts, std::string_view entity) {
   line_.reserve(96);
   line_ += "{\"ts\":";
-  line_ += std::to_string(ts);
+  append_int(ts);
   line_ += ",\"kind\":\"";
-  append_json_escaped(line_, kind);
+  record_.kind = append_string(kind);
   line_ += "\",\"entity\":\"";
-  append_json_escaped(line_, entity);
+  record_.entity = append_string(entity);
   line_ += '"';
+  record_.ts = int_record(ts);
 }
 
-void Event::append_key(std::string_view key) {
+FieldRecord* Event::append_key(std::string_view key) {
   line_ += ",\"";
-  append_json_escaped(line_, key);
+  const FieldRecord span = append_string(key);
   line_ += "\":";
+  if (record_.field_count == EventRecord::kInlineFields) {
+    record_.complete = false;
+    return nullptr;
+  }
+  FieldRecord& f = record_.fields[record_.field_count++];
+  f.key_pos = static_cast<std::uint32_t>(span.value >> 32);
+  f.key_len = static_cast<std::uint32_t>(span.value);
+  f.key_escaped = span.value_escaped;
+  f.value_escaped = false;
+  return &f;
 }
 
 Event&& Event::field(std::string_view key, std::int64_t v) && {
-  append_key(key);
-  line_ += std::to_string(v);
+  if (FieldRecord* f = append_key(key)) {
+    f->type = FieldType::kInt;
+    f->value = static_cast<std::uint64_t>(v);
+  }
+  append_int(v);
   return std::move(*this);
 }
 
 Event&& Event::field(std::string_view key, std::uint64_t v) && {
-  append_key(key);
-  line_ += std::to_string(v);
+  FieldRecord* f = append_key(key);
+  const std::size_t pos = line_.size();
+  append_int(v);
+  if (f != nullptr) {
+    if (v <= static_cast<std::uint64_t>(
+                 std::numeric_limits<std::int64_t>::max())) {
+      f->type = FieldType::kInt;
+      f->value = v;
+    } else {
+      // Past INT64_MAX util::json::parse reads the digits as a double;
+      // strtod of the same digits gives exactly its value.
+      f->type = FieldType::kDouble;
+      f->value = double_bits(std::strtod(line_.c_str() + pos, nullptr));
+    }
+  }
   return std::move(*this);
 }
 
@@ -186,22 +271,47 @@ Event&& Event::field(std::string_view key, std::uint32_t v) && {
 }
 
 Event&& Event::field(std::string_view key, double v) && {
-  append_key(key);
+  FieldRecord* f = append_key(key);
+  const std::size_t pos = line_.size();
   append_json_double(line_, v);
+  if (f != nullptr) {
+    // util::json::parse reads a token without '.' or an exponent as an
+    // int: `3`, `-0`, and the `0` a non-finite value renders as.  %.17g
+    // writes such a token only below 1e17, so it always fits.  Any
+    // other token round-trips to `v` exactly.
+    const std::string_view token = std::string_view(line_).substr(pos);
+    if (token.find_first_of(".e") == std::string_view::npos) {
+      std::int64_t i = 0;
+      std::from_chars(token.data(), token.data() + token.size(), i);
+      f->type = FieldType::kInt;
+      f->value = static_cast<std::uint64_t>(i);
+    } else {
+      f->type = FieldType::kDouble;
+      f->value = double_bits(v);
+    }
+  }
   return std::move(*this);
 }
 
 Event&& Event::field(std::string_view key, bool v) && {
-  append_key(key);
+  if (FieldRecord* f = append_key(key)) {
+    f->type = FieldType::kBool;
+    f->value = v ? 1 : 0;
+  }
   line_ += v ? "true" : "false";
   return std::move(*this);
 }
 
 Event&& Event::field(std::string_view key, std::string_view v) && {
-  append_key(key);
+  FieldRecord* f = append_key(key);
   line_ += '"';
-  append_json_escaped(line_, v);
+  const FieldRecord span = append_string(v);
   line_ += '"';
+  if (f != nullptr) {
+    f->type = FieldType::kString;
+    f->value = span.value;
+    f->value_escaped = span.value_escaped;
+  }
   return std::move(*this);
 }
 
@@ -215,7 +325,12 @@ EventLog::EventLog(std::size_t max_events)
     : EventLog(EventSinks{}, max_events) {}
 
 EventLog::EventLog(const EventSinks& sinks, std::size_t max_events)
-    : id_(next_log_id()), max_events_(max_events), sinks_(sinks) {
+    : id_(next_log_id()),
+      max_events_(max_events),
+      frees_lines_(!sinks.ndjson_path.empty() ||
+                   !sinks.colstore_path.empty()),
+      encodes_records_(!sinks.colstore_path.empty()),
+      sinks_(sinks) {
   if (!sinks_.ndjson_path.empty()) {
     ndjson_file_ = std::fopen(sinks_.ndjson_path.c_str(), "w");
     if (ndjson_file_ == nullptr) {
@@ -237,6 +352,7 @@ EventLog::EventLog(const EventSinks& sinks, std::size_t max_events)
 
 EventLog::~EventLog() {
   std::scoped_lock lock(mutex_);
+  for (Reader* reader : readers_) reader->log_ = nullptr;
   close_sinks_locked();
 }
 
@@ -254,13 +370,20 @@ EventLog::Buffer& EventLog::local_buffer() {
   return *t_buffer;
 }
 
-std::size_t EventLog::stage(Event event) {
+std::size_t EventLog::stage(Event& event) {
   event.line_ += '}';
   const std::size_t size = event.line_.size();
+  // Spans are 32-bit offsets.
+  if (size > std::numeric_limits<std::uint32_t>::max()) {
+    event.record_.complete = false;
+  }
   Buffer& buffer = local_buffer();
-  buffer.staged.push_back(
-      {next_seq_.fetch_add(1, std::memory_order_relaxed),
-       std::move(event.line_)});
+  Line& line = buffer.staged.emplace_back();
+  line.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  line.text = std::move(event.line_);
+  // Only the colstore sink reads records; without one, line.record stays
+  // empty and complete (the default).
+  if (encodes_records_) line.record = event.record_;
   if (buffer.staged.size() >= kDrainBatch) {
     std::scoped_lock lock(mutex_);
     drain_locked(buffer);
@@ -268,7 +391,7 @@ std::size_t EventLog::stage(Event event) {
   return size;
 }
 
-void EventLog::emit(Event event) {
+void EventLog::emit(Event&& event) {
   if (accepted_.fetch_add(1, std::memory_order_relaxed) >= max_events_) {
     accepted_.fetch_sub(1, std::memory_order_relaxed);
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -279,66 +402,107 @@ void EventLog::emit(Event event) {
     }
     return;
   }
-  bytes_.fetch_add(stage(std::move(event)) + 1, std::memory_order_relaxed);
+  bytes_.fetch_add(stage(event) + 1, std::memory_order_relaxed);
 }
 
-void EventLog::emit_sideband(Event event) { stage(std::move(event)); }
+void EventLog::emit_sideband(Event&& event) { stage(event); }
 
-void EventLog::publish_locked(std::uint64_t seq, std::string text) {
-  if (seq != drained_.size()) {
-    ahead_.emplace(seq, std::move(text));
+void EventLog::accept_locked(Line& line) {
+  if (ndjson_file_ != nullptr) {
+    ndjson_pending_ += line.text;
+    ndjson_pending_ += '\n';
+  }
+  if (col_writer_ != nullptr) col_writer_->append(line.text, line.record);
+  retained_.push_back(std::move(line.text));
+  ++watermark_;
+}
+
+void EventLog::publish_locked(Line& line) {
+  if (line.seq != watermark_) {
+    ahead_.emplace(line.seq, std::move(line));
     return;
   }
-  drained_.push_back(std::move(text));
+  accept_locked(line);
   // This line may have closed the gap below lines held in ahead_.
   for (auto it = ahead_.begin();
-       it != ahead_.end() && it->first == drained_.size();
+       it != ahead_.end() && it->first == watermark_;
        it = ahead_.erase(it)) {
-    drained_.push_back(std::move(it->second));
+    accept_locked(it->second);
   }
 }
 
 void EventLog::drain_locked(Buffer& buffer) {
-  const std::size_t from = drained_.size();
-  for (Line& line : buffer.staged) {
-    publish_locked(line.seq, std::move(line.text));
-  }
+  const std::uint64_t from = watermark_;
+  for (Line& line : buffer.staged) publish_locked(line);
   buffer.staged.clear();
   // Lines of other threads held in ahead_ may have joined too; each line
   // reaches the files exactly once, in the drain that publishes it.
-  if (drained_.size() > from) write_sinks_locked(from);
+  if (watermark_ == from) return;
+  flush_sinks_locked();
+  release_locked();
 }
 
 std::uint64_t EventLog::publish() {
   Buffer& buffer = local_buffer();
   std::scoped_lock lock(mutex_);
   drain_locked(buffer);
-  return drained_.size();
+  return watermark_;
 }
 
 std::uint64_t EventLog::watermark() const {
   std::scoped_lock lock(mutex_);
-  return drained_.size();
+  return watermark_;
 }
 
-void EventLog::append_published_locked(std::string& out,
-                                       std::size_t from) const {
-  const auto first = drained_.begin() + static_cast<std::ptrdiff_t>(from);
+void EventLog::append_retained_locked(std::string& out,
+                                      std::uint64_t from) const {
+  // Readers pin their lines and to_ndjson() refuses a freed log, so
+  // `from` is never below the first retained line.
+  const std::uint64_t first = watermark_ - retained_.size();
+  const auto begin =
+      retained_.begin() + static_cast<std::ptrdiff_t>(from - first);
   std::size_t total = 0;
-  for (auto it = first; it != drained_.end(); ++it) total += it->size() + 1;
+  for (auto it = begin; it != retained_.end(); ++it) total += it->size() + 1;
   out.reserve(out.size() + total);
-  for (auto it = first; it != drained_.end(); ++it) {
+  for (auto it = begin; it != retained_.end(); ++it) {
     out += *it;
     out += '\n';
   }
 }
 
-std::uint64_t EventLog::snapshot_ndjson(std::string& out,
-                                        std::uint64_t from_seq) const {
-  std::scoped_lock lock(mutex_);
-  const std::uint64_t watermark = drained_.size();
-  if (from_seq < watermark) append_published_locked(out, from_seq);
-  return watermark;
+void EventLog::release_locked() {
+  if (!frees_lines_) return;
+  std::uint64_t keep = watermark_;
+  for (const Reader* reader : readers_) {
+    keep = std::min(keep, reader->position_);
+  }
+  for (std::uint64_t first = watermark_ - retained_.size(); first < keep;
+       ++first) {
+    retained_.pop_front();
+    freed_ = true;
+  }
+}
+
+EventLog::Reader::Reader(EventLog& log) : log_(&log) {
+  std::scoped_lock lock(log.mutex_);
+  position_ = log.watermark_;
+  log.readers_.push_back(this);
+}
+
+EventLog::Reader::~Reader() {
+  if (log_ == nullptr) return;  // the log went first
+  std::scoped_lock lock(log_->mutex_);
+  std::erase(log_->readers_, this);
+  log_->release_locked();
+}
+
+std::uint64_t EventLog::Reader::read(std::string& out) {
+  if (log_ == nullptr) return position_;
+  std::scoped_lock lock(log_->mutex_);
+  log_->append_retained_locked(out, position_);
+  position_ = log_->watermark_;
+  log_->release_locked();
+  return position_;
 }
 
 void EventLog::close() {
@@ -352,15 +516,14 @@ void EventLog::close() {
   // io_errors/fsyncs make sink trouble (full disk, failed fsync)
   // visible in replay; both are 0 in the default configuration,
   // keeping byte-identity across runs.
+  Event stats = Event("log_stats", 0, std::int64_t{0})
+                    .field("events", events)
+                    .field("dropped", drops)
+                    .field("bytes", bytes)
+                    .field("io_errors", io_errors())
+                    .field("fsyncs", fsyncs());
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(stage(Event("log_stats", 0, std::int64_t{0})
-                             .field("events", events)
-                             .field("dropped", drops)
-                             .field("bytes", bytes)
-                             .field("io_errors", io_errors())
-                             .field("fsyncs", fsyncs())) +
-                       1,
-                   std::memory_order_relaxed);
+  bytes_.fetch_add(stage(stats) + 1, std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
   // Emitters have quiesced (close's contract), so every remaining
   // staged line can be drained here — the publication watermark then
@@ -370,24 +533,35 @@ void EventLog::close() {
 }
 
 std::size_t EventLog::event_count() const {
+  // Every line takes a seq when it is staged.
+  return next_seq_.load(std::memory_order_relaxed);
+}
+
+std::size_t EventLog::resident_lines() const {
+  // Lines past the watermark are held above a gap or staged; counting
+  // them by seq never touches a staging buffer its thread is writing.
   std::scoped_lock lock(mutex_);
-  std::size_t n = drained_.size() + ahead_.size();
-  for (const auto& buffer : buffers_) n += buffer->staged.size();
-  return n;
+  return retained_.size() +
+         (next_seq_.load(std::memory_order_relaxed) - watermark_);
 }
 
 std::string EventLog::to_ndjson() const {
   std::scoped_lock lock(mutex_);
+  if (freed_) {
+    throw std::logic_error(
+        "obs::EventLog::to_ndjson: this log has freed lines its file sinks "
+        "wrote; read the sink file back instead");
+  }
   // Only the unpublished tail — lines held above a gap or still staged
   // — needs ordering.
   std::vector<std::pair<std::uint64_t, const std::string*>> tail;
-  for (const auto& [seq, text] : ahead_) tail.emplace_back(seq, &text);
+  for (const auto& [seq, line] : ahead_) tail.emplace_back(seq, &line.text);
   for (const auto& buffer : buffers_) {
     for (const Line& l : buffer->staged) tail.emplace_back(l.seq, &l.text);
   }
   std::sort(tail.begin(), tail.end());
   std::string out;
-  append_published_locked(out, 0);
+  append_retained_locked(out, 0);
   for (const auto& [seq, text] : tail) {
     out += *text;
     out += '\n';
@@ -426,24 +600,20 @@ bool EventLog::fsync_file(std::FILE* f) {
   return true;
 }
 
-void EventLog::write_sinks_locked(std::size_t from) {
+void EventLog::flush_sinks_locked() {
   if (ndjson_file_ == nullptr && col_writer_ == nullptr) return;
   const bool durable = fsync_due();
   if (ndjson_file_ != nullptr) {
-    std::string text;
-    append_published_locked(text, from);
-    if (!write_flushed(ndjson_file_, text, sinks_.write_delay_us) ||
+    if (!write_flushed(ndjson_file_, ndjson_pending_, sinks_.write_delay_us) ||
         (durable && !fsync_file(ndjson_file_))) {
       sink_failed(sinks_.ndjson_path, "write, flush or fsync failed");
       std::fclose(ndjson_file_);
       ndjson_file_ = nullptr;
     }
+    ndjson_pending_.clear();
   }
   if (col_writer_ != nullptr) {
-    for (std::size_t i = from; i < drained_.size(); ++i) {
-      col_writer_->append_ndjson_line(drained_[i]);
-    }
-    // flush() pushes out every chunk append() completed above.
+    // flush() pushes out every chunk append() completed.
     if (col_writer_->flush(durable)) {
       if (durable) fsyncs_.fetch_add(1, std::memory_order_relaxed);
     } else {

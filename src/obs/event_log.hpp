@@ -6,9 +6,15 @@
 // (simulated milliseconds), `kind`, `entity`, and kind-specific fields —
 // built with the Event builder and appended to per-thread staging
 // buffers.  A full staging buffer drains under the log's mutex into one
-// central sink (many producers, one consumer at serialization time),
-// and the whole stream is bounded by `max_events`; overflow is counted,
-// never blocking.
+// central sink (many producers, one consumer at serialization time).
+// `max_events` can bound the stream (overflow is counted, never
+// blocking); by default it is unbounded.
+//
+// As it renders a line, the builder also records each field's type —
+// exactly as util::json::parse would type the rendered bytes — and where
+// its key and string value sit in the line (an EventRecord, inline in
+// the Event: no heap allocation).  The colstore sink encodes from that
+// record and never parses JSON.
 //
 // File sinks (EventSinks: an NDJSON file, a colstore file, or both) are
 // fixed at construction and written on that same drain: a line goes to
@@ -16,6 +22,12 @@
 // draining thread and under the mutex that already orders lines.  This
 // is the only write path; close() appends the log_stats line, drains
 // what is left, and flushes, fsyncs and closes the files.
+//
+// Memory stays bounded on a log with a file sink: once the sinks have
+// written a line and every registered EventLog::Reader has read past
+// it, the line is freed.  A log without a file sink keeps every line,
+// so to_ndjson() can return the whole stream; on a log that has freed
+// lines to_ndjson() throws instead of returning a suffix.
 //
 // A campaign reports to the log in its obs::Session (obs/session.hpp).
 // The disabled path costs one pointer load from the scheduler's session
@@ -33,10 +45,13 @@
 // (wall-clock tracing) is also installed.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,25 +101,85 @@ struct EventSinks {
 class EventLog;
 
 /// Mirrors `log`'s durability counters (events written / dropped /
-/// bytes, io_errors, fsyncs, watermark) into `pandarus_events_*`
-/// registry gauges so /metrics scrapes and metric dumps carry them;
-/// no-op when `log` is null.  Gauges never touch the event stream, so
-/// this is determinism-neutral.
+/// bytes, io_errors, fsyncs, watermark, resident lines) into
+/// `pandarus_events_*` registry gauges so /metrics scrapes and metric
+/// dumps carry them; no-op when `log` is null.  Gauges never touch the
+/// event stream, so this is determinism-neutral.
 void export_event_log_metrics(const EventLog* log);
+
+/// A value's type as util::json::parse reads it back from its rendered
+/// bytes — and so the colstore column it lands in.
+enum class FieldType : std::uint8_t {
+  kInt = 0,
+  kDouble = 1,
+  kBool = 2,
+  kString = 3,
+  kNull = 4,
+};
+
+/// One `"key":value` member of an event, typed exactly as
+/// util::json::parse types its rendered bytes.  The key, and a string
+/// value, are byte spans of the text the record was taken from.  No
+/// default member initializers: an EventRecord's unused slots stay
+/// untouched, so building an Event never zeroes them.
+struct FieldRecord {
+  std::uint32_t key_pos;
+  std::uint32_t key_len;
+  /// kInt: the value; kDouble: its IEEE-754 bits; kBool: 0 or 1;
+  /// kString: the span, pos << 32 | len.
+  std::uint64_t value;
+  FieldType type;
+  bool key_escaped;    ///< the key span holds JSON-escaped bytes
+  bool value_escaped;  ///< so does the string value span
+
+  /// A kString value's span, as stored in `value`.
+  static constexpr std::uint64_t pack_span(std::uint64_t pos,
+                                           std::uint64_t len) noexcept {
+    return pos << 32 | len;
+  }
+};
+
+/// What the colstore encoder needs from one event: the three core
+/// values and the fields in line order.  The Event builder fills it as
+/// it renders the line; ColWriter::append_ndjson_line builds the same
+/// FieldRecords from a parsed line.
+struct EventRecord {
+  static constexpr std::size_t kInlineFields = 32;
+
+  EventRecord() noexcept : ts{}, kind{}, entity{} {}  // fields[] unwritten
+  /// Copies the core values and the used fields only.
+  EventRecord(const EventRecord& other) noexcept;
+  EventRecord& operator=(const EventRecord& other) noexcept;
+
+  FieldRecord ts;
+  FieldRecord kind;
+  FieldRecord entity;
+  std::uint32_t field_count = 0;
+  /// False when the event outgrew the record (more than kInlineFields
+  /// fields, or a line past 4 GiB): the record no longer describes the
+  /// line, and the colstore sink encodes that line by parsing it.
+  bool complete = true;
+  std::array<FieldRecord, kInlineFields> fields;
+};
 
 /// Builder for one event line.  The constructor writes the common
 /// prefix (`ts`, `kind`, `entity`); field() appends one key/value pair
 /// per call.  Strings are JSON-escaped; doubles are rendered finite and
-/// round-trippable (like the metrics exporters).
+/// round-trippable (like the metrics exporters).  Each call also fills
+/// the event's EventRecord.
 class Event {
  public:
   Event(std::string_view kind, std::int64_t ts, std::int64_t entity);
   Event(std::string_view kind, std::int64_t ts, std::string_view entity);
 
   Event&& field(std::string_view key, std::int64_t v) &&;
+  /// Above INT64_MAX the rendered digits read back as a double, and the
+  /// record types the value so.
   Event&& field(std::string_view key, std::uint64_t v) &&;
   Event&& field(std::string_view key, std::int32_t v) &&;
   Event&& field(std::string_view key, std::uint32_t v) &&;
+  /// An integral rendering (`3`, `-0`, or `0` for a non-finite value)
+  /// reads back as an int, and the record types the value so.
   Event&& field(std::string_view key, double v) &&;
   Event&& field(std::string_view key, bool v) &&;
   Event&& field(std::string_view key, std::string_view v) &&;
@@ -112,35 +187,48 @@ class Event {
 
  private:
   friend class EventLog;
-  void append_key(std::string_view key);
+  /// Appends `,"key":` and returns the record slot for the value, or
+  /// null once the record is full (it is then marked incomplete).
+  FieldRecord* append_key(std::string_view key);
+  /// Appends `s` JSON-escaped and returns its span as a kString record.
+  FieldRecord append_string(std::string_view s);
+  /// Appends the decimal digits of `v`.
+  template <typename Int>
+  void append_int(Int v);
+
   std::string line_;  ///< open JSON object; emit() appends the '}'
+  EventRecord record_;
 };
 
 class ColWriter;
 
 /// Collects events from any thread.  The log must outlive every thread
-/// that emits to it, and to_ndjson() is only safe once emitters have
-/// quiesced (same contract as TraceRecorder).
+/// that emits to it; to_ndjson() and close() are only safe once emitters
+/// have quiesced (same contract as TraceRecorder).
 class EventLog {
  public:
-  static constexpr std::size_t kDefaultMaxEvents = std::size_t{1} << 22;
+  static constexpr std::size_t kUnbounded =
+      std::numeric_limits<std::size_t>::max();
+  /// Staging buffers drain in batches of this many lines.
+  static constexpr std::size_t kDrainBatch = 1024;
 
   /// `max_events` bounds the whole stream across all threads; events
   /// past the bound are counted as dropped (warned once).
-  explicit EventLog(std::size_t max_events = kDefaultMaxEvents);
+  explicit EventLog(std::size_t max_events = kUnbounded);
   /// Same, writing the stream to `sinks` as it is published.  A path
   /// that cannot be opened counts as an io_error (warned) and the log
-  /// runs without that file.
+  /// runs without that file.  Lines are freed once written (see Reader).
   explicit EventLog(const EventSinks& sinks,
-                    std::size_t max_events = kDefaultMaxEvents);
-  /// Closes the files without appending log_stats (see close()).
+                    std::size_t max_events = kUnbounded);
+  /// Closes the files without appending log_stats (see close()), and
+  /// detaches any reader still registered.
   ~EventLog();
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
   /// Finalizes the event's line and appends it to this thread's staging
   /// buffer (draining to the central sink when the buffer fills).
-  void emit(Event event);
+  void emit(Event&& event);
 
   /// Sideband emit: the line rides the stream (same ordering, same
   /// sinks) but bypasses the max_events bound and the accepted/bytes
@@ -148,33 +236,60 @@ class EventLog {
   /// derived annotations (HealthEngine `alert` events) so a run with
   /// them armed keeps every self-describing counter — including the
   /// log_stats line itself — byte-identical to a run without.
-  void emit_sideband(Event event);
+  void emit_sideband(Event&& event);
 
   /// Finalizes the stream: appends one terminal `log_stats` event
   /// (events written, dropped, bytes — describing the stream *before*
-  /// this line) so silent max_events truncation is visible in replay
-  /// and reports.  The stats line bypasses the max_events bound.
-  /// Also drains every staging buffer into the central sink (emitters
-  /// have quiesced by contract), so the publication watermark reaches
-  /// the end of the stream, then flushes, fsyncs (per policy) and
-  /// closes the sink files.  Idempotent; call once emitters have
-  /// quiesced.
+  /// this line) so max_events truncation is visible in replay and
+  /// reports.  The stats line bypasses the max_events bound.  Also
+  /// drains every staging buffer into the central sink (emitters have
+  /// quiesced by contract), so the publication watermark reaches the
+  /// end of the stream, then flushes, fsyncs (per policy) and closes the
+  /// sink files.  Idempotent; call once emitters have quiesced.
   void close();
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
 
   // --- snapshot isolation ---------------------------------------------------
-  // Concurrent readers (obs::serve) must never touch staging buffers —
-  // those are owned by their emitting threads.  Instead they read the
-  // *published prefix*: the set of lines whose sequence numbers form a
-  // contiguous range [0, watermark()) inside the central sink.  Owning
-  // threads move their staged lines into the sink by filling a batch
-  // (kDrainBatch) or by calling publish() at a quiescent point (the
-  // campaign loop publishes at every simulated-day boundary and after
-  // the harvest).  A reader holding a watermark therefore sees a
-  // consistent, gap-free prefix of the stream without ever blocking an
-  // emitter for more than the sink mutex.
+  // Concurrent readers (obs::serve, checkpoints) must never touch
+  // staging buffers — those are owned by their emitting threads.
+  // Instead they read the *published prefix*: the lines whose sequence
+  // numbers form a contiguous range [0, watermark()) inside the central
+  // sink.  Owning threads move their staged lines into the sink by
+  // filling a batch (kDrainBatch) or by calling publish() at a quiescent
+  // point (the campaign loop publishes at every simulated-day boundary
+  // and after the harvest).  A Reader therefore sees a consistent,
+  // gap-free prefix of the stream without ever blocking an emitter for
+  // more than the sink mutex.
+
+  /// A registered cursor over the published stream: it sees every line
+  /// published from its registration on.  While it is registered, the
+  /// log keeps every line from its position on, so read() never misses
+  /// one; reading past lines lets the log free them.  Not thread-safe
+  /// itself (one owner reads it); the log must outlive its reads.
+  class Reader {
+   public:
+    explicit Reader(EventLog& log);
+    ~Reader();
+    Reader(const Reader&) = delete;
+    Reader& operator=(const Reader&) = delete;
+
+    /// Appends the lines published since the last read (or since
+    /// registration) to `out` as NDJSON in sequence order and returns
+    /// the new position — the watermark at the call.  Safe concurrently
+    /// with emitters: only the central sink is read.
+    std::uint64_t read(std::string& out);
+    /// Sequence number of the next line read() returns.
+    [[nodiscard]] std::uint64_t position() const noexcept {
+      return position_;
+    }
+
+   private:
+    friend class EventLog;
+    EventLog* log_;
+    std::uint64_t position_;  ///< written under log_->mutex_
+  };
 
   /// Drains the calling thread's staging buffer into the central sink
   /// and returns the new publication watermark W.  On return the NDJSON
@@ -184,18 +299,10 @@ class EventLog {
   std::uint64_t publish();
 
   /// One past the highest sequence number of the contiguous published
-  /// prefix.  Every line with seq < watermark() is in the central sink
-  /// and immutable; snapshot readers key their memoization off this.
+  /// prefix.  Every line with seq < watermark() has been written to the
+  /// sinks and is immutable; snapshot readers key their memoization off
+  /// this.
   [[nodiscard]] std::uint64_t watermark() const;
-
-  /// Appends the published lines with seq in [from_seq, watermark())
-  /// to `out` as NDJSON in sequence order and returns the watermark
-  /// used as the exclusive bound.  Safe concurrently with emitters —
-  /// only the central sink is read — and costs only the returned
-  /// slice.  Pass the returned value back as `from_seq` to stream the
-  /// log incrementally.
-  std::uint64_t snapshot_ndjson(std::string& out,
-                                std::uint64_t from_seq = 0) const;
 
   /// Sink I/O failures: an unopenable path, or a failed write, flush,
   /// fsync or close.  A file stops being written at its first failure,
@@ -210,7 +317,12 @@ class EventLog {
     return fsyncs_.load(std::memory_order_relaxed);
   }
 
+  /// Lines in the stream so far: published, held above a gap, or staged.
   [[nodiscard]] std::size_t event_count() const;
+  /// Lines held in memory: published lines a reader still needs (every
+  /// published line on a log without a file sink), plus lines held above
+  /// a gap and staged lines.
+  [[nodiscard]] std::size_t resident_lines() const;
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -225,34 +337,45 @@ class EventLog {
 
   /// The full stream as NDJSON, lines ordered by emission sequence
   /// (deterministic for single-threaded emitters), '\n' after each line.
+  /// Throws std::logic_error on a log that has freed lines (a log with a
+  /// file sink, once its sinks have written them): read the file back,
+  /// or record into a log without a file sink.
   [[nodiscard]] std::string to_ndjson() const;
 
  private:
   struct Line {
+    Line() noexcept {}  // user-provided: emplace_back() must not zero record
     std::uint64_t seq = 0;
     std::string text;
+    EventRecord record;
   };
   struct Buffer {
     std::vector<Line> staged;
   };
-  /// Staging buffers drain in batches of this many lines.
-  static constexpr std::size_t kDrainBatch = 1024;
 
   Buffer& local_buffer();
   /// Finalizes `event`'s line and stages it on this thread's buffer,
   /// draining a full batch; returns the line's length without '\n'.
-  std::size_t stage(Event event);
-  /// Publishes every line staged in `buffer` and writes the newly
-  /// published lines to the sinks; mutex_ held.
+  std::size_t stage(Event& event);
+  /// Publishes every line staged in `buffer`, writes the newly published
+  /// lines to the sinks, then frees what no reader needs; mutex_ held.
   void drain_locked(Buffer& buffer);
-  /// Appends line `seq` to drained_, or holds it in ahead_ until the
-  /// gap below it closes; mutex_ held.
-  void publish_locked(std::uint64_t seq, std::string text);
-  /// Appends drained_[from, end) to `out`, '\n' after each; mutex_ held.
-  void append_published_locked(std::string& out, std::size_t from) const;
-  /// Writes drained_[from, end) to every open sink file, then flushes
-  /// and fsyncs per policy; mutex_ held.
-  void write_sinks_locked(std::size_t from);
+  /// Publishes `line` if it is next in sequence (then any lines in
+  /// ahead_ it unblocks), or holds it in ahead_; mutex_ held.
+  void publish_locked(Line& line);
+  /// Hands one newly published line to the sinks and retains its text;
+  /// mutex_ held.
+  void accept_locked(Line& line);
+  /// Writes the lines accepted since the last call to the NDJSON file,
+  /// flushes the colstore, and fsyncs per policy; mutex_ held.
+  void flush_sinks_locked();
+  /// Appends retained_ lines with seq in [from, watermark_) to `out`,
+  /// '\n' after each; mutex_ held.
+  void append_retained_locked(std::string& out, std::uint64_t from) const;
+  /// Frees the retained lines below every reader's position (all of
+  /// them when no reader is registered) on a log with a file sink;
+  /// mutex_ held.
+  void release_locked();
   /// Flushes, fsyncs (any policy but kOff) and closes both files;
   /// mutex_ held.
   void close_sinks_locked();
@@ -276,18 +399,26 @@ class EventLog {
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Buffer>> buffers_;
 
-  // Central sink (guarded by mutex_).  drained_ holds exactly the
-  // published lines in sequence order — seqs are dense, so index ==
-  // seq and the watermark is drained_.size().  A drained line above a
-  // gap (another thread still stages a lower seq) waits in ahead_ until
-  // the gap closes.
-  std::vector<std::string> drained_;
-  std::map<std::uint64_t, std::string> ahead_;
+  // Central sink (guarded by mutex_).  watermark_ is one past the last
+  // published seq; retained_ holds the published lines
+  // [watermark_ - retained_.size(), watermark_) still in memory.  A
+  // drained line above a gap (another thread still stages a lower seq)
+  // waits in ahead_ until the gap closes.
+  std::uint64_t watermark_ = 0;
+  std::deque<std::string> retained_;
+  std::map<std::uint64_t, Line> ahead_;
+  std::vector<Reader*> readers_;
+  /// A file sink was configured: lines are freed once written and read.
+  const bool frees_lines_;
+  /// A colstore sink was configured: staged lines carry their records.
+  const bool encodes_records_;
+  bool freed_ = false;  ///< some line has been freed
 
   // Sink files (guarded by mutex_).  Null when not configured, and set
   // null at a file's first I/O failure so it is never written again.
   const EventSinks sinks_;
   std::FILE* ndjson_file_ = nullptr;
+  std::string ndjson_pending_;  ///< accepted lines not yet written
   std::unique_ptr<ColWriter> col_writer_;
   std::chrono::steady_clock::time_point last_fsync_{};
 };

@@ -19,7 +19,7 @@
 // `PANDARUS_SERVE=<port>` is all a binary needs.
 //
 // Snapshot discipline: providers must read only (a) the EventLog's
-// published prefix via snapshot_ndjson()/watermark(), (b) mutex-guarded
+// published prefix via an EventLog::Reader or watermark(), (b) mutex-guarded
 // aggregates (FlowTracker::totals()/link_ranking()), and (c) metric
 // snapshots — never staging buffers or live simulator state — so a
 // scrape observes a consistent store without blocking the sim thread.

@@ -80,6 +80,9 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   if (session.server != nullptr) {
     analysis::attach_live_status(*session.server, session);
   }
+  // Like the live /api cache, the checkpoint writer reads the published
+  // stream through a registered reader, so it exists before any event.
+  CheckpointWriter checkpoints(config, session.checkpoint_dir, log);
 
   ScenarioResult result;
   util::Rng rng(config.seed);
@@ -409,7 +412,6 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   // recomputed in full, because finalize_task() backfills job rows), and
   // is skipped entirely when neither consumer is armed, so default runs
   // stay byte- and cost-identical.
-  CheckpointWriter checkpoints(config, session.checkpoint_dir);
   const auto day_boundary = [&](std::int64_t day) {
     if (!checkpoints.active() && !on_day) return;
     DayBoundary boundary;

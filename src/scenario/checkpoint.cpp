@@ -301,14 +301,17 @@ std::optional<Checkpoint> load_latest_checkpoint(const std::string& dir,
 }
 
 CheckpointWriter::CheckpointWriter(const ScenarioConfig& config,
-                                   std::string dir)
-    : config_digest_(config_digest(config)), dir_(std::move(dir)) {}
+                                   std::string dir, obs::EventLog* log)
+    : config_digest_(config_digest(config)), dir_(std::move(dir)) {
+  // Registered only when active: an idle reader would pin every line.
+  if (active() && log != nullptr) reader_.emplace(*log);
+}
 
 void CheckpointWriter::on_day_boundary(const detail::DayBoundary& b) {
   if (dir_.empty()) return;
-  std::string fresh;
-  if (b.log != nullptr) {
-    cursor_ = b.log->snapshot_ndjson(fresh, cursor_);
+  if (reader_) {
+    std::string fresh;
+    reader_->read(fresh);
     prefix_crc_.update(fresh);
     prefix_bytes_ += fresh.size();
   }
@@ -346,8 +349,15 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
     }
   }
 
+  // Fresh sinks for the deterministic re-execution; same defaults as a
+  // from-scratch run so the terminal log_stats line matches byte for
+  // byte.  No file sink, so the log keeps the whole stream for
+  // full_ndjson.  No checkpoint directory: the re-run reads the crashed
+  // run's snapshots and must never replace them.
+  obs::EventLog log;
+  obs::EventLog::Reader reader(log);
+
   struct VerifyState {
-    std::uint64_t cursor = 0;
     util::Crc32 crc;
     std::uint64_t bytes = 0;
     bool saw_day = false;
@@ -356,13 +366,11 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
   } state;
 
   const detail::DayBoundaryHook verify =
-      [&state, &ckpt](const detail::DayBoundary& b) {
+      [&state, &ckpt, &reader](const detail::DayBoundary& b) {
         std::string fresh;
-        if (b.log != nullptr) {
-          state.cursor = b.log->snapshot_ndjson(fresh, state.cursor);
-          state.crc.update(fresh);
-          state.bytes += fresh.size();
-        }
+        reader.read(fresh);
+        state.crc.update(fresh);
+        state.bytes += fresh.size();
         if (!ckpt || b.day != ckpt->day) return;
         state.saw_day = true;
         state.fingerprint_ok = b.fingerprint == ckpt->fingerprint &&
@@ -374,11 +382,6 @@ ResumeOutcome resume_campaign(const ScenarioConfig& config,
                             b.log->bytes_written() == ckpt->log_bytes));
       };
 
-  // Fresh sinks for the deterministic re-execution; same defaults as a
-  // from-scratch run so the terminal log_stats line matches byte for
-  // byte.  No checkpoint directory: the re-run reads the crashed run's
-  // snapshots and must never replace them.
-  obs::EventLog log;
   std::optional<obs::FlowTracker> flows;
   obs::Session session;
   session.events = &log;

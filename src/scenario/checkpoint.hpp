@@ -43,6 +43,7 @@
 #include <optional>
 #include <string>
 
+#include "obs/event_log.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "util/crc32.hpp"
@@ -129,10 +130,14 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
 }  // namespace detail
 
 /// Owned by run_campaign(): writes one snapshot per completed day into
-/// the session's `checkpoint_dir`.  Inert when that is empty.
+/// the session's `checkpoint_dir`.  Inert when that is empty.  When
+/// active it reads the published prefix of `log` (may be null) through
+/// a registered EventLog::Reader, so it must be built before the
+/// campaign's first event is published.
 class CheckpointWriter {
  public:
-  CheckpointWriter(const ScenarioConfig& config, std::string dir);
+  CheckpointWriter(const ScenarioConfig& config, std::string dir,
+                   obs::EventLog* log);
 
   [[nodiscard]] bool active() const noexcept { return !dir_.empty(); }
 
@@ -145,7 +150,7 @@ class CheckpointWriter {
  private:
   std::uint64_t config_digest_ = 0;
   std::string dir_;
-  std::uint64_t cursor_ = 0;  ///< snapshot_ndjson() resume cursor
+  std::optional<obs::EventLog::Reader> reader_;  ///< active, with a log
   std::uint64_t prefix_bytes_ = 0;
   util::Crc32 prefix_crc_;  ///< running CRC of the published prefix
   std::uint64_t written_ = 0;

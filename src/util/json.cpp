@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace pandarus::util::json {
 namespace {
@@ -186,7 +188,7 @@ class Parser {
     }
     out.is_int = false;
     out.num_v = std::strtod(token.c_str(), nullptr);
-    out.int_v = static_cast<std::int64_t>(out.num_v);
+    out.int_v = saturating_int(out.num_v);
     return true;
   }
 
@@ -236,7 +238,7 @@ const Value* Value::find(std::string_view key) const noexcept {
 
 std::int64_t Value::as_int(std::int64_t fallback) const noexcept {
   if (kind != Kind::kNumber) return fallback;
-  return is_int ? int_v : static_cast<std::int64_t>(num_v);
+  return is_int ? int_v : saturating_int(num_v);
 }
 
 double Value::as_double(double fallback) const noexcept {
@@ -275,6 +277,16 @@ std::string_view Value::get_string(std::string_view key,
 
 std::optional<Value> parse(std::string_view text) {
   return Parser(text).run();
+}
+
+std::int64_t saturating_int(double v) noexcept {
+  using Limits = std::numeric_limits<std::int64_t>;
+  if (std::isnan(v)) return 0;
+  // -2^63 is exact in a double; 2^63 is the first value past the range.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (v >= kTwo63) return Limits::max();
+  if (v < -kTwo63) return Limits::min();
+  return static_cast<std::int64_t>(v);
 }
 
 }  // namespace pandarus::util::json

@@ -33,6 +33,7 @@ class Value {
   bool bool_v = false;
   /// Numbers carry both representations; `is_int` marks values written
   /// without fraction/exponent that fit an int64 (parsed losslessly).
+  /// Otherwise `int_v` is saturating_int(num_v).
   double num_v = 0.0;
   std::int64_t int_v = 0;
   bool is_int = false;
@@ -64,5 +65,10 @@ class Value {
 /// Parses exactly one JSON value (with optional surrounding whitespace);
 /// std::nullopt on any syntax error or trailing garbage.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
+
+/// `v` truncated toward zero and clamped to the int64 range, NaN → 0.
+/// (A plain cast is undefined outside that range, e.g. for the
+/// 18446744073709551615 an Event's uint64 field can render.)
+[[nodiscard]] std::int64_t saturating_int(double v) noexcept;
 
 }  // namespace pandarus::util::json

@@ -7,6 +7,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,10 +295,16 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   const auto live = scenario::run_campaign(config, {.events = &log});
   log.close();
   ASSERT_EQ(log.io_errors(), 0u);
+  // The sink log freed its lines; the same campaign recorded into a log
+  // without a file sink keeps the whole stream to compare with.
+  obs::EventLog memory;
+  std::ignore = scenario::run_campaign(config, {.events = &memory});
+  memory.close();
+  const std::string ndjson = memory.to_ndjson();
 
   // Byte parity: decoding the colstore re-renders the NDJSON exactly.
-  EXPECT_EQ(decode_to_ndjson(col_file.path()), log.to_ndjson());
-  EXPECT_EQ(read_file(ndjson_file.path()), log.to_ndjson());
+  EXPECT_EQ(decode_to_ndjson(col_file.path()), ndjson);
+  EXPECT_EQ(read_file(ndjson_file.path()), ndjson);
 
   // Replay parity through the sniffing open_event_source path.
   const auto from_text = analysis::replay_events_file(ndjson_file.path());
@@ -339,6 +346,102 @@ TEST(ColstoreTest, CampaignReplayParityAndCompression) {
   EXPECT_LE(static_cast<double>(col_bytes.size()),
             0.35 * static_cast<double>(ndjson_bytes.size()))
       << col_bytes.size() << " / " << ndjson_bytes.size();
+}
+
+/// Builder events at every edge of the record's typing and escaping
+/// rules: integral, non-finite and huge doubles, int64/uint64 extremes,
+/// every escaped byte class, escaped keys, kinds and string entities,
+/// extra members named like the core keys, and events wider than the
+/// record's inline capacity.
+void emit_adversarial_events(obs::EventLog& log) {
+  const double inf = std::numeric_limits<double>::infinity();
+  log.emit(obs::Event("doubles", 1, std::int64_t{1})
+               .field("zero", 0.0)
+               .field("neg_zero", -0.0)
+               .field("three", 3.0)
+               .field("e16", 1e16)
+               .field("e17", 1e17)
+               .field("tenth", 0.1)
+               .field("nan", std::numeric_limits<double>::quiet_NaN())
+               .field("inf", inf)
+               .field("neg_inf", -inf));
+  log.emit(obs::Event("ints", 2, std::int64_t{-2})
+               .field("u64_max", std::numeric_limits<std::uint64_t>::max())
+               .field("u64_top", std::uint64_t{1} << 63)
+               .field("i64_min", std::numeric_limits<std::int64_t>::min())
+               .field("i64_max", std::numeric_limits<std::int64_t>::max())
+               .field("i32", std::int32_t{-7})
+               .field("u32", std::uint32_t{7})
+               .field("flag", true)
+               .field("off", false));
+  log.emit(obs::Event("strings", 3, std::int64_t{3})
+               .field("quote", "a\"b")
+               .field("backslash", "a\\b")
+               .field("newline", "a\nb")
+               .field("tab", "a\tb")
+               .field("ctrl_01", std::string_view("a\x01z", 3))
+               .field("ctrl_1f", std::string_view("a\x1fz", 3))
+               .field("utf8", "caf\xc3\xa9 \xe2\x82\xac")
+               .field("empty", ""));
+  log.emit(obs::Event("esc\"kind\t", 4, std::string_view("ent\"ity\n\\"))
+               .field("we\"ird\\key", std::int64_t{5})
+               .field("ts", std::int64_t{6})
+               .field("kind", "shadow")
+               .field("entity", 7.5));
+  log.emit(obs::Event("empty_entity", 5, std::string_view("")));
+  for (const std::size_t width : {obs::EventRecord::kInlineFields,
+                                  obs::EventRecord::kInlineFields + 5}) {
+    obs::Event wide("wide", 6, static_cast<std::int64_t>(width));
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::string key = "f" + std::to_string(i);
+      switch (i % 4) {
+        case 0: std::move(wide).field(key, static_cast<std::int64_t>(i)); break;
+        case 1: std::move(wide).field(key, 0.25 * static_cast<double>(i)); break;
+        case 2: std::move(wide).field(key, "v\"" + key); break;
+        default: std::move(wide).field(key, i % 8 == 3); break;
+      }
+    }
+    log.emit(std::move(wide));
+  }
+}
+
+TEST(ColstoreTest, TypedRecordEncodesLikeParsedLines) {
+  TempFile ndjson_file("typed_record.ndjson");
+  TempFile col_file("typed_record.colstore");
+  TempFile parsed_file("typed_record_parsed.colstore");
+  {
+    obs::EventSinks sinks;
+    sinks.ndjson_path = ndjson_file.path();
+    sinks.colstore_path = col_file.path();
+    obs::EventLog log(sinks);
+    emit_adversarial_events(log);
+    log.close();
+    ASSERT_EQ(log.io_errors(), 0u);
+  }
+  const std::string ndjson = read_file(ndjson_file.path());
+
+  // The sink encoded from the builder's records; the line path parses
+  // the same lines.  The two files must agree byte for byte.
+  encode_colstore(ndjson, parsed_file.path(), {});
+  const std::string col = read_file(col_file.path());
+  ASSERT_FALSE(col.empty());
+  EXPECT_TRUE(col == read_file(parsed_file.path()));
+
+  // Decoding gives back the NDJSON, except where util::json::parse
+  // itself reads a rendering back differently: `-0` is the int 0, and
+  // an integer past INT64_MAX is a double.
+  std::string expected = ndjson;
+  const auto replace = [&expected](std::string_view from, std::string_view to) {
+    const std::size_t at = expected.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    expected.replace(at, from.size(), to);
+  };
+  replace("\"neg_zero\":-0,", "\"neg_zero\":0,");
+  replace("\"u64_max\":18446744073709551615,",
+          "\"u64_max\":1.8446744073709552e+19,");
+  replace("\"u64_top\":9223372036854775808,",
+          "\"u64_top\":9.2233720368547758e+18,");
+  EXPECT_EQ(decode_to_ndjson(col_file.path()), expected);
 }
 
 TEST(ColstoreTest, LogStatsReportsTruncation) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -457,7 +458,11 @@ TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
 
   // Stripping alert lines restores the baseline bytes exactly —
   // including the log_stats self-description (alerts ride sideband).
-  const std::string health_ndjson = health_log.to_ndjson();
+  // The health-on stream is read back from its sink file: a log with a
+  // file sink frees its lines once written.
+  std::ifstream in(file.path(), std::ios::binary);
+  const std::string health_ndjson{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
   EXPECT_EQ(strip_alert_lines(health_ndjson), baseline_log.to_ndjson());
 
   // Replaying the health-on stream derives the exact live state.

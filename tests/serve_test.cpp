@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,7 +18,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -549,6 +552,7 @@ TEST(ServeEndpoints, ScrapedCampaignNdjsonIsByteIdenticalToUnscraped) {
 
 TEST(EventLogServe, PublishAdvancesTheWatermark) {
   obs::EventLog log;
+  obs::EventLog::Reader reader(log);
   for (std::int64_t i = 0; i < 10; ++i) {
     log.emit(obs::Event("tick", i, i));
   }
@@ -558,20 +562,22 @@ TEST(EventLogServe, PublishAdvancesTheWatermark) {
   EXPECT_EQ(log.publish(), 10u);
   EXPECT_EQ(log.watermark(), 10u);
   std::string snapshot;
-  EXPECT_EQ(log.snapshot_ndjson(snapshot), 10u);
+  EXPECT_EQ(reader.read(snapshot), 10u);
   EXPECT_EQ(snapshot, log.to_ndjson());
 }
 
 TEST(EventLogServe, SnapshotStreamsIncrementally) {
   obs::EventLog log;
+  obs::EventLog::Reader reader(log);
   log.emit(obs::Event("a", 1, std::int64_t{1}));
   log.publish();
   std::string first;
-  const std::uint64_t cursor = log.snapshot_ndjson(first);
+  EXPECT_EQ(reader.read(first), 1u);
   log.emit(obs::Event("b", 2, std::int64_t{2}));
   log.publish();
   std::string second;
-  EXPECT_EQ(log.snapshot_ndjson(second, cursor), 2u);
+  EXPECT_EQ(reader.read(second), 2u);
+  EXPECT_EQ(reader.position(), 2u);
   EXPECT_EQ(first + second, log.to_ndjson());
   EXPECT_NE(second.find("\"b\""), std::string::npos);
   EXPECT_EQ(second.find("\"a\""), std::string::npos);
@@ -579,6 +585,7 @@ TEST(EventLogServe, SnapshotStreamsIncrementally) {
 
 TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
   obs::EventLog log;
+  obs::EventLog::Reader reader(log);
   // A second thread emits one line and exits without filling its batch:
   // its line is staged, unpublished.
   std::thread other([&log] { log.emit(obs::Event("other", 1, 1)); });
@@ -593,7 +600,7 @@ TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
   log.close();
   EXPECT_EQ(log.watermark(), 3u);
   std::string all;
-  log.snapshot_ndjson(all);
+  reader.read(all);
   EXPECT_EQ(all, log.to_ndjson());
 }
 
@@ -625,18 +632,32 @@ TEST(EventLogServe, NdjsonSinkHoldsExactlyThePublishedPrefix) {
   obs::EventSinks sinks;
   sinks.ndjson_path = path;
   obs::EventLog log(sinks);
-  log.emit(obs::Event("early", 1, std::int64_t{1}));
-  log.emit(obs::Event("early", 2, std::int64_t{2}));
+  obs::EventLog::Reader reader(log);
+  const auto early = [](obs::EventLog& l) {
+    l.emit(obs::Event("early", 1, std::int64_t{1}));
+    l.emit(obs::Event("early", 2, std::int64_t{2}));
+  };
+  const auto late = [](obs::EventLog& l) {
+    l.emit(obs::Event("late", 3, std::int64_t{3}));
+  };
+  early(log);
   const std::uint64_t watermark = log.publish();
   EXPECT_EQ(watermark, 2u);
   // Staged, not published: must not reach the file yet.
-  log.emit(obs::Event("late", 3, std::int64_t{3}));
+  late(log);
   std::string published;
-  EXPECT_EQ(log.snapshot_ndjson(published), watermark);
+  EXPECT_EQ(reader.read(published), watermark);
   EXPECT_EQ(read_text(path), published);
   log.close();
-  EXPECT_EQ(read_text(path), log.to_ndjson());
-  EXPECT_NE(log.to_ndjson().find("\"late\""), std::string::npos);
+  // The sink log frees its lines, so the whole stream to compare the
+  // file with comes from an in-memory log fed the same events.
+  obs::EventLog memory;
+  early(memory);
+  memory.publish();
+  late(memory);
+  memory.close();
+  EXPECT_EQ(read_text(path), memory.to_ndjson());
+  EXPECT_NE(memory.to_ndjson().find("\"late\""), std::string::npos);
   EXPECT_EQ(log.io_errors(), 0u);
   std::remove(path.c_str());
 }
@@ -647,22 +668,29 @@ TEST(EventLogServe, ColstoreSinkHoldsEveryCompleteChunkBeforeClose) {
   obs::EventSinks sinks;
   sinks.colstore_path = path;
   obs::EventLog log(sinks);
-  for (std::size_t i = 0; i <= kChunkRows; ++i) {
-    log.emit(obs::Event("tick", static_cast<std::int64_t>(i),
+  obs::EventLog::Reader reader(log);
+  const auto ticks = [](obs::EventLog& l) {
+    for (std::size_t i = 0; i <= kChunkRows; ++i) {
+      l.emit(obs::Event("tick", static_cast<std::int64_t>(i),
                         static_cast<std::int64_t>(i))
                  .field("n", static_cast<std::uint64_t>(i)));
-  }
+    }
+  };
+  ticks(log);
   EXPECT_EQ(log.publish(), kChunkRows + 1);
   // One full chunk is on disk; the one-row tail chunk is still open.
   std::string published;
-  log.snapshot_ndjson(published);
+  reader.read(published);
   std::size_t cut = 0;
   for (std::size_t line = 0; line < kChunkRows; ++line) {
     cut = published.find('\n', cut) + 1;
   }
   EXPECT_EQ(decode_salvaged(path), published.substr(0, cut));
   log.close();
-  EXPECT_EQ(decode_salvaged(path), log.to_ndjson());
+  obs::EventLog memory;  // the same events, kept whole for comparison
+  ticks(memory);
+  memory.close();
+  EXPECT_EQ(decode_salvaged(path), memory.to_ndjson());
   EXPECT_EQ(log.io_errors(), 0u);
   std::remove(path.c_str());
 }
@@ -674,6 +702,9 @@ TEST(EventLogServe, TwoThreadEmitWithBothSinksArmed) {
   sinks.ndjson_path = ndjson;
   sinks.colstore_path = col;
   obs::EventLog log(sinks);
+  // The interleaving differs run to run, so the stream to compare the
+  // files with is what a reader registered up front sees.
+  obs::EventLog::Reader reader(log);
   // Enough lines per thread to cross several drain batches, so both
   // threads write the files while the other is still emitting.
   constexpr int kPerThread = 5000;
@@ -689,13 +720,169 @@ TEST(EventLogServe, TwoThreadEmitWithBothSinksArmed) {
   a.join();
   b.join();
   log.close();
-  const std::string all = log.to_ndjson();
+  std::string all;
+  reader.read(all);
   EXPECT_EQ(log.watermark(), 2u * kPerThread + 1);
   EXPECT_EQ(read_text(ndjson), all);
   EXPECT_EQ(decode_salvaged(col), all);
   EXPECT_EQ(log.io_errors(), 0u);
   std::remove(ndjson.c_str());
   std::remove(col.c_str());
+}
+
+// --- bounded memory ---------------------------------------------------------
+
+/// Emits `count` ticks from the calling thread and returns the most
+/// lines `log` held in memory after any one of them.
+std::size_t emit_ticks(obs::EventLog& log, std::size_t count,
+                       std::int64_t entity) {
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    log.emit(obs::Event("tick", static_cast<std::int64_t>(i), entity)
+                 .field("i", static_cast<std::uint64_t>(i))
+                 .field("label", "tick \"" + std::to_string(i % 7) + "\""));
+    peak = std::max(peak, log.resident_lines());
+  }
+  return peak;
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(EventLogMemory, SinkLogFreesEveryWrittenLine) {
+  const std::string ndjson = ::testing::TempDir() + "bounded.ndjson";
+  const std::string col = ::testing::TempDir() + "bounded.colstore";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson;
+  sinks.colstore_path = col;
+  obs::EventLog log(sinks);
+  constexpr std::size_t kBatch = obs::EventLog::kDrainBatch;
+  constexpr std::size_t kLines = 40 * kBatch + 7;
+  // One emitting thread and no reader: only its staging batch is held.
+  EXPECT_LE(emit_ticks(log, kLines, 0), kBatch);
+  log.publish();
+  EXPECT_EQ(log.resident_lines(), 0u);
+  // Two threads at once: each holds at most its batch, plus lines that
+  // wait in ahead_ for the other's lower seqs; once both have
+  // published, nothing stays resident.
+  std::thread a([&log] { emit_ticks(log, kLines, 1); log.publish(); });
+  std::thread b([&log] { emit_ticks(log, kLines, 2); log.publish(); });
+  a.join();
+  b.join();
+  EXPECT_EQ(log.resident_lines(), 0u);
+  EXPECT_EQ(log.event_count(), 3 * kLines);
+  obs::export_event_log_metrics(&log);
+  EXPECT_EQ(obs::Registry::global().snapshot().gauge_value(
+                "pandarus_events_resident_lines"),
+            0);
+  log.close();
+  EXPECT_EQ(log.io_errors(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  // Freed lines were written first: both files hold the whole stream.
+  const std::string text = read_text(ndjson);
+  EXPECT_EQ(count_lines(text), 3 * kLines + 1);
+  EXPECT_EQ(decode_salvaged(col), text);
+  std::remove(ndjson.c_str());
+  std::remove(col.c_str());
+}
+
+TEST(EventLogMemory, RegisteredReaderPinsLinesUntilItReads) {
+  const std::string path = ::testing::TempDir() + "pinned.ndjson";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = path;
+  obs::EventLog log(sinks);
+  std::optional<obs::EventLog::Reader> reader(std::in_place, log);
+  constexpr std::size_t kLines = 3 * obs::EventLog::kDrainBatch;
+  emit_ticks(log, kLines, 0);
+  log.publish();
+  // Written to the file, but unread: every line stays.
+  EXPECT_EQ(log.resident_lines(), kLines);
+  std::string seen;
+  EXPECT_EQ(reader->read(seen), kLines);
+  EXPECT_EQ(log.resident_lines(), 0u);
+
+  // A reader registered now starts at the watermark; the slower one
+  // holds the lines both still need.
+  emit_ticks(log, 5, 0);
+  log.publish();
+  obs::EventLog::Reader late(log);
+  EXPECT_EQ(late.position(), kLines + 5);
+  emit_ticks(log, 3, 0);
+  log.publish();
+  std::string late_seen;
+  EXPECT_EQ(late.read(late_seen), kLines + 8);
+  EXPECT_EQ(count_lines(late_seen), 3u);
+  EXPECT_EQ(log.resident_lines(), 8u);
+  reader->read(seen);
+  EXPECT_EQ(log.resident_lines(), 0u);
+
+  // An unregistering reader releases what it pinned.
+  emit_ticks(log, 4, 0);
+  log.publish();
+  late.read(late_seen);
+  EXPECT_EQ(log.resident_lines(), 4u);  // `reader` has not read them
+  reader.reset();
+  EXPECT_EQ(log.resident_lines(), 0u);
+  // The file holds every published line: what the first reader saw,
+  // then the four lines only `late` read.
+  const std::string file = read_text(path);
+  EXPECT_EQ(count_lines(file), kLines + 12);
+  ASSERT_GE(file.size(), seen.size());
+  EXPECT_EQ(file.substr(0, seen.size()), seen);
+  EXPECT_TRUE(late_seen.ends_with(file.substr(seen.size())));
+  std::remove(path.c_str());
+}
+
+TEST(EventLogMemory, FailedSinkStaysBoundedAndTheOtherSinkGetsEveryLine) {
+  const std::string col = ::testing::TempDir() + "other_sink.colstore";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = "/dev/full";
+  sinks.colstore_path = col;
+  obs::EventLog log(sinks);
+  constexpr std::size_t kLines = 20 * obs::EventLog::kDrainBatch + 3;
+  EXPECT_LE(emit_ticks(log, kLines, 0), obs::EventLog::kDrainBatch);
+  log.close();
+  EXPECT_EQ(log.io_errors(), 1u);
+  EXPECT_EQ(log.resident_lines(), 0u);
+
+  obs::EventLog memory;  // the same events, kept whole for comparison
+  emit_ticks(memory, kLines, 0);
+  memory.close();
+  // Every event line reached the colstore; only the stats line differs,
+  // counting the NDJSON sink's failure.
+  const std::string decoded = decode_salvaged(col);
+  const std::string expected = memory.to_ndjson();
+  const std::size_t decoded_stats = decoded.rfind("{\"ts\":0,\"kind\":\"log_stats\"");
+  const std::size_t expected_stats = expected.rfind("{\"ts\":0,\"kind\":\"log_stats\"");
+  ASSERT_NE(decoded_stats, std::string::npos);
+  ASSERT_NE(expected_stats, std::string::npos);
+  EXPECT_EQ(decoded.substr(0, decoded_stats),
+            expected.substr(0, expected_stats));
+  EXPECT_NE(decoded.find("\"io_errors\":1", decoded_stats), std::string::npos);
+  std::remove(col.c_str());
+}
+
+TEST(EventLogMemory, ToNdjsonThrowsOnceLinesAreFreed) {
+  const std::string path = ::testing::TempDir() + "freed.ndjson";
+  obs::EventSinks sinks;
+  sinks.ndjson_path = path;
+  obs::EventLog log(sinks);
+  log.emit(obs::Event("a", 1, std::int64_t{1}));
+  // Staged only: nothing has been freed, so the stream is still whole.
+  EXPECT_EQ(log.to_ndjson(), "{\"ts\":1,\"kind\":\"a\",\"entity\":1}\n");
+  log.publish();
+  EXPECT_THROW((void)log.to_ndjson(), std::logic_error);
+  log.close();
+  EXPECT_THROW((void)log.to_ndjson(), std::logic_error);
+  EXPECT_EQ(count_lines(read_text(path)), 2u);
+  // A log without a file sink never frees a line.
+  obs::EventLog memory;
+  memory.emit(obs::Event("a", 1, std::int64_t{1}));
+  memory.publish();
+  memory.close();
+  EXPECT_EQ(memory.to_ndjson(), read_text(path));
+  std::remove(path.c_str());
 }
 
 TEST(EventLogServe, FullDiskIsCountedAndDegradesHealthz) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -300,6 +301,42 @@ TEST(Json, Int64RoundTripsLosslessly) {
   ASSERT_TRUE(d.has_value());
   EXPECT_FALSE(d->is_int);
   EXPECT_DOUBLE_EQ(d->as_double(), 325.0);
+}
+
+TEST(Json, OutOfRangeNumbersSaturateTheIntView) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  // An Event's uint64 field can render 2^64 - 1: past INT64_MAX the
+  // token reads as a double, and its int view clamps instead of
+  // overflowing (a plain cast is undefined there).
+  const auto v = json::parse(
+      R"({"u":18446744073709551615,"top":9223372036854775808,)"
+      R"("min":-9223372036854775808,"huge":1e300,"tiny":-1e300,)"
+      R"("inf":1e400,"frac":-2.75})");
+  ASSERT_TRUE(v.has_value());
+  const json::Value* u = v->find("u");
+  ASSERT_NE(u, nullptr);
+  EXPECT_FALSE(u->is_int);
+  EXPECT_EQ(u->as_double(), 18446744073709551615.0);
+  EXPECT_EQ(u->int_v, kMax);
+  EXPECT_EQ(u->as_int(), kMax);
+  EXPECT_EQ(v->get_int("top"), kMax);
+  EXPECT_TRUE(v->find("min")->is_int);
+  EXPECT_EQ(v->get_int("min"), kMin);
+  EXPECT_EQ(v->get_int("huge"), kMax);
+  EXPECT_EQ(v->get_int("tiny"), kMin);
+  EXPECT_EQ(v->get_int("inf"), kMax);
+  EXPECT_EQ(v->get_int("frac"), -2);  // truncates toward zero
+
+  EXPECT_EQ(json::saturating_int(std::nan("")), 0);
+  EXPECT_EQ(json::saturating_int(-0.0), 0);
+  EXPECT_EQ(json::saturating_int(1.99), 1);
+  EXPECT_EQ(json::saturating_int(-9223372036854775808.0), kMin);
+  EXPECT_EQ(json::saturating_int(9223372036854775807.0), kMax);  // = 2^63
+  EXPECT_EQ(json::saturating_int(9223372036854774784.0),  // 2^63 - 1024
+            std::int64_t{9223372036854774784});
+  EXPECT_EQ(json::saturating_int(-std::numeric_limits<double>::infinity()),
+            kMin);
 }
 
 TEST(Json, ArraysAndNestingAndSourceOrder) {
