@@ -335,19 +335,16 @@ BENCHMARK(BM_ColstoreScanFiltered)->Unit(benchmark::kMillisecond);
 /// exercises the reset path exactly like repeated campaigns do).
 void BM_HealthDetectors(benchmark::State& state) {
   constexpr int kTicks = 1000;
-  const std::vector<std::string> names = {
-      "jobs_queued", "pandarus_match_candidates_scanned_total",
-      "pandarus_match_jobs_matched_total", "events_dropped"};
+  const std::vector<std::string> names = {"jobs_queued", "events_dropped"};
   std::uint64_t fired = 0;
   std::uint64_t observations = 0;
   for (auto _ : state) {
     obs::HealthEngine engine;
     for (int i = 0; i < kTicks; ++i) {
       const std::int64_t ts = 1000 + 1800 * i;
-      // Queue depth spikes every 100 ticks; counters keep advancing.
+      // Queue depth spikes every 100 ticks.
       const std::int64_t depth = i % 100 == 7 ? 5000 : 40 + i % 5;
-      engine.on_sample(ts, names,
-                       {depth, 100 * i, 60 * i, 0});
+      engine.on_sample(ts, names, {depth, 0});
       engine.on_link_sample(ts, i % 8, (i + 1) % 8, i % 4,
                             i % 50 == 3 ? 1.0 : (i % 10) / 20.0);
       engine.on_transfer_terminal(

@@ -161,11 +161,7 @@ int main(int argc, char** argv) {
 
   const scenario::ScenarioConfig config = make_config(args);
 
-  // Reference stream, produced in-process with no file sink.  This (and
-  // every other campaign below) must run before anything touches the
-  // core::Matcher: its metric counters feed the sampler, so a campaign
-  // run after a match would sample different counter values and break
-  // byte parity.
+  // Reference stream, produced in-process with no file sink.
   std::string reference;
   {
     obs::EventLog log;
@@ -314,8 +310,7 @@ int main(int argc, char** argv) {
   }
 
   // The matched-counts gate: replay the last good spliced stream and
-  // run the three matching methods.  Matcher counters may move freely
-  // now — every campaign has already run.
+  // run the three matching methods.
   if (failures == 0 && !final_stream.empty()) {
     const std::string final_path = args.dir + "/final.ndjson";
     if (!write_file(final_path, final_stream)) {

@@ -112,8 +112,7 @@ class NdjsonSource final : public EventSource {
 /// indistinguishable across formats.
 class ColstoreSource final : public EventSource {
  public:
-  ColstoreSource(const std::string& path, bool recover)
-      : reader_(path, obs::ColFilter{}, obs::ColReadOptions{recover}) {}
+  explicit ColstoreSource(const std::string& path) : reader_(path) {}
 
   const util::json::Value* next() override {
     obs::DecodedEvent e;
@@ -203,10 +202,9 @@ std::unique_ptr<EventSource> make_ndjson_source(std::istream& in) {
       nullptr);
 }
 
-std::unique_ptr<EventSource> open_event_source(
-    const std::string& path, const EventSourceOptions& options) {
+std::unique_ptr<EventSource> open_event_source(const std::string& path) {
   if (obs::is_colstore_file(path)) {
-    return std::make_unique<ColstoreSource>(path, options.recover);
+    return std::make_unique<ColstoreSource>(path);
   }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

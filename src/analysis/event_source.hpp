@@ -43,18 +43,9 @@ class EventSource {
 /// outlive the source).
 std::unique_ptr<EventSource> make_ndjson_source(std::istream& in);
 
-struct EventSourceOptions {
-  /// Salvage mode for a damaged file (crash-truncated flush): a
-  /// colstore source stops cleanly at the first torn or corrupt chunk
-  /// instead of reporting an error, yielding the longest valid prefix;
-  /// NDJSON sources already skip damage line by line.
-  bool recover = false;
-};
-
 /// Opens `path` and sniffs the format: colstore magic selects the
 /// columnar reader, anything else streams as NDJSON.  nullptr (with a
 /// warning logged) when the file cannot be opened.
-std::unique_ptr<EventSource> open_event_source(
-    const std::string& path, const EventSourceOptions& options = {});
+std::unique_ptr<EventSource> open_event_source(const std::string& path);
 
 }  // namespace pandarus::analysis

@@ -232,10 +232,10 @@ ReplayResult replay_events_file(const std::string& path,
 }
 
 std::unique_ptr<obs::HealthEngine> derive_health_file(
-    const std::string& path, obs::HealthConfig config) {
+    const std::string& path) {
   const auto source = open_event_source(path);
   if (source == nullptr) return nullptr;
-  auto engine = std::make_unique<obs::HealthEngine>(config);
+  auto engine = std::make_unique<obs::HealthEngine>();
   while (const util::json::Value* event = source->next()) {
     engine->observe_json(*event);
   }

@@ -144,6 +144,6 @@ ReplayResult replay_events_file(const std::string& path,
 /// stream never re-emits that stream's own alerts.  nullptr when the
 /// file cannot be opened.
 std::unique_ptr<obs::HealthEngine> derive_health_file(
-    const std::string& path, obs::HealthConfig config = {});
+    const std::string& path);
 
 }  // namespace pandarus::analysis

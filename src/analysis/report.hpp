@@ -15,20 +15,11 @@
 
 namespace pandarus::analysis {
 
-struct ReportOptions {
-  std::size_t top_jobs = 10;          ///< rows in the Fig. 5/6 sections
-  bool include_case_studies = true;   ///< timelines are verbose
-  bool include_anomalies = true;
-  bool include_imbalance = true;
-  double anomaly_queue_share_threshold = 0.75;
-};
-
 /// Writes the full report to `os`.  The store must outlive the call; the
 /// topology provides site names.
 void write_campaign_report(std::ostream& os,
                            const telemetry::MetadataStore& store,
                            const grid::Topology& topology,
-                           const core::TriMatchResult& tri,
-                           const ReportOptions& options = {});
+                           const core::TriMatchResult& tri);
 
 }  // namespace pandarus::analysis

@@ -19,9 +19,19 @@
 #include "dms/did.hpp"
 #include "obs/health.hpp"
 #include "util/format.hpp"
+#include "util/time.hpp"
 
 namespace pandarus::analysis {
 namespace {
+
+constexpr std::string_view kTitle = "pandarus campaign report";
+/// Bandwidth sparklines: top-k matched (src, dst) pairs per locality.
+constexpr std::size_t kTopPairs = 4;
+constexpr util::SimDuration kBandwidthBin = util::hours(1);
+/// Rows in each Fig. 5/6-style queuing table.
+constexpr std::size_t kBreakdownTopN = 10;
+/// Transfer time must exceed this share of queuing time to qualify.
+constexpr double kBreakdownMinFraction = 0.1;
 
 std::string esc(std::string_view text) {
   std::string out;
@@ -163,18 +173,16 @@ void write_summary_section(std::ostream& os, const ReplayResult& replay,
 }
 
 void write_bandwidth_section(std::ostream& os, const ReplayResult& replay,
-                             const core::TriMatchResult& tri,
-                             const HtmlReportOptions& options) {
+                             const core::TriMatchResult& tri) {
   os << "<h2>Bandwidth of matched transfers (Figs. 7/8)</h2>";
   for (const bool local : {false, true}) {
     os << "<h3>" << (local ? "Local sites" : "Remote pairs") << "</h3>"
        << "<table><tr><th>link</th><th>bytes</th><th>transfers</th>"
        << "<th>peak</th><th>mean</th><th>burstiness</th><th>series</th></tr>";
-    for (const PairVolume& pair : top_matched_pairs(
-             replay.store, tri.exact, local, options.top_pairs)) {
-      const auto series =
-          bandwidth_series(replay.store, &tri.exact, pair.src, pair.dst,
-                           options.bandwidth_bin);
+    for (const PairVolume& pair :
+         top_matched_pairs(replay.store, tri.exact, local, kTopPairs)) {
+      const auto series = bandwidth_series(replay.store, &tri.exact, pair.src,
+                                           pair.dst, kBandwidthBin);
       const SeriesStats stats = series_stats(series);
       std::vector<double> values;
       values.reserve(series.size());
@@ -193,8 +201,7 @@ void write_bandwidth_section(std::ostream& os, const ReplayResult& replay,
 }
 
 void write_breakdown_section(std::ostream& os, const ReplayResult& replay,
-                             const core::TriMatchResult& tri,
-                             const HtmlReportOptions& options) {
+                             const core::TriMatchResult& tri) {
   const std::vector<BreakdownRow> rows =
       build_breakdown(replay.store, tri.exact);
   const BreakdownAggregates agg = aggregate(rows);
@@ -219,8 +226,8 @@ void write_breakdown_section(std::ostream& os, const ReplayResult& replay,
        << "<th>transfer-in-queue</th><th>fraction</th><th>bytes</th>"
        << "<th>transfers</th><th>spans exec</th></tr>";
     for (const BreakdownRow& row :
-         top_by_queuing(rows, locality, options.breakdown_min_fraction,
-                        options.breakdown_top_n)) {
+         top_by_queuing(rows, locality, kBreakdownMinFraction,
+                        kBreakdownTopN)) {
       os << "<tr><td>" << row.pandaid << "</td><td>"
          << util::format_duration(row.queuing_time) << "</td><td>"
          << util::format_duration(row.transfer_time_in_queue) << "</td><td>"
@@ -518,7 +525,7 @@ void write_heatmap_section(std::ostream& os, const ReplayResult& replay) {
 void write_html_report(std::ostream& os, const ReplayResult& replay,
                        const HtmlReportOptions& options) {
   os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\"><title>"
-     << esc(options.title) << "</title><style>"
+     << kTitle << "</title><style>"
      << "body{font-family:sans-serif;margin:2em;max-width:70em}"
      << "table{border-collapse:collapse;margin:0.6em 0}"
      << "th,td{border:1px solid #bbb;padding:2px 8px;text-align:left;"
@@ -526,7 +533,7 @@ void write_html_report(std::ostream& os, const ReplayResult& replay,
      << "th{background:#eef}pre{background:#f6f6f6;padding:8px;"
         "overflow-x:auto;font-size:12px}"
      << "svg.spark{vertical-align:middle}"
-     << "</style></head><body><h1>" << esc(options.title) << "</h1>";
+     << "</style></head><body><h1>" << kTitle << "</h1>";
 
   write_meta_section(os, replay);
 
@@ -534,8 +541,8 @@ void write_html_report(std::ostream& os, const ReplayResult& replay,
     const core::Matcher matcher(replay.store);
     const core::TriMatchResult tri = core::run_all_methods(matcher);
     write_summary_section(os, replay, tri);
-    write_bandwidth_section(os, replay, tri, options);
-    write_breakdown_section(os, replay, tri, options);
+    write_bandwidth_section(os, replay, tri);
+    write_breakdown_section(os, replay, tri);
     write_casestudy_section(os, replay, tri);
   } else {
     os << "<p>stream carried no harvest records; matching skipped</p>";

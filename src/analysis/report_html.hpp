@@ -5,12 +5,9 @@
 // attached to CI runs as one artifact.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
-#include <string>
 
 #include "analysis/events_replay.hpp"
-#include "util/time.hpp"
 
 namespace pandarus::obs {
 class HealthEngine;
@@ -19,14 +16,6 @@ class HealthEngine;
 namespace pandarus::analysis {
 
 struct HtmlReportOptions {
-  std::string title = "pandarus campaign report";
-  /// Bandwidth sparklines: top-k matched (src, dst) pairs per locality.
-  std::size_t top_pairs = 4;
-  util::SimDuration bandwidth_bin = util::hours(1);
-  /// Rows in each Fig. 5/6-style queuing table.
-  std::size_t breakdown_top_n = 10;
-  /// Transfer time must exceed this share of queuing time to qualify.
-  double breakdown_min_fraction = 0.1;
   /// Replay-derived health engine (fed by analysis::replay_events or
   /// derive_health_file) for the alert-timeline and SLO sections; both
   /// are skipped when null.

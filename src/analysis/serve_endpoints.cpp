@@ -244,9 +244,7 @@ struct LiveCache {
     }
     // Match only once harvest records exist, and again only when they
     // change: the store is empty until the campaign's closing harvest,
-    // and skipping the matcher before that keeps mid-campaign scrapes
-    // from advancing the global match counters the Sampler records
-    // (NDJSON byte-identity, server on or off).
+    // so matching before that would find nothing.
     const std::array<std::size_t, 3> rows{replay.store.jobs().size(),
                                           replay.store.files().size(),
                                           replay.store.transfers().size()};

@@ -19,10 +19,8 @@
 // pandarus_serve_replayed_lines_total); bodies are memoized on the
 // publication watermark, and a scrape never blocks the sim thread.
 // Matching reruns only when the store's row counts changed, and never
-// before harvest records exist (the store stays empty mid-campaign),
-// so scrapes during the simulation cannot perturb the sampled matcher
-// counters and the campaign NDJSON stays byte-identical server on or
-// off.
+// before harvest records exist: the store stays empty until the
+// campaign's closing harvest, so an earlier match would find nothing.
 #pragma once
 
 #include <memory>

@@ -6,6 +6,14 @@
 #include "util/stats.hpp"
 
 namespace pandarus::core {
+namespace {
+
+/// Flag matched transfers slower than median_link_throughput / this.
+constexpr double kStallSlowdownFactor = 10.0;
+/// Minimum per-link sample before stall detection is meaningful.
+constexpr std::size_t kMinLinkSamples = 5;
+
+}  // namespace
 
 const char* anomaly_name(AnomalyType type) noexcept {
   switch (type) {
@@ -41,7 +49,7 @@ AnomalyReport AnomalyDetector::scan(const telemetry::MetadataStore& store,
   }
   std::map<std::pair<grid::SiteId, grid::SiteId>, double> link_median;
   for (auto& [key, samples] : link_throughputs) {
-    if (samples.size() < config_.min_link_samples) continue;
+    if (samples.size() < kMinLinkSamples) continue;
     link_median[key] = util::quantile(samples, 0.5);
   }
 
@@ -63,7 +71,7 @@ AnomalyReport AnomalyDetector::scan(const telemetry::MetadataStore& store,
       flagged = true;
     };
 
-    if (metrics.queue_fraction() > config_.queue_share_threshold) {
+    if (metrics.queue_fraction() > kExcessiveTransferShare) {
       emit(AnomalyType::kExcessiveTransferShare, metrics.queue_fraction());
     }
     if (metrics.transfer_spans_execution) {
@@ -91,7 +99,7 @@ AnomalyReport AnomalyDetector::scan(const telemetry::MetadataStore& store,
       const double bps = t.throughput_bps();
       if (bps <= 0.0) continue;
       const double slowdown = it->second / bps;
-      if (slowdown > config_.stall_slowdown_factor) {
+      if (slowdown > kStallSlowdownFactor) {
         worst_slowdown = std::max(worst_slowdown, slowdown);
       }
     }

@@ -64,27 +64,15 @@ struct AnomalyReport {
   double unflagged_failure_rate = 0.0;
 };
 
-struct AnomalyDetectorConfig {
-  /// Flag jobs whose transfer time exceeds this share of queuing time
-  /// (the paper highlights the >75% population).
-  double queue_share_threshold = 0.75;
-  /// Flag matched transfers slower than median_link_throughput / this.
-  double stall_slowdown_factor = 10.0;
-  /// Minimum per-link sample before stall detection is meaningful.
-  std::size_t min_link_samples = 5;
-};
+/// Jobs whose transfer time exceeds this share of queuing time are
+/// flagged as excessive (the paper highlights the >75% population).
+inline constexpr double kExcessiveTransferShare = 0.75;
 
 class AnomalyDetector {
  public:
-  explicit AnomalyDetector(AnomalyDetectorConfig config = {})
-      : config_(config) {}
-
   /// Scans every matched job; pure function of the snapshot.
   [[nodiscard]] AnomalyReport scan(const telemetry::MetadataStore& store,
                                    const MatchResult& result) const;
-
- private:
-  AnomalyDetectorConfig config_;
 };
 
 }  // namespace pandarus::core

@@ -90,7 +90,8 @@ struct FunnelMetrics {
 /// relevant side is accepted (§4.3: such labels "may be incorrectly
 /// recorded in the metadata while still corresponding to valid matches").
 bool site_condition(const TransferRecord& t, const JobRecord& j,
-                    bool relax_unknown) {
+                    MatchMethod method) {
+  const bool relax_unknown = method == MatchMethod::kRM2;
   if (t.is_download()) {
     return t.destination_site == j.computing_site ||
            (relax_unknown && t.destination_site == grid::kUnknownSite);
@@ -105,8 +106,7 @@ bool site_condition(const TransferRecord& t, const JobRecord& j,
 }  // namespace
 
 const std::vector<std::size_t>& Matcher::collect_candidates(
-    std::size_t job_index, const MatchOptions& options,
-    std::size_t* file_rows) const {
+    std::size_t job_index, std::size_t* file_rows) const {
   // Reused per worker thread: the per-job allocate/free that used to
   // dominate the inner loop is gone.
   thread_local std::vector<std::size_t> scratch;
@@ -137,7 +137,7 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
     for (const std::uint32_t ti : index_->transfers_with_lfn(files[fi].lfn_sym)) {
       const TransferRecord& t = transfers[ti];
       ++scanned;
-      if (options.require_taskid_match && t.jeditaskid != job.jeditaskid) {
+      if (t.jeditaskid != job.jeditaskid) {
         ++rej_taskid;
         continue;
       }
@@ -186,7 +186,7 @@ MatchedJob Matcher::match_job(std::size_t job_index,
   const auto transfers = store.transfers();
   std::size_t file_rows = 0;
   const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, &file_rows);
+      collect_candidates(job_index, &file_rows);
   if (candidates.empty()) {
     (file_rows == 0 ? funnel.jobs_no_file_rows : funnel.jobs_no_candidates)
         .inc();
@@ -194,7 +194,7 @@ MatchedJob Matcher::match_job(std::size_t job_index,
   }
 
   // Size-sum gate over the whole candidate set (exact method only).
-  if (options.enforce_size_sum) {
+  if (options.method == MatchMethod::kExact) {
     std::uint64_t sum = 0;
     for (std::size_t ti : candidates) sum += transfers[ti].file_size;
     if (sum != job.ninputfilebytes && sum != job.noutputfilebytes) {
@@ -207,7 +207,7 @@ MatchedJob Matcher::match_job(std::size_t job_index,
   std::uint64_t rej_site = 0;
   for (std::size_t ti : candidates) {
     const TransferRecord& t = transfers[ti];
-    if (!site_condition(t, job, options.relax_unknown_site)) {
+    if (!site_condition(t, job, options.method)) {
       ++rej_site;
       continue;
     }
@@ -233,7 +233,7 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
 
   MatchDiagnosis diagnosis;
   const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, options, &diagnosis.file_rows);
+      collect_candidates(job_index, &diagnosis.file_rows);
   if (diagnosis.file_rows == 0) {
     diagnosis.outcome = MatchOutcome::kNoFileRows;
     return diagnosis;
@@ -247,7 +247,7 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
   for (std::size_t ti : candidates) {
     diagnosis.candidate_sum += transfers[ti].file_size;
   }
-  if (options.enforce_size_sum &&
+  if (options.method == MatchMethod::kExact &&
       diagnosis.candidate_sum != job.ninputfilebytes &&
       diagnosis.candidate_sum != job.noutputfilebytes) {
     diagnosis.outcome = MatchOutcome::kSizeGateFailed;
@@ -256,7 +256,7 @@ MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
 
   for (std::size_t ti : candidates) {
     diagnosis.site_passing +=
-        site_condition(transfers[ti], job, options.relax_unknown_site);
+        site_condition(transfers[ti], job, options.method);
   }
   diagnosis.outcome = diagnosis.site_passing > 0
                           ? MatchOutcome::kMatched

@@ -26,28 +26,20 @@
 
 namespace pandarus::core {
 
-/// Knobs distinguishing exact/RM1/RM2 (and any custom hybrid).
+/// Which of exact/RM1/RM2 to run.  The method fixes every predicate:
+/// only exact gates on S_j == ninputfilebytes or noutputfilebytes, and
+/// only RM2 accepts transfers whose relevant endpoint is UNKNOWN.
 struct MatchOptions {
   MatchMethod method = MatchMethod::kExact;
-  /// Gate on S_j == ninputfilebytes or noutputfilebytes (exact only).
-  bool enforce_size_sum = true;
-  /// Accept transfers whose relevant endpoint is UNKNOWN (RM2 only).
-  bool relax_unknown_site = false;
-  /// Require candidate transfers to carry the job's jeditaskid.  The
-  /// paper's accounting implies this (every linked transfer "with
-  /// jeditaskid" matches the task that owns the job); disabling it
-  /// admits anonymous rule-driven traffic as candidates — useful as an
-  /// ablation of how much provenance the task id actually carries.
-  bool require_taskid_match = true;
 
   [[nodiscard]] static MatchOptions exact() noexcept {
-    return {MatchMethod::kExact, true, false, true};
+    return {MatchMethod::kExact};
   }
   [[nodiscard]] static MatchOptions rm1() noexcept {
-    return {MatchMethod::kRM1, false, false, true};
+    return {MatchMethod::kRM1};
   }
   [[nodiscard]] static MatchOptions rm2() noexcept {
-    return {MatchMethod::kRM2, false, true, true};
+    return {MatchMethod::kRM2};
   }
   [[nodiscard]] static MatchOptions for_method(MatchMethod m) noexcept {
     switch (m) {
@@ -126,13 +118,12 @@ class Matcher {
   friend class ParallelMatchDriver;
 
   /// Candidate construction shared by match_job and diagnose_job:
-  /// attribute-key-matched, taskid-checked (per options), time-filtered,
-  /// deduplicated, ascending.  `file_rows` (optional) receives the count
-  /// of bridging file rows.  Returns a per-thread scratch buffer valid
-  /// until this thread's next call.
+  /// attribute-key-matched, taskid-checked, time-filtered, deduplicated,
+  /// ascending.  `file_rows` (optional) receives the count of bridging
+  /// file rows.  Returns a per-thread scratch buffer valid until this
+  /// thread's next call.
   [[nodiscard]] const std::vector<std::size_t>& collect_candidates(
-      std::size_t job_index, const MatchOptions& options,
-      std::size_t* file_rows) const;
+      std::size_t job_index, std::size_t* file_rows) const;
 
   /// The store's index: file rows by (pandaid, jeditaskid), transfers
   /// by lfn symbol, composite attribute keys.  The underlying store

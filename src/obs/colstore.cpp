@@ -20,10 +20,10 @@ using util::crc32;
 // --- format constants -------------------------------------------------------
 
 constexpr char kFileMagic[8] = {'P', 'C', 'O', 'L', 'S', 'T', 'R', '1'};
-// v2 adds a CRC32 of the chunk header to the frame, so a torn tail is
-// detected before any header field is trusted.  Readers accept both.
+// v2 frames carry a CRC32 of the chunk header, so a torn tail is
+// detected before any header field is trusted.  v1 (no header CRC) is
+// rejected.
 constexpr std::uint8_t kFormatVersion = 2;
-constexpr std::uint8_t kMinFormatVersion = 1;
 constexpr std::uint32_t kChunkMagic = 0x314B4350u;  // "PCK1" little-endian
 
 // Sanity bounds: a reader must reject absurd sizes before allocating,
@@ -697,12 +697,11 @@ ColReader::ColReader(const std::string& path, ColFilter filter,
     eof_ = true;
     return;
   }
-  if (header[8] < kMinFormatVersion || header[8] > kFormatVersion) {
+  if (header[8] != kFormatVersion) {
     fail("unsupported colstore version " + std::to_string(header[8]));
     eof_ = true;
     return;
   }
-  version_ = header[8];
   recovery_.ok = true;
   recovery_.salvaged_bytes = sizeof header;
 }
@@ -764,21 +763,18 @@ bool ColReader::load_chunk(bool stats_only, ChunkInfo* info) {
       fail_chunk("implausible chunk header size");
       return false;
     }
-    std::uint32_t header_crc = 0;
-    if (version_ >= 2) {
-      unsigned char crc_buf[4];
-      if (!read_exact(in_, crc_buf, sizeof crc_buf)) {
-        fail_chunk("truncated chunk header crc");
-        return false;
-      }
-      header_crc = decode_u32_le(crc_buf);
+    unsigned char crc_buf[4];
+    if (!read_exact(in_, crc_buf, sizeof crc_buf)) {
+      fail_chunk("truncated chunk header crc");
+      return false;
     }
+    const std::uint32_t header_crc = decode_u32_le(crc_buf);
     std::string header(header_len, '\0');
     if (!read_exact(in_, header.data(), header.size())) {
       fail_chunk("truncated chunk header");
       return false;
     }
-    if (version_ >= 2 && crc32(header) != header_crc) {
+    if (crc32(header) != header_crc) {
       fail_chunk("header checksum mismatch (torn or corrupt chunk)");
       return false;
     }

@@ -19,9 +19,10 @@
 //   * every chunk's meta (dictionary/shape deltas) and data (columns)
 //     sections are squeezed by a small LZ77 block compressor and
 //     guarded by CRC32, so truncation or bit rot is detected, never
-//     silently replayed; since format v2 the chunk *header* carries its
-//     own CRC32 in the frame, so a torn tail is detectable before any
-//     header field is trusted (the reader still accepts v1 files);
+//     silently replayed; the chunk *header* carries its own CRC32 in the
+//     frame (format v2), so a torn tail is detectable before any header
+//     field is trusted (a v1 file, which has no header CRC, is rejected
+//     by version);
 //   * each chunk header carries min/max simulated time and per-kind
 //     row counts, so a reader can skip whole chunks for time-window or
 //     event-type scans without decoding the column data.
@@ -300,7 +301,6 @@ class ColReader {
   std::string error_;
   bool eof_ = false;
   Stats stats_;
-  std::uint8_t version_ = 0;  ///< file format version from the header
 
   std::deque<std::string> dict_;  ///< deque: views stay stable on growth
   std::unordered_map<std::string_view, util::Symbol> dict_lookup_;

@@ -12,6 +12,10 @@
 namespace pandarus::obs {
 namespace {
 
+/// Bound on retained FlowSummary records; aggregates keep counting past
+/// it.
+constexpr std::size_t kMaxSummaries = std::size_t{1} << 20;
+
 /// Link key: (src, dst) packed for the aggregate maps.
 std::uint64_t link_key(std::int64_t src, std::int64_t dst) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
@@ -60,9 +64,6 @@ struct FlowTracker::Metrics {
   Histogram& run;
   Histogram& stage_out;
 };
-
-FlowTracker::FlowTracker(std::size_t max_summaries)
-    : max_summaries_(max_summaries) {}
 
 FlowTracker::~FlowTracker() { delete metrics_; }
 
@@ -447,7 +448,7 @@ void FlowTracker::end_flow(std::int64_t pandaid, std::int64_t ts, bool failed,
 
   for (const std::uint64_t id : flow.stage_in) release_transfer(id);
   for (const std::uint64_t id : flow.post_stage) release_transfer(id);
-  if (completed_.size() < max_summaries_) completed_.push_back(std::move(out));
+  if (completed_.size() < kMaxSummaries) completed_.push_back(std::move(out));
 }
 
 // --- transfer lifecycle ---------------------------------------------------

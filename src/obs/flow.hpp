@@ -138,9 +138,7 @@ struct FlowTotals {
 /// All hooks take the tracker mutex; disabled sites never reach it.
 class FlowTracker {
  public:
-  /// `max_summaries` bounds retained FlowSummary records; aggregates
-  /// keep counting past the bound.
-  explicit FlowTracker(std::size_t max_summaries = std::size_t{1} << 20);
+  FlowTracker() = default;
 
   FlowTracker(const FlowTracker&) = delete;
   FlowTracker& operator=(const FlowTracker&) = delete;
@@ -276,7 +274,6 @@ class FlowTracker {
   Metrics& metrics();
   void emit_sim_lane_metadata();
 
-  const std::size_t max_summaries_;
   mutable std::mutex mutex_;
   bool live_ = false;         ///< wired: mirror to log_, trace, metrics
   EventLog* log_ = nullptr;

@@ -8,6 +8,35 @@
 #include "obs/metrics.hpp"
 
 namespace pandarus::obs {
+namespace {
+
+// Detector thresholds, windows and history bounds.
+// EWMA spike detection (queue depth, link utilization).
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kQueueZThreshold = 6.0;
+constexpr double kQueueMinValue = 64.0;  // absolute floor before z applies
+constexpr double kLinkUtilFloor = 0.92;  // utilization that always breaches
+constexpr double kLinkZThreshold = 4.0;
+// Lifecycle hysteresis (consecutive breaches / clears).
+constexpr int kPendingTicks = 2;
+constexpr int kClearTicks = 2;
+// Transfer stall: `stalled_terminal` failures within kStallWindowMs.
+constexpr std::uint64_t kStallThreshold = 3;
+// Breaker flap escalation: open/close transitions per link.
+constexpr std::int64_t kFlapWindowMs = 6 * 3600 * 1000;
+constexpr std::uint64_t kFlapThreshold = 4;
+// SLO burn-rate evaluation.
+constexpr std::int64_t kSloBucketMs = 5 * 60 * 1000;
+constexpr std::int64_t kSloFastWindowMs = 1 * 3600 * 1000;
+constexpr std::int64_t kSloSlowWindowMs = 6 * 3600 * 1000;
+constexpr double kSloBurnThreshold = 2.0;
+constexpr double kTransferLatencyTarget = 0.95;  // fraction under the bound
+constexpr double kEventIntegrityTarget = 0.999;  // fraction not dropped
+// Bounded histories.
+constexpr std::size_t kMaxTransitions = 4096;
+constexpr std::size_t kMaxResolved = 512;
+
+}  // namespace
 
 std::string_view alert_phase_name(AlertPhase phase) noexcept {
   switch (phase) {
@@ -59,7 +88,7 @@ void BucketRing::reset() { buckets_.clear(); }
 
 // --- Ewma -------------------------------------------------------------------
 
-void HealthEngine::Ewma::observe(double v, double alpha) {
+void HealthEngine::Ewma::observe(double v) {
   if (!primed) {
     primed = true;
     mean = v;
@@ -68,8 +97,8 @@ void HealthEngine::Ewma::observe(double v, double alpha) {
   }
   const double d = v - mean;
   // Exponentially weighted mean/variance (West 1979 incremental form).
-  mean += alpha * d;
-  var = (1.0 - alpha) * (var + alpha * d * d);
+  mean += kEwmaAlpha * d;
+  var = (1.0 - kEwmaAlpha) * (var + kEwmaAlpha * d * d);
 }
 
 double HealthEngine::Ewma::zscore(double v) const {
@@ -79,7 +108,18 @@ double HealthEngine::Ewma::zscore(double v) const {
   return (v - mean) / sd;
 }
 
-// --- Slo --------------------------------------------------------------------
+// --- LinkState / Slo --------------------------------------------------------
+
+HealthEngine::LinkState::LinkState()
+    : flaps(kFlapWindowMs / 8, kFlapWindowMs) {}
+
+HealthEngine::Slo::Slo(std::string n, double t)
+    : name(std::move(n)),
+      target(t),
+      good_fast(kSloBucketMs, kSloFastWindowMs),
+      bad_fast(kSloBucketMs, kSloFastWindowMs),
+      good_slow(kSloBucketMs, kSloSlowWindowMs),
+      bad_slow(kSloBucketMs, kSloSlowWindowMs) {}
 
 void HealthEngine::Slo::add(std::int64_t ts, bool is_good, std::uint64_t n) {
   if (is_good) {
@@ -98,26 +138,17 @@ double HealthEngine::Slo::burn(std::int64_t now, bool fast) {
   const std::uint64_t b = fast ? bad_fast.total(now) : bad_slow.total(now);
   const std::uint64_t n = g + b;
   if (n == 0) return 0.0;
-  const double budget = 1.0 - target;
-  if (budget <= 0.0) return b > 0 ? 1e9 : 0.0;
   const double bad_frac =
       static_cast<double>(b) / static_cast<double>(n);
-  return bad_frac / budget;
+  return bad_frac / (1.0 - target);
 }
 
 // --- HealthEngine -----------------------------------------------------------
 
-HealthEngine::HealthEngine(HealthConfig config)
-    : config_(config),
-      stalls_(config_.stall_window_ms / 8 > 0 ? config_.stall_window_ms / 8
-                                              : 1,
-              config_.stall_window_ms) {
-  slos_.emplace_back("transfer_latency", config_.transfer_latency_target,
-                     config_);
-  slos_.emplace_back("transfer_success", config_.transfer_success_target,
-                     config_);
-  slos_.emplace_back("event_integrity", config_.event_integrity_target,
-                     config_);
+HealthEngine::HealthEngine() : stalls_(kStallWindowMs / 8, kStallWindowMs) {
+  slos_.emplace_back("transfer_latency", kTransferLatencyTarget);
+  slos_.emplace_back("transfer_success", kTransferSuccessTarget);
+  slos_.emplace_back("event_integrity", kEventIntegrityTarget);
 }
 
 void HealthEngine::wire(EventLog* log) {
@@ -133,10 +164,7 @@ void HealthEngine::reset_locked() {
   queue_depth_ = Ewma{};
   links_.clear();
   stalls_.reset();
-  match_flat_ticks_ = 0;
   have_prev_sample_ = false;
-  prev_candidates_ = 0;
-  prev_matched_ = 0;
   prev_dropped_ = 0;
   for (Slo& slo : slos_) {
     slo.good = slo.bad = 0;
@@ -177,7 +205,7 @@ void HealthEngine::transition_locked(Lifecycle& lc, std::int64_t ts,
   t.severity = lc.state.severity;
   t.value = lc.state.value;
   t.threshold = lc.state.threshold;
-  if (transitions_.size() >= config_.max_transitions) {
+  if (transitions_.size() >= kMaxTransitions) {
     transitions_.erase(transitions_.begin());
   }
   transitions_.push_back(std::move(t));
@@ -212,10 +240,10 @@ void HealthEngine::step_locked(std::string_view detector,
     lc.state.threshold = threshold;
     lc.breach_streak = 0;
     ++lc.clear_streak;
-    if (instant || lc.clear_streak >= config_.clear_ticks) {
+    if (instant || lc.clear_streak >= kClearTicks) {
       transition_locked(lc, ts, AlertPhase::kResolved);
       ++resolved_count_;
-      if (resolved_.size() < config_.max_resolved) {
+      if (resolved_.size() < kMaxResolved) {
         resolved_.push_back(lc.state);
       }
       active_.erase(it);
@@ -236,9 +264,7 @@ void HealthEngine::step_locked(std::string_view detector,
     auto [ins, inserted] = active_.emplace(key, std::move(lc));
     static_cast<void>(inserted);
     transition_locked(ins->second, ts, AlertPhase::kPending);
-    if (instant || config_.pending_ticks <= 1) {
-      transition_locked(ins->second, ts, AlertPhase::kFiring);
-    }
+    if (instant) transition_locked(ins->second, ts, AlertPhase::kFiring);
     return;
   }
   Lifecycle& lc = it->second;
@@ -248,7 +274,7 @@ void HealthEngine::step_locked(std::string_view detector,
   lc.clear_streak = 0;
   ++lc.breach_streak;
   if (lc.state.phase == AlertPhase::kPending &&
-      (instant || lc.breach_streak >= config_.pending_ticks)) {
+      (instant || lc.breach_streak >= kPendingTicks)) {
     transition_locked(lc, ts, AlertPhase::kFiring);
   }
 }
@@ -260,18 +286,12 @@ void HealthEngine::on_sample(std::int64_t ts,
   note_ts_locked(ts);
 
   std::int64_t jobs_queued = -1;
-  std::int64_t candidates = -1;
-  std::int64_t matched = -1;
   std::int64_t dropped = -1;
   const std::size_t n = std::min(names.size(), values.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& name = names[i];
     if (name == "jobs_queued") {
       jobs_queued = values[i];
-    } else if (name == "pandarus_match_candidates_scanned_total") {
-      candidates = values[i];
-    } else if (name == "pandarus_match_jobs_matched_total") {
-      matched = values[i];
     } else if (name == "events_dropped") {
       dropped = values[i];
     }
@@ -282,30 +302,13 @@ void HealthEngine::on_sample(std::int64_t ts,
   if (jobs_queued >= 0) {
     const double v = static_cast<double>(jobs_queued);
     const double z = queue_depth_.zscore(v);
-    const bool breach = queue_depth_.primed && v >= config_.queue_min_value &&
-                        z >= config_.queue_z_threshold;
+    const bool breach = queue_depth_.primed && v >= kQueueMinValue &&
+                        z >= kQueueZThreshold;
     step_locked("queue_depth_spike", "queue", "warning", ts, breach, v,
-                queue_depth_.mean + config_.queue_z_threshold *
-                                        std::sqrt(queue_depth_.var),
+                queue_depth_.mean +
+                    kQueueZThreshold * std::sqrt(queue_depth_.var),
                 /*instant=*/false);
-    queue_depth_.observe(v, config_.ewma_alpha);
-  }
-
-  // Match-rate drop: the funnel's candidate counter advances while the
-  // matched counter stays flat for too many consecutive samples.
-  if (candidates >= 0 && matched >= 0) {
-    if (have_prev_sample_) {
-      const bool flat =
-          candidates > prev_candidates_ && matched == prev_matched_;
-      match_flat_ticks_ = flat ? match_flat_ticks_ + 1 : 0;
-    }
-    const bool breach = match_flat_ticks_ >= config_.match_drop_ticks;
-    step_locked("match_rate_drop", "matcher", "critical", ts, breach,
-                static_cast<double>(match_flat_ticks_),
-                static_cast<double>(config_.match_drop_ticks),
-                /*instant=*/true);
-    prev_candidates_ = candidates;
-    prev_matched_ = matched;
+    queue_depth_.observe(v);
   }
 
   // Event-drop watchdog + integrity SLO: any dropped-event delta is an
@@ -330,15 +333,14 @@ void HealthEngine::on_link_sample(std::int64_t ts, std::int64_t src,
                                   double utilization) {
   const std::lock_guard<std::mutex> lock(mutex_);
   note_ts_locked(ts);
-  auto [it, inserted] =
-      links_.try_emplace(std::make_pair(src, dst), config_);
+  auto [it, inserted] = links_.try_emplace(std::make_pair(src, dst));
   static_cast<void>(inserted);
   LinkState& link = it->second;
   const double z = link.util.zscore(utilization);
   const bool breach =
-      utilization >= config_.link_util_floor ||
-      (link.util.primed && utilization > 0.5 &&
-       z >= config_.link_z_threshold && queued > 0);
+      utilization >= kLinkUtilFloor ||
+      (link.util.primed && utilization > 0.5 && z >= kLinkZThreshold &&
+       queued > 0);
   std::string entity = "link:";
   entity += std::to_string(src);
   entity += "->";
@@ -346,8 +348,8 @@ void HealthEngine::on_link_sample(std::int64_t ts, std::int64_t src,
   // Instant: link samples arrive once per sampler interval, so a single
   // saturated reading already represents a sustained condition.
   step_locked("link_util_spike", entity, "warning", ts, breach, utilization,
-              config_.link_util_floor, /*instant=*/true);
-  link.util.observe(utilization, config_.ewma_alpha);
+              kLinkUtilFloor, /*instant=*/true);
+  link.util.observe(utilization);
 }
 
 void HealthEngine::on_transfer_terminal(std::int64_t ts, bool success,
@@ -356,7 +358,7 @@ void HealthEngine::on_transfer_terminal(std::int64_t ts, bool success,
   const std::lock_guard<std::mutex> lock(mutex_);
   note_ts_locked(ts);
   if (success) {
-    slos_[0].add(ts, duration_ms <= config_.transfer_latency_bound_ms);
+    slos_[0].add(ts, duration_ms <= kTransferLatencyBoundMs);
   }
   slos_[1].add(ts, success);
   if (!success && error == "stalled_terminal") {
@@ -364,9 +366,8 @@ void HealthEngine::on_transfer_terminal(std::int64_t ts, bool success,
   }
   const std::uint64_t stalled = stalls_.total(ts);
   step_locked("transfer_stall", "transfers", "critical", ts,
-              stalled >= config_.stall_threshold,
-              static_cast<double>(stalled),
-              static_cast<double>(config_.stall_threshold),
+              stalled >= kStallThreshold, static_cast<double>(stalled),
+              static_cast<double>(kStallThreshold),
               /*instant=*/true);
 }
 
@@ -374,8 +375,7 @@ void HealthEngine::on_breaker(std::int64_t ts, std::int64_t src,
                               std::int64_t dst, bool open) {
   const std::lock_guard<std::mutex> lock(mutex_);
   note_ts_locked(ts);
-  auto [it, inserted] =
-      links_.try_emplace(std::make_pair(src, dst), config_);
+  auto [it, inserted] = links_.try_emplace(std::make_pair(src, dst));
   static_cast<void>(inserted);
   LinkState& link = it->second;
   if (link.breaker_open != open) link.flaps.add(ts);
@@ -388,8 +388,8 @@ void HealthEngine::on_breaker(std::int64_t ts, std::int64_t src,
               1.0, /*instant=*/true);
   const std::uint64_t flaps = link.flaps.total(ts);
   step_locked("breaker_flap", entity, "critical", ts,
-              flaps >= config_.flap_threshold, static_cast<double>(flaps),
-              static_cast<double>(config_.flap_threshold),
+              flaps >= kFlapThreshold, static_cast<double>(flaps),
+              static_cast<double>(kFlapThreshold),
               /*instant=*/true);
 }
 
@@ -397,12 +397,11 @@ void HealthEngine::evaluate_slos_locked(std::int64_t ts) {
   for (Slo& slo : slos_) {
     const double fast = slo.burn(ts, /*fast=*/true);
     const double slow = slo.burn(ts, /*fast=*/false);
-    const bool breach = fast >= config_.slo_burn_threshold &&
-                        slow >= config_.slo_burn_threshold;
+    const bool breach = fast >= kSloBurnThreshold && slow >= kSloBurnThreshold;
     std::string entity = "slo:";
     entity += slo.name;
     step_locked("slo_burn", entity, "critical", ts, breach,
-                std::min(fast, slow), config_.slo_burn_threshold,
+                std::min(fast, slow), kSloBurnThreshold,
                 /*instant=*/false);
   }
 }

@@ -80,38 +80,6 @@ struct SloStatus {
   double burn_slow = 0.0;
 };
 
-struct HealthConfig {
-  // EWMA spike detection (queue depth, link utilization).
-  double ewma_alpha = 0.2;
-  double queue_z_threshold = 6.0;
-  double queue_min_value = 64.0;  ///< absolute floor before z applies
-  double link_util_floor = 0.92;  ///< utilization that always breaches
-  double link_z_threshold = 4.0;
-  // Lifecycle hysteresis (consecutive breaches / clears).
-  int pending_ticks = 2;
-  int clear_ticks = 2;
-  // Transfer-stall window: terminal "stalled_terminal" failures.
-  std::int64_t stall_window_ms = 2 * 3600 * 1000;
-  std::uint64_t stall_threshold = 3;
-  // Breaker flap escalation: open/close transitions per link.
-  std::int64_t flap_window_ms = 6 * 3600 * 1000;
-  std::uint64_t flap_threshold = 4;
-  // Match-rate drop: candidates advancing while matches stay flat.
-  int match_drop_ticks = 4;
-  // SLO burn-rate evaluation.
-  std::int64_t slo_bucket_ms = 5 * 60 * 1000;
-  std::int64_t slo_fast_window_ms = 1 * 3600 * 1000;
-  std::int64_t slo_slow_window_ms = 6 * 3600 * 1000;
-  double slo_burn_threshold = 2.0;
-  double transfer_latency_target = 0.95;      ///< fraction under bound
-  std::int64_t transfer_latency_bound_ms = 4 * 3600 * 1000;
-  double transfer_success_target = 0.90;
-  double event_integrity_target = 0.999;      ///< fraction not dropped
-  // Bounded histories.
-  std::size_t max_transitions = 4096;
-  std::size_t max_resolved = 512;
-};
-
 /// Fixed-width bucketed sliding-window counter: O(window/bucket) memory
 /// regardless of event rate.  Monotone-time friendly; reset() on epoch
 /// regression.
@@ -132,7 +100,15 @@ class BucketRing {
 
 class HealthEngine {
  public:
-  explicit HealthEngine(HealthConfig config = {});
+  /// `stalled_terminal` failures count toward transfer_stall over this
+  /// sliding window.
+  static constexpr std::int64_t kStallWindowMs = 2 * 3600 * 1000;
+  /// transfer_success SLO: the good-fraction objective.
+  static constexpr double kTransferSuccessTarget = 0.90;
+  /// transfer_latency SLO: a success is good when it took at most this.
+  static constexpr std::int64_t kTransferLatencyBoundMs = 4 * 3600 * 1000;
+
+  HealthEngine();
 
   /// Alert lifecycle transitions from now on mirror to `log` as sideband
   /// `alert` events (none when null).  scenario::run_campaign wires its
@@ -187,10 +163,6 @@ class HealthEngine {
   /// no wall-clock, watermark, or pointer-derived content.
   [[nodiscard]] std::string status_json() const;
 
-  [[nodiscard]] const HealthConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
   struct Lifecycle {
     AlertState state;
@@ -213,7 +185,7 @@ class HealthEngine {
     bool primed = false;
     double mean = 0.0;
     double var = 0.0;
-    void observe(double v, double alpha);
+    void observe(double v);
     [[nodiscard]] double zscore(double v) const;
   };
 
@@ -221,9 +193,7 @@ class HealthEngine {
     Ewma util;
     BucketRing flaps;
     bool breaker_open = false;
-    explicit LinkState(const HealthConfig& c)
-        : flaps(c.flap_window_ms / 8 > 0 ? c.flap_window_ms / 8 : 1,
-                c.flap_window_ms) {}
+    LinkState();
   };
 
   struct Slo {
@@ -232,19 +202,11 @@ class HealthEngine {
     std::uint64_t good = 0;
     std::uint64_t bad = 0;
     BucketRing good_fast, bad_fast, good_slow, bad_slow;
-    Slo(std::string n, double t, const HealthConfig& c)
-        : name(std::move(n)),
-          target(t),
-          good_fast(c.slo_bucket_ms, c.slo_fast_window_ms),
-          bad_fast(c.slo_bucket_ms, c.slo_fast_window_ms),
-          good_slow(c.slo_bucket_ms, c.slo_slow_window_ms),
-          bad_slow(c.slo_bucket_ms, c.slo_slow_window_ms) {}
+    Slo(std::string n, double t);
     void add(std::int64_t ts, bool is_good, std::uint64_t n = 1);
     /// burn = bad_frac / (1 - target) over the window; 0 when empty.
     [[nodiscard]] double burn(std::int64_t now, bool fast);
   };
-
-  const HealthConfig config_;
 
   mutable std::mutex mutex_;
   EventLog* log_ = nullptr;
@@ -257,10 +219,7 @@ class HealthEngine {
   Ewma queue_depth_;
   std::map<std::pair<std::int64_t, std::int64_t>, LinkState> links_;
   BucketRing stalls_;
-  int match_flat_ticks_ = 0;
   bool have_prev_sample_ = false;
-  std::int64_t prev_candidates_ = 0;
-  std::int64_t prev_matched_ = 0;
   std::int64_t prev_dropped_ = 0;
 
   // SLOs (fixed order: latency, success, integrity).

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -16,6 +15,15 @@
 
 namespace pandarus::obs {
 namespace {
+
+constexpr int kWorkers = 2;
+/// Keep-alive/pipelining bound per connection.
+constexpr int kMaxRequestsPerConnection = 128;
+/// recv() timeout; an idle keep-alive connection is closed after it.
+constexpr int kRecvTimeoutMs = 5000;
+constexpr int kBacklog = 16;
+/// Accepted connections waiting for a worker beyond this are closed.
+constexpr std::size_t kMaxPendingConnections = 64;
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
@@ -112,7 +120,7 @@ bool HttpServer::start() {
   addr.sin_port = htons(options_.port);
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) < 0 ||
-      ::listen(listen_fd, options_.backlog) < 0) {
+      ::listen(listen_fd, kBacklog) < 0) {
     util::log_line(util::LogLevel::kWarning,
                    "obs: http server cannot bind 127.0.0.1:" +
                        std::to_string(options_.port) + " (" +
@@ -129,9 +137,8 @@ bool HttpServer::start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
-  const int workers = std::max(1, options_.workers);
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
+  workers_.reserve(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   return true;
@@ -179,7 +186,7 @@ void HttpServer::accept_loop() {
       break;  // listener closed or fatal
     }
     std::unique_lock lock(queue_mutex_);
-    if (pending_.size() >= options_.max_pending_connections) {
+    if (pending_.size() >= kMaxPendingConnections) {
       lock.unlock();
       ::close(fd);  // overload shedding; client sees a reset
       continue;
@@ -283,15 +290,15 @@ bool HttpServer::parse_request(std::string_view text, HttpRequest& out) {
 
 void HttpServer::handle_connection(int fd) {
   timeval tv{};
-  tv.tv_sec = options_.recv_timeout_ms / 1000;
-  tv.tv_usec = (options_.recv_timeout_ms % 1000) * 1000;
+  tv.tv_sec = kRecvTimeoutMs / 1000;
+  tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   std::string buffer;
   int served = 0;
-  while (served < options_.max_requests_per_connection &&
+  while (served < kMaxRequestsPerConnection &&
          !stopping_.load(std::memory_order_acquire)) {
     // Assemble one request head; the terminator may arrive across any
     // number of reads (split-read clients) or already sit in the buffer

@@ -73,16 +73,8 @@ class HttpServer {
 
   struct Options {
     std::uint16_t port = 0;  ///< 0 picks an ephemeral port (see port())
-    int workers = 2;
     /// Request line + headers larger than this draw 431 and a close.
     std::size_t max_request_bytes = 16 * 1024;
-    /// Keep-alive/pipelining bound per connection.
-    int max_requests_per_connection = 128;
-    /// recv() timeout; an idle keep-alive connection is closed after it.
-    int recv_timeout_ms = 5000;
-    int backlog = 16;
-    /// Accepted connections waiting for a worker beyond this are closed.
-    std::size_t max_pending_connections = 64;
   };
 
   /// Default options (separate overload: GCC 12 rejects `= {}` defaults

@@ -11,12 +11,6 @@ void Sampler::add_column(std::string name, Probe probe) {
   probes_.push_back(std::move(probe));
 }
 
-void Sampler::add_counter(const Counter& counter) {
-  add_column(counter.name(), [&counter] {
-    return static_cast<std::int64_t>(counter.value());
-  });
-}
-
 void Sampler::add_emitter(Emitter emitter) {
   emitters_.push_back(std::move(emitter));
 }
@@ -26,22 +20,21 @@ void Sampler::set_row_observer(RowObserver observer) {
 }
 
 void Sampler::sample_at(std::int64_t ts) {
-  Row row;
-  row.ts = ts;
-  row.values.reserve(probes_.size());
-  for (const Probe& probe : probes_) row.values.push_back(probe());
+  std::vector<std::int64_t> values;
+  values.reserve(probes_.size());
+  for (const Probe& probe : probes_) values.push_back(probe());
 
   if (EventLog* log = log_) {
-    Event event("sample", ts, static_cast<std::int64_t>(rows_.size()));
+    Event event("sample", ts, ticks_);
     for (std::size_t i = 0; i < names_.size(); ++i) {
       // field() is &&-qualified (chained-temporary builder); it appends
       // in place, so the returned reference can be dropped here.
-      static_cast<void>(std::move(event).field(names_[i], row.values[i]));
+      static_cast<void>(std::move(event).field(names_[i], values[i]));
     }
     log->emit(std::move(event));
   }
-  if (row_observer_) row_observer_(ts, names_, row.values);
-  rows_.push_back(std::move(row));
+  if (row_observer_) row_observer_(ts, names_, values);
+  ++ticks_;
 
   for (const Emitter& emitter : emitters_) emitter(ts);
 }

@@ -1,7 +1,7 @@
-// Simulated-clock periodic sampler: snapshots a fixed set of counters
-// and caller-supplied probes into a columnar time series, emitting one
-// flat "sample" event per tick to its EventLog (plus any registered
-// free-form emitters, e.g. per-link samples).
+// Simulated-clock periodic sampler: snapshots caller-supplied probes
+// into a columnar time series, emitting one flat "sample" event per
+// tick to its EventLog (plus any registered free-form emitters, e.g.
+// per-link samples).
 //
 // The sampler itself knows nothing about the simulation scheduler —
 // obs sits below sim in the module layering — so the owner registers
@@ -15,8 +15,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace pandarus::obs {
 
@@ -37,19 +35,18 @@ class Sampler {
       std::int64_t ts, const std::vector<std::string>& names,
       const std::vector<std::int64_t>& values)>;
 
-  /// Rows go to `log` as "sample" events; null records them only.
+  /// Rows go to `log` as "sample" events; null emits none (the row
+  /// observer still sees every row).
   explicit Sampler(std::int64_t interval_ms, EventLog* log = nullptr)
       : interval_ms_(interval_ms), log_(log) {}
 
   void add_column(std::string name, Probe probe);
-  /// Column named after the counter, sampling its current total.
-  void add_counter(const Counter& counter);
   void add_emitter(Emitter emitter);
   void set_row_observer(RowObserver observer);
 
-  /// Evaluates every probe at simulated time `ts`, retains the row,
-  /// emits a "sample" event (entity = tick index, one field per column)
-  /// to the log, then runs the free-form emitters.
+  /// Evaluates every probe at simulated time `ts`, emits a "sample"
+  /// event (entity = tick index, one field per column) to the log,
+  /// hands the row to the observer, then runs the free-form emitters.
   void sample_at(std::int64_t ts);
 
   [[nodiscard]] std::int64_t interval_ms() const noexcept {
@@ -59,13 +56,8 @@ class Sampler {
     return names_;
   }
 
-  struct Row {
-    std::int64_t ts = 0;
-    std::vector<std::int64_t> values;
-  };
-  [[nodiscard]] const std::vector<Row>& rows() const noexcept {
-    return rows_;
-  }
+  /// sample_at() calls so far.
+  [[nodiscard]] std::int64_t ticks() const noexcept { return ticks_; }
 
  private:
   std::int64_t interval_ms_;
@@ -74,7 +66,7 @@ class Sampler {
   std::vector<Probe> probes_;
   std::vector<Emitter> emitters_;
   RowObserver row_observer_;
-  std::vector<Row> rows_;
+  std::int64_t ticks_ = 0;
 };
 
 }  // namespace pandarus::obs

@@ -140,13 +140,7 @@ StatusServer::StatusServer() : StatusServer(Options()) {}
 StatusServer::StatusServer(Options options)
     : options_(options),
       http_([this](const HttpRequest& r) { return handle(r); },
-            HttpServer::Options{.port = options.port,
-                                .workers = options.workers,
-                                .max_request_bytes = 16 * 1024,
-                                .max_requests_per_connection = 128,
-                                .recv_timeout_ms = 5000,
-                                .backlog = 16,
-                                .max_pending_connections = 64}) {}
+            HttpServer::Options{.port = options.port}) {}
 
 StatusServer::~StatusServer() { stop(); }
 

@@ -42,7 +42,6 @@ class StatusServer {
  public:
   struct Options {
     std::uint16_t port = 0;   ///< 0 picks an ephemeral port (see port())
-    int workers = 2;
     int sse_interval_ms = 500;  ///< /events/stream tick period
   };
 

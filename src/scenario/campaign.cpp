@@ -347,15 +347,6 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
     sampler->add_column("pandarus_dms_breakers_open", [&engine] {
       return static_cast<std::int64_t>(engine.open_breakers());
     });
-    // Matcher funnel totals: flat during the campaign itself, live when
-    // a matcher shares the process (method-comparison sweeps).  These
-    // are process-wide counters, the one sampled input another campaign
-    // in the process can move.
-    sampler->add_counter(obs::Registry::global().counter(
-        "pandarus_match_candidates_scanned_total",
-        "Transfer candidates scanned by the matcher"));
-    sampler->add_counter(obs::Registry::global().counter(
-        "pandarus_match_jobs_matched_total", "Jobs matched to a transfer"));
     // The health engine consumes the same row the "sample" event
     // carries, at the same stream position, so its detectors see
     // identical sequences live and in replay.
@@ -494,9 +485,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
             .field("sites",
                    static_cast<std::uint64_t>(result.topology.site_count()))
             .field("sample_interval_ms", config.sample_interval_ms)
-            .field("samples",
-                   sampler ? static_cast<std::int64_t>(sampler->rows().size())
-                           : std::int64_t{0}));
+            .field("samples", sampler ? sampler->ticks() : std::int64_t{0}));
     for (const grid::Site& s : result.topology.sites()) {
       log->emit(obs::Event("site_record", scheduler.now(),
                            static_cast<std::int64_t>(s.id))

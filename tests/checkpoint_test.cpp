@@ -3,10 +3,6 @@
 // core resume invariant — the resumed stream is byte-identical to an
 // uninterrupted run, so any salvaged on-disk prefix splices back to
 // full parity — and rejection of a snapshot whose store digest differs.
-//
-// None of these tests may touch core::Matcher: its metric counters feed
-// the campaign sampler, so a match run between two campaigns would
-// break the byte-parity comparisons below.
 #include <sys/stat.h>
 #include <unistd.h>
 

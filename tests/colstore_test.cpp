@@ -201,6 +201,36 @@ TEST(ColstoreTest, RejectsTruncatedAndCorruptChunks) {
   }
 }
 
+TEST(ColstoreTest, RejectsFormatV1ByVersion) {
+  // A v1 file header: magic, version byte 1, three reserved bytes.  v1
+  // chunk frames carry no header CRC, so the reader refuses the file by
+  // version instead of reading it as an empty, healthy stream.
+  TempFile file("colstore_v1.colstore");
+  write_file(file.path(), std::string("PCOLSTR1\x01\0\0\0", 12));
+  ASSERT_TRUE(obs::is_colstore_file(file.path()));
+  const std::string expected = "unsupported colstore version 1";
+  {
+    obs::ColReader reader(file.path());
+    obs::DecodedEvent event;
+    EXPECT_FALSE(reader.next(event));
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find(expected), std::string::npos)
+        << reader.error();
+  }
+  {  // Salvage mode refuses it too.
+    obs::ColReader reader(file.path(), obs::ColFilter{},
+                          obs::ColReadOptions{.recover = true});
+    EXPECT_FALSE(reader.ok());
+    EXPECT_FALSE(reader.recovery().ok);
+  }
+  // Replay tools see the same error through the event source.
+  const auto source = analysis::open_event_source(file.path());
+  ASSERT_NE(source, nullptr);
+  EXPECT_EQ(source->next(), nullptr);
+  EXPECT_NE(source->error().find(expected), std::string::npos)
+      << source->error();
+}
+
 TEST(ColstoreTest, TimeWindowAndKindFiltersSkipChunksCorrectly) {
   obs::EventLog log;
   std::int64_t ts = 0;

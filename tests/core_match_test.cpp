@@ -212,10 +212,9 @@ TEST(Match, TaskIdMismatchExcludesCandidate) {
   store.transfers_mutable()[0].jeditaskid = 999;
   Matcher matcher(store);
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::exact()).matched());
-  // With the taskid requirement relaxed the candidate returns.
-  MatchOptions loose = MatchOptions::exact();
-  loose.require_taskid_match = false;
-  EXPECT_TRUE(matcher.match_job(0, loose).matched());
+  // The predicate holds for every method: RM2 keeps only the other file.
+  EXPECT_EQ(matcher.match_job(0, MatchOptions::rm2()).transfer_indices,
+            (std::vector<std::size_t>{1}));
 }
 
 TEST(Match, DroppedTaskIdExcludesCandidate) {

@@ -358,46 +358,50 @@ TEST(ObsSampler, ZeroDayCampaignProducesNoRowsAndNoCrash) {
 }
 
 TEST(ObsSampler, NeverTickingSeriesStaysFlatZero) {
-  obs::Registry registry;
-  obs::Counter& silent = registry.counter("never_ticks_total");
+  const std::int64_t silent = 0;
   obs::Sampler sampler(1000);
-  sampler.add_counter(silent);
+  sampler.add_column("never_ticks_total", [&silent] { return silent; });
+  std::vector<std::vector<std::int64_t>> rows;
+  sampler.set_row_observer(
+      [&rows](std::int64_t, const std::vector<std::string>&,
+              const std::vector<std::int64_t>& values) {
+        rows.push_back(values);
+      });
   for (int i = 0; i < 5; ++i) sampler.sample_at(1000 * (i + 1));
-  ASSERT_EQ(sampler.rows().size(), 5u);
-  for (const auto& row : sampler.rows()) {
-    ASSERT_EQ(row.values.size(), 1u);
-    EXPECT_EQ(row.values[0], 0);
-  }
+  EXPECT_EQ(sampler.ticks(), 5);
+  EXPECT_EQ(rows, (std::vector<std::vector<std::int64_t>>(5, {0})));
 }
 
 TEST(ObsSampler, ColumnsAddedAfterSamplingStartsWidenLaterRows) {
-  obs::Registry registry;
-  obs::Counter& early = registry.counter("early_total");
+  std::int64_t early = 0;
   obs::Sampler sampler(1000);
-  sampler.add_counter(early);
-  early.inc(3);
+  sampler.add_column("early_total", [&early] { return early; });
+  std::vector<std::vector<std::int64_t>> rows;
+  sampler.set_row_observer(
+      [&rows](std::int64_t, const std::vector<std::string>&,
+              const std::vector<std::int64_t>& values) {
+        rows.push_back(values);
+      });
+  early += 3;
   sampler.sample_at(1000);
 
-  // A counter registered after the first tick: earlier rows keep their
+  // A column added after the first tick: earlier rows keep their
   // narrower shape; later rows and events carry the new column.
-  obs::Counter& late = registry.counter("late_total");
-  sampler.add_counter(late);
-  late.inc(7);
+  std::int64_t late = 0;
+  sampler.add_column("late_total", [&late] { return late; });
+  late += 7;
   sampler.sample_at(2000);
 
   ASSERT_EQ(sampler.columns().size(), 2u);
-  ASSERT_EQ(sampler.rows().size(), 2u);
-  EXPECT_EQ(sampler.rows()[0].values,
-            (std::vector<std::int64_t>{3}));
-  EXPECT_EQ(sampler.rows()[1].values,
-            (std::vector<std::int64_t>{3, 7}));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(rows[1], (std::vector<std::int64_t>{3, 7}));
 }
 
 TEST(ObsSampler, RowObserverSeesRowsInStreamOrder) {
-  obs::Registry registry;
-  obs::Counter& jobs = registry.counter("jobs_total");
+  std::int64_t jobs = 0;
   obs::Sampler sampler(1000);
-  sampler.add_counter(jobs);
+  sampler.add_column("jobs_total", [&jobs] { return jobs; });
 
   struct Seen {
     std::int64_t ts;
@@ -418,9 +422,9 @@ TEST(ObsSampler, RowObserverSeesRowsInStreamOrder) {
     emitter_ts.push_back(ts);
   });
 
-  jobs.inc(2);
+  jobs += 2;
   sampler.sample_at(1000);
-  jobs.inc(3);
+  jobs += 3;
   sampler.sample_at(2000);
 
   ASSERT_EQ(seen.size(), 2u);

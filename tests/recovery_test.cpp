@@ -91,8 +91,7 @@ const SyntheticStream& synthetic() {
   return *stream;
 }
 
-/// Campaign artifacts for the sparse replay subset; built once, and
-/// before any Matcher runs (matcher counters feed the sampler).
+/// Campaign artifacts for the sparse replay subset; built once.
 struct CampaignStream {
   std::string ndjson;
   std::size_t jobs = 0;

@@ -3,6 +3,7 @@
 // paper-shape properties) checked on the resulting telemetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "analysis/breakdown.hpp"
@@ -10,6 +11,7 @@
 #include "analysis/summary.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/relaxed.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/campaign.hpp"
 
@@ -140,6 +142,41 @@ TEST(Campaign, SmallCampaignPinsMatchedJobsAndSchedulerWork) {
   EXPECT_EQ(after[0] - before[0], 80'992u);  // scheduled
   EXPECT_EQ(after[1] - before[1], 55'541u);  // cancelled
   EXPECT_EQ(after[2] - before[2], 62'809u);  // finish-time updates
+}
+
+/// A campaign's stream depends on its config alone.  Matching advances
+/// process-wide registry counters; the next campaign in the process
+/// must not carry them into its bytes.
+TEST(Campaign, StreamIsIndependentOfEarlierMatchingInTheProcess) {
+  ScenarioConfig config = ScenarioConfig::small();
+  config.days = 1.0;
+  config.seed = 7;
+  obs::EventLog first_log;
+  const ScenarioResult first = run_campaign(config, {.events = &first_log});
+  first_log.close();
+
+  const auto scanned = [] {
+    return obs::Registry::global().snapshot().counter_value(
+        "pandarus_match_candidates_scanned_total");
+  };
+  const std::uint64_t before = scanned();
+  const core::Matcher matcher(first.store);
+  EXPECT_EQ(core::run_all_methods(matcher).exact.matched_job_count(), 115u);
+  ASSERT_GT(scanned(), before);
+
+  obs::EventLog second_log;
+  (void)run_campaign(config, {.events = &second_log});
+  second_log.close();
+  // Not EXPECT_EQ on the texts: gtest's diff of two multi-megabyte
+  // strings needs quadratic memory.  Report the first differing bytes.
+  const std::string a = first_log.to_ndjson();
+  const std::string b = second_log.to_ndjson();
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+  EXPECT_TRUE(at == a.size() && a.size() == b.size())
+      << "streams differ at byte " << at << ":\n"
+      << a.substr(at, 160) << "\nvs\n" << b.substr(at, 160);
 }
 
 TEST(Matching, MethodInclusionHoldsCampaignWide) {

@@ -194,6 +194,33 @@ TEST(HttpServer, PipelinedRequestsEachGetAResponse) {
   server.stop();
 }
 
+TEST(HttpServer, KeepAliveConnectionClosesAfter128Requests) {
+  obs::HttpServer server(echo_handler, test_options());
+  ASSERT_TRUE(server.start());
+  const int fd = connect_to(server.port());
+  // Shorter than the server's 5 s idle timeout: only the per-connection
+  // cap can close the connection before this fires.
+  timeval tv{};
+  tv.tv_sec = 2;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  // One request at a time, each response read before the next send, so
+  // the server never closes with unread input (which would send an RST).
+  std::string buffer;
+  for (int i = 0; i < 128; ++i) {
+    const std::string path = "/r" + std::to_string(i);
+    ASSERT_TRUE(
+        send_text(fd, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"));
+    ASSERT_EQ(body_of(recv_one_response(fd, buffer)), "path=" + path + "\n")
+        << "request " << i;
+  }
+  EXPECT_TRUE(buffer.empty());
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // EOF, not a timeout
+  ::close(fd);
+  EXPECT_EQ(server.requests_served(), 128u);
+  server.stop();
+}
+
 TEST(HttpServer, AbruptClientCloseLeavesServerServing) {
   obs::HttpServer server(echo_handler, test_options());
   ASSERT_TRUE(server.start());
