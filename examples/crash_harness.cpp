@@ -8,9 +8,9 @@
 // grows past a seeded random byte threshold — progress-based, so the
 // kill always lands mid-campaign no matter how fast the machine is.
 // Some iterations also arm the write-delay hook
-// (PANDARUS_EVENTS_WRITE_DELAY_US's API twin) so the kill lands
-// *mid-write*, leaving a torn final line.  The parent then exercises
-// the full recovery story:
+// (EventSinks::write_delay_us) so the kill lands *mid-write*, leaving
+// a torn final line.  The parent then exercises the full recovery
+// story:
 //
 //   1. obs::recover_ndjson_file salvages the longest valid prefix,
 //   2. scenario::resume_campaign re-executes from the newest snapshot

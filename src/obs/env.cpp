@@ -117,10 +117,6 @@ bool install_once() {
                                  "(want off|flush|interval:<ms>): ") +
                          fsync);
     }
-    if (const char* delay = std::getenv("PANDARUS_EVENTS_WRITE_DELAY_US");
-        delay != nullptr) {
-      sinks.write_delay_us = std::atoi(delay);
-    }
     session.events = new EventLog(sinks);
   }
   if (flows != nullptr) {

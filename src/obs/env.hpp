@@ -60,13 +60,7 @@
 //                            once per <ms> of wall time; both fsync once
 //                            more at close.  The default `off` issues no
 //                            fsync and leaves every byte-identity
-//                            guarantee untouched;
-//   PANDARUS_EVENTS_WRITE_DELAY_US=<us>
-//                            crash-injection hook: the NDJSON sink
-//                            sleeps <us> after each 4 KiB block so a
-//                            SIGKILL can land mid-line (used by
-//                            examples/crash_harness; not for production
-//                            runs).
+//                            guarantee untouched.
 //
 // A sink path that cannot be opened, or a failed write, flush, fsync or
 // close, is warned, counted in EventLog::io_errors() (log_stats,

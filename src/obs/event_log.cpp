@@ -19,12 +19,6 @@
 namespace pandarus::obs {
 namespace {
 
-std::uint64_t next_log_id() noexcept {
-  // Ids start at 1 so the thread-local cache's 0 means "no log".
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// With the write-delay hook armed the NDJSON file is written in blocks
 /// this size, so one drain spans many kill opportunities.
 constexpr std::size_t kWriteBlock = 4096;
@@ -325,8 +319,7 @@ EventLog::EventLog(std::size_t max_events)
     : EventLog(EventSinks{}, max_events) {}
 
 EventLog::EventLog(const EventSinks& sinks, std::size_t max_events)
-    : id_(next_log_id()),
-      max_events_(max_events),
+    : max_events_(max_events),
       frees_lines_(!sinks.ndjson_path.empty() ||
                    !sinks.colstore_path.empty()),
       encodes_records_(!sinks.colstore_path.empty()),
@@ -356,20 +349,6 @@ EventLog::~EventLog() {
   close_sinks_locked();
 }
 
-EventLog::Buffer& EventLog::local_buffer() {
-  // Cache keyed on the log's process-unique id: a stale cache from a
-  // destroyed log can never collide with a live one.
-  static thread_local std::uint64_t t_owner_id = 0;
-  static thread_local Buffer* t_buffer = nullptr;
-  if (t_owner_id != id_) {
-    std::scoped_lock lock(mutex_);
-    buffers_.push_back(std::make_unique<Buffer>());
-    t_buffer = buffers_.back().get();
-    t_owner_id = id_;
-  }
-  return *t_buffer;
-}
-
 std::size_t EventLog::stage(Event& event) {
   event.line_ += '}';
   const std::size_t size = event.line_.size();
@@ -377,17 +356,13 @@ std::size_t EventLog::stage(Event& event) {
   if (size > std::numeric_limits<std::uint32_t>::max()) {
     event.record_.complete = false;
   }
-  Buffer& buffer = local_buffer();
-  Line& line = buffer.staged.emplace_back();
-  line.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  std::scoped_lock lock(mutex_);
+  Line& line = staged_.emplace_back();
   line.text = std::move(event.line_);
   // Only the colstore sink reads records; without one, line.record stays
   // empty and complete (the default).
   if (encodes_records_) line.record = event.record_;
-  if (buffer.staged.size() >= kDrainBatch) {
-    std::scoped_lock lock(mutex_);
-    drain_locked(buffer);
-  }
+  if (staged_.size() >= kDrainBatch) drain_locked();
   return size;
 }
 
@@ -407,45 +382,25 @@ void EventLog::emit(Event&& event) {
 
 void EventLog::emit_sideband(Event&& event) { stage(event); }
 
-void EventLog::accept_locked(Line& line) {
-  if (ndjson_file_ != nullptr) {
-    ndjson_pending_ += line.text;
-    ndjson_pending_ += '\n';
+void EventLog::drain_locked() {
+  if (staged_.empty()) return;
+  for (Line& line : staged_) {
+    if (ndjson_file_ != nullptr) {
+      ndjson_pending_ += line.text;
+      ndjson_pending_ += '\n';
+    }
+    if (col_writer_ != nullptr) col_writer_->append(line.text, line.record);
+    retained_.push_back(std::move(line.text));
   }
-  if (col_writer_ != nullptr) col_writer_->append(line.text, line.record);
-  retained_.push_back(std::move(line.text));
-  ++watermark_;
-}
-
-void EventLog::publish_locked(Line& line) {
-  if (line.seq != watermark_) {
-    ahead_.emplace(line.seq, std::move(line));
-    return;
-  }
-  accept_locked(line);
-  // This line may have closed the gap below lines held in ahead_.
-  for (auto it = ahead_.begin();
-       it != ahead_.end() && it->first == watermark_;
-       it = ahead_.erase(it)) {
-    accept_locked(it->second);
-  }
-}
-
-void EventLog::drain_locked(Buffer& buffer) {
-  const std::uint64_t from = watermark_;
-  for (Line& line : buffer.staged) publish_locked(line);
-  buffer.staged.clear();
-  // Lines of other threads held in ahead_ may have joined too; each line
-  // reaches the files exactly once, in the drain that publishes it.
-  if (watermark_ == from) return;
+  watermark_ += staged_.size();
+  staged_.clear();
   flush_sinks_locked();
   release_locked();
 }
 
 std::uint64_t EventLog::publish() {
-  Buffer& buffer = local_buffer();
   std::scoped_lock lock(mutex_);
-  drain_locked(buffer);
+  drain_locked();
   return watermark_;
 }
 
@@ -525,24 +480,20 @@ void EventLog::close() {
   accepted_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(stage(stats) + 1, std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
-  // Emitters have quiesced (close's contract), so every remaining
-  // staged line can be drained here — the publication watermark then
-  // covers the whole stream, and so do the files.
-  for (const auto& buffer : buffers_) drain_locked(*buffer);
+  // Publishing the rest makes the watermark, and the files, cover the
+  // whole stream.
+  drain_locked();
   close_sinks_locked();
 }
 
 std::size_t EventLog::event_count() const {
-  // Every line takes a seq when it is staged.
-  return next_seq_.load(std::memory_order_relaxed);
+  std::scoped_lock lock(mutex_);
+  return watermark_ + staged_.size();
 }
 
 std::size_t EventLog::resident_lines() const {
-  // Lines past the watermark are held above a gap or staged; counting
-  // them by seq never touches a staging buffer its thread is writing.
   std::scoped_lock lock(mutex_);
-  return retained_.size() +
-         (next_seq_.load(std::memory_order_relaxed) - watermark_);
+  return retained_.size() + staged_.size();
 }
 
 std::string EventLog::to_ndjson() const {
@@ -552,18 +503,10 @@ std::string EventLog::to_ndjson() const {
         "obs::EventLog::to_ndjson: this log has freed lines its file sinks "
         "wrote; read the sink file back instead");
   }
-  // Only the unpublished tail — lines held above a gap or still staged
-  // — needs ordering.
-  std::vector<std::pair<std::uint64_t, const std::string*>> tail;
-  for (const auto& [seq, line] : ahead_) tail.emplace_back(seq, &line.text);
-  for (const auto& buffer : buffers_) {
-    for (const Line& l : buffer->staged) tail.emplace_back(l.seq, &l.text);
-  }
-  std::sort(tail.begin(), tail.end());
   std::string out;
   append_retained_locked(out, 0);
-  for (const auto& [seq, text] : tail) {
-    out += *text;
+  for (const Line& line : staged_) {
+    out += line.text;
     out += '\n';
   }
   return out;

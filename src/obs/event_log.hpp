@@ -4,10 +4,10 @@
 //
 // Events are typed NDJSON lines — one JSON object per line with `ts`
 // (simulated milliseconds), `kind`, `entity`, and kind-specific fields —
-// built with the Event builder and appended to per-thread staging
-// buffers.  A full staging buffer drains under the log's mutex into one
-// central sink (many producers, one consumer at serialization time).
-// `max_events` can bound the stream (overflow is counted, never
+// built with the Event builder and appended, under the log's mutex, to
+// one staging batch that drains into the published stream when it fills
+// or at publish().  Lines join the stream in the order they took the
+// mutex.  `max_events` can bound the stream (overflow is counted, never
 // blocking); by default it is unbounded.
 //
 // As it renders a line, the builder also records each field's type —
@@ -52,7 +52,6 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,10 +90,10 @@ struct EventSinks {
   std::string ndjson_path;    ///< empty: no NDJSON file
   std::string colstore_path;  ///< empty: no colstore file
   FsyncConfig fsync;
-  /// Crash-injection hook (PANDARUS_EVENTS_WRITE_DELAY_US): the NDJSON
-  /// file is written in 4 KiB blocks with this pause after each, so the
-  /// file sits torn mid-line long enough for a SIGKILL to land there.
-  /// Zero or less disables.
+  /// Crash-injection hook (examples/crash_harness): the NDJSON file is
+  /// written in 4 KiB blocks with this pause after each, so the file
+  /// sits torn mid-line long enough for a SIGKILL to land there.  Zero
+  /// or less disables.
   int write_delay_us = 0;
 };
 
@@ -202,9 +201,9 @@ class Event {
 
 class ColWriter;
 
-/// Collects events from any thread.  The log must outlive every thread
-/// that emits to it; to_ndjson() and close() are only safe once emitters
-/// have quiesced (same contract as TraceRecorder).
+/// Collects events from any thread.  Every member is safe to call from
+/// any thread at any time: emits from two threads are serialised by the
+/// log's mutex.  The log must outlive every thread that uses it.
 class EventLog {
  public:
   static constexpr std::size_t kUnbounded =
@@ -226,8 +225,8 @@ class EventLog {
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
-  /// Finalizes the event's line and appends it to this thread's staging
-  /// buffer (draining to the central sink when the buffer fills).
+  /// Finalizes the event's line and appends it to the staging batch
+  /// (publishing the batch when it fills).
   void emit(Event&& event);
 
   /// Sideband emit: the line rides the stream (same ordering, same
@@ -241,27 +240,23 @@ class EventLog {
   /// Finalizes the stream: appends one terminal `log_stats` event
   /// (events written, dropped, bytes — describing the stream *before*
   /// this line) so max_events truncation is visible in replay and
-  /// reports.  The stats line bypasses the max_events bound.  Also
-  /// drains every staging buffer into the central sink (emitters have
-  /// quiesced by contract), so the publication watermark reaches the
-  /// end of the stream, then flushes, fsyncs (per policy) and closes the
-  /// sink files.  Idempotent; call once emitters have quiesced.
+  /// reports.  The stats line bypasses the max_events bound.  Then
+  /// publishes the staging batch, so the watermark reaches the end of
+  /// the stream, and flushes, fsyncs (per policy) and closes the sink
+  /// files.  Idempotent.  Lines emitted after close() reach no file.
   void close();
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
 
   // --- snapshot isolation ---------------------------------------------------
-  // Concurrent readers (obs::serve, checkpoints) must never touch
-  // staging buffers — those are owned by their emitting threads.
-  // Instead they read the *published prefix*: the lines whose sequence
-  // numbers form a contiguous range [0, watermark()) inside the central
-  // sink.  Owning threads move their staged lines into the sink by
-  // filling a batch (kDrainBatch) or by calling publish() at a quiescent
-  // point (the campaign loop publishes at every simulated-day boundary
-  // and after the harvest).  A Reader therefore sees a consistent,
-  // gap-free prefix of the stream without ever blocking an emitter for
-  // more than the sink mutex.
+  // Concurrent readers (obs::serve, checkpoints) read the *published
+  // prefix*: lines [0, watermark()) of the stream, already written to
+  // the sinks.  Staged lines join it when the batch fills (kDrainBatch)
+  // or at publish() (the campaign loop publishes at every simulated-day
+  // boundary and after the harvest).  A Reader therefore sees a
+  // consistent prefix of the stream without ever blocking an emitter
+  // for more than the log's mutex.
 
   /// A registered cursor over the published stream: it sees every line
   /// published from its registration on.  While it is registered, the
@@ -276,11 +271,11 @@ class EventLog {
     Reader& operator=(const Reader&) = delete;
 
     /// Appends the lines published since the last read (or since
-    /// registration) to `out` as NDJSON in sequence order and returns
-    /// the new position — the watermark at the call.  Safe concurrently
-    /// with emitters: only the central sink is read.
+    /// registration) to `out` as NDJSON in stream order and returns the
+    /// new position — the watermark at the call.  Safe concurrently with
+    /// emitters.
     std::uint64_t read(std::string& out);
-    /// Sequence number of the next line read() returns.
+    /// Stream index of the next line read() returns.
     [[nodiscard]] std::uint64_t position() const noexcept {
       return position_;
     }
@@ -291,17 +286,16 @@ class EventLog {
     std::uint64_t position_;  ///< written under log_->mutex_
   };
 
-  /// Drains the calling thread's staging buffer into the central sink
-  /// and returns the new publication watermark W.  On return the NDJSON
-  /// file holds exactly lines [0, W) and the colstore file every chunk
-  /// completed within them.  Cheap when the buffer is empty; call from
-  /// the emitting thread only.
+  /// Publishes the staging batch and returns the new watermark W: every
+  /// line emitted before the call, from any thread, is below W.  On
+  /// return the NDJSON file holds exactly lines [0, W) and the colstore
+  /// file every chunk completed within them.  Cheap when nothing is
+  /// staged.
   std::uint64_t publish();
 
-  /// One past the highest sequence number of the contiguous published
-  /// prefix.  Every line with seq < watermark() has been written to the
-  /// sinks and is immutable; snapshot readers key their memoization off
-  /// this.
+  /// Length of the published prefix.  Every line below watermark() has
+  /// been written to the sinks and is immutable; snapshot readers key
+  /// their memoization off this.
   [[nodiscard]] std::uint64_t watermark() const;
 
   /// Sink I/O failures: an unopenable path, or a failed write, flush,
@@ -317,11 +311,10 @@ class EventLog {
     return fsyncs_.load(std::memory_order_relaxed);
   }
 
-  /// Lines in the stream so far: published, held above a gap, or staged.
+  /// Lines in the stream so far: published or staged.
   [[nodiscard]] std::size_t event_count() const;
   /// Lines held in memory: published lines a reader still needs (every
-  /// published line on a log without a file sink), plus lines held above
-  /// a gap and staged lines.
+  /// published line on a log without a file sink), plus staged lines.
   [[nodiscard]] std::size_t resident_lines() const;
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
@@ -335,8 +328,9 @@ class EventLog {
     return bytes_.load(std::memory_order_relaxed);
   }
 
-  /// The full stream as NDJSON, lines ordered by emission sequence
-  /// (deterministic for single-threaded emitters), '\n' after each line.
+  /// The full stream as NDJSON, published lines then staged ones, in
+  /// stream order (deterministic for single-threaded emitters), '\n'
+  /// after each line.
   /// Throws std::logic_error on a log that has freed lines (a log with a
   /// file sink, once its sinks have written them): read the file back,
   /// or record into a log without a file sink.
@@ -345,32 +339,21 @@ class EventLog {
  private:
   struct Line {
     Line() noexcept {}  // user-provided: emplace_back() must not zero record
-    std::uint64_t seq = 0;
     std::string text;
     EventRecord record;
   };
-  struct Buffer {
-    std::vector<Line> staged;
-  };
 
-  Buffer& local_buffer();
-  /// Finalizes `event`'s line and stages it on this thread's buffer,
-  /// draining a full batch; returns the line's length without '\n'.
+  /// Finalizes `event`'s line and stages it, draining a full batch;
+  /// returns the line's length without '\n'.
   std::size_t stage(Event& event);
-  /// Publishes every line staged in `buffer`, writes the newly published
-  /// lines to the sinks, then frees what no reader needs; mutex_ held.
-  void drain_locked(Buffer& buffer);
-  /// Publishes `line` if it is next in sequence (then any lines in
-  /// ahead_ it unblocks), or holds it in ahead_; mutex_ held.
-  void publish_locked(Line& line);
-  /// Hands one newly published line to the sinks and retains its text;
-  /// mutex_ held.
-  void accept_locked(Line& line);
-  /// Writes the lines accepted since the last call to the NDJSON file,
+  /// Publishes every staged line, writes the newly published lines to
+  /// the sinks, then frees what no reader needs; mutex_ held.
+  void drain_locked();
+  /// Writes the lines published since the last call to the NDJSON file,
   /// flushes the colstore, and fsyncs per policy; mutex_ held.
   void flush_sinks_locked();
-  /// Appends retained_ lines with seq in [from, watermark_) to `out`,
-  /// '\n' after each; mutex_ held.
+  /// Appends retained_ lines [from, watermark_) to `out`, '\n' after
+  /// each; mutex_ held.
   void append_retained_locked(std::string& out, std::uint64_t from) const;
   /// Frees the retained lines below every reader's position (all of
   /// them when no reader is registered) on a log with a file sink;
@@ -386,9 +369,7 @@ class EventLog {
   /// Counts one sink I/O failure and warns; the caller stops the sink.
   void sink_failed(const std::string& path, const std::string& what);
 
-  const std::uint64_t id_;  ///< process-unique, never reused
   const std::size_t max_events_;
-  std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> bytes_{0};
@@ -397,16 +378,14 @@ class EventLog {
   std::atomic<bool> warned_dropped_{false};
   std::atomic<bool> closed_{false};
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
 
-  // Central sink (guarded by mutex_).  watermark_ is one past the last
-  // published seq; retained_ holds the published lines
-  // [watermark_ - retained_.size(), watermark_) still in memory.  A
-  // drained line above a gap (another thread still stages a lower seq)
-  // waits in ahead_ until the gap closes.
+  // The stream (guarded by mutex_).  watermark_ counts the published
+  // lines; retained_ holds the published lines
+  // [watermark_ - retained_.size(), watermark_) still in memory, and
+  // staged_ the lines after them, in stream order.
   std::uint64_t watermark_ = 0;
   std::deque<std::string> retained_;
-  std::map<std::uint64_t, Line> ahead_;
+  std::vector<Line> staged_;
   std::vector<Reader*> readers_;
   /// A file sink was configured: lines are freed once written and read.
   const bool frees_lines_;
@@ -418,7 +397,7 @@ class EventLog {
   // null at a file's first I/O failure so it is never written again.
   const EventSinks sinks_;
   std::FILE* ndjson_file_ = nullptr;
-  std::string ndjson_pending_;  ///< accepted lines not yet written
+  std::string ndjson_pending_;  ///< published lines not yet written
   std::unique_ptr<ColWriter> col_writer_;
   std::chrono::steady_clock::time_point last_fsync_{};
 };

@@ -21,8 +21,8 @@
 // Snapshot discipline: providers must read only (a) the EventLog's
 // published prefix via an EventLog::Reader or watermark(), (b) mutex-guarded
 // aggregates (FlowTracker::totals()/link_ranking()), and (c) metric
-// snapshots — never staging buffers or live simulator state — so a
-// scrape observes a consistent store without blocking the sim thread.
+// snapshots — never live simulator state — so a scrape observes a
+// consistent store without blocking the sim thread.
 #pragma once
 
 #include <cstdint>

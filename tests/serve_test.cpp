@@ -17,13 +17,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -583,8 +586,8 @@ TEST(EventLogServe, PublishAdvancesTheWatermark) {
   for (std::int64_t i = 0; i < 10; ++i) {
     log.emit(obs::Event("tick", i, i));
   }
-  // Ten lines sit in this thread's staging buffer, below the drain
-  // batch: nothing is published yet.
+  // Ten lines sit in the log's staging batch, below kDrainBatch:
+  // nothing is published yet.
   EXPECT_EQ(log.watermark(), 0u);
   EXPECT_EQ(log.publish(), 10u);
   EXPECT_EQ(log.watermark(), 10u);
@@ -610,25 +613,49 @@ TEST(EventLogServe, SnapshotStreamsIncrementally) {
   EXPECT_EQ(second.find("\"a\""), std::string::npos);
 }
 
-TEST(EventLogServe, UnpublishedForeignBufferStallsTheWatermark) {
-  obs::EventLog log;
-  obs::EventLog::Reader reader(log);
-  // A second thread emits one line and exits without filling its batch:
-  // its line is staged, unpublished.
-  std::thread other([&log] { log.emit(obs::Event("other", 1, 1)); });
-  other.join();
-  log.emit(obs::Event("mine", 2, 2));
-  log.publish();
-  // One of the two seqs is still staged in the (dead) foreign buffer,
-  // so the watermark cannot cover both lines.
-  EXPECT_LT(log.watermark(), 2u);
-  // close() drains every buffer (emitters have quiesced) and the
-  // watermark reaches the full stream, stats line included.
-  log.close();
-  EXPECT_EQ(log.watermark(), 3u);
-  std::string all;
-  reader.read(all);
-  EXPECT_EQ(all, log.to_ndjson());
+TEST(EventLogServe, PublishCoversEveryLineEmittedBeforeIt) {
+  const auto line = [](std::string_view kind, std::int64_t ts) {
+    return obs::Event(kind, ts, ts);
+  };
+  const auto published = [](obs::EventLog::Reader& reader) {
+    std::string out;
+    reader.read(out);
+    return out;
+  };
+  // The same lines emitted in order into a fresh log.
+  const auto ndjson_of =
+      [&](std::initializer_list<std::pair<std::string_view, std::int64_t>>
+              lines) {
+        obs::EventLog log;
+        for (const auto& [kind, ts] : lines) log.emit(line(kind, ts));
+        return log.to_ndjson();
+      };
+  {
+    // A second thread emits one line and exits; this thread then emits
+    // one and publishes.  Neither line fills a batch.
+    obs::EventLog log;
+    obs::EventLog::Reader reader(log);
+    std::thread other([&] { log.emit(line("other", 1)); });
+    other.join();
+    log.emit(line("mine", 2));
+    EXPECT_EQ(log.publish(), 2u);
+    EXPECT_EQ(published(reader), ndjson_of({{"other", 1}, {"mine", 2}}));
+  }
+  {
+    // One thread alternates between two logs, then publishes each.
+    obs::EventLog a;
+    obs::EventLog b;
+    obs::EventLog::Reader reader_a(a);
+    obs::EventLog::Reader reader_b(b);
+    a.emit(line("a", 1));
+    b.emit(line("b", 2));
+    a.emit(line("a", 3));
+    b.emit(line("b", 4));
+    EXPECT_EQ(a.publish(), 2u);
+    EXPECT_EQ(b.publish(), 2u);
+    EXPECT_EQ(published(reader_a), ndjson_of({{"a", 1}, {"a", 3}}));
+    EXPECT_EQ(published(reader_b), ndjson_of({{"b", 2}, {"b", 4}}));
+  }
 }
 
 std::string read_text(const std::string& path) {
@@ -786,17 +813,20 @@ TEST(EventLogMemory, SinkLogFreesEveryWrittenLine) {
   obs::EventLog log(sinks);
   constexpr std::size_t kBatch = obs::EventLog::kDrainBatch;
   constexpr std::size_t kLines = 40 * kBatch + 7;
-  // One emitting thread and no reader: only its staging batch is held.
+  // One emitting thread and no reader: only the staging batch is held.
   EXPECT_LE(emit_ticks(log, kLines, 0), kBatch);
   log.publish();
   EXPECT_EQ(log.resident_lines(), 0u);
-  // Two threads at once: each holds at most its batch, plus lines that
-  // wait in ahead_ for the other's lower seqs; once both have
-  // published, nothing stays resident.
-  std::thread a([&log] { emit_ticks(log, kLines, 1); log.publish(); });
-  std::thread b([&log] { emit_ticks(log, kLines, 2); log.publish(); });
+  // Two threads at once share the log's one batch, so neither ever sees
+  // more than it resident; once both have published, nothing stays.
+  std::size_t peak_a = 0;
+  std::size_t peak_b = 0;
+  std::thread a([&] { peak_a = emit_ticks(log, kLines, 1); log.publish(); });
+  std::thread b([&] { peak_b = emit_ticks(log, kLines, 2); log.publish(); });
   a.join();
   b.join();
+  EXPECT_LE(peak_a, kBatch);
+  EXPECT_LE(peak_b, kBatch);
   EXPECT_EQ(log.resident_lines(), 0u);
   EXPECT_EQ(log.event_count(), 3 * kLines);
   obs::export_event_log_metrics(&log);
