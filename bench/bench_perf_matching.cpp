@@ -6,6 +6,8 @@
 // efficient computing for scalability ... such as parallelization".
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+
 #include "bench_common.hpp"
 #include "pandarus.hpp"
 
@@ -326,6 +328,63 @@ void BM_ColstoreScanFiltered(benchmark::State& state) {
   state.counters["chunks_skipped"] = static_cast<double>(skipped);
 }
 BENCHMARK(BM_ColstoreScanFiltered)->Unit(benchmark::kMillisecond);
+
+// --- report path: replay and health derivation ----------------------------
+
+/// recorded_ndjson() written once to a file, for the sources that open
+/// a path.
+const std::string& recorded_ndjson_file() {
+  static const std::string path = [] {
+    const std::string p = "bench-ndjson-replay.tmp";
+    std::ofstream(p, std::ios::binary) << recorded_ndjson();
+    return p;
+  }();
+  return path;
+}
+
+/// The recorded campaign's NDJSON (Arg 0) or colstore (Arg 1) file.
+const std::string& report_input(const benchmark::State& state) {
+  return state.range(0) == 0 ? recorded_ndjson_file() : encoded_colstore();
+}
+
+/// pandarus-report's replay over the recorded campaign: every event
+/// folded into the store, the series and the flows.
+void BM_ReplayEvents(benchmark::State& state) {
+  const std::string& path = report_input(state);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const analysis::ReplayResult replay = analysis::replay_events_file(path);
+    events = replay.lines_parsed;
+    benchmark::DoNotOptimize(replay.store.counts());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(events),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReplayEvents)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The health-only pass (`pandarus-query alerts`): the kinds the engine
+/// reads, out of every event in the file.  events_per_sec counts the
+/// whole stream, which is what the kind pre-filter scans past.
+void BM_DeriveHealth(benchmark::State& state) {
+  const std::string& path = report_input(state);
+  const std::uint64_t events = ndjson_line_count(recorded_ndjson());
+  std::uint64_t observations = 0;
+  for (auto _ : state) {
+    const auto engine = analysis::derive_health_file(path);
+    observations = engine->counts().observations;
+    benchmark::DoNotOptimize(observations);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(events),
+      benchmark::Counter::kIsRate);
+  state.counters["observations"] = static_cast<double>(observations);
+}
+BENCHMARK(BM_DeriveHealth)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- health detectors + metric query ------------------------------------
 

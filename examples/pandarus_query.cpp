@@ -12,7 +12,9 @@
 //   pandarus-query alerts <events-file>
 //     Streams the file through the health detectors (the same engine a
 //     live run arms with PANDARUS_ALERTS) and prints status_json —
-//     bit-identical to the live /api/alerts for the same stream.
+//     bit-identical to the live /api/alerts for the same stream.  A
+//     damaged stream (e.g. a torn colstore) exits 1 with a stream error
+//     instead; malformed lines are counted on stderr.
 //
 // Both subcommands stream one event at a time: a campaign never has to
 // fit in memory, which is the point of querying the colstore at all.
@@ -107,10 +109,19 @@ int cmd_agg(int argc, char** argv) {
 
 int cmd_alerts(int argc, char** argv) {
   if (argc != 3) return usage();
-  auto engine = pandarus::analysis::derive_health_file(argv[2]);
+  pandarus::analysis::SourceStatus status;
+  auto engine = pandarus::analysis::derive_health_file(argv[2], &status);
   if (engine == nullptr) {
     std::cerr << "pandarus-query: cannot open " << argv[2] << '\n';
     return 1;
+  }
+  if (!status.error.empty()) {
+    std::cerr << "pandarus-query: stream error: " << status.error << '\n';
+    return 1;
+  }
+  if (status.skipped != 0) {
+    std::cerr << "pandarus-query: skipped " << status.skipped
+              << " malformed line(s)\n";
   }
   std::cout << engine->status_json();
   return 0;

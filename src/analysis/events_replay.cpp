@@ -9,12 +9,14 @@
 namespace pandarus::analysis {
 namespace {
 
-grid::SiteId site_of(const util::json::Value& v, std::string_view key) {
+using util::json::FlatObject;
+
+grid::SiteId site_of(const FlatObject& v, std::string_view key) {
   return static_cast<grid::SiteId>(
       v.get_int(key, static_cast<std::int64_t>(grid::kUnknownSite)));
 }
 
-void replay_job_record(const util::json::Value& v, std::int64_t entity,
+void replay_job_record(const FlatObject& v, std::int64_t entity,
                        telemetry::MetadataStore& store) {
   telemetry::JobRecord j;
   j.pandaid = entity;
@@ -32,7 +34,7 @@ void replay_job_record(const util::json::Value& v, std::int64_t entity,
   store.record_job(std::move(j));
 }
 
-void replay_file_record(const util::json::Value& v, std::int64_t entity,
+void replay_file_record(const FlatObject& v, std::int64_t entity,
                         telemetry::MetadataStore& store) {
   telemetry::FileRecord f;
   f.pandaid = entity;
@@ -46,7 +48,7 @@ void replay_file_record(const util::json::Value& v, std::int64_t entity,
   store.record_file(std::move(f));
 }
 
-void replay_transfer_record(const util::json::Value& v, std::int64_t entity,
+void replay_transfer_record(const FlatObject& v, std::int64_t entity,
                             telemetry::MetadataStore& store) {
   telemetry::TransferRecord t;
   t.transfer_id = static_cast<std::uint64_t>(entity);
@@ -68,7 +70,7 @@ void replay_transfer_record(const util::json::Value& v, std::int64_t entity,
 
 /// Makes the obs::FlowTracker call the live simulation made for one
 /// flow/transfer lifecycle line; other kinds are ignored.
-void replay_flow_event(std::string_view kind, const util::json::Value& v,
+void replay_flow_event(std::string_view kind, const FlatObject& v,
                        std::int64_t ts, std::int64_t entity,
                        obs::FlowTracker& tracker) {
   const auto tid = static_cast<std::uint64_t>(entity);
@@ -122,9 +124,9 @@ std::string ReplayResult::site_name(grid::SiteId id) const {
                                 : "site-" + std::to_string(id);
 }
 
-void ReplayResult::observe(const util::json::Value& v) {
+void ReplayResult::observe(const FlatObject& v) {
   const std::string_view kind = v.get_string("kind");
-  const util::json::Value* ts_field = v.find("ts");
+  const util::json::FlatMember* ts_field = v.find("ts");
   if (kind.empty() || ts_field == nullptr) {
     ++lines_skipped;
     return;
@@ -172,9 +174,9 @@ void ReplayResult::observe(const util::json::Value& v) {
     // Column order comes from the first sample; later samples are
     // matched by name so a mixed stream still lines up.
     if (sample_columns.empty()) {
-      for (const auto& [key, value] : v.obj) {
-        if (key == "ts" || key == "kind" || key == "entity") continue;
-        sample_columns.push_back(key);
+      for (const util::json::FlatMember& m : v.members) {
+        if (m.key == "ts" || m.key == "kind" || m.key == "entity") continue;
+        sample_columns.emplace_back(m.key);
       }
     }
     Sample row;
@@ -205,7 +207,7 @@ void ReplayResult::observe(const util::json::Value& v) {
 
 ReplayResult replay_events(EventSource& source, obs::HealthEngine* health) {
   ReplayResult result;
-  while (const util::json::Value* event = source.next()) {
+  while (const FlatObject* event = source.next()) {
     result.observe(*event);
     if (health != nullptr) health->observe_json(*event);
   }
@@ -232,12 +234,19 @@ ReplayResult replay_events_file(const std::string& path,
 }
 
 std::unique_ptr<obs::HealthEngine> derive_health_file(
-    const std::string& path) {
-  const auto source = open_event_source(path);
+    const std::string& path, SourceStatus* status) {
+  // The engine ignores every other kind, so the source may drop those
+  // events before decoding them.
+  const auto source =
+      open_event_source(path, obs::HealthEngine::kObservedKinds);
   if (source == nullptr) return nullptr;
   auto engine = std::make_unique<obs::HealthEngine>();
-  while (const util::json::Value* event = source->next()) {
+  while (const FlatObject* event = source->next()) {
     engine->observe_json(*event);
+  }
+  if (status != nullptr) {
+    status->skipped = source->skipped();
+    status->error = source->error();
   }
   return engine;
 }

@@ -35,6 +35,7 @@
 namespace pandarus::analysis {
 
 class EventSource;
+struct SourceStatus;
 
 struct ReplayResult {
   /// Rebuilt from the harvest events; empty if the stream held none.
@@ -118,7 +119,7 @@ struct ReplayResult {
 
   /// Folds one event into the result.  Events missing `kind` or `ts`
   /// count as skipped; the rest are tallied and decoded by kind.
-  void observe(const util::json::Value& event);
+  void observe(const util::json::FlatObject& event);
 
   [[nodiscard]] std::string site_name(grid::SiteId id) const;
 };
@@ -139,11 +140,15 @@ ReplayResult replay_events(std::istream& in);
 ReplayResult replay_events_file(const std::string& path,
                                 obs::HealthEngine* health = nullptr);
 
-/// Health-only pass: streams `path` into a fresh engine and nothing
-/// else.  The engine is never wired to a log, so deriving health from a
-/// stream never re-emits that stream's own alerts.  nullptr when the
-/// file cannot be opened.
+/// Health-only pass: streams the events of `path` the engine acts on
+/// (obs::HealthEngine::kObservedKinds; the source skips the rest before
+/// decoding them) into a fresh engine and nothing else.  The engine is
+/// never wired to a log, so deriving health from a stream never
+/// re-emits that stream's own alerts.  A non-null `status` receives
+/// what the source reported: a damaged stream yields a partial engine
+/// and a non-empty status->error.  nullptr when the file cannot be
+/// opened.
 std::unique_ptr<obs::HealthEngine> derive_health_file(
-    const std::string& path);
+    const std::string& path, SourceStatus* status = nullptr);
 
 }  // namespace pandarus::analysis

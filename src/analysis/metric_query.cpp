@@ -113,7 +113,7 @@ MetricQueryResult run_metric_query(EventSource& source,
   using Key = std::pair<std::int64_t, std::vector<std::string>>;
   std::map<Key, Accumulator> cells;
 
-  while (const util::json::Value* event = source.next()) {
+  while (const util::json::FlatObject* event = source.next()) {
     ++result.events_scanned;
     const std::int64_t ts = event->get_int("ts");
     if (ts < spec.ts_from || ts > spec.ts_to) continue;
@@ -134,19 +134,19 @@ MetricQueryResult run_metric_query(EventSource& source,
         key.second.emplace_back(kind);
         continue;
       }
-      const util::json::Value* member = event->find(field);
+      const util::json::FlatMember* member = event->find(field);
       if (member == nullptr) {
         key.second.emplace_back();
-      } else if (member->kind == util::json::Value::Kind::kString) {
+      } else if (member->kind == util::json::Kind::kString) {
         key.second.emplace_back(member->str_v);
-      } else if (member->kind == util::json::Value::Kind::kNumber &&
+      } else if (member->kind == util::json::Kind::kNumber &&
                  member->is_int) {
         key.second.emplace_back(std::to_string(member->int_v));
-      } else if (member->kind == util::json::Value::Kind::kNumber) {
+      } else if (member->kind == util::json::Kind::kNumber) {
         std::string text;
         obs::detail::append_json_double(text, member->num_v);
         key.second.emplace_back(std::move(text));
-      } else if (member->kind == util::json::Value::Kind::kBool) {
+      } else if (member->kind == util::json::Kind::kBool) {
         key.second.emplace_back(member->bool_v ? "true" : "false");
       } else {
         key.second.emplace_back();
@@ -164,9 +164,9 @@ MetricQueryResult run_metric_query(EventSource& source,
     Accumulator& acc = it->second;
     ++acc.events;
     if (!spec.value_field.empty()) {
-      if (const util::json::Value* member = event->find(spec.value_field);
-          member != nullptr &&
-          member->kind == util::json::Value::Kind::kNumber) {
+      if (const util::json::FlatMember* member =
+              event->find(spec.value_field);
+          member != nullptr && member->kind == util::json::Kind::kNumber) {
         acc.observe(member->is_int ? static_cast<double>(member->int_v)
                                    : member->num_v);
       }

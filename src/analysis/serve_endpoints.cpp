@@ -235,7 +235,7 @@ struct LiveCache {
       const std::uint64_t wm = reader->read(suffix);
       std::istringstream in(std::move(suffix));
       const auto source = make_ndjson_source(in);
-      while (const util::json::Value* event = source->next()) {
+      while (const util::json::FlatObject* event = source->next()) {
         replay.observe(*event);
       }
       replay.lines_skipped += source->skipped();

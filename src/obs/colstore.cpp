@@ -273,38 +273,6 @@ void append_unescaped(std::string& out, std::string_view s) {
   }
 }
 
-/// A record of one parsed member: key and string value are appended to
-/// `text` unescaped (util::json decoded them).  Nullopt for an array or
-/// object value.
-std::optional<FieldRecord> member_record(std::string& text,
-                                         const std::string& key,
-                                         const util::json::Value& value) {
-  using Kind = util::json::Value::Kind;
-  FieldRecord f{static_cast<std::uint32_t>(text.size()),
-                static_cast<std::uint32_t>(key.size()), 0, FieldType::kNull,
-                false, false};
-  text += key;
-  switch (value.kind) {
-    case Kind::kNumber:
-      f.type = value.is_int ? FieldType::kInt : FieldType::kDouble;
-      f.value = value.is_int ? int_bits(value.int_v) : double_bits(value.num_v);
-      break;
-    case Kind::kBool:
-      f.type = FieldType::kBool;
-      f.value = value.bool_v ? 1 : 0;
-      break;
-    case Kind::kString:
-      f.type = FieldType::kString;
-      f.value = FieldRecord::pack_span(text.size(), value.str_v.size());
-      text += value.str_v;
-      break;
-    case Kind::kNull: break;
-    case Kind::kArray:
-    case Kind::kObject: return std::nullopt;
-  }
-  return f;
-}
-
 constexpr std::uint64_t col_key(util::Symbol key, std::uint8_t type) noexcept {
   return (static_cast<std::uint64_t>(key) << 3) | type;
 }
@@ -394,36 +362,59 @@ bool ColWriter::append(std::string_view line, const EventRecord& record) {
 
 bool ColWriter::append_ndjson_line(std::string_view line) {
   if (line.empty()) return true;
-  const auto parsed = util::json::parse(line);
   // Spans are 32-bit offsets into line_text_, which is never longer
   // than the line.
-  if (!parsed || parsed->kind != util::json::Value::Kind::kObject ||
+  if (!util::json::parse_flat(line, line_event_) ||
       line.size() > std::numeric_limits<std::uint32_t>::max()) {
     ++stats_.rejected;
     return false;
   }
   if (!ok() || closed_) return false;
   // Validate the whole event before any column state is touched, so a
-  // rejected line leaves no residue.
+  // rejected line leaves no residue.  Keys and string values are copied
+  // to line_text_ unescaped (parse_flat decoded them).
   line_text_.clear();
   line_fields_.clear();
+  const auto span_of = [this](std::string_view s) {
+    const std::uint64_t pos = line_text_.size();
+    line_text_ += s;
+    return pos;
+  };
   std::optional<FieldRecord> ts;
   std::optional<FieldRecord> kind;
   std::optional<FieldRecord> entity;
-  for (const auto& [key, value] : parsed->obj) {
-    const std::optional<FieldRecord> f = member_record(line_text_, key, value);
-    if (!f) {
-      ++stats_.rejected;
-      return false;
+  for (const util::json::FlatMember& m : line_event_.members) {
+    using util::json::Kind;
+    FieldRecord f{static_cast<std::uint32_t>(span_of(m.key)),
+                  static_cast<std::uint32_t>(m.key.size()), 0,
+                  FieldType::kNull, false, false};
+    switch (m.kind) {
+      case Kind::kNumber:
+        f.type = m.is_int ? FieldType::kInt : FieldType::kDouble;
+        f.value = m.is_int ? int_bits(m.int_v) : double_bits(m.num_v);
+        break;
+      case Kind::kBool:
+        f.type = FieldType::kBool;
+        f.value = m.bool_v ? 1 : 0;
+        break;
+      case Kind::kString:
+        f.type = FieldType::kString;
+        f.value = FieldRecord::pack_span(span_of(m.str_v), m.str_v.size());
+        break;
+      case Kind::kNull: break;
+      case Kind::kArray:
+      case Kind::kObject:
+        ++stats_.rejected;
+        return false;
     }
-    std::optional<FieldRecord>* core = key == "ts"       ? &ts
-                                       : key == "kind"   ? &kind
-                                       : key == "entity" ? &entity
-                                                         : nullptr;
+    std::optional<FieldRecord>* core = m.key == "ts"       ? &ts
+                                       : m.key == "kind"   ? &kind
+                                       : m.key == "entity" ? &entity
+                                                           : nullptr;
     if (core != nullptr && !core->has_value()) {
       *core = f;
     } else {
-      line_fields_.push_back(*f);
+      line_fields_.push_back(f);
     }
   }
   if (!ts || ts->type != FieldType::kInt || !kind ||

@@ -60,6 +60,7 @@
 #include "obs/event_log.hpp"
 #include "obs/recover.hpp"
 #include "util/interner.hpp"
+#include "util/json.hpp"
 
 namespace pandarus::obs {
 
@@ -190,7 +191,8 @@ class ColWriter {
   // or a column grows.
   std::string spelling_;    ///< shape spelling being looked up
   std::string unescaped_;   ///< one unescaped span
-  std::string line_text_;   ///< append_ndjson_line: unescaped strings
+  util::json::FlatObject line_event_;  ///< append_ndjson_line: the line
+  std::string line_text_;   ///< its keys and strings, unescaped
   std::vector<FieldRecord> line_fields_;
 
   // Per-chunk staging, cleared on flush.

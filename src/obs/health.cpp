@@ -446,20 +446,19 @@ void HealthEngine::export_gauges_locked() {
   }
 }
 
-void HealthEngine::observe_json(const util::json::Value& event) {
-  if (event.kind != util::json::Value::Kind::kObject) return;
+void HealthEngine::observe_json(const util::json::FlatObject& event) {
   const std::string_view kind = event.get_string("kind");
   const std::int64_t ts = event.get_int("ts");
   if (kind == "sample") {
     // Every non-envelope member is a sampler column, in emission order.
     std::vector<std::string> names;
     std::vector<std::int64_t> values;
-    names.reserve(event.obj.size());
-    values.reserve(event.obj.size());
-    for (const auto& [key, value] : event.obj) {
-      if (key == "ts" || key == "kind" || key == "entity") continue;
-      names.push_back(key);
-      values.push_back(value.as_int());
+    names.reserve(event.members.size());
+    values.reserve(event.members.size());
+    for (const util::json::FlatMember& m : event.members) {
+      if (m.key == "ts" || m.key == "kind" || m.key == "entity") continue;
+      names.emplace_back(m.key);
+      values.push_back(m.as_int());
     }
     on_sample(ts, names, values);
   } else if (kind == "link_sample") {

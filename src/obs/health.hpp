@@ -9,8 +9,10 @@
 //     exactly like EventLog emit sites;
 //   * replay — analysis::replay_events() streams a recorded NDJSON or
 //     colstore file through observe_json(), which maps the canonical
-//     event vocabulary ("sample", "link_sample", "breaker_state",
-//     "transfer_done"/"transfer_fail") onto the *same* typed feeds.
+//     event vocabulary (kObservedKinds: "sample", "link_sample",
+//     "breaker_state", "transfer_done"/"transfer_fail") onto the *same*
+//     typed feeds.  Every other kind is ignored, so a health-only pass
+//     (analysis::derive_health_file) skips those events unread.
 //
 // Because both paths drive identical detector state in identical order,
 // and every input carries simulated time only, the engine's
@@ -28,6 +30,7 @@
 // own alerts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -107,6 +110,10 @@ class HealthEngine {
   static constexpr double kTransferSuccessTarget = 0.90;
   /// transfer_latency SLO: a success is good when it took at most this.
   static constexpr std::int64_t kTransferLatencyBoundMs = 4 * 3600 * 1000;
+  /// The event kinds observe_json() acts on; it ignores every other.
+  static constexpr std::array<std::string_view, 5> kObservedKinds = {
+      "sample", "link_sample", "breaker_state", "transfer_done",
+      "transfer_fail"};
 
   HealthEngine();
 
@@ -136,10 +143,12 @@ class HealthEngine {
   void on_breaker(std::int64_t ts, std::int64_t src, std::int64_t dst,
                   bool open);
 
-  /// Canonical stream mapping: routes one parsed event object onto the
-  /// typed feeds above.  Unknown kinds — including `alert` itself — are
-  /// ignored, so feeding a health-on stream cannot self-amplify.
-  void observe_json(const util::json::Value& event);
+  /// Canonical stream mapping: routes one event, read in place by
+  /// util::json::parse_flat or viewed from a colstore row, onto the
+  /// typed feeds above.  Kinds outside kObservedKinds — including
+  /// `alert` itself — are ignored, so feeding a health-on stream cannot
+  /// self-amplify.
+  void observe_json(const util::json::FlatObject& event);
 
   // --- snapshots ------------------------------------------------------------
 

@@ -81,6 +81,7 @@ bool copy_prefix(const std::string& in_path, const std::string& out_path,
 RecoveryReport salvage_ndjson(std::string_view bytes) {
   RecoveryReport report;
   report.ok = true;
+  util::json::FlatObject event;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::size_t nl = bytes.find('\n', pos);
@@ -94,8 +95,7 @@ RecoveryReport salvage_ndjson(std::string_view bytes) {
       // A torn tail only ever damages the last line, but checking every
       // kept line costs one replay-equivalent parse and turns mid-file
       // corruption into a clean truncation instead of a poisoned file.
-      const auto parsed = util::json::parse(line);
-      if (!parsed || parsed->kind != util::json::Value::Kind::kObject) {
+      if (!util::json::parse_flat(line, event)) {
         report.truncated = true;
         report.detail = "unparseable line";
         break;

@@ -1,14 +1,29 @@
 #include "util/json.hpp"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace pandarus::util::json {
 namespace {
 
+/// strtod over a token that is not NUL-terminated where it sits.
+double to_double(std::string_view token) {
+  char buf[64];
+  if (token.size() < sizeof buf) {
+    std::memcpy(buf, token.data(), token.size());
+    buf[token.size()] = '\0';
+    return std::strtod(buf, nullptr);
+  }
+  return std::strtod(std::string(token).c_str(), nullptr);
+}
+
+/// The one grammar.  value() builds a Value tree; flat_object() reads a
+/// top-level object's members in place.  Both run the same object,
+/// string, number and literal scanners.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -22,47 +37,79 @@ class Parser {
     return v;
   }
 
+  /// The whole text as one object, members appended to `members`; keys
+  /// and strings with escapes decode into `arena`.
+  bool flat_object(std::vector<FlatMember>& members, std::string& arena) {
+    skip_ws();
+    if (peek() != '{') return false;
+    const bool ok = object(arena, [&](std::string_view key) {
+      FlatMember& m = members.emplace_back();
+      m.key = key;
+      return flat_value(m, arena);
+    });
+    if (!ok) return false;
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
  private:
   bool value(Value& out) {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object(out);
+    switch (peek()) {
+      case '{':
+        out.kind = Kind::kObject;
+        return object(unescaped_, [&](std::string_view key) {
+          std::string name(key);
+          Value member;
+          if (!value(member)) return false;
+          out.obj.emplace_back(std::move(name), std::move(member));
+          return true;
+        });
       case '[': return array(out);
       case '"': {
-        out.kind = Value::Kind::kString;
-        return string(out.str_v);
+        out.kind = Kind::kString;
+        std::string_view s;
+        if (!string(s, unescaped_)) return false;
+        out.str_v.assign(s);
+        return true;
       }
-      case 't':
-        out.kind = Value::Kind::kBool;
-        out.bool_v = true;
-        return literal("true");
-      case 'f':
-        out.kind = Value::Kind::kBool;
-        out.bool_v = false;
-        return literal("false");
-      case 'n':
-        out.kind = Value::Kind::kNull;
-        return literal("null");
-      default: return number(out);
+      default: return scalar(out);
     }
   }
 
-  bool object(Value& out) {
-    out.kind = Value::Kind::kObject;
+  /// A member value of a flat object: nested values are validated and
+  /// kept as their kind alone.
+  bool flat_value(FlatMember& out, std::string& arena) {
+    switch (peek()) {
+      case '{':
+      case '[': {
+        out.kind = peek() == '{' ? Kind::kObject : Kind::kArray;
+        Value nested;
+        return value(nested);
+      }
+      case '"':
+        out.kind = Kind::kString;
+        return string(out.str_v, arena);
+      default: return scalar(out);
+    }
+  }
+
+  /// '{' at pos_ through its '}'.  Calls `member(key)` with pos_ at each
+  /// member's value; the member reads the value.  Keys with escapes
+  /// decode into `arena`.
+  template <class Member>
+  bool object(std::string& arena, Member&& member) {
     ++pos_;  // '{'
     skip_ws();
     if (peek() == '}') return ++pos_, true;
     for (;;) {
       skip_ws();
-      std::string key;
-      if (!string(key)) return false;
+      std::string_view key;
+      if (!string(key, arena)) return false;
       skip_ws();
       if (peek() != ':') return false;
       ++pos_;
       skip_ws();
-      Value member;
-      if (!value(member)) return false;
-      out.obj.emplace_back(std::move(key), std::move(member));
+      if (!member(key)) return false;
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -74,7 +121,7 @@ class Parser {
   }
 
   bool array(Value& out) {
-    out.kind = Value::Kind::kArray;
+    out.kind = Kind::kArray;
     ++pos_;  // '['
     skip_ws();
     if (peek() == ']') return ++pos_, true;
@@ -93,23 +140,38 @@ class Parser {
     }
   }
 
-  bool string(std::string& out) {
+  /// A string token at pos_.  `out` views its decoded bytes: the text
+  /// itself when the token holds no escape, else bytes appended to
+  /// `arena` — never more than the token's own length, since no escape
+  /// decodes to more bytes than it spells.
+  bool string(std::string_view& out, std::string& arena) {
     if (peek() != '"') return false;
-    ++pos_;
+    const std::size_t start = ++pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ >= text_.size()) return false;
+    if (text_[pos_] == '"') {
+      out = text_.substr(start, pos_ - start);
+      ++pos_;  // closing quote
+      return true;
+    }
+    const std::size_t from = arena.size();
+    arena.append(text_.substr(start, pos_ - start));
     while (pos_ < text_.size() && text_[pos_] != '"') {
       const char c = text_[pos_];
       if (c == '\\') {
         ++pos_;
         if (pos_ >= text_.size()) return false;
         switch (text_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
+          case '"': arena += '"'; break;
+          case '\\': arena += '\\'; break;
+          case '/': arena += '/'; break;
+          case 'b': arena += '\b'; break;
+          case 'f': arena += '\f'; break;
+          case 'n': arena += '\n'; break;
+          case 'r': arena += '\r'; break;
+          case 't': arena += '\t'; break;
           case 'u': {
             if (pos_ + 4 >= text_.size()) return false;
             unsigned cp = 0;
@@ -127,23 +189,44 @@ class Parser {
                 return false;
               }
             }
-            append_utf8(out, cp);
+            append_utf8(arena, cp);
             break;
           }
           default: return false;
         }
         ++pos_;
       } else {
-        out += c;
+        arena += c;
         ++pos_;
       }
     }
     if (pos_ >= text_.size()) return false;
     ++pos_;  // closing quote
+    out = std::string_view(arena).substr(from);
     return true;
   }
 
-  bool number(Value& out) {
+  /// true, false, null or a number, into a Value or a FlatMember.
+  template <class Out>
+  bool scalar(Out& out) {
+    switch (peek()) {
+      case 't':
+        out.kind = Kind::kBool;
+        out.bool_v = true;
+        return literal("true");
+      case 'f':
+        out.kind = Kind::kBool;
+        out.bool_v = false;
+        return literal("false");
+      case 'n':
+        out.kind = Kind::kNull;
+        return literal("null");
+      default: return number(out);
+    }
+  }
+
+  template <class Out>
+  bool number(Out& out) {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     bool digits = false;
@@ -173,13 +256,13 @@ class Parser {
         ++pos_;
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    out.kind = Value::Kind::kNumber;
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const char* const end = token.data() + token.size();
+    out.kind = Kind::kNumber;
     if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
+      std::int64_t v = 0;
+      const auto [stop, ec] = std::from_chars(token.data(), end, v);
+      if (ec == std::errc() && stop == end) {
         out.is_int = true;
         out.int_v = v;
         out.num_v = static_cast<double>(v);
@@ -187,7 +270,7 @@ class Parser {
       }
     }
     out.is_int = false;
-    out.num_v = std::strtod(token.c_str(), nullptr);
+    out.num_v = to_double(token);
     out.int_v = saturating_int(out.num_v);
     return true;
   }
@@ -225,7 +308,33 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  /// Decoded escapes for value(), copied out right after each string.
+  std::string unescaped_;
 };
+
+// Conversions and lookups shared by Value and FlatMember / FlatObject,
+// so the two follow one set of rules.
+
+template <class M>
+std::int64_t int_of(const M& m, std::int64_t fallback) noexcept {
+  if (m.kind != Kind::kNumber) return fallback;
+  return m.is_int ? m.int_v : saturating_int(m.num_v);
+}
+
+template <class M>
+double double_of(const M& m, double fallback) noexcept {
+  return m.kind == Kind::kNumber ? m.num_v : fallback;
+}
+
+template <class M>
+bool bool_of(const M& m, bool fallback) noexcept {
+  return m.kind == Kind::kBool ? m.bool_v : fallback;
+}
+
+template <class M>
+std::string_view string_of(const M& m, std::string_view fallback) noexcept {
+  return m.kind == Kind::kString ? std::string_view(m.str_v) : fallback;
+}
 
 }  // namespace
 
@@ -237,20 +346,19 @@ const Value* Value::find(std::string_view key) const noexcept {
 }
 
 std::int64_t Value::as_int(std::int64_t fallback) const noexcept {
-  if (kind != Kind::kNumber) return fallback;
-  return is_int ? int_v : saturating_int(num_v);
+  return int_of(*this, fallback);
 }
 
 double Value::as_double(double fallback) const noexcept {
-  return kind == Kind::kNumber ? num_v : fallback;
+  return double_of(*this, fallback);
 }
 
 bool Value::as_bool(bool fallback) const noexcept {
-  return kind == Kind::kBool ? bool_v : fallback;
+  return bool_of(*this, fallback);
 }
 
 std::string_view Value::as_string(std::string_view fallback) const noexcept {
-  return kind == Kind::kString ? std::string_view(str_v) : fallback;
+  return string_of(*this, fallback);
 }
 
 std::int64_t Value::get_int(std::string_view key,
@@ -275,8 +383,62 @@ std::string_view Value::get_string(std::string_view key,
   return v != nullptr ? v->as_string(fallback) : fallback;
 }
 
+std::int64_t FlatMember::as_int(std::int64_t fallback) const noexcept {
+  return int_of(*this, fallback);
+}
+
+double FlatMember::as_double(double fallback) const noexcept {
+  return double_of(*this, fallback);
+}
+
+bool FlatMember::as_bool(bool fallback) const noexcept {
+  return bool_of(*this, fallback);
+}
+
+std::string_view FlatMember::as_string(
+    std::string_view fallback) const noexcept {
+  return string_of(*this, fallback);
+}
+
+const FlatMember* FlatObject::find(std::string_view key) const noexcept {
+  for (const FlatMember& m : members) {
+    if (m.key == key) return &m;
+  }
+  return nullptr;
+}
+
+std::int64_t FlatObject::get_int(std::string_view key,
+                                 std::int64_t fallback) const noexcept {
+  const FlatMember* m = find(key);
+  return m != nullptr ? m->as_int(fallback) : fallback;
+}
+
+double FlatObject::get_double(std::string_view key,
+                              double fallback) const noexcept {
+  const FlatMember* m = find(key);
+  return m != nullptr ? m->as_double(fallback) : fallback;
+}
+
+bool FlatObject::get_bool(std::string_view key, bool fallback) const noexcept {
+  const FlatMember* m = find(key);
+  return m != nullptr ? m->as_bool(fallback) : fallback;
+}
+
+std::string_view FlatObject::get_string(
+    std::string_view key, std::string_view fallback) const noexcept {
+  const FlatMember* m = find(key);
+  return m != nullptr ? m->as_string(fallback) : fallback;
+}
+
 std::optional<Value> parse(std::string_view text) {
   return Parser(text).run();
+}
+
+bool parse_flat(std::string_view text, FlatObject& out) {
+  out.members.clear();
+  out.arena_.clear();
+  out.arena_.reserve(text.size());
+  return Parser(text).flat_object(out.members, out.arena_);
 }
 
 std::int64_t saturating_int(double v) noexcept {

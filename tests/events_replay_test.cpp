@@ -2,11 +2,14 @@
 // overflow), sampler/event-stream determinism (a traced run must produce
 // byte-identical NDJSON to an untraced one), the replay cross-check
 // (analyses on an events-rebuilt store must equal the in-memory ones),
-// and one-pass replay + health parity with the two-pass path.
+// one-pass replay + health parity with the two-pass path, and the
+// health pass's kind pre-filter and damage reporting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -474,6 +477,134 @@ TEST(EventsReplay, OnePassEqualsReplayPlusDeriveHealth) {
   EXPECT_EQ(one_pass_reports[0], one_pass_reports[1]);
   std::remove(ndjson_path.c_str());
   std::remove(col_path.c_str());
+}
+
+// --- health derivation's kind pre-filter -----------------------------------
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+std::string read_whole_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// derive_health_file drops a line of another kind unparsed when the
+// canonical `{"ts":<int>,"kind":"<k>"` prefix names its kind; any other
+// line is parsed and its kind checked after.  The engine must end
+// exactly where an unfiltered engine fed every line that parses ends.
+TEST(EventsReplay, DeriveHealthPrefilterKeepsEveryHealthLine) {
+  const std::vector<std::string> lines = {
+      R"({"ts":1000,"kind":"sample","entity":0,"jobs_queued":10})",
+      R"({"ts":1800,"kind":"link_sample","entity":1,"src":0,"dst":1,)"
+      R"("queued":5,"utilization":0.97})",
+      // Written with spaces: no canonical prefix, so the parser decides.
+      R"({ "ts": 2500, "kind": "transfer_fail", "entity": 8, )"
+      R"("submitted": 500, "error": "stalled_terminal" })",
+      // An escaped kind: the prefix check stops at the backslash.
+      R"({"ts":3000,"kind":"transfer\u005ffail","entity":9,)"
+      R"("submitted":1000,"error":"stalled_terminal"})",
+      // Other kinds, malformed after their prefix: dropped unparsed.
+      R"({"ts":3100,"kind":"alert","entity":"link:0->1",)",
+      R"({"ts":3200,"kind":"job_state","entity":3,"state":runn})",
+      R"({"ts":3300,"kind":"job_state","entity":3,"state":"running"})",
+      R"({"ts":4000,"kind":"transfer_done","entity":10,"submitted":2500})",
+      R"({"ts":4500,"kind":"breaker_state","entity":7,"src":0,"dst":1,)"
+      R"("state":"open"})",
+  };
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  const std::string path = "events_replay_prefilter.ndjson";
+  write_file(path, text);
+
+  obs::HealthEngine unfiltered;
+  util::json::FlatObject event;
+  std::size_t unparsed = 0;
+  for (const std::string& line : lines) {
+    if (util::json::parse_flat(line, event)) {
+      unfiltered.observe_json(event);
+    } else {
+      ++unparsed;
+    }
+  }
+  ASSERT_EQ(unparsed, 2u);
+
+  analysis::SourceStatus status;
+  const auto derived = analysis::derive_health_file(path, &status);
+  ASSERT_NE(derived, nullptr);
+  // sample, link_sample, both transfer_fail lines, transfer_done and
+  // breaker_state reach the engine.
+  EXPECT_EQ(derived->counts().observations, 6u);
+  EXPECT_EQ(derived->status_json(), unfiltered.status_json());
+  // The two malformed lines were ruled out by their prefix, unparsed.
+  EXPECT_EQ(status.skipped, 0u);
+  EXPECT_TRUE(status.error.empty());
+  std::remove(path.c_str());
+}
+
+// A damaged stream is never silent: derive_health_file reports a torn
+// colstore as an error and an NDJSON garbage line as skipped.
+TEST(EventsReplay, DeriveHealthReportsDamagedStreams) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 20250401;
+  config.faults.intensity = 2.0;
+  config.with_self_healing();
+  const std::string ndjson_path = "events_replay_damage.ndjson";
+  const std::string col_path = "events_replay_damage.colstore";
+  obs::HealthEngine live;
+  obs::EventSinks sinks;
+  sinks.ndjson_path = ndjson_path;
+  sinks.colstore_path = col_path;
+  obs::EventLog log(sinks);
+  std::ignore =
+      scenario::run_campaign(config, {.events = &log, .health = &live});
+  log.close();
+  ASSERT_EQ(log.io_errors(), 0u);
+
+  for (const std::string& path : {ndjson_path, col_path}) {
+    analysis::SourceStatus status;
+    const auto derived = analysis::derive_health_file(path, &status);
+    ASSERT_NE(derived, nullptr);
+    EXPECT_EQ(derived->status_json(), live.status_json()) << path;
+    EXPECT_EQ(status.skipped, 0u) << path;
+    EXPECT_TRUE(status.error.empty()) << path;
+  }
+
+  // One garbage line in the middle: counted, and nothing else changes.
+  const std::string ndjson = read_whole_file(ndjson_path);
+  const std::size_t middle = ndjson.find('\n', ndjson.size() / 2) + 1;
+  const std::string garbled_path = "events_replay_garbled.ndjson";
+  write_file(garbled_path, ndjson.substr(0, middle) + "not an event\n" +
+                               ndjson.substr(middle));
+  {
+    analysis::SourceStatus status;
+    const auto derived = analysis::derive_health_file(garbled_path, &status);
+    ASSERT_NE(derived, nullptr);
+    EXPECT_EQ(status.skipped, 1u);
+    EXPECT_TRUE(status.error.empty());
+    EXPECT_EQ(derived->status_json(), live.status_json());
+  }
+
+  // A colstore torn inside its data: the partial engine comes back with
+  // the reader's error.
+  const std::string col = read_whole_file(col_path);
+  const std::string torn_path = "events_replay_torn.colstore";
+  write_file(torn_path, col.substr(0, col.size() - col.size() / 4));
+  {
+    analysis::SourceStatus status;
+    const auto derived = analysis::derive_health_file(torn_path, &status);
+    ASSERT_NE(derived, nullptr);
+    EXPECT_FALSE(status.error.empty());
+    EXPECT_NE(derived->status_json(), live.status_json());
+  }
+  for (const std::string& path :
+       {ndjson_path, col_path, garbled_path, torn_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 // --- harvest ----------------------------------------------------------------

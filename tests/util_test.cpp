@@ -1,10 +1,21 @@
 // Unit tests for the util module: RNG determinism and distribution
-// sanity, statistics accumulators, time/format helpers, CSV.
+// sanity, statistics accumulators, time/format helpers, CSV, and the
+// JSON reader's two faces (parse_flat against parse).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
+
+#include "obs/event_log.hpp"
+#include "scenario/campaign.hpp"
 
 #include "util/csv.hpp"
 #include "util/format.hpp"
@@ -357,6 +368,168 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(json::parse("{\"a\":1} trailing").has_value());
   EXPECT_FALSE(json::parse("\"unterminated").has_value());
   EXPECT_FALSE(json::parse("[1,2").has_value());
+}
+
+// --- parse_flat reads exactly what parse reads ------------------------------
+
+/// parse_flat accepts `text` exactly when parse() reads it as an object,
+/// and then gives the same members in the same order, bit for bit.
+::testing::AssertionResult flat_matches_dom(std::string_view text) {
+  const std::optional<json::Value> dom = json::parse(text);
+  const bool object = dom && dom->kind == json::Kind::kObject;
+  json::FlatObject flat;
+  if (json::parse_flat(text, flat) != object) {
+    return ::testing::AssertionFailure()
+           << (object ? "parse_flat rejects " : "parse_flat accepts ")
+           << '"' << text << '"';
+  }
+  if (!object) return ::testing::AssertionSuccess();
+  if (flat.members.size() != dom->obj.size()) {
+    return ::testing::AssertionFailure()
+           << flat.members.size() << " members, not " << dom->obj.size()
+           << ", in \"" << text << '"';
+  }
+  for (std::size_t i = 0; i < flat.members.size(); ++i) {
+    const json::FlatMember& f = flat.members[i];
+    const auto& [key, v] = dom->obj[i];
+    if (f.key != key || f.kind != v.kind || f.is_int != v.is_int ||
+        f.int_v != v.int_v ||
+        std::bit_cast<std::uint64_t>(f.num_v) !=
+            std::bit_cast<std::uint64_t>(v.num_v) ||
+        f.bool_v != v.bool_v || f.str_v != v.str_v) {
+      return ::testing::AssertionFailure()
+             << "member " << i << " (\"" << key << "\") differs in \""
+             << text << '"';
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(JsonFlat, MatchesParseOnHandCorpus) {
+  const std::vector<std::string> corpus = {
+      // Every escape, in a value and in a key.
+      R"({"s":"\"\\\/\b\f\n\r\t"})",
+      R"({"u":"\u00e9\u20ac\u0001","U":"\u00E9x"})",
+      R"({"k\u0065y":1,"plain":"a\"b"})",
+      R"({"s":"\x"})",
+      R"({"s":"\u12"})",
+      R"({"s":"\u12G4"})",
+      R"({"s":"tail\)",
+      std::string("{\"raw\":\"tab\there\"}"),
+      std::string("{\"nul\":\"a\0b\"}", 13),
+      // Numbers.
+      R"({"n":-0})",
+      R"({"n":9223372036854775807})",
+      R"({"n":9223372036854775808})",
+      R"({"n":-9223372036854775808})",
+      R"({"n":-9223372036854775809})",
+      R"({"n":18446744073709551615})",
+      R"({"n":1e400})",
+      R"({"n":-1e400})",
+      R"({"n":1e-400})",
+      R"({"n":1.5e-3})",
+      R"({"n":2.5E+2,"m":-7.25e0})",
+      R"({"n":0.1000000000000000055511151231257827021181583404541015625})",
+      R"({"n":007,"m":-00.5,"z":00})",
+      R"({"n":1.})",
+      R"({"n":.5})",
+      R"({"n":-})",
+      R"({"n":1e})",
+      R"({"n":+1})",
+      // Literals.
+      R"({"t":true,"f":false,"z":null})",
+      R"({"t":tru})",
+      R"({"z":nul})",
+      // Whitespace between every token.
+      " \t\r\n{ \"a\" : 1 ,\n\"b\"\t:\r\"x\" , \"c\" : [ 1 , 2 ] } \n",
+      // Duplicate keys, nested members, empty object and key.
+      R"({"a":1,"a":"two","a":3.5})",
+      R"({"arr":[1,{"x":[]}],"obj":{"y":null,"w":"\u00e9"},"z":true})",
+      R"({"arr":[1,})",
+      R"({"obj":{"y":}})",
+      "{}",
+      R"({"":1})",
+      R"({"":""})",
+      // Not one object.
+      "",
+      " ",
+      "[]",
+      "[1,2]",
+      "1",
+      R"("s")",
+      "true",
+      "null",
+      R"({"a":1} x)",
+      R"({"a":1}})",
+      R"({"a":1},)",
+      R"({"a":1}{"b":2})",
+      R"({"a":1,})",
+      R"({"a" 1})",
+      R"({a:1})",
+      R"({"a":1)",
+      R"({"a")",
+      "{",
+  };
+  for (const std::string& text : corpus) EXPECT_TRUE(flat_matches_dom(text));
+
+  json::FlatObject flat;
+  ASSERT_TRUE(json::parse_flat(R"({"a":1,"a":"two","a":3.5})", flat));
+  EXPECT_EQ(flat.get_int("a"), 1);  // the first member of a name wins
+  EXPECT_EQ(flat.get_string("a", "fallback"), "fallback");
+  ASSERT_TRUE(json::parse_flat(R"({"u":"\u00e9\u20ac","n":1e400})", flat));
+  EXPECT_EQ(flat.get_string("u"), "\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(flat.get_int("n"), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(flat.get_double("u", -1.0), -1.0);
+  EXPECT_FALSE(flat.get_bool("missing"));
+}
+
+/// Every line of the recorded `small` seed-7 campaign, then seeded byte
+/// flips, truncations and splices of those lines: the two parsers must
+/// agree on each, and the sanitizer build runs the flat parser over
+/// every malformed input.
+TEST(JsonFlat, MatchesParseOnCampaignLinesAndMutations) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.seed = 7;
+  obs::EventLog log;
+  std::ignore = scenario::run_campaign(config, {.events = &log});
+  log.close();
+  std::vector<std::string> lines;
+  std::istringstream in(log.to_ndjson());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), 1000u);
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(flat_matches_dom(line));
+  }
+
+  Rng rng(20251018);
+  const auto pick = [&]() -> const std::string& {
+    return lines[rng.uniform_index(lines.size())];
+  };
+  std::size_t rejected = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::string text = pick();
+    switch (i % 3) {
+      case 0:  // flip one byte
+        text[rng.uniform_index(text.size())] =
+            static_cast<char>(rng.uniform_index(256));
+        break;
+      case 1:  // truncate
+        text.resize(rng.uniform_index(text.size()));
+        break;
+      default: {  // splice a prefix onto another line's suffix
+        const std::string& other = pick();
+        text = text.substr(0, rng.uniform_index(text.size() + 1)) +
+               other.substr(rng.uniform_index(other.size() + 1));
+        break;
+      }
+    }
+    const std::optional<json::Value> dom = json::parse(text);
+    if (!dom || dom->kind != json::Kind::kObject) ++rejected;
+    ASSERT_TRUE(flat_matches_dom(text));
+  }
+  // The mutations reach both the accept and the reject paths.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_LT(rejected, 6000u);
 }
 
 TEST(Log, ParseLogLevelNamesAndFallback) {
