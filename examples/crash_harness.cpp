@@ -1,28 +1,29 @@
-// crash_harness: kill-based crash-injection for the telemetry sinks and
-// checkpoint/resume path.
+// crash_harness: kill-based crash injection for the telemetry sinks and
+// the resume path.
 //
 // One reference campaign runs to completion in-process; then, for each
 // iteration, a forked child re-runs the same campaign with both durable
 // sinks armed (NDJSON + colstore, written as lines are published, fsync
-// per drain, per-day checkpoints) and is SIGKILLed once its events file
-// grows past a seeded random byte threshold — progress-based, so the
-// kill always lands mid-campaign no matter how fast the machine is.
-// Some iterations also arm the write-delay hook
-// (EventSinks::write_delay_us) so the kill lands *mid-write*, leaving
-// a torn final line.  The parent then exercises the full recovery
-// story:
+// per drain) and is SIGKILLed once its events file grows past a seeded
+// random byte threshold — progress-based, so the kill always lands
+// mid-campaign no matter how fast the machine is.  Some iterations also
+// arm the write-delay hook (EventSinks::write_delay_us) so the kill
+// lands *mid-write*, leaving a torn final line.  The parent then
+// exercises the full recovery story:
 //
-//   1. obs::recover_ndjson_file salvages the longest valid prefix,
-//   2. scenario::resume_campaign re-executes from the newest snapshot
-//      (or from scratch when the kill predates the first day boundary),
-//   3. the salvaged prefix must be a byte-exact prefix of the resumed
-//      stream, and salvaged + suffix must equal the reference bytes,
-//   4. obs::recover_colstore_file salvages the colstore file's whole
-//      chunks, which must decode to a byte prefix of the reference.
+//   1. obs::recover_ndjson_file and obs::recover_colstore_file cut each
+//      file to its valid prefix (whole lines; whole CRC-valid chunks),
+//   2. the salvaged colstore must decode to a byte prefix of the
+//      reference stream,
+//   3. scenario::resume_campaign re-runs the campaign into
+//      iter-N/resumed.{ndjson,colstore} and verifies both salvaged files
+//      as byte prefixes of those,
+//   4. the resumed NDJSON must equal the reference bytes.
 //
-// After all iterations the final spliced stream is replayed and matched
-// (the paper's three methods); with the default --seed 7 --days 1 the
-// counts are the pinned 115/250/274 that CI gates on.
+// After all iterations the last resumed stream (final.ndjson) is
+// replayed and matched (the paper's three methods); with the default
+// --seed 7 --days 1 the counts are the pinned 115/250/274 that CI gates
+// on.
 //
 //   crash_harness [--kills N] [--seed S] [--days D] [--dir PATH] [--keep]
 #include <signal.h>
@@ -44,7 +45,6 @@
 #include "obs/event_log.hpp"
 #include "obs/recover.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/checkpoint.hpp"
 #include "scenario/config.hpp"
 #include "util/rng.hpp"
 
@@ -81,14 +81,6 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool write_file(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                  bytes.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 scenario::ScenarioConfig make_config(const Args& args) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.seed = args.seed;
@@ -108,19 +100,11 @@ std::string decode_colstore(const std::string& path) {
   return out;
 }
 
-/// The child's whole life: durable sinks on, checkpoints on, run, exit.
-/// Called only after fork().
-[[noreturn]] void run_child(const Args& args, const std::string& events_path,
-                            const std::string& col_path,
-                            const std::string& ckpt_dir, int write_delay_us) {
-  obs::EventSinks sinks;
-  sinks.ndjson_path = events_path;
-  sinks.colstore_path = col_path;
-  sinks.fsync.policy = obs::FsyncPolicy::kFlush;
-  sinks.write_delay_us = write_delay_us;
+/// The child's whole life: durable sinks on, run, exit.  Called only
+/// after fork().
+[[noreturn]] void run_child(const Args& args, const obs::EventSinks& sinks) {
   obs::EventLog log(sinks);
-  (void)scenario::run_campaign(make_config(args),
-                               {.events = &log, .checkpoint_dir = ckpt_dir});
+  (void)scenario::run_campaign(make_config(args), {.events = &log});
   log.close();
   // Skip atexit teardown: the parent's state must stay untouched.
   std::_Exit(0);
@@ -173,16 +157,27 @@ int main(int argc, char** argv) {
 
   util::Rng rng(util::hash_mix(args.seed, 0xc4a54));
   int failures = 0;
-  std::string final_stream;
+  const std::string final_path = args.dir + "/final.ndjson";
+  std::remove(final_path.c_str());
+  bool have_final = false;
   for (int iter = 0; iter < args.kills; ++iter) {
     const std::string iter_dir =
         args.dir + "/iter-" + std::to_string(iter);
-    const std::string ckpt_dir = iter_dir + "/ckpt";
-    const std::string events_path = iter_dir + "/events.ndjson";
-    const std::string col_path = iter_dir + "/events.colstore";
+    obs::EventSinks crashed;
+    crashed.ndjson_path = iter_dir + "/events.ndjson";
+    crashed.colstore_path = iter_dir + "/events.colstore";
+    crashed.fsync.policy = obs::FsyncPolicy::kFlush;
+    // The re-run keeps fsync off, like the reference: the kill always
+    // lands before the terminal log_stats line, the one line whose
+    // `fsyncs` count the policy changes.
+    obs::EventSinks resumed;
+    resumed.ndjson_path = iter_dir + "/resumed.ndjson";
+    resumed.colstore_path = iter_dir + "/resumed.colstore";
+    const std::string* const files[] = {
+        &crashed.ndjson_path, &crashed.colstore_path, &resumed.ndjson_path,
+        &resumed.colstore_path};
     ::mkdir(iter_dir.c_str(), 0777);
-    std::remove(events_path.c_str());
-    std::remove(col_path.c_str());
+    for (const std::string* path : files) std::remove(path->c_str());
 
     // Kill points are drawn from the harness seed, so a CI run is
     // reproducible.  The threshold is a fraction of the reference size:
@@ -190,19 +185,15 @@ int main(int argc, char** argv) {
     // moment it crosses, which pins the kill to a stream position on
     // any machine — a wall-clock delay would sometimes let a fast
     // child finish first.  Thresholds are stratified across iterations
-    // (~10% … ~89%) so the run covers both regimes: early kills land
-    // before the first snapshot is durable (resume from scratch), and
-    // any threshold past the day-0 publish is *guaranteed* to find a
-    // checkpoint — bytes beyond that publish only become visible after
-    // the day-0 snapshot's rename, because both happen in the sim
-    // thread in order.  Every other iteration arms the write-delay
+    // (~10% … ~89%), so later kills on a long campaign land past the
+    // first colstore chunk.  Every other iteration arms the write-delay
     // hook, stretching each 4 KiB write block long enough for the
     // SIGKILL to land mid-line.
     const std::uint64_t kill_pct =
         10 + static_cast<std::uint64_t>(iter % 5) * 18 +
         rng.uniform_index(8);
     const std::uint64_t kill_threshold = reference.size() * kill_pct / 100;
-    const int write_delay_us =
+    crashed.write_delay_us =
         iter % 2 == 1 ? 150 + static_cast<int>(rng.uniform_index(400)) : 0;
 
     const pid_t pid = ::fork();
@@ -210,9 +201,7 @@ int main(int argc, char** argv) {
       std::perror("fork");
       return 1;
     }
-    if (pid == 0) {
-      run_child(args, events_path, col_path, ckpt_dir, write_delay_us);
-    }
+    if (pid == 0) run_child(args, crashed);
 
     std::uint64_t kill_at_bytes = 0;
     bool child_exited_early = false;
@@ -222,7 +211,7 @@ int main(int argc, char** argv) {
     poll_delay.tv_nsec = 1000000L;  // 1 ms
     while (true) {
       struct stat st;
-      if (::stat(events_path.c_str(), &st) == 0 &&
+      if (::stat(crashed.ndjson_path.c_str(), &st) == 0 &&
           static_cast<std::uint64_t>(st.st_size) >= kill_threshold) {
         kill_at_bytes = static_cast<std::uint64_t>(st.st_size);
         break;
@@ -240,83 +229,72 @@ int main(int argc, char** argv) {
     const bool killed = WIFSIGNALED(status);
 
     // --- salvage ------------------------------------------------------
-    obs::RecoveryReport report;
-    std::string salvaged;
-    if (std::FILE* probe = std::fopen(events_path.c_str(), "rb")) {
-      std::fclose(probe);
-      report = obs::recover_ndjson_file(events_path, events_path);
-      if (!report.ok) {
-        std::fprintf(stderr, "iter %d: salvage failed: %s\n", iter,
-                     report.detail.c_str());
-        ++failures;
-        continue;
-      }
-      read_file(events_path, salvaged);
-    }
+    const obs::RecoveryReport report =
+        obs::recover_ndjson_file(crashed.ndjson_path, crashed.ndjson_path);
     // The colstore sink holds whole chunks plus at most a torn tail;
     // what survives must decode to a prefix of the reference stream.
     const obs::RecoveryReport col_report =
-        obs::recover_colstore_file(col_path, col_path);
-    const std::string col_salvaged =
-        col_report.ok ? decode_colstore(col_path) : std::string();
-    const bool col_prefix_ok =
-        col_report.ok && col_salvaged.size() <= reference.size() &&
-        reference.compare(0, col_salvaged.size(), col_salvaged) == 0;
-    if (!col_prefix_ok) {
-      std::fprintf(stderr, "iter %d: colstore salvage: %s\n", iter,
-                   col_report.ok ? "not a prefix of the reference"
-                                 : col_report.detail.c_str());
-    }
-
-    // --- resume -------------------------------------------------------
-    scenario::ResumeOutcome resume =
-        scenario::resume_campaign(config, ckpt_dir);
-    if (!resume.ok) {
-      std::fprintf(stderr, "iter %d: resume failed: %s\n", iter,
-                   resume.error.c_str());
+        obs::recover_colstore_file(crashed.colstore_path,
+                                   crashed.colstore_path);
+    if (!report.ok || !col_report.ok) {
+      std::fprintf(stderr, "iter %d: salvage failed: %s\n", iter,
+                   (report.ok ? col_report : report).detail.c_str());
       ++failures;
       continue;
     }
+    const std::string col_salvaged = decode_colstore(crashed.colstore_path);
+    const bool col_prefix_ok =
+        col_salvaged.size() <= reference.size() &&
+        reference.compare(0, col_salvaged.size(), col_salvaged) == 0;
+    if (!col_prefix_ok) {
+      std::fprintf(stderr,
+                   "iter %d: colstore salvage is not a prefix of the "
+                   "reference\n",
+                   iter);
+    }
 
-    // --- splice + parity ---------------------------------------------
-    const bool prefix_ok =
-        salvaged.size() <= resume.full_ndjson.size() &&
-        resume.full_ndjson.compare(0, salvaged.size(), salvaged) == 0;
-    std::string spliced = salvaged;
-    if (prefix_ok) spliced += resume.full_ndjson.substr(salvaged.size());
-    const bool parity = prefix_ok && spliced == reference;
-    if (!parity || !col_prefix_ok) ++failures;
+    // --- resume + parity ---------------------------------------------
+    obs::EventLog log(resumed);
+    const scenario::ResumeOutcome resume =
+        scenario::resume_campaign(config, {.events = &log}, crashed);
+    if (!resume.ok) {
+      std::fprintf(stderr, "iter %d: resume failed: %s\n", iter,
+                   resume.error.c_str());
+    }
+    std::string resumed_stream;
+    const bool parity = resume.ok &&
+                        read_file(resumed.ndjson_path, resumed_stream) &&
+                        resumed_stream == reference;
+    if (!resume.ok || !parity || !col_prefix_ok) ++failures;
     std::printf(
         "{\"iter\":%d,\"kill_at_bytes\":%llu,\"write_delay_us\":%d,"
         "\"killed\":%s,\"salvaged_bytes\":%llu,\"dropped_bytes\":%llu,"
-        "\"torn_tail\":%s,\"had_checkpoint\":%s,\"resumed_day\":%lld,"
-        "\"prefix_ok\":%s,\"parity\":%s,\"col_salvaged_events\":%llu,"
-        "\"col_prefix_ok\":%s}\n",
-        iter, static_cast<unsigned long long>(kill_at_bytes), write_delay_us,
-        killed ? "true" : "false",
-        static_cast<unsigned long long>(salvaged.size()),
+        "\"torn_tail\":%s,\"col_salvaged_bytes\":%llu,"
+        "\"col_salvaged_events\":%llu,\"col_prefix_ok\":%s,"
+        "\"resume_ok\":%s,\"verified_bytes\":%llu,\"parity\":%s}\n",
+        iter, static_cast<unsigned long long>(kill_at_bytes),
+        crashed.write_delay_us, killed ? "true" : "false",
+        static_cast<unsigned long long>(report.salvaged_bytes),
         static_cast<unsigned long long>(report.dropped_bytes),
         report.truncated ? "true" : "false",
-        resume.had_checkpoint ? "true" : "false",
-        static_cast<long long>(resume.resumed_day),
-        prefix_ok ? "true" : "false", parity ? "true" : "false",
+        static_cast<unsigned long long>(col_report.salvaged_bytes),
         static_cast<unsigned long long>(col_report.salvaged_events),
-        col_prefix_ok ? "true" : "false");
-    if (parity) final_stream = std::move(spliced);
+        col_prefix_ok ? "true" : "false", resume.ok ? "true" : "false",
+        static_cast<unsigned long long>(resume.verified_bytes),
+        parity ? "true" : "false");
+    if (parity) {
+      have_final =
+          std::rename(resumed.ndjson_path.c_str(), final_path.c_str()) == 0;
+    }
     if (!args.keep) {
-      std::remove(events_path.c_str());
-      std::remove(col_path.c_str());
+      for (const std::string* path : files) std::remove(path->c_str());
+      ::rmdir(iter_dir.c_str());
     }
   }
 
-  // The matched-counts gate: replay the last good spliced stream and
-  // run the three matching methods.
-  if (failures == 0 && !final_stream.empty()) {
-    const std::string final_path = args.dir + "/final.ndjson";
-    if (!write_file(final_path, final_stream)) {
-      std::fprintf(stderr, "cannot write %s\n", final_path.c_str());
-      return 1;
-    }
+  // The matched-counts gate: replay the last resumed stream that matched
+  // the reference and run the three matching methods.
+  if (failures == 0 && have_final) {
     const analysis::ReplayResult replay =
         analysis::replay_events_file(final_path);
     const core::Matcher matcher(replay.store);

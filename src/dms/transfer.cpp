@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "obs/event_log.hpp"
 #include "obs/flow.hpp"
@@ -713,50 +712,6 @@ std::vector<TransferEngine::LinkProbe> TransferEngine::probe_links() const {
               return a.key.dst < b.key.dst;
             });
   return probes;
-}
-
-std::uint64_t TransferEngine::state_digest() const {
-  const auto bits = [](double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-  };
-  std::uint64_t h = util::hash_mix(next_id_, in_flight_, open_breakers_);
-  h = util::hash_mix(h, stats_.submitted, stats_.completed);
-  h = util::hash_mix(h, stats_.failed, stats_.retries);
-  h = util::hash_mix(h, stats_.registration_failures, stats_.quota_rejections);
-  h = util::hash_mix(h, stats_.bytes_moved, stats_.breaker_opens);
-  h = util::hash_mix(h, stats_.alt_source_retries, stats_.backoff_delays);
-  // Sorted by link key: the unordered_map's iteration order depends on
-  // rehash history, which two runs need not share.
-  std::vector<const LinkState*> links;
-  links.reserve(links_.size());
-  for (const auto& [key, ls] : links_) links.push_back(ls.get());
-  std::sort(links.begin(), links.end(),
-            [](const LinkState* a, const LinkState* b) {
-              if (a->key.src != b->key.src) return a->key.src < b->key.src;
-              return a->key.dst < b->key.dst;
-            });
-  const auto mix_attempt = [&h, &bits](const Active& a) {
-    h = util::hash_mix(h, a.id, a.attempt);
-    h = util::hash_mix(h, static_cast<std::uint64_t>(a.submitted_at),
-                       bits(a.bytes_done));
-    h = util::hash_mix(h, bits(a.rate_bps),
-                       static_cast<std::uint64_t>(a.last_update));
-  };
-  for (const LinkState* ls : links) {
-    h = util::hash_mix(
-        h, (static_cast<std::uint64_t>(ls->key.src) << 32) | ls->key.dst,
-        static_cast<std::uint64_t>(ls->breaker));
-    h = util::hash_mix(h, ls->consecutive_failures,
-                       static_cast<std::uint64_t>(ls->open_until));
-    h = util::hash_mix(h, ls->active.size(),
-                       ls->pending.size() + (ls->delayed.size() << 32));
-    for (const auto& a : ls->active) mix_attempt(*a);
-    for (const auto& a : ls->pending) mix_attempt(*a);
-    for (const auto& a : ls->delayed) mix_attempt(*a);
-  }
-  return h;
 }
 
 }  // namespace pandarus::dms

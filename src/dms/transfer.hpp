@@ -168,14 +168,6 @@ class TransferEngine {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
-  /// Order-independent-of-rehash fingerprint of the engine's mutable
-  /// state: per-link breaker/backoff/queue state and every in-flight
-  /// attempt's progress, hashed over links sorted by (src, dst).  Two
-  /// deterministic runs of the same campaign agree at equal sim times;
-  /// scenario::Checkpoint uses this to prove a resumed run re-reached
-  /// the checkpointed state.
-  [[nodiscard]] std::uint64_t state_digest() const;
-
   /// Point-in-time view of one link's load, for the periodic sampler.
   struct LinkProbe {
     grid::LinkKey key{};

@@ -5,7 +5,6 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 
 namespace pandarus::fault {
 namespace {
@@ -153,23 +152,6 @@ util::SimTime Injector::blocked_until(grid::SiteId src,
     if (blocks) until = std::max(until, w.end);
   }
   return until;
-}
-
-std::uint64_t Injector::state_digest() const {
-  std::uint64_t h =
-      util::hash_mix(windows_.size(), stats_.begun, stats_.ended);
-  // active_ holds activation-order indices — deterministic, since
-  // transitions fire in scheduler (time, seq) order.
-  for (const std::size_t index : active_) {
-    const FaultWindow& w = windows_[index];
-    h = util::hash_mix(h, index, static_cast<std::uint64_t>(w.kind));
-    h = util::hash_mix(h, static_cast<std::uint64_t>(w.begin),
-                       static_cast<std::uint64_t>(w.end));
-    h = util::hash_mix(h, (static_cast<std::uint64_t>(w.link.src) << 32) |
-                              (static_cast<std::uint64_t>(w.site) &
-                               0xFFFFFFFFu));
-  }
-  return h;
 }
 
 }  // namespace pandarus::fault

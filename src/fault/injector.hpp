@@ -62,11 +62,6 @@ class Injector {
     return active_.size();
   }
 
-  /// Deterministic fingerprint of the injector's mutable state (armed
-  /// windows, which are active, transition counts); two runs of the
-  /// same campaign agree at equal sim times (scenario::Checkpoint).
-  [[nodiscard]] std::uint64_t state_digest() const;
-
   struct Stats {
     std::uint64_t armed = 0;
     std::uint64_t begun = 0;

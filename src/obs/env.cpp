@@ -87,14 +87,12 @@ bool install_once() {
   const char* flows = std::getenv("PANDARUS_FLOWS");
   const char* serve = std::getenv("PANDARUS_SERVE");
   const char* alerts = std::getenv("PANDARUS_ALERTS");
-  const char* checkpoint = std::getenv("PANDARUS_CHECKPOINT");
   if (metrics == nullptr && trace == nullptr && events == nullptr &&
       events_col == nullptr && flows == nullptr && serve == nullptr &&
-      alerts == nullptr && checkpoint == nullptr) {
+      alerts == nullptr) {
     return false;
   }
   Session& session = g_env_session;
-  if (checkpoint != nullptr) session.checkpoint_dir = checkpoint;
   if (metrics != nullptr) g_metrics_path = metrics;
   if (trace != nullptr) {
     g_trace_path = trace;

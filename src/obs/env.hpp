@@ -47,12 +47,6 @@
 //                            typed `alert` events in the EventLog stream
 //                            and its status_json() written to <path> at
 //                            exit ("" or "1": detect, no dump);
-//   PANDARUS_CHECKPOINT=<dir>
-//                            the session's checkpoint directory: each
-//                            campaign writes one scenario::Checkpoint
-//                            snapshot, ckpt-day-NNNN.pckpt, per
-//                            completed simulated day (observation only:
-//                            stream bytes are identical on or off);
 //   PANDARUS_EVENTS_FSYNC=off|flush|interval:<ms>
 //                            durability policy for the event sinks.
 //                            `flush` fsyncs after every drain that
@@ -84,7 +78,7 @@ namespace pandarus::obs {
 bool install_env_hooks();
 
 /// The session install_env_hooks() built; it never changes afterwards.
-/// Empty (every pointer null, no checkpoint directory) before that call
+/// Empty (every pointer null) before that call
 /// or when no variable is set.
 [[nodiscard]] const Session& env_session();
 

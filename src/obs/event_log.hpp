@@ -250,7 +250,7 @@ class EventLog {
   }
 
   // --- snapshot isolation ---------------------------------------------------
-  // Concurrent readers (obs::serve, checkpoints) read the *published
+  // Concurrent readers (the live /api cache of obs::serve) read the *published
   // prefix*: lines [0, watermark()) of the stream, already written to
   // the sinks.  Staged lines join it when the batch fills (kDrainBatch)
   // or at publish() (the campaign loop publishes at every simulated-day
@@ -306,6 +306,9 @@ class EventLog {
   [[nodiscard]] std::uint64_t io_errors() const noexcept {
     return io_errors_.load(std::memory_order_relaxed);
   }
+  /// The sinks given at construction (scenario::resume_campaign checks
+  /// salvaged files against these).
+  [[nodiscard]] const EventSinks& sinks() const noexcept { return sinks_; }
   /// Successful fsync calls issued under the active FsyncPolicy.
   [[nodiscard]] std::uint64_t fsyncs() const noexcept {
     return fsyncs_.load(std::memory_order_relaxed);

@@ -560,35 +560,6 @@ std::size_t FlowTracker::open_flows() const {
   return open_.size();
 }
 
-std::uint64_t FlowTracker::state_digest() const {
-  std::scoped_lock lock(mutex_);
-  std::uint64_t h = util::hash_mix(totals_.flows, totals_.failed,
-                                   totals_.sequential_staging);
-  h = util::hash_mix(h, totals_.redundant_transfers,
-                     totals_.watchdog_releases);
-  h = util::hash_mix(h, totals_.reroutes, open_.size());
-  h = util::hash_mix(h, transfers_.size(), completed_.size());
-  // Sorted: unordered_map iteration order is rehash-history dependent.
-  std::vector<const Flow*> flows;
-  flows.reserve(open_.size());
-  for (const auto& [id, flow] : open_) flows.push_back(&flow);
-  std::sort(flows.begin(), flows.end(), [](const Flow* a, const Flow* b) {
-    return a->pandaid < b->pandaid;
-  });
-  for (const Flow* f : flows) {
-    h = util::hash_mix(h, static_cast<std::uint64_t>(f->pandaid),
-                       static_cast<std::uint64_t>(f->site));
-    h = util::hash_mix(h, static_cast<std::uint64_t>(f->created_ms),
-                       static_cast<std::uint64_t>(f->stage_begin_ms));
-    h = util::hash_mix(h, static_cast<std::uint64_t>(f->queued_ms),
-                       static_cast<std::uint64_t>(f->run_ms));
-    h = util::hash_mix(h, static_cast<std::uint64_t>(f->stage_out_ms),
-                       f->stage_in.size());
-    h = util::hash_mix(h, f->shared_hits);
-  }
-  return h;
-}
-
 std::vector<LinkCritical> FlowTracker::link_ranking() const {
   std::scoped_lock lock(mutex_);
   std::vector<LinkCritical> out;

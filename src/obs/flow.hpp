@@ -197,11 +197,6 @@ class FlowTracker {
   /// tie-break on (src, dst)).
   [[nodiscard]] std::vector<LinkCritical> link_ranking() const;
   [[nodiscard]] std::size_t open_flows() const;
-  /// Deterministic fingerprint of the tracker's mutable state (open
-  /// flows and their phase boundaries, campaign totals), hashed over
-  /// flows sorted by pandaid; scenario::Checkpoint compares it across
-  /// a checkpointed and a resumed run.
-  [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Flamegraph-style collapsed stacks:
   ///   campaign;<site>;stage_in;link_<src>-><dst> <ms>

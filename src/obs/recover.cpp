@@ -12,23 +12,77 @@
 namespace pandarus::obs {
 namespace {
 
-bool read_file(const std::string& path, std::string& out,
-               std::string& error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    error = "cannot open " + path;
-    return false;
+constexpr std::size_t kBlock = std::size_t{1} << 16;
+/// A line longer than this ends the salvage ("line too long").  No
+/// emitted line comes near it; the cap keeps a tail with no newline (a
+/// zero-filled tail after power loss, say) from growing the carry.
+constexpr std::size_t kMaxLine = std::size_t{1} << 20;
+
+/// The NDJSON salvage rule over a stream fed in blocks of any split:
+/// keeps whole lines that parse as flat JSON objects and stops at the
+/// first damaged one.  Holds only the current partial line.
+class NdjsonScanner {
+ public:
+  NdjsonScanner() { report_.ok = true; }
+
+  void feed(std::string_view block) {
+    fed_ += block.size();
+    std::size_t pos = 0;
+    while (!stopped_ && pos < block.size()) {
+      const std::size_t nl = block.find('\n', pos);
+      const std::string_view piece = block.substr(pos, nl - pos);
+      if (carry_.size() + piece.size() > kMaxLine) {
+        stop("line too long");
+      } else if (nl == std::string_view::npos) {
+        carry_.append(piece);
+        break;
+      } else {
+        if (carry_.empty()) {
+          keep(piece);
+        } else {
+          carry_.append(piece);
+          keep(carry_);
+          carry_.clear();
+        }
+        pos = nl + 1;
+      }
+    }
   }
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out.append(buf, got);
+
+  RecoveryReport finish() {
+    if (!stopped_ && !carry_.empty()) stop("incomplete final line");
+    report_.dropped_bytes = fed_ - report_.salvaged_bytes;
+    return report_;
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) error = "read failed on " + path;
-  return ok;
-}
+
+ private:
+  /// One whole line, without its '\n'.
+  void keep(std::string_view line) {
+    if (!line.empty()) {
+      // A torn tail only ever damages the last line, but checking every
+      // kept line costs one replay-equivalent parse and turns mid-file
+      // corruption into a clean truncation instead of a poisoned file.
+      if (!util::json::parse_flat(line, event_)) {
+        stop("unparseable line");
+        return;
+      }
+      ++report_.salvaged_events;
+    }
+    report_.salvaged_bytes += line.size() + 1;
+  }
+
+  void stop(const char* detail) {
+    stopped_ = true;
+    report_.truncated = true;
+    report_.detail = detail;
+  }
+
+  RecoveryReport report_;
+  std::string carry_;  ///< the current partial line
+  util::json::FlatObject event_;
+  std::uint64_t fed_ = 0;
+  bool stopped_ = false;
+};
 
 /// Copies the first `prefix` bytes of `in_path` over `out_path` via a
 /// temp file + rename, so a crash during recovery cannot destroy the
@@ -62,7 +116,7 @@ bool copy_prefix(const std::string& in_path, const std::string& out_path,
   }
   std::fclose(in);
   ok = ok && std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
-  std::fclose(out);
+  ok = std::fclose(out) == 0 && ok;
   if (!ok) {
     std::remove(tmp_path.c_str());
     error = "copy to " + tmp_path + " failed";
@@ -79,42 +133,36 @@ bool copy_prefix(const std::string& in_path, const std::string& out_path,
 }  // namespace
 
 RecoveryReport salvage_ndjson(std::string_view bytes) {
-  RecoveryReport report;
-  report.ok = true;
-  util::json::FlatObject event;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    const std::size_t nl = bytes.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      report.truncated = true;
-      report.detail = "incomplete final line";
-      break;
-    }
-    const std::string_view line = bytes.substr(pos, nl - pos);
-    if (!line.empty()) {
-      // A torn tail only ever damages the last line, but checking every
-      // kept line costs one replay-equivalent parse and turns mid-file
-      // corruption into a clean truncation instead of a poisoned file.
-      if (!util::json::parse_flat(line, event)) {
-        report.truncated = true;
-        report.detail = "unparseable line";
-        break;
-      }
-      ++report.salvaged_events;
-    }
-    pos = nl + 1;
-  }
-  report.salvaged_bytes = pos;
-  report.dropped_bytes = bytes.size() - pos;
-  return report;
+  NdjsonScanner scanner;
+  scanner.feed(bytes);
+  return scanner.finish();
 }
 
 RecoveryReport recover_ndjson_file(const std::string& in_path,
                                    const std::string& out_path) {
   RecoveryReport report;
-  std::string bytes;
-  if (!read_file(in_path, bytes, report.detail)) return report;
-  report = salvage_ndjson(bytes);
+  NdjsonScanner scanner;
+  {
+    // Scoped so the handle is closed before the copy below (in-place
+    // recovery renames over in_path).
+    std::FILE* f = std::fopen(in_path.c_str(), "rb");
+    if (f == nullptr) {
+      report.detail = "cannot open " + in_path;
+      return report;
+    }
+    std::string block(kBlock, '\0');
+    std::size_t got = 0;
+    while ((got = std::fread(block.data(), 1, kBlock, f)) > 0) {
+      scanner.feed(std::string_view(block.data(), got));
+    }
+    const bool read_ok = std::ferror(f) == 0;
+    std::fclose(f);
+    if (!read_ok) {
+      report.detail = "read failed on " + in_path;
+      return report;
+    }
+  }
+  report = scanner.finish();
   std::string error;
   if (!copy_prefix(in_path, out_path, report.salvaged_bytes, error)) {
     report.ok = false;

@@ -7,8 +7,10 @@
 // record boundary* — whole JSON-parseable lines for NDJSON, CRC-valid
 // chunks for colstore — plus an honest account of what was cut.  The
 // recovered file is a byte-exact prefix of what an uninterrupted run
-// would have produced, which is the invariant checkpoint/resume splices
-// against (see scenario::resume_campaign and examples/crash_harness).
+// would have produced, which is what scenario::resume_campaign checks
+// against a re-run's files (see examples/crash_harness).  Both passes
+// read the file in fixed-size blocks, so memory stays bounded however
+// long the stream.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +31,16 @@ struct RecoveryReport {
 };
 
 /// Longest prefix of `bytes` made of whole, JSON-parseable NDJSON
-/// lines.  Pure function of the bytes; never fails (an unreadable blob
-/// salvages to an empty prefix).
+/// lines, none longer than 1 MiB (a longer one ends the salvage with
+/// "line too long").  Pure function of the bytes; never fails (an
+/// unreadable blob salvages to an empty prefix).
 [[nodiscard]] RecoveryReport salvage_ndjson(std::string_view bytes);
 
 /// Rewrites the NDJSON file at `in_path` to `out_path` keeping only the
-/// salvageable prefix.  `in_path == out_path` repairs in place (via a
-/// temp file + rename, so a second crash cannot eat the survivor).
-/// ok == false when the input cannot be read or the output written.
+/// prefix salvage_ndjson() keeps over the file's bytes, read in 64 KiB
+/// blocks.  `in_path == out_path` repairs in place (via a temp file +
+/// rename, so a second crash cannot eat the survivor).  ok == false
+/// when the input cannot be read or the output written.
 RecoveryReport recover_ndjson_file(const std::string& in_path,
                                    const std::string& out_path);
 

@@ -1,6 +1,5 @@
 // One campaign's observability wiring: the event log, flow tracker,
-// health engine and status server a campaign reports to, and the
-// directory it writes per-day checkpoints into.
+// health engine and status server a campaign reports to.
 //
 // A Session is a plain value of non-owning pointers; null means "off".
 // scenario::run_campaign takes one (default: obs::env_session(), the
@@ -14,8 +13,6 @@
 // so they may run side by side on different threads.  The owner keeps
 // every pointee alive for the campaign's whole run.
 #pragma once
-
-#include <string>
 
 namespace pandarus::obs {
 
@@ -31,10 +28,6 @@ struct Session {
   /// Attached at campaign start: its /healthz, SSE and /api/* report on
   /// this session.
   StatusServer* server = nullptr;
-  /// Per-day scenario::Checkpoint snapshots go here; empty: none.  (The
-  /// `{}` lets `{.events = &log}` omit it without a
-  /// -Wmissing-field-initializers warning.)
-  std::string checkpoint_dir{};
 };
 
 }  // namespace pandarus::obs

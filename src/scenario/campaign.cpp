@@ -1,7 +1,10 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/serve_endpoints.hpp"
@@ -17,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "scenario/checkpoint.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/recorder.hpp"
@@ -49,18 +51,53 @@ void create_rses(const grid::Topology& topology, dms::RseRegistry& rses) {
   }
 }
 
+/// Checks that the file at `salvaged` is a byte prefix of the file at
+/// `rerun`, reading both in fixed-size blocks, and adds the bytes found
+/// equal to `verified`.  False with `error` set at the first differing
+/// byte (a re-run file that ends first differs there) or on an I/O
+/// failure.
+bool check_prefix(const std::string& salvaged, const std::string& rerun,
+                  std::uint64_t& verified, std::string& error) {
+  std::FILE* const s = std::fopen(salvaged.c_str(), "rb");
+  std::FILE* const r = std::fopen(rerun.c_str(), "rb");
+  if (s == nullptr || r == nullptr) {
+    error = "resume_campaign: cannot open " + (s == nullptr ? salvaged : rerun);
+    if (s != nullptr) std::fclose(s);
+    if (r != nullptr) std::fclose(r);
+    return false;
+  }
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::vector<char> mine(kBlock);
+  std::vector<char> theirs(kBlock);
+  std::uint64_t offset = 0;
+  bool same = true;
+  while (same) {
+    const std::size_t got = std::fread(mine.data(), 1, kBlock, s);
+    if (got == 0) break;
+    const std::size_t have = std::fread(theirs.data(), 1, got, r);
+    const char* const first = mine.data();
+    const auto equal = static_cast<std::size_t>(
+        std::mismatch(first, first + have, theirs.data()).first - first);
+    same = equal == got;
+    offset += equal;
+  }
+  const bool read_ok = std::ferror(s) == 0 && std::ferror(r) == 0;
+  std::fclose(s);
+  std::fclose(r);
+  verified += offset;
+  if (!read_ok) {
+    error = "resume_campaign: read failed on " + salvaged + " or " + rerun;
+  } else if (!same) {
+    error = "resume_campaign: " + salvaged + " differs from the re-run's " +
+            rerun + " at byte " + std::to_string(offset);
+  }
+  return read_ok && same;
+}
+
 }  // namespace
 
 ScenarioResult run_campaign(const ScenarioConfig& config,
                             const obs::Session& session) {
-  return detail::run_campaign(config, session, {});
-}
-
-namespace detail {
-
-ScenarioResult run_campaign(const ScenarioConfig& config,
-                            const obs::Session& session,
-                            const DayBoundaryHook& on_day) {
   const obs::ScopedSpan campaign_span("campaign/run", "scenario");
   const std::int64_t wall_start_us = obs::TraceRecorder::now_us();
   obs::Registry::global()
@@ -75,14 +112,21 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   obs::EventLog* const log = session.events;
   obs::FlowTracker* const flows = session.flows;
   obs::HealthEngine* const health = session.health;
+  if (log != nullptr) {
+    // The first line binds the stream to its config, so a resume under
+    // another config fails there (resume_campaign).  A hex string, not
+    // an integer: a digest past INT64_MAX would read back as a double.
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(config_digest(config)));
+    log->emit(obs::Event("campaign_config", 0, std::int64_t{0})
+                  .field("digest", std::string_view(digest, 16)));
+  }
   if (flows != nullptr) flows->wire(log);
   if (health != nullptr) health->wire(log);
   if (session.server != nullptr) {
     analysis::attach_live_status(*session.server, session);
   }
-  // Like the live /api cache, the checkpoint writer reads the published
-  // stream through a registered reader, so it exists before any event.
-  CheckpointWriter checkpoints(config, session.checkpoint_dir, log);
 
   ScenarioResult result;
   util::Rng rng(config.seed);
@@ -395,36 +439,6 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   workload.start(arrivals_until);
   phase_span.reset();
 
-  // Per-day checkpointing (session.checkpoint_dir, PANDARUS_CHECKPOINT
-  // in the env session) and the resume verifier `on_day` share one
-  // observation point: the day boundary, right after that day's
-  // publish().  Assembling the fingerprints costs a few container walks
-  // and one pass over the store per simulated day (the store digest is
-  // recomputed in full, because finalize_task() backfills job rows), and
-  // is skipped entirely when neither consumer is armed, so default runs
-  // stay byte- and cost-identical.
-  const auto day_boundary = [&](std::int64_t day) {
-    if (!checkpoints.active() && !on_day) return;
-    DayBoundary boundary;
-    boundary.day = day;
-    boundary.sim_now = scheduler.now();
-    boundary.log = log;
-    boundary.flows_tracked = flows != nullptr;
-    Fingerprint& f = boundary.fingerprint;
-    f.scheduler_processed = scheduler.processed_count();
-    f.scheduler_queued = scheduler.queued_count();
-    f.transfer_digest = engine.state_digest();
-    f.injector_digest = injector ? injector->state_digest() : 0;
-    f.flow_digest = flows != nullptr ? flows->state_digest() : 0;
-    const telemetry::MetadataStore::Counts counts = result.store.counts();
-    f.store_jobs = counts.jobs;
-    f.store_files = counts.files;
-    f.store_transfers = counts.transfers;
-    f.store_digest = telemetry::store_digest(result.store);
-    checkpoints.on_day_boundary(boundary);
-    if (on_day) on_day(boundary);
-  };
-
   // The drain loop is segmented at simulated-day boundaries purely for
   // observability: run_until over consecutive prefixes fires the same
   // events in the same order as one call, and each segment becomes a
@@ -450,7 +464,6 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
       // Publish this day's events so snapshot readers (serve, the sink
       // files) can see a consistent prefix while the campaign runs.
       if (log != nullptr) log->publish();
-      day_boundary(day);
     }
   }
   phase_span.emplace("campaign/post_process", "scenario");
@@ -523,5 +536,36 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   return result;
 }
 
-}  // namespace detail
+ResumeOutcome resume_campaign(const ScenarioConfig& config,
+                              const obs::Session& session,
+                              const obs::EventSinks& crashed) {
+  ResumeOutcome out;
+  obs::EventLog* const log = session.events;
+  if (log == nullptr) {
+    out.error = "resume_campaign: the session has no event log to re-run into";
+    return out;
+  }
+  out.result = run_campaign(config, session);
+  log->close();
+  if (log->io_errors() != 0) {
+    out.error = "resume_campaign: the re-run's sink files failed (" +
+                std::to_string(log->io_errors()) + " I/O errors)";
+    return out;
+  }
+  const auto check = [&out](const std::string& salvaged,
+                            const std::string& rerun) {
+    if (salvaged.empty()) return true;
+    if (rerun.empty()) {
+      out.error = "resume_campaign: the re-run writes no file to check " +
+                  salvaged + " against";
+      return false;
+    }
+    return check_prefix(salvaged, rerun, out.verified_bytes, out.error);
+  };
+  const obs::EventSinks& rerun = log->sinks();
+  out.ok = check(crashed.ndjson_path, rerun.ndjson_path) &&
+           check(crashed.colstore_path, rerun.colstore_path);
+  return out;
+}
+
 }  // namespace pandarus::scenario

@@ -5,6 +5,8 @@
 // examples and every bench binary.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dms/catalog.hpp"
@@ -12,6 +14,7 @@
 #include "dms/rse.hpp"
 #include "grid/topology.hpp"
 #include "obs/env.hpp"
+#include "obs/event_log.hpp"
 #include "obs/flow.hpp"
 #include "obs/session.hpp"
 #include "scenario/config.hpp"
@@ -60,5 +63,36 @@ struct ScenarioResult {
 [[nodiscard]] ScenarioResult run_campaign(
     const ScenarioConfig& config,
     const obs::Session& session = obs::env_session());
+
+/// Result of resume_campaign().
+struct ResumeOutcome {
+  bool ok = false;
+  /// On failure: the salvaged file and its first byte that differs from
+  /// the re-run's file (or an I/O failure on either).
+  std::string error;
+  /// Salvaged bytes found equal to the re-run's, over every file
+  /// checked; on a mismatch, up to its first differing byte.
+  std::uint64_t verified_bytes = 0;
+  ScenarioResult result;
+};
+
+/// Resumes a crashed campaign.  Closures cannot be serialized, so the
+/// campaign re-runs from day 0; what resume adds is the proof that the
+/// re-run is the crashed run.  It runs `config` in `session` and closes
+/// the session's log, then checks that each file of `crashed` (NDJSON
+/// and/or colstore, already cut to its valid prefix by
+/// obs::recover_*_file; an empty path is skipped) is a byte prefix of
+/// the re-run's file of the same format.  Both are read in fixed-size
+/// blocks.  The re-run's files are the result: nothing is spliced.
+///
+/// The caller shapes `session` like the crashed run's: a log writing
+/// fresh sink files (same fsync policy, or a salvaged terminal
+/// log_stats line can differ in its `fsyncs` count), plus the flow
+/// tracker and health engine the crashed run had, since both write
+/// into the stream.  A stream's first line carries config_digest(), so
+/// a resume under another config fails within that line.
+[[nodiscard]] ResumeOutcome resume_campaign(const ScenarioConfig& config,
+                                            const obs::Session& session,
+                                            const obs::EventSinks& crashed);
 
 }  // namespace pandarus::scenario

@@ -95,4 +95,11 @@ struct ScenarioConfig {
   [[nodiscard]] static ScenarioConfig heatmap_campaign();
 };
 
+/// Digest of the knobs that shape a campaign's stream, including those
+/// that act only at the harvest (recorder, corruption) or only when a
+/// fault window begins.  run_campaign writes it into the stream's first
+/// line (`campaign_config`), so a resume under another config fails on
+/// that line instead of verifying a prefix the knob has not reached.
+[[nodiscard]] std::uint64_t config_digest(const ScenarioConfig& config);
+
 }  // namespace pandarus::scenario

@@ -23,9 +23,8 @@
 // Cancelled entries are not removed from the heap; they are skipped,
 // and counted in `pandarus_sim_events_cancelled_total`, when popped.
 // Until then `queued_count()` and the `pandarus_sim_heap_size` gauge
-// count them, and two outputs depend on that count: the `heap` field of
-// the event stream's `sched_epoch` lines and scenario::Checkpoint's
-// `scheduler_queued` fingerprint.
+// count them, and one output depends on that count: the `heap` field of
+// the event stream's `sched_epoch` lines.
 //
 // Lifetime.  An EventHandle points at its Scheduler and must not be used
 // (cancel, pending, reschedule) after that Scheduler is destroyed;
@@ -92,9 +91,7 @@ class Scheduler {
     return processed_;
   }
   /// Heap entries still queued.  Cancelled and moved-away entries count
-  /// until they are popped; the pair (processed, queued) is a cheap
-  /// deterministic fingerprint of scheduler progress used by
-  /// scenario::Checkpoint, and `sched_epoch` events report it as `heap`.
+  /// until they are popped; `sched_epoch` events report it as `heap`.
   [[nodiscard]] std::uint64_t queued_count() const noexcept {
     return heap_.size();
   }

@@ -1,6 +1,6 @@
 // Per-field walks over a MetadataStore: CSV export (raw telemetry and
 // figure artefacts for external tools), the harvest into the event
-// stream, and the store digest that checkpoints compare.  There is no
+// stream, and the store digest tests compare stores by.  There is no
 // CSV import: a store is rebuilt from disk by replaying the harvest
 // records of an event stream (analysis::replay_events).
 #pragma once

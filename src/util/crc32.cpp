@@ -20,23 +20,16 @@ const std::array<std::uint32_t, 256>& crc_table() noexcept {
   return table;
 }
 
-std::uint32_t advance(std::uint32_t state, std::string_view data) noexcept {
+}  // namespace
+
+std::uint32_t crc32(std::string_view data) noexcept {
   const auto& table = crc_table();
+  std::uint32_t state = 0xFFFFFFFFu;
   for (const char ch : data) {
     state = table[(state ^ static_cast<unsigned char>(ch)) & 0xFFu] ^
             (state >> 8);
   }
-  return state;
-}
-
-}  // namespace
-
-std::uint32_t crc32(std::string_view data) noexcept {
-  return advance(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
-}
-
-void Crc32::update(std::string_view data) noexcept {
-  state_ = advance(state_, data);
+  return state ^ 0xFFFFFFFFu;
 }
 
 }  // namespace pandarus::util

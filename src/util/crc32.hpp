@@ -1,8 +1,6 @@
-// CRC32 (IEEE 802.3, reflected) — the one integrity checksum used by
-// every durable pandarus container: colstore chunk frames, campaign
-// checkpoints, and the recovery tooling that validates both.  The
-// streaming form (Crc32) lets writers checksum data they never hold in
-// one buffer (the event log's published prefix grows day by day).
+// CRC32 (IEEE 802.3, reflected): the integrity checksum of the colstore
+// container's chunk frames, which its reader (and so obs::recover)
+// validates.
 #pragma once
 
 #include <cstdint>
@@ -12,16 +10,5 @@ namespace pandarus::util {
 
 /// One-shot CRC32 of `data`.
 [[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
-
-/// Incremental CRC32: feed any byte split, value() is identical to the
-/// one-shot form over the concatenation.
-class Crc32 {
- public:
-  void update(std::string_view data) noexcept;
-  [[nodiscard]] std::uint32_t value() const noexcept { return state_ ^ 0xFFFFFFFFu; }
-
- private:
-  std::uint32_t state_ = 0xFFFFFFFFu;
-};
 
 }  // namespace pandarus::util

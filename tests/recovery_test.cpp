@@ -2,8 +2,10 @@
 // byte offset of their final 4 KiB and salvage — never a crash, always
 // the longest valid prefix.  A sparse subset is replayed end-to-end to
 // check the salvaged stream's matched counts never exceed the full
-// run's.  Also covers the PANDARUS_EVENTS_FSYNC spec parser and the
-// recover-file round trips (in place and to a new path).
+// run's.  The file salvage, which reads in 64 KiB blocks, must agree with
+// the in-memory one on seeded mutations and hand-placed block splits.
+// Also covers the PANDARUS_EVENTS_FSYNC spec parser and the recover-file
+// round trips (in place and to a new path).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace pandarus {
 namespace {
@@ -274,6 +277,85 @@ TEST(RecoveryTest, SparseTornReplayNeverExceedsFullCounts) {
               full.exact_matched)
         << "cut=" << cut;
   }
+}
+
+/// recover_ndjson_file reads its input in 64 KiB blocks, salvage_ndjson
+/// takes the bytes whole: both must report the same salvage, and the
+/// file path must keep exactly that prefix.
+void expect_file_salvage_matches(const std::string& bytes,
+                                 const std::string& what) {
+  TempFile in("recovery_split.ndjson");
+  TempFile out("recovery_split_out.ndjson");
+  write_file(in.path(), bytes);
+  const obs::RecoveryReport file =
+      obs::recover_ndjson_file(in.path(), out.path());
+  const obs::RecoveryReport whole = obs::salvage_ndjson(bytes);
+  ASSERT_TRUE(file.ok) << what << ": " << file.detail;
+  ASSERT_TRUE(whole.ok) << what;
+  EXPECT_EQ(file.truncated, whole.truncated) << what;
+  EXPECT_EQ(file.salvaged_events, whole.salvaged_events) << what;
+  EXPECT_EQ(file.salvaged_bytes, whole.salvaged_bytes) << what;
+  EXPECT_EQ(file.dropped_bytes, whole.dropped_bytes) << what;
+  EXPECT_EQ(file.detail, whole.detail) << what;
+  EXPECT_TRUE(read_file(out.path()) == bytes.substr(0, whole.salvaged_bytes))
+      << what;
+}
+
+TEST(RecoveryTest, FileSalvageMatchesBytesOnMutationsAndBlockSplits) {
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  const std::string& stream = campaign().ndjson;
+  ASSERT_GT(stream.size(), 5 * kBlock);
+  const auto pad_line = [](std::size_t length) {
+    const std::string head = "{\"ts\":1,\"kind\":\"pad\",\"entity\":1,\"pad\":\"";
+    return head + std::string(length - head.size() - 3, 'x') + "\"}\n";
+  };
+  const auto whole_lines = [&stream](std::size_t at_most) {
+    return stream.substr(0, stream.rfind('\n', at_most - 1) + 1);
+  };
+
+  // A line longer than one block, between whole lines.
+  std::string bytes = whole_lines(1000) + pad_line(kBlock + 4321) +
+                      stream.substr(0, 3 * kBlock);
+  expect_file_salvage_matches(bytes, "line longer than a block");
+  // The first block ends on '\n'.
+  bytes = whole_lines(kBlock - 500);
+  bytes += pad_line(kBlock - bytes.size()) + stream.substr(0, 2 * kBlock);
+  ASSERT_EQ(bytes[kBlock - 1], '\n');
+  expect_file_salvage_matches(bytes, "block ending on a newline");
+  // A torn final line.
+  bytes = stream.substr(0, 3 * kBlock + 77);
+  ASSERT_NE(bytes.back(), '\n');
+  expect_file_salvage_matches(bytes, "torn final line");
+  // A tail with no newline, longer than the 1 MiB line cap.
+  bytes = whole_lines(2 * kBlock) + std::string(std::size_t{3} << 19, '\0');
+  expect_file_salvage_matches(bytes, "newline-free tail");
+  EXPECT_EQ(obs::salvage_ndjson(bytes).detail, "line too long");
+
+  // Seeded flips, truncations and splices of a multi-block window.
+  const std::string window = whole_lines(5 * kBlock);
+  util::Rng rng(20251018);
+  std::size_t truncated = 0;
+  for (int i = 0; i < 60; ++i) {
+    std::string text = window;
+    switch (i % 3) {
+      case 0:  // flip one byte
+        text[rng.uniform_index(text.size())] =
+            static_cast<char>(rng.uniform_index(256));
+        break;
+      case 1:  // truncate
+        text.resize(rng.uniform_index(text.size()));
+        break;
+      default:  // splice a prefix onto a suffix from elsewhere
+        text = text.substr(0, rng.uniform_index(text.size() + 1)) +
+               window.substr(rng.uniform_index(window.size() + 1));
+        break;
+    }
+    if (obs::salvage_ndjson(text).truncated) ++truncated;
+    expect_file_salvage_matches(text, "mutation " + std::to_string(i));
+  }
+  // The mutations reach both whole and damaged streams.
+  EXPECT_GT(truncated, 10u);
+  EXPECT_LT(truncated, 60u);
 }
 
 }  // namespace

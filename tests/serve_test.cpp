@@ -20,6 +20,7 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -46,7 +47,6 @@
 #include "obs/serve.hpp"
 #include "promtext_validator.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/checkpoint.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
 
@@ -419,30 +419,38 @@ TEST(ServeEndpoints, LiveSummaryEqualsPostHocAnalysis) {
   server.stop();
 }
 
-// The live cache folds only the newly published suffix: scraping after
-// every publish() of a campaign folds each line exactly once, and the
-// final bodies equal those of a fresh full replay of the stream.
+// The live cache folds only the newly published suffix: scraping while
+// a campaign publishes folds each line exactly once, and the final
+// bodies equal those of a fresh full replay of the stream.
 TEST(ServeEndpoints, LiveCacheFoldsEachPublishedLineOnce) {
   obs::Registry::global().reset_for_test();
   obs::EventLog log;
   obs::StatusServer server;
   ASSERT_TRUE(server.start());
 
-  // The campaign publishes at every day boundary (this observer runs
-  // right after), after the harvest (run_campaign returns) and on
-  // close().
-  std::size_t scrapes = 0;
-  const auto scrape = [&server, &scrapes] {
-    ++scrapes;
-    http_get(server.port(), "/api/summary");
+  // The log publishes every kDrainBatch lines and at every day
+  // boundary, so a scraper running beside the campaign sees the
+  // watermark move.  Then one scrape after the harvest publish
+  // (run_campaign returns) and one after close().
+  const auto watermark_of = [&server] {
+    const auto parsed =
+        util::json::parse(body_of(http_get(server.port(), "/api/summary")));
+    return parsed.has_value() ? parsed->get_int("watermark") : -1;
   };
-  std::ignore = scenario::detail::run_campaign(
-      scenario::ScenarioConfig::small(), {.events = &log, .server = &server},
-      [&scrape](const scenario::detail::DayBoundary&) { scrape(); });
-  scrape();
+  std::atomic<bool> done{false};
+  std::set<std::int64_t> seen;
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) seen.insert(watermark_of());
+  });
+  std::ignore = scenario::run_campaign(scenario::ScenarioConfig::small(),
+                                       {.events = &log, .server = &server});
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GE(seen.size(), 2u);
+  EXPECT_EQ(seen.count(-1), 0u);
+  EXPECT_EQ(watermark_of(), static_cast<std::int64_t>(log.watermark()));
   log.close();
-  scrape();
-  EXPECT_GT(scrapes, 3u);
+  EXPECT_EQ(watermark_of(), static_cast<std::int64_t>(log.watermark()));
 
   const std::uint64_t folded =
       obs::Registry::global().snapshot().counter_value(
