@@ -34,18 +34,20 @@ void replay_job_record(const FlatObject& v, std::int64_t entity,
   store.record_job(std::move(j));
 }
 
+/// Views into the event's own buffer; the store interns them.
+telemetry::FileAttributes attributes_of(const FlatObject& v) {
+  return {v.get_string("lfn"), v.get_string("dataset"),
+          v.get_string("proddblock"), v.get_string("scope")};
+}
+
 void replay_file_record(const FlatObject& v, std::int64_t entity,
                         telemetry::MetadataStore& store) {
   telemetry::FileRecord f;
   f.pandaid = entity;
   f.jeditaskid = v.get_int("task");
-  f.lfn = std::string(v.get_string("lfn"));
-  f.dataset = std::string(v.get_string("dataset"));
-  f.proddblock = std::string(v.get_string("proddblock"));
-  f.scope = std::string(v.get_string("scope"));
   f.file_size = static_cast<std::uint64_t>(v.get_int("size"));
   f.direction = static_cast<telemetry::FileDirection>(v.get_int("dir"));
-  store.record_file(std::move(f));
+  store.record_file(f, attributes_of(v));
 }
 
 void replay_transfer_record(const FlatObject& v, std::int64_t entity,
@@ -53,10 +55,6 @@ void replay_transfer_record(const FlatObject& v, std::int64_t entity,
   telemetry::TransferRecord t;
   t.transfer_id = static_cast<std::uint64_t>(entity);
   t.jeditaskid = v.get_int("task", -1);
-  t.lfn = std::string(v.get_string("lfn"));
-  t.dataset = std::string(v.get_string("dataset"));
-  t.proddblock = std::string(v.get_string("proddblock"));
-  t.scope = std::string(v.get_string("scope"));
   t.file_size = static_cast<std::uint64_t>(v.get_int("size"));
   t.source_site = site_of(v, "src");
   t.destination_site = site_of(v, "dst");
@@ -65,7 +63,7 @@ void replay_transfer_record(const FlatObject& v, std::int64_t entity,
   t.finished_at = v.get_int("finished");
   t.success = v.get_bool("success");
   t.error = static_cast<dms::TransferError>(v.get_int("terr"));
-  store.record_transfer(std::move(t));
+  store.record_transfer(t, attributes_of(v));
 }
 
 /// Makes the obs::FlowTracker call the live simulation made for one

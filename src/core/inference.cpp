@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace pandarus::core {
@@ -25,13 +26,15 @@ bool is_delivery(const TransferRecord& t) {
 std::vector<InferredSite> infer_unknown_sites(
     const telemetry::MetadataStore& store, const MatchedJob& match) {
   // Group the matched set by (lfn, size); within a group, any known
-  // destination provides evidence for the unknown ones.
-  std::map<std::pair<std::string, std::uint64_t>, std::vector<std::size_t>>
+  // destination provides evidence for the unknown ones.  Keyed on the
+  // lfn string, not its symbol, so groups come out in lfn order.
+  std::map<std::pair<std::string_view, std::uint64_t>,
+           std::vector<std::size_t>>
       groups;
   for (std::size_t ti : match.transfer_indices) {
     const TransferRecord& t = store.transfers()[ti];
     if (!is_delivery(t)) continue;
-    groups[{t.lfn, t.file_size}].push_back(ti);
+    groups[{store.symbols().view(t.lfn_sym), t.file_size}].push_back(ti);
   }
 
   std::vector<InferredSite> result;
@@ -66,7 +69,7 @@ std::vector<RedundantGroup> find_redundant_transfers(
     return grid::kUnknownSite;
   };
 
-  std::map<std::tuple<std::string, std::uint64_t, grid::SiteId>,
+  std::map<std::tuple<std::string_view, std::uint64_t, grid::SiteId>,
            std::vector<std::size_t>>
       groups;
   for (std::size_t ti : match.transfer_indices) {
@@ -74,14 +77,15 @@ std::vector<RedundantGroup> find_redundant_transfers(
     if (!is_delivery(t) || !t.success) continue;
     const grid::SiteId dst = effective_destination(ti);
     if (dst == grid::kUnknownSite) continue;
-    groups[{t.lfn, t.file_size, dst}].push_back(ti);
+    groups[{store.symbols().view(t.lfn_sym), t.file_size, dst}].push_back(
+        ti);
   }
 
   std::vector<RedundantGroup> result;
   for (auto& [key, indices] : groups) {
     if (indices.size() < 2) continue;
     RedundantGroup group;
-    group.lfn = std::get<0>(key);
+    group.lfn = std::string(std::get<0>(key));
     group.file_size = std::get<1>(key);
     group.destination = std::get<2>(key);
     group.transfer_indices = std::move(indices);

@@ -22,8 +22,8 @@
 // scatter preserves record order within each group regardless of thread
 // count, so serial and parallel builds are bit-identical.
 //
-// One MatchIndex is built per snapshot and shared by the exact, RM1/RM2
-// and windowed matchers and the ParallelMatchDriver (all queries const).
+// One MatchIndex is built per snapshot and shared by the exact and
+// RM1/RM2 matchers and the ParallelMatchDriver (all queries const).
 #pragma once
 
 #include <cstdint>

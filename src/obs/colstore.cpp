@@ -19,11 +19,15 @@ using util::crc32;
 
 // --- format constants -------------------------------------------------------
 
-constexpr char kFileMagic[8] = {'P', 'C', 'O', 'L', 'S', 'T', 'R', '1'};
 // v2 frames carry a CRC32 of the chunk header, so a torn tail is
 // detected before any header field is trusted.  v1 (no header CRC) is
 // rejected.
 constexpr std::uint8_t kFormatVersion = 2;
+// Every file opens with these 12 bytes: an 8-byte magic, the format
+// version and three zero bytes.
+constexpr char kFileHeader[12] = {'P', 'C', 'O', 'L', 'S', 'T', 'R', '1',
+                                  kFormatVersion, 0, 0, 0};
+constexpr std::size_t kMagicBytes = 8;
 constexpr std::uint32_t kChunkMagic = 0x314B4350u;  // "PCK1" little-endian
 
 // Sanity bounds: a reader must reject absurd sizes before allocating,
@@ -324,14 +328,12 @@ ColWriter::ColWriter(const std::string& path, ColWriterOptions options)
     closed_ = true;
     return;
   }
-  std::string header(kFileMagic, sizeof kFileMagic);
-  header += static_cast<char>(kFormatVersion);
-  header.append(3, '\0');
-  if (std::fwrite(header.data(), 1, header.size(), out_) != header.size()) {
+  if (std::fwrite(kFileHeader, 1, sizeof kFileHeader, out_) !=
+      sizeof kFileHeader) {
     fail("short write on file header");
     return;
   }
-  stats_.bytes_written += header.size();
+  stats_.bytes_written += sizeof kFileHeader;
 }
 
 ColWriter::~ColWriter() { close(); }
@@ -681,9 +683,21 @@ ColReader::ColReader(const std::string& path, ColFilter filter,
     eof_ = true;
     return;
   }
-  unsigned char header[12];
-  if (!read_exact(in_, header, sizeof header) ||
-      std::memcmp(header, kFileMagic, sizeof kFileMagic) != 0) {
+  unsigned char header[sizeof kFileHeader];
+  const std::size_t got = std::fread(header, 1, sizeof header, in_);
+  if (got < sizeof header && options_.recover &&
+      std::memcmp(header, kFileHeader, got) == 0) {
+    // Torn inside the header the writer opens with (a crash before its
+    // first flush): the valid prefix is empty.
+    recovery_.ok = true;
+    recovery_.truncated = true;
+    recovery_.dropped_bytes = got;
+    recovery_.detail = "torn inside the file header";
+    eof_ = true;
+    return;
+  }
+  if (got != sizeof header ||
+      std::memcmp(header, kFileHeader, kMagicBytes) != 0) {
     fail("not a colstore file: " + path);
     eof_ = true;
     return;
@@ -1234,9 +1248,9 @@ bool ColReader::next(DecodedEvent& out) {
 bool is_colstore_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
-  char magic[sizeof kFileMagic];
+  char magic[kMagicBytes];
   const bool ok = read_exact(f, magic, sizeof magic) &&
-                  std::memcmp(magic, kFileMagic, sizeof magic) == 0;
+                  std::memcmp(magic, kFileHeader, sizeof magic) == 0;
   std::fclose(f);
   return ok;
 }

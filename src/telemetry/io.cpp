@@ -38,7 +38,8 @@ void write_files_csv(std::ostream& os, const MetadataStore& store) {
   csv.row("pandaid", "jeditaskid", "lfn", "dataset", "proddblock", "scope",
           "file_size", "direction");
   for (const FileRecord& f : store.files()) {
-    csv.row(f.pandaid, f.jeditaskid, f.lfn, f.dataset, f.proddblock, f.scope,
+    const FileAttributes a = store.attributes(f);
+    csv.row(f.pandaid, f.jeditaskid, a.lfn, a.dataset, a.proddblock, a.scope,
             f.file_size, static_cast<int>(f.direction));
   }
 }
@@ -49,8 +50,9 @@ void write_transfers_csv(std::ostream& os, const MetadataStore& store) {
           "scope", "file_size", "source_site", "destination_site",
           "activity", "started_at", "finished_at", "success", "error");
   for (const TransferRecord& t : store.transfers()) {
-    csv.row(t.transfer_id, t.jeditaskid, t.lfn, t.dataset, t.proddblock,
-            t.scope, t.file_size, site_str(t.source_site),
+    const FileAttributes a = store.attributes(t);
+    csv.row(t.transfer_id, t.jeditaskid, a.lfn, a.dataset, a.proddblock,
+            a.scope, t.file_size, site_str(t.source_site),
             site_str(t.destination_site), static_cast<int>(t.activity),
             t.started_at, t.finished_at, static_cast<int>(t.success),
             static_cast<int>(t.error));
@@ -97,24 +99,26 @@ std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
     ++emitted;
   }
   for (const FileRecord& f : store.files()) {
+    const FileAttributes a = store.attributes(f);
     log->emit(obs::Event("file_record", ts, f.pandaid)
                   .field("task", f.jeditaskid)
-                  .field("lfn", f.lfn)
-                  .field("dataset", f.dataset)
-                  .field("proddblock", f.proddblock)
-                  .field("scope", f.scope)
+                  .field("lfn", a.lfn)
+                  .field("dataset", a.dataset)
+                  .field("proddblock", a.proddblock)
+                  .field("scope", a.scope)
                   .field("size", f.file_size)
                   .field("dir", static_cast<std::int32_t>(f.direction)));
     ++emitted;
   }
   for (const TransferRecord& t : store.transfers()) {
+    const FileAttributes a = store.attributes(t);
     log->emit(obs::Event("transfer_record", ts,
                          static_cast<std::int64_t>(t.transfer_id))
                   .field("task", t.jeditaskid)
-                  .field("lfn", t.lfn)
-                  .field("dataset", t.dataset)
-                  .field("proddblock", t.proddblock)
-                  .field("scope", t.scope)
+                  .field("lfn", a.lfn)
+                  .field("dataset", a.dataset)
+                  .field("proddblock", a.proddblock)
+                  .field("scope", a.scope)
                   .field("size", t.file_size)
                   .field("src", t.source_site)
                   .field("dst", t.destination_site)
@@ -129,7 +133,7 @@ std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
 }
 
 std::uint64_t store_digest(const MetadataStore& store) {
-  const auto text = [](const std::string& s) -> std::uint64_t {
+  const auto text = [](std::string_view s) -> std::uint64_t {
     return std::hash<std::string_view>{}(s);
   };
   const auto i64 = [](std::int64_t v) {
@@ -147,16 +151,18 @@ std::uint64_t store_digest(const MetadataStore& store) {
                        static_cast<std::uint64_t>(j.task_status));
   }
   for (const FileRecord& f : store.files()) {
+    const FileAttributes a = store.attributes(f);
     h = util::hash_mix(h, i64(f.pandaid), i64(f.jeditaskid));
-    h = util::hash_mix(h, text(f.lfn), text(f.dataset));
-    h = util::hash_mix(h, text(f.proddblock), text(f.scope));
+    h = util::hash_mix(h, text(a.lfn), text(a.dataset));
+    h = util::hash_mix(h, text(a.proddblock), text(a.scope));
     h = util::hash_mix(h, f.file_size,
                        static_cast<std::uint64_t>(f.direction));
   }
   for (const TransferRecord& t : store.transfers()) {
+    const FileAttributes a = store.attributes(t);
     h = util::hash_mix(h, t.transfer_id, i64(t.jeditaskid));
-    h = util::hash_mix(h, text(t.lfn), text(t.dataset));
-    h = util::hash_mix(h, text(t.proddblock), text(t.scope));
+    h = util::hash_mix(h, text(a.lfn), text(a.dataset));
+    h = util::hash_mix(h, text(a.proddblock), text(a.scope));
     h = util::hash_mix(h, t.file_size, t.source_site);
     h = util::hash_mix(h, t.destination_site,
                        static_cast<std::uint64_t>(t.activity));

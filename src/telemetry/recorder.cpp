@@ -36,13 +36,10 @@ void Recorder::record_file_rows(const wms::Job& job) {
     FileRecord row;
     row.pandaid = job.pandaid;
     row.jeditaskid = job.jeditaskid;
-    row.lfn = catalog_.lfn(f);
-    row.dataset = catalog_.dataset_name(f);
-    row.proddblock = catalog_.proddblock(f);
-    row.scope = catalog_.scope(f);
     row.file_size = catalog_.file(f).size_bytes;
     row.direction = direction;
-    store_.record_file(std::move(row));
+    store_.record_file(row, {catalog_.lfn(f), catalog_.dataset_name(f),
+                             catalog_.proddblock(f), catalog_.scope(f)});
   };
   for (dms::FileId f : job.input_files) emit(f, FileDirection::kInput);
   for (dms::FileId f : job.output_files) emit(f, FileDirection::kOutput);
@@ -56,10 +53,6 @@ void Recorder::on_transfer(const dms::TransferOutcome& outcome) {
   TransferRecord record;
   record.transfer_id = outcome.transfer_id;
   record.jeditaskid = outcome.jeditaskid;
-  record.lfn = catalog_.lfn(outcome.file);
-  record.dataset = catalog_.dataset_name(outcome.file);
-  record.proddblock = catalog_.proddblock(outcome.file);
-  record.scope = catalog_.scope(outcome.file);
   record.file_size = outcome.size_bytes;
   record.source_site = outcome.src;
   record.destination_site = outcome.dst;
@@ -93,7 +86,9 @@ void Recorder::on_transfer(const dms::TransferOutcome& outcome) {
     }
   }
 
-  store_.record_transfer(std::move(record));
+  const dms::FileId f = outcome.file;
+  store_.record_transfer(record, {catalog_.lfn(f), catalog_.dataset_name(f),
+                                  catalog_.proddblock(f), catalog_.scope(f)});
 }
 
 }  // namespace pandarus::telemetry

@@ -9,10 +9,15 @@
 //  * TransferRecord — Rucio transfer events, which carry NO pandaid
 //                     (the whole reason matching is nontrivial) and only
 //                     sometimes a jeditaskid.
+//
+// Records are trivially copyable plain data.  The string attributes
+// Algorithm 1 compares (lfn, dataset, proddblock, scope) are held as
+// symbols only: the owning MetadataStore's interner keeps each distinct
+// string once, and MetadataStore::attributes() reads them back.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "dms/did.hpp"
 #include "grid/site.hpp"
@@ -53,17 +58,14 @@ struct JobRecord {
 struct FileRecord {
   std::int64_t pandaid = 0;
   std::int64_t jeditaskid = 0;
-  std::string lfn;
-  std::string dataset;
-  std::string proddblock;
-  std::string scope;
   std::uint64_t file_size = 0;
   FileDirection direction = FileDirection::kInput;
 
-  /// Dense symbol ids for the string attributes, assigned by
-  /// MetadataStore at ingest (kNoSymbol on records that never passed
-  /// through a store).  attr_sym is the interned (dataset, proddblock,
-  /// scope) triple: equal attr_sym iff all three strings are equal.
+  /// Dense symbol ids of the string attributes in the owning store's
+  /// symbols(), assigned by MetadataStore at ingest (kNoSymbol on
+  /// records that never passed through a store).  attr_sym is the
+  /// interned (dataset, proddblock, scope) triple: equal attr_sym iff
+  /// all three strings are equal.
   util::Symbol lfn_sym = util::kNoSymbol;
   util::Symbol dataset_sym = util::kNoSymbol;
   util::Symbol proddblock_sym = util::kNoSymbol;
@@ -76,10 +78,6 @@ struct TransferRecord {
   /// -1 when the event carries no task provenance (most rule-driven
   /// traffic; also corrupted records).
   std::int64_t jeditaskid = -1;
-  std::string lfn;
-  std::string dataset;
-  std::string proddblock;
-  std::string scope;
   std::uint64_t file_size = 0;
   grid::SiteId source_site = grid::kUnknownSite;
   grid::SiteId destination_site = grid::kUnknownSite;
@@ -92,7 +90,7 @@ struct TransferRecord {
   dms::TransferError error = dms::TransferError::kNone;
 
   /// Interned attribute symbols; see FileRecord.  Symbols cover the
-  /// string fields only — file_size is folded in at index-build time
+  /// string attributes only — file_size is folded in at index-build time
   /// because the corruption injector jitters sizes in place.
   util::Symbol lfn_sym = util::kNoSymbol;
   util::Symbol dataset_sym = util::kNoSymbol;
@@ -121,5 +119,11 @@ struct TransferRecord {
     return secs > 0.0 ? static_cast<double>(file_size) / secs : 0.0;
   }
 };
+
+// An owning member (a std::string, a vector) would put a heap copy
+// behind every row; the attributes live in the store's interner.
+static_assert(std::is_trivially_copyable_v<JobRecord>);
+static_assert(std::is_trivially_copyable_v<FileRecord>);
+static_assert(std::is_trivially_copyable_v<TransferRecord>);
 
 }  // namespace pandarus::telemetry

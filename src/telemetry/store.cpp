@@ -8,25 +8,28 @@ void MetadataStore::record_job(JobRecord record) {
 }
 
 template <typename Record>
-void MetadataStore::intern_attributes(Record& record) {
-  record.lfn_sym = symbols_.intern(record.lfn);
-  record.dataset_sym = symbols_.intern(record.dataset);
-  record.proddblock_sym = symbols_.intern(record.proddblock);
-  record.scope_sym = symbols_.intern(record.scope);
+void MetadataStore::intern_attributes(Record& record,
+                                      const FileAttributes& attributes) {
+  record.lfn_sym = symbols_.intern(attributes.lfn);
+  record.dataset_sym = symbols_.intern(attributes.dataset);
+  record.proddblock_sym = symbols_.intern(attributes.proddblock);
+  record.scope_sym = symbols_.intern(attributes.scope);
   const util::Symbol pair = attr_pairs_.intern(
       util::pack_symbols(record.dataset_sym, record.proddblock_sym));
   record.attr_sym =
       attr_triples_.intern(util::pack_symbols(pair, record.scope_sym));
 }
 
-void MetadataStore::record_file(FileRecord record) {
-  intern_attributes(record);
-  files_.push_back(std::move(record));
+void MetadataStore::record_file(FileRecord record,
+                                const FileAttributes& attributes) {
+  intern_attributes(record, attributes);
+  files_.push_back(record);
 }
 
-void MetadataStore::record_transfer(TransferRecord record) {
-  intern_attributes(record);
-  transfers_.push_back(std::move(record));
+void MetadataStore::record_transfer(TransferRecord record,
+                                    const FileAttributes& attributes) {
+  intern_attributes(record, attributes);
+  transfers_.push_back(record);
 }
 
 void MetadataStore::finalize_task(std::int64_t jeditaskid,

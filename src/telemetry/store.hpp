@@ -3,16 +3,19 @@
 // Append-only record streams.  Indexes used by the matcher (file
 // records by (pandaid, jeditaskid), transfers by lfn) are built on
 // demand by the core module;
-// the store itself stays a dumb, faithful record base — plus one piece
-// of derived state: a shared symbol table.  record_file/record_transfer
-// intern the string attributes (lfn, dataset, proddblock, scope) to
-// dense ids and the (dataset, proddblock, scope) triple to one attr_sym,
-// so the core's MatchIndex can group and compare records with integer
-// keys only.
+// the store itself stays a dumb, faithful record base — plus one symbol
+// table, the only copy of the records' strings.  record_file and
+// record_transfer intern the string attributes (lfn, dataset,
+// proddblock, scope) to dense ids and the (dataset, proddblock, scope)
+// triple to one attr_sym, so the core's MatchIndex can group and
+// compare records with integer keys only; attributes() reads the
+// strings back.  Every member is a value, so a copy of a store is
+// independent of its source.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -21,11 +24,23 @@
 
 namespace pandarus::telemetry {
 
+/// The string attributes of one file or transfer row, as views.
+struct FileAttributes {
+  std::string_view lfn;
+  std::string_view dataset;
+  std::string_view proddblock;
+  std::string_view scope;
+};
+
 class MetadataStore {
  public:
   void record_job(JobRecord record);
-  void record_file(FileRecord record);
-  void record_transfer(TransferRecord record);
+  /// Appends the row with its symbol fields set from `attributes`,
+  /// interned in lfn, dataset, proddblock, scope order.  The views must
+  /// not point into this store's symbols(): interning may move them.
+  void record_file(FileRecord record, const FileAttributes& attributes);
+  void record_transfer(TransferRecord record,
+                       const FileAttributes& attributes);
 
   /// Backfills the final task status on every job record of the task
   /// (job records are written at job completion, before their task
@@ -49,9 +64,16 @@ class MetadataStore {
     return symbols_;
   }
 
-  // Mutable access for the corruption injector only.  Invariant: the
-  // string attributes of a record must not be edited in place (their
-  // symbol ids would go stale) — re-record instead.  Numeric fields
+  /// The strings behind a row's symbols (a row of this store).  Views
+  /// into symbols(): valid until the next record_file/record_transfer.
+  template <typename Record>
+  [[nodiscard]] FileAttributes attributes(const Record& record) const noexcept {
+    return {symbols_.view(record.lfn_sym), symbols_.view(record.dataset_sym),
+            symbols_.view(record.proddblock_sym),
+            symbols_.view(record.scope_sym)};
+  }
+
+  // Mutable access for the corruption injector only.  Numeric fields
   // (file_size, sites, task ids, times) may be edited freely; the
   // MatchIndex derives its composite keys from them at build time.
   [[nodiscard]] std::vector<JobRecord>& jobs_mutable() noexcept {
@@ -73,10 +95,9 @@ class MetadataStore {
   [[nodiscard]] Counts counts() const noexcept;
 
  private:
-  /// Overwrites the record's symbol fields from this store's interner
-  /// (records copied from another store carry that store's ids).
+  /// Sets the record's symbol fields from this store's interner.
   template <typename Record>
-  void intern_attributes(Record& record);
+  void intern_attributes(Record& record, const FileAttributes& attributes);
 
   std::vector<JobRecord> jobs_;
   std::vector<FileRecord> files_;

@@ -30,35 +30,38 @@ using Symbol = std::uint32_t;
 /// MetadataStore).  Indexes treat it as matching nothing.
 inline constexpr Symbol kNoSymbol = 0xFFFF'FFFFu;
 
+/// The one copy of each distinct string: every string's bytes sit back
+/// to back in one arena, in id order, and the lookup table holds ids
+/// only.  All members are values, so copies and moves are independent
+/// of their source.
 class StringInterner {
  public:
   /// Returns the id of `text`, assigning the next dense id on first
   /// sight.  Amortized O(len): one hash of the string, no allocation on
-  /// hits (heterogeneous lookup).
+  /// hits.  `text` may view this interner's own bytes.  Throws
+  /// std::length_error past 4 GiB of distinct bytes.
   Symbol intern(std::string_view text);
 
-  /// Id of `text` if already interned, kNoSymbol otherwise.
-  [[nodiscard]] Symbol find(std::string_view text) const noexcept;
-
-  /// The string behind an id.  Valid for the interner's lifetime.
+  /// The string behind an id.  Valid until the next intern(), which may
+  /// move the arena.
   [[nodiscard]] std::string_view view(Symbol id) const noexcept {
-    return views_[id];
+    const std::uint32_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {bytes_.data() + begin, ends_[id] - begin};
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return views_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  /// Doubles the slot table and re-inserts every id.
+  void grow();
 
-  /// Node-based map: key storage is pointer-stable, so views_ can alias
-  /// the keys instead of owning a second copy of every string.
-  std::unordered_map<std::string, Symbol, Hash, std::equal_to<>> ids_;
-  std::vector<std::string_view> views_;
+  /// Every distinct string, concatenated in id order.
+  std::string bytes_;
+  /// ends_[id]: offset one past the string's last byte in bytes_.
+  std::vector<std::uint32_t> ends_;
+  /// Linear-probing table of ids (kNoSymbol = empty), a power of two in
+  /// size and at most half full.
+  std::vector<Symbol> slots_;
 };
 
 /// Dense ids for arbitrary integer-like keys (already-hashed tuples,
@@ -70,11 +73,6 @@ class KeyInterner {
   Symbol intern(const Key& key) {
     const auto next = static_cast<Symbol>(ids_.size());
     return ids_.try_emplace(key, next).first->second;
-  }
-
-  [[nodiscard]] Symbol find(const Key& key) const noexcept {
-    const auto it = ids_.find(key);
-    return it == ids_.end() ? kNoSymbol : it->second;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }

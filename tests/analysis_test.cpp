@@ -32,6 +32,11 @@ grid::Topology three_sites() {
   return topo;
 }
 
+/// Every fixture row's attributes, under its own lfn.
+telemetry::FileAttributes names(std::string_view lfn) {
+  return {lfn, "ds", "blk", "mc23"};
+}
+
 TransferRecord transfer(std::uint64_t id, grid::SiteId src, grid::SiteId dst,
                         std::uint64_t size, util::SimTime t0,
                         util::SimTime t1, std::int64_t taskid = -1,
@@ -40,10 +45,6 @@ TransferRecord transfer(std::uint64_t id, grid::SiteId src, grid::SiteId dst,
   TransferRecord t;
   t.transfer_id = id;
   t.jeditaskid = taskid;
-  t.lfn = "f" + std::to_string(id);
-  t.dataset = "ds";
-  t.proddblock = "blk";
-  t.scope = "mc23";
   t.file_size = size;
   t.source_site = src;
   t.destination_site = dst;
@@ -54,14 +55,19 @@ TransferRecord transfer(std::uint64_t id, grid::SiteId src, grid::SiteId dst,
   return t;
 }
 
+/// Records `t` under lfn "f<transfer_id>".
+void record(MetadataStore& store, const TransferRecord& t) {
+  store.record_transfer(t, names("f" + std::to_string(t.transfer_id)));
+}
+
 TEST(Heatmap, CellsAndSummary) {
   MetadataStore store;
-  store.record_transfer(transfer(1, 0, 0, 1000, 0, 10));  // local
-  store.record_transfer(transfer(2, 0, 1, 500, 0, 10));   // remote
-  store.record_transfer(transfer(3, 0, grid::kUnknownSite, 200, 0, 10));
+  record(store, transfer(1, 0, 0, 1000, 0, 10));  // local
+  record(store, transfer(2, 0, 1, 500, 0, 10));   // remote
+  record(store, transfer(3, 0, grid::kUnknownSite, 200, 0, 10));
   TransferRecord failed = transfer(4, 1, 2, 999, 0, 10);
   failed.success = false;  // excluded
-  store.record_transfer(failed);
+  record(store, failed);
 
   const grid::Topology topo = three_sites();
   TransferHeatmap hm(store, topo);
@@ -118,16 +124,11 @@ struct MatchedFixture {
     FileRecord f;
     f.pandaid = 1;
     f.jeditaskid = 7;
-    f.lfn = "f10";
-    f.dataset = "ds";
-    f.proddblock = "blk";
-    f.scope = "mc23";
     f.file_size = 600;
-    store.record_file(f);
+    store.record_file(f, names("f10"));
 
-    store.record_transfer(
-        transfer(10, 0, 0, 600, 100, 500, 7,
-                 dms::Activity::kAnalysisDownload));
+    record(store, transfer(10, 0, 0, 600, 100, 500, 7,
+                           dms::Activity::kAnalysisDownload));
 
     core::Matcher matcher(store);
     result = matcher.run(core::MatchOptions::exact());
@@ -186,8 +187,7 @@ TEST(Breakdown, AggregatesSeparateZeroFractions) {
 TEST(Bandwidth, SeriesSpreadsBytesUniformly) {
   MetadataStore store;
   // 1 GB over [0, 10 s) on link A->B: 100 MBps in each 1-s bin.
-  store.record_transfer(transfer(1, 0, 1, 1'000'000'000, 0,
-                                 util::seconds(10)));
+  record(store, transfer(1, 0, 1, 1'000'000'000, 0, util::seconds(10)));
   const auto series =
       bandwidth_series(store, nullptr, 0, 1, util::seconds(1));
   ASSERT_EQ(series.size(), 10u);
@@ -200,7 +200,7 @@ TEST(Bandwidth, SeriesSpreadsBytesUniformly) {
 TEST(Bandwidth, SeriesRestrictedToMatchedSet) {
   MatchedFixture fx;
   // Unmatched traffic on the same pair must not contribute.
-  fx.store.record_transfer(transfer(99, 0, 0, 1'000'000'000, 100, 500));
+  record(fx.store, transfer(99, 0, 0, 1'000'000'000, 100, 500));
   const auto matched_series =
       bandwidth_series(fx.store, &fx.result, 0, 0, util::msec(100));
   const auto all_series =
@@ -309,7 +309,7 @@ TEST(Summary, SharedTransferCountedOnce) {
   fx.store.record_job(j2);
   FileRecord f2 = fx.store.files()[0];
   f2.pandaid = 2;
-  fx.store.record_file(f2);
+  fx.store.record_file(f2, names("f10"));
   core::Matcher matcher(fx.store);
   const auto result = matcher.run(core::MatchOptions::exact());
   ASSERT_EQ(result.matched_job_count(), 2u);
@@ -322,13 +322,11 @@ TEST(CaseStudy, SequentialStagingPicksHighestFraction) {
   // Add a second matched transfer so the spread is defined.
   TransferRecord t2 =
       transfer(11, 0, 0, 0, 500, 900, 7, dms::Activity::kAnalysisDownload);
-  t2.lfn = "f11";
   t2.file_size = 300;
-  fx.store.record_transfer(t2);
+  fx.store.record_transfer(t2, names("f11"));
   FileRecord f2 = fx.store.files()[0];
-  f2.lfn = "f11";
   f2.file_size = 300;
-  fx.store.record_file(f2);
+  fx.store.record_file(f2, names("f11"));
   // ninputfilebytes must match the new sum.
   fx.store.jobs_mutable()[0].ninputfilebytes = 900;
 
@@ -360,8 +358,7 @@ TEST(CaseStudy, Rm2RedundantCaseFindsDuplicates) {
   TransferRecord dup =
       transfer(12, 1, grid::kUnknownSite, 600, -500, -100, 7,
                dms::Activity::kAnalysisDownload);
-  dup.lfn = "f10";
-  fx.store.record_transfer(dup);
+  fx.store.record_transfer(dup, names("f10"));
   core::Matcher matcher(fx.store);
   const core::TriMatchResult tri = core::run_all_methods(matcher);
   CaseStudyExtractor extractor(fx.store, tri);

@@ -28,17 +28,18 @@ JobRecord job(std::int64_t pandaid, grid::SiteId site, bool failed = false,
   return j;
 }
 
-TransferRecord transfer(std::uint64_t id, const std::string& lfn,
-                        std::uint64_t size, grid::SiteId src,
-                        grid::SiteId dst, util::SimTime t0,
-                        util::SimTime t1) {
+/// Every fixture row's attributes, under its own lfn.
+telemetry::FileAttributes names(std::string_view lfn) {
+  return {lfn, "ds", "blk", "mc23"};
+}
+
+void add_transfer(MetadataStore& store, std::uint64_t id,
+                  std::string_view lfn, std::uint64_t size, grid::SiteId src,
+                  grid::SiteId dst, util::SimTime t0, util::SimTime t1,
+                  std::int64_t taskid = 100) {
   TransferRecord t;
   t.transfer_id = id;
-  t.jeditaskid = 100;
-  t.lfn = lfn;
-  t.dataset = "ds";
-  t.proddblock = "blk";
-  t.scope = "mc23";
+  t.jeditaskid = taskid;
   t.file_size = size;
   t.source_site = src;
   t.destination_site = dst;
@@ -46,7 +47,7 @@ TransferRecord transfer(std::uint64_t id, const std::string& lfn,
   t.started_at = t0;
   t.finished_at = t1;
   t.success = true;
-  return t;
+  store.record_transfer(t, names(lfn));
 }
 
 // --- gini ---------------------------------------------------------------
@@ -84,8 +85,8 @@ TEST(SpatialImbalance, AggregatesPerSite) {
     topo.add_site(s);
   }
   MetadataStore store;
-  store.record_transfer(transfer(1, "f1", 1000, 0, 1, 0, 10));
-  store.record_transfer(transfer(2, "f2", 500, 0, 0, 0, 10));  // local
+  add_transfer(store, 1, "f1", 1000, 0, 1, 0, 10);
+  add_transfer(store, 2, "f2", 500, 0, 0, 0, 10);  // local
   store.record_job(job(1, 0));
   store.record_job(job(2, 0, true, 1305));
   store.record_job(job(3, 1));
@@ -107,10 +108,9 @@ TEST(TemporalImbalance, BinsAndPeak) {
   MetadataStore store;
   // Three transfers in bin 0, one in bin 2.
   for (std::uint64_t i = 0; i < 3; ++i) {
-    store.record_transfer(transfer(i, "f", 1000, 0, 1, 100, 200));
+    add_transfer(store, i, "f", 1000, 0, 1, 100, 200);
   }
-  store.record_transfer(
-      transfer(9, "f", 500, 0, 1, util::hours(13), util::hours(14)));
+  add_transfer(store, 9, "f", 500, 0, 1, util::hours(13), util::hours(14));
   const auto temporal =
       analysis::temporal_imbalance(store, util::hours(6));
   ASSERT_EQ(temporal.series.size(), 2u);
@@ -171,15 +171,10 @@ struct DetectorFixture {
     FileRecord f;
     f.pandaid = pandaid;
     f.jeditaskid = 100;
-    f.lfn = lfn;
-    f.dataset = "ds";
-    f.proddblock = "blk";
-    f.scope = "mc23";
     f.file_size = size;
-    store.record_file(f);
-    store.record_transfer(
-        transfer(static_cast<std::uint64_t>(pandaid) * 10, lfn, size, 0, 0,
-                 t0, t1));
+    store.record_file(f, names(lfn));
+    add_transfer(store, static_cast<std::uint64_t>(pandaid) * 10, lfn, size,
+                 0, 0, t0, t1);
   }
 };
 
@@ -211,7 +206,7 @@ TEST(AnomalyDetector, FlagsRedundantDelivery) {
   DetectorFixture fx;
   fx.add_job_with_transfer(1, "f1", 500, 0, 100);
   // Same file delivered again to the same site within the matched set.
-  fx.store.record_transfer(transfer(99, "f1", 500, 1, 0, 200, 300));
+  add_transfer(fx.store, 99, "f1", 500, 1, 0, 200, 300);
   const auto report =
       core::AnomalyDetector().scan(fx.store, fx.matched());
   EXPECT_EQ(report.counts[static_cast<std::size_t>(
@@ -223,12 +218,9 @@ TEST(AnomalyDetector, FlagsStalledThroughput) {
   DetectorFixture fx;
   // Six fast background transfers set the link median...
   for (std::uint64_t i = 0; i < 6; ++i) {
-    TransferRecord fast =
-        transfer(900 + i, "bg" + std::to_string(i), 1'000'000, 0, 0,
-                 static_cast<util::SimTime>(i * 10),
-                 static_cast<util::SimTime>(i * 10 + 1));
-    fast.jeditaskid = -1;
-    fx.store.record_transfer(fast);
+    add_transfer(fx.store, 900 + i, "bg" + std::to_string(i), 1'000'000, 0,
+                 0, static_cast<util::SimTime>(i * 10),
+                 static_cast<util::SimTime>(i * 10 + 1), /*taskid=*/-1);
   }
   // ... and the matched transfer crawls 1000x slower.
   fx.add_job_with_transfer(1, "f1", 1'000'000, 0, 1000);

@@ -38,33 +38,39 @@ JobRecord make_job(std::int64_t pandaid, std::int64_t taskid,
   return j;
 }
 
-FileRecord make_file(std::int64_t pandaid, std::int64_t taskid,
-                     const std::string& lfn, std::uint64_t size,
-                     FileDirection dir = FileDirection::kInput) {
+/// The attributes of a row named `lfn`: dataset "ds.<lfn>", proddblock
+/// "blk.<lfn>", scope "mc23".
+struct Names {
+  explicit Names(const std::string& name)
+      : lfn(name), dataset("ds." + name), proddblock("blk." + name) {}
+
+  [[nodiscard]] telemetry::FileAttributes view() const {
+    return {lfn, dataset, proddblock, "mc23"};
+  }
+
+  std::string lfn;
+  std::string dataset;
+  std::string proddblock;
+};
+
+void add_file(MetadataStore& store, std::int64_t pandaid, std::int64_t taskid,
+              const std::string& lfn, std::uint64_t size,
+              FileDirection dir = FileDirection::kInput) {
   FileRecord f;
   f.pandaid = pandaid;
   f.jeditaskid = taskid;
-  f.lfn = lfn;
-  f.dataset = "ds." + lfn;
-  f.proddblock = "blk." + lfn;
-  f.scope = "mc23";
   f.file_size = size;
   f.direction = dir;
-  return f;
+  store.record_file(f, Names(lfn).view());
 }
 
-TransferRecord make_transfer(std::uint64_t id, std::int64_t taskid,
-                             const std::string& lfn, std::uint64_t size,
-                             grid::SiteId src, grid::SiteId dst,
-                             dms::Activity activity, util::SimTime t0,
-                             util::SimTime t1) {
+void add_transfer(MetadataStore& store, std::uint64_t id, std::int64_t taskid,
+                  const std::string& lfn, std::uint64_t size,
+                  grid::SiteId src, grid::SiteId dst, dms::Activity activity,
+                  util::SimTime t0, util::SimTime t1) {
   TransferRecord t;
   t.transfer_id = id;
   t.jeditaskid = taskid;
-  t.lfn = lfn;
-  t.dataset = "ds." + lfn;
-  t.proddblock = "blk." + lfn;
-  t.scope = "mc23";
   t.file_size = size;
   t.source_site = src;
   t.destination_site = dst;
@@ -72,7 +78,7 @@ TransferRecord make_transfer(std::uint64_t id, std::int64_t taskid,
   t.started_at = t0;
   t.finished_at = t1;
   t.success = true;
-  return t;
+  store.record_transfer(t, Names(lfn).view());
 }
 
 /// One job, fully staged by two downloads whose sizes sum exactly to
@@ -80,14 +86,12 @@ TransferRecord make_transfer(std::uint64_t id, std::int64_t taskid,
 MetadataStore canonical_store() {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 300));
-  store.record_file(make_file(1, 100, "f1", 100));
-  store.record_file(make_file(1, 100, "f2", 200));
-  store.record_transfer(make_transfer(10, 100, "f1", 100, kSiteB, kSiteA,
-                                      dms::Activity::kAnalysisDownload, 100,
-                                      200));
-  store.record_transfer(make_transfer(11, 100, "f2", 200, kSiteA, kSiteA,
-                                      dms::Activity::kAnalysisDownload, 200,
-                                      400));
+  add_file(store, 1, 100, "f1", 100);
+  add_file(store, 1, 100, "f2", 200);
+  add_transfer(store, 10, 100, "f1", 100, kSiteB, kSiteA,
+               dms::Activity::kAnalysisDownload, 100, 200);
+  add_transfer(store, 11, 100, "f2", 200, kSiteA, kSiteA,
+               dms::Activity::kAnalysisDownload, 200, 400);
   return store;
 }
 
@@ -105,12 +109,11 @@ TEST(ExactMatch, CanonicalFullStagingMatches) {
 TEST(ExactMatch, SizeSumGateRejectsPartialStaging) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 300));
-  store.record_file(make_file(1, 100, "f1", 100));
-  store.record_file(make_file(1, 100, "f2", 200));
+  add_file(store, 1, 100, "f1", 100);
+  add_file(store, 1, 100, "f2", 200);
   // Only f1 was transferred: S = 100 != 300 and != 0.
-  store.record_transfer(make_transfer(10, 100, "f1", 100, kSiteB, kSiteA,
-                                      dms::Activity::kAnalysisDownload, 100,
-                                      200));
+  add_transfer(store, 10, 100, "f1", 100, kSiteB, kSiteA,
+               dms::Activity::kAnalysisDownload, 100, 200);
   Matcher matcher(store);
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::exact()).matched());
   // RM1 drops the gate and recovers it (paper §4.3, case 1).
@@ -122,10 +125,9 @@ TEST(ExactMatch, SizeSumGateRejectsPartialStaging) {
 TEST(ExactMatch, OutputSumAlsoSatisfiesGate) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 999, 500));
-  store.record_file(make_file(1, 100, "out1", 500, FileDirection::kOutput));
-  store.record_transfer(make_transfer(10, 100, "out1", 500, kSiteA, kSiteB,
-                                      dms::Activity::kAnalysisUpload, 1900,
-                                      1950));
+  add_file(store, 1, 100, "out1", 500, FileDirection::kOutput);
+  add_transfer(store, 10, 100, "out1", 500, kSiteA, kSiteB,
+               dms::Activity::kAnalysisUpload, 1900, 1950);
   Matcher matcher(store);
   MatchedJob m = matcher.match_job(0, MatchOptions::exact());
   ASSERT_TRUE(m.matched());
@@ -171,10 +173,9 @@ TEST(ExactMatch, DownloadToWrongSiteFailsSiteCheck) {
 TEST(ExactMatch, UploadChecksSourceSite) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 0, 500));
-  store.record_file(make_file(1, 100, "out1", 500, FileDirection::kOutput));
-  store.record_transfer(make_transfer(10, 100, "out1", 500, kSiteB, kSiteC,
-                                      dms::Activity::kAnalysisUpload, 1900,
-                                      1950));
+  add_file(store, 1, 100, "out1", 500, FileDirection::kOutput);
+  add_transfer(store, 10, 100, "out1", 500, kSiteB, kSiteC,
+               dms::Activity::kAnalysisUpload, 1900, 1950);
   Matcher matcher(store);
   // Upload's source (B) is not the computing site (A).
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::exact()).matched());
@@ -197,11 +198,9 @@ TEST(Rm2, RecoversUnknownDestinationDownload) {
 TEST(Rm2, RecoversUnknownSourceUpload) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 0, 500));
-  store.record_file(make_file(1, 100, "out1", 500, FileDirection::kOutput));
-  store.record_transfer(make_transfer(10, 100, "out1", 500,
-                                      grid::kUnknownSite, kSiteB,
-                                      dms::Activity::kAnalysisUpload, 1900,
-                                      1950));
+  add_file(store, 1, 100, "out1", 500, FileDirection::kOutput);
+  add_transfer(store, 10, 100, "out1", 500, grid::kUnknownSite, kSiteB,
+               dms::Activity::kAnalysisUpload, 1900, 1950);
   Matcher matcher(store);
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::rm1()).matched());
   EXPECT_TRUE(matcher.match_job(0, MatchOptions::rm2()).matched());
@@ -227,9 +226,8 @@ TEST(Match, DroppedTaskIdExcludesCandidate) {
 TEST(Match, MissingFileRecordsMeanNoMatch) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 300));
-  store.record_transfer(make_transfer(10, 100, "f1", 300, kSiteA, kSiteA,
-                                      dms::Activity::kAnalysisDownload, 100,
-                                      200));
+  add_transfer(store, 10, 100, "f1", 300, kSiteA, kSiteA,
+               dms::Activity::kAnalysisDownload, 100, 200);
   Matcher matcher(store);
   // No file rows bridge the job to the transfer.
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::rm2()).matched());
@@ -249,14 +247,10 @@ TEST(Match, DuplicateTransferSetBreaksGateOnly) {
   // The Fig. 12 pattern: the same files transferred twice (pre-placement
   // with UNKNOWN destination + job-triggered staging).
   MetadataStore store = canonical_store();
-  store.record_transfer(make_transfer(12, 100, "f1", 100, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, -500,
-                                      -400));
-  store.record_transfer(make_transfer(13, 100, "f2", 200, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, -400,
-                                      -300));
+  add_transfer(store, 12, 100, "f1", 100, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, -500, -400);
+  add_transfer(store, 13, 100, "f2", 200, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, -400, -300);
   Matcher matcher(store);
   // S over all candidates = 600 != 300 -> exact rejects the whole job.
   EXPECT_FALSE(matcher.match_job(0, MatchOptions::exact()).matched());
@@ -282,10 +276,8 @@ TEST(Match, RunCollectsOnlyMatchedJobs) {
 TEST(Match, MethodInclusionInvariant) {
   // For any snapshot: exact set is a subset of RM1's, RM1's of RM2's.
   MetadataStore store = canonical_store();
-  store.record_transfer(make_transfer(12, 100, "f1", 100, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, 50,
-                                      80));
+  add_transfer(store, 12, 100, "f1", 100, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, 50, 80);
   Matcher matcher(store);
   const TriMatchResult tri = run_all_methods(matcher);
   auto set_of = [](const MatchResult& r, std::size_t job) {
@@ -408,11 +400,10 @@ TEST(Metrics, TransferTimeClippedToQueuePhase) {
 TEST(Metrics, SpanningTransferDetected) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 4000, 100));
-  store.record_file(make_file(1, 100, "f1", 100));
+  add_file(store, 1, 100, "f1", 100);
   // Transfer crosses the start time: the Fig. 11 anomaly.
-  store.record_transfer(make_transfer(10, 100, "f1", 100, kSiteA, kSiteA,
-                                      dms::Activity::kAnalysisDownload, 500,
-                                      3000));
+  add_transfer(store, 10, 100, "f1", 100, kSiteA, kSiteA,
+               dms::Activity::kAnalysisDownload, 500, 3000);
   Matcher matcher(store);
   MatchedJob m = matcher.match_job(0, MatchOptions::exact());
   ASSERT_TRUE(m.matched());
@@ -426,10 +417,8 @@ TEST(Metrics, SpanningTransferDetected) {
 
 TEST(Inference, UnknownDestinationRecoveredBySizePairing) {
   MetadataStore store = canonical_store();
-  store.record_transfer(make_transfer(12, 100, "f1", 100, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, -500,
-                                      -400));
+  add_transfer(store, 12, 100, "f1", 100, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, -500, -400);
   Matcher matcher(store);
   MatchedJob m = matcher.match_job(0, MatchOptions::rm2());
   ASSERT_EQ(m.transfer_indices.size(), 3u);
@@ -441,10 +430,8 @@ TEST(Inference, UnknownDestinationRecoveredBySizePairing) {
 
 TEST(Inference, RedundantGroupsFoundAfterInference) {
   MetadataStore store = canonical_store();
-  store.record_transfer(make_transfer(12, 100, "f1", 100, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, -500,
-                                      -400));
+  add_transfer(store, 12, 100, "f1", 100, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, -500, -400);
   Matcher matcher(store);
   MatchedJob m = matcher.match_job(0, MatchOptions::rm2());
   const auto groups = find_redundant_transfers(store, m);
@@ -458,11 +445,9 @@ TEST(Inference, RedundantGroupsFoundAfterInference) {
 TEST(Inference, NoEvidenceMeansNoInference) {
   MetadataStore store;
   store.record_job(make_job(1, 100, kSiteA, 0, 1000, 2000, 100));
-  store.record_file(make_file(1, 100, "f1", 100));
-  store.record_transfer(make_transfer(10, 100, "f1", 100, kSiteB,
-                                      grid::kUnknownSite,
-                                      dms::Activity::kAnalysisDownload, 100,
-                                      200));
+  add_file(store, 1, 100, "f1", 100);
+  add_transfer(store, 10, 100, "f1", 100, kSiteB, grid::kUnknownSite,
+               dms::Activity::kAnalysisDownload, 100, 200);
   Matcher matcher(store);
   MatchedJob m = matcher.match_job(0, MatchOptions::rm2());
   ASSERT_TRUE(m.matched());
@@ -472,13 +457,13 @@ TEST(Inference, NoEvidenceMeansNoInference) {
 TEST(Inference, GlobalRedundancyScan) {
   MetadataStore store;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    store.record_transfer(make_transfer(i, -1, "dup", 500, kSiteB, kSiteA,
-                                        dms::Activity::kDataRebalance,
-                                        static_cast<util::SimTime>(i * 100),
-                                        static_cast<util::SimTime>(i * 100 + 50)));
+    add_transfer(store, i, -1, "dup", 500, kSiteB, kSiteA,
+                 dms::Activity::kDataRebalance,
+                 static_cast<util::SimTime>(i * 100),
+                 static_cast<util::SimTime>(i * 100 + 50));
   }
-  store.record_transfer(make_transfer(9, -1, "uniq", 700, kSiteB, kSiteC,
-                                      dms::Activity::kDataRebalance, 0, 10));
+  add_transfer(store, 9, -1, "uniq", 700, kSiteB, kSiteC,
+               dms::Activity::kDataRebalance, 0, 10);
   const GlobalRedundancy g = scan_global_redundancy(store);
   EXPECT_EQ(g.groups, 1u);
   EXPECT_EQ(g.redundant_transfers, 2u);

@@ -618,8 +618,7 @@ TEST(EventsHarvest, EmitStoreEventsCountsEveryRecord) {
   telemetry::FileRecord f;
   f.pandaid = 1;
   f.jeditaskid = 10;
-  f.lfn = "lfn-1";
-  store.record_file(f);
+  store.record_file(f, {"lfn-1", "", "", ""});
 
   EXPECT_EQ(telemetry::emit_store_events(store, 99, nullptr), 0u);  // no-op
 

@@ -2,6 +2,8 @@
 // hold across seeds, corruption intensities and topology shapes.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "analysis/summary.hpp"
 #include "core/match_index.hpp"
 #include "core/metrics.hpp"
@@ -188,6 +190,19 @@ class InternerSweep : public ::testing::TestWithParam<std::uint64_t> {
     }
     return out;
   }
+
+  /// Owning strings behind one row's attributes.
+  struct Names {
+    std::string lfn;
+    std::string dataset;
+    std::string proddblock;
+    std::string scope;
+
+    [[nodiscard]] telemetry::FileAttributes view() const {
+      return {lfn, dataset, proddblock, scope};
+    }
+    bool operator==(const Names&) const = default;
+  };
 };
 
 TEST_P(InternerSweep, IdsAreCollisionFreeAndStable) {
@@ -202,12 +217,34 @@ TEST_P(InternerSweep, IdsAreCollisionFreeAndStable) {
     // Roundtrip and idempotence.
     EXPECT_EQ(interner.view(first_pass[i]), strings[i]);
     EXPECT_EQ(interner.intern(strings[i]), first_pass[i]);
-    EXPECT_EQ(interner.find(strings[i]), first_pass[i]);
     // Equal ids exactly for equal strings (no collisions, no splits).
     for (std::size_t j = i + 1; j < strings.size(); ++j) {
       EXPECT_EQ(first_pass[i] == first_pass[j], strings[i] == strings[j]);
     }
   }
+}
+
+TEST_P(InternerSweep, CopyOutlivesItsSource) {
+  // The copy owns its strings: views and lookups stay valid after the
+  // source interner is destroyed.
+  util::Rng rng(GetParam());
+  const auto strings = random_strings(rng, 300);
+  auto source = std::make_unique<util::StringInterner>();
+  std::vector<util::Symbol> ids;
+  ids.reserve(strings.size());
+  for (const auto& s : strings) ids.push_back(source->intern(s));
+  util::StringInterner copy = *source;
+  source.reset();
+
+  const std::size_t size = copy.size();
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    EXPECT_EQ(copy.view(ids[i]), strings[i]);
+    EXPECT_EQ(copy.intern(strings[i]), ids[i]);
+  }
+  EXPECT_EQ(copy.size(), size);
+  const util::Symbol fresh = copy.intern("fresh");  // no pool string
+  EXPECT_EQ(fresh, size);
+  EXPECT_EQ(copy.view(fresh), "fresh");
 }
 
 TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
@@ -218,39 +255,50 @@ TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
   util::Rng rng(GetParam());
   const auto lfns = random_strings(rng, 60);
   std::vector<telemetry::FileRecord> records;
+  std::vector<Names> names;  // names[i] belongs to the row with pandaid i
   for (std::size_t i = 0; i < lfns.size(); ++i) {
     telemetry::FileRecord f;
     f.pandaid = static_cast<std::int64_t>(i);
     f.jeditaskid = 1;
-    f.lfn = lfns[i];
-    f.dataset = "ds." + std::to_string(rng.uniform_int(0, 5));
-    f.proddblock = "blk." + std::to_string(rng.uniform_int(0, 5));
-    f.scope = rng.next_double() < 0.5 ? "mc23" : "data24";
+    Names n;
+    n.lfn = lfns[i];
+    n.dataset = "ds." + std::to_string(rng.uniform_int(0, 5));
+    n.proddblock = "blk." + std::to_string(rng.uniform_int(0, 5));
+    n.scope = rng.next_double() < 0.5 ? "mc23" : "data24";
     f.file_size = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
-    records.push_back(std::move(f));
+    records.push_back(f);
+    names.push_back(std::move(n));
   }
 
   telemetry::MetadataStore forward;
   telemetry::MetadataStore backward;
-  for (const auto& f : records) forward.record_file(f);
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    backward.record_file(*it);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    forward.record_file(records[i], names[i].view());
+  }
+  for (std::size_t i = records.size(); i-- > 0;) {
+    backward.record_file(records[i], names[i].view());
   }
 
   const auto check = [&](const telemetry::MetadataStore& store) {
     const auto files = store.files();
+    const auto names_of =
+        [&](const telemetry::FileRecord& f) -> const Names& {
+      return names[static_cast<std::size_t>(f.pandaid)];
+    };
     for (std::size_t i = 0; i < files.size(); ++i) {
       const auto& f = files[i];
-      EXPECT_EQ(store.symbols().view(f.lfn_sym), f.lfn);
-      EXPECT_EQ(store.symbols().view(f.dataset_sym), f.dataset);
-      EXPECT_EQ(store.symbols().view(f.proddblock_sym), f.proddblock);
-      EXPECT_EQ(store.symbols().view(f.scope_sym), f.scope);
+      const Names& n = names_of(f);
+      EXPECT_EQ(store.symbols().view(f.lfn_sym), n.lfn);
+      EXPECT_EQ(store.symbols().view(f.dataset_sym), n.dataset);
+      EXPECT_EQ(store.symbols().view(f.proddblock_sym), n.proddblock);
+      EXPECT_EQ(store.symbols().view(f.scope_sym), n.scope);
       for (std::size_t j = i + 1; j < files.size(); ++j) {
-        const bool same_tuple = f.dataset == files[j].dataset &&
-                                f.proddblock == files[j].proddblock &&
-                                f.scope == files[j].scope;
+        const Names& m = names_of(files[j]);
+        const bool same_tuple = n.dataset == m.dataset &&
+                                n.proddblock == m.proddblock &&
+                                n.scope == m.scope;
         EXPECT_EQ(f.attr_sym == files[j].attr_sym, same_tuple)
-            << f.lfn << " vs " << files[j].lfn;
+            << n.lfn << " vs " << m.lfn;
       }
     }
   };
@@ -269,27 +317,28 @@ TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
   const auto pick = [&](const char* prefix, int n) {
     return std::string(prefix) + std::to_string(rng.uniform_int(0, n));
   };
+  // Braced initialisation draws the four names left to right.
+  const auto pick_names = [&] {
+    return Names{pick("lfn.", 8), pick("ds.", 3), pick("blk.", 3),
+                 pick("scope.", 2)};
+  };
+  std::vector<Names> file_names;
+  std::vector<Names> transfer_names;
   for (int i = 0; i < 120; ++i) {
     telemetry::FileRecord f;
     f.pandaid = i;
     f.jeditaskid = 1;
-    f.lfn = pick("lfn.", 8);
-    f.dataset = pick("ds.", 3);
-    f.proddblock = pick("blk.", 3);
-    f.scope = pick("scope.", 2);
+    file_names.push_back(pick_names());
     f.file_size = static_cast<std::uint64_t>(rng.uniform_int(1, 3));
-    store.record_file(f);
+    store.record_file(f, file_names.back().view());
   }
   for (int i = 0; i < 120; ++i) {
     telemetry::TransferRecord t;
     t.transfer_id = static_cast<std::uint64_t>(i);
     t.jeditaskid = 1;
-    t.lfn = pick("lfn.", 8);
-    t.dataset = pick("ds.", 3);
-    t.proddblock = pick("blk.", 3);
-    t.scope = pick("scope.", 2);
+    transfer_names.push_back(pick_names());
     t.file_size = static_cast<std::uint64_t>(rng.uniform_int(1, 3));
-    store.record_transfer(t);
+    store.record_transfer(t, transfer_names.back().view());
   }
 
   const core::MatchIndex index(store);
@@ -299,9 +348,7 @@ TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
     for (std::size_t ti = 0; ti < transfers.size(); ++ti) {
       const auto& f = files[fi];
       const auto& t = transfers[ti];
-      const bool by_strings = f.lfn == t.lfn && f.dataset == t.dataset &&
-                              f.proddblock == t.proddblock &&
-                              f.scope == t.scope &&
+      const bool by_strings = file_names[fi] == transfer_names[ti] &&
                               f.file_size == t.file_size;
       const bool by_keys = f.lfn_sym == t.lfn_sym &&
                            index.file_key(fi) == index.transfer_key(ti);

@@ -171,14 +171,16 @@ TEST(RecoveryTest, ColstoreEveryTornOffset) {
   const std::string bytes = read_file(s.colstore_path);
   ASSERT_GT(bytes.size(), 12u);
   TempFile torn("recovery_torn.pcol");
-  // Start past the 12-byte file header (shorter prefixes are a hard
-  // "not a colstore file" even in recover mode) and cover the final
-  // 4 KiB at most.
-  const std::size_t begin =
+  // Every cut inside the 12-byte file header, then the final 4 KiB at
+  // most.
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut <= 12; ++cut) cuts.push_back(cut);
+  const std::size_t tail =
       std::max<std::size_t>(13, bytes.size() > 4096 ? bytes.size() - 4096
                                                     : 13);
+  for (std::size_t cut = tail; cut <= bytes.size(); ++cut) cuts.push_back(cut);
   std::uint64_t previous_events = 0;
-  for (std::size_t cut = begin; cut <= bytes.size(); ++cut) {
+  for (const std::size_t cut : cuts) {
     write_file(torn.path(), std::string_view(bytes.data(), cut));
     obs::ColReader reader(torn.path(), obs::ColFilter{},
                           obs::ColReadOptions{/*recover=*/true});
@@ -189,11 +191,32 @@ TEST(RecoveryTest, ColstoreEveryTornOffset) {
     ASSERT_TRUE(report.ok) << "cut=" << cut << ": " << report.detail;
     ASSERT_EQ(report.salvaged_events, rows);
     ASSERT_LE(report.salvaged_bytes, cut);
+    if (cut < 12) {
+      // A crash before the writer's first flush: nothing to keep.
+      ASSERT_TRUE(report.truncated) << "cut=" << cut;
+      ASSERT_EQ(report.salvaged_bytes, 0u) << "cut=" << cut;
+      ASSERT_EQ(report.dropped_bytes, cut) << "cut=" << cut;
+    }
     // Salvage is monotone in the prefix length.
     ASSERT_GE(rows, previous_events) << "cut=" << cut;
     previous_events = rows;
   }
   EXPECT_EQ(previous_events, s.events);
+}
+
+TEST(RecoveryTest, ShortFileThatIsNoHeaderPrefixIsNotAColstore) {
+  TempFile shorter("recovery_short.pcol");
+  for (const std::string_view bytes :
+       {std::string_view("PCOLSTR2"), std::string_view("hello")}) {
+    write_file(shorter.path(), bytes);
+    obs::ColReader reader(shorter.path(), obs::ColFilter{},
+                          obs::ColReadOptions{/*recover=*/true});
+    obs::DecodedEvent event;
+    EXPECT_FALSE(reader.next(event));
+    EXPECT_FALSE(reader.ok()) << bytes;
+    EXPECT_NE(reader.error().find("not a colstore file"), std::string::npos)
+        << reader.error();
+  }
 }
 
 TEST(RecoveryTest, ColstoreTornTailIsHardErrorWithoutRecover) {

@@ -211,14 +211,18 @@ TEST(ResumeTest, ResumeRunsBesideAnotherLogAndLeavesItAlone) {
 
 TEST(ResumeTest, ResumeFromEmptySalvageRunsFromScratch) {
   // Killed before the first line reached the NDJSON file and before the
-  // first chunk reached the colstore: only its 12-byte header survives.
+  // first chunk reached the colstore: only its 12-byte header survives,
+  // or (killed before the colstore's first flush) none of it.
   const Recording& ref = reference();
-  const Salvage salvage(ref, 0, ref.colstore.size() / 2);
-  EXPECT_EQ(salvage.bytes, 12u);
-  const Resumed resumed = resume(seed7(), salvage.sinks);
-  EXPECT_TRUE(resumed.outcome.ok) << resumed.outcome.error;
-  EXPECT_EQ(resumed.outcome.verified_bytes, salvage.bytes);
-  EXPECT_TRUE(resumed.files.ndjson == ref.ndjson);
+  for (const std::size_t colstore_cut : {ref.colstore.size() / 2,
+                                         std::size_t{0}}) {
+    const Salvage salvage(ref, 0, colstore_cut);
+    EXPECT_EQ(salvage.bytes, colstore_cut == 0 ? 0u : 12u);
+    const Resumed resumed = resume(seed7(), salvage.sinks);
+    EXPECT_TRUE(resumed.outcome.ok) << resumed.outcome.error;
+    EXPECT_EQ(resumed.outcome.verified_bytes, salvage.bytes);
+    EXPECT_TRUE(resumed.files.ndjson == ref.ndjson);
+  }
 }
 
 TEST(ResumeTest, ResumeRejectsMismatchedConfig) {

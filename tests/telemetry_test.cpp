@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,14 +17,22 @@
 namespace pandarus::telemetry {
 namespace {
 
+/// Owning strings behind one row's attributes.
+struct Names {
+  std::string lfn;
+  std::string dataset = "ds";
+  std::string proddblock = "blk";
+  std::string scope = "mc23";
+
+  [[nodiscard]] FileAttributes view() const {
+    return {lfn, dataset, proddblock, scope};
+  }
+};
+
 TransferRecord basic_transfer(std::uint64_t id, std::int64_t taskid = 5) {
   TransferRecord t;
   t.transfer_id = id;
   t.jeditaskid = taskid;
-  t.lfn = "f" + std::to_string(id);
-  t.dataset = "ds";
-  t.proddblock = "blk";
-  t.scope = "mc23";
   t.file_size = 1000 + id;
   t.source_site = 1;
   t.destination_site = 2;
@@ -31,6 +40,20 @@ TransferRecord basic_transfer(std::uint64_t id, std::int64_t taskid = 5) {
   t.started_at = static_cast<util::SimTime>(id * 100);
   t.finished_at = static_cast<util::SimTime>(id * 100 + 50);
   return t;
+}
+
+FileRecord basic_file() {
+  FileRecord f;
+  f.pandaid = 1;
+  f.jeditaskid = 5;
+  f.file_size = 42;
+  f.direction = FileDirection::kOutput;
+  return f;
+}
+
+/// Records `t` under lfn "f<transfer_id>" and the shared attributes.
+void record(MetadataStore& store, const TransferRecord& t) {
+  store.record_transfer(t, Names{"f" + std::to_string(t.transfer_id)}.view());
 }
 
 JobRecord basic_job(std::int64_t pandaid, std::int64_t taskid,
@@ -63,8 +86,8 @@ TEST(Records, TransferDerivedProperties) {
 
 TEST(Store, CountsAndTaskidTally) {
   MetadataStore store;
-  store.record_transfer(basic_transfer(1));
-  store.record_transfer(basic_transfer(2, -1));
+  record(store, basic_transfer(1));
+  record(store, basic_transfer(2, -1));
   store.record_job(basic_job(1, 5, 1000));
   const auto counts = store.counts();
   EXPECT_EQ(counts.jobs, 1u);
@@ -82,6 +105,40 @@ TEST(Store, FinalizeTaskBackfillsStatus) {
   EXPECT_EQ(store.jobs()[1].task_status, wms::TaskStatus::kFailed);
   EXPECT_EQ(store.jobs()[2].task_status, wms::TaskStatus::kRunning);
   store.finalize_task(999, wms::TaskStatus::kDone);  // unknown: no-op
+}
+
+TEST(Store, CopyOutlivesItsSource) {
+  // A copy owns its rows and its strings, so it writes the source's
+  // bytes after the source is gone, and interns on its own.
+  auto source = std::make_unique<MetadataStore>();
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    source->record_job(basic_job(static_cast<std::int64_t>(i), 5, 1000));
+    source->record_file(basic_file(),
+                        Names{"in" + std::to_string(i),
+                              "ds" + std::to_string(i % 7)}
+                            .view());
+    record(*source, basic_transfer(i));
+  }
+  const auto csv = [](const MetadataStore& store) {
+    std::ostringstream os;
+    write_jobs_csv(os, store);
+    write_files_csv(os, store);
+    write_transfers_csv(os, store);
+    return os.str();
+  };
+  const std::string bytes = csv(*source);
+  const std::uint64_t digest = store_digest(*source);
+  MetadataStore copy = *source;
+  source.reset();
+
+  EXPECT_EQ(csv(copy), bytes);
+  EXPECT_EQ(store_digest(copy), digest);
+  const std::size_t symbols = copy.symbols().size();
+  copy.record_file(basic_file(), Names{"in0"}.view());
+  EXPECT_EQ(copy.files().back().lfn_sym, copy.files().front().lfn_sym);
+  copy.record_file(basic_file(), Names{"fresh"}.view());
+  EXPECT_EQ(copy.files().back().lfn_sym, symbols);
+  EXPECT_EQ(copy.attributes(copy.files().back()).lfn, "fresh");
 }
 
 struct RecorderFixture {
@@ -124,9 +181,11 @@ TEST(Recorder, TransferRecordCarriesCatalogNames) {
   rec.on_transfer(fx.outcome(dms::Activity::kAnalysisDownload));
   ASSERT_EQ(fx.store.transfers().size(), 1u);
   const TransferRecord& t = fx.store.transfers()[0];
-  EXPECT_EQ(t.lfn, fx.catalog.lfn(fx.file));
-  EXPECT_EQ(t.dataset, "recorder.ds");
-  EXPECT_EQ(t.scope, "mc23");
+  const FileAttributes names = fx.store.attributes(t);
+  EXPECT_EQ(names.lfn, fx.catalog.lfn(fx.file));
+  EXPECT_EQ(names.dataset, "recorder.ds");
+  EXPECT_EQ(names.proddblock, fx.catalog.proddblock(fx.file));
+  EXPECT_EQ(names.scope, "mc23");
   EXPECT_EQ(t.file_size, 7'000'000u);
   EXPECT_EQ(t.jeditaskid, 5);
   EXPECT_EQ(t.destination_site, 1u);
@@ -192,9 +251,7 @@ TEST(Recorder, ProductionJobsSkippedByDefault) {
 
 TEST(Corruption, ChannelsAreCountedAndBounded) {
   MetadataStore store;
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    store.record_transfer(basic_transfer(i));
-  }
+  for (std::uint64_t i = 0; i < 2000; ++i) record(store, basic_transfer(i));
   CorruptionParams params;
   params.p_drop_transfer_taskid = 0.5;
   params.p_unknown_source = 0.0;
@@ -220,7 +277,7 @@ TEST(Corruption, BadSiteChannelSparesUploads) {
     t.file_size = 1'000'000'000 + i;
     t.activity = i % 2 == 0 ? dms::Activity::kAnalysisDownload
                             : dms::Activity::kAnalysisUpload;
-    store.record_transfer(t);
+    record(store, t);
   }
   CorruptionParams params;
   params.p_drop_transfer_taskid = 0.0;
@@ -262,8 +319,7 @@ TEST(Corruption, DropChannelsShrinkStores) {
   for (std::uint64_t i = 0; i < 1000; ++i) {
     FileRecord f;
     f.pandaid = static_cast<std::int64_t>(i);
-    f.lfn = "x";
-    store.record_file(f);
+    store.record_file(f, Names{"x"}.view());
     store.record_job(basic_job(static_cast<std::int64_t>(i), 5, 100));
   }
   CorruptionParams params{};
@@ -275,19 +331,6 @@ TEST(Corruption, DropChannelsShrinkStores) {
   EXPECT_NEAR(static_cast<double>(report.file_records_dropped), 300.0, 80.0);
 }
 
-FileRecord basic_file(std::string lfn) {
-  FileRecord f;
-  f.pandaid = 1;
-  f.jeditaskid = 5;
-  f.lfn = std::move(lfn);
-  f.dataset = "ds";
-  f.proddblock = "blk";
-  f.scope = "mc23";
-  f.file_size = 42;
-  f.direction = FileDirection::kOutput;
-  return f;
-}
-
 TEST(Io, CsvWritersEmitGoldenBytes) {
   MetadataStore store;
   store.record_job(basic_job(1, 5, 1000));
@@ -297,12 +340,12 @@ TEST(Io, CsvWritersEmitGoldenBytes) {
   failed.task_status = wms::TaskStatus::kFailed;
   failed.computing_site = grid::kUnknownSite;
   store.record_job(failed);
-  store.record_file(basic_file("a,b"));  // comma forces quoting
+  store.record_file(basic_file(), Names{"a,b"}.view());  // comma: quoted
   TransferRecord t = basic_transfer(9);
   t.destination_site = grid::kUnknownSite;
   t.success = false;
   t.error = dms::TransferError::kStalledTerminal;
-  store.record_transfer(t);
+  record(store, t);
 
   std::ostringstream jobs;
   std::ostringstream files;
@@ -330,14 +373,16 @@ TEST(Io, CsvWritersEmitGoldenBytes) {
 TEST(Io, StoreDigestCoversEveryField) {
   struct Rows {
     JobRecord job = basic_job(1, 5, 1000);
-    FileRecord file = basic_file("f1");
+    FileRecord file = basic_file();
+    Names file_names{"f1"};
     TransferRecord transfer = basic_transfer(9);
+    Names transfer_names{"f9"};
   };
   const auto digest = [](const Rows& rows) {
     MetadataStore store;
     store.record_job(rows.job);
-    store.record_file(rows.file);
-    store.record_transfer(rows.transfer);
+    store.record_file(rows.file, rows.file_names.view());
+    store.record_transfer(rows.transfer, rows.transfer_names.view());
     return store_digest(store);
   };
   using Edit = void (*)(Rows&);
@@ -365,20 +410,20 @@ TEST(Io, StoreDigestCoversEveryField) {
        &write_files_csv,
        {[](Rows& r) { ++r.file.pandaid; },
         [](Rows& r) { ++r.file.jeditaskid; },
-        [](Rows& r) { r.file.lfn += "x"; },
-        [](Rows& r) { r.file.dataset += "x"; },
-        [](Rows& r) { r.file.proddblock += "x"; },
-        [](Rows& r) { r.file.scope += "x"; },
+        [](Rows& r) { r.file_names.lfn += "x"; },
+        [](Rows& r) { r.file_names.dataset += "x"; },
+        [](Rows& r) { r.file_names.proddblock += "x"; },
+        [](Rows& r) { r.file_names.scope += "x"; },
         [](Rows& r) { ++r.file.file_size; },
         [](Rows& r) { r.file.direction = FileDirection::kInput; }}},
       {"transfer",
        &write_transfers_csv,
        {[](Rows& r) { ++r.transfer.transfer_id; },
         [](Rows& r) { r.transfer.jeditaskid = -1; },
-        [](Rows& r) { r.transfer.lfn += "x"; },
-        [](Rows& r) { r.transfer.dataset += "x"; },
-        [](Rows& r) { r.transfer.proddblock += "x"; },
-        [](Rows& r) { r.transfer.scope += "x"; },
+        [](Rows& r) { r.transfer_names.lfn += "x"; },
+        [](Rows& r) { r.transfer_names.dataset += "x"; },
+        [](Rows& r) { r.transfer_names.proddblock += "x"; },
+        [](Rows& r) { r.transfer_names.scope += "x"; },
         [](Rows& r) { ++r.transfer.file_size; },
         [](Rows& r) { r.transfer.source_site = 3; },
         [](Rows& r) { r.transfer.destination_site = 3; },
@@ -409,13 +454,13 @@ TEST(Io, StoreDigestCoversEveryField) {
   // row it then dropped, as the corruption injector does.
   MetadataStore shifted;
   const Rows rows;
-  shifted.record_file(basic_file("dropped"));
+  shifted.record_file(basic_file(), Names{"dropped"}.view());
   shifted.record_job(rows.job);
-  shifted.record_file(rows.file);
-  shifted.record_transfer(rows.transfer);
+  shifted.record_file(rows.file, rows.file_names.view());
+  shifted.record_transfer(rows.transfer, rows.transfer_names.view());
   shifted.files_mutable().erase(shifted.files_mutable().begin());
   MetadataStore plain;
-  plain.record_file(rows.file);
+  plain.record_file(rows.file, rows.file_names.view());
   ASSERT_NE(shifted.files()[0].lfn_sym, plain.files()[0].lfn_sym);
   EXPECT_EQ(store_digest(shifted), base);
 }
