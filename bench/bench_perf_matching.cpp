@@ -17,7 +17,9 @@ using namespace pandarus;
 
 /// Console output plus a machine-readable record per run, written to
 /// BENCH_perf.json at exit (override the path with PANDARUS_BENCH_JSON)
-/// so CI can archive and diff wall times and matched-job counts.
+/// so CI can archive and diff wall times and matched-job counts.  A
+/// process that ran no benchmark (--benchmark_list_tests, a filter that
+/// matches nothing) leaves an earlier file in place.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -522,10 +524,12 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  const char* json_path = std::getenv("PANDARUS_BENCH_JSON");
-  pandarus::bench::write_bench_json(
-      json_path != nullptr ? json_path : "BENCH_perf.json",
-      reporter.records());
+  if (!reporter.records().empty()) {
+    const char* json_path = std::getenv("PANDARUS_BENCH_JSON");
+    pandarus::bench::write_bench_json(
+        json_path != nullptr ? json_path : "BENCH_perf.json",
+        reporter.records());
+  }
   benchmark::Shutdown();
   return 0;
 }

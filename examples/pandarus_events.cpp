@@ -51,7 +51,9 @@ int usage() {
          "                       [--from <ms>] [--to <ms>] [--site <id>]\n"
          "                       [--limit <n>] [--tail <n>]\n"
          "       pandarus-events match <file>\n"
-         "       pandarus-events recover <in> [<out>]\n";
+         "       pandarus-events recover <in> [<out>]\n"
+         "         (a 0-byte <in> is taken as NDJSON: it holds no byte that\n"
+         "          tells the formats apart)\n";
   return 2;
 }
 
@@ -291,7 +293,7 @@ int cmd_match(const std::string& path) {
 int cmd_recover(const std::string& in_path, const std::string& out_path) {
   using pandarus::obs::RecoveryReport;
   const RecoveryReport report =
-      pandarus::obs::is_colstore_file(in_path)
+      pandarus::obs::starts_like_colstore_file(in_path)
           ? pandarus::obs::recover_colstore_file(in_path, out_path)
           : pandarus::obs::recover_ndjson_file(in_path, out_path);
   std::printf("{\"ok\":%s,\"truncated\":%s,\"salvaged_events\":%llu,"

@@ -121,11 +121,13 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   const auto files = store.files();
   const auto transfers = store.transfers();
 
-  // Candidate transfers: attribute-key-matched against any file row of
-  // F'_j (one integer compare — lfn equality is structural through the
-  // lfn-symbol group, the composite key covers the rest), then
-  // time-filtered (started before the job's end).  Funnel tallies stay
-  // in locals until the single flush below the loop.
+  // Candidate transfers: the job's task range of each file row's lfn
+  // group (lfn equality is structural through the group), attribute-
+  // key-matched against that row (one integer compare covers dataset,
+  // proddblock, scope and size), then time-filtered (started before the
+  // job's end).  The rest of the group is scanned and rejected on
+  // jeditaskid in bulk, unread.  Funnel tallies stay in locals until
+  // the single flush below the loop.
   std::uint64_t scanned = 0;
   std::uint64_t rej_taskid = 0;
   std::uint64_t rej_key = 0;
@@ -134,18 +136,16 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   for (const std::uint32_t fi : rows) {
     const std::uint64_t fkey = index_->file_key(fi);
     const std::size_t before = scratch.size();
-    for (const std::uint32_t ti : index_->transfers_with_lfn(files[fi].lfn_sym)) {
-      const TransferRecord& t = transfers[ti];
-      ++scanned;
-      if (t.jeditaskid != job.jeditaskid) {
-        ++rej_taskid;
-        continue;
-      }
+    const auto [task, group_size] =
+        index_->transfers_with_lfn(files[fi].lfn_sym, job.jeditaskid);
+    scanned += group_size;
+    rej_taskid += group_size - task.size();
+    for (const std::uint32_t ti : task) {
       if (index_->transfer_key(ti) != fkey) {
         ++rej_key;
         continue;
       }
-      if (t.started_at >= job.end_time) {
+      if (transfers[ti].started_at >= job.end_time) {
         ++rej_time;
         continue;
       }
@@ -161,7 +161,7 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   if (rej_time > 0) funnel.reject_time.inc(rej_time);
   funnel.candidates_accepted.inc(scratch.size());
 
-  // Each lfn group is already ascending, so a single contributing row
+  // Each task range is already ascending, so a single contributing row
   // needs no post-processing.  Multiple rows can interleave groups and —
   // when a job carries the same lfn as both input and output — duplicate
   // a transfer, so sort + dedup only then.

@@ -126,8 +126,9 @@ class Matcher {
       std::size_t job_index, std::size_t* file_rows) const;
 
   /// The store's index: file rows by (pandaid, jeditaskid), transfers
-  /// by lfn symbol, composite attribute keys.  The underlying store
-  /// must outlive the matcher and stay unmodified.
+  /// by lfn symbol in (jeditaskid, row) order, composite attribute
+  /// keys.  The underlying store must outlive the matcher and stay
+  /// unmodified.
   std::shared_ptr<const MatchIndex> index_;
 };
 

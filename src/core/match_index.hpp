@@ -8,7 +8,13 @@
 //    jeditaskid) bridge, so stale rows (same pandaid, different task
 //    generation) are excluded at build time instead of per query;
 //  * transfers are grouped by interned lfn symbol, which turns the old
-//    string-keyed hash map into a counting sort over dense ids;
+//    string-keyed hash map into a counting sort over dense ids, and
+//    each lfn group is ordered by (jeditaskid, row).  Algorithm 1 links
+//    a job only to transfers of its own task (DESIGN §8 decision 1), so
+//    the matcher reads one binary-searched task range per file row and
+//    counts the rest of the group as taskid rejects without touching
+//    it: a popular lfn collects transfers from many tasks and from the
+//    untagged (-1) rule-driven traffic;
 //  * every record gets one 64-bit composite attribute key — the interned
 //    (dataset, proddblock, scope) triple in the high half and an
 //    interned file-size id in the low half — so the attribute-join
@@ -20,12 +26,14 @@
 // deterministic two-pass scheme — per-chunk count, column-major prefix
 // sum, per-chunk scatter — optionally sharded over a ThreadPool.  The
 // scatter preserves record order within each group regardless of thread
-// count, so serial and parallel builds are bit-identical.
+// count, and the per-group (jeditaskid, row) sort is a total order, so
+// serial and parallel builds are bit-identical.
 //
 // One MatchIndex is built per snapshot and shared by the exact and
 // RM1/RM2 matchers and the ParallelMatchDriver (all queries const).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -53,11 +61,24 @@ class MatchIndex {
     return group(file_offsets_, file_slots_, job_index);
   }
 
-  /// Transfers whose lfn has the given symbol id.  Ascending row order.
-  [[nodiscard]] std::span<const std::uint32_t> transfers_with_lfn(
-      util::Symbol lfn_sym) const noexcept {
-    if (lfn_sym + 1 >= transfer_offsets_.size()) return {};
-    return group(transfer_offsets_, transfer_slots_, lfn_sym);
+  /// One task's slice of an lfn group.
+  struct TaskRange {
+    /// Transfers with the lfn AND the jeditaskid, ascending row order.
+    std::span<const std::uint32_t> transfers;
+    /// Transfers with the lfn, whatever their jeditaskid.
+    std::size_t group_size = 0;
+  };
+
+  /// The transfers whose lfn has the given symbol id and that carry
+  /// `jeditaskid`: the group's equal_range of the task, binary-searched.
+  [[nodiscard]] TaskRange transfers_with_lfn(
+      util::Symbol lfn_sym, std::int64_t jeditaskid) const noexcept {
+    const auto lfn_group = group(transfer_offsets_, transfer_slots_, lfn_sym);
+    const auto transfers = store_->transfers();
+    const auto task = std::ranges::equal_range(
+        lfn_group, jeditaskid, {},
+        [transfers](std::uint32_t t) { return transfers[t].jeditaskid; });
+    return {{task.begin(), task.end()}, lfn_group.size()};
   }
 
   /// Composite attribute keys; `file_key(i) == transfer_key(j)` iff the
@@ -88,7 +109,8 @@ class MatchIndex {
   /// are the file-row indices bridging to job j.
   std::vector<std::uint32_t> file_offsets_;
   std::vector<std::uint32_t> file_slots_;
-  /// CSR over lfn symbols, same layout, into store.transfers().
+  /// CSR over lfn symbols, same layout, into store.transfers(); each
+  /// group sorted by (jeditaskid, row).
   std::vector<std::uint32_t> transfer_offsets_;
   std::vector<std::uint32_t> transfer_slots_;
   std::vector<std::uint64_t> file_keys_;

@@ -1245,14 +1245,28 @@ bool ColReader::next(DecodedEvent& out) {
 
 // --- free functions ---------------------------------------------------------
 
-bool is_colstore_file(const std::string& path) {
+namespace {
+
+/// The number of leading bytes of `path`, up to the magic's length,
+/// when they all agree with the magic; 0 when they do not or the file
+/// cannot be read.
+std::size_t magic_prefix_bytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
+  if (f == nullptr) return 0;
   char magic[kMagicBytes];
-  const bool ok = read_exact(f, magic, sizeof magic) &&
-                  std::memcmp(magic, kFileHeader, sizeof magic) == 0;
+  const std::size_t got = std::fread(magic, 1, sizeof magic, f);
   std::fclose(f);
-  return ok;
+  return std::memcmp(magic, kFileHeader, got) == 0 ? got : 0;
+}
+
+}  // namespace
+
+bool is_colstore_file(const std::string& path) {
+  return magic_prefix_bytes(path) == kMagicBytes;
+}
+
+bool starts_like_colstore_file(const std::string& path) {
+  return magic_prefix_bytes(path) > 0;
 }
 
 std::optional<ColStats> colstore_stats(const std::string& path,

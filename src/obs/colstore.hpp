@@ -321,6 +321,12 @@ class ColReader {
 /// True when `path` starts with the colstore file magic.
 [[nodiscard]] bool is_colstore_file(const std::string& path);
 
+/// Also true for a file torn inside the magic: 1-7 bytes that are its
+/// prefix.  False for a 0-byte file, where no byte tells the formats
+/// apart.  Recovery dispatches on this, so a colstore torn that early
+/// is salvaged as one.
+[[nodiscard]] bool starts_like_colstore_file(const std::string& path);
+
 /// Footer-index-only summary: walks chunk headers and dictionary
 /// deltas, never decodes column data.
 struct ColStats {

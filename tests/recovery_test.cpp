@@ -182,6 +182,11 @@ TEST(RecoveryTest, ColstoreEveryTornOffset) {
   std::uint64_t previous_events = 0;
   for (const std::size_t cut : cuts) {
     write_file(torn.path(), std::string_view(bytes.data(), cut));
+    // `pandarus-events recover` picks the format by this: a file torn
+    // inside the 8-byte magic is still a colstore, and a 0-byte file
+    // holds no byte that tells the formats apart.
+    ASSERT_EQ(obs::starts_like_colstore_file(torn.path()), cut > 0) << cut;
+    ASSERT_EQ(obs::is_colstore_file(torn.path()), cut >= 8) << cut;
     obs::ColReader reader(torn.path(), obs::ColFilter{},
                           obs::ColReadOptions{/*recover=*/true});
     obs::DecodedEvent event;
@@ -209,6 +214,7 @@ TEST(RecoveryTest, ShortFileThatIsNoHeaderPrefixIsNotAColstore) {
   for (const std::string_view bytes :
        {std::string_view("PCOLSTR2"), std::string_view("hello")}) {
     write_file(shorter.path(), bytes);
+    EXPECT_FALSE(obs::starts_like_colstore_file(shorter.path())) << bytes;
     obs::ColReader reader(shorter.path(), obs::ColFilter{},
                           obs::ColReadOptions{/*recover=*/true});
     obs::DecodedEvent event;

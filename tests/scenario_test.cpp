@@ -132,11 +132,41 @@ TEST(Campaign, SmallCampaignPinsMatchedJobsAndSchedulerWork) {
   const ScenarioResult r = run_campaign(config, obs::Session{});
   const auto after = counters();
 
+  // Algorithm 1's funnel over the three methods, stage by stage: a
+  // matcher that skips part of a candidate group must still count it.
+  static constexpr const char* kFunnel[] = {
+      "pandarus_match_candidates_scanned_total",
+      "pandarus_match_reject_taskid_total",
+      "pandarus_match_reject_attr_key_total",
+      "pandarus_match_reject_time_total",
+      "pandarus_match_candidates_accepted_total",
+      "pandarus_match_reject_size_sum_total",
+      "pandarus_match_reject_site_total",
+      "pandarus_match_jobs_no_file_rows_total",
+      "pandarus_match_jobs_no_candidates_total",
+      "pandarus_match_jobs_site_eliminated_total",
+      "pandarus_match_jobs_matched_total"};
+  const auto funnel = [] {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    std::array<std::uint64_t, std::size(kFunnel)> values{};
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = snap.counter_value(kFunnel[i]);
+    }
+    return values;
+  };
+  const auto funnel_before = funnel();
   const core::Matcher matcher(r.store);
   const core::TriMatchResult tri = core::run_all_methods(matcher);
+  const auto funnel_after = funnel();
   EXPECT_EQ(tri.exact.matched_job_count(), 115u);
   EXPECT_EQ(tri.rm1.matched_job_count(), 250u);
   EXPECT_EQ(tri.rm2.matched_job_count(), 274u);
+  constexpr std::array<std::uint64_t, std::size(kFunnel)> kFunnelDeltas = {
+      240'033, 193'512, 43'464, 384, 2'673, 201, 370, 6, 4'602, 129, 639};
+  for (std::size_t i = 0; i < kFunnelDeltas.size(); ++i) {
+    EXPECT_EQ(funnel_after[i] - funnel_before[i], kFunnelDeltas[i])
+        << kFunnel[i];
+  }
 
   EXPECT_EQ(r.events_processed, 25'451u);
   EXPECT_EQ(after[0] - before[0], 80'992u);  // scheduled
