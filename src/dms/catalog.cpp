@@ -131,7 +131,10 @@ bool ReplicaCatalog::has_space(RseId rse, std::uint64_t bytes) const {
 }
 
 bool ReplicaCatalog::add_replica(FileId file, RseId rse) {
-  if (by_file_.size() <= file) by_file_.resize(file + 1);
+  if (by_file_.size() <= file) {
+    by_file_.resize(file + 1);
+    disk_copies_.resize(file + 1);
+  }
   auto& list = by_file_[file];
   if (std::find(list.begin(), list.end(), rse) != list.end()) {
     return true;  // idempotent
@@ -140,7 +143,9 @@ bool ReplicaCatalog::add_replica(FileId file, RseId rse) {
   if (!has_space(rse, size)) return false;
   list.push_back(rse);
   ++total_;
-  rses_->rse_mutable(rse).used_bytes += size;
+  Rse& r = rses_->rse_mutable(rse);
+  r.used_bytes += size;
+  if (r.kind == RseKind::kDisk) ++disk_copies_[file];
   return true;
 }
 
@@ -154,6 +159,7 @@ bool ReplicaCatalog::remove_replica(FileId file, RseId rse) {
   Rse& r = rses_->rse_mutable(rse);
   const std::uint64_t size = files_->file(file).size_bytes;
   r.used_bytes = r.used_bytes >= size ? r.used_bytes - size : 0;
+  if (r.kind == RseKind::kDisk) --disk_copies_[file];
   return true;
 }
 

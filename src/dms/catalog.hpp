@@ -115,6 +115,14 @@ class ReplicaCatalog {
   [[nodiscard]] bool on_disk_at_site(FileId file, grid::SiteId site) const;
 
   [[nodiscard]] std::span<const RseId> replicas(FileId file) const;
+  /// Number of DISK RSEs holding the file: what a replication rule
+  /// counts.  Kept as replicas come and go (an RSE's kind never
+  /// changes), so reading it walks no replica list.
+  [[nodiscard]] std::uint32_t disk_copies(FileId file) const noexcept {
+    return file < disk_copies_.size() ? disk_copies_[file] : 0;
+  }
+  /// The registry the replicas' RSE ids index.
+  [[nodiscard]] const RseRegistry& rses() const noexcept { return *rses_; }
 
   /// Total bytes of `files` resident on disk at `site` — the quantity
   /// PanDA's data-locality brokerage maximizes.
@@ -128,6 +136,7 @@ class ReplicaCatalog {
   const FileCatalog* files_;
   RseRegistry* rses_;
   std::vector<std::vector<RseId>> by_file_;
+  std::vector<std::uint32_t> disk_copies_;  ///< parallel to by_file_
   std::size_t total_ = 0;
 };
 

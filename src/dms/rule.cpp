@@ -50,15 +50,10 @@ std::uint32_t RuleEngine::evaluate_once() {
     for (FileId file : catalog_.files_of(rule.dataset)) {
       if (submitted >= params_.max_transfers_per_pass) break;
 
-      // Count disk replicas and remember which target-tier sites already
-      // hold one so we do not place duplicates.
-      std::uint32_t disk_copies = 0;
-      for (RseId rse_id : replicas_.replicas(file)) {
-        if (rses_.rse(rse_id).kind == RseKind::kDisk) ++disk_copies;
-      }
-      if (disk_copies >= rule.copies) continue;
+      if (replicas_.disk_copies(file) >= rule.copies) continue;
 
-      // Pick a destination at the target tier that lacks the file.
+      // Pick a destination at the target tier that lacks the file, so
+      // we do not place duplicates.
       grid::SiteId dst = grid::kUnknownSite;
       const std::size_t offset = rng_.uniform_index(tier_sites.size());
       for (std::size_t k = 0; k < tier_sites.size(); ++k) {

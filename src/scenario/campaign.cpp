@@ -467,6 +467,9 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
     }
   }
   phase_span.emplace("campaign/post_process", "scenario");
+  // Corruption drops store rows, and the harvest below sets the armed
+  // memory peak: the recorder's row references go first.
+  recorder.release_file_cache();
 
   result.drained = scheduler.empty();
   result.transfers_in_flight = engine.in_flight();

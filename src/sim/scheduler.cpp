@@ -53,10 +53,43 @@ bool Scheduler::reschedule(EventHandle& handle, SimTime t) {
 }
 
 void Scheduler::push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
-  heap_.push_back(Entry{std::max(t, now_), seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry entry{std::max(t, now_), seq, slot};
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
   ev_scheduled_->inc();
   heap_size_->set(static_cast<std::int64_t>(heap_.size()));
+}
+
+Scheduler::Entry Scheduler::pop() {
+  const Entry top = heap_.front();
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return top;
+  // Sift the hole left at the root down along the earliest children,
+  // then drop the old last entry into it.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + kArity, size);
+    std::size_t child = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[child])) child = c;
+    }
+    if (!before(heap_[child], last)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = last;
+  return top;
 }
 
 void Scheduler::release(std::uint32_t slot) noexcept {
@@ -68,9 +101,7 @@ void Scheduler::release(std::uint32_t slot) noexcept {
 
 bool Scheduler::step() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry entry = heap_.back();
-    heap_.pop_back();
+    const Entry entry = pop();
     if (slots_[entry.slot].seq != entry.seq) {
       ev_cancelled_->inc();
       continue;

@@ -9,16 +9,19 @@
 //
 // Storage.  Callbacks live in a slab of reusable slots; each slot holds
 // one callback and the `seq` of its live heap entry, and an intrusive
-// free list recycles slots.  The heap is a vector of trivially copyable
-// {time, seq, slot} entries ordered by (time, seq), so the scheduler
-// allocates nothing to push, pop or move an event once the slab and heap
-// have grown to the campaign's working set, and reschedule() keeps the
-// callback it already holds.  Every push takes a fresh `seq`,
-// and an entry is live iff its slot still carries that `seq`: cancelling
-// or firing an event clears its slot, so a recycled slot never revives a
-// stale entry, and an `EventHandle` ({scheduler, slot, seq}) goes inert
-// the moment its event fires, is cancelled or is moved through another
-// copy of the handle.
+// free list recycles slots.  The heap is a 4-ary min-heap in a vector of
+// trivially copyable {time, seq, slot} entries ordered by (time, seq),
+// so the scheduler allocates nothing to push, pop or move an event once
+// the slab and heap have grown to the campaign's working set, and
+// reschedule() keeps the callback it already holds.  (time, seq) is a
+// total order, so the pop order does not depend on the heap's shape.
+// Four children per node halve the depth of a binary heap, and both
+// sifts move a hole rather than swap entries, writing the moving entry
+// once.  Every push takes a fresh `seq`, and an entry is live iff its
+// slot still carries that `seq`: cancelling or firing an event clears
+// its slot, so a recycled slot never revives a stale entry, and an
+// `EventHandle` ({scheduler, slot, seq}) goes inert the moment its event
+// fires, is cancelled or is moved through another copy of the handle.
 //
 // Cancelled entries are not removed from the heap; they are skipped,
 // and counted in `pandarus_sim_events_cancelled_total`, when popped.
@@ -35,6 +38,7 @@
 // handle's pointer stays valid for the scheduler's whole life.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -142,14 +146,12 @@ class Scheduler {
     std::uint32_t slot;
   };
   static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
-  /// std::push_heap/pop_heap build a max-heap; invert for earliest-first,
-  /// breaking ties by insertion sequence.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  /// Earliest first, ties broken by insertion sequence.
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  static constexpr std::size_t kArity = 4;
   static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct Slot {
@@ -159,6 +161,8 @@ class Scheduler {
   };
 
   void push(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  /// Removes and returns the earliest entry; the heap must not be empty.
+  Entry pop();
   /// Clears `slot` (dropping its callback's captures) and recycles it.
   void release(std::uint32_t slot) noexcept;
 

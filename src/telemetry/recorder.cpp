@@ -1,6 +1,7 @@
 #include "telemetry/recorder.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace pandarus::telemetry {
 
@@ -31,6 +32,26 @@ void Recorder::on_job_complete(const wms::Job& job) {
   record_file_rows(job);
 }
 
+FileSymbols Recorder::symbols(dms::FileId file, std::size_t next_row,
+                              bool is_transfer) {
+  if (file >= first_row_.size()) {
+    first_row_.resize(std::max<std::size_t>(file + 1, catalog_.file_count()),
+                      kUnrecorded);
+  }
+  std::uint32_t& first = first_row_[file];
+  if (first != kUnrecorded) {
+    const std::size_t row = first >> 1;
+    return (first & 1) != 0 ? FileSymbols::of(store_.transfers()[row])
+                            : FileSymbols::of(store_.files()[row]);
+  }
+  if (next_row >= kUnrecorded >> 1) {
+    throw std::length_error("Recorder: 2^31 rows in one record family");
+  }
+  first = static_cast<std::uint32_t>(next_row << 1) | (is_transfer ? 1 : 0);
+  return store_.intern({catalog_.lfn(file), catalog_.dataset_name(file),
+                        catalog_.proddblock(file), catalog_.scope(file)});
+}
+
 void Recorder::record_file_rows(const wms::Job& job) {
   auto emit = [&](dms::FileId f, FileDirection direction) {
     FileRecord row;
@@ -38,8 +59,7 @@ void Recorder::record_file_rows(const wms::Job& job) {
     row.jeditaskid = job.jeditaskid;
     row.file_size = catalog_.file(f).size_bytes;
     row.direction = direction;
-    store_.record_file(row, {catalog_.lfn(f), catalog_.dataset_name(f),
-                             catalog_.proddblock(f), catalog_.scope(f)});
+    store_.record_file(row, symbols(f, store_.files().size(), false));
   };
   for (dms::FileId f : job.input_files) emit(f, FileDirection::kInput);
   for (dms::FileId f : job.output_files) emit(f, FileDirection::kOutput);
@@ -86,9 +106,8 @@ void Recorder::on_transfer(const dms::TransferOutcome& outcome) {
     }
   }
 
-  const dms::FileId f = outcome.file;
-  store_.record_transfer(record, {catalog_.lfn(f), catalog_.dataset_name(f),
-                                  catalog_.proddblock(f), catalog_.scope(f)});
+  store_.record_transfer(
+      record, symbols(outcome.file, store_.transfers().size(), true));
 }
 
 }  // namespace pandarus::telemetry

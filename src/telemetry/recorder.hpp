@@ -11,7 +11,17 @@
 // destination site.  This is the paper's Fig. 12 / Table 3 pattern — a
 // transfer set with destination "UNKNOWN" whose files later get
 // re-transferred because the catalog never learned about the copy.
+//
+// A file's rows all carry the same five symbols.  The first row of a
+// file formats its names and interns them through the store, in the
+// order record_file(row, FileAttributes) would; every later row copies
+// the symbols from that first row.  Ids come out as if every row were
+// interned, and the per-file state is one 4-byte row reference, held
+// until release_file_cache().
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "dms/catalog.hpp"
 #include "dms/transfer.hpp"
@@ -48,13 +58,31 @@ class Recorder {
   /// Call on every transfer outcome (wire to TransferEngine::set_sink).
   void on_transfer(const dms::TransferOutcome& outcome);
 
+  /// Frees the per-file row references.  Call it before anything
+  /// removes or reorders the store's rows (corruption injection drops
+  /// some), and to return the memory once the simulation has drained.
+  /// A row recorded afterwards interns its names again: same ids.
+  void release_file_cache() noexcept {
+    first_row_ = std::vector<std::uint32_t>();
+  }
+
  private:
   void record_file_rows(const wms::Job& job);
+  /// The symbols of `file`'s rows.  `next_row` is where the row about
+  /// to be appended lands (`is_transfer` picks the family); a file's
+  /// first row is remembered there.
+  FileSymbols symbols(dms::FileId file, std::size_t next_row,
+                      bool is_transfer);
 
   MetadataStore& store_;
   const dms::FileCatalog& catalog_;
   util::Rng rng_;
   Params params_;
+  /// Per catalog file, its first row in the store: kUnrecorded, or
+  /// (row << 1 | is_transfer).  Valid while the store's rows are
+  /// neither removed nor reordered (see release_file_cache()).
+  static constexpr std::uint32_t kUnrecorded = ~std::uint32_t{0};
+  std::vector<std::uint32_t> first_row_;
 };
 
 }  // namespace pandarus::telemetry

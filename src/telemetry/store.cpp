@@ -7,28 +7,40 @@ void MetadataStore::record_job(JobRecord record) {
   jobs_.push_back(std::move(record));
 }
 
-template <typename Record>
-void MetadataStore::intern_attributes(Record& record,
-                                      const FileAttributes& attributes) {
-  record.lfn_sym = symbols_.intern(attributes.lfn);
-  record.dataset_sym = symbols_.intern(attributes.dataset);
-  record.proddblock_sym = symbols_.intern(attributes.proddblock);
-  record.scope_sym = symbols_.intern(attributes.scope);
-  const util::Symbol pair = attr_pairs_.intern(
-      util::pack_symbols(record.dataset_sym, record.proddblock_sym));
-  record.attr_sym =
-      attr_triples_.intern(util::pack_symbols(pair, record.scope_sym));
+FileSymbols MetadataStore::intern(const FileAttributes& attributes) {
+  FileSymbols out;
+  out.lfn = symbols_.intern(attributes.lfn);
+  out.dataset = symbols_.intern(attributes.dataset);
+  out.proddblock = symbols_.intern(attributes.proddblock);
+  out.scope = symbols_.intern(attributes.scope);
+  const util::Symbol pair =
+      attr_pairs_.intern(util::pack_symbols(out.dataset, out.proddblock));
+  out.attr = attr_triples_.intern(util::pack_symbols(pair, out.scope));
+  return out;
 }
 
+namespace {
+
+template <typename Record>
+void set_symbols(Record& record, const FileSymbols& symbols) {
+  record.lfn_sym = symbols.lfn;
+  record.dataset_sym = symbols.dataset;
+  record.proddblock_sym = symbols.proddblock;
+  record.scope_sym = symbols.scope;
+  record.attr_sym = symbols.attr;
+}
+
+}  // namespace
+
 void MetadataStore::record_file(FileRecord record,
-                                const FileAttributes& attributes) {
-  intern_attributes(record, attributes);
+                                const FileSymbols& symbols) {
+  set_symbols(record, symbols);
   files_.push_back(record);
 }
 
 void MetadataStore::record_transfer(TransferRecord record,
-                                    const FileAttributes& attributes) {
-  intern_attributes(record, attributes);
+                                    const FileSymbols& symbols) {
+  set_symbols(record, symbols);
   transfers_.push_back(record);
 }
 

@@ -4,13 +4,14 @@
 // records by (pandaid, jeditaskid), transfers by lfn) are built on
 // demand by the core module;
 // the store itself stays a dumb, faithful record base — plus one symbol
-// table, the only copy of the records' strings.  record_file and
-// record_transfer intern the string attributes (lfn, dataset,
-// proddblock, scope) to dense ids and the (dataset, proddblock, scope)
-// triple to one attr_sym, so the core's MatchIndex can group and
-// compare records with integer keys only; attributes() reads the
-// strings back.  Every member is a value, so a copy of a store is
-// independent of its source.
+// table, the only copy of the records' strings.  intern() maps the
+// string attributes (lfn, dataset, proddblock, scope) to dense ids and
+// the (dataset, proddblock, scope) triple to one attr_sym, so the
+// core's MatchIndex can group and compare records with integer keys
+// only; attributes() reads the strings back.  A writer that already
+// holds a row's symbols (the Recorder, on a file's later rows) appends
+// it without interning again.  Every member is a value, so a copy of a
+// store is independent of its source.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +33,43 @@ struct FileAttributes {
   std::string_view scope;
 };
 
+/// The symbol fields of one file or transfer row.
+struct FileSymbols {
+  util::Symbol lfn = util::kNoSymbol;
+  util::Symbol dataset = util::kNoSymbol;
+  util::Symbol proddblock = util::kNoSymbol;
+  util::Symbol scope = util::kNoSymbol;
+  /// The interned (dataset, proddblock, scope) triple.
+  util::Symbol attr = util::kNoSymbol;
+
+  /// A stored row's symbols.
+  template <typename Record>
+  [[nodiscard]] static FileSymbols of(const Record& record) noexcept {
+    return {record.lfn_sym, record.dataset_sym, record.proddblock_sym,
+            record.scope_sym, record.attr_sym};
+  }
+};
+
 class MetadataStore {
  public:
   void record_job(JobRecord record);
-  /// Appends the row with its symbol fields set from `attributes`,
-  /// interned in lfn, dataset, proddblock, scope order.  The views must
-  /// not point into this store's symbols(): interning may move them.
-  void record_file(FileRecord record, const FileAttributes& attributes);
+  /// The symbols of `attributes`, interned in lfn, dataset, proddblock,
+  /// scope order, then the triple.  The views must not point into this
+  /// store's symbols(): interning may move them.
+  FileSymbols intern(const FileAttributes& attributes);
+  /// Appends the row with its symbol fields set to `symbols`, which
+  /// this store's intern() returned.
+  void record_file(FileRecord record, const FileSymbols& symbols);
+  void record_transfer(TransferRecord record, const FileSymbols& symbols);
+  /// record_file(record, intern(attributes)).
+  void record_file(FileRecord record, const FileAttributes& attributes) {
+    record_file(record, intern(attributes));
+  }
+  /// record_transfer(record, intern(attributes)).
   void record_transfer(TransferRecord record,
-                       const FileAttributes& attributes);
+                       const FileAttributes& attributes) {
+    record_transfer(record, intern(attributes));
+  }
 
   /// Backfills the final task status on every job record of the task
   /// (job records are written at job completion, before their task
@@ -65,7 +94,7 @@ class MetadataStore {
   }
 
   /// The strings behind a row's symbols (a row of this store).  Views
-  /// into symbols(): valid until the next record_file/record_transfer.
+  /// into symbols(): valid until the next intern().
   template <typename Record>
   [[nodiscard]] FileAttributes attributes(const Record& record) const noexcept {
     return {symbols_.view(record.lfn_sym), symbols_.view(record.dataset_sym),
@@ -95,10 +124,6 @@ class MetadataStore {
   [[nodiscard]] Counts counts() const noexcept;
 
  private:
-  /// Sets the record's symbol fields from this store's interner.
-  template <typename Record>
-  void intern_attributes(Record& record, const FileAttributes& attributes);
-
   std::vector<JobRecord> jobs_;
   std::vector<FileRecord> files_;
   std::vector<TransferRecord> transfers_;

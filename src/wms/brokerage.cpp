@@ -24,14 +24,29 @@ Brokerage::Brokerage(const grid::Topology& topology,
       replicas_(&replicas),
       params_(params) {}
 
-double Brokerage::locality_bytes(const Job& job, grid::SiteId site) const {
-  double bytes = 0.0;
+std::vector<double> Brokerage::resident_bytes(const Job& job) const {
+  const std::size_t n_sites = topology_->sites().size();
+  std::vector<double> bytes(n_sites, 0.0);
+  // Per file: 2 where a DISK RSE at the site holds it, 1 where only
+  // tape does.  Cleared as each site takes the file's bytes, so a site
+  // holding several copies counts the file once.
+  std::vector<std::uint8_t> held(n_sites, 0);
+  const dms::RseRegistry& rses = replicas_->rses();
   for (dms::FileId f : job.input_files) {
+    const auto copies = replicas_->replicas(f);
+    for (dms::RseId id : copies) {
+      const dms::Rse& rse = rses.rse(id);
+      if (rse.site >= n_sites) continue;
+      const std::uint8_t kind = rse.kind == dms::RseKind::kDisk ? 2 : 1;
+      held[rse.site] = std::max(held[rse.site], kind);
+    }
     const auto size = static_cast<double>(catalog_->file(f).size_bytes);
-    if (replicas_->on_disk_at_site(f, site)) {
-      bytes += size;
-    } else if (replicas_->resident_at_site(f, site)) {
-      bytes += params_.tape_locality_weight * size;
+    for (dms::RseId id : copies) {
+      const grid::SiteId site = rses.rse(id).site;
+      if (site >= n_sites || held[site] == 0) continue;
+      bytes[site] +=
+          held[site] == 2 ? size : params_.tape_locality_weight * size;
+      held[site] = 0;
     }
   }
   return bytes;
@@ -49,12 +64,14 @@ bool Brokerage::eligible(const grid::Site& site, const Job& job) const {
 grid::SiteId Brokerage::choose_site(const Job& job, const SiteQueues& queues,
                                     util::Rng& rng,
                                     obs::FlowTracker* flows) const {
+  const std::vector<double> resident = resident_bytes(job);
   std::int64_t scored = 0;
-  grid::SiteId best = pick(job, queues, rng, /*skip_down_sites=*/true, &scored);
+  grid::SiteId best =
+      pick(job, queues, rng, /*skip_down_sites=*/true, resident, scored);
   if (best == grid::kUnknownSite) {
     // Every eligible site is inside an outage window: assign anyway
     // (the job queues at a dead site, as it would in production).
-    best = pick(job, queues, rng, /*skip_down_sites=*/false, &scored);
+    best = pick(job, queues, rng, /*skip_down_sites=*/false, resident, scored);
   }
   assert(best != grid::kUnknownSite);
   if (flows != nullptr) {
@@ -65,10 +82,11 @@ grid::SiteId Brokerage::choose_site(const Job& job, const SiteQueues& queues,
 
 grid::SiteId Brokerage::pick(const Job& job, const SiteQueues& queues,
                              util::Rng& rng, bool skip_down_sites,
-                             std::int64_t* scored) const {
+                             std::span<const double> resident,
+                             std::int64_t& scored) const {
   grid::SiteId best = grid::kUnknownSite;
   double best_score = -1e300;
-  if (scored != nullptr) *scored = 0;
+  scored = 0;
 
   for (const grid::Site& site : topology_->sites()) {
     if (!eligible(site, job)) continue;
@@ -76,7 +94,7 @@ grid::SiteId Brokerage::pick(const Job& job, const SiteQueues& queues,
         injector_->site_down(site.id)) {
       continue;
     }
-    if (scored != nullptr) ++*scored;
+    ++scored;
 
     double score = 0.0;
     switch (params_.policy) {
@@ -86,12 +104,11 @@ grid::SiteId Brokerage::pick(const Job& job, const SiteQueues& queues,
         // pass, but staying at the archive site still beats a WAN pull).
         // Secondary: break ties toward idle capacity so fully resident
         // datasets spread over their replica holders.
-        const double resident = locality_bytes(job, site.id);
         const double idle_frac =
             1.0 - std::min(1.0, static_cast<double>(queues.running(site.id) +
                                                     queues.queued(site.id)) /
                                     static_cast<double>(site.cpu_slots));
-        score = resident + idle_frac * 1e3;  // bytes dominate
+        score = resident[site.id] + idle_frac * 1e3;  // bytes dominate
         break;
       }
       case BrokeragePolicy::kLoadAware: {
@@ -99,7 +116,7 @@ grid::SiteId Brokerage::pick(const Job& job, const SiteQueues& queues,
         break;
       }
       case BrokeragePolicy::kHybrid: {
-        const double resident_gb = locality_bytes(job, site.id) / 1e9;
+        const double resident_gb = resident[site.id] / 1e9;
         score = resident_gb * params_.wait_per_gb_ms -
                 queues.estimated_wait_ms(site.id);
         break;

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "dms/catalog.hpp"
 #include "fault/injector.hpp"
@@ -65,13 +67,17 @@ class Brokerage {
 
  private:
   [[nodiscard]] bool eligible(const grid::Site& site, const Job& job) const;
-  /// `scored` (optional) receives the number of candidate sites scored.
+  /// Locality score in bytes of every site, indexed by SiteId: disk
+  /// replicas at full weight, tape-only residency discounted by
+  /// tape_locality_weight.  One walk over each input file's replicas;
+  /// each site's bytes are summed in input-file order.
+  [[nodiscard]] std::vector<double> resident_bytes(const Job& job) const;
+  /// `resident` is resident_bytes(job); `scored` receives the number of
+  /// candidate sites scored.
   [[nodiscard]] grid::SiteId pick(const Job& job, const SiteQueues& queues,
                                   util::Rng& rng, bool skip_down_sites,
-                                  std::int64_t* scored = nullptr) const;
-  /// Locality score in bytes: disk replicas at full weight, tape-only
-  /// residency discounted by tape_locality_weight.
-  [[nodiscard]] double locality_bytes(const Job& job, grid::SiteId site) const;
+                                  std::span<const double> resident,
+                                  std::int64_t& scored) const;
 
   const grid::Topology* topology_;
   const dms::FileCatalog* catalog_;

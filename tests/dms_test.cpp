@@ -167,6 +167,50 @@ TEST(ReplicaCatalog, AddRemoveQuery) {
   EXPECT_FALSE(w.replicas.on_disk_at_site(f, w.t0));
 }
 
+/// The rule engine reads disk_copies() instead of walking the replica
+/// list, so the count must follow every add and remove exactly.
+TEST(ReplicaCatalog, DiskCopiesFollowAddAndRemove) {
+  World w;
+  w.rses.rse_mutable(w.t2_disk).capacity_bytes = 150;
+  const DatasetId ds = w.catalog.create_dataset("mc23", "d");
+  const FileId f = w.catalog.add_file(ds, 100);
+  const FileId big = w.catalog.add_file(ds, 200);
+  const auto walked = [&](FileId file) {
+    std::uint32_t n = 0;
+    for (RseId r : w.replicas.replicas(file)) {
+      n += w.rses.rse(r).kind == RseKind::kDisk;
+    }
+    return n;
+  };
+  EXPECT_EQ(w.replicas.disk_copies(f), 0u);
+  EXPECT_EQ(w.replicas.disk_copies(9'999), 0u);  // never seen
+  // A DISK and a TAPE RSE at one site: only the disk copy counts.
+  EXPECT_TRUE(w.replicas.add_replica(f, w.t0_tape));
+  EXPECT_EQ(w.replicas.disk_copies(f), 0u);
+  EXPECT_TRUE(w.replicas.add_replica(f, w.t0_disk));
+  EXPECT_EQ(w.replicas.disk_copies(f), 1u);
+  EXPECT_TRUE(w.replicas.add_replica(f, w.t0_disk));  // idempotent
+  EXPECT_EQ(w.replicas.disk_copies(f), 1u);
+  EXPECT_TRUE(w.replicas.add_replica(f, w.t1_disk));
+  EXPECT_EQ(w.replicas.disk_copies(f), 2u);
+  // A quota-rejected add changes nothing.
+  EXPECT_FALSE(w.replicas.add_replica(big, w.t2_disk));
+  EXPECT_EQ(w.replicas.disk_copies(big), 0u);
+  // Removing an absent replica changes nothing; a present one counts.
+  EXPECT_FALSE(w.replicas.remove_replica(f, w.t2_disk));
+  EXPECT_FALSE(w.replicas.remove_replica(9'999, w.t0_disk));
+  EXPECT_EQ(w.replicas.disk_copies(f), 2u);
+  EXPECT_TRUE(w.replicas.remove_replica(f, w.t0_tape));
+  EXPECT_EQ(w.replicas.disk_copies(f), 2u);
+  EXPECT_TRUE(w.replicas.remove_replica(f, w.t0_disk));
+  EXPECT_EQ(w.replicas.disk_copies(f), 1u);
+  EXPECT_FALSE(w.replicas.remove_replica(f, w.t0_disk));
+  EXPECT_EQ(w.replicas.disk_copies(f), 1u);
+  for (FileId file : {f, big, FileId{9'999}}) {
+    EXPECT_EQ(w.replicas.disk_copies(file), walked(file)) << file;
+  }
+}
+
 TEST(ReplicaCatalog, BytesOnDiskAtSite) {
   World w;
   const DatasetId ds = w.catalog.create_dataset("mc23", "d");

@@ -9,11 +9,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "analysis/event_source.hpp"
 #include "analysis/events_replay.hpp"
@@ -59,16 +62,20 @@ void write_file(const std::string& path, std::string_view bytes) {
 }
 
 /// Small synthetic stream (a few hundred lines, ~10 chunks as colstore)
-/// for the dense every-offset fuzz; built once.
+/// for the dense every-offset fuzz; built once.  Its colstore lives in
+/// the temp directory under a per-process name and goes at exit.
 struct SyntheticStream {
   std::string ndjson;
-  std::string colstore_path = "recovery_synth.pcol";
+  TempFile colstore{(std::filesystem::temp_directory_path() /
+                     ("recovery_synth." + std::to_string(::getpid()) +
+                      ".pcol"))
+                        .string()};
   std::uint64_t events = 0;
 };
 
 const SyntheticStream& synthetic() {
-  static const SyntheticStream* stream = [] {
-    auto* s = new SyntheticStream;
+  static const std::unique_ptr<SyntheticStream> stream = [] {
+    auto s = std::make_unique<SyntheticStream>();
     obs::EventLog log;
     for (int i = 0; i < 600; ++i) {
       log.emit(obs::Event("synthetic", i, std::int64_t{i})
@@ -84,7 +91,7 @@ const SyntheticStream& synthetic() {
     // does rather than through the log's default-sized sink.
     obs::ColWriterOptions options;
     options.rows_per_chunk = 64;
-    obs::ColWriter writer(s->colstore_path, options);
+    obs::ColWriter writer(s->colstore.path(), options);
     std::istringstream in(s->ndjson);
     std::string line;
     while (std::getline(in, line)) writer.append_ndjson_line(line);
@@ -168,7 +175,7 @@ TEST(RecoveryTest, NdjsonEveryTornOffset) {
 
 TEST(RecoveryTest, ColstoreEveryTornOffset) {
   const SyntheticStream& s = synthetic();
-  const std::string bytes = read_file(s.colstore_path);
+  const std::string bytes = read_file(s.colstore.path());
   ASSERT_GT(bytes.size(), 12u);
   TempFile torn("recovery_torn.pcol");
   // Every cut inside the 12-byte file header, then the final 4 KiB at
@@ -227,7 +234,7 @@ TEST(RecoveryTest, ShortFileThatIsNoHeaderPrefixIsNotAColstore) {
 
 TEST(RecoveryTest, ColstoreTornTailIsHardErrorWithoutRecover) {
   const SyntheticStream& s = synthetic();
-  const std::string bytes = read_file(s.colstore_path);
+  const std::string bytes = read_file(s.colstore.path());
   TempFile torn("recovery_torn_strict.pcol");
   write_file(torn.path(),
              std::string_view(bytes.data(), bytes.size() - 7));
@@ -264,7 +271,7 @@ TEST(RecoveryTest, RecoverNdjsonFileInPlaceAndToNewPath) {
 
 TEST(RecoveryTest, RecoverColstoreFileDropsTornChunk) {
   const SyntheticStream& s = synthetic();
-  const std::string bytes = read_file(s.colstore_path);
+  const std::string bytes = read_file(s.colstore.path());
   TempFile damaged("recovery_damaged.pcol");
   TempFile repaired("recovery_repaired.pcol");
   write_file(damaged.path(),

@@ -14,6 +14,8 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/campaign.hpp"
+#include "telemetry/io.hpp"
+#include "util/crc32.hpp"
 
 namespace pandarus::scenario {
 namespace {
@@ -172,6 +174,25 @@ TEST(Campaign, SmallCampaignPinsMatchedJobsAndSchedulerWork) {
   EXPECT_EQ(after[0] - before[0], 80'992u);  // scheduled
   EXPECT_EQ(after[1] - before[1], 55'541u);  // cancelled
   EXPECT_EQ(after[2] - before[2], 62'809u);  // finish-time updates
+}
+
+/// The simulator's output, byte for byte: the same 1-day seed-7 campaign
+/// recorded into an in-memory event log, and its store.  A change that
+/// only makes the simulator faster leaves all four values alone.  A
+/// deliberate behaviour change re-pins them, and its CHANGES.md entry
+/// says why they moved.
+TEST(Campaign, SmallCampaignPinsStreamAndStoreBytes) {
+  ScenarioConfig config = ScenarioConfig::small();
+  config.days = 1.0;
+  config.seed = 7;
+  obs::EventLog log;
+  const ScenarioResult r = run_campaign(config, {.events = &log});
+  log.close();
+  const std::string ndjson = log.to_ndjson();
+  EXPECT_EQ(std::count(ndjson.begin(), ndjson.end(), '\n'), 63'224);
+  EXPECT_EQ(ndjson.size(), 12'011'957u);
+  EXPECT_EQ(util::crc32(ndjson), 1'435'153'810u);
+  EXPECT_EQ(telemetry::store_digest(r.store), 11'016'172'846'698'577'215u);
 }
 
 /// A campaign's stream depends on its config alone.  Matching advances

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <random>
 #include <utility>
 #include <vector>
@@ -340,6 +342,194 @@ TEST(Scheduler, RescheduleMatchesCancelPlusScheduleAt) {
     EXPECT_EQ(a.s.queued_count(), 0u);
     EXPECT_GT(moves, 500u) << moves;
     EXPECT_GT(a.fired.size(), 1000u);
+  }
+}
+
+/// The scheduler's documented semantics, modelled the plain way: a
+/// std::priority_queue of (time, seq) entries with lazy deletion.  An
+/// event is live while `live_seq[id]` names the seq of one of its
+/// entries; cancelling or moving it leaves the old entry queued, to be
+/// skipped (and counted) when it reaches the top.
+class ReferenceScheduler {
+ public:
+  static constexpr std::uint64_t kDead = ~std::uint64_t{0};
+
+  std::size_t schedule_at(SimTime t) {
+    live_seq.push_back(kDead);
+    push(live_seq.size() - 1, t);
+    return live_seq.size() - 1;
+  }
+  std::size_t schedule_after(SimDuration delay) {
+    return schedule_at(now + std::max<SimDuration>(delay, 0));
+  }
+  bool cancel(std::size_t id) {
+    if (live_seq[id] == kDead) return false;
+    live_seq[id] = kDead;
+    return true;
+  }
+  bool reschedule(std::size_t id, SimTime t) {
+    if (live_seq[id] == kDead) return false;
+    push(id, t);
+    return true;
+  }
+  bool step() {
+    while (!queue_.empty()) {
+      const Entry top = queue_.top();
+      queue_.pop();
+      if (live_seq[top.id] != top.seq) {
+        ++cancelled;
+        continue;
+      }
+      now = top.time;
+      live_seq[top.id] = kDead;
+      ++fired_count;
+      fire(top.id);
+      return true;
+    }
+    return false;
+  }
+  void run_until(SimTime t) {
+    while (!queue_.empty() && queue_.top().time <= t) {
+      if (!step()) break;
+    }
+    now = std::max(now, t);
+  }
+  [[nodiscard]] std::size_t queued() const { return queue_.size(); }
+
+  SimTime now = 0;
+  std::vector<std::uint64_t> live_seq;
+  std::vector<std::size_t> fired;
+  std::uint64_t scheduled = 0;
+  std::uint64_t fired_count = 0;
+  std::uint64_t cancelled = 0;
+
+ private:
+  struct Entry {
+    SimTime time;
+    std::uint64_t seq;
+    std::size_t id;
+    bool operator>(const Entry& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
+    }
+  };
+  void push(std::size_t id, SimTime t) {
+    live_seq[id] = next_seq_;
+    queue_.push(Entry{std::max(t, now), next_seq_++, id});
+    ++scheduled;
+  }
+  /// What every event does when it fires, as SchedulerUnderTest's
+  /// callbacks do: record its id, and every fourth schedules a follow-up
+  /// at the current time, which must fire after everything queued there.
+  void fire(std::size_t id) {
+    fired.push_back(id);
+    if (id % 4 == 0) schedule_after(0);
+  }
+
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+};
+
+/// The Scheduler side of the differential test; event ids are assigned
+/// in creation order, as ReferenceScheduler assigns them.
+class SchedulerUnderTest {
+ public:
+  std::size_t schedule_at(SimTime t) {
+    handles_.emplace_back();
+    const std::size_t id = handles_.size() - 1;
+    handles_[id] = s.schedule_at(t, callback(id));
+    return id;
+  }
+  std::size_t schedule_after(SimDuration delay) {
+    handles_.emplace_back();
+    const std::size_t id = handles_.size() - 1;
+    handles_[id] = s.schedule_after(delay, callback(id));
+    return id;
+  }
+  bool cancel(std::size_t id) { return handles_[id].cancel(); }
+  bool reschedule(std::size_t id, SimTime t) {
+    return s.reschedule(handles_[id], t);
+  }
+  [[nodiscard]] std::size_t size() const { return handles_.size(); }
+
+  Scheduler s;
+  std::vector<std::size_t> fired;
+
+ private:
+  Scheduler::Callback callback(std::size_t id) {
+    return [this, id] {
+      fired.push_back(id);
+      if (id % 4 == 0) schedule_after(0);
+    };
+  }
+
+  std::vector<Scheduler::EventHandle> handles_;
+};
+
+TEST(Scheduler, MatchesReferenceModelOnRandomOperations) {
+  const auto counter = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  const auto counters = [&] {
+    return std::array<std::uint64_t, 3>{
+        counter("pandarus_sim_events_scheduled_total"),
+        counter("pandarus_sim_events_fired_total"),
+        counter("pandarus_sim_events_cancelled_total")};
+  };
+  for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    SchedulerUnderTest real;
+    ReferenceScheduler ref;
+    std::mt19937_64 rng(seed);
+    const auto base = counters();
+    std::size_t checks = 0;
+    const auto check = [&] {
+      ++checks;
+      ASSERT_EQ(real.fired, ref.fired) << "seed " << seed;
+      ASSERT_EQ(real.s.now(), ref.now);
+      ASSERT_EQ(real.s.queued_count(), ref.queued());
+      ASSERT_EQ(real.s.empty(), ref.queued() == 0);
+      const auto now = counters();
+      ASSERT_EQ(now[0] - base[0], ref.scheduled);
+      ASSERT_EQ(now[1] - base[1], ref.fired_count);
+      ASSERT_EQ(now[2] - base[2], ref.cancelled);
+    };
+    SimTime horizon = 0;
+    for (int op = 0; op < 10'000; ++op) {
+      // A narrow time range, so many entries tie on time, and some
+      // times fall before now() (both sides clamp them).
+      const SimTime t = horizon + static_cast<SimTime>(rng() % 24) - 6;
+      const std::uint64_t kind = rng() % 16;
+      // Mostly recent ids, so most cancels and moves hit a pending event.
+      const std::size_t recent = std::min<std::size_t>(real.size(), 48);
+      const std::size_t id =
+          recent == 0 ? 0 : real.size() - 1 - rng() % recent;
+      if (kind < 4 || real.size() == 0) {
+        ASSERT_EQ(real.schedule_at(t), ref.schedule_at(t));
+      } else if (kind < 6) {
+        const SimDuration delay = static_cast<SimDuration>(rng() % 12) - 3;
+        ASSERT_EQ(real.schedule_after(delay), ref.schedule_after(delay));
+      } else if (kind < 8) {
+        ASSERT_EQ(real.cancel(id), ref.cancel(id));
+      } else if (kind < 12) {
+        ASSERT_EQ(real.reschedule(id, t), ref.reschedule(id, t));
+      } else if (kind < 15) {
+        ASSERT_EQ(real.s.step(), ref.step());
+        check();
+      } else {
+        horizon += static_cast<SimTime>(rng() % 8);
+        real.s.run_until(horizon);
+        ref.run_until(horizon);
+        check();
+      }
+      if (HasFatalFailure()) return;
+    }
+    real.s.run();
+    while (ref.step()) {
+    }
+    check();
+    EXPECT_EQ(ref.queued(), 0u);
+    EXPECT_GT(ref.cancelled, 500u);
+    EXPECT_GT(ref.fired.size(), 2'000u);
+    EXPECT_GT(checks, 2'000u);
   }
 }
 

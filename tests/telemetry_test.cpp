@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "telemetry/corruption.hpp"
@@ -247,6 +248,118 @@ TEST(Recorder, ProductionJobsSkippedByDefault) {
   EXPECT_EQ(fx.store.jobs().size(), 1u);
   EXPECT_EQ(fx.store.files().size(), 1u);
   EXPECT_EQ(fx.store.files()[0].direction, FileDirection::kInput);
+}
+
+/// The Recorder interns a file's names on its first row and copies the
+/// symbols onto its later rows.  A second store fed the same rows
+/// through record_*(row, FileAttributes), which interns every row's
+/// names, must come out identical: equal digests and equal symbol ids,
+/// also across a release_file_cache().
+TEST(Recorder, CachedSymbolsMatchInterningEveryRow) {
+  dms::FileCatalog catalog;
+  util::Rng rng(4242);
+  std::vector<dms::FileId> files;
+  const auto add_dataset = [&](std::string scope, std::string name) {
+    const dms::DatasetId ds = catalog.create_dataset(scope, name);
+    for (std::size_t k = 3 + rng.uniform_index(25); k > 0; --k) {
+      files.push_back(catalog.add_file(ds, 1 + rng.uniform_index(1 << 30)));
+    }
+  };
+  add_dataset("mc23", "first.ds");
+  add_dataset("data24", "second.ds");
+
+  MetadataStore cached;
+  Recorder recorder(cached, catalog, util::Rng(9), Recorder::Params{});
+  MetadataStore interned;
+  const auto intern_row = [&](const auto& row, dms::FileId f) {
+    const std::string lfn = catalog.lfn(f);
+    const std::string block = catalog.proddblock(f);
+    const FileAttributes names{lfn, catalog.dataset_name(f), block,
+                               catalog.scope(f)};
+    if constexpr (std::is_same_v<std::decay_t<decltype(row)>, FileRecord>) {
+      interned.record_file(row, names);
+    } else {
+      interned.record_transfer(row, names);
+    }
+  };
+  const auto pick = [&] { return files[rng.uniform_index(files.size())]; };
+
+  for (std::int64_t step = 1; step <= 3'000; ++step) {
+    const std::size_t what = rng.uniform_index(20);
+    if (step == 2'000) {
+      // Rows after a release intern their names again: same ids.
+      recorder.release_file_cache();
+    }
+    if (what == 0) {
+      // The catalog grows while the recorder runs (production output).
+      add_dataset("user.grow", "grown.ds." + std::to_string(step));
+    } else if (what < 7) {
+      wms::Job job;
+      job.pandaid = step;
+      job.jeditaskid = step % 17;
+      job.kind = what == 1 ? wms::JobKind::kProduction
+                           : wms::JobKind::kUserAnalysis;
+      for (std::size_t k = rng.uniform_index(6); k > 0; --k) {
+        job.input_files.push_back(pick());
+      }
+      for (std::size_t k = rng.uniform_index(3); k > 0; --k) {
+        job.output_files.push_back(pick());
+      }
+      const std::size_t jobs_before = cached.jobs().size();
+      std::size_t row = cached.files().size();
+      recorder.on_job_complete(job);
+      if (cached.jobs().size() == jobs_before) continue;
+      interned.record_job(cached.jobs().back());
+      for (const auto* list : {&job.input_files, &job.output_files}) {
+        for (dms::FileId f : *list) intern_row(cached.files()[row++], f);
+      }
+      ASSERT_EQ(row, cached.files().size());
+    } else if (what == 7) {
+      wms::Task task;
+      task.jeditaskid = step % 17;
+      task.status = wms::TaskStatus::kDone;
+      recorder.on_task_complete(task);
+      interned.finalize_task(task.jeditaskid, task.status);
+    } else {
+      dms::TransferOutcome o;
+      o.transfer_id = static_cast<std::uint64_t>(step);
+      o.file = pick();
+      o.size_bytes = catalog.file(o.file).size_bytes;
+      o.src = 0;
+      o.dst = 1;
+      o.activity = static_cast<dms::Activity>(
+          rng.uniform_index(dms::kActivityCount));
+      o.pandaid = step % 29;
+      o.finished_at = 50;
+      o.success = rng.bernoulli(0.9);
+      o.replica_registered = rng.bernoulli(0.8);
+      recorder.on_transfer(o);
+      intern_row(cached.transfers().back(), o.file);
+    }
+  }
+
+  ASSERT_GT(cached.files().size(), 1'000u);
+  ASSERT_GT(cached.transfers().size(), 1'000u);
+  EXPECT_EQ(store_digest(cached), store_digest(interned));
+  ASSERT_EQ(cached.symbols().size(), interned.symbols().size());
+  for (std::size_t id = 0; id < cached.symbols().size(); ++id) {
+    ASSERT_EQ(cached.symbols().view(static_cast<util::Symbol>(id)),
+              interned.symbols().view(static_cast<util::Symbol>(id)));
+  }
+  const auto same_symbols = [](const auto& a, const auto& b) {
+    return a.lfn_sym == b.lfn_sym && a.dataset_sym == b.dataset_sym &&
+           a.proddblock_sym == b.proddblock_sym &&
+           a.scope_sym == b.scope_sym && a.attr_sym == b.attr_sym;
+  };
+  ASSERT_EQ(cached.files().size(), interned.files().size());
+  for (std::size_t i = 0; i < cached.files().size(); ++i) {
+    ASSERT_TRUE(same_symbols(cached.files()[i], interned.files()[i])) << i;
+  }
+  ASSERT_EQ(cached.transfers().size(), interned.transfers().size());
+  for (std::size_t i = 0; i < cached.transfers().size(); ++i) {
+    ASSERT_TRUE(same_symbols(cached.transfers()[i], interned.transfers()[i]))
+        << i;
+  }
 }
 
 TEST(Corruption, ChannelsAreCountedAndBounded) {

@@ -3,7 +3,10 @@
 // PandaServer, staging behaviour and error injection.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dms/rule.hpp"
+#include "fault/injector.hpp"
 #include "grid/builder.hpp"
 #include "sim/scheduler.hpp"
 #include "wms/brokerage.hpp"
@@ -216,6 +219,163 @@ TEST(Brokerage, ProductionExcludedFromT3) {
   Job j = make_job(w, 1, 10, 0);
   j.kind = JobKind::kProduction;
   EXPECT_NE(broker.choose_site(j, queues, rng), t3_id);
+}
+
+/// Brokerage as it scored sites before it built one resident-bytes
+/// array per job: for every candidate site, a walk over every input
+/// file's replicas.  Mirrors Brokerage::pick, jitter draws included.
+grid::SiteId reference_pick(const World& w, const Brokerage::Params& params,
+                            const Job& job, const SiteQueues& queues,
+                            util::Rng& rng, const fault::Injector* injector) {
+  const auto locality = [&](grid::SiteId site) {
+    double bytes = 0.0;
+    for (dms::FileId f : job.input_files) {
+      const auto size = static_cast<double>(w.catalog.file(f).size_bytes);
+      if (w.replicas.on_disk_at_site(f, site)) {
+        bytes += size;
+      } else if (w.replicas.resident_at_site(f, site)) {
+        bytes += params.tape_locality_weight * size;
+      }
+    }
+    return bytes;
+  };
+  for (const bool skip_down : {true, false}) {
+    grid::SiteId best = grid::kUnknownSite;
+    double best_score = -1e300;
+    for (const grid::Site& site : w.topo.sites()) {
+      if (site.cpu_slots == 0) continue;
+      if (job.kind == JobKind::kProduction && params.production_excludes_t3 &&
+          site.tier == grid::Tier::kT3) {
+        continue;
+      }
+      if (skip_down && injector != nullptr && injector->site_down(site.id)) {
+        continue;
+      }
+      double score = 0.0;
+      switch (params.policy) {
+        case BrokeragePolicy::kDataLocality:
+          score = locality(site.id) +
+                  (1.0 - std::min(1.0, static_cast<double>(
+                                           queues.running(site.id) +
+                                           queues.queued(site.id)) /
+                                           static_cast<double>(
+                                               site.cpu_slots))) *
+                      1e3;
+          break;
+        case BrokeragePolicy::kLoadAware:
+          score = -queues.estimated_wait_ms(site.id);
+          break;
+        case BrokeragePolicy::kHybrid:
+          score = locality(site.id) / 1e9 * params.wait_per_gb_ms -
+                  queues.estimated_wait_ms(site.id);
+          break;
+      }
+      score += rng.next_double() * 1e-3;
+      if (score > best_score) {
+        best_score = score;
+        best = site.id;
+      }
+    }
+    if (best != grid::kUnknownSite) return best;
+  }
+  return grid::kUnknownSite;
+}
+
+TEST(Brokerage, ChoiceMatchesPerSiteReplicaWalkOnRandomCatalog) {
+  World w;
+  // Three more sites: a T1 with disk and tape, and two T3s.
+  const auto add_site = [&](const char* name, grid::Tier tier,
+                            std::uint32_t slots) {
+    grid::Site s;
+    s.name = name;
+    s.tier = tier;
+    s.cpu_slots = slots;
+    s.cpu_speed = 1.0;
+    s.batch_delay_mean_ms = 1'000.0;
+    return w.topo.add_site(s);
+  };
+  const grid::SiteId t1b = add_site("T1B", grid::Tier::kT1, 24);
+  add_site("T3A", grid::Tier::kT3, 8);
+  add_site("T3B", grid::Tier::kT3, 0);  // no slots: never eligible
+  std::vector<dms::RseId> rse_ids = {w.t0_disk, w.t0_tape, w.t1_disk,
+                                     w.t2_disk};
+  for (const auto& [name, kind] :
+       {std::pair{"T1B_DISK", dms::RseKind::kDisk},
+        std::pair{"T1B_TAPE", dms::RseKind::kTape}}) {
+    dms::Rse r;
+    r.name = name;
+    r.site = t1b;
+    r.kind = kind;
+    rse_ids.push_back(w.rses.add(std::move(r)));
+  }
+
+  // Seeded catalog: odd sizes, so tape-weighted sums round, and each
+  // file on 0-4 random RSEs.  File 0 has disk and tape copies at T0.
+  util::Rng rng(20250917);
+  const dms::DatasetId ds = w.catalog.create_dataset("mc23", "broker.ds");
+  std::vector<dms::FileId> files;
+  for (int i = 0; i < 48; ++i) {
+    files.push_back(
+        w.catalog.add_file(ds, 1'000'003 + rng.uniform_index(4'000'000'000)));
+    for (std::size_t k = rng.uniform_index(5); k > 0; --k) {
+      w.replicas.add_replica(files.back(),
+                             rse_ids[rng.uniform_index(rse_ids.size())]);
+    }
+  }
+  w.replicas.add_replica(files[0], w.t0_disk);
+  w.replicas.add_replica(files[0], w.t0_tape);
+
+  SiteQueues queues(w.scheduler, w.topo, util::Rng(1));
+  for (const grid::Site& site : w.topo.sites()) {
+    for (std::size_t k = rng.uniform_index(40); k > 0; --k) {
+      queues.request_slot(site.id, [] {});
+    }
+  }
+  // Outages: every site from 10 to 20, so choose_site falls back to
+  // ignoring them, and every site but T1B from 20 to 30.
+  fault::Injector injector(w.scheduler);
+  fault::Plan plan;
+  for (const grid::Site& site : w.topo.sites()) {
+    fault::FaultWindow window;
+    window.kind = fault::FaultKind::kSiteOutage;
+    window.site = site.id;
+    window.begin = 10;
+    window.end = site.id == t1b ? 20 : 30;
+    plan.add(window);
+  }
+  injector.arm(plan);
+
+  // Up, all down (the fallback pick), all but T1B down, up again.
+  std::set<grid::SiteId> chosen;
+  for (const util::SimTime at : {0, 15, 25, 35}) {
+    w.scheduler.run_until(at);
+    for (const BrokeragePolicy policy :
+         {BrokeragePolicy::kDataLocality, BrokeragePolicy::kLoadAware,
+          BrokeragePolicy::kHybrid}) {
+      Brokerage::Params params;
+      params.policy = policy;
+      Brokerage broker(w.topo, w.catalog, w.replicas, params);
+      broker.set_injector(injector);
+      for (JobId id = 1; id <= 100; ++id) {
+        Job job;
+        job.pandaid = id;
+        job.kind =
+            id % 5 == 0 ? JobKind::kProduction : JobKind::kUserAnalysis;
+        for (std::size_t k = 1 + rng.uniform_index(8); k > 0; --k) {
+          job.input_files.push_back(files[rng.uniform_index(files.size())]);
+        }
+        const std::uint64_t seed = rng.next_u64();
+        util::Rng a(seed);
+        util::Rng b(seed);
+        const grid::SiteId site = broker.choose_site(job, queues, a);
+        ASSERT_EQ(site, reference_pick(w, params, job, queues, b, &injector))
+            << policy_name(policy) << " job " << id << " at " << at;
+        ASSERT_EQ(a.next_u64(), b.next_u64());  // same number of draws
+        chosen.insert(site);
+      }
+    }
+  }
+  EXPECT_GE(chosen.size(), 4u);
 }
 
 TEST(PolicyNames, AllDistinct) {
