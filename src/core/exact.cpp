@@ -7,6 +7,7 @@
 
 namespace pandarus::core {
 
+using telemetry::FileRecord;
 using telemetry::JobRecord;
 using telemetry::TransferRecord;
 
@@ -48,7 +49,7 @@ struct FunnelMetrics {
       "Candidates rejected: jeditaskid mismatch");
   obs::Counter& reject_attr_key = obs::Registry::global().counter(
       "pandarus_match_reject_attr_key_total",
-      "Candidates rejected: composite attribute key mismatch");
+      "Candidates rejected: dataset/proddblock/scope or size mismatch");
   obs::Counter& reject_time = obs::Registry::global().counter(
       "pandarus_match_reject_time_total",
       "Candidates rejected: started after the job ended");
@@ -122,30 +123,31 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   const auto transfers = store.transfers();
 
   // Candidate transfers: the job's task range of each file row's lfn
-  // group (lfn equality is structural through the group), attribute-
-  // key-matched against that row (one integer compare covers dataset,
-  // proddblock, scope and size), then time-filtered (started before the
-  // job's end).  The rest of the group is scanned and rejected on
-  // jeditaskid in bulk, unread.  Funnel tallies stay in locals until
-  // the single flush below the loop.
+  // group (lfn equality is structural through the group), matched
+  // against that row on attr_sym (the exact dataset/proddblock/scope
+  // triple) and file_size, then time-filtered (started before the job's
+  // end).  The rest of the group is scanned and rejected on jeditaskid
+  // in bulk, unread.  Funnel tallies stay in locals until the single
+  // flush below the loop.
   std::uint64_t scanned = 0;
   std::uint64_t rej_taskid = 0;
-  std::uint64_t rej_key = 0;
+  std::uint64_t rej_attr = 0;
   std::uint64_t rej_time = 0;
   std::size_t contributing_rows = 0;
   for (const std::uint32_t fi : rows) {
-    const std::uint64_t fkey = index_->file_key(fi);
+    const FileRecord& file = files[fi];
     const std::size_t before = scratch.size();
     const auto [task, group_size] =
-        index_->transfers_with_lfn(files[fi].lfn_sym, job.jeditaskid);
+        index_->transfers_with_lfn(file.lfn_sym, job.jeditaskid);
     scanned += group_size;
     rej_taskid += group_size - task.size();
     for (const std::uint32_t ti : task) {
-      if (index_->transfer_key(ti) != fkey) {
-        ++rej_key;
+      const TransferRecord& t = transfers[ti];
+      if (t.attr_sym != file.attr_sym || t.file_size != file.file_size) {
+        ++rej_attr;
         continue;
       }
-      if (transfers[ti].started_at >= job.end_time) {
+      if (t.started_at >= job.end_time) {
         ++rej_time;
         continue;
       }
@@ -157,7 +159,7 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
   FunnelMetrics& funnel = FunnelMetrics::get();
   funnel.candidates_scanned.inc(scanned);
   if (rej_taskid > 0) funnel.reject_taskid.inc(rej_taskid);
-  if (rej_key > 0) funnel.reject_attr_key.inc(rej_key);
+  if (rej_attr > 0) funnel.reject_attr_key.inc(rej_attr);
   if (rej_time > 0) funnel.reject_time.inc(rej_time);
   funnel.candidates_accepted.inc(scratch.size());
 

@@ -86,7 +86,8 @@ class Matcher {
   /// Builds the index serially.
   explicit Matcher(const telemetry::MetadataStore& store);
 
-  /// Builds the index with the parallel two-pass group-by over `pool`.
+  /// Builds the index, sorting its lfn groups on `pool` meanwhile; the
+  /// same index as the serial build.
   Matcher(const telemetry::MetadataStore& store, parallel::ThreadPool& pool);
 
   /// Adopts a prebuilt index (shared across matchers without a rebuild).
@@ -118,7 +119,7 @@ class Matcher {
   friend class ParallelMatchDriver;
 
   /// Candidate construction shared by match_job and diagnose_job:
-  /// attribute-key-matched, taskid-checked, time-filtered, deduplicated,
+  /// attribute-matched, taskid-checked, time-filtered, deduplicated,
   /// ascending.  `file_rows` (optional) receives the count of bridging
   /// file rows.  Returns a per-thread scratch buffer valid until this
   /// thread's next call.
@@ -126,9 +127,8 @@ class Matcher {
       std::size_t job_index, std::size_t* file_rows) const;
 
   /// The store's index: file rows by (pandaid, jeditaskid), transfers
-  /// by lfn symbol in (jeditaskid, row) order, composite attribute
-  /// keys.  The underlying store must outlive the matcher and stay
-  /// unmodified.
+  /// by lfn symbol in (jeditaskid, row) order.  The underlying store
+  /// must outlive the matcher and stay unmodified.
   std::shared_ptr<const MatchIndex> index_;
 };
 

@@ -14,20 +14,19 @@
 //    the matcher reads one binary-searched task range per file row and
 //    counts the rest of the group as taskid rejects without touching
 //    it: a popular lfn collects transfers from many tasks and from the
-//    untagged (-1) rule-driven traffic;
-//  * every record gets one 64-bit composite attribute key — the interned
-//    (dataset, proddblock, scope) triple in the high half and an
-//    interned file-size id in the low half — so the attribute-join
-//    predicate of Algorithm 1 is ONE integer compare per candidate.
-//    Key equality is exact (interned, not hashed): equal keys iff all
-//    three strings and the size are equal.
+//    untagged (-1) rule-driven traffic.
 //
-// Both group-bys are CSR layouts (offsets + slots) built with a
-// deterministic two-pass scheme — per-chunk count, column-major prefix
-// sum, per-chunk scatter — optionally sharded over a ThreadPool.  The
-// scatter preserves record order within each group regardless of thread
-// count, and the per-group (jeditaskid, row) sort is a total order, so
-// serial and parallel builds are bit-identical.
+// The rest of Algorithm 1's predicate needs no index: the store's
+// attr_sym already names the (dataset, proddblock, scope) triple
+// exactly, so the matcher compares attr_sym and file_size on the
+// records it reads anyway.
+//
+// Both group-bys are CSR layouts (offsets + slots) built by one
+// counting sort, slots ascending by row within each group.  Given a
+// pool, the build hands it only the per-group (jeditaskid, row) sort,
+// which allocates nothing, and builds the file CSR meanwhile on the
+// calling thread: the same steps as the serial build, so the two are
+// bit-identical.
 //
 // One MatchIndex is built per snapshot and shared by the exact and
 // RM1/RM2 matchers and the ParallelMatchDriver (all queries const).
@@ -35,7 +34,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "parallel/thread_pool.hpp"
@@ -49,7 +47,8 @@ class MatchIndex {
   explicit MatchIndex(const telemetry::MetadataStore& store)
       : MatchIndex(store, nullptr) {}
 
-  /// Parallel two-pass build over `pool` (nullptr degrades to serial).
+  /// Sorts the lfn groups on `pool` while this thread builds the file
+  /// CSR (nullptr builds serially); either way the index is the same.
   /// The store must outlive the index and stay unmodified.
   MatchIndex(const telemetry::MetadataStore& store,
              parallel::ThreadPool* pool);
@@ -81,16 +80,6 @@ class MatchIndex {
     return {{task.begin(), task.end()}, lfn_group.size()};
   }
 
-  /// Composite attribute keys; `file_key(i) == transfer_key(j)` iff the
-  /// records agree on dataset, proddblock, scope AND file_size.
-  [[nodiscard]] std::uint64_t file_key(std::size_t file_index) const noexcept {
-    return file_keys_[file_index];
-  }
-  [[nodiscard]] std::uint64_t transfer_key(
-      std::size_t transfer_index) const noexcept {
-    return transfer_keys_[transfer_index];
-  }
-
   [[nodiscard]] const telemetry::MetadataStore& store() const noexcept {
     return *store_;
   }
@@ -113,8 +102,6 @@ class MatchIndex {
   /// group sorted by (jeditaskid, row).
   std::vector<std::uint32_t> transfer_offsets_;
   std::vector<std::uint32_t> transfer_slots_;
-  std::vector<std::uint64_t> file_keys_;
-  std::vector<std::uint64_t> transfer_keys_;
 };
 
 }  // namespace pandarus::core

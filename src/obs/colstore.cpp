@@ -236,6 +236,15 @@ bool lz_decompress(std::string_view src, std::size_t raw_size,
   return out.size() == raw_size;
 }
 
+/// A block as written: its compression, or the raw bytes themselves
+/// when compressing does not shrink them.  Takes the block by value, so
+/// only the returned copy outlives the call.
+std::string compressed_or_raw(std::string raw) {
+  std::string blob = lz_compress(raw);
+  if (blob.size() >= raw.size()) return raw;
+  return blob;
+}
+
 // --- low-level file I/O -----------------------------------------------------
 
 void put_u32_le(std::string& out, std::uint32_t v) {
@@ -594,12 +603,17 @@ bool ColWriter::flush_chunk() {
     put_varint(data, col.bytes.size());
     data += col.bytes;
   }
+  cols_.clear();  // data holds the columns now
+  col_index_.clear();
 
-  // Compress; store raw when the block is incompressible.
-  std::string meta_blob = lz_compress(meta);
-  if (meta_blob.size() >= meta.size()) meta_blob = meta;
-  std::string data_blob = lz_compress(data);
-  if (data_blob.size() >= data.size()) data_blob = data;
+  // Compress, storing a block raw when it is incompressible.  Each
+  // section's source buffer is freed once its blob exists, and the
+  // frame is written in three parts, so a chunk is never held in more
+  // than two copies.
+  const std::size_t meta_raw = meta.size();
+  const std::size_t data_raw = data.size();
+  std::string meta_blob = compressed_or_raw(std::move(meta));
+  std::string data_blob = compressed_or_raw(std::move(data));
 
   std::string header;
   put_varint(header, rows);
@@ -610,26 +624,25 @@ bool ColWriter::flush_chunk() {
     put_varint(header, sym);
     put_varint(header, count);
   }
-  put_varint(header, meta.size());
+  put_varint(header, meta_raw);
   put_varint(header, meta_blob.size());
-  put_varint(header, data.size());
+  put_varint(header, data_raw);
   put_varint(header, data_blob.size());
   put_varint(header, crc32(meta_blob));
   put_varint(header, crc32(data_blob));
 
-  std::string frame;
-  frame.reserve(12 + header.size() + meta_blob.size() + data_blob.size());
-  put_u32_le(frame, kChunkMagic);
-  put_u32_le(frame, static_cast<std::uint32_t>(header.size()));
-  put_u32_le(frame, crc32(header));  // v2: torn headers detectable
-  frame += header;
-  frame += meta_blob;
-  frame += data_blob;
-  if (std::fwrite(frame.data(), 1, frame.size(), out_) != frame.size()) {
-    fail("short write on chunk");
-    return false;
+  std::string head;
+  put_u32_le(head, kChunkMagic);
+  put_u32_le(head, static_cast<std::uint32_t>(header.size()));
+  put_u32_le(head, crc32(header));  // v2: torn headers detectable
+  head += header;
+  for (const std::string* part : {&head, &meta_blob, &data_blob}) {
+    if (std::fwrite(part->data(), 1, part->size(), out_) != part->size()) {
+      fail("short write on chunk");
+      return false;
+    }
   }
-  stats_.bytes_written += frame.size();
+  stats_.bytes_written += head.size() + meta_blob.size() + data_blob.size();
   ++stats_.chunks;
 
   dict_flushed_ = dict_.size();
@@ -638,8 +651,6 @@ bool ColWriter::flush_chunk() {
   row_ts_.clear();
   ent_ints_.clear();
   ent_strs_.clear();
-  cols_.clear();
-  col_index_.clear();
   kind_counts_.clear();
   return true;
 }
@@ -704,6 +715,11 @@ ColReader::ColReader(const std::string& path, ColFilter filter,
   }
   if (header[8] != kFormatVersion) {
     fail("unsupported colstore version " + std::to_string(header[8]));
+    eof_ = true;
+    return;
+  }
+  if (std::memcmp(header, kFileHeader, sizeof header) != 0) {
+    fail("corrupt file header (reserved bytes not zero)");
     eof_ = true;
     return;
   }

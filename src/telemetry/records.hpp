@@ -90,7 +90,7 @@ struct TransferRecord {
   dms::TransferError error = dms::TransferError::kNone;
 
   /// Interned attribute symbols; see FileRecord.  Symbols cover the
-  /// string attributes only — file_size is folded in at index-build time
+  /// string attributes only — the matcher compares file_size itself,
   /// because the corruption injector jitters sizes in place.
   util::Symbol lfn_sym = util::kNoSymbol;
   util::Symbol dataset_sym = util::kNoSymbol;

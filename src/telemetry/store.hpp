@@ -7,8 +7,8 @@
 // table, the only copy of the records' strings.  intern() maps the
 // string attributes (lfn, dataset, proddblock, scope) to dense ids and
 // the (dataset, proddblock, scope) triple to one attr_sym, so the
-// core's MatchIndex can group and compare records with integer keys
-// only; attributes() reads the strings back.  A writer that already
+// matching core can group and compare records with integers only;
+// attributes() reads the strings back.  A writer that already
 // holds a row's symbols (the Recorder, on a file's later rows) appends
 // it without interning again.  Every member is a value, so a copy of a
 // store is independent of its source.
@@ -103,8 +103,8 @@ class MetadataStore {
   }
 
   // Mutable access for the corruption injector only.  Numeric fields
-  // (file_size, sites, task ids, times) may be edited freely; the
-  // MatchIndex derives its composite keys from them at build time.
+  // (file_size, sites, task ids, times) may be edited freely: matching
+  // reads them from the records, never from a copy.
   [[nodiscard]] std::vector<JobRecord>& jobs_mutable() noexcept {
     return jobs_;
   }

@@ -1,6 +1,8 @@
 // Colstore correctness: byte-exact round trips, corrupt-chunk
-// rejection, footer-index chunk skipping, NDJSON-vs-colstore replay
-// parity on a recorded campaign, and the terminal log_stats event.
+// rejection, a seeded mutation fuzz of the reader, footer-index chunk
+// skipping, NDJSON-vs-colstore replay parity on a recorded campaign,
+// and the terminal log_stats event.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -8,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace pandarus {
 namespace {
@@ -71,14 +75,30 @@ std::string decode_to_ndjson(const std::string& path,
 
 /// Encodes NDJSON text into a colstore file line by line, as
 /// `pandarus-events convert` does; lets a test pick a small chunk size.
+/// `chunk_ends` (optional) receives the file offset at which each chunk
+/// ends, `stats` the writer's stats after close().
 void encode_colstore(const std::string& ndjson, const std::string& path,
-                    obs::ColWriterOptions options) {
+                    obs::ColWriterOptions options,
+                    std::vector<std::size_t>* chunk_ends = nullptr,
+                    obs::ColWriter::Stats* stats = nullptr) {
   obs::ColWriter writer(path, options);
   std::istringstream in(ndjson);
   std::string line;
-  while (std::getline(in, line)) writer.append_ndjson_line(line);
+  std::uint64_t chunks = 0;
+  const auto note_chunk = [&] {
+    if (chunk_ends != nullptr && writer.stats().chunks != chunks) {
+      chunk_ends->push_back(writer.stats().bytes_written);
+    }
+    chunks = writer.stats().chunks;
+  };
+  while (std::getline(in, line)) {
+    writer.append_ndjson_line(line);
+    note_chunk();
+  }
   ASSERT_TRUE(writer.close()) << writer.error();
+  note_chunk();
   ASSERT_EQ(writer.stats().rejected, 0u);
+  if (stats != nullptr) *stats = writer.stats();
 }
 
 /// Emits a mixed-shape, escape-heavy random stream; the same generator
@@ -135,8 +155,12 @@ TEST(ColstoreTest, RoundTripsRandomEventsByteExact) {
   TempFile file("colstore_roundtrip.colstore");
   obs::ColWriterOptions options;
   options.rows_per_chunk = 128;  // force many chunks
-  encode_colstore(ndjson, file.path(), options);
+  obs::ColWriter::Stats written;
+  encode_colstore(ndjson, file.path(), options, nullptr, &written);
   ASSERT_TRUE(obs::is_colstore_file(file.path()));
+  // The writer's byte count is the file's size (`pandarus-events
+  // convert` reports it).
+  EXPECT_EQ(written.bytes_written, read_file(file.path()).size());
 
   EXPECT_EQ(decode_to_ndjson(file.path()), ndjson);
 
@@ -229,6 +253,164 @@ TEST(ColstoreTest, RejectsFormatV1ByVersion) {
   EXPECT_EQ(source->next(), nullptr);
   EXPECT_NE(source->error().find(expected), std::string::npos)
       << source->error();
+}
+
+/// A colstore file's rows as NDJSON lines, read in normal or in recover
+/// mode, and how the scan ended.
+struct Scan {
+  std::vector<std::string> rows;
+  bool ok = false;
+  std::string error;
+  obs::RecoveryReport recovery;
+};
+
+Scan scan_rows(const std::string& path, bool recover) {
+  obs::ColReader reader(path, obs::ColFilter{},
+                        obs::ColReadOptions{.recover = recover});
+  Scan scan;
+  obs::DecodedEvent event;
+  while (reader.next(event)) {
+    std::string line;
+    obs::append_ndjson(event, line);
+    scan.rows.push_back(std::move(line));
+  }
+  scan.ok = reader.ok();
+  scan.error = reader.error();
+  scan.recovery = reader.recovery();
+  return scan;
+}
+
+bool is_prefix(const std::vector<std::string>& rows,
+               const std::vector<std::string>& of) {
+  return rows.size() <= of.size() &&
+         std::equal(rows.begin(), rows.end(), of.begin());
+}
+
+TEST(ColstoreFuzz, MutatedFilesYieldAPrefixOrFailCleanly) {
+  // Deterministic mutation fuzz of ColReader over a small multi-chunk
+  // file: seeded single-byte mutations, truncations, and splices at
+  // chunk boundaries and at random offsets, each read in normal and in
+  // recover mode.
+  obs::EventLog log;
+  emit_random_events(log, 600, 20251019);
+  log.close();
+  TempFile file("colstore_fuzz.colstore");
+  obs::ColWriterOptions options;
+  options.rows_per_chunk = 24;
+  std::vector<std::size_t> bounds{12};  // chunk 0 starts after the header
+  encode_colstore(log.to_ndjson(), file.path(), options, &bounds);
+  const std::string bytes = read_file(file.path());
+  ASSERT_GT(bounds.size(), 20u);
+  ASSERT_EQ(bounds.back(), bytes.size());
+  const Scan intact = scan_rows(file.path(), false);
+  ASSERT_TRUE(intact.ok) << intact.error;
+  ASSERT_EQ(intact.rows.size(), 601u);  // + terminal log_stats
+
+  TempFile mutated("colstore_fuzz_mutated.colstore");
+  const auto scan_both = [&](const std::string& text) {
+    write_file(mutated.path(), text);
+    return std::pair{scan_rows(mutated.path(), false),
+                     scan_rows(mutated.path(), true)};
+  };
+  // Recover mode's account of what it kept.
+  const auto expect_salvage = [](const Scan& recovered, std::size_t size,
+                                 const std::string& what) {
+    EXPECT_TRUE(recovered.ok) << what << ": " << recovered.error;
+    EXPECT_EQ(recovered.recovery.salvaged_events, recovered.rows.size())
+        << what;
+    EXPECT_LE(recovered.recovery.salvaged_bytes, size) << what;
+  };
+  util::Rng rng(20251019);
+
+  // Single-byte mutations past the file header.  Every chunk byte is
+  // checked or CRC32-covered, and CRC32 catches every burst of 32 bits
+  // or fewer, so the damage ends the scan at its chunk: the rows before
+  // it are the intact file's.
+  std::size_t failed = 0;
+  constexpr std::size_t kByteMutations = 400;
+  for (std::size_t i = 0; i < kByteMutations; ++i) {
+    std::string text = bytes;
+    const std::size_t at = 12 + rng.uniform_index(text.size() - 12);
+    const auto flip = static_cast<unsigned char>(1 + rng.uniform_index(255));
+    text[at] = static_cast<char>(static_cast<unsigned char>(text[at]) ^ flip);
+    const std::string what = "byte " + std::to_string(at);
+    const auto [normal, recovered] = scan_both(text);
+    EXPECT_TRUE(is_prefix(normal.rows, intact.rows)) << what;
+    if (normal.ok) {
+      EXPECT_EQ(normal.rows.size(), intact.rows.size()) << what;
+    } else {
+      EXPECT_FALSE(normal.error.empty()) << what;
+      ++failed;
+    }
+    expect_salvage(recovered, text.size(), what);
+    EXPECT_EQ(recovered.rows, normal.rows) << what;
+  }
+  EXPECT_EQ(failed, kByteMutations);
+
+  // Every byte of the file header: magic, version and the three zero
+  // bytes.  Neither mode reads past a damaged header.
+  for (std::size_t at = 0; at < 12; ++at) {
+    for (const int flip : {0x01, 0x80, 0xFF}) {
+      std::string text = bytes;
+      text[at] =
+          static_cast<char>(static_cast<unsigned char>(text[at]) ^ flip);
+      const std::string what = "header byte " + std::to_string(at);
+      const auto [normal, recovered] = scan_both(text);
+      EXPECT_FALSE(normal.ok) << what;
+      EXPECT_FALSE(normal.error.empty()) << what;
+      EXPECT_TRUE(normal.rows.empty()) << what;
+      EXPECT_FALSE(recovered.ok) << what;
+      EXPECT_FALSE(recovered.recovery.ok) << what;
+      EXPECT_TRUE(recovered.rows.empty()) << what;
+    }
+  }
+
+  // Truncations: the rows kept are a prefix in both modes, and recover
+  // mode keeps exactly what the normal scan delivered before the cut.
+  // Cuts inside the header read as no colstore at all, or, in recover
+  // mode, as a file torn before its first chunk.
+  for (int i = 0; i < 150; ++i) {
+    const std::size_t cut = rng.uniform_index(bytes.size());
+    const std::string what = "cut " + std::to_string(cut);
+    const auto [normal, recovered] = scan_both(bytes.substr(0, cut));
+    EXPECT_TRUE(is_prefix(normal.rows, intact.rows)) << what;
+    // A cut between chunks leaves a shorter valid file; any other cut
+    // is an error.
+    EXPECT_EQ(normal.ok, std::ranges::binary_search(bounds, cut)) << what;
+    expect_salvage(recovered, cut, what);
+    EXPECT_EQ(recovered.rows, normal.rows) << what;
+  }
+
+  // Splices of chunk ranges (chunks dropped, repeated or reordered,
+  // every frame intact) and at random offsets: the dictionary and shape
+  // deltas no longer line up, so the scan need only end cleanly.
+  // The chunks before a splice at a boundary still deliver their rows.
+  for (int i = 0; i < 300; ++i) {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    std::size_t kept_rows = 0;
+    if (i % 2 == 0) {
+      const std::size_t chunk = rng.uniform_index(bounds.size());
+      from = bounds[chunk];
+      to = bounds[rng.uniform_index(bounds.size())];
+      kept_rows = std::min(chunk * options.rows_per_chunk, intact.rows.size());
+    } else {
+      from = rng.uniform_index(bytes.size() + 1);
+      to = rng.uniform_index(bytes.size() + 1);
+    }
+    const std::string text = bytes.substr(0, from) + bytes.substr(to);
+    const std::string what =
+        "splice " + std::to_string(from) + " -> " + std::to_string(to);
+    const auto [normal, recovered] = scan_both(text);
+    EXPECT_TRUE(normal.ok || !normal.error.empty()) << what;
+    ASSERT_GE(normal.rows.size(), kept_rows) << what;
+    EXPECT_TRUE(std::equal(normal.rows.begin(),
+                           normal.rows.begin() +
+                               static_cast<std::ptrdiff_t>(kept_rows),
+                           intact.rows.begin()))
+        << what;
+    if (from >= 12) expect_salvage(recovered, text.size(), what);
+  }
 }
 
 TEST(ColstoreTest, TimeWindowAndKindFiltersSkipChunksCorrectly) {

@@ -1,9 +1,11 @@
 // Parity tests for the matching core: the parallel driver and the
-// parallel (two-pass sharded) index build must be observationally
-// identical to their serial counterparts, deterministically, for every
-// matching method.  Guards the MatchIndex refactor — any divergence in
-// group contents, composite keys or merge order shows up here as a
-// differing MatchedJob set.
+// pool-assisted index build must be identical to their serial
+// counterparts, deterministically, for every matching method.  Any
+// divergence in group contents, group order or merge order shows up
+// here as a differing index query or MatchedJob set.
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "pandarus.hpp"
@@ -75,14 +77,41 @@ TEST(MatchParity, ParallelDriverIsDeterministicAcrossRuns) {
   }
 }
 
+/// Every query the matcher makes of an index: each job's file rows,
+/// and each file row's task range and group size (a bridged row's
+/// jeditaskid is its job's task).
+void expect_same_index(const core::MatchIndex& a, const core::MatchIndex& b,
+                       const std::string& label) {
+  const auto& store = a.store();
+  for (std::size_t j = 0; j < store.jobs().size(); ++j) {
+    EXPECT_TRUE(std::ranges::equal(a.files_of_job(j), b.files_of_job(j)))
+        << label << " job " << j;
+  }
+  const auto files = store.files();
+  for (std::size_t fi = 0; fi < files.size(); ++fi) {
+    const auto& f = files[fi];
+    const auto x = a.transfers_with_lfn(f.lfn_sym, f.jeditaskid);
+    const auto y = b.transfers_with_lfn(f.lfn_sym, f.jeditaskid);
+    EXPECT_TRUE(std::ranges::equal(x.transfers, y.transfers))
+        << label << " file row " << fi;
+    EXPECT_EQ(x.group_size, y.group_size) << label << " file row " << fi;
+  }
+}
+
 TEST(MatchParity, PoolBuiltIndexMatchesSerialBuild) {
   const auto& store = seeded_store();
   const core::Matcher serial_built(store);
-  parallel::ThreadPool pool(3);  // odd count: uneven chunk boundaries
-  const core::Matcher pool_built(store, pool);
-  for (const auto& options : kMethods) {
-    expect_identical(serial_built.run(options), pool_built.run(options),
-                     core::method_name(options.method));
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    const std::string label = std::to_string(threads) + "-thread pool";
+    parallel::ThreadPool pool(threads);
+    const core::Matcher pool_built(store, pool);
+    expect_same_index(*serial_built.index(), *pool_built.index(), label);
+    for (const auto& options : kMethods) {
+      const std::string method =
+          label + " " + core::method_name(options.method);
+      expect_identical(serial_built.run(options), pool_built.run(options),
+                       method.c_str());
+    }
   }
 }
 

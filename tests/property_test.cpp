@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "analysis/summary.hpp"
-#include "core/match_index.hpp"
 #include "core/metrics.hpp"
 #include "core/relaxed.hpp"
 #include "scenario/campaign.hpp"
@@ -173,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CampaignCase{13, 0.0}, CampaignCase{14, 2.0},
                       CampaignCase{15, 0.5}));
 
-// --- interner and composite-key properties -----------------------------
+// --- interner and attribute-symbol properties --------------------------
 
 class InternerSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -201,7 +200,6 @@ class InternerSweep : public ::testing::TestWithParam<std::uint64_t> {
     [[nodiscard]] telemetry::FileAttributes view() const {
       return {lfn, dataset, proddblock, scope};
     }
-    bool operator==(const Names&) const = default;
   };
 };
 
@@ -304,57 +302,6 @@ TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
   };
   check(forward);
   check(backward);
-}
-
-TEST_P(InternerSweep, CompositeKeyEquivalentToStringComparison) {
-  // The refactor replaced the five-way string/size predicate with one
-  // integer compare.  Over randomized records (small pools force heavy
-  // overlap in every field), the two must agree on every (file,
-  // transfer) pair: old attributes_match(f, t) == (lfn symbols equal &&
-  // composite keys equal).
-  util::Rng rng(GetParam());
-  telemetry::MetadataStore store;
-  const auto pick = [&](const char* prefix, int n) {
-    return std::string(prefix) + std::to_string(rng.uniform_int(0, n));
-  };
-  // Braced initialisation draws the four names left to right.
-  const auto pick_names = [&] {
-    return Names{pick("lfn.", 8), pick("ds.", 3), pick("blk.", 3),
-                 pick("scope.", 2)};
-  };
-  std::vector<Names> file_names;
-  std::vector<Names> transfer_names;
-  for (int i = 0; i < 120; ++i) {
-    telemetry::FileRecord f;
-    f.pandaid = i;
-    f.jeditaskid = 1;
-    file_names.push_back(pick_names());
-    f.file_size = static_cast<std::uint64_t>(rng.uniform_int(1, 3));
-    store.record_file(f, file_names.back().view());
-  }
-  for (int i = 0; i < 120; ++i) {
-    telemetry::TransferRecord t;
-    t.transfer_id = static_cast<std::uint64_t>(i);
-    t.jeditaskid = 1;
-    transfer_names.push_back(pick_names());
-    t.file_size = static_cast<std::uint64_t>(rng.uniform_int(1, 3));
-    store.record_transfer(t, transfer_names.back().view());
-  }
-
-  const core::MatchIndex index(store);
-  const auto files = store.files();
-  const auto transfers = store.transfers();
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    for (std::size_t ti = 0; ti < transfers.size(); ++ti) {
-      const auto& f = files[fi];
-      const auto& t = transfers[ti];
-      const bool by_strings = file_names[fi] == transfer_names[ti] &&
-                              f.file_size == t.file_size;
-      const bool by_keys = f.lfn_sym == t.lfn_sym &&
-                           index.file_key(fi) == index.transfer_key(ti);
-      EXPECT_EQ(by_strings, by_keys) << "file " << fi << " transfer " << ti;
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InternerSweep,
