@@ -1,6 +1,8 @@
 #include "dms/rule.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "obs/event_log.hpp"
 
@@ -34,17 +36,22 @@ std::uint32_t RuleEngine::evaluate_once() {
   if (rules_.empty()) return 0;
 
   std::uint32_t submitted = 0;
-  // Candidate destinations are recomputed per rule; round-robin over the
-  // rules so every dataset gets evaluated across passes even when the
-  // per-pass transfer budget is exhausted early.
+  // Candidate destinations: each target tier's sites, looked up on the
+  // pass's first rule that names the tier.
+  std::array<std::optional<std::vector<grid::SiteId>>,
+             static_cast<std::size_t>(grid::Tier::kT3) + 1>
+      sites_by_tier;
+  // Round-robin over the rules so every dataset gets evaluated across
+  // passes even when the per-pass transfer budget is exhausted early.
   for (std::size_t visited = 0;
        visited < rules_.size() && submitted < params_.max_transfers_per_pass;
        ++visited) {
     const ReplicationRule& rule = rules_[next_rule_];
     next_rule_ = (next_rule_ + 1) % rules_.size();
 
-    std::vector<grid::SiteId> tier_sites =
-        topology_.sites_of_tier(rule.target_tier);
+    auto& cached = sites_by_tier[static_cast<std::size_t>(rule.target_tier)];
+    if (!cached) cached = topology_.sites_of_tier(rule.target_tier);
+    const std::vector<grid::SiteId>& tier_sites = *cached;
     if (tier_sites.empty()) continue;
 
     for (FileId file : catalog_.files_of(rule.dataset)) {

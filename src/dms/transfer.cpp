@@ -89,7 +89,12 @@ struct TransferEngine::Active {
 };
 
 struct TransferEngine::LinkState {
+  LinkState(grid::LinkKey k, const grid::NetworkLink& l) : key(k), link(l) {}
+
   grid::LinkKey key;
+  /// The topology's link for `key`, looked up once: Topology::link
+  /// references stay valid for the topology's life.
+  const grid::NetworkLink& link;
   std::vector<std::unique_ptr<Active>> active;
   std::deque<std::unique_ptr<Active>> pending;
   /// Backoff holding pen: retries waiting out their delay.  Owned here
@@ -139,9 +144,10 @@ TransferEngine::LinkState& TransferEngine::link_state(grid::SiteId src,
   const grid::LinkKey key{src, dst};
   auto it = links_.find(key);
   if (it == links_.end()) {
-    auto ls = std::make_unique<LinkState>();
-    ls->key = key;
-    it = links_.emplace(key, std::move(ls)).first;
+    it = links_
+             .emplace(key, std::make_unique<LinkState>(
+                               key, topology_.link(src, dst)))
+             .first;
   }
   return *it->second;
 }
@@ -198,15 +204,14 @@ bool TransferEngine::admits(LinkState& ls) {
 }
 
 void TransferEngine::try_start(LinkState& ls) {
-  const grid::NetworkLink& link = topology_.link(ls.key.src, ls.key.dst);
   bool started = false;
-  while (!ls.pending.empty() && ls.active.size() < link.max_active &&
+  while (!ls.pending.empty() && ls.active.size() < ls.link.max_active &&
          admits(ls)) {
     start_one(ls);
     started = true;
   }
   if (started) update_rates(ls);
-  if (!ls.pending.empty() && ls.active.size() < link.max_active) {
+  if (!ls.pending.empty() && ls.active.size() < ls.link.max_active) {
     // Slots are free but admission said no: a fault window or the
     // breaker is holding the queue back.
     handle_blocked(ls);
@@ -287,10 +292,9 @@ void TransferEngine::start_one(LinkState& ls) {
   auto active = std::move(ls.pending.front());
   ls.pending.pop_front();
 
-  const grid::NetworkLink& link = topology_.link(ls.key.src, ls.key.dst);
   // Protocol setup latency delays the effective start a little.
   active->started_at =
-      scheduler_.now() + static_cast<util::SimDuration>(link.latency_ms);
+      scheduler_.now() + static_cast<util::SimDuration>(ls.link.latency_ms);
   active->last_update = active->started_at;
   active->bytes_done = 0.0;
   active->stalled = rng_.bernoulli(params_.stall_prob);
@@ -327,13 +331,12 @@ void TransferEngine::update_rates(LinkState& ls) {
     return;
   }
   const util::SimTime now = scheduler_.now();
-  const grid::NetworkLink& link = topology_.link(ls.key.src, ls.key.dst);
   const double fault_factor =
       injector_ != nullptr
           ? injector_->link_capacity_factor(ls.key.src, ls.key.dst)
           : 1.0;
   const double capacity =
-      std::max(link.effective_capacity(now, fault_factor), 1e3);
+      std::max(ls.link.effective_capacity(now, fault_factor), 1e3);
   const double fair_share =
       capacity / static_cast<double>(ls.active.size());
   EngineMetrics::get().link_rerates.inc();

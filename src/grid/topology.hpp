@@ -38,7 +38,8 @@ class Topology {
   /// Link for (src, dst).  Falls back to a synthesized default when the
   /// pair has no explicit link: the local LAN pseudo-link for src == dst,
   /// otherwise a conservative 100 MB/s WAN path.  The returned reference
-  /// is owned by the topology and stable until the next add_link call.
+  /// is owned by the topology and valid for its whole life: add_link
+  /// assigns an existing pair's link in place, and map nodes never move.
   [[nodiscard]] const NetworkLink& link(SiteId src, SiteId dst) const;
 
   [[nodiscard]] bool has_link(SiteId src, SiteId dst) const;

@@ -1,6 +1,8 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <utility>
 
 #include "obs/event_log.hpp"
@@ -53,42 +55,98 @@ bool Scheduler::reschedule(EventHandle& handle, SimTime t) {
 }
 
 void Scheduler::push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  // An empty queue restarts at now(), not at `t`: base must stay at or
+  // below every later push, and the next one may come at now().  (Base
+  // can pass now() once step() has popped the last, cancelled entries.)
+  if (size_ == 0) base_ = now_;
   const Entry entry{std::max(t, now_), seq, slot};
-  std::size_t hole = heap_.size();
-  heap_.emplace_back();
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / kArity;
-    if (!before(entry, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = entry;
+  append(bucket_of(entry.time), entry);
+  ++size_;
   ev_scheduled_->inc();
-  heap_size_->set(static_cast<std::int64_t>(heap_.size()));
+  heap_size_->set(static_cast<std::int64_t>(size_));
+}
+
+std::size_t Scheduler::bucket_of(SimTime t) const noexcept {
+  assert(t >= base_);
+  return static_cast<std::size_t>(std::bit_width(
+      static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(base_)));
+}
+
+void Scheduler::append(std::size_t bucket, const Entry& entry) {
+  Bucket& b = buckets_[bucket];
+  if (b.head == nullptr) {
+    b.head = b.tail = take_block();
+    b.begin = b.end = 0;
+    b.min = entry.time;
+    occupied_ |= std::uint64_t{1} << bucket;
+  } else {
+    if (b.end == kBlockEntries) {
+      b.tail = b.tail->next = take_block();
+      b.end = 0;
+    }
+    b.min = std::min(b.min, entry.time);
+  }
+  b.tail->entries[b.end++] = entry;
+}
+
+Scheduler::Block* Scheduler::take_block() {
+  Block* block = free_blocks_;
+  if (block != nullptr) {
+    free_blocks_ = block->next;
+  } else {
+    blocks_.push_back(std::make_unique_for_overwrite<Block>());
+    block = blocks_.back().get();
+  }
+  block->next = nullptr;
+  return block;
+}
+
+void Scheduler::recycle(Block* block) noexcept {
+  block->next = free_blocks_;
+  free_blocks_ = block;
+}
+
+SimTime Scheduler::front_time() const noexcept {
+  return buckets_[static_cast<std::size_t>(std::countr_zero(occupied_))].min;
 }
 
 Scheduler::Entry Scheduler::pop() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t size = heap_.size();
-  if (size == 0) return top;
-  // Sift the hole left at the root down along the earliest children,
-  // then drop the old last entry into it.
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = hole * kArity + 1;
-    if (first >= size) break;
-    const std::size_t end = std::min(first + kArity, size);
-    std::size_t child = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (before(heap_[c], heap_[child])) child = c;
+  if ((occupied_ & 1) == 0) {
+    // The lowest occupied bucket holds the earliest entries.  Its
+    // minimum becomes base, and each of its entries moves to the bucket
+    // its time falls in around the new base, all below this one; bucket
+    // 0 receives at least the minimum.
+    const auto lowest = static_cast<std::size_t>(std::countr_zero(occupied_));
+    const Bucket moving = buckets_[lowest];
+    buckets_[lowest] = Bucket{};
+    occupied_ &= ~(std::uint64_t{1} << lowest);
+    base_ = moving.min;
+    for (Block* block = moving.head; block != nullptr;) {
+      const std::uint32_t end =
+          block == moving.tail ? moving.end : kBlockEntries;
+      for (std::uint32_t i = 0; i < end; ++i) {
+        append(bucket_of(block->entries[i].time), block->entries[i]);
+      }
+      Block* next = block->next;
+      recycle(block);
+      block = next;
     }
-    if (!before(heap_[child], last)) break;
-    heap_[hole] = heap_[child];
-    hole = child;
   }
-  heap_[hole] = last;
+  Bucket& zero = buckets_[0];
+  const Entry top = zero.head->entries[zero.begin++];
+  if (zero.head == zero.tail ? zero.begin == zero.end
+                             : zero.begin == kBlockEntries) {
+    Block* next = zero.head->next;
+    recycle(zero.head);
+    if (next == nullptr) {
+      zero = Bucket{};
+      occupied_ &= ~std::uint64_t{1};
+    } else {
+      zero.head = next;
+      zero.begin = 0;
+    }
+  }
+  --size_;
   return top;
 }
 
@@ -100,7 +158,7 @@ void Scheduler::release(std::uint32_t slot) noexcept {
 }
 
 bool Scheduler::step() {
-  while (!heap_.empty()) {
+  while (size_ != 0) {
     const Entry entry = pop();
     if (slots_[entry.slot].seq != entry.seq) {
       ev_cancelled_->inc();
@@ -111,7 +169,7 @@ bool Scheduler::step() {
     release(entry.slot);
     ++processed_;
     ev_fired_->inc();
-    heap_size_->set(static_cast<std::int64_t>(heap_.size()));
+    heap_size_->set(static_cast<std::int64_t>(size_));
     fn();
     return true;
   }
@@ -126,7 +184,10 @@ void Scheduler::run() {
 
 void Scheduler::run_until(SimTime t) {
   const std::uint64_t fired_before = processed_;
-  while (!heap_.empty() && heap_.front().time <= t) {
+  // The front is read, not popped: a pop would move base to a time past
+  // `t` when the loop stops short of it, and the next schedule_at(now())
+  // would land below base.
+  while (size_ != 0 && front_time() <= t) {
     if (!step()) break;
   }
   now_ = std::max(now_, t);
@@ -137,7 +198,7 @@ void Scheduler::run_until(SimTime t) {
                          static_cast<std::int64_t>(epoch_))
                   .field("fired", processed_ - fired_before)
                   .field("fired_total", processed_)
-                  .field("heap", static_cast<std::uint64_t>(heap_.size())));
+                  .field("heap", size_));
   }
   ++epoch_;
 }

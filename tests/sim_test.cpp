@@ -395,6 +395,8 @@ class ReferenceScheduler {
     now = std::max(now, t);
   }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
+  /// Time of the earliest queued entry, cancelled or not.
+  [[nodiscard]] SimTime front() const { return queue_.top().time; }
 
   SimTime now = 0;
   std::vector<std::uint64_t> live_seq;
@@ -475,7 +477,21 @@ TEST(Scheduler, MatchesReferenceModelOnRandomOperations) {
         counter("pandarus_sim_events_fired_total"),
         counter("pandarus_sim_events_cancelled_total")};
   };
-  for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+  // Seeds 11-14 draw times from a narrow range, so many entries tie.
+  // Seeds 21-24 draw delays log-uniformly up to 2^40 ms, so queued times
+  // differ from the last popped one at every bit up to 40, and a quarter
+  // of their times repeat a recent one exactly.  They also stop run_until
+  // short of the earliest queued entry and then schedule at now(), and
+  // now and then empty the queue (by running it dry, or by cancelling
+  // every event and popping the cancelled entries) before pushing onto it.
+  struct Mode {
+    std::uint64_t seed;
+    bool wide;
+  };
+  for (const Mode mode : {Mode{11, false}, Mode{12, false}, Mode{13, false},
+                          Mode{14, false}, Mode{21, true}, Mode{22, true},
+                          Mode{23, true}, Mode{24, true}}) {
+    const std::uint64_t seed = mode.seed;
     SchedulerUnderTest real;
     ReferenceScheduler ref;
     std::mt19937_64 rng(seed);
@@ -493,10 +509,26 @@ TEST(Scheduler, MatchesReferenceModelOnRandomOperations) {
       ASSERT_EQ(now[2] - base[2], ref.cancelled);
     };
     SimTime horizon = 0;
+    std::array<SimTime, 8> recent_times{};
+    SimDuration widest = 0;
+    std::size_t short_stops = 0;
+    std::size_t empty_pushes = 0;
+    const auto draw_time = [&]() -> SimTime {
+      if (!mode.wide) {
+        // A narrow time range, so many entries tie, and some times fall
+        // before now() (both sides clamp them).
+        return horizon + static_cast<SimTime>(rng() % 24) - 6;
+      }
+      if (rng() % 4 == 0) return recent_times[rng() % recent_times.size()];
+      const std::uint64_t bits = rng() % 41;
+      const SimTime t = ref.now + static_cast<SimTime>(
+                                      rng() & ((std::uint64_t{1} << bits) - 1));
+      recent_times[rng() % recent_times.size()] = t;
+      widest = std::max(widest, t - ref.now);
+      return t;
+    };
     for (int op = 0; op < 10'000; ++op) {
-      // A narrow time range, so many entries tie on time, and some
-      // times fall before now() (both sides clamp them).
-      const SimTime t = horizon + static_cast<SimTime>(rng() % 24) - 6;
+      const SimTime t = draw_time();
       const std::uint64_t kind = rng() % 16;
       // Mostly recent ids, so most cancels and moves hit a pending event.
       const std::size_t recent = std::min<std::size_t>(real.size(), 48);
@@ -514,10 +546,40 @@ TEST(Scheduler, MatchesReferenceModelOnRandomOperations) {
       } else if (kind < 15) {
         ASSERT_EQ(real.s.step(), ref.step());
         check();
-      } else {
+      } else if (!mode.wide) {
         horizon += static_cast<SimTime>(rng() % 8);
         real.s.run_until(horizon);
         ref.run_until(horizon);
+        check();
+      } else if (rng() % 8 == 0) {
+        if (rng() % 2 == 0) {
+          real.s.run();
+          while (ref.step()) {
+          }
+        } else {
+          for (std::size_t i = 0; i < real.size(); ++i) {
+            ASSERT_EQ(real.cancel(i), ref.cancel(i));
+          }
+          ASSERT_EQ(real.s.step(), ref.step());
+        }
+        check();
+        ASSERT_EQ(ref.queued(), 0u);
+        ASSERT_EQ(real.schedule_at(t), ref.schedule_at(t));
+        ASSERT_EQ(real.schedule_at(ref.now), ref.schedule_at(ref.now));
+        ++empty_pushes;
+      } else if (ref.queued() != 0 && ref.front() > ref.now) {
+        const SimTime stop =
+            ref.now + static_cast<SimTime>(
+                          rng() % static_cast<std::uint64_t>(ref.front() -
+                                                            ref.now));
+        real.s.run_until(stop);
+        ref.run_until(stop);
+        check();
+        ASSERT_EQ(real.schedule_at(ref.now), ref.schedule_at(ref.now));
+        ++short_stops;
+      } else {
+        real.s.run_until(t);
+        ref.run_until(t);
         check();
       }
       if (HasFatalFailure()) return;
@@ -530,6 +592,11 @@ TEST(Scheduler, MatchesReferenceModelOnRandomOperations) {
     EXPECT_GT(ref.cancelled, 500u);
     EXPECT_GT(ref.fired.size(), 2'000u);
     EXPECT_GT(checks, 2'000u);
+    if (mode.wide) {
+      EXPECT_GT(widest, SimDuration{1} << 39) << "seed " << seed;
+      EXPECT_GT(short_stops, 100u) << "seed " << seed;
+      EXPECT_GT(empty_pushes, 20u) << "seed " << seed;
+    }
   }
 }
 
