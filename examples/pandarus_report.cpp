@@ -6,7 +6,9 @@
 // environment variable set), replays it into a fresh metadata store,
 // re-runs the matching methods, and writes a single self-contained HTML
 // file with the paper-shaped tables, bandwidth/sampler sparklines, and
-// the transfer heatmap.
+// the transfer heatmap.  A stream without its terminal log_stats line
+// (truncated, or still being written) still gets its report, with a
+// warning on stderr and a red row in the HTML; the exit code is 0.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,6 +36,11 @@ int main(int argc, char** argv) {
     std::cerr << "pandarus-report: no events parsed from " << events_path
               << '\n';
     return 1;
+  }
+  if (!replay.log_stats.present) {
+    std::cerr << "pandarus-report: warning: " << events_path
+              << " ends early (no terminal log_stats event: truncated or "
+                 "still being written); every count is a floor\n";
   }
   std::cout << "replayed " << replay.lines_parsed << " events ("
             << replay.lines_skipped << " skipped), "

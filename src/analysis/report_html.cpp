@@ -25,6 +25,9 @@ namespace pandarus::analysis {
 namespace {
 
 constexpr std::string_view kTitle = "pandarus campaign report";
+constexpr std::string_view kEndsEarly =
+    "stream ends early (truncated or still being written): no terminal "
+    "log_stats event, so every count below is a floor";
 /// Bandwidth sparklines: top-k matched (src, dst) pairs per locality.
 constexpr std::size_t kTopPairs = 4;
 constexpr util::SimDuration kBandwidthBin = util::hours(1);
@@ -114,6 +117,12 @@ void write_meta_section(std::ostream& os, const ReplayResult& replay) {
       os << ", 0 dropped";
     }
     os << "</td></tr>";
+  } else {
+    // No end-of-stream marker: a cut at a line or chunk boundary
+    // replays cleanly, so only the missing log_stats line shows it.
+    os << "<tr><th style=\"color:#b00\">event log</th>"
+          "<td><span style=\"color:#b00;font-weight:bold\">"
+       << kEndsEarly << "</span></td></tr>";
   }
   os << "</table>";
 

@@ -24,7 +24,9 @@ struct HtmlReportOptions {
 
 /// Re-runs the three matching methods on the replayed store and writes
 /// the full report.  A replay with no harvest records still produces a
-/// valid (mostly empty) document.
+/// valid (mostly empty) document.  A replay without the terminal
+/// log_stats event (a stream truncated, or still being written) gets a
+/// red "stream ends early" row in its Campaign table.
 void write_html_report(std::ostream& os, const ReplayResult& replay,
                        const HtmlReportOptions& options = {});
 

@@ -124,11 +124,11 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
 
   // Candidate transfers: the job's task range of each file row's lfn
   // group (lfn equality is structural through the group), matched
-  // against that row on attr_sym (the exact dataset/proddblock/scope
-  // triple) and file_size, then time-filtered (started before the job's
-  // end).  The rest of the group is scanned and rejected on jeditaskid
-  // in bulk, unread.  Funnel tallies stay in locals until the single
-  // flush below the loop.
+  // against that row on the dataset, proddblock and scope symbols and
+  // file_size, then time-filtered (started before the job's end).  The
+  // rest of the group is scanned and rejected on jeditaskid in bulk,
+  // unread.  Funnel tallies stay in locals until the single flush below
+  // the loop.
   std::uint64_t scanned = 0;
   std::uint64_t rej_taskid = 0;
   std::uint64_t rej_attr = 0;
@@ -143,7 +143,9 @@ const std::vector<std::size_t>& Matcher::collect_candidates(
     rej_taskid += group_size - task.size();
     for (const std::uint32_t ti : task) {
       const TransferRecord& t = transfers[ti];
-      if (t.attr_sym != file.attr_sym || t.file_size != file.file_size) {
+      if (t.dataset_sym != file.dataset_sym ||
+          t.proddblock_sym != file.proddblock_sym ||
+          t.scope_sym != file.scope_sym || t.file_size != file.file_size) {
         ++rej_attr;
         continue;
       }

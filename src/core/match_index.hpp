@@ -16,10 +16,9 @@
 //    it: a popular lfn collects transfers from many tasks and from the
 //    untagged (-1) rule-driven traffic.
 //
-// The rest of Algorithm 1's predicate needs no index: the store's
-// attr_sym already names the (dataset, proddblock, scope) triple
-// exactly, so the matcher compares attr_sym and file_size on the
-// records it reads anyway.
+// The rest of Algorithm 1's predicate needs no index: the matcher
+// compares the dataset, proddblock and scope symbols and file_size on
+// the transfer records it reads anyway.
 //
 // Both group-bys are CSR layouts (offsets + slots) built by one
 // counting sort, slots ascending by row within each group.  Given a

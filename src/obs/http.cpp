@@ -250,7 +250,7 @@ void HttpServer::send_simple(int fd, const HttpRequest* req,
   send_all(fd, out);
 }
 
-bool HttpServer::parse_request(std::string_view text, HttpRequest& out) {
+bool parse_http_request(std::string_view text, HttpRequest& out) {
   // Request line: METHOD SP TARGET SP VERSION (trailing \r tolerated,
   // as is a bare-LF client).
   const std::size_t line_end = text.find('\n');
@@ -334,8 +334,8 @@ void HttpServer::handle_connection(int fd) {
     }
 
     HttpRequest request;
-    if (!parse_request(std::string_view(buffer).substr(0, head_end),
-                       request)) {
+    if (!parse_http_request(std::string_view(buffer).substr(0, head_end),
+                            request)) {
       send_simple(fd, nullptr,
                   {400, "text/plain; charset=utf-8", "bad request\n",
                    nullptr});

@@ -39,6 +39,13 @@ struct HttpRequest {
   [[nodiscard]] std::string_view header(std::string_view name) const noexcept;
 };
 
+/// Parses one request head (request line, headers, up to the first
+/// blank line; CRLF or bare LF) into `out`, which should start empty.
+/// False when the request line is malformed or a header line has no
+/// ':'; the server answers that with 400.  Bytes past the blank line
+/// are ignored.
+bool parse_http_request(std::string_view text, HttpRequest& out);
+
 /// Streaming sink handed to HttpResponse::stream callbacks.  Both calls
 /// return false once the client is gone or the server is stopping; the
 /// callback should return promptly when that happens.
@@ -108,8 +115,6 @@ class HttpServer {
   void accept_loop();
   void worker_loop();
   void handle_connection(int fd);
-  /// Parses one request from buffer[0, header_end); false -> 400.
-  static bool parse_request(std::string_view text, HttpRequest& out);
   bool send_all(int fd, std::string_view data) noexcept;
   void send_simple(int fd, const HttpRequest* req, HttpResponse response);
 

@@ -168,9 +168,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   hooks.on_job_complete = [&recorder](const wms::Job& job) {
     recorder.on_job_complete(job);
   };
-  hooks.on_task_complete = [&recorder, &rule_engine,
-                            &config](const wms::Task& task) {
-    recorder.on_task_complete(task);
+  hooks.on_task_complete = [&rule_engine, &config](const wms::Task& task) {
     // Production output datasets fall under the standard 2-copy T1 rule
     // as they appear, sustaining rule-driven WAN traffic all campaign.
     if (config.replicate_production_output &&
@@ -467,9 +465,16 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
     }
   }
   phase_span.emplace("campaign/post_process", "scenario");
-  // Corruption drops store rows, and the harvest below sets the armed
-  // memory peak: the recorder's row references go first.
+  // The harvest below sets the armed memory peak: the recorder's
+  // per-file symbols are freed first.
   recorder.release_file_cache();
+  // Job rows are written as each job ends, before its task's outcome is
+  // known.  A task turns terminal in the call that records its last
+  // job, and the server keeps every task, so its status now is the
+  // final one (kRunning for a task still open).
+  for (telemetry::JobRecord& row : result.store.jobs_mutable()) {
+    row.task_status = server.task(row.jeditaskid).status;
+  }
 
   result.drained = scheduler.empty();
   result.transfers_in_flight = engine.in_flight();

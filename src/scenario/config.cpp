@@ -26,8 +26,8 @@ std::uint64_t config_digest(const ScenarioConfig& c) {
 
   // Harvest-time knobs: they change only the *_record rows.
   const telemetry::Recorder::Params& r = c.recorder;
-  h = util::hash_mix(h, r.record_production_jobs ? 1u : 0u,
-                     dbits(r.p_unknown_dst_on_registration_failure));
+  // 0u: production jobs are never recorded; the slot keeps digests stable.
+  h = util::hash_mix(h, 0u, dbits(r.p_unknown_dst_on_registration_failure));
   h = util::hash_mix(h, dbits(r.p_partial_read_job));
   const telemetry::CorruptionParams& k = c.corruption;
   h = util::hash_mix(h, dbits(k.p_drop_transfer_taskid),

@@ -39,7 +39,8 @@ std::size_t emit_store_events(const MetadataStore& store, util::SimTime ts,
 /// String fields contribute their bytes, not their symbol ids (ids are
 /// local to one store's interner), so two stores holding equal rows in
 /// equal order agree however they were built.  Deterministic for one
-/// build; a full pass, because finalize_task() backfills job rows.
+/// build; a full pass, because rows are edited in place (corruption,
+/// run_campaign's task-status backfill).
 [[nodiscard]] std::uint64_t store_digest(const MetadataStore& store);
 
 }  // namespace pandarus::telemetry

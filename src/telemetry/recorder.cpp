@@ -1,7 +1,6 @@
 #include "telemetry/recorder.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace pandarus::telemetry {
 
@@ -10,10 +9,7 @@ Recorder::Recorder(MetadataStore& store, const dms::FileCatalog& catalog,
     : store_(store), catalog_(catalog), rng_(rng), params_(params) {}
 
 void Recorder::on_job_complete(const wms::Job& job) {
-  if (job.kind == wms::JobKind::kProduction &&
-      !params_.record_production_jobs) {
-    return;
-  }
+  if (job.kind == wms::JobKind::kProduction) return;
 
   JobRecord record;
   record.pandaid = job.pandaid;
@@ -32,24 +28,16 @@ void Recorder::on_job_complete(const wms::Job& job) {
   record_file_rows(job);
 }
 
-FileSymbols Recorder::symbols(dms::FileId file, std::size_t next_row,
-                              bool is_transfer) {
-  if (file >= first_row_.size()) {
-    first_row_.resize(std::max<std::size_t>(file + 1, catalog_.file_count()),
-                      kUnrecorded);
+FileSymbols Recorder::symbols(dms::FileId file) {
+  if (file >= symbols_.size()) {
+    symbols_.resize(std::max<std::size_t>(file + 1, catalog_.file_count()));
   }
-  std::uint32_t& first = first_row_[file];
-  if (first != kUnrecorded) {
-    const std::size_t row = first >> 1;
-    return (first & 1) != 0 ? FileSymbols::of(store_.transfers()[row])
-                            : FileSymbols::of(store_.files()[row]);
+  FileSymbols& cached = symbols_[file];
+  if (cached.lfn == util::kNoSymbol) {
+    cached = store_.intern({catalog_.lfn(file), catalog_.dataset_name(file),
+                            catalog_.proddblock(file), catalog_.scope(file)});
   }
-  if (next_row >= kUnrecorded >> 1) {
-    throw std::length_error("Recorder: 2^31 rows in one record family");
-  }
-  first = static_cast<std::uint32_t>(next_row << 1) | (is_transfer ? 1 : 0);
-  return store_.intern({catalog_.lfn(file), catalog_.dataset_name(file),
-                        catalog_.proddblock(file), catalog_.scope(file)});
+  return cached;
 }
 
 void Recorder::record_file_rows(const wms::Job& job) {
@@ -59,14 +47,10 @@ void Recorder::record_file_rows(const wms::Job& job) {
     row.jeditaskid = job.jeditaskid;
     row.file_size = catalog_.file(f).size_bytes;
     row.direction = direction;
-    store_.record_file(row, symbols(f, store_.files().size(), false));
+    store_.record_file(row, symbols(f));
   };
   for (dms::FileId f : job.input_files) emit(f, FileDirection::kInput);
   for (dms::FileId f : job.output_files) emit(f, FileDirection::kOutput);
-}
-
-void Recorder::on_task_complete(const wms::Task& task) {
-  store_.finalize_task(task.jeditaskid, task.status);
 }
 
 void Recorder::on_transfer(const dms::TransferOutcome& outcome) {
@@ -106,8 +90,7 @@ void Recorder::on_transfer(const dms::TransferOutcome& outcome) {
     }
   }
 
-  store_.record_transfer(
-      record, symbols(outcome.file, store_.transfers().size(), true));
+  store_.record_transfer(record, symbols(outcome.file));
 }
 
 }  // namespace pandarus::telemetry

@@ -12,15 +12,14 @@
 // transfer set with destination "UNKNOWN" whose files later get
 // re-transferred because the catalog never learned about the copy.
 //
-// A file's rows all carry the same five symbols.  The first row of a
+// A file's rows all carry the same four symbols.  The first row of a
 // file formats its names and interns them through the store, in the
-// order record_file(row, FileAttributes) would; every later row copies
-// the symbols from that first row.  Ids come out as if every row were
-// interned, and the per-file state is one 4-byte row reference, held
-// until release_file_cache().
+// order record_file(row, FileAttributes) would, and the Recorder keeps
+// the symbols (16 bytes per catalog file); every later row copies them.
+// Ids come out as if every row were interned, and the Recorder never
+// reads the store's rows, so nothing ties it to their order.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "dms/catalog.hpp"
@@ -34,7 +33,6 @@ namespace pandarus::telemetry {
 class Recorder {
  public:
   struct Params {
-    bool record_production_jobs = false;
     /// P(recorded destination = UNKNOWN | replica registration failed).
     double p_unknown_dst_on_registration_failure = 0.9;
     /// Direct-IO streams record bytes *read*, not file size.  Whether a
@@ -51,38 +49,29 @@ class Recorder {
   Recorder(MetadataStore& store, const dms::FileCatalog& catalog,
            util::Rng rng, Params params);
 
-  /// Call on every terminal job (wire to PandaServer::Hooks).
+  /// Call on every terminal job (wire to PandaServer::Hooks).  Records
+  /// user jobs only.
   void on_job_complete(const wms::Job& job);
-  /// Call on every terminal task.
-  void on_task_complete(const wms::Task& task);
   /// Call on every transfer outcome (wire to TransferEngine::set_sink).
   void on_transfer(const dms::TransferOutcome& outcome);
 
-  /// Frees the per-file row references.  Call it before anything
-  /// removes or reorders the store's rows (corruption injection drops
-  /// some), and to return the memory once the simulation has drained.
-  /// A row recorded afterwards interns its names again: same ids.
-  void release_file_cache() noexcept {
-    first_row_ = std::vector<std::uint32_t>();
-  }
+  /// Frees the per-file symbols, to return their memory once the
+  /// simulation has drained and before the harvest.  A row recorded
+  /// afterwards interns its names again: same ids.
+  void release_file_cache() noexcept { symbols_ = std::vector<FileSymbols>(); }
 
  private:
   void record_file_rows(const wms::Job& job);
-  /// The symbols of `file`'s rows.  `next_row` is where the row about
-  /// to be appended lands (`is_transfer` picks the family); a file's
-  /// first row is remembered there.
-  FileSymbols symbols(dms::FileId file, std::size_t next_row,
-                      bool is_transfer);
+  /// The symbols of `file`'s rows, interned on its first row.
+  FileSymbols symbols(dms::FileId file);
 
   MetadataStore& store_;
   const dms::FileCatalog& catalog_;
   util::Rng rng_;
   Params params_;
-  /// Per catalog file, its first row in the store: kUnrecorded, or
-  /// (row << 1 | is_transfer).  Valid while the store's rows are
-  /// neither removed nor reordered (see release_file_cache()).
-  static constexpr std::uint32_t kUnrecorded = ~std::uint32_t{0};
-  std::vector<std::uint32_t> first_row_;
+  /// Per catalog file, the symbols of its rows (lfn == kNoSymbol until
+  /// its first row).
+  std::vector<FileSymbols> symbols_;
 };
 
 }  // namespace pandarus::telemetry

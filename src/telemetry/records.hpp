@@ -41,7 +41,9 @@ struct JobRecord {
   bool failed = false;
   std::int32_t error_code = 0;
   bool direct_io = false;
-  /// Final status of the owning task; backfilled by finalize_task().
+  /// Final status of the owning task: scenario::run_campaign copies it
+  /// from the PanDA server once the simulation has drained (kRunning
+  /// for a task still open then).
   wms::TaskStatus task_status = wms::TaskStatus::kRunning;
 
   [[nodiscard]] util::SimDuration queuing_time() const noexcept {
@@ -63,14 +65,12 @@ struct FileRecord {
 
   /// Dense symbol ids of the string attributes in the owning store's
   /// symbols(), assigned by MetadataStore at ingest (kNoSymbol on
-  /// records that never passed through a store).  attr_sym is the
-  /// interned (dataset, proddblock, scope) triple: equal attr_sym iff
-  /// all three strings are equal.
+  /// records that never passed through a store): equal ids iff equal
+  /// strings.
   util::Symbol lfn_sym = util::kNoSymbol;
   util::Symbol dataset_sym = util::kNoSymbol;
   util::Symbol proddblock_sym = util::kNoSymbol;
   util::Symbol scope_sym = util::kNoSymbol;
-  util::Symbol attr_sym = util::kNoSymbol;
 };
 
 struct TransferRecord {
@@ -96,7 +96,6 @@ struct TransferRecord {
   util::Symbol dataset_sym = util::kNoSymbol;
   util::Symbol proddblock_sym = util::kNoSymbol;
   util::Symbol scope_sym = util::kNoSymbol;
-  util::Symbol attr_sym = util::kNoSymbol;
 
   [[nodiscard]] bool has_jeditaskid() const noexcept {
     return jeditaskid >= 0;

@@ -3,7 +3,6 @@
 namespace pandarus::telemetry {
 
 void MetadataStore::record_job(JobRecord record) {
-  jobs_by_task_[record.jeditaskid].push_back(jobs_.size());
   jobs_.push_back(std::move(record));
 }
 
@@ -13,9 +12,6 @@ FileSymbols MetadataStore::intern(const FileAttributes& attributes) {
   out.dataset = symbols_.intern(attributes.dataset);
   out.proddblock = symbols_.intern(attributes.proddblock);
   out.scope = symbols_.intern(attributes.scope);
-  const util::Symbol pair =
-      attr_pairs_.intern(util::pack_symbols(out.dataset, out.proddblock));
-  out.attr = attr_triples_.intern(util::pack_symbols(pair, out.scope));
   return out;
 }
 
@@ -27,7 +23,6 @@ void set_symbols(Record& record, const FileSymbols& symbols) {
   record.dataset_sym = symbols.dataset;
   record.proddblock_sym = symbols.proddblock;
   record.scope_sym = symbols.scope;
-  record.attr_sym = symbols.attr;
 }
 
 }  // namespace
@@ -42,13 +37,6 @@ void MetadataStore::record_transfer(TransferRecord record,
                                     const FileSymbols& symbols) {
   set_symbols(record, symbols);
   transfers_.push_back(record);
-}
-
-void MetadataStore::finalize_task(std::int64_t jeditaskid,
-                                  wms::TaskStatus status) {
-  auto it = jobs_by_task_.find(jeditaskid);
-  if (it == jobs_by_task_.end()) return;
-  for (std::size_t idx : it->second) jobs_[idx].task_status = status;
 }
 
 MetadataStore::Counts MetadataStore::counts() const noexcept {

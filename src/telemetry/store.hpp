@@ -3,21 +3,19 @@
 // Append-only record streams.  Indexes used by the matcher (file
 // records by (pandaid, jeditaskid), transfers by lfn) are built on
 // demand by the core module;
-// the store itself stays a dumb, faithful record base — plus one symbol
-// table, the only copy of the records' strings.  intern() maps the
-// string attributes (lfn, dataset, proddblock, scope) to dense ids and
-// the (dataset, proddblock, scope) triple to one attr_sym, so the
-// matching core can group and compare records with integers only;
-// attributes() reads the strings back.  A writer that already
-// holds a row's symbols (the Recorder, on a file's later rows) appends
-// it without interning again.  Every member is a value, so a copy of a
-// store is independent of its source.
+// the store itself stays a dumb, faithful record base: three row
+// vectors plus one symbol table, the only copy of the records' strings.
+// intern() maps the string attributes (lfn, dataset, proddblock, scope)
+// to dense ids, so the matching core can group and compare records
+// with integers only; attributes() reads the strings back.  A writer
+// that already holds a row's symbols (the Recorder, on a file's later
+// rows) appends it without interning again.  Every member is a value,
+// so a copy of a store is independent of its source.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/records.hpp"
@@ -39,23 +37,14 @@ struct FileSymbols {
   util::Symbol dataset = util::kNoSymbol;
   util::Symbol proddblock = util::kNoSymbol;
   util::Symbol scope = util::kNoSymbol;
-  /// The interned (dataset, proddblock, scope) triple.
-  util::Symbol attr = util::kNoSymbol;
-
-  /// A stored row's symbols.
-  template <typename Record>
-  [[nodiscard]] static FileSymbols of(const Record& record) noexcept {
-    return {record.lfn_sym, record.dataset_sym, record.proddblock_sym,
-            record.scope_sym, record.attr_sym};
-  }
 };
 
 class MetadataStore {
  public:
   void record_job(JobRecord record);
   /// The symbols of `attributes`, interned in lfn, dataset, proddblock,
-  /// scope order, then the triple.  The views must not point into this
-  /// store's symbols(): interning may move them.
+  /// scope order.  The views must not point into this store's
+  /// symbols(): interning may move them.
   FileSymbols intern(const FileAttributes& attributes);
   /// Appends the row with its symbol fields set to `symbols`, which
   /// this store's intern() returned.
@@ -70,11 +59,6 @@ class MetadataStore {
                        const FileAttributes& attributes) {
     record_transfer(record, intern(attributes));
   }
-
-  /// Backfills the final task status on every job record of the task
-  /// (job records are written at job completion, before their task
-  /// reaches a terminal state).
-  void finalize_task(std::int64_t jeditaskid, wms::TaskStatus status);
 
   [[nodiscard]] std::span<const JobRecord> jobs() const noexcept {
     return jobs_;
@@ -102,8 +86,9 @@ class MetadataStore {
             symbols_.view(record.scope_sym)};
   }
 
-  // Mutable access for the corruption injector only.  Numeric fields
-  // (file_size, sites, task ids, times) may be edited freely: matching
+  // Mutable access for the corruption injector and for the campaign's
+  // task-status backfill.  Numeric fields (file_size, sites, task ids,
+  // times, task_status) may be edited freely and rows removed: matching
   // reads them from the records, never from a copy.
   [[nodiscard]] std::vector<JobRecord>& jobs_mutable() noexcept {
     return jobs_;
@@ -127,12 +112,7 @@ class MetadataStore {
   std::vector<JobRecord> jobs_;
   std::vector<FileRecord> files_;
   std::vector<TransferRecord> transfers_;
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> jobs_by_task_;
   util::StringInterner symbols_;
-  /// (dataset_sym, proddblock_sym) -> pair id, (pair id, scope_sym) ->
-  /// attr_sym: chained pair interning gives the triple an exact dense id.
-  util::KeyInterner<std::uint64_t> attr_pairs_;
-  util::KeyInterner<std::uint64_t> attr_triples_;
 };
 
 }  // namespace pandarus::telemetry

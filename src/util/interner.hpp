@@ -14,10 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace pandarus::util {
@@ -27,7 +25,8 @@ namespace pandarus::util {
 using Symbol = std::uint32_t;
 
 /// Sentinel for "never interned" (records that did not pass through a
-/// MetadataStore).  Indexes treat it as matching nothing.
+/// MetadataStore, files the Recorder has not recorded yet).  Indexes
+/// treat it as matching nothing.
 inline constexpr Symbol kNoSymbol = 0xFFFF'FFFFu;
 
 /// The one copy of each distinct string: every string's bytes sit back
@@ -63,31 +62,5 @@ class StringInterner {
   /// size and at most half full.
   std::vector<Symbol> slots_;
 };
-
-/// Dense ids for arbitrary integer-like keys (already-hashed tuples,
-/// packed symbol pairs, file sizes).  Same exactness contract as
-/// StringInterner: equal ids iff equal keys.
-template <typename Key, typename Hash = std::hash<Key>>
-class KeyInterner {
- public:
-  Symbol intern(const Key& key) {
-    const auto next = static_cast<Symbol>(ids_.size());
-    return ids_.try_emplace(key, next).first->second;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
-
- private:
-  std::unordered_map<Key, Symbol, Hash> ids_;
-};
-
-/// Packs two symbols into one KeyInterner<uint64_t> key.  Chaining pair
-/// interns is how wider tuples get exact dense ids: ((a,b)->p, (p,c)->q)
-/// assigns equal q iff (a,b,c) are pairwise equal.
-[[nodiscard]] constexpr std::uint64_t pack_symbols(Symbol hi,
-                                                   Symbol lo) noexcept {
-  return (static_cast<std::uint64_t>(hi) << 32) |
-         static_cast<std::uint64_t>(lo);
-}
 
 }  // namespace pandarus::util

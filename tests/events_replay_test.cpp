@@ -2,8 +2,9 @@
 // overflow), sampler/event-stream determinism (a traced run must produce
 // byte-identical NDJSON to an untraced one), the replay cross-check
 // (analyses on an events-rebuilt store must equal the in-memory ones),
-// one-pass replay + health parity with the two-pass path, and the
-// health pass's kind pre-filter and damage reporting.
+// one-pass replay + health parity with the two-pass path, the health
+// pass's kind pre-filter and damage reporting, and the report's flag on
+// a stream cut where its format shows no damage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -605,6 +606,69 @@ TEST(EventsReplay, DeriveHealthReportsDamagedStreams) {
        {ndjson_path, col_path, garbled_path, torn_path}) {
     std::remove(path.c_str());
   }
+}
+
+// --- truncation ---------------------------------------------------------------
+
+// A stream cut where its format sees no damage (NDJSON at a line end, a
+// colstore between two chunks) replays cleanly, so the missing terminal
+// log_stats event is the only sign of the cut: the report flags both
+// cuts, and not the uncut stream.
+TEST(EventsReplay, ReportFlagsAStreamThatEndsEarly) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 20250401;
+  obs::EventLog log;
+  std::ignore = scenario::run_campaign(config, {.events = &log});
+  log.close();
+  const std::string ndjson = log.to_ndjson();
+
+  const std::string path = "events_replay_ends_early.events";
+  const auto report = [&path](const std::string& bytes) {
+    write_file(path, bytes);
+    const auto source = analysis::open_event_source(path);
+    EXPECT_NE(source, nullptr);
+    if (source == nullptr) return std::string();
+    const analysis::ReplayResult replay = analysis::replay_events(*source);
+    EXPECT_TRUE(source->error().empty()) << source->error();
+    EXPECT_EQ(replay.lines_skipped, 0u);
+    std::ostringstream html;
+    analysis::write_html_report(html, replay);
+    return html.str();
+  };
+  const auto ends_early = [](const std::string& html) {
+    return html.find("stream ends early") != std::string::npos;
+  };
+
+  EXPECT_FALSE(ends_early(report(ndjson)));
+  const std::size_t last_line = ndjson.rfind('\n', ndjson.size() - 2) + 1;
+  ASSERT_NE(ndjson.find("\"kind\":\"log_stats\"", last_line),
+            std::string::npos);
+  const std::size_t middle = ndjson.find('\n', ndjson.size() / 2) + 1;
+  for (const std::size_t cut : {last_line, middle}) {
+    EXPECT_TRUE(ends_early(report(ndjson.substr(0, cut)))) << cut;
+  }
+
+  // The same stream as a colstore of many small chunks, cut between two
+  // of them: the reader reports no error.
+  const std::string col_path = "events_replay_ends_early.colstore";
+  std::vector<std::size_t> chunk_ends;
+  {
+    obs::ColWriter writer(col_path, {.rows_per_chunk = 256});
+    for (const std::string& line : split_lines(ndjson)) {
+      ASSERT_TRUE(writer.append_ndjson_line(line));
+      if (writer.stats().chunks > chunk_ends.size()) {
+        chunk_ends.push_back(writer.stats().bytes_written);
+      }
+    }
+    ASSERT_TRUE(writer.close()) << writer.error();
+  }
+  const std::string col = read_whole_file(col_path);
+  ASSERT_GT(chunk_ends.size(), 2u);
+  EXPECT_FALSE(ends_early(report(col)));
+  EXPECT_TRUE(ends_early(report(col.substr(0, chunk_ends[1]))));
+  std::remove(path.c_str());
+  std::remove(col_path.c_str());
 }
 
 // --- harvest ----------------------------------------------------------------

@@ -12,8 +12,8 @@
 //    drops the gate; only RM2 accepts an UNKNOWN endpoint.
 //
 // It shares nothing with the matching core: no MatchIndex, no symbol
-// ids (attr_sym included).  Every input is diffed job by job — matched
-// transfer set, local/remote counts — against Matcher::run, against
+// ids.  Every input is diffed job by job — matched transfer set,
+// local/remote counts — against Matcher::run, against
 // ParallelMatchDriver over a pool-built index, and against
 // diagnose_job's verdict; exact ⊆ RM1 ⊆ RM2 is checked per job on the
 // oracle's own output.

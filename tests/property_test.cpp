@@ -248,8 +248,7 @@ TEST_P(InternerSweep, CopyOutlivesItsSource) {
 TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
   // Two stores ingest the same file records in opposite orders.  The
   // numeric ids may differ, but each store's symbols must resolve back
-  // to the record's strings, and attr_sym equality must coincide with
-  // attribute-tuple equality in both.
+  // to the record's strings in both.
   util::Rng rng(GetParam());
   const auto lfns = random_strings(rng, 60);
   std::vector<telemetry::FileRecord> records;
@@ -278,26 +277,12 @@ TEST_P(InternerSweep, StoreSymbolsConsistentAcrossIngestOrder) {
   }
 
   const auto check = [&](const telemetry::MetadataStore& store) {
-    const auto files = store.files();
-    const auto names_of =
-        [&](const telemetry::FileRecord& f) -> const Names& {
-      return names[static_cast<std::size_t>(f.pandaid)];
-    };
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      const auto& f = files[i];
-      const Names& n = names_of(f);
+    for (const telemetry::FileRecord& f : store.files()) {
+      const Names& n = names[static_cast<std::size_t>(f.pandaid)];
       EXPECT_EQ(store.symbols().view(f.lfn_sym), n.lfn);
       EXPECT_EQ(store.symbols().view(f.dataset_sym), n.dataset);
       EXPECT_EQ(store.symbols().view(f.proddblock_sym), n.proddblock);
       EXPECT_EQ(store.symbols().view(f.scope_sym), n.scope);
-      for (std::size_t j = i + 1; j < files.size(); ++j) {
-        const Names& m = names_of(files[j]);
-        const bool same_tuple = n.dataset == m.dataset &&
-                                n.proddblock == m.proddblock &&
-                                n.scope == m.scope;
-        EXPECT_EQ(f.attr_sym == files[j].attr_sym, same_tuple)
-            << n.lfn << " vs " << m.lfn;
-      }
     }
   };
   check(forward);

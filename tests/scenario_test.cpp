@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "analysis/breakdown.hpp"
 #include "analysis/heatmap.hpp"
@@ -81,6 +82,30 @@ TEST(Campaign, MostTasksReachTerminalStatus) {
     finalized += j.task_status != wms::TaskStatus::kRunning;
   }
   EXPECT_GT(finalized, r.store.jobs().size() * 9 / 10);
+}
+
+TEST(Campaign, JobRowsCarryTheirTasksFinalStatus) {
+  // run_campaign copies each task's final status onto its job rows.
+  const ScenarioResult& r = shared_result();
+  struct Task {
+    wms::TaskStatus status;
+    bool any_failed;
+  };
+  std::map<std::int64_t, Task> tasks;
+  for (const auto& j : r.store.jobs()) {
+    Task& task =
+        tasks.try_emplace(j.jeditaskid, Task{j.task_status, false})
+            .first->second;
+    EXPECT_EQ(task.status, j.task_status) << j.jeditaskid;
+    task.any_failed |= j.failed;
+  }
+  std::size_t failed_tasks = 0;
+  for (const auto& [id, task] : tasks) {
+    if (task.status != wms::TaskStatus::kFailed) continue;
+    ++failed_tasks;
+    EXPECT_TRUE(task.any_failed) << id;
+  }
+  EXPECT_GT(failed_tasks, 0u);
 }
 
 TEST(Campaign, DeterministicForSeed) {

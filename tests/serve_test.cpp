@@ -1,5 +1,6 @@
 // obs::serve end-to-end: the embedded HTTP server's protocol corners
-// (split reads, oversized heads, pipelining, abrupt closes), the
+// (split reads, oversized heads, pipelining, abrupt closes) and a
+// mutation fuzz of its request parser, the
 // StatusServer route table, the Prometheus exposition discipline, the
 // analysis /api bodies against post-hoc ground truth, and the
 // byte-identity of a campaign's NDJSON stream with a concurrent scraper
@@ -49,6 +50,7 @@
 #include "scenario/campaign.hpp"
 #include "scenario/config.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace pandarus {
 namespace {
@@ -268,6 +270,108 @@ TEST(HttpServer, HeadOmitsTheBody) {
   EXPECT_NE(response.find("Content-Length: 8"), std::string::npos);
   EXPECT_EQ(body_of(response), "");
   server.stop();
+}
+
+// --- request parser fuzz -----------------------------------------------------
+
+/// Renders a parsed request head back to text: CRLF lines, one space
+/// between the request line's parts, "name: value" headers.
+std::string render_request(const obs::HttpRequest& request) {
+  std::string out =
+      request.method + ' ' + request.target + ' ' + request.version + "\r\n";
+  for (const auto& [name, value] : request.headers) {
+    out += name + ": " + value + "\r\n";
+  }
+  return out + "\r\n";
+}
+
+TEST(HttpFuzz, MutatedRequestHeadsParseOrFailCleanly) {
+  // Deterministic mutation fuzz of parse_http_request: seeded byte
+  // flips, truncations and splices of valid request heads.  A head
+  // either fails (the server answers 400) or parses into a well-formed
+  // request that renders and parses back to itself.
+  std::string many_headers = "GET /status HTTP/1.1\r\n";
+  for (int i = 0; i < 40; ++i) {
+    many_headers += "X-Header-" + std::to_string(i) + ": value " +
+                    std::to_string(i * 7) + "\r\n";
+  }
+  many_headers += "\r\n";
+  const std::vector<std::string> corpus = {
+      "GET / HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "GET /api/summary?method=rm2&window=3600 HTTP/1.1\r\nHost: x\r\n"
+      "Accept: application/json\r\nConnection: keep-alive\r\n\r\n",
+      "HEAD /metrics HTTP/1.0\nHost: x\nUser-Agent: probe/1.0\n\n",
+      "GET /api/events?since=17 HTTP/1.1\r\nHost: x\r\n"
+      "Accept: text/event-stream\r\nCache-Control: no-cache\r\n\r\n",
+      "GET /api/alerts? HTTP/1.1\r\nHost:\tx\t\r\nX-Empty:\r\n\r\n",
+      many_headers,
+      "GET /one HTTP/1.1\r\nHost: x\r\n\r\n"
+      "GET /two?a=b HTTP/1.1\r\nHost: y\r\nConnection: close\r\n\r\n",
+  };
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& text, const std::string& what) {
+    obs::HttpRequest request;
+    if (!obs::parse_http_request(text, request)) {
+      ++rejected;
+      return;
+    }
+    ++parsed;
+    EXPECT_FALSE(request.method.empty()) << what;
+    EXPECT_FALSE(request.target.empty()) << what;
+    EXPECT_TRUE(request.version.starts_with("HTTP/")) << what;
+    const bool has_query = request.target.find('?') != std::string::npos;
+    EXPECT_EQ(has_query ? request.path + '?' + request.query : request.path,
+              request.target)
+        << what;
+    EXPECT_TRUE(has_query || request.query.empty()) << what;
+    obs::HttpRequest again;
+    ASSERT_TRUE(obs::parse_http_request(render_request(request), again))
+        << what;
+    EXPECT_EQ(again.method, request.method) << what;
+    EXPECT_EQ(again.target, request.target) << what;
+    EXPECT_EQ(again.path, request.path) << what;
+    EXPECT_EQ(again.query, request.query) << what;
+    EXPECT_EQ(again.version, request.version) << what;
+    EXPECT_EQ(again.headers, request.headers) << what;
+  };
+  for (const std::string& head : corpus) check(head, head);
+  ASSERT_EQ(parsed, corpus.size());
+
+  // Flips either XOR a random byte or write a byte the grammar splits
+  // on, so that the mutants reach every branch of the parser.
+  constexpr std::string_view kSeparators(" \t\r\n:?\0", 7);
+  util::Rng rng(20261020);
+  constexpr int kMutants = 12'000;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string& base = corpus[rng.uniform_index(corpus.size())];
+    std::string text = base;
+    std::string what;
+    if (i % 3 == 0) {
+      for (std::size_t k = 1 + rng.uniform_index(4); k > 0; --k) {
+        const std::size_t at = rng.uniform_index(text.size());
+        if (rng.uniform_index(2) == 0) {
+          text[at] = kSeparators[rng.uniform_index(kSeparators.size())];
+        } else {
+          text[at] = static_cast<char>(static_cast<unsigned char>(text[at]) ^
+                                       (1 + rng.uniform_index(255)));
+        }
+        what += "flip " + std::to_string(at) + ' ';
+      }
+    } else if (i % 3 == 1) {
+      text.resize(rng.uniform_index(text.size() + 1));
+      what = "cut " + std::to_string(text.size());
+    } else {
+      const std::string& other = corpus[rng.uniform_index(corpus.size())];
+      const std::size_t from = rng.uniform_index(base.size() + 1);
+      const std::size_t to = rng.uniform_index(other.size() + 1);
+      text = base.substr(0, from) + other.substr(to);
+      what = "splice " + std::to_string(from) + " -> " + std::to_string(to);
+    }
+    check(text, what + " of: " + base);
+  }
+  EXPECT_GT(parsed, corpus.size() + kMutants / 4);
+  EXPECT_GT(rejected, std::size_t{kMutants / 10});
 }
 
 // --- StatusServer route table -----------------------------------------------

@@ -96,18 +96,6 @@ TEST(Store, CountsAndTaskidTally) {
   EXPECT_EQ(counts.transfers_with_taskid, 1u);
 }
 
-TEST(Store, FinalizeTaskBackfillsStatus) {
-  MetadataStore store;
-  store.record_job(basic_job(1, 5, 1000));
-  store.record_job(basic_job(2, 5, 2000));
-  store.record_job(basic_job(3, 6, 3000));
-  store.finalize_task(5, wms::TaskStatus::kFailed);
-  EXPECT_EQ(store.jobs()[0].task_status, wms::TaskStatus::kFailed);
-  EXPECT_EQ(store.jobs()[1].task_status, wms::TaskStatus::kFailed);
-  EXPECT_EQ(store.jobs()[2].task_status, wms::TaskStatus::kRunning);
-  store.finalize_task(999, wms::TaskStatus::kDone);  // unknown: no-op
-}
-
 TEST(Store, CopyOutlivesItsSource) {
   // A copy owns its rows and its strings, so it writes the source's
   // bytes after the source is gone, and interns on its own.
@@ -314,12 +302,6 @@ TEST(Recorder, CachedSymbolsMatchInterningEveryRow) {
         for (dms::FileId f : *list) intern_row(cached.files()[row++], f);
       }
       ASSERT_EQ(row, cached.files().size());
-    } else if (what == 7) {
-      wms::Task task;
-      task.jeditaskid = step % 17;
-      task.status = wms::TaskStatus::kDone;
-      recorder.on_task_complete(task);
-      interned.finalize_task(task.jeditaskid, task.status);
     } else {
       dms::TransferOutcome o;
       o.transfer_id = static_cast<std::uint64_t>(step);
@@ -349,7 +331,7 @@ TEST(Recorder, CachedSymbolsMatchInterningEveryRow) {
   const auto same_symbols = [](const auto& a, const auto& b) {
     return a.lfn_sym == b.lfn_sym && a.dataset_sym == b.dataset_sym &&
            a.proddblock_sym == b.proddblock_sym &&
-           a.scope_sym == b.scope_sym && a.attr_sym == b.attr_sym;
+           a.scope_sym == b.scope_sym;
   };
   ASSERT_EQ(cached.files().size(), interned.files().size());
   for (std::size_t i = 0; i < cached.files().size(); ++i) {
