@@ -14,9 +14,7 @@
 namespace pandarus::analysis {
 namespace {
 
-using util::json::FlatMember;
 using util::json::FlatObject;
-using util::json::Kind;
 
 /// Bytes pulled from the underlying stream per refill.
 constexpr std::size_t kReadChunk = std::size_t{1} << 16;
@@ -142,56 +140,15 @@ class NdjsonSource final : public EventSource {
   FlatObject event_;
 };
 
-FlatMember int_member(std::string_view key, std::int64_t v) {
-  FlatMember m;
-  m.key = key;
-  m.kind = Kind::kNumber;
-  m.is_int = true;
-  m.int_v = v;
-  m.num_v = static_cast<double>(v);
-  return m;
-}
-
-FlatMember string_member(std::string_view key, std::string_view s) {
-  FlatMember m;
-  m.key = key;
-  m.kind = Kind::kString;
-  m.str_v = s;
-  return m;
-}
-
-/// A decoded field as the member parse_flat reads from its rendering.
-FlatMember field_member(const obs::DecodedEvent::Field& f) {
-  using FieldType = obs::DecodedEvent::FieldType;
-  FlatMember m;
-  m.key = f.key;
-  switch (f.type) {
-    case FieldType::kInt: return int_member(f.key, f.int_v);
-    case FieldType::kString: return string_member(f.key, f.string_v);
-    case FieldType::kDouble:
-      m.kind = Kind::kNumber;
-      m.num_v = f.double_v;
-      m.int_v = util::json::saturating_int(f.double_v);
-      break;
-    case FieldType::kBool:
-      m.kind = Kind::kBool;
-      m.bool_v = f.bool_v;
-      break;
-    case FieldType::kNull: break;  // a default member is null
-  }
-  return m;
-}
-
 obs::ColFilter kind_filter(std::span<const std::string_view> kinds) {
   obs::ColFilter filter;
   filter.kinds.assign(kinds.begin(), kinds.end());
   return filter;
 }
 
-/// Views decoded colstore rows as the members parse_flat reads from
-/// their NDJSON rendering — same member order, same int/double duality
-/// — so replay results are indistinguishable across formats.  Every
-/// view points into the reader's dictionary; nothing is copied.
+/// Yields the colstore reader's rows, which it fills as the members
+/// parse_flat reads from their NDJSON rendering, so replay results are
+/// indistinguishable across formats.
 class ColstoreSource final : public EventSource {
  public:
   ColstoreSource(const std::string& path,
@@ -199,25 +156,12 @@ class ColstoreSource final : public EventSource {
       : reader_(path, kind_filter(kinds)) {}
 
   const FlatObject* next() override {
-    if (!reader_.next(decoded_)) {
-      if (!reader_.ok() && !warned_) {
-        warned_ = true;
-        util::log_warning() << "event source: " << reader_.error();
-      }
-      return nullptr;
+    if (reader_.next(event_)) return &event_;
+    if (!reader_.ok() && !warned_) {
+      warned_ = true;
+      util::log_warning() << "event source: " << reader_.error();
     }
-    std::vector<FlatMember>& members = event_.members;
-    members.clear();
-    members.push_back(int_member("ts", decoded_.ts));
-    members.push_back(string_member("kind", decoded_.kind));
-    members.push_back(
-        decoded_.entity_is_string
-            ? string_member("entity", decoded_.entity_string)
-            : int_member("entity", decoded_.entity_int));
-    for (const obs::DecodedEvent::Field& f : decoded_.fields) {
-      members.push_back(field_member(f));
-    }
-    return &event_;
+    return nullptr;
   }
 
   [[nodiscard]] std::size_t skipped() const noexcept override {
@@ -232,7 +176,6 @@ class ColstoreSource final : public EventSource {
  private:
   obs::ColReader reader_;
   bool warned_ = false;
-  obs::DecodedEvent decoded_;
   FlatObject event_;
 };
 

@@ -5,11 +5,13 @@
 // A source yields one event at a time as a `util::json::FlatObject`: a
 // flat view of the event's members, read in place, with no tree built.
 // The NDJSON source assembles lines from fixed-size read chunks
-// (bounded buffer — no whole-file slurp) and parses each where it sits;
-// the colstore source decodes one chunk of columns at a time and points
-// the view into the reader's dictionary.  Both give members identical
-// semantics (int/double duality, member order), so every consumer sees
-// the same events regardless of the container format.
+// (bounded buffer — no whole-file slurp) and parses each where it sits
+// with parse_flat; the colstore source hands on the object
+// obs::ColReader fills from one decoded chunk at a time, with views
+// into the reader's dictionary.  The reader types each member as
+// parse_flat types its rendering (int/double duality, member order), so
+// every consumer sees the same events regardless of the container
+// format.
 //
 // A source opened with a kind list yields only events of those kinds,
 // and skips the others before decoding them: the colstore reader skips

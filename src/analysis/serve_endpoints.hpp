@@ -7,7 +7,7 @@
 //                       three methods (the CI gate reads exact/rm1/rm2
 //                       matched_jobs here)
 //   /api/tables         Table 1 (activity breakdown) and Tables 2a/2b
-//   /api/series         the obs::Sampler columnar time series
+//   /api/series         the campaign's sampled time series ("sample" rows)
 //   /api/critical-path  per-link critical-seconds ranking
 //
 // Live mode reads the session EventLog's *published prefix* only,

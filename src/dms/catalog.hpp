@@ -63,9 +63,6 @@ class FileCatalog {
   [[nodiscard]] std::size_t file_count() const noexcept {
     return files_.size();
   }
-  [[nodiscard]] std::size_t dataset_count() const noexcept {
-    return datasets_.size();
-  }
 
   /// Logical file name, e.g. "AOD.000123._000004.pool.root".
   [[nodiscard]] std::string lfn(FileId id) const;

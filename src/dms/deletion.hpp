@@ -40,9 +40,6 @@ class DeletionDaemon {
 
   /// Marks a dataset's disk replicas as transient (lifetime-managed).
   void add_transient(DatasetId dataset) { transient_.push_back(dataset); }
-  [[nodiscard]] std::size_t transient_count() const noexcept {
-    return transient_.size();
-  }
 
   /// One sweep: expire a random subset of transient datasets.  Returns
   /// the number of datasets expired.

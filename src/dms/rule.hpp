@@ -46,9 +46,6 @@ class RuleEngine {
              const RseRegistry& rses, TransferEngine& engine, util::Rng rng);
 
   void add_rule(ReplicationRule rule) { rules_.push_back(rule); }
-  [[nodiscard]] std::size_t rule_count() const noexcept {
-    return rules_.size();
-  }
 
   /// One evaluation pass: submit rebalance transfers (no task provenance)
   /// for every file whose rule is under-satisfied, up to the per-pass cap.

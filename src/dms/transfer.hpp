@@ -168,7 +168,8 @@ class TransferEngine {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
-  /// Point-in-time view of one link's load, for the periodic sampler.
+  /// Point-in-time view of one link's load, for the campaign's
+  /// "link_sample" rows.
   struct LinkProbe {
     grid::LinkKey key{};
     std::uint32_t active = 0;          ///< transfers holding a slot

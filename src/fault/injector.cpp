@@ -21,6 +21,14 @@ struct InjectorMetrics {
   }
 };
 
+/// A site outage at either endpoint, or a blackout of the link itself.
+bool blocks_link(const FaultWindow& w, grid::SiteId src, grid::SiteId dst) {
+  return (w.kind == FaultKind::kSiteOutage &&
+          (w.site == src || w.site == dst)) ||
+         (w.kind == FaultKind::kLinkBlackout && w.link.src == src &&
+          w.link.dst == dst);
+}
+
 }  // namespace
 
 Injector::Injector(sim::Scheduler& scheduler) : scheduler_(scheduler) {}
@@ -44,23 +52,9 @@ void Injector::subscribe(TransitionHook hook) {
 
 void Injector::transition(std::size_t index, bool begin) {
   const FaultWindow& window = windows_[index];
-  const int delta = begin ? 1 : -1;
-  switch (window.kind) {
-    case FaultKind::kSiteOutage:
-      down_sites_[window.site] += delta;
-      storage_down_[window.site] += delta;
-      break;
-    case FaultKind::kLinkBlackout:
-      blacked_links_[window.link] += delta;
-      break;
-    case FaultKind::kLinkBrownout:
-      break;  // factor is derived from the active window list
-    case FaultKind::kStorageOutage:
-      storage_down_[window.site] += delta;
-      break;
-    case FaultKind::kServiceBrownout:
-      abort_boost_ = std::max(0.0, abort_boost_ + delta * window.abort_boost);
-      break;
+  if (window.kind == FaultKind::kServiceBrownout) {
+    const double delta = begin ? window.abort_boost : -window.abort_boost;
+    abort_boost_ = std::max(0.0, abort_boost_ + delta);
   }
   if (begin) {
     active_.push_back(index);
@@ -111,19 +105,25 @@ void Injector::emit_event(const FaultWindow& window, std::size_t index,
 }
 
 bool Injector::site_down(grid::SiteId site) const {
-  const auto it = down_sites_.find(site);
-  return it != down_sites_.end() && it->second > 0;
+  return std::any_of(active_.begin(), active_.end(), [&](std::size_t index) {
+    const FaultWindow& w = windows_[index];
+    return w.kind == FaultKind::kSiteOutage && w.site == site;
+  });
 }
 
 bool Injector::storage_down(grid::SiteId site) const {
-  const auto it = storage_down_.find(site);
-  return it != storage_down_.end() && it->second > 0;
+  return std::any_of(active_.begin(), active_.end(), [&](std::size_t index) {
+    const FaultWindow& w = windows_[index];
+    return (w.kind == FaultKind::kSiteOutage ||
+            w.kind == FaultKind::kStorageOutage) &&
+           w.site == site;
+  });
 }
 
 bool Injector::link_blocked(grid::SiteId src, grid::SiteId dst) const {
-  if (site_down(src) || site_down(dst)) return true;
-  const auto it = blacked_links_.find(grid::LinkKey{src, dst});
-  return it != blacked_links_.end() && it->second > 0;
+  return std::any_of(active_.begin(), active_.end(), [&](std::size_t index) {
+    return blocks_link(windows_[index], src, dst);
+  });
 }
 
 double Injector::link_capacity_factor(grid::SiteId src,
@@ -144,12 +144,7 @@ util::SimTime Injector::blocked_until(grid::SiteId src,
   util::SimTime until = scheduler_.now();
   for (const std::size_t index : active_) {
     const FaultWindow& w = windows_[index];
-    const bool blocks =
-        (w.kind == FaultKind::kSiteOutage &&
-         (w.site == src || w.site == dst)) ||
-        (w.kind == FaultKind::kLinkBlackout && w.link.src == src &&
-         w.link.dst == dst);
-    if (blocks) until = std::max(until, w.end);
+    if (blocks_link(w, src, dst)) until = std::max(until, w.end);
   }
   return until;
 }

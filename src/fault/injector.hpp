@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -76,11 +75,10 @@ class Injector {
 
   sim::Scheduler& scheduler_;
   std::vector<FaultWindow> windows_;
-  std::vector<std::size_t> active_;  ///< indices into windows_
-  /// Multiplicity counters so overlapping windows compose correctly.
-  std::unordered_map<grid::SiteId, int> down_sites_;
-  std::unordered_map<grid::SiteId, int> storage_down_;
-  std::unordered_map<grid::LinkKey, int, grid::LinkKeyHash> blacked_links_;
+  /// Indices into windows_ of the open windows, in begin order.  Every
+  /// query but abort_boost() scans it, so overlapping windows compose:
+  /// a site stays down until the last outage over it ends.
+  std::vector<std::size_t> active_;
   double abort_boost_ = 0.0;
   Stats stats_;
   std::vector<TransitionHook> hooks_;

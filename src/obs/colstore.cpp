@@ -39,7 +39,9 @@ constexpr std::uint64_t kMaxChunkRows = std::uint64_t{1} << 26;
 constexpr std::uint8_t kEntityInt = 0;
 constexpr std::uint8_t kEntityString = 1;
 
-using FieldType = DecodedEvent::FieldType;
+using util::json::FlatMember;
+using util::json::FlatObject;
+using util::json::Kind;
 
 // --- varint / zigzag --------------------------------------------------------
 
@@ -290,37 +292,49 @@ constexpr std::uint64_t col_key(util::Symbol key, std::uint8_t type) noexcept {
   return (static_cast<std::uint64_t>(key) << 3) | type;
 }
 
+/// Types `m` as parse_flat types an integer's rendering.
+void set_int(FlatMember& m, std::int64_t v) noexcept {
+  m.kind = Kind::kNumber;
+  m.is_int = true;
+  m.int_v = v;
+  m.num_v = static_cast<double>(v);
+}
+
+void set_string(FlatMember& m, std::string_view s) noexcept {
+  m.kind = Kind::kString;
+  m.str_v = s;
+}
+
 }  // namespace
 
 // --- rendering --------------------------------------------------------------
 
-void append_ndjson(const DecodedEvent& event, std::string& out) {
-  out += "{\"ts\":";
-  out += std::to_string(event.ts);
-  out += ",\"kind\":\"";
-  detail::append_json_escaped(out, event.kind);
-  if (event.entity_is_string) {
-    out += "\",\"entity\":\"";
-    detail::append_json_escaped(out, event.entity_string);
+void append_ndjson(const FlatObject& event, std::string& out) {
+  out += '{';
+  bool first = true;
+  for (const FlatMember& m : event.members) {
+    if (!first) out += ',';
+    first = false;
     out += '"';
-  } else {
-    out += "\",\"entity\":";
-    out += std::to_string(event.entity_int);
-  }
-  for (const DecodedEvent::Field& f : event.fields) {
-    out += ",\"";
-    detail::append_json_escaped(out, f.key);
+    detail::append_json_escaped(out, m.key);
     out += "\":";
-    switch (f.type) {
-      case FieldType::kInt: out += std::to_string(f.int_v); break;
-      case FieldType::kDouble: detail::append_json_double(out, f.double_v); break;
-      case FieldType::kBool: out += f.bool_v ? "true" : "false"; break;
-      case FieldType::kString:
+    switch (m.kind) {
+      case Kind::kNumber:
+        if (m.is_int) {
+          out += std::to_string(m.int_v);
+        } else {
+          detail::append_json_double(out, m.num_v);
+        }
+        break;
+      case Kind::kBool: out += m.bool_v ? "true" : "false"; break;
+      case Kind::kString:
         out += '"';
-        detail::append_json_escaped(out, f.string_v);
+        detail::append_json_escaped(out, m.str_v);
         out += '"';
         break;
-      case FieldType::kNull: out += "null"; break;
+      case Kind::kNull:
+      case Kind::kArray:
+      case Kind::kObject: out += "null"; break;
     }
   }
   out += '}';
@@ -1205,7 +1219,7 @@ bool ColReader::row_passes_filter(const RowRef& row) const {
   return true;
 }
 
-bool ColReader::next(DecodedEvent& out) {
+bool ColReader::next(FlatObject& out) {
   for (;;) {
     if (row_cursor_ >= rows_.size()) {
       if (!load_chunk(/*stats_only=*/false, nullptr)) return false;
@@ -1225,34 +1239,42 @@ bool ColReader::next(DecodedEvent& out) {
     if (!row_passes_filter(row)) continue;
 
     const ShapeDef& shape = shapes_[row.shape];
-    out.ts = row.ts;
-    out.kind = view(shape.kind);
-    out.entity_is_string = shape.entity_kind == kEntityString;
-    if (out.entity_is_string) {
-      out.entity_string = view(static_cast<util::Symbol>(row.entity));
-      out.entity_int = 0;
+    std::vector<FlatMember>& members = out.members;
+    members.clear();
+    // A new member is null until typed below.
+    const auto add = [&members](std::string_view key) -> FlatMember& {
+      FlatMember& m = members.emplace_back();
+      m.key = key;
+      return m;
+    };
+    const auto symbol = [this](std::uint64_t bits) {
+      return view(static_cast<util::Symbol>(bits));
+    };
+    set_int(add("ts"), row.ts);
+    set_string(add("kind"), view(shape.kind));
+    if (shape.entity_kind == kEntityString) {
+      set_string(add("entity"), symbol(row.entity));
     } else {
-      out.entity_int = bits_int(row.entity);
-      out.entity_string = {};
+      set_int(add("entity"), bits_int(row.entity));
     }
-    out.fields.clear();
-    out.fields.reserve(shape.fields.size());
     std::size_t value_index = row.value_start;
     for (const auto& [key_sym, type] : shape.fields) {
-      DecodedEvent::Field f;
-      f.key = view(key_sym);
-      f.type = static_cast<FieldType>(type);
       const std::uint64_t bits = values_[value_index++];
-      switch (f.type) {
-        case FieldType::kInt: f.int_v = bits_int(bits); break;
-        case FieldType::kDouble: f.double_v = bits_double(bits); break;
-        case FieldType::kBool: f.bool_v = bits != 0; break;
-        case FieldType::kString:
-          f.string_v = view(static_cast<util::Symbol>(bits));
+      FlatMember& m = add(view(key_sym));
+      switch (static_cast<FieldType>(type)) {
+        case FieldType::kInt: set_int(m, bits_int(bits)); break;
+        case FieldType::kDouble:
+          m.kind = Kind::kNumber;
+          m.num_v = bits_double(bits);
+          m.int_v = util::json::saturating_int(m.num_v);
           break;
+        case FieldType::kBool:
+          m.kind = Kind::kBool;
+          m.bool_v = bits != 0;
+          break;
+        case FieldType::kString: set_string(m, symbol(bits)); break;
         case FieldType::kNull: break;
       }
-      out.fields.push_back(f);
     }
     ++stats_.rows_emitted;
     return true;

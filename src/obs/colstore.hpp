@@ -27,13 +27,15 @@
 //     row counts, so a reader can skip whole chunks for time-window or
 //     event-type scans without decoding the column data.
 //
-// Round trip is exact: decoding a chunk and re-rendering each event
-// with append_ndjson() reproduces the Event builder's NDJSON bytes
-// (field order, escaping and %.17g doubles preserved), which is what
-// the replay bit-parity tests and `pandarus-events convert` rely on.
-// Values are typed as util::json::parse reads the rendered bytes, so the
-// only lines that do not round-trip are those whose rendering parse
-// itself reads back differently: `-0` becomes `0`, and an integer past
+// Round trip is exact: ColReader yields each event as the
+// util::json::FlatObject that parse_flat reads from its NDJSON line,
+// the one shape every replay consumer takes, and re-rendering it with
+// append_ndjson() reproduces the Event builder's bytes (field order,
+// escaping and %.17g doubles preserved), which is what the replay
+// bit-parity tests and `pandarus-events convert` rely on.  Values are
+// typed as util::json::parse reads the rendered bytes, so the only
+// lines that do not round-trip are those whose rendering parse itself
+// reads back differently: `-0` becomes `0`, and an integer past
 // INT64_MAX becomes a double.
 //
 // ColWriter has one encoder, over an obs::EventRecord: the Event
@@ -64,31 +66,16 @@
 
 namespace pandarus::obs {
 
-/// One event decoded from a chunk.  string_views point into the
-/// reader's dictionary and stay valid for the reader's lifetime.
-struct DecodedEvent {
-  using FieldType = obs::FieldType;
-  struct Field {
-    std::string_view key;
-    FieldType type = FieldType::kInt;
-    std::int64_t int_v = 0;
-    double double_v = 0.0;
-    bool bool_v = false;
-    std::string_view string_v;
-  };
+/// An event as ColReader::next yields it: the flat object parse_flat
+/// reads from the event's NDJSON line.
+using DecodedEvent = util::json::FlatObject;
 
-  std::int64_t ts = 0;
-  std::string_view kind;
-  bool entity_is_string = false;
-  std::int64_t entity_int = 0;
-  std::string_view entity_string;
-  std::vector<Field> fields;
-};
-
-/// Renders the event exactly as the obs::Event builder would have
-/// (canonical ts/kind/entity prefix, same escaping, %.17g doubles) and
-/// appends it to `out` without a trailing newline.
-void append_ndjson(const DecodedEvent& event, std::string& out);
+/// Renders the object's members in order, with the Event builder's
+/// escaping and %.17g doubles, and appends it to `out` without a
+/// trailing newline.  For an event ColReader yielded, these are the
+/// bytes the builder wrote.  A nested member, which only parse_flat of
+/// a non-event line yields, renders as null.
+void append_ndjson(const util::json::FlatObject& event, std::string& out);
 
 struct ColWriterOptions {
   /// Rows buffered per chunk; the flush granularity and the unit a
@@ -238,9 +225,12 @@ class ColReader {
   ColReader(const ColReader&) = delete;
   ColReader& operator=(const ColReader&) = delete;
 
-  /// Advances to the next event passing the filter; false at end of
-  /// stream or on error (check ok()).
-  bool next(DecodedEvent& out);
+  /// Advances to the next event passing the filter and fills `out` with
+  /// its members as parse_flat reads them from the event's NDJSON line:
+  /// ts, kind and entity, then the fields in order.  Keys and strings
+  /// view the reader's dictionary and stay valid for its lifetime.
+  /// False at end of stream or on error (check ok()).
+  bool next(util::json::FlatObject& out);
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }

@@ -1,9 +1,9 @@
 // Streaming health engine: deterministic anomaly detectors and SLO
-// burn-rate evaluation over the campaign's own event/sampler streams.
+// burn-rate evaluation over the campaign's own events and sampled rows.
 //
 // The engine is fed twice, through two faces of the same interface:
 //
-//   * live — instrumented sites (sampler rows, per-link probes, breaker
+//   * live — instrumented sites (sample rows, per-link probes, breaker
 //     transitions, terminal transfer outcomes) call the typed on_*()
 //     feeds directly, guarded by the scheduler's `session().health`
 //     exactly like EventLog emit sites;
@@ -127,7 +127,9 @@ class HealthEngine {
   // no simulation RNG and schedule nothing, so an armed engine leaves
   // the non-alert event stream byte-identical.
 
-  /// One sampler row (column names parallel to values).
+  /// One "sample" row (column names parallel to values); run_campaign
+  /// calls it right after emitting the row, before the tick's link
+  /// samples.
   void on_sample(std::int64_t ts, const std::vector<std::string>& names,
                  const std::vector<std::int64_t>& values);
   /// One per-link load probe.

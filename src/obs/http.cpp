@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -47,6 +48,15 @@ const char* status_text(int status) noexcept {
     case 503: return "Service Unavailable";
     default: return "OK";
   }
+}
+
+/// RFC 7230 token: one or more visible ASCII characters other than the
+/// delimiters "(),/:;<=>?@[\\]{}.
+bool is_token(std::string_view s) noexcept {
+  constexpr std::string_view kDelimiters = "\"(),/:;<=>?@[\\]{}";
+  return !s.empty() && std::all_of(s.begin(), s.end(), [&](char c) {
+    return c > ' ' && c < 0x7f && kDelimiters.find(c) == std::string_view::npos;
+  });
 }
 
 /// Strips optional \r and surrounding spaces/tabs from a header value.
@@ -273,13 +283,18 @@ bool parse_http_request(std::string_view text, HttpRequest& out) {
   std::size_t pos = line_end + 1;
   while (pos < text.size()) {
     const std::size_t next = text.find('\n', pos);
-    const std::string_view raw =
+    std::string_view header_line =
         text.substr(pos, next == std::string_view::npos ? std::string_view::npos
                                                         : next - pos);
-    const std::string_view header_line = trim(raw);
+    if (header_line.ends_with('\r')) header_line.remove_suffix(1);
     if (header_line.empty()) break;  // end of headers
+    // A line that opens with whitespace is an obsolete line fold, and a
+    // name must be a token (RFC 7230 §3.2.4): either is a 400.
     const std::size_t colon = header_line.find(':');
-    if (colon == std::string_view::npos) return false;
+    if (colon == std::string_view::npos ||
+        !is_token(header_line.substr(0, colon))) {
+      return false;
+    }
     out.headers.emplace_back(std::string(header_line.substr(0, colon)),
                              std::string(trim(header_line.substr(colon + 1))));
     if (next == std::string_view::npos) break;

@@ -41,9 +41,11 @@ struct HttpRequest {
 
 /// Parses one request head (request line, headers, up to the first
 /// blank line; CRLF or bare LF) into `out`, which should start empty.
-/// False when the request line is malformed or a header line has no
-/// ':'; the server answers that with 400.  Bytes past the blank line
-/// are ignored.
+/// False when the request line is malformed, or a header line has no
+/// ':', a name that is not an RFC 7230 token (empty, or holding
+/// whitespace or a delimiter) or a leading space or tab (an obsolete
+/// line fold); the server answers that with 400.  Bytes past the blank
+/// line are ignored.
 bool parse_http_request(std::string_view text, HttpRequest& out);
 
 /// Streaming sink handed to HttpResponse::stream callbacks.  Both calls

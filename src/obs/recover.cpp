@@ -178,7 +178,7 @@ RecoveryReport recover_colstore_file(const std::string& in_path,
     // Scoped so the reader's handle is closed before the copy below
     // (in-place recovery renames over in_path).
     ColReader reader(in_path, ColFilter{}, ColReadOptions{.recover = true});
-    DecodedEvent event;
+    util::json::FlatObject event;
     while (reader.next(event)) {
     }
     if (!reader.ok()) {

@@ -25,7 +25,8 @@ namespace pandarus::obs {
 // Two clock domains cross the obs layer, and they never mix implicitly:
 //
 //  * simulated time — util::SimTime milliseconds since campaign start.
-//    obs::EventLog `ts` fields and obs::Sampler tick times live here.
+//    obs::EventLog `ts` fields and the campaign's sampling ticks live
+//    here.
 //  * wall time — microseconds on the steady clock since the process
 //    trace epoch (TraceRecorder::now_us()).  TraceRecorder events live
 //    here because Chrome trace JSON `ts`/`dur` are microseconds by spec.

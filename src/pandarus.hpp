@@ -61,7 +61,6 @@
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
-#include "obs/sampler.hpp"
 #include "obs/serve.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/serve_endpoints.hpp"
@@ -18,7 +19,6 @@
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/io.hpp"
@@ -340,97 +340,82 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   }
 
   // Periodic time-series sampling, only when the session has an event
-  // log or health engine: probes are read-only and consume no simulation
-  // RNG, so a sampled run is bit-identical to an unsampled one.  Ticks
-  // are pre-scheduled like the carousel waves, so no event outlives
-  // this scope.
-  std::optional<obs::Sampler> sampler;
+  // log or health engine.  Each tick reads the columns below (read-only,
+  // consuming no simulation RNG, so a sampled run is bit-identical to an
+  // unsampled one) and then, in this order: emits them as one "sample"
+  // event (entity = tick index); hands the same row to the health
+  // engine, at the position the row holds in the stream, so its
+  // detectors see identical sequences live and in replay; and emits one
+  // "link_sample" per active link, each mirrored into the engine's
+  // link-utilization detector.  Ticks are pre-scheduled like the
+  // carousel waves, so no event outlives this scope.
+  const std::vector<std::string> sample_columns = {
+      "jobs_queued", "jobs_running", "transfers_in_flight",
+      "transfers_submitted", "transfers_completed", "transfers_retried",
+      "bytes_moved", "sim_events_processed",
+      // Telemetry self-audit: the stream's own drop counter rides in the
+      // stream, so the event-drop watchdog works from the series alone.
+      "events_dropped",
+      // This campaign's live fault windows and open breakers, whatever
+      // other campaigns in the process are doing.
+      "pandarus_fault_windows_active", "pandarus_dms_breakers_open"};
+  std::int64_t samples = 0;
+  const auto sample_at = [&](std::int64_t ts) {
+    const auto i64 = [](auto n) { return static_cast<std::int64_t>(n); };
+    const dms::TransferEngine::Stats& transfers = engine.stats();
+    const std::vector<std::int64_t> row = {
+        i64(queues.total_queued()),
+        i64(queues.total_running()),
+        i64(engine.in_flight()),
+        i64(transfers.submitted),
+        i64(transfers.completed),
+        i64(transfers.retries),
+        i64(transfers.bytes_moved),
+        i64(scheduler.processed_count()),
+        log != nullptr ? i64(log->dropped()) : 0,
+        injector ? i64(injector->active_count()) : 0,
+        i64(engine.open_breakers())};
+    if (log != nullptr) {
+      obs::Event event("sample", ts, samples);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        // field() is &&-qualified (chained-temporary builder); it appends
+        // in place, so the returned reference can be dropped here.
+        static_cast<void>(std::move(event).field(sample_columns[i], row[i]));
+      }
+      log->emit(std::move(event));
+    }
+    if (health != nullptr) health->on_sample(ts, sample_columns, row);
+    ++samples;
+    for (const dms::TransferEngine::LinkProbe& p : engine.probe_links()) {
+      const double cap =
+          result.topology.link(p.key.src, p.key.dst).effective_capacity(ts);
+      const double utilization = cap > 0.0 ? p.rate_bps / cap : 0.0;
+      if (log != nullptr) {
+        log->emit(
+            obs::Event("link_sample", ts,
+                       static_cast<std::int64_t>(
+                           (static_cast<std::uint64_t>(p.key.src) << 32) |
+                           p.key.dst))
+                .field("src", p.key.src)
+                .field("dst", p.key.dst)
+                .field("active", p.active)
+                .field("queued", p.queued)
+                .field("bytes_in_flight", p.bytes_in_flight)
+                .field("rate_bps", p.rate_bps)
+                .field("utilization", utilization));
+      }
+      if (health != nullptr) {
+        health->on_link_sample(ts, p.key.src, p.key.dst,
+                               static_cast<std::int64_t>(p.queued),
+                               utilization);
+      }
+    }
+  };
   if ((log != nullptr || health != nullptr) &&
       config.sample_interval_ms > 0) {
-    sampler.emplace(config.sample_interval_ms, log);
-    sampler->add_column("jobs_queued", [&queues] {
-      return static_cast<std::int64_t>(queues.total_queued());
-    });
-    sampler->add_column("jobs_running", [&queues] {
-      return static_cast<std::int64_t>(queues.total_running());
-    });
-    sampler->add_column("transfers_in_flight", [&engine] {
-      return static_cast<std::int64_t>(engine.in_flight());
-    });
-    sampler->add_column("transfers_submitted", [&engine] {
-      return static_cast<std::int64_t>(engine.stats().submitted);
-    });
-    sampler->add_column("transfers_completed", [&engine] {
-      return static_cast<std::int64_t>(engine.stats().completed);
-    });
-    sampler->add_column("transfers_retried", [&engine] {
-      return static_cast<std::int64_t>(engine.stats().retries);
-    });
-    sampler->add_column("bytes_moved", [&engine] {
-      return static_cast<std::int64_t>(engine.stats().bytes_moved);
-    });
-    sampler->add_column("sim_events_processed", [&scheduler] {
-      return static_cast<std::int64_t>(scheduler.processed_count());
-    });
-    // Telemetry self-audit: the stream's own drop counter rides in the
-    // stream, so the health engine's event-drop watchdog works from
-    // the sampled series alone (live and in replay).
-    sampler->add_column("events_dropped", [log] {
-      return log != nullptr ? static_cast<std::int64_t>(log->dropped())
-                            : std::int64_t{0};
-    });
-    // Fault/recovery health: this campaign's live fault windows and open
-    // breakers show up alongside queue depth in the sampled series,
-    // whatever other campaigns in the process are doing.
-    sampler->add_column("pandarus_fault_windows_active", [&injector] {
-      return injector ? static_cast<std::int64_t>(injector->active_count())
-                      : std::int64_t{0};
-    });
-    sampler->add_column("pandarus_dms_breakers_open", [&engine] {
-      return static_cast<std::int64_t>(engine.open_breakers());
-    });
-    // The health engine consumes the same row the "sample" event
-    // carries, at the same stream position, so its detectors see
-    // identical sequences live and in replay.
-    if (health != nullptr) {
-      sampler->set_row_observer(
-          [health](std::int64_t ts, const std::vector<std::string>& names,
-                   const std::vector<std::int64_t>& values) {
-            health->on_sample(ts, names, values);
-          });
-    }
-    // Per-link load: one link_sample event per currently active link,
-    // mirrored into the health engine's link-utilization detector.
-    sampler->add_emitter([&engine, &result, log, health](std::int64_t ts) {
-      for (const dms::TransferEngine::LinkProbe& p : engine.probe_links()) {
-        const double cap =
-            result.topology.link(p.key.src, p.key.dst).effective_capacity(ts);
-        const double utilization = cap > 0.0 ? p.rate_bps / cap : 0.0;
-        if (log != nullptr) {
-          log->emit(
-              obs::Event("link_sample", ts,
-                         static_cast<std::int64_t>(
-                             (static_cast<std::uint64_t>(p.key.src) << 32) |
-                             p.key.dst))
-                  .field("src", p.key.src)
-                  .field("dst", p.key.dst)
-                  .field("active", p.active)
-                  .field("queued", p.queued)
-                  .field("bytes_in_flight", p.bytes_in_flight)
-                  .field("rate_bps", p.rate_bps)
-                  .field("utilization", utilization));
-        }
-        if (health != nullptr) {
-          health->on_link_sample(ts, p.key.src, p.key.dst,
-                                 static_cast<std::int64_t>(p.queued),
-                                 utilization);
-        }
-      }
-    });
-    obs::Sampler& ticks = *sampler;
     for (std::int64_t at = config.sample_interval_ms;
          at <= result.window_end; at += config.sample_interval_ms) {
-      scheduler.schedule_at(at, [&ticks, at] { ticks.sample_at(at); });
+      scheduler.schedule_at(at, [&sample_at, at] { sample_at(at); });
     }
   }
 
@@ -506,7 +491,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
             .field("sites",
                    static_cast<std::uint64_t>(result.topology.site_count()))
             .field("sample_interval_ms", config.sample_interval_ms)
-            .field("samples", sampler ? sampler->ticks() : std::int64_t{0}));
+            .field("samples", samples));
     for (const grid::Site& s : result.topology.sites()) {
       log->emit(obs::Event("site_record", scheduler.now(),
                            static_cast<std::int64_t>(s.id))

@@ -66,10 +66,11 @@ struct ScenarioConfig {
   double eviction_sweeps_per_day = 8.0;
   double eviction_probability = 0.6;
 
-  /// Simulated-clock period of the obs::Sampler time series (queue
-  /// depths, in-flight transfers, per-link load).  Only consulted when
-  /// the campaign's obs::Session has an event log or health engine;
-  /// <= 0 disables sampling entirely.
+  /// Simulated-clock period of run_campaign's sampled time series (one
+  /// "sample" row of queue depths, in-flight and transfer totals, drops,
+  /// faults and breakers, then one "link_sample" per active link).
+  /// Only consulted when the campaign's obs::Session has an event log or
+  /// health engine; <= 0 disables sampling entirely.
   std::int64_t sample_interval_ms = 30 * 60 * 1000;
 
   /// Infrastructure faults.  `faults.intensity > 0` samples a seeded

@@ -100,8 +100,9 @@ struct FlatMember {
 /// and until the next parse_flat into this object.
 class FlatObject {
  public:
-  /// Members in source order.  A producer other than parse_flat (the
-  /// colstore event source) may fill it directly with views it owns.
+  /// Members in source order.  A producer other than parse_flat
+  /// (obs::ColReader::next) may fill it directly with views it owns,
+  /// typed as parse_flat would type their rendering.
   std::vector<FlatMember> members;
 
   [[nodiscard]] const FlatMember* find(std::string_view key) const noexcept;

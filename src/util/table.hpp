@@ -24,7 +24,6 @@ class Table {
   /// Inserts a horizontal rule before the next added row.
   void add_separator();
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
   [[nodiscard]] std::string to_string() const;
   void print(std::ostream& os) const;
 

@@ -122,9 +122,6 @@ class PandaServer {
   void set_injector(fault::Injector& injector);
 
   [[nodiscard]] const Task& task(TaskId id) const { return tasks_.at(id); }
-  [[nodiscard]] std::size_t active_jobs() const noexcept {
-    return jobs_.size();
-  }
 
   struct Stats {
     std::uint64_t submitted = 0;

@@ -41,7 +41,8 @@ class SiteQueues {
   /// capacity plus the pilot delay.  Used by load-aware brokerage.
   [[nodiscard]] double estimated_wait_ms(grid::SiteId site) const;
 
-  /// Grid-wide totals, for the periodic sampler's queue-depth columns.
+  /// Grid-wide totals, for the queue-depth columns of the campaign's
+  /// "sample" rows.
   [[nodiscard]] std::size_t total_queued() const;
   [[nodiscard]] std::size_t total_running() const;
 

@@ -3,6 +3,7 @@
 // skipping, NDJSON-vs-colstore replay parity on a recorded campaign,
 // and the terminal log_stats event.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -163,6 +164,37 @@ TEST(ColstoreTest, RoundTripsRandomEventsByteExact) {
   EXPECT_EQ(written.bytes_written, read_file(file.path()).size());
 
   EXPECT_EQ(decode_to_ndjson(file.path()), ndjson);
+
+  // Each row the reader yields is, member by member, the object
+  // parse_flat reads from the row's NDJSON line.
+  obs::ColReader reader(file.path());
+  util::json::FlatObject row;
+  util::json::FlatObject parsed;
+  std::istringstream lines(ndjson);
+  std::string line;
+  std::size_t rows = 0;
+  while (reader.next(row)) {
+    ASSERT_TRUE(std::getline(lines, line));
+    ASSERT_TRUE(util::json::parse_flat(line, parsed)) << line;
+    ASSERT_EQ(row.members.size(), parsed.members.size()) << line;
+    for (std::size_t i = 0; i < row.members.size(); ++i) {
+      const util::json::FlatMember& got = row.members[i];
+      const util::json::FlatMember& want = parsed.members[i];
+      EXPECT_EQ(got.key, want.key) << line;
+      EXPECT_EQ(got.kind, want.kind) << line;
+      EXPECT_EQ(got.is_int, want.is_int) << line;
+      EXPECT_EQ(got.int_v, want.int_v) << line;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.num_v),
+                std::bit_cast<std::uint64_t>(want.num_v))
+          << line;
+      EXPECT_EQ(got.bool_v, want.bool_v) << line;
+      EXPECT_EQ(got.str_v, want.str_v) << line;
+    }
+    ++rows;
+  }
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_FALSE(std::getline(lines, line));
+  EXPECT_EQ(rows, 2001u);
 
   std::string error;
   const auto stats = obs::colstore_stats(file.path(), &error);

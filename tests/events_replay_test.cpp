@@ -1,7 +1,8 @@
 // Event-log and replay tests: NDJSON round-trip (multi-threaded emit,
-// overflow), sampler/event-stream determinism (a traced run must produce
-// byte-identical NDJSON to an untraced one), the replay cross-check
-// (analyses on an events-rebuilt store must equal the in-memory ones),
+// overflow), the campaign's sampled series, event-stream determinism (a
+// traced run must produce byte-identical NDJSON to an untraced one), the
+// replay cross-check (analyses on an events-rebuilt store must equal the
+// in-memory ones),
 // one-pass replay + health parity with the two-pass path, the health
 // pass's kind pre-filter and damage reporting, and the report's flag on
 // a stream cut where its format shows no damage.
@@ -13,6 +14,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -32,7 +34,6 @@
 #include "obs/flow.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"
@@ -128,40 +129,59 @@ TEST(EventLog, DisabledMeansNoRecording) {
   EXPECT_EQ(log.to_ndjson(), "");
 }
 
-// --- sampler ----------------------------------------------------------------
+// --- sampling ----------------------------------------------------------------
 
-TEST(Sampler, ColumnsAndEmittedRowsAgree)
-{
+// run_campaign's sampled series: the k-th "sample" line is tick k, with
+// the eleven columns in order; campaign_meta counts the ticks; and each
+// tick's link_sample lines follow its sample line.
+TEST(CampaignSampling, SampleRowsAreNumberedAndLeadTheirLinkSamples) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.5;
+  config.seed = 20250401;
   obs::EventLog log;
-  obs::Sampler sampler(1000, &log);
-  std::int64_t tick = 0;
-  sampler.add_column("tick", [&tick] { return tick; });
-  sampler.add_column("twice", [&tick] { return 2 * tick; });
-  for (tick = 1; tick <= 3; ++tick) sampler.sample_at(tick * 1000);
+  std::ignore = scenario::run_campaign(config, {.events = &log});
 
-  EXPECT_EQ(sampler.ticks(), 3);
-  EXPECT_EQ(sampler.columns(), (std::vector<std::string>{"tick", "twice"}));
-
-  const auto lines = split_lines(log.to_ndjson());
-  ASSERT_EQ(lines.size(), 3u);
-  const auto value = util::json::parse(lines[1]);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(value->get_string("kind"), "sample");
-  EXPECT_EQ(value->get_int("ts"), 2000);
-  EXPECT_EQ(value->get_int("entity"), 1);  // tick index
-  EXPECT_EQ(value->get_int("tick"), 2);
-  EXPECT_EQ(value->get_int("twice"), 4);
-  const auto last = util::json::parse(lines[2]);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->get_int("ts"), 3000);
-  EXPECT_EQ(last->get_int("tick"), 3);
-  EXPECT_EQ(last->get_int("twice"), 6);
+  const std::vector<std::string_view> columns = {
+      "jobs_queued",         "jobs_running",
+      "transfers_in_flight", "transfers_submitted",
+      "transfers_completed", "transfers_retried",
+      "bytes_moved",         "sim_events_processed",
+      "events_dropped",      "pandarus_fault_windows_active",
+      "pandarus_dms_breakers_open"};
+  std::int64_t samples = 0;
+  std::int64_t meta_samples = -1;
+  std::int64_t last_sample_ts = -1;
+  std::size_t link_samples = 0;
+  util::json::FlatObject event;
+  for (const std::string& line : split_lines(log.to_ndjson())) {
+    ASSERT_TRUE(util::json::parse_flat(line, event)) << line;
+    const std::string_view kind = event.get_string("kind");
+    if (kind == "sample") {
+      EXPECT_EQ(event.get_int("entity"), samples) << line;
+      EXPECT_EQ(event.get_int("ts"), (samples + 1) * config.sample_interval_ms)
+          << line;
+      ASSERT_EQ(event.members.size(), 3 + columns.size()) << line;
+      for (std::size_t i = 0; i < columns.size(); ++i) {
+        EXPECT_EQ(event.members[3 + i].key, columns[i]) << line;
+      }
+      last_sample_ts = event.get_int("ts");
+      ++samples;
+    } else if (kind == "link_sample") {
+      EXPECT_EQ(event.get_int("ts"), last_sample_ts) << line;
+      ++link_samples;
+    } else if (kind == "campaign_meta") {
+      meta_samples = event.get_int("samples");
+    }
+  }
+  EXPECT_GT(samples, 0);
+  EXPECT_GT(link_samples, 0u);
+  EXPECT_EQ(meta_samples, samples);
 }
 
 // --- determinism ------------------------------------------------------------
 
 // A wall-clock-traced run must emit byte-identical NDJSON to an
-// untraced one: events carry simulated time only, probes are read-only,
+// untraced one: events carry simulated time only, sampling only reads,
 // and the ParallelMatchDriver post-pass must not perturb the stream.
 TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
@@ -169,9 +189,8 @@ TEST(EventsDeterminism, TracedAndUntracedRunsEmitIdenticalNdjson) {
   config.seed = 20250401;
 
   const auto run_once = [&config](bool traced) {
-    // The sampler snapshots global registry counters; zero them so the
-    // second run starts from the same baseline as the first.
-    obs::Registry::global().reset_for_test();
+    // The second run starts with the first run's registry counters: no
+    // event reads the process-global registry.
     obs::TraceRecorder recorder;
     if (traced) recorder.install();
     obs::EventLog log;

@@ -192,6 +192,62 @@ TEST(FaultInjector, WindowsActivateAndExpire) {
   EXPECT_EQ(injector.active_count(), 0u);
   EXPECT_EQ(injector.stats().begun, 4u);
   EXPECT_EQ(injector.stats().ended, 4u);
+
+  // Overlapping windows of one kind: a site stays down, and a link
+  // blocked, until the last window over it ends.
+  fault::Plan overlaps;
+  const auto add = [&overlaps](fault::FaultKind kind, util::SimTime begin,
+                               util::SimTime end) -> fault::FaultWindow& {
+    fault::FaultWindow window;
+    window.kind = kind;
+    window.begin = begin;
+    window.end = end;
+    overlaps.add(window);
+    return overlaps.windows.back();
+  };
+  add(fault::FaultKind::kSiteOutage, 1100, 1300).site = w.t2;
+  add(fault::FaultKind::kLinkBlackout, 1120, 1250).link = {w.t0, w.t1};
+  add(fault::FaultKind::kStorageOutage, 1150, 1350).site = w.t0;
+  add(fault::FaultKind::kSiteOutage, 1200, 1400).site = w.t2;
+  add(fault::FaultKind::kLinkBlackout, 1220, 1380).link = {w.t0, w.t1};
+  injector.arm(overlaps);
+
+  struct Expected {
+    util::SimTime at;
+    bool t2_down;          // site_down(t2)
+    bool t0_storage_down;  // storage_down(t0)
+    bool t2_storage_down;  // storage_down(t2)
+    bool t0_t1_blocked;    // link_blocked(t0, t1)
+    bool t1_t2_blocked;    // link_blocked(t1, t2)
+  };
+  const Expected transitions[] = {
+      {1000, false, false, false, false, false},
+      {1100, true, false, true, false, true},   // first t2 outage
+      {1120, true, false, true, true, true},    // first blackout
+      {1150, true, true, true, true, true},     // t0 storage outage
+      {1200, true, true, true, true, true},     // second t2 outage
+      {1220, true, true, true, true, true},     // second blackout
+      {1250, true, true, true, true, true},     // first blackout ends
+      {1300, true, true, true, true, true},     // first t2 outage ends
+      {1350, true, false, true, true, true},    // storage outage ends
+      {1380, true, false, true, false, true},   // second blackout ends
+      {1400, false, false, false, false, false},
+  };
+  for (const Expected& e : transitions) {
+    w.scheduler.run_until(e.at);
+    SCOPED_TRACE(e.at);
+    EXPECT_EQ(injector.site_down(w.t2), e.t2_down);
+    EXPECT_FALSE(injector.site_down(w.t0));  // storage only
+    EXPECT_EQ(injector.storage_down(w.t0), e.t0_storage_down);
+    EXPECT_EQ(injector.storage_down(w.t2), e.t2_storage_down);
+    EXPECT_FALSE(injector.storage_down(w.t1));
+    EXPECT_EQ(injector.link_blocked(w.t0, w.t1), e.t0_t1_blocked);
+    EXPECT_FALSE(injector.link_blocked(w.t1, w.t0));  // blackouts are directed
+    EXPECT_EQ(injector.link_blocked(w.t1, w.t2), e.t1_t2_blocked);
+    EXPECT_EQ(injector.link_blocked(w.t2, w.t0), e.t2_down);
+  }
+  EXPECT_EQ(injector.active_count(), 0u);
+  EXPECT_EQ(injector.stats().ended, 9u);
 }
 
 TEST(TransferEngine, RetryBackoffDelaysRequeue) {

@@ -3,7 +3,8 @@
 // open/flap, transfer stall), SLO burn-rate evaluation, epoch reset on
 // simulated-time regression, observe_json ↔ typed-feed parity, the
 // campaign-level alert-strip byte-identity guarantee, live-vs-replay
-// status_json parity, and concurrent feed/snapshot safety (TSan).
+// status_json parity, the live feed's per-tick order, and concurrent
+// feed/snapshot safety (TSan).
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -445,6 +447,40 @@ TEST(HealthCampaign, AlertStripRestoresBaselineBytesAndReplayParity) {
   const auto derived = analysis::derive_health_file(file.path());
   ASSERT_NE(derived, nullptr);
   EXPECT_EQ(derived->status_json(), engine.status_json());
+}
+
+TEST(HealthCampaign, EngineSeesEachSampleRowBeforeItsTicksLinkSamples) {
+  // Replay feeds the engine in stream order: a tick's "sample" row, then
+  // its link samples.  The live feed must keep that order, or a tick
+  // whose row and link samples both move alerts would not replay.  A
+  // log bounded below the first tick's position drops events, so each
+  // tick's row raises event_drop beside the link alerts.
+  obs::EventLog log(/*max_events=*/100);
+  obs::HealthEngine engine;
+  std::ignore = scenario::run_campaign(chaos_config(),
+                                       {.events = &log, .health = &engine});
+  log.close();
+
+  std::size_t shared_ticks = 0;
+  std::int64_t tick = -1;
+  bool row_seen = false;
+  bool link_seen = false;
+  for (const obs::AlertTransition& t : engine.transitions()) {
+    if (t.ts != tick) {
+      shared_ticks += row_seen && link_seen ? 1 : 0;
+      tick = t.ts;
+      row_seen = false;
+      link_seen = false;
+    }
+    if (t.detector == "event_drop") {
+      EXPECT_FALSE(link_seen) << "event_drop after a link alert at " << t.ts;
+      row_seen = true;
+    } else if (t.detector == "link_util_spike") {
+      link_seen = true;
+    }
+  }
+  shared_ticks += row_seen && link_seen ? 1 : 0;
+  EXPECT_GT(shared_ticks, 0u);
 }
 
 TEST(HealthCampaign, SameSeedSameAlerts) {

@@ -16,7 +16,6 @@
 #include "obs/env.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scenario/campaign.hpp"
@@ -340,9 +339,9 @@ TEST(ObsDeterminism, InstrumentedRunMatchesUninstrumentedRun) {
   EXPECT_GT(recorder.event_count(), 0u);
 }
 
-// --- sampler edge cases -----------------------------------------------------
+// --- campaign sampling -------------------------------------------------------
 
-TEST(ObsSampler, ZeroDayCampaignProducesNoRowsAndNoCrash) {
+TEST(CampaignSampling, ZeroDayCampaignProducesNoRowsAndNoCrash) {
   obs::EventLog log;
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.days = 0.0;
@@ -350,89 +349,11 @@ TEST(ObsSampler, ZeroDayCampaignProducesNoRowsAndNoCrash) {
       scenario::run_campaign(config, {.events = &log});
   log.close();
   EXPECT_TRUE(result.drained);
-  // A zero-length window schedules no sampler ticks: the stream holds
+  // A zero-length window schedules no sampling ticks: the stream holds
   // no "sample" events, but the envelope events are still there.
   const std::string ndjson = log.to_ndjson();
   EXPECT_EQ(ndjson.find("\"kind\":\"sample\""), std::string::npos);
   EXPECT_NE(ndjson.find("\"kind\":\"campaign_meta\""), std::string::npos);
-}
-
-TEST(ObsSampler, NeverTickingSeriesStaysFlatZero) {
-  const std::int64_t silent = 0;
-  obs::Sampler sampler(1000);
-  sampler.add_column("never_ticks_total", [&silent] { return silent; });
-  std::vector<std::vector<std::int64_t>> rows;
-  sampler.set_row_observer(
-      [&rows](std::int64_t, const std::vector<std::string>&,
-              const std::vector<std::int64_t>& values) {
-        rows.push_back(values);
-      });
-  for (int i = 0; i < 5; ++i) sampler.sample_at(1000 * (i + 1));
-  EXPECT_EQ(sampler.ticks(), 5);
-  EXPECT_EQ(rows, (std::vector<std::vector<std::int64_t>>(5, {0})));
-}
-
-TEST(ObsSampler, ColumnsAddedAfterSamplingStartsWidenLaterRows) {
-  std::int64_t early = 0;
-  obs::Sampler sampler(1000);
-  sampler.add_column("early_total", [&early] { return early; });
-  std::vector<std::vector<std::int64_t>> rows;
-  sampler.set_row_observer(
-      [&rows](std::int64_t, const std::vector<std::string>&,
-              const std::vector<std::int64_t>& values) {
-        rows.push_back(values);
-      });
-  early += 3;
-  sampler.sample_at(1000);
-
-  // A column added after the first tick: earlier rows keep their
-  // narrower shape; later rows and events carry the new column.
-  std::int64_t late = 0;
-  sampler.add_column("late_total", [&late] { return late; });
-  late += 7;
-  sampler.sample_at(2000);
-
-  ASSERT_EQ(sampler.columns().size(), 2u);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::int64_t>{3}));
-  EXPECT_EQ(rows[1], (std::vector<std::int64_t>{3, 7}));
-}
-
-TEST(ObsSampler, RowObserverSeesRowsInStreamOrder) {
-  std::int64_t jobs = 0;
-  obs::Sampler sampler(1000);
-  sampler.add_column("jobs_total", [&jobs] { return jobs; });
-
-  struct Seen {
-    std::int64_t ts;
-    std::vector<std::string> names;
-    std::vector<std::int64_t> values;
-  };
-  std::vector<Seen> seen;
-  std::vector<std::int64_t> emitter_ts;
-  sampler.set_row_observer(
-      [&seen](std::int64_t ts, const std::vector<std::string>& names,
-              const std::vector<std::int64_t>& values) {
-        seen.push_back({ts, names, values});
-      });
-  sampler.add_emitter([&emitter_ts, &seen](std::int64_t ts) {
-    // Emitters run after the observer — the stream order the health
-    // engine depends on (sample row first, then per-link events).
-    EXPECT_EQ(seen.back().ts, ts);
-    emitter_ts.push_back(ts);
-  });
-
-  jobs += 2;
-  sampler.sample_at(1000);
-  jobs += 3;
-  sampler.sample_at(2000);
-
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].ts, 1000);
-  EXPECT_EQ(seen[0].names, (std::vector<std::string>{"jobs_total"}));
-  EXPECT_EQ(seen[0].values, (std::vector<std::int64_t>{2}));
-  EXPECT_EQ(seen[1].values, (std::vector<std::int64_t>{5}));
-  EXPECT_EQ(emitter_ts, (std::vector<std::int64_t>{1000, 2000}));
 }
 
 }  // namespace

@@ -259,6 +259,25 @@ TEST(HttpServer, RejectsNonGetAndGarbage) {
   server.stop();
 }
 
+TEST(HttpServer, HeaderNameWithSpaceBeforeColonDraws400) {
+  // `Content-Length : 5` must not slip past the no-bodies check as a
+  // header named "Content-Length ", leaving its body to be read as the
+  // next pipelined request.
+  obs::HttpServer server(echo_handler, test_options());
+  ASSERT_TRUE(server.start());
+  const int fd = connect_to(server.port());
+  // One send, so the server reads the body with the head and closes
+  // with nothing unread.
+  ASSERT_TRUE(send_text(
+      fd, "GET / HTTP/1.1\r\nHost: x\r\nContent-Length : 5\r\n\r\nhello"));
+  const std::string response = recv_until_eof(fd);
+  ::close(fd);
+  EXPECT_TRUE(response.starts_with("HTTP/1.1 400 ")) << response;
+  EXPECT_EQ(response.find("HTTP/1.1 ", 1), std::string::npos) << response;
+  EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
+  server.stop();
+}
+
 TEST(HttpServer, HeadOmitsTheBody) {
   obs::HttpServer server(echo_handler, test_options());
   ASSERT_TRUE(server.start());
@@ -283,6 +302,23 @@ std::string render_request(const obs::HttpRequest& request) {
     out += name + ": " + value + "\r\n";
   }
   return out + "\r\n";
+}
+
+TEST(HttpParse, HeaderNamesAreTokens) {
+  const auto parses = [](std::string_view headers) {
+    obs::HttpRequest request;
+    return obs::parse_http_request(
+        "GET / HTTP/1.1\r\n" + std::string(headers) + "\r\n", request);
+  };
+  EXPECT_TRUE(parses("Host: x\r\nX-Empty:\r\n"));
+  EXPECT_TRUE(parses("Host:\tx\t\r\n"));
+  EXPECT_FALSE(parses(": x\r\n"));                       // empty name
+  EXPECT_FALSE(parses("Content-Length : 5\r\n"));        // SP in name
+  EXPECT_FALSE(parses("Transfer-Encoding\t: chunked\r\n"));  // HTAB
+  EXPECT_FALSE(parses("X-A B: x\r\n"));
+  EXPECT_FALSE(parses("Host: x\r\n folded: y\r\n"));   // obs-fold
+  EXPECT_FALSE(parses("Host: x\r\n\tcontinued\r\n"));
+  EXPECT_FALSE(parses("X-A\rB: x\r\n"));
 }
 
 TEST(HttpFuzz, MutatedRequestHeadsParseOrFailCleanly) {
@@ -325,6 +361,11 @@ TEST(HttpFuzz, MutatedRequestHeadsParseOrFailCleanly) {
               request.target)
         << what;
     EXPECT_TRUE(has_query || request.query.empty()) << what;
+    for (const auto& [name, value] : request.headers) {
+      EXPECT_FALSE(name.empty()) << what;
+      EXPECT_EQ(name.find_first_of(" \t\r\n"), std::string::npos)
+          << what;
+    }
     obs::HttpRequest again;
     ASSERT_TRUE(obs::parse_http_request(render_request(request), again))
         << what;
