@@ -1,13 +1,10 @@
 #include "core/exact.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace pandarus::core {
 
-using telemetry::FileRecord;
 using telemetry::JobRecord;
 using telemetry::TransferRecord;
 
@@ -36,10 +33,9 @@ Matcher::Matcher(std::shared_ptr<const MatchIndex> index)
 namespace {
 
 /// The Table-2-style coverage funnel, process-wide and cumulative over
-/// every run/method.  Candidate-stage counters are filled by
-/// collect_candidates (so diagnose_job contributes too); job-stage
-/// counters only by match_job.  Hot loops accumulate in plain locals
-/// and flush here once per job, so the per-candidate cost is zero.
+/// every run/method.  Candidate-stage counters take the job's join tally
+/// from the index on every match_job and diagnose_job call; job-stage
+/// counters are filled by match_job only.
 struct FunnelMetrics {
   obs::Counter& candidates_scanned = obs::Registry::global().counter(
       "pandarus_match_candidates_scanned_total",
@@ -85,6 +81,17 @@ struct FunnelMetrics {
     static FunnelMetrics metrics;
     return metrics;
   }
+
+  /// The candidate stage of one job, as the index's join counted it.  A
+  /// job without file rows reached no candidate stage.
+  void add_candidates(const MatchIndex::JobTally& tally) {
+    if (tally.file_rows == 0) return;
+    candidates_scanned.inc(tally.scanned);
+    if (tally.reject_taskid > 0) reject_taskid.inc(tally.reject_taskid);
+    if (tally.reject_attr > 0) reject_attr_key.inc(tally.reject_attr);
+    if (tally.reject_time > 0) reject_time.inc(tally.reject_time);
+    candidates_accepted.inc(tally.accepted());
+  }
 };
 
 /// Direction/site condition.  Under RM2 an UNKNOWN endpoint on the
@@ -104,112 +111,43 @@ bool site_condition(const TransferRecord& t, const JobRecord& j,
   return false;
 }
 
-}  // namespace
-
-const std::vector<std::size_t>& Matcher::collect_candidates(
-    std::size_t job_index, std::size_t* file_rows) const {
-  // Reused per worker thread: the per-job allocate/free that used to
-  // dominate the inner loop is gone.
-  thread_local std::vector<std::size_t> scratch;
-  scratch.clear();
-
-  const auto rows = index_->files_of_job(job_index);
-  if (file_rows != nullptr) *file_rows = rows.size();
-  if (rows.empty()) return scratch;
-
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
-  const auto files = store.files();
-  const auto transfers = store.transfers();
-
-  // Candidate transfers: the job's task range of each file row's lfn
-  // group (lfn equality is structural through the group), matched
-  // against that row on the dataset, proddblock and scope symbols and
-  // file_size, then time-filtered (started before the job's end).  The
-  // rest of the group is scanned and rejected on jeditaskid in bulk,
-  // unread.  Funnel tallies stay in locals until the single flush below
-  // the loop.
-  std::uint64_t scanned = 0;
-  std::uint64_t rej_taskid = 0;
-  std::uint64_t rej_attr = 0;
-  std::uint64_t rej_time = 0;
-  std::size_t contributing_rows = 0;
-  for (const std::uint32_t fi : rows) {
-    const FileRecord& file = files[fi];
-    const std::size_t before = scratch.size();
-    const auto [task, group_size] =
-        index_->transfers_with_lfn(file.lfn_sym, job.jeditaskid);
-    scanned += group_size;
-    rej_taskid += group_size - task.size();
-    for (const std::uint32_t ti : task) {
-      const TransferRecord& t = transfers[ti];
-      if (t.dataset_sym != file.dataset_sym ||
-          t.proddblock_sym != file.proddblock_sym ||
-          t.scope_sym != file.scope_sym || t.file_size != file.file_size) {
-        ++rej_attr;
-        continue;
-      }
-      if (t.started_at >= job.end_time) {
-        ++rej_time;
-        continue;
-      }
-      scratch.push_back(ti);
-    }
-    contributing_rows += scratch.size() > before;
-  }
-
-  FunnelMetrics& funnel = FunnelMetrics::get();
-  funnel.candidates_scanned.inc(scanned);
-  if (rej_taskid > 0) funnel.reject_taskid.inc(rej_taskid);
-  if (rej_attr > 0) funnel.reject_attr_key.inc(rej_attr);
-  if (rej_time > 0) funnel.reject_time.inc(rej_time);
-  funnel.candidates_accepted.inc(scratch.size());
-
-  // Each task range is already ascending, so a single contributing row
-  // needs no post-processing.  Multiple rows can interleave groups and —
-  // when a job carries the same lfn as both input and output — duplicate
-  // a transfer, so sort + dedup only then.
-  if (contributing_rows > 1) {
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                  scratch.end());
-  }
-  return scratch;
+/// The exact method's gate: S_j equals the job's input or output bytes.
+bool size_sum_matches(std::uint64_t sum, const JobRecord& j) {
+  return sum == j.ninputfilebytes || sum == j.noutputfilebytes;
 }
+
+}  // namespace
 
 MatchedJob Matcher::match_job(std::size_t job_index,
                               const MatchOptions& options) const {
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
   MatchedJob result;
   result.job_index = job_index;
 
   FunnelMetrics& funnel = FunnelMetrics::get();
   funnel.jobs_examined.inc();
-
-  const auto transfers = store.transfers();
-  std::size_t file_rows = 0;
-  const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, &file_rows);
+  const MatchIndex::JobTally& tally = index_->tally(job_index);
+  funnel.add_candidates(tally);
+  const auto candidates = index_->candidates(job_index);
   if (candidates.empty()) {
-    (file_rows == 0 ? funnel.jobs_no_file_rows : funnel.jobs_no_candidates)
+    (tally.file_rows == 0 ? funnel.jobs_no_file_rows
+                          : funnel.jobs_no_candidates)
         .inc();
     return result;
   }
 
   // Size-sum gate over the whole candidate set (exact method only).
-  if (options.method == MatchMethod::kExact) {
-    std::uint64_t sum = 0;
-    for (std::size_t ti : candidates) sum += transfers[ti].file_size;
-    if (sum != job.ninputfilebytes && sum != job.noutputfilebytes) {
-      funnel.reject_size_sum.inc();
-      return result;
-    }
+  const telemetry::MetadataStore& store = index_->store();
+  const JobRecord& job = store.jobs()[job_index];
+  if (options.method == MatchMethod::kExact &&
+      !size_sum_matches(tally.candidate_sum, job)) {
+    funnel.reject_size_sum.inc();
+    return result;
   }
 
   // Direction/site condition per transfer.
+  const auto transfers = store.transfers();
   std::uint64_t rej_site = 0;
-  for (std::size_t ti : candidates) {
+  for (const std::uint32_t ti : candidates) {
     const TransferRecord& t = transfers[ti];
     if (!site_condition(t, job, options.method)) {
       ++rej_site;
@@ -231,34 +169,33 @@ MatchedJob Matcher::match_job(std::size_t job_index,
 
 MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
                                      const MatchOptions& options) const {
-  const telemetry::MetadataStore& store = index_->store();
-  const JobRecord& job = store.jobs()[job_index];
-  const auto transfers = store.transfers();
+  const MatchIndex::JobTally& tally = index_->tally(job_index);
+  FunnelMetrics::get().add_candidates(tally);
 
   MatchDiagnosis diagnosis;
-  const std::vector<std::size_t>& candidates =
-      collect_candidates(job_index, &diagnosis.file_rows);
+  diagnosis.file_rows = tally.file_rows;
   if (diagnosis.file_rows == 0) {
     diagnosis.outcome = MatchOutcome::kNoFileRows;
     return diagnosis;
   }
+  const auto candidates = index_->candidates(job_index);
   diagnosis.candidates = candidates.size();
   if (candidates.empty()) {
     diagnosis.outcome = MatchOutcome::kNoCandidates;
     return diagnosis;
   }
 
-  for (std::size_t ti : candidates) {
-    diagnosis.candidate_sum += transfers[ti].file_size;
-  }
+  diagnosis.candidate_sum = tally.candidate_sum;
+  const telemetry::MetadataStore& store = index_->store();
+  const JobRecord& job = store.jobs()[job_index];
   if (options.method == MatchMethod::kExact &&
-      diagnosis.candidate_sum != job.ninputfilebytes &&
-      diagnosis.candidate_sum != job.noutputfilebytes) {
+      !size_sum_matches(diagnosis.candidate_sum, job)) {
     diagnosis.outcome = MatchOutcome::kSizeGateFailed;
     return diagnosis;
   }
 
-  for (std::size_t ti : candidates) {
+  const auto transfers = store.transfers();
+  for (const std::uint32_t ti : candidates) {
     diagnosis.site_passing +=
         site_condition(transfers[ti], job, options.method);
   }

@@ -14,6 +14,11 @@
 //   (3) satisfy the direction/site condition: downloads must land at the
 //       job's computing site, uploads must leave from it.
 //
+// The attribute match and (1) do not depend on the method, so
+// core::MatchIndex evaluates them once per job when it is built and keeps
+// each job's time-passing candidate set T'_j and its S_j; match_job and
+// diagnose_job apply only (2) and (3).
+//
 // The relaxed variants RM1/RM2 (§4.3) reuse the same pipeline with the
 // size gate disabled (RM1) and unknown site labels admitted (RM2); see
 // core/relaxed.hpp for the presets.
@@ -78,9 +83,11 @@ struct MatchDiagnosis {
 };
 
 /// Matcher over one (already corrupted) metadata snapshot.  Construction
-/// builds (or adopts) the MatchIndex Algorithm 1 needs — file rows by
-/// (pandaid, jeditaskid) and transfers by interned lfn symbol — and is
-/// then reusable across methods and threads (all queries are const).
+/// builds (or adopts) the MatchIndex that holds every job's candidate
+/// set, and the matcher is then reusable across methods and threads (all
+/// queries are const).  Each match_job and diagnose_job call adds the
+/// job's candidate-stage tallies to the `pandarus_match_*` funnel
+/// counters; building the index counts nothing there.
 class Matcher {
  public:
   /// Builds the index serially.
@@ -93,8 +100,8 @@ class Matcher {
   /// Adopts a prebuilt index (shared across matchers without a rebuild).
   explicit Matcher(std::shared_ptr<const MatchIndex> index);
 
-  /// Runs Algorithm 1's inner loop for one job; the result's
-  /// transfer_indices is empty when the job matches nothing.
+  /// Applies the method's gates to the job's candidate set; the
+  /// result's transfer_indices is empty when the job matches nothing.
   [[nodiscard]] MatchedJob match_job(std::size_t job_index,
                                      const MatchOptions& options) const;
 
@@ -116,18 +123,7 @@ class Matcher {
   }
 
  private:
-  friend class ParallelMatchDriver;
-
-  /// Candidate construction shared by match_job and diagnose_job:
-  /// attribute-matched, taskid-checked, time-filtered, deduplicated,
-  /// ascending.  `file_rows` (optional) receives the count of bridging
-  /// file rows.  Returns a per-thread scratch buffer valid until this
-  /// thread's next call.
-  [[nodiscard]] const std::vector<std::size_t>& collect_candidates(
-      std::size_t job_index, std::size_t* file_rows) const;
-
-  /// The store's index: file rows by (pandaid, jeditaskid), transfers
-  /// by lfn symbol in (jeditaskid, row) order.  The underlying store
+  /// Every job's candidate set and join tally.  The underlying store
   /// must outlive the matcher and stay unmodified.
   std::shared_ptr<const MatchIndex> index_;
 };

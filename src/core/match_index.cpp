@@ -13,6 +13,19 @@ namespace {
 
 constexpr std::uint32_t kNone = 0xFFFF'FFFFu;
 
+/// A group-by: slots[offsets[g] .. offsets[g+1]) are group g's items.
+struct Csr {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> slots;
+
+  [[nodiscard]] std::span<const std::uint32_t> group(
+      std::size_t g) const noexcept {
+    if (g + 1 >= offsets.size()) return {};
+    return std::span<const std::uint32_t>(slots).subspan(
+        offsets[g], offsets[g + 1] - offsets[g]);
+  }
+};
+
 /// Counting sort into a CSR layout.  `emit(i, sink)` assigns item i to
 /// zero or more groups by calling sink(g); it runs once to count and
 /// once to scatter, so it must be pure.  The count leaves offsets[g] at
@@ -20,20 +33,21 @@ constexpr std::uint32_t kNone = 0xFFFF'FFFFu;
 /// each group's offset down to its start, so slots within a group end
 /// up in ascending item order.
 template <typename EmitFn>
-void build_csr(std::size_t n_items, std::size_t n_groups, const EmitFn& emit,
-               std::vector<std::uint32_t>& offsets,
-               std::vector<std::uint32_t>& slots) {
+Csr build_csr(std::size_t n_items, std::size_t n_groups, const EmitFn& emit) {
+  Csr csr;
+  auto& offsets = csr.offsets;
   offsets.assign(n_groups + 1, 0);
   for (std::size_t i = 0; i < n_items; ++i) {
     emit(i, [&](std::uint32_t g) { ++offsets[g]; });
   }
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  slots.resize(offsets[n_groups]);
+  csr.slots.resize(offsets[n_groups]);
   for (std::size_t i = n_items; i-- > 0;) {
     emit(i, [&](std::uint32_t g) {
-      slots[--offsets[g]] = static_cast<std::uint32_t>(i);
+      csr.slots[--offsets[g]] = static_cast<std::uint32_t>(i);
     });
   }
+  return csr;
 }
 
 }  // namespace
@@ -55,21 +69,18 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
   // Counting sort over dense lfn symbols.  The offsets table spans the
   // whole shared symbol table; non-lfn symbols simply own empty groups.
   const std::size_t n_syms = store.symbols().size();
-  build_csr(
-      transfers.size(), n_syms,
-      [&](std::size_t i, auto&& sink) {
-        const util::Symbol s = transfers[i].lfn_sym;
-        if (s < n_syms) sink(s);
-      },
-      transfer_offsets_, transfer_slots_);
+  Csr by_lfn = build_csr(transfers.size(), n_syms,
+                         [&](std::size_t i, auto&& sink) {
+                           const util::Symbol s = transfers[i].lfn_sym;
+                           if (s < n_syms) sink(s);
+                         });
 
   // Each lfn group in (jeditaskid, row) order, so one task's transfers
-  // are a contiguous, still row-ascending range (transfers_with_lfn).
-  // At paper scale 46% of the groups of two or more already are; the
-  // check skips their sort.  The sort allocates nothing and touches
-  // only the transfer CSR, so a pool runs it while this thread builds
-  // the file CSR below.
-  const auto sort_groups = [this, transfers, n_syms] {
+  // are a contiguous, still row-ascending range for the join below.  At
+  // paper scale 46% of the groups of two or more already are; the check
+  // skips their sort.  The sort allocates nothing and touches only
+  // `by_lfn`, so a pool runs it while this thread builds the file CSR.
+  const auto sort_groups = [&by_lfn, transfers, n_syms] {
     const auto by_task_then_row = [transfers](std::uint32_t a,
                                               std::uint32_t b) {
       const std::int64_t ta = transfers[a].jeditaskid;
@@ -77,8 +88,8 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
       return ta != tb ? ta < tb : a < b;
     };
     for (std::size_t g = 0; g < n_syms; ++g) {
-      const auto first = transfer_slots_.begin() + transfer_offsets_[g];
-      const auto last = transfer_slots_.begin() + transfer_offsets_[g + 1];
+      const auto first = by_lfn.slots.begin() + by_lfn.offsets[g];
+      const auto last = by_lfn.slots.begin() + by_lfn.offsets[g + 1];
       if (!std::is_sorted(first, last, by_task_then_row)) {
         std::sort(first, last, by_task_then_row);
       }
@@ -90,14 +101,14 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
   } else {
     sort_groups();
   }
-  // The sort is joined when `join` leaves scope, on every exit from
-  // here, an exception included: the task writes this object's members.
-  struct Join {
+  // If building the file CSR throws, the sort is waited for when `wait`
+  // leaves scope, before `by_lfn` goes: the task writes it.
+  struct Wait {
     std::future<void>& task;
-    ~Join() {
+    ~Wait() {
       if (task.valid()) task.wait();
     }
-  } join{sorted};
+  } wait{sorted};
 
   // pandaid -> intrusive chain of job slots.  The common case is one
   // job per pandaid; duplicates (pathological stores) are chained so a
@@ -121,16 +132,72 @@ MatchIndex::MatchIndex(const telemetry::MetadataStore& store,
     if (it != job_by_pandaid.end()) row_head[i] = it->second;
   }
 
-  build_csr(
-      files.size(), n_jobs,
-      [&](std::size_t i, auto&& sink) {
+  const Csr by_job = build_csr(
+      files.size(), n_jobs, [&](std::size_t i, auto&& sink) {
         const std::int64_t jeditaskid = files[i].jeditaskid;
         for (std::uint32_t j = row_head[i]; j != kNone;
              j = next_same_pandaid[j]) {
           if (jobs[j].jeditaskid == jeditaskid) sink(j);
         }
-      },
-      file_offsets_, file_slots_);
+      });
+  if (sorted.valid()) sorted.get();
+
+  // The join.  Per job: each bridged row's task range of its lfn group
+  // (lfn equality is structural through the group), matched against the
+  // row on the dataset, proddblock and scope symbols and file_size, then
+  // kept if it started before the job's end.  The rest of the group is
+  // counted as taskid rejects, unread.
+  candidate_offsets_.assign(n_jobs + 1, 0);
+  tallies_.resize(n_jobs);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    const telemetry::JobRecord& job = jobs[j];
+    const auto rows = by_job.group(j);
+    JobTally& tally = tallies_[j];
+    tally.file_rows = static_cast<std::uint32_t>(rows.size());
+    const std::size_t first = candidate_slots_.size();
+    std::size_t contributing_rows = 0;
+    for (const std::uint32_t fi : rows) {
+      const telemetry::FileRecord& file = files[fi];
+      const auto lfn_group = by_lfn.group(file.lfn_sym);
+      const auto task = std::ranges::equal_range(
+          lfn_group, job.jeditaskid, {},
+          [transfers](std::uint32_t t) { return transfers[t].jeditaskid; });
+      tally.scanned += lfn_group.size();
+      tally.reject_taskid += lfn_group.size() - task.size();
+      const std::size_t before = candidate_slots_.size();
+      for (const std::uint32_t ti : task) {
+        const telemetry::TransferRecord& t = transfers[ti];
+        if (t.dataset_sym != file.dataset_sym ||
+            t.proddblock_sym != file.proddblock_sym ||
+            t.scope_sym != file.scope_sym || t.file_size != file.file_size) {
+          ++tally.reject_attr;
+          continue;
+        }
+        if (t.started_at >= job.end_time) {
+          ++tally.reject_time;
+          continue;
+        }
+        candidate_slots_.push_back(ti);
+      }
+      contributing_rows += candidate_slots_.size() > before;
+    }
+    // Each task range is already ascending, so a single contributing row
+    // needs no post-processing.  Several rows can interleave groups and —
+    // when a job carries the same lfn as both input and output — reach
+    // one transfer twice, so sort + dedup only then.
+    const auto mine = candidate_slots_.begin() +
+                      static_cast<std::ptrdiff_t>(first);
+    if (contributing_rows > 1) {
+      std::sort(mine, candidate_slots_.end());
+      candidate_slots_.erase(std::unique(mine, candidate_slots_.end()),
+                             candidate_slots_.end());
+    }
+    for (auto it = mine; it != candidate_slots_.end(); ++it) {
+      tally.candidate_sum += transfers[*it].file_size;
+    }
+    candidate_offsets_[j + 1] =
+        static_cast<std::uint32_t>(candidate_slots_.size());
+  }
 }
 
 }  // namespace pandarus::core

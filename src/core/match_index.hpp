@@ -1,39 +1,46 @@
-// MatchIndex: the shared, immutable index layer behind Algorithm 1.
+// MatchIndex: Algorithm 1's candidate join, run once per snapshot.
 //
 // The paper's §5.5 notes that metadata volume "imposes the need for
 // efficient computing for scalability ... such as parallelization".
-// This index is where that lands for the matching core:
+// This index is where that lands for the matching core.
 //
-//  * file rows are grouped by OWNING JOB — keyed on the full (pandaid,
+// For each job, Algorithm 1 keeps the transfers that share a bridged
+// file row's lfn, jeditaskid, dataset, proddblock, scope and file_size
+// and that started before the job ended (§4.2).  That candidate set does
+// not depend on the method, so the constructor computes it once per job
+// and keeps only the result: each job's candidate rows, deduplicated and
+// ascending, and a tally of how the join reached them.  The exact, RM1
+// and RM2 matchers and diagnose_job then apply only their own gates.
+//
+// The join reads two CSR group-bys (offsets + slots, one counting sort
+// each), which the constructor frees before it returns:
+//
+//  * file rows grouped by OWNING JOB — keyed on the full (pandaid,
 //    jeditaskid) bridge, so stale rows (same pandaid, different task
-//    generation) are excluded at build time instead of per query;
-//  * transfers are grouped by interned lfn symbol, which turns the old
-//    string-keyed hash map into a counting sort over dense ids, and
-//    each lfn group is ordered by (jeditaskid, row).  Algorithm 1 links
-//    a job only to transfers of its own task (DESIGN §8 decision 1), so
-//    the matcher reads one binary-searched task range per file row and
-//    counts the rest of the group as taskid rejects without touching
-//    it: a popular lfn collects transfers from many tasks and from the
-//    untagged (-1) rule-driven traffic.
+//    generation) never reach the join;
+//  * transfers grouped by interned lfn symbol, each group ordered by
+//    (jeditaskid, row).  A job links only to transfers of its own task
+//    (DESIGN §8 decision 1), so the join binary-searches one task range
+//    per file row and counts the rest of the group as taskid rejects
+//    without reading it: a popular lfn collects transfers from many
+//    tasks and from the untagged (-1) rule-driven traffic.
 //
-// The rest of Algorithm 1's predicate needs no index: the matcher
-// compares the dataset, proddblock and scope symbols and file_size on
-// the transfer records it reads anyway.
+// The rest of the predicate needs no index: the join compares the
+// dataset, proddblock and scope symbols and file_size on the transfer
+// records it reads for started_at anyway.
 //
-// Both group-bys are CSR layouts (offsets + slots) built by one
-// counting sort, slots ascending by row within each group.  Given a
-// pool, the build hands it only the per-group (jeditaskid, row) sort,
-// which allocates nothing, and builds the file CSR meanwhile on the
-// calling thread: the same steps as the serial build, so the two are
-// bit-identical.
+// Given a pool, the build hands it only the per-group (jeditaskid, row)
+// sort, which allocates nothing, builds the file CSR meanwhile on the
+// calling thread, and runs the join there once both are done: the same
+// steps as the serial build, so the two are bit-identical.
 //
 // One MatchIndex is built per snapshot and shared by the exact and
 // RM1/RM2 matchers and the ParallelMatchDriver (all queries const).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "telemetry/store.hpp"
@@ -52,31 +59,44 @@ class MatchIndex {
   MatchIndex(const telemetry::MetadataStore& store,
              parallel::ThreadPool* pool);
 
-  /// File rows whose (pandaid, jeditaskid) equals the job's — the F'_j
-  /// of Algorithm 1, stale rows already excluded.  Ascending row order.
-  [[nodiscard]] std::span<const std::uint32_t> files_of_job(
-      std::size_t job_index) const noexcept {
-    return group(file_offsets_, file_slots_, job_index);
-  }
+  /// How the join reached one job's candidates.  The matcher adds these
+  /// to the `pandarus_match_*` funnel counters on every query, so each
+  /// counts what a slot-by-slot scan of the job's lfn groups would.
+  struct JobTally {
+    /// File rows whose (pandaid, jeditaskid) equals the job's: |F'_j|.
+    std::uint32_t file_rows = 0;
+    /// Transfers in those rows' lfn groups, once per row.
+    std::uint64_t scanned = 0;
+    /// Scanned transfers of another jeditaskid (counted, not read).
+    std::uint64_t reject_taskid = 0;
+    /// Transfers of the job's task whose dataset, proddblock, scope or
+    /// file_size differs from the row's.
+    std::uint64_t reject_attr = 0;
+    /// Attribute matches that started at or after the job's end.
+    std::uint64_t reject_time = 0;
+    /// S_j: the candidates' byte sum.
+    std::uint64_t candidate_sum = 0;
 
-  /// One task's slice of an lfn group.
-  struct TaskRange {
-    /// Transfers with the lfn AND the jeditaskid, ascending row order.
-    std::span<const std::uint32_t> transfers;
-    /// Transfers with the lfn, whatever their jeditaskid.
-    std::size_t group_size = 0;
+    /// Passed all three filters, per row: a transfer that two of the
+    /// job's rows reach counts twice here and is one candidate.
+    [[nodiscard]] std::uint64_t accepted() const noexcept {
+      return scanned - reject_taskid - reject_attr - reject_time;
+    }
   };
 
-  /// The transfers whose lfn has the given symbol id and that carry
-  /// `jeditaskid`: the group's equal_range of the task, binary-searched.
-  [[nodiscard]] TaskRange transfers_with_lfn(
-      util::Symbol lfn_sym, std::int64_t jeditaskid) const noexcept {
-    const auto lfn_group = group(transfer_offsets_, transfer_slots_, lfn_sym);
-    const auto transfers = store_->transfers();
-    const auto task = std::ranges::equal_range(
-        lfn_group, jeditaskid, {},
-        [transfers](std::uint32_t t) { return transfers[t].jeditaskid; });
-    return {{task.begin(), task.end()}, lfn_group.size()};
+  /// The job's candidate transfer rows, T'_j of Algorithm 1 before its
+  /// size and site gates: ascending, each once.  `job_index` must be
+  /// below store().jobs().size().
+  [[nodiscard]] std::span<const std::uint32_t> candidates(
+      std::size_t job_index) const noexcept {
+    return std::span<const std::uint32_t>(candidate_slots_)
+        .subspan(candidate_offsets_[job_index],
+                 candidate_offsets_[job_index + 1] -
+                     candidate_offsets_[job_index]);
+  }
+
+  [[nodiscard]] const JobTally& tally(std::size_t job_index) const noexcept {
+    return tallies_[job_index];
   }
 
   [[nodiscard]] const telemetry::MetadataStore& store() const noexcept {
@@ -84,23 +104,13 @@ class MatchIndex {
   }
 
  private:
-  static std::span<const std::uint32_t> group(
-      const std::vector<std::uint32_t>& offsets,
-      const std::vector<std::uint32_t>& slots, std::size_t g) noexcept {
-    if (g + 1 >= offsets.size()) return {};
-    return std::span<const std::uint32_t>(slots)
-        .subspan(offsets[g], offsets[g + 1] - offsets[g]);
-  }
-
   const telemetry::MetadataStore* store_;
-  /// CSR over jobs: file_slots_[file_offsets_[j] .. file_offsets_[j+1])
-  /// are the file-row indices bridging to job j.
-  std::vector<std::uint32_t> file_offsets_;
-  std::vector<std::uint32_t> file_slots_;
-  /// CSR over lfn symbols, same layout, into store.transfers(); each
-  /// group sorted by (jeditaskid, row).
-  std::vector<std::uint32_t> transfer_offsets_;
-  std::vector<std::uint32_t> transfer_slots_;
+  /// CSR over jobs: candidate_slots_[candidate_offsets_[j] ..
+  /// candidate_offsets_[j+1]) are job j's candidates, into
+  /// store.transfers().
+  std::vector<std::uint32_t> candidate_offsets_;
+  std::vector<std::uint32_t> candidate_slots_;
+  std::vector<JobTally> tallies_;
 };
 
 }  // namespace pandarus::core

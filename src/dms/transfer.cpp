@@ -262,15 +262,10 @@ TransferEngine::LinkState* TransferEngine::reroute_target(Active& active) {
   if (alt == kNoRse) return nullptr;
   const grid::SiteId src = rses_->rse(alt).site;
   if (src == active.request.src) return nullptr;
+  // Only a link that admits now: one held back too would hand the
+  // transfer back through its own handle_blocked.
   LinkState& target = link_state(src, active.request.dst);
-  if (injector_ != nullptr && injector_->link_blocked(src, active.request.dst)) {
-    return nullptr;
-  }
-  if (params_.breaker_enabled &&
-      target.breaker == LinkState::Breaker::kOpen &&
-      scheduler_.now() < target.open_until) {
-    return nullptr;
-  }
+  if (!admits(target)) return nullptr;
   ++stats_.alt_source_retries;
   EngineMetrics::get().alt_source.inc();
   if (obs::EventLog* log = scheduler_.session().events) {

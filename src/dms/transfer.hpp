@@ -207,8 +207,9 @@ class TransferEngine {
   [[nodiscard]] util::SimDuration backoff_delay(std::uint64_t id,
                                                 std::uint32_t attempt) const;
   void breaker_on_result(LinkState& ls, bool attempt_failed);
-  /// Re-resolves the source replica away from the current one; on
-  /// success rewrites the request's src and returns the new link.
+  /// Re-resolves the source replica away from the current one to a link
+  /// that admits() now; on success rewrites the request's src and
+  /// returns that link.
   LinkState* reroute_target(Active& active);
   void on_fault(const fault::FaultWindow& window, bool begin);
 

@@ -500,6 +500,26 @@ TEST(CampaignFaults, DrainsAndConservesTransfersAcrossIntensities) {
   }
 }
 
+/// A blocked queue reroutes only to a link that admits now.  Two links
+/// whose half-open breakers each had a probe in flight used to hand a
+/// queued transfer back and forth through handle_blocked until the stack
+/// overflowed: this 6-hour campaign did, at intensities 4 and 5.
+TEST(CampaignFaults, RerouteOnlyToALinkThatAdmits) {
+  scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
+  config.days = 0.25;
+  config.seed = 7;
+  config.faults.intensity = 4.0;
+  config.with_self_healing();
+  const scenario::ScenarioResult r = scenario::run_campaign(config);
+
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(r.transfers_in_flight, 0u);
+  EXPECT_GT(r.transfers.alt_source_retries, 0u);
+  EXPECT_EQ(r.transfers.submitted,
+            r.transfers.completed + r.transfers.failed +
+                r.transfers.quota_rejections);
+}
+
 TEST(CampaignFaults, SiteOutageKillsRunningJobsAndBrokerageSkips) {
   scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
   config.with_self_healing();

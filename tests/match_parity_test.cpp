@@ -2,8 +2,10 @@
 // pool-assisted index build must be identical to their serial
 // counterparts, deterministically, for every matching method.  Any
 // divergence in group contents, group order or merge order shows up
-// here as a differing index query or MatchedJob set.
+// here as a differing candidate set, tally or MatchedJob set.  The
+// funnel counters are counted per query, the same on every repeat.
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -77,24 +79,21 @@ TEST(MatchParity, ParallelDriverIsDeterministicAcrossRuns) {
   }
 }
 
-/// Every query the matcher makes of an index: each job's file rows,
-/// and each file row's task range and group size (a bridged row's
-/// jeditaskid is its job's task).
+/// Everything the matcher reads of an index, job by job: the candidate
+/// rows and the join's tally (file rows, the four funnel tallies, S_j).
 void expect_same_index(const core::MatchIndex& a, const core::MatchIndex& b,
                        const std::string& label) {
-  const auto& store = a.store();
-  for (std::size_t j = 0; j < store.jobs().size(); ++j) {
-    EXPECT_TRUE(std::ranges::equal(a.files_of_job(j), b.files_of_job(j)))
+  for (std::size_t j = 0; j < a.store().jobs().size(); ++j) {
+    EXPECT_TRUE(std::ranges::equal(a.candidates(j), b.candidates(j)))
         << label << " job " << j;
-  }
-  const auto files = store.files();
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const auto& f = files[fi];
-    const auto x = a.transfers_with_lfn(f.lfn_sym, f.jeditaskid);
-    const auto y = b.transfers_with_lfn(f.lfn_sym, f.jeditaskid);
-    EXPECT_TRUE(std::ranges::equal(x.transfers, y.transfers))
-        << label << " file row " << fi;
-    EXPECT_EQ(x.group_size, y.group_size) << label << " file row " << fi;
+    const core::MatchIndex::JobTally& x = a.tally(j);
+    const core::MatchIndex::JobTally& y = b.tally(j);
+    EXPECT_EQ(x.file_rows, y.file_rows) << label << " job " << j;
+    EXPECT_EQ(x.scanned, y.scanned) << label << " job " << j;
+    EXPECT_EQ(x.reject_taskid, y.reject_taskid) << label << " job " << j;
+    EXPECT_EQ(x.reject_attr, y.reject_attr) << label << " job " << j;
+    EXPECT_EQ(x.reject_time, y.reject_time) << label << " job " << j;
+    EXPECT_EQ(x.candidate_sum, y.candidate_sum) << label << " job " << j;
   }
 }
 
@@ -111,6 +110,84 @@ TEST(MatchParity, PoolBuiltIndexMatchesSerialBuild) {
           label + " " + core::method_name(options.method);
       expect_identical(serial_built.run(options), pool_built.run(options),
                        method.c_str());
+    }
+  }
+}
+
+/// Every `pandarus_match_*` counter in the registry, by name.
+std::map<std::string, std::uint64_t> match_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& c : obs::Registry::global().snapshot().counters) {
+    if (c.name.starts_with("pandarus_match_")) out[c.name] = c.value;
+  }
+  return out;
+}
+
+constexpr const char* kBuilds = "pandarus_match_index_builds_total";
+
+TEST(MatchFunnel, BuildingAnIndexCountsOnlyTheBuild) {
+  const auto& store = seeded_store();
+  // Registers every funnel counter, so that they are compared below.
+  (void)core::Matcher(store).run(core::MatchOptions::exact());
+  parallel::ThreadPool pool(2);
+  parallel::ThreadPool* const builds_on[] = {nullptr, &pool};
+  for (parallel::ThreadPool* build_pool : builds_on) {
+    auto before = match_counters();
+    for (const char* name :
+         {"pandarus_match_candidates_scanned_total",
+          "pandarus_match_reject_taskid_total",
+          "pandarus_match_reject_attr_key_total",
+          "pandarus_match_reject_time_total",
+          "pandarus_match_candidates_accepted_total",
+          "pandarus_match_reject_size_sum_total",
+          "pandarus_match_reject_site_total",
+          "pandarus_match_jobs_no_file_rows_total",
+          "pandarus_match_jobs_no_candidates_total",
+          "pandarus_match_jobs_site_eliminated_total",
+          "pandarus_match_jobs_matched_total", kBuilds}) {
+      EXPECT_TRUE(before.contains(name)) << name;
+    }
+    const core::MatchIndex index(store, build_pool);
+    ++before[kBuilds];
+    EXPECT_EQ(match_counters(), before)
+        << (build_pool != nullptr ? "pool build" : "serial build");
+  }
+}
+
+TEST(MatchFunnel, EachQueryAddsTheSameTallies) {
+  const core::Matcher matcher(seeded_store());
+  const std::size_t n_jobs = matcher.store().jobs().size();
+  const auto delta = [](const auto& work) {
+    auto before = match_counters();
+    work();
+    auto after = match_counters();
+    for (auto& [name, value] : after) value -= before[name];
+    after.erase("pandarus_match_run_wall_us_total");
+    return after;
+  };
+  for (const auto& options : kMethods) {
+    const char* method = core::method_name(options.method);
+    const auto run = [&] { (void)matcher.run(options); };
+    const auto first = delta(run);
+    EXPECT_GT(first.at("pandarus_match_candidates_scanned_total"), 0u);
+    EXPECT_EQ(delta(run), first) << method;
+
+    // Diagnosing every job adds the candidate stage a run adds, and no
+    // job stage.
+    const auto diagnosed = delta([&] {
+      for (std::size_t j = 0; j < n_jobs; ++j) {
+        (void)matcher.diagnose_job(j, options);
+      }
+    });
+    for (const auto& [name, value] : diagnosed) {
+      const bool candidate_stage =
+          name == "pandarus_match_candidates_scanned_total" ||
+          name == "pandarus_match_reject_taskid_total" ||
+          name == "pandarus_match_reject_attr_key_total" ||
+          name == "pandarus_match_reject_time_total" ||
+          name == "pandarus_match_candidates_accepted_total";
+      EXPECT_EQ(value, candidate_stage ? first.at(name) : 0u)
+          << method << " " << name;
     }
   }
 }
