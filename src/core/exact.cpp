@@ -1,5 +1,7 @@
 #include "core/exact.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -32,10 +34,41 @@ Matcher::Matcher(std::shared_ptr<const MatchIndex> index)
 
 namespace {
 
+/// What a job, or a range of jobs, adds to the funnel: summed locally
+/// and added to the shared counters once (FunnelMetrics::add).
+struct FunnelDelta {
+  std::uint64_t scanned = 0;
+  std::uint64_t reject_taskid = 0;
+  std::uint64_t reject_attr = 0;
+  std::uint64_t reject_time = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t reject_size_sum = 0;
+  std::uint64_t reject_site = 0;
+  std::uint64_t examined = 0;
+  std::uint64_t no_file_rows = 0;
+  std::uint64_t no_candidates = 0;
+  std::uint64_t site_eliminated = 0;
+  std::uint64_t matched = 0;
+
+  /// The candidate stage of one job, as the index's join counted it.  A
+  /// job without file rows reached no candidate stage.
+  void add_candidates(const MatchIndex::JobTally& tally) {
+    if (tally.file_rows == 0) return;
+    scanned += tally.scanned;
+    reject_taskid += tally.reject_taskid;
+    reject_attr += tally.reject_attr;
+    reject_time += tally.reject_time;
+    accepted += tally.accepted();
+  }
+};
+
 /// The Table-2-style coverage funnel, process-wide and cumulative over
 /// every run/method.  Candidate-stage counters take the job's join tally
-/// from the index on every match_job and diagnose_job call; job-stage
-/// counters are filled by match_job only.
+/// from the index for every job matched or diagnosed; job-stage counters
+/// are filled by matching only.  Each match_job and diagnose_job call,
+/// and each match_jobs range (a whole Matcher::run, or one chunk of
+/// ParallelMatchDriver::run), sums its jobs into a FunnelDelta and adds
+/// it once.
 struct FunnelMetrics {
   obs::Counter& candidates_scanned = obs::Registry::global().counter(
       "pandarus_match_candidates_scanned_total",
@@ -82,15 +115,25 @@ struct FunnelMetrics {
     return metrics;
   }
 
-  /// The candidate stage of one job, as the index's join counted it.  A
-  /// job without file rows reached no candidate stage.
-  void add_candidates(const MatchIndex::JobTally& tally) {
-    if (tally.file_rows == 0) return;
-    candidates_scanned.inc(tally.scanned);
-    if (tally.reject_taskid > 0) reject_taskid.inc(tally.reject_taskid);
-    if (tally.reject_attr > 0) reject_attr_key.inc(tally.reject_attr);
-    if (tally.reject_time > 0) reject_time.inc(tally.reject_time);
-    candidates_accepted.inc(tally.accepted());
+  /// Adds a summed delta, once per counter.
+  void add(const FunnelDelta& delta) {
+    const std::pair<obs::Counter&, std::uint64_t> adds[] = {
+        {candidates_scanned, delta.scanned},
+        {reject_taskid, delta.reject_taskid},
+        {reject_attr_key, delta.reject_attr},
+        {reject_time, delta.reject_time},
+        {candidates_accepted, delta.accepted},
+        {reject_size_sum, delta.reject_size_sum},
+        {reject_site, delta.reject_site},
+        {jobs_examined, delta.examined},
+        {jobs_no_file_rows, delta.no_file_rows},
+        {jobs_no_candidates, delta.no_candidates},
+        {jobs_site_eliminated, delta.site_eliminated},
+        {jobs_matched, delta.matched},
+    };
+    for (const auto& [counter, value] : adds) {
+      if (value > 0) counter.inc(value);
+    }
   }
 };
 
@@ -116,41 +159,37 @@ bool size_sum_matches(std::uint64_t sum, const JobRecord& j) {
   return sum == j.ninputfilebytes || sum == j.noutputfilebytes;
 }
 
-}  // namespace
-
-MatchedJob Matcher::match_job(std::size_t job_index,
-                              const MatchOptions& options) const {
+/// Algorithm 1's gates for one job of `index`, adding what it passed
+/// and failed to `funnel`.
+MatchedJob match_one(const MatchIndex& index, std::size_t job_index,
+                     MatchMethod method, FunnelDelta& funnel) {
   MatchedJob result;
   result.job_index = job_index;
 
-  FunnelMetrics& funnel = FunnelMetrics::get();
-  funnel.jobs_examined.inc();
-  const MatchIndex::JobTally& tally = index_->tally(job_index);
+  ++funnel.examined;
+  const MatchIndex::JobTally& tally = index.tally(job_index);
   funnel.add_candidates(tally);
-  const auto candidates = index_->candidates(job_index);
+  const auto candidates = index.candidates(job_index);
   if (candidates.empty()) {
-    (tally.file_rows == 0 ? funnel.jobs_no_file_rows
-                          : funnel.jobs_no_candidates)
-        .inc();
+    ++(tally.file_rows == 0 ? funnel.no_file_rows : funnel.no_candidates);
     return result;
   }
 
   // Size-sum gate over the whole candidate set (exact method only).
-  const telemetry::MetadataStore& store = index_->store();
+  const telemetry::MetadataStore& store = index.store();
   const JobRecord& job = store.jobs()[job_index];
-  if (options.method == MatchMethod::kExact &&
+  if (method == MatchMethod::kExact &&
       !size_sum_matches(tally.candidate_sum, job)) {
-    funnel.reject_size_sum.inc();
+    ++funnel.reject_size_sum;
     return result;
   }
 
   // Direction/site condition per transfer.
   const auto transfers = store.transfers();
-  std::uint64_t rej_site = 0;
   for (const std::uint32_t ti : candidates) {
     const TransferRecord& t = transfers[ti];
-    if (!site_condition(t, job, options.method)) {
-      ++rej_site;
+    if (!site_condition(t, job, method)) {
+      ++funnel.reject_site;
       continue;
     }
     result.transfer_indices.push_back(ti);
@@ -160,17 +199,38 @@ MatchedJob Matcher::match_job(std::size_t job_index,
       ++result.remote_transfers;
     }
   }
-  if (rej_site > 0) funnel.reject_site.inc(rej_site);
-  (result.transfer_indices.empty() ? funnel.jobs_site_eliminated
-                                   : funnel.jobs_matched)
-      .inc();
+  ++(result.transfer_indices.empty() ? funnel.site_eliminated
+                                     : funnel.matched);
   return result;
+}
+
+}  // namespace
+
+MatchedJob Matcher::match_job(std::size_t job_index,
+                              const MatchOptions& options) const {
+  FunnelDelta funnel;
+  MatchedJob result = match_one(*index_, job_index, options.method, funnel);
+  FunnelMetrics::get().add(funnel);
+  return result;
+}
+
+void Matcher::match_jobs(std::size_t begin, std::size_t end,
+                         const MatchOptions& options,
+                         std::vector<MatchedJob>& out) const {
+  FunnelDelta funnel;
+  for (std::size_t i = begin; i < end; ++i) {
+    MatchedJob m = match_one(*index_, i, options.method, funnel);
+    if (m.matched()) out.push_back(std::move(m));
+  }
+  FunnelMetrics::get().add(funnel);
 }
 
 MatchDiagnosis Matcher::diagnose_job(std::size_t job_index,
                                      const MatchOptions& options) const {
   const MatchIndex::JobTally& tally = index_->tally(job_index);
-  FunnelMetrics::get().add_candidates(tally);
+  FunnelDelta funnel;
+  funnel.add_candidates(tally);
+  FunnelMetrics::get().add(funnel);
 
   MatchDiagnosis diagnosis;
   diagnosis.file_rows = tally.file_rows;
@@ -212,10 +272,7 @@ MatchResult Matcher::run(const MatchOptions& options) const {
   MatchResult out;
   out.method = options.method;
   out.jobs_considered = index_->store().jobs().size();
-  for (std::size_t i = 0; i < out.jobs_considered; ++i) {
-    MatchedJob m = match_job(i, options);
-    if (m.matched()) out.jobs.push_back(std::move(m));
-  }
+  match_jobs(0, out.jobs_considered, options, out.jobs);
   FunnelMetrics& funnel = FunnelMetrics::get();
   funnel.runs.inc();
   funnel.run_wall_us.inc(

@@ -87,14 +87,14 @@ struct MatchDiagnosis {
 /// set, and the matcher is then reusable across methods and threads (all
 /// queries are const).  Each match_job and diagnose_job call adds the
 /// job's candidate-stage tallies to the `pandarus_match_*` funnel
-/// counters; building the index counts nothing there.
+/// counters; match_jobs adds the same sums for its whole range at once.
+/// Building the index counts nothing there.
 class Matcher {
  public:
   /// Builds the index serially.
   explicit Matcher(const telemetry::MetadataStore& store);
 
-  /// Builds the index, sorting its lfn groups on `pool` meanwhile; the
-  /// same index as the serial build.
+  /// Builds the index on `pool`; the same index as the serial build.
   Matcher(const telemetry::MetadataStore& store, parallel::ThreadPool& pool);
 
   /// Adopts a prebuilt index (shared across matchers without a rebuild).
@@ -108,6 +108,13 @@ class Matcher {
   /// Like match_job, but reports which pipeline stage stopped the job.
   [[nodiscard]] MatchDiagnosis diagnose_job(std::size_t job_index,
                                             const MatchOptions& options) const;
+
+  /// match_job over jobs [begin, end): appends the matched ones to
+  /// `out` in job order and adds the range's funnel deltas to the
+  /// counters once.  run() and each ParallelMatchDriver chunk use it.
+  void match_jobs(std::size_t begin, std::size_t end,
+                  const MatchOptions& options,
+                  std::vector<MatchedJob>& out) const;
 
   /// Serial run over all jobs in the store.
   [[nodiscard]] MatchResult run(const MatchOptions& options) const;

@@ -12,27 +12,32 @@
 // ascending, and a tally of how the join reached them.  The exact, RM1
 // and RM2 matchers and diagnose_job then apply only their own gates.
 //
-// The join reads two CSR group-bys (offsets + slots, one counting sort
-// each), which the constructor frees before it returns:
+// A job links only to transfers of its own jeditaskid (DESIGN §8
+// decision 1), so the join reads only the transfers of the jobs' own
+// tasks, from structures the constructor frees before it returns:
 //
-//  * file rows grouped by OWNING JOB — keyed on the full (pandaid,
-//    jeditaskid) bridge, so stale rows (same pandaid, different task
-//    generation) never reach the join;
-//  * transfers grouped by interned lfn symbol, each group ordered by
-//    (jeditaskid, row).  A job links only to transfers of its own task
-//    (DESIGN §8 decision 1), so the join binary-searches one task range
-//    per file row and counts the rest of the group as taskid rejects
-//    without reading it: a popular lfn collects transfers from many
-//    tasks and from the untagged (-1) rule-driven traffic.
+//  * one block per job task of (lfn_sym << 32 | row) keys, each sorted
+//    once, so a file row's same-task, same-lfn transfers are one
+//    binary-searched run of its job's block, in ascending row order.
+//    The tasks get dense ids from a small open-addressing table keyed on
+//    jeditaskid (1,780 tasks and 26,972 of 180,858 transfers at paper
+//    scale);
+//  * every lfn's transfer count over all transfers, which the tally
+//    reads for the row's scanned transfers: the ones outside the run are
+//    taskid rejects, counted without being read (a popular lfn collects
+//    transfers from many tasks and from untagged, rule-driven traffic);
+//  * file rows grouped by OWNING JOB, keyed on the full (pandaid,
+//    jeditaskid) bridge through a second such table, so stale rows
+//    (same pandaid, different task generation) never reach the join.
 //
 // The rest of the predicate needs no index: the join compares the
 // dataset, proddblock and scope symbols and file_size on the transfer
 // records it reads for started_at anyway.
 //
-// Given a pool, the build hands it only the per-group (jeditaskid, row)
-// sort, which allocates nothing, builds the file CSR meanwhile on the
-// calling thread, and runs the join there once both are done: the same
-// steps as the serial build, so the two are bit-identical.
+// Given a pool, the build splits the block sorts over the workers while
+// the calling thread groups the file rows, then runs the join in
+// job-range chunks whose outputs are appended in job order: the serial
+// build's steps on more threads, so the two are bit-identical.
 //
 // One MatchIndex is built per snapshot and shared by the exact and
 // RM1/RM2 matchers and the ParallelMatchDriver (all queries const).
@@ -53,8 +58,8 @@ class MatchIndex {
   explicit MatchIndex(const telemetry::MetadataStore& store)
       : MatchIndex(store, nullptr) {}
 
-  /// Sorts the lfn groups on `pool` while this thread builds the file
-  /// CSR (nullptr builds serially); either way the index is the same.
+  /// Sorts the task blocks and runs the join on `pool` (nullptr builds
+  /// serially); either way the index is the same.
   /// The store must outlive the index and stay unmodified.
   MatchIndex(const telemetry::MetadataStore& store,
              parallel::ThreadPool* pool);
@@ -65,7 +70,7 @@ class MatchIndex {
   struct JobTally {
     /// File rows whose (pandaid, jeditaskid) equals the job's: |F'_j|.
     std::uint32_t file_rows = 0;
-    /// Transfers in those rows' lfn groups, once per row.
+    /// Transfers with those rows' lfns, once per row.
     std::uint64_t scanned = 0;
     /// Scanned transfers of another jeditaskid (counted, not read).
     std::uint64_t reject_taskid = 0;

@@ -9,16 +9,16 @@ MatchResult ParallelMatchDriver::run(const MatchOptions& options) const {
                              static_cast<std::int64_t>(options.method));
   const std::size_t n = matcher_->store().jobs().size();
 
-  MatchResult out = parallel::parallel_reduce<MatchResult>(
+  MatchResult out;
+  out.jobs = parallel::parallel_reduce<std::vector<MatchedJob>>(
       *pool_, n,
-      [this, &options](MatchResult& acc, std::size_t i) {
-        MatchedJob m = matcher_->match_job(i, options);
-        if (m.matched()) acc.jobs.push_back(std::move(m));
+      [this, &options](std::vector<MatchedJob>& acc, std::size_t begin,
+                       std::size_t end) {
+        matcher_->match_jobs(begin, end, options, acc);
       },
-      [](MatchResult& into, MatchResult&& chunk) {
-        into.jobs.insert(into.jobs.end(),
-                         std::make_move_iterator(chunk.jobs.begin()),
-                         std::make_move_iterator(chunk.jobs.end()));
+      [](std::vector<MatchedJob>& into, std::vector<MatchedJob>&& chunk) {
+        into.insert(into.end(), std::make_move_iterator(chunk.begin()),
+                    std::make_move_iterator(chunk.end()));
       });
   out.method = options.method;
   out.jobs_considered = n;

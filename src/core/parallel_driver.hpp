@@ -4,7 +4,8 @@
 //
 // Jobs are independent in Algorithm 1, so the driver partitions the job
 // index range over a thread pool and merges per-chunk results in chunk
-// order — output is byte-identical to the serial run.
+// order — output is byte-identical to the serial run.  Each chunk runs
+// Matcher::match_jobs, so it adds its funnel deltas once.
 #pragma once
 
 #include "core/exact.hpp"

@@ -83,10 +83,12 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t, std::size_t)>& body,
                          std::size_t min_chunk = 256);
 
-/// Map-reduce over [0, n): each worker folds its chunk into a local
-/// accumulator (default-constructed T), then `combine` merges them in
-/// chunk order, so the reduction is deterministic regardless of thread
-/// scheduling.
+/// Map-reduce over [0, n) in contiguous chunks: `fold(acc, begin, end)`
+/// folds one chunk into a local accumulator (default-constructed T) on
+/// the pool, then `combine` merges them in chunk order, so the
+/// reduction is deterministic regardless of thread scheduling.  Every
+/// chunk has finished before this returns or rethrows a chunk's
+/// exception, so `fold` may reference the caller's locals.
 template <typename T, typename Fold, typename Combine>
 T parallel_reduce(ThreadPool& pool, std::size_t n, Fold fold, Combine combine,
                   std::size_t min_chunk = 256) {
@@ -99,10 +101,11 @@ T parallel_reduce(ThreadPool& pool, std::size_t n, Fold fold, Combine combine,
     const std::size_t end = std::min(begin + chunk, n);
     futures.push_back(pool.submit([=] {
       T acc{};
-      for (std::size_t i = begin; i < end; ++i) fold(acc, i);
+      fold(acc, begin, end);
       return acc;
     }));
   }
+  for (const auto& future : futures) future.wait();
   T result = futures.front().get();
   for (std::size_t i = 1; i < futures.size(); ++i)
     combine(result, futures[i].get());

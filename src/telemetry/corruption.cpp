@@ -1,6 +1,7 @@
 #include "telemetry/corruption.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace pandarus::telemetry {
 
@@ -27,11 +28,21 @@ CorruptionReport inject_corruption(MetadataStore& store,
     }
   };
 
+  // is_bad_metadata_site once per site, on first sight (-1: not yet).
+  // Topology ids are dense from 0, so a small table covers them; a
+  // larger id, and kUnknownSite, goes to the predicate itself.
+  std::vector<std::int8_t> bad_site(4096, -1);
+  const auto is_bad = [&](grid::SiteId site) {
+    if (site >= bad_site.size()) return is_bad_metadata_site(params, site);
+    if (bad_site[site] < 0) bad_site[site] = is_bad_metadata_site(params, site);
+    return bad_site[site] != 0;
+  };
+
   for (TransferRecord& t : store.transfers_mutable()) {
     // Site-correlated channel first: bad-metadata endpoints mangle their
     // events far more often than the grid-wide baseline.
-    const bool bad_src = is_bad_metadata_site(params, t.source_site);
-    const bool bad_dst = is_bad_metadata_site(params, t.destination_site);
+    const bool bad_src = is_bad(t.source_site);
+    const bool bad_dst = is_bad(t.destination_site);
     if (bad_src || bad_dst) {
       // Stage-out (upload) events are recorded by the pilot that wrote
       // the file, so their sizes survive bad storage dumps — the reason

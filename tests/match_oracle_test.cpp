@@ -16,7 +16,8 @@
 // local/remote counts — against Matcher::run, against
 // ParallelMatchDriver over a pool-built index, and against
 // diagnose_job's verdict; exact ⊆ RM1 ⊆ RM2 is checked per job on the
-// oracle's own output.
+// oracle's own output.  The pool-built index is also compared with the
+// serial build on every job of each store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,6 +176,23 @@ Tally check_against_oracle(const MetadataStore& store,
   }
 
   Tally tally;
+  // The pool-built index is the serial one on every job of the store:
+  // candidate rows, file rows, the four join tallies and S_j.
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    const core::MatchIndex::JobTally& x = serial.index()->tally(j);
+    const core::MatchIndex::JobTally& y = pool_built.index()->tally(j);
+    if (!std::ranges::equal(serial.index()->candidates(j),
+                            pool_built.index()->candidates(j)) ||
+        x.file_rows != y.file_rows || x.scanned != y.scanned ||
+        x.reject_taskid != y.reject_taskid ||
+        x.reject_attr != y.reject_attr || x.reject_time != y.reject_time ||
+        x.candidate_sum != y.candidate_sum) {
+      if (tally.differences++ < 10) {
+        ADD_FAILURE() << "pool-built index differs from the serial build "
+                      << "on job " << j;
+      }
+    }
+  }
   const auto differ = [&](std::size_t job, MatchMethod method,
                           const char* path, const std::string& what) {
     if (tally.differences++ < 10) {
@@ -422,8 +440,10 @@ TEST(MatchOracle, PaperScaleSampleAgrees) {
   config.seed = 20250401;
   const scenario::ScenarioResult r = scenario::run_campaign(config);
   // A full scan per job costs jobs x (files + transfers): sample 512
-  // jobs, drawn without replacement.
+  // jobs, drawn without replacement.  The pool-built index is compared
+  // with the serial one on all of them.
   std::vector<std::size_t> jobs = every_job(r.store);
+  EXPECT_EQ(jobs.size(), 29'531u);
   util::Rng rng(config.seed);
   constexpr std::size_t kSample = 512;
   ASSERT_GT(jobs.size(), kSample);

@@ -1,12 +1,14 @@
 // Parity tests for the matching core: the parallel driver and the
 // pool-assisted index build must be identical to their serial
 // counterparts, deterministically, for every matching method.  Any
-// divergence in group contents, group order or merge order shows up
+// divergence in block contents, block order or merge order shows up
 // here as a differing candidate set, tally or MatchedJob set.  The
-// funnel counters are counted per query, the same on every repeat.
+// funnel counters are counted per query, the same on every repeat, and
+// the parallel driver adds what a serial run adds.
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -98,18 +100,36 @@ void expect_same_index(const core::MatchIndex& a, const core::MatchIndex& b,
 }
 
 TEST(MatchParity, PoolBuiltIndexMatchesSerialBuild) {
-  const auto& store = seeded_store();
-  const core::Matcher serial_built(store);
-  for (const std::size_t threads : {1u, 2u, 3u}) {
-    const std::string label = std::to_string(threads) + "-thread pool";
-    parallel::ThreadPool pool(threads);
-    const core::Matcher pool_built(store, pool);
-    expect_same_index(*serial_built.index(), *pool_built.index(), label);
-    for (const auto& options : kMethods) {
-      const std::string method =
-          label + " " + core::method_name(options.method);
-      expect_identical(serial_built.run(options), pool_built.run(options),
-                       method.c_str());
+  const telemetry::MetadataStore& seeded = seeded_store();
+  const telemetry::MetadataStore empty;
+  // Three jobs with candidates: fewer jobs than a pool's join chunks
+  // (four per worker), so that each chunk holds one job.
+  telemetry::MetadataStore few = seeded;
+  const core::MatchIndex seeded_index(seeded);
+  few.jobs_mutable().clear();
+  for (std::size_t j = 0; j < seeded.jobs().size() && few.jobs().size() < 3;
+       ++j) {
+    if (!seeded_index.candidates(j).empty()) {
+      few.jobs_mutable().push_back(seeded.jobs()[j]);
+    }
+  }
+  ASSERT_EQ(few.jobs().size(), 3u);
+  const std::pair<const char*, const telemetry::MetadataStore*> stores[] = {
+      {"seeded", &seeded}, {"empty", &empty}, {"three-job", &few}};
+  for (const auto& [name, store] : stores) {
+    const core::Matcher serial_built(*store);
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      const std::string label = std::string(name) + " store, " +
+                                std::to_string(threads) + "-thread pool";
+      parallel::ThreadPool pool(threads);
+      const core::Matcher pool_built(*store, pool);
+      expect_same_index(*serial_built.index(), *pool_built.index(), label);
+      for (const auto& options : kMethods) {
+        const std::string method =
+            label + " " + core::method_name(options.method);
+        expect_identical(serial_built.run(options), pool_built.run(options),
+                         method.c_str());
+      }
     }
   }
 }
@@ -154,27 +174,31 @@ TEST(MatchFunnel, BuildingAnIndexCountsOnlyTheBuild) {
   }
 }
 
+/// What `work` adds to each `pandarus_match_*` counter but the
+/// wall-time one.
+template <typename Work>
+std::map<std::string, std::uint64_t> funnel_delta(const Work& work) {
+  auto before = match_counters();
+  work();
+  auto after = match_counters();
+  for (auto& [name, value] : after) value -= before[name];
+  after.erase("pandarus_match_run_wall_us_total");
+  return after;
+}
+
 TEST(MatchFunnel, EachQueryAddsTheSameTallies) {
   const core::Matcher matcher(seeded_store());
   const std::size_t n_jobs = matcher.store().jobs().size();
-  const auto delta = [](const auto& work) {
-    auto before = match_counters();
-    work();
-    auto after = match_counters();
-    for (auto& [name, value] : after) value -= before[name];
-    after.erase("pandarus_match_run_wall_us_total");
-    return after;
-  };
   for (const auto& options : kMethods) {
     const char* method = core::method_name(options.method);
     const auto run = [&] { (void)matcher.run(options); };
-    const auto first = delta(run);
+    const auto first = funnel_delta(run);
     EXPECT_GT(first.at("pandarus_match_candidates_scanned_total"), 0u);
-    EXPECT_EQ(delta(run), first) << method;
+    EXPECT_EQ(funnel_delta(run), first) << method;
 
     // Diagnosing every job adds the candidate stage a run adds, and no
     // job stage.
-    const auto diagnosed = delta([&] {
+    const auto diagnosed = funnel_delta([&] {
       for (std::size_t j = 0; j < n_jobs; ++j) {
         (void)matcher.diagnose_job(j, options);
       }
@@ -189,6 +213,23 @@ TEST(MatchFunnel, EachQueryAddsTheSameTallies) {
       EXPECT_EQ(value, candidate_stage ? first.at(name) : 0u)
           << method << " " << name;
     }
+  }
+}
+
+TEST(MatchFunnel, ParallelDriverAddsWhatARunAdds) {
+  const core::Matcher matcher(seeded_store());
+  parallel::ThreadPool pool(3);
+  const core::ParallelMatchDriver driver(matcher, pool);
+  for (const auto& options : kMethods) {
+    const char* method = core::method_name(options.method);
+    auto serial = funnel_delta([&] { (void)matcher.run(options); });
+    auto chunked = funnel_delta([&] { (void)driver.run(options); });
+    // Only Matcher::run counts runs.
+    EXPECT_EQ(serial.at("pandarus_match_runs_total"), 1u) << method;
+    serial.erase("pandarus_match_runs_total");
+    chunked.erase("pandarus_match_runs_total");
+    EXPECT_GT(serial.at("pandarus_match_jobs_matched_total"), 0u) << method;
+    EXPECT_EQ(chunked, serial) << method;
   }
 }
 

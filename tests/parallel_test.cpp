@@ -82,7 +82,10 @@ TEST(ParallelReduce, MatchesSerialSum) {
     std::uint64_t value = 0;
   };
   const Sum total = parallel_reduce<Sum>(
-      pool, n, [](Sum& acc, std::size_t i) { acc.value += i; },
+      pool, n,
+      [](Sum& acc, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) acc.value += i;
+      },
       [](Sum& into, Sum&& other) { into.value += other.value; });
   EXPECT_EQ(total.value, n * (n - 1) / 2);
 }
@@ -97,8 +100,10 @@ TEST(ParallelReduce, DeterministicCombineOrder) {
   auto run = [&] {
     return parallel_reduce<Cat>(
                pool, 2048,
-               [](Cat& acc, std::size_t i) {
-                 if (i % 256 == 0) acc.value += std::to_string(i) + ",";
+               [](Cat& acc, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   if (i % 256 == 0) acc.value += std::to_string(i) + ",";
+                 }
                },
                [](Cat& into, Cat&& other) { into.value += other.value; },
                /*min_chunk=*/64)
