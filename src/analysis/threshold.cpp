@@ -2,16 +2,6 @@
 
 namespace pandarus::analysis {
 
-const char* status_class_name(StatusClass c) noexcept {
-  switch (c) {
-    case StatusClass::kJobOkTaskOk: return "job ok / task ok";
-    case StatusClass::kJobFailTaskOk: return "job fail / task ok";
-    case StatusClass::kJobOkTaskFail: return "job ok / task fail";
-    case StatusClass::kJobFailTaskFail: return "job fail / task fail";
-  }
-  return "?";
-}
-
 StatusClass classify(bool job_failed, bool task_failed) noexcept {
   if (!job_failed && !task_failed) return StatusClass::kJobOkTaskOk;
   if (job_failed && !task_failed) return StatusClass::kJobFailTaskOk;

@@ -24,7 +24,6 @@ enum class StatusClass : std::uint8_t {
 };
 inline constexpr std::size_t kStatusClassCount = 4;
 
-[[nodiscard]] const char* status_class_name(StatusClass c) noexcept;
 [[nodiscard]] StatusClass classify(bool job_failed, bool task_failed) noexcept;
 
 struct ThresholdRow {

@@ -7,6 +7,12 @@
 #include "obs/event_log.hpp"
 
 namespace pandarus::dms {
+namespace {
+
+/// Period of start_periodic()'s evaluation passes.
+constexpr util::SimDuration kEvaluationInterval = util::minutes(30);
+
+}  // namespace
 
 RuleEngine::RuleEngine(sim::Scheduler& scheduler,
                        const grid::Topology& topology,
@@ -100,7 +106,7 @@ std::uint32_t RuleEngine::evaluate_once() {
 
 void RuleEngine::start_periodic(util::SimTime until) {
   if (scheduler_.now() >= until) return;
-  scheduler_.schedule_after(params_.evaluation_interval, [this, until] {
+  scheduler_.schedule_after(kEvaluationInterval, [this, until] {
     evaluate_once();
     start_periodic(until);
   });

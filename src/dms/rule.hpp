@@ -28,7 +28,6 @@ class RuleEngine {
     /// Ceiling on transfers submitted per evaluation pass, so one pass
     /// cannot flood the transfer engine.
     std::uint32_t max_transfers_per_pass = 2'000;
-    util::SimDuration evaluation_interval = util::minutes(30);
   };
 
   struct Stats {
@@ -52,7 +51,7 @@ class RuleEngine {
   /// Returns the number of transfers submitted.
   std::uint32_t evaluate_once();
 
-  /// Schedules evaluate_once() every `evaluation_interval` until `until`.
+  /// Schedules evaluate_once() every 30 simulated minutes until `until`.
   void start_periodic(util::SimTime until);
 
   /// Stages every file of `dataset` from the site's TAPE RSE to its DISK

@@ -13,6 +13,15 @@
 namespace pandarus::dms {
 namespace {
 
+/// Cap on the exponential retry backoff (Params::retry_backoff_base).
+constexpr util::SimDuration kRetryBackoffMax = util::minutes(30);
+/// +/- fraction of deterministic per-(transfer, attempt) jitter on the
+/// backoff delay (hash-derived, never drawn from the RNG stream).
+constexpr double kRetryJitter = 0.25;
+/// Re-check cadence for a held-back queue when no wake time (window
+/// end, breaker cooldown) is known.
+constexpr util::SimDuration kBlockedPoll = util::minutes(2);
+
 /// obs mirrors of the engine's Stats plus link-level churn, resolved
 /// once per process and shared by every TransferEngine instance.
 struct EngineMetrics {
@@ -248,7 +257,7 @@ void TransferEngine::handle_blocked(LinkState& ls) {
   if (params_.breaker_enabled && ls.breaker == LinkState::Breaker::kOpen) {
     at = std::max(at, ls.open_until);
   }
-  if (at <= now) at = now + params_.blocked_poll;
+  if (at <= now) at = now + kBlockedPoll;
   ls.wake_event = scheduler_.schedule_at(at, [this, &ls] {
     ls.wake_event = {};
     try_start(ls);
@@ -443,12 +452,11 @@ util::SimDuration TransferEngine::backoff_delay(std::uint64_t id,
   const double base =
       static_cast<double>(params_.retry_backoff_base) *
       std::pow(2.0, static_cast<double>(attempt) - 2.0);
-  double delay =
-      std::min(base, static_cast<double>(params_.retry_backoff_max));
+  double delay = std::min(base, static_cast<double>(kRetryBackoffMax));
   // Deterministic jitter from a stateless hash: no RNG stream is
   // consumed, so enabling backoff never perturbs unrelated draws.
   const double u = util::hash_unit(util::hash_mix(0xb0ffu, id, attempt));
-  delay *= 1.0 + params_.retry_jitter * (2.0 * u - 1.0);
+  delay *= 1.0 + kRetryJitter * (2.0 * u - 1.0);
   return std::max<util::SimDuration>(
       1, static_cast<util::SimDuration>(std::llround(delay)));
 }

@@ -95,13 +95,10 @@ class TransferEngine {
     /// --- self-healing (all default-off: the legacy instant same-queue
     /// requeue and its RNG stream are preserved bit-for-bit) ----------
     /// Base delay before a failed attempt re-enters the queue; doubles
-    /// per attempt up to retry_backoff_max.  0 keeps the legacy
-    /// synchronous requeue.
+    /// per attempt up to kRetryBackoffMax (30 min), with
+    /// +/-kRetryJitter (25%) deterministic jitter (both in
+    /// transfer.cpp).  0 keeps the legacy synchronous requeue.
     util::SimDuration retry_backoff_base = 0;
-    util::SimDuration retry_backoff_max = util::minutes(30);
-    /// +/- fraction of deterministic per-(transfer, attempt) jitter on
-    /// the backoff delay (hash-derived, never drawn from the RNG stream).
-    double retry_jitter = 0.25;
     /// Per-link circuit breaker: after breaker_threshold consecutive
     /// failed attempts the link stops admitting work for
     /// breaker_cooldown, then lets a single half-open probe through.
@@ -112,9 +109,6 @@ class TransferEngine {
     /// current source link is faulted or its breaker is open (requires
     /// enable_alternate_sources()).
     bool alternate_source_retry = false;
-    /// Re-check cadence for a held-back queue when no wake time (window
-    /// end, breaker cooldown) is known.
-    util::SimDuration blocked_poll = util::minutes(2);
   };
 
   struct Stats {

@@ -63,13 +63,13 @@ Plan Plan::sample(const SampleParams& params, const grid::Topology& topology,
     if (w.end > w.begin) plan.windows.push_back(w);
   };
 
-  for (std::uint64_t i = count(params.site_outages_per_day); i > 0; --i) {
+  for (std::uint64_t i = count(kSiteOutagesPerDay); i > 0; --i) {
     if (outage_sites.empty()) break;
     FaultWindow w;
     w.kind = FaultKind::kSiteOutage;
     w.site = outage_sites[rng.uniform_index(outage_sites.size())];
     w.begin = draw_begin(rng, horizon);
-    w.end = w.begin + draw_duration(rng, params.outage_mean);
+    w.end = w.begin + draw_duration(rng, kOutageMean);
     clamp_window(w);
   }
   for (std::uint64_t i = count(params.link_blackouts_per_day); i > 0; --i) {
@@ -77,33 +77,32 @@ Plan Plan::sample(const SampleParams& params, const grid::Topology& topology,
     w.kind = FaultKind::kLinkBlackout;
     w.link = pick_link();
     w.begin = draw_begin(rng, horizon);
-    w.end = w.begin + draw_duration(rng, params.outage_mean);
+    w.end = w.begin + draw_duration(rng, kOutageMean);
     clamp_window(w);
   }
-  for (std::uint64_t i = count(params.link_brownouts_per_day); i > 0; --i) {
+  for (std::uint64_t i = count(kLinkBrownoutsPerDay); i > 0; --i) {
     FaultWindow w;
     w.kind = FaultKind::kLinkBrownout;
     w.link = pick_link();
-    w.capacity_factor =
-        rng.uniform(params.brownout_factor_min, params.brownout_factor_max);
+    w.capacity_factor = rng.uniform(kBrownoutFactorMin, kBrownoutFactorMax);
     w.begin = draw_begin(rng, horizon);
-    w.end = w.begin + draw_duration(rng, params.brownout_mean);
+    w.end = w.begin + draw_duration(rng, kBrownoutMean);
     clamp_window(w);
   }
-  for (std::uint64_t i = count(params.storage_outages_per_day); i > 0; --i) {
+  for (std::uint64_t i = count(kStorageOutagesPerDay); i > 0; --i) {
     FaultWindow w;
     w.kind = FaultKind::kStorageOutage;
     w.site = sites[rng.uniform_index(sites.size())];
     w.begin = draw_begin(rng, horizon);
-    w.end = w.begin + draw_duration(rng, params.outage_mean);
+    w.end = w.begin + draw_duration(rng, kOutageMean);
     clamp_window(w);
   }
-  for (std::uint64_t i = count(params.service_brownouts_per_day); i > 0; --i) {
+  for (std::uint64_t i = count(kServiceBrownoutsPerDay); i > 0; --i) {
     FaultWindow w;
     w.kind = FaultKind::kServiceBrownout;
-    w.abort_boost = params.service_abort_boost;
+    w.abort_boost = kServiceAbortBoost;
     w.begin = draw_begin(rng, horizon);
-    w.end = w.begin + draw_duration(rng, params.brownout_mean);
+    w.end = w.begin + draw_duration(rng, kBrownoutMean);
     clamp_window(w);
   }
 

@@ -64,28 +64,35 @@ struct FaultWindow {
   }
 };
 
+/// Plan::sample's fixed rates, per simulated day at intensity 1 (the
+/// link-blackout rate is SampleParams::link_blackouts_per_day).
+inline constexpr double kSiteOutagesPerDay = 0.25;
+inline constexpr double kLinkBrownoutsPerDay = 2.0;
+inline constexpr double kStorageOutagesPerDay = 0.5;
+inline constexpr double kServiceBrownoutsPerDay = 0.25;
+/// Mean duration of outage-class windows (exponential).
+inline constexpr util::SimDuration kOutageMean = util::minutes(45);
+/// Mean duration of brownout-class windows (exponential).
+inline constexpr util::SimDuration kBrownoutMean = util::hours(2);
+/// A sampled link brownout keeps a capacity factor drawn uniformly from
+/// [kBrownoutFactorMin, kBrownoutFactorMax].
+inline constexpr double kBrownoutFactorMin = 0.05;
+inline constexpr double kBrownoutFactorMax = 0.4;
+/// abort_boost of a sampled service brownout.
+inline constexpr double kServiceAbortBoost = 0.25;
+
 /// An ordered timeline of fault windows.  Plain data: build it by hand,
 /// sample it, or concatenate both.
 struct Plan {
   std::vector<FaultWindow> windows;
 
-  /// Seeded-rate sampling knobs.  All rates are per simulated day and
-  /// scale linearly with `intensity` (0 disables sampling entirely), so
-  /// a chaos sweep is a one-knob experiment.
+  /// Seeded-rate sampling knobs.  Every rate (this link-blackout rate
+  /// and the k*PerDay constants) is per simulated day and scales
+  /// linearly with `intensity` (0 disables sampling entirely), so a
+  /// chaos sweep is a one-knob experiment.
   struct SampleParams {
     double intensity = 0.0;
-    double site_outages_per_day = 0.25;
     double link_blackouts_per_day = 1.0;
-    double link_brownouts_per_day = 2.0;
-    double storage_outages_per_day = 0.5;
-    double service_brownouts_per_day = 0.25;
-    /// Mean duration of outage-class windows (exponential).
-    util::SimDuration outage_mean = util::minutes(45);
-    /// Mean duration of brownout-class windows (exponential).
-    util::SimDuration brownout_mean = util::hours(2);
-    double brownout_factor_min = 0.05;
-    double brownout_factor_max = 0.4;
-    double service_abort_boost = 0.25;
   };
 
   /// Draws a timeline over [0, horizon) from the seeded rates.  Window

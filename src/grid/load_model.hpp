@@ -5,12 +5,12 @@
 // congestion bursts.  We model background utilization as
 //
 //   u(t) = clamp(mean + amplitude * sin(2*pi*(hour(t) + phase)/24)
-//                + burst(t), 0, max_util)
+//                + burst(t), 0, kMaxUtil)
 //
-// where burst(t) is a deterministic hash-driven square pulse per time
-// bin.  The model is stateless: utilization at any time is a pure
-// function of (params, t), which keeps the transfer engine's rate
-// re-evaluation cheap and the simulation reproducible.
+// where burst(t) is a deterministic hash-driven square pulse per
+// 10-minute time bin.  The model is stateless: utilization at any time
+// is a pure function of (params, t), which keeps the transfer engine's
+// rate re-evaluation cheap and the simulation reproducible.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +27,22 @@ class LoadModel {
     double phase_hours = 0.0;     ///< per-link phase shift
     double burst_prob = 0.15;     ///< probability a bin is congested
     double burst_util = 0.45;     ///< extra utilization during a burst
-    util::SimDuration burst_bin = util::minutes(10);
-    double max_util = 0.95;       ///< never fully starve a link
     std::uint64_t seed = 0;       ///< per-link stream
   };
+
+  /// Utilization ceiling: never fully starve a link.
+  static constexpr double kMaxUtil = 0.95;
 
   LoadModel() = default;
   explicit LoadModel(const Params& params) : params_(params) {}
 
-  /// Background utilization in [0, max_util] at simulation time t.
+  /// Background utilization in [0, kMaxUtil] at simulation time t.
   [[nodiscard]] double utilization(util::SimTime t) const noexcept;
 
   /// Fraction of nominal capacity available to foreground transfers.
   [[nodiscard]] double available_fraction(util::SimTime t) const noexcept {
     return 1.0 - utilization(t);
   }
-
-  [[nodiscard]] const Params& params() const noexcept { return params_; }
 
  private:
   Params params_;

@@ -555,11 +555,6 @@ FlowTotals FlowTracker::totals() const {
   return totals_;
 }
 
-std::size_t FlowTracker::open_flows() const {
-  std::scoped_lock lock(mutex_);
-  return open_.size();
-}
-
 std::vector<LinkCritical> FlowTracker::link_ranking() const {
   std::scoped_lock lock(mutex_);
   std::vector<LinkCritical> out;

@@ -196,7 +196,6 @@ class FlowTracker {
   /// Campaign-wide link ranking, critical_ms descending (deterministic
   /// tie-break on (src, dst)).
   [[nodiscard]] std::vector<LinkCritical> link_ranking() const;
-  [[nodiscard]] std::size_t open_flows() const;
 
   /// Flamegraph-style collapsed stacks:
   ///   campaign;<site>;stage_in;link_<src>-><dst> <ms>

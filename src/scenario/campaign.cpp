@@ -168,11 +168,10 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   hooks.on_job_complete = [&recorder](const wms::Job& job) {
     recorder.on_job_complete(job);
   };
-  hooks.on_task_complete = [&rule_engine, &config](const wms::Task& task) {
+  hooks.on_task_complete = [&rule_engine](const wms::Task& task) {
     // Production output datasets fall under the standard 2-copy T1 rule
     // as they appear, sustaining rule-driven WAN traffic all campaign.
-    if (config.replicate_production_output &&
-        task.kind == wms::JobKind::kProduction &&
+    if (task.kind == wms::JobKind::kProduction &&
         task.output_dataset != dms::kNoDataset) {
       rule_engine.add_rule({task.output_dataset, 2, grid::Tier::kT1});
     }
@@ -276,7 +275,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
     for (util::SimTime at = churn_gap; at < result.window_end;
          at += churn_gap) {
       scheduler.schedule_at(at, [churn, &scheduler, &engine, &replicas,
-                                 &result, &datasets, &config] {
+                                 &result, &datasets] {
         const dms::DatasetId ds =
             datasets[churn->rng.uniform_index(datasets.size())];
         const auto files = result.catalog.files_of(ds);
@@ -287,7 +286,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
         req.file = file;
         req.size_bytes = result.catalog.file(file).size_bytes;
         req.activity = dms::Activity::kDataRebalance;
-        if (churn->rng.bernoulli(config.churn_local_fraction)) {
+        if (churn->rng.bernoulli(kChurnLocalFraction)) {
           // Intra-site consolidation: move the file between pools of one
           // facility that already holds it.
           dms::RseId holder = dms::kNoRse;
@@ -323,21 +322,12 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
   // of tape-only datasets expire periodically, so cold data goes cold
   // again and later jobs must re-stage — sustaining the Analysis/
   // Production Download populations instead of a one-shot warm-up.
-  dms::DeletionDaemon::Params deletion_params;
-  if (config.eviction_sweeps_per_day > 0.0) {
-    deletion_params.sweep_interval = static_cast<util::SimDuration>(
-        24.0 * 3600.0 * 1000.0 / config.eviction_sweeps_per_day);
-  }
-  deletion_params.expiry_prob = config.eviction_probability;
   dms::DeletionDaemon deletion(scheduler, result.catalog, replicas,
-                               result.rses, rng.fork(0xe71c),
-                               deletion_params);
+                               result.rses, rng.fork(0xe71c), {});
   for (dms::DatasetId ds : workload.tape_only_datasets()) {
     deletion.add_transient(ds);
   }
-  if (config.eviction_sweeps_per_day > 0.0) {
-    deletion.start(result.window_end);
-  }
+  deletion.start(result.window_end);
 
   // Periodic time-series sampling, only when the session has an event
   // log or health engine.  Each tick reads the columns below (read-only,
@@ -411,10 +401,9 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
       }
     }
   };
-  if ((log != nullptr || health != nullptr) &&
-      config.sample_interval_ms > 0) {
-    for (std::int64_t at = config.sample_interval_ms;
-         at <= result.window_end; at += config.sample_interval_ms) {
+  if (log != nullptr || health != nullptr) {
+    for (std::int64_t at = kSampleIntervalMs; at <= result.window_end;
+         at += kSampleIntervalMs) {
       scheduler.schedule_at(at, [&sample_at, at] { sample_at(at); });
     }
   }
@@ -490,7 +479,7 @@ ScenarioResult run_campaign(const ScenarioConfig& config,
             .field("window_end", result.window_end)
             .field("sites",
                    static_cast<std::uint64_t>(result.topology.site_count()))
-            .field("sample_interval_ms", config.sample_interval_ms)
+            .field("sample_interval_ms", kSampleIntervalMs)
             .field("samples", samples));
     for (const grid::Site& s : result.topology.sites()) {
       log->emit(obs::Event("site_record", scheduler.now(),

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "dms/deletion.hpp"
 #include "util/rng.hpp"
 
 namespace pandarus::scenario {
@@ -15,14 +16,20 @@ std::uint64_t config_digest(const ScenarioConfig& c) {
   const auto u = [](auto v) { return static_cast<std::uint64_t>(v); };
   std::uint64_t h = util::hash_mix(0x70636b7074ull, c.seed, dbits(c.days));
   h = util::hash_mix(h, dbits(c.arrival_tail_days), dbits(c.slot_scale));
-  h = util::hash_mix(h, c.replicated_datasets,
-                     c.replicate_production_output ? 1u : 0u);
+  // 1u: production output datasets always get their replication rule;
+  // the slot keeps digests stable.
+  h = util::hash_mix(h, c.replicated_datasets, 1u);
   h = util::hash_mix(h, dbits(c.carousel_waves_per_day), c.datasets_per_wave);
   h = util::hash_mix(h, dbits(c.churn_files_per_day),
-                     dbits(c.churn_local_fraction));
-  h = util::hash_mix(h, dbits(c.eviction_sweeps_per_day),
-                     dbits(c.eviction_probability));
-  h = util::hash_mix(h, u(c.sample_interval_ms), c.apply_corruption ? 1u : 0u);
+                     dbits(kChurnLocalFraction));
+  // The deletion daemon's defaults, in the sweeps-per-day form the slot
+  // has always held.
+  const dms::DeletionDaemon::Params eviction{};
+  h = util::hash_mix(h,
+                     dbits(static_cast<double>(util::days(1)) /
+                           static_cast<double>(eviction.sweep_interval)),
+                     dbits(eviction.expiry_prob));
+  h = util::hash_mix(h, u(kSampleIntervalMs), c.apply_corruption ? 1u : 0u);
 
   // Harvest-time knobs: they change only the *_record rows.
   const telemetry::Recorder::Params& r = c.recorder;
@@ -34,26 +41,27 @@ std::uint64_t config_digest(const ScenarioConfig& c) {
                      dbits(k.p_unknown_source));
   h = util::hash_mix(h, dbits(k.p_unknown_destination),
                      dbits(k.p_size_jitter));
-  h = util::hash_mix(h, dbits(k.size_jitter_frac),
+  h = util::hash_mix(h, dbits(telemetry::kSizeJitterFrac),
                      dbits(k.p_drop_file_record));
   h = util::hash_mix(h, dbits(k.p_drop_job_record),
                      dbits(k.bad_site_fraction));
   h = util::hash_mix(h, dbits(k.p_size_jitter_bad_site),
                      dbits(k.p_unknown_endpoint_bad_site_tasked));
   h = util::hash_mix(h, dbits(k.p_unknown_endpoint_bad_site_anonymous),
-                     k.site_quality_seed);
+                     telemetry::kSiteQualitySeed);
 
   // Fault knobs: a window's first line appears only when it begins.
   const fault::Plan::SampleParams& f = c.faults;
-  h = util::hash_mix(h, dbits(f.intensity), dbits(f.site_outages_per_day));
+  h = util::hash_mix(h, dbits(f.intensity), dbits(fault::kSiteOutagesPerDay));
   h = util::hash_mix(h, dbits(f.link_blackouts_per_day),
-                     dbits(f.link_brownouts_per_day));
-  h = util::hash_mix(h, dbits(f.storage_outages_per_day),
-                     dbits(f.service_brownouts_per_day));
-  h = util::hash_mix(h, u(f.outage_mean), u(f.brownout_mean));
-  h = util::hash_mix(h, dbits(f.brownout_factor_min),
-                     dbits(f.brownout_factor_max));
-  h = util::hash_mix(h, dbits(f.service_abort_boost), c.fault_windows.size());
+                     dbits(fault::kLinkBrownoutsPerDay));
+  h = util::hash_mix(h, dbits(fault::kStorageOutagesPerDay),
+                     dbits(fault::kServiceBrownoutsPerDay));
+  h = util::hash_mix(h, u(fault::kOutageMean), u(fault::kBrownoutMean));
+  h = util::hash_mix(h, dbits(fault::kBrownoutFactorMin),
+                     dbits(fault::kBrownoutFactorMax));
+  h = util::hash_mix(h, dbits(fault::kServiceAbortBoost),
+                     c.fault_windows.size());
   for (const fault::FaultWindow& w : c.fault_windows) {
     h = util::hash_mix(h, u(w.kind), u(w.begin));
     h = util::hash_mix(h, u(w.end), u(w.site));
@@ -90,8 +98,6 @@ ScenarioConfig ScenarioConfig::paper_scale() {
 ScenarioConfig& ScenarioConfig::with_self_healing() {
   transfer.retry_backoff_base = util::seconds(20);
   transfer.breaker_enabled = true;
-  transfer.breaker_threshold = 4;
-  transfer.breaker_cooldown = util::minutes(10);
   transfer.alternate_source_retry = true;
   transfer.max_attempts = 4;
   return *this;

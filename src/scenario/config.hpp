@@ -1,6 +1,8 @@
-// Campaign configuration: one struct bundling every knob of the
-// simulated ATLAS-like environment, with presets for the paper's
-// studies.
+// Campaign configuration: one struct bundling the knobs a caller varies
+// in the simulated ATLAS-like environment (window, seed, task and churn
+// rates, corruption, brokerage policy, faults), with presets for the
+// paper's studies.  What no caller varies is a constant where it is
+// used.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,18 @@
 #include "wms/workload.hpp"
 
 namespace pandarus::scenario {
+
+/// Share of background churn that is intra-site consolidation
+/// (src == dst): disk pool rebalancing inside one facility, part of the
+/// local volume that dominates the Fig. 3 diagonal.
+inline constexpr double kChurnLocalFraction = 0.8;
+
+/// Simulated-clock period of run_campaign's sampled time series (one
+/// "sample" row of queue depths, in-flight and transfer totals, drops,
+/// faults and breakers, then one "link_sample" per active link).  Only
+/// sampled when the campaign's obs::Session has an event log or health
+/// engine.
+inline constexpr std::int64_t kSampleIntervalMs = 30 * 60 * 1000;
 
 struct ScenarioConfig {
   std::uint64_t seed = 42;
@@ -43,9 +57,8 @@ struct ScenarioConfig {
   bool apply_corruption = true;
 
   /// Input datasets placed under a 2-copy Tier-1 replication rule.
-  std::uint32_t replicated_datasets = 150;
   /// Production output datasets get the same rule as they appear.
-  bool replicate_production_output = true;
+  std::uint32_t replicated_datasets = 150;
 
   /// Data-Carousel tape staging: waves per day, datasets per wave.
   /// These local TAPE->DISK flows dominate the Fig. 3 diagonal.
@@ -55,23 +68,8 @@ struct ScenarioConfig {
   /// Background consolidation churn: individual files moved between
   /// disk RSEs per day, with no task provenance.  This is the dominant
   /// share of the event stream (the paper's 5.2M no-jeditaskid events).
+  /// kChurnLocalFraction of it stays inside one site.
   double churn_files_per_day = 14'000.0;
-  /// Share of churn that is intra-site consolidation (src == dst): disk
-  /// pool rebalancing inside one facility, part of the local volume that
-  /// dominates the Fig. 3 diagonal.
-  double churn_local_fraction = 0.8;
-
-  /// Lifetime eviction of cold datasets' disk replicas (Rucio deletion):
-  /// sweeps per day and the per-dataset expiry probability per sweep.
-  double eviction_sweeps_per_day = 8.0;
-  double eviction_probability = 0.6;
-
-  /// Simulated-clock period of run_campaign's sampled time series (one
-  /// "sample" row of queue depths, in-flight and transfer totals, drops,
-  /// faults and breakers, then one "link_sample" per active link).
-  /// Only consulted when the campaign's obs::Session has an event log or
-  /// health engine; <= 0 disables sampling entirely.
-  std::int64_t sample_interval_ms = 30 * 60 * 1000;
 
   /// Infrastructure faults.  `faults.intensity > 0` samples a seeded
   /// fault plan over the observation window (site/link/storage/service

@@ -8,7 +8,7 @@ namespace pandarus::telemetry {
 bool is_bad_metadata_site(const CorruptionParams& params,
                           grid::SiteId site) noexcept {
   if (site == grid::kUnknownSite) return false;
-  return util::hash_unit(util::hash_mix(params.site_quality_seed, site)) <
+  return util::hash_unit(util::hash_mix(kSiteQualitySeed, site)) <
          params.bad_site_fraction;
 }
 
@@ -18,8 +18,7 @@ CorruptionReport inject_corruption(MetadataStore& store,
   CorruptionReport report;
 
   auto jitter_size = [&](TransferRecord& t) {
-    const double factor =
-        1.0 + rng.uniform(-params.size_jitter_frac, params.size_jitter_frac);
+    const double factor = 1.0 + rng.uniform(-kSizeJitterFrac, kSizeJitterFrac);
     const auto jittered =
         static_cast<std::uint64_t>(static_cast<double>(t.file_size) * factor);
     if (jittered != t.file_size) {

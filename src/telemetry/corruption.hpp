@@ -7,10 +7,19 @@
 // function of corruption intensity (examples/metadata_quality sweeps it).
 #pragma once
 
+#include <cstdint>
+
 #include "telemetry/store.hpp"
 #include "util/rng.hpp"
 
 namespace pandarus::telemetry {
+
+/// The recorded file size of a jittered transfer is off by up to this
+/// fraction (CorruptionParams::p_size_jitter, p_size_jitter_bad_site).
+inline constexpr double kSizeJitterFrac = 0.002;
+/// Seed of the per-site coin that marks bad-metadata sites
+/// (CorruptionParams::bad_site_fraction).
+inline constexpr std::uint64_t kSiteQualitySeed = 0x517e;
 
 struct CorruptionParams {
   /// P(drop the jeditaskid from a transfer record that had one).
@@ -18,11 +27,10 @@ struct CorruptionParams {
   /// P(source recorded as UNKNOWN) / P(destination recorded as UNKNOWN).
   double p_unknown_source = 0.015;
   double p_unknown_destination = 0.015;
-  /// P(the recorded file size is off by up to size_jitter_frac) —
+  /// P(the recorded file size is off by up to kSizeJitterFrac) —
   /// breaks both attribute matching and the exact byte-sum check, the
   /// case RM1 is designed to recover (§4.3).
   double p_size_jitter = 0.01;
-  double size_jitter_frac = 0.002;
   /// P(a PanDA file-table row is lost entirely).
   double p_drop_file_record = 0.08;
   /// P(a job record is lost).
@@ -32,7 +40,7 @@ struct CorruptionParams {
   // Metadata quality is a property of a site's storage middleware, not of
   // individual events: some endpoints systematically report imprecise
   // sizes or drop endpoint labels.  A deterministic per-site coin
-  // (hashed from `site_quality_seed`) marks "bad-metadata" sites; events
+  // (hashed from kSiteQualitySeed) marks "bad-metadata" sites; events
   // touching them suffer elevated corruption.  This correlation is what
   // keeps overall match rates low without making RM1 explode.
   double bad_site_fraction = 0.50;
@@ -44,7 +52,6 @@ struct CorruptionParams {
   /// at only a few percent of volume in Fig. 3).
   double p_unknown_endpoint_bad_site_tasked = 0.30;
   double p_unknown_endpoint_bad_site_anonymous = 0.03;
-  std::uint64_t site_quality_seed = 0x517e;
 };
 
 /// True when `site` is a bad-metadata site under these parameters.

@@ -51,15 +51,8 @@ class LogStream {
 
 }  // namespace detail
 
-inline detail::LogStream log_debug() {
-  return detail::LogStream(LogLevel::kDebug);
-}
-inline detail::LogStream log_info() { return detail::LogStream(LogLevel::kInfo); }
 inline detail::LogStream log_warning() {
   return detail::LogStream(LogLevel::kWarning);
-}
-inline detail::LogStream log_error() {
-  return detail::LogStream(LogLevel::kError);
 }
 
 }  // namespace pandarus::util

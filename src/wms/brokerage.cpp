@@ -44,8 +44,7 @@ std::vector<double> Brokerage::resident_bytes(const Job& job) const {
     for (dms::RseId id : copies) {
       const grid::SiteId site = rses.rse(id).site;
       if (site >= n_sites || held[site] == 0) continue;
-      bytes[site] +=
-          held[site] == 2 ? size : params_.tape_locality_weight * size;
+      bytes[site] += held[site] == 2 ? size : kTapeLocalityWeight * size;
       held[site] = 0;
     }
   }
@@ -54,11 +53,8 @@ std::vector<double> Brokerage::resident_bytes(const Job& job) const {
 
 bool Brokerage::eligible(const grid::Site& site, const Job& job) const {
   if (site.cpu_slots == 0) return false;
-  if (job.kind == JobKind::kProduction && params_.production_excludes_t3 &&
-      site.tier == grid::Tier::kT3) {
-    return false;
-  }
-  return true;
+  // Production jobs only run at T0/T1/T2 sites.
+  return job.kind != JobKind::kProduction || site.tier != grid::Tier::kT3;
 }
 
 grid::SiteId Brokerage::choose_site(const Job& job, const SiteQueues& queues,
@@ -117,8 +113,7 @@ grid::SiteId Brokerage::pick(const Job& job, const SiteQueues& queues,
       }
       case BrokeragePolicy::kHybrid: {
         const double resident_gb = resident[site.id] / 1e9;
-        score = resident_gb * params_.wait_per_gb_ms -
-                queues.estimated_wait_ms(site.id);
+        score = resident_gb * kWaitPerGbMs - queues.estimated_wait_ms(site.id);
         break;
       }
     }

@@ -35,14 +35,13 @@ class Brokerage {
  public:
   struct Params {
     BrokeragePolicy policy = BrokeragePolicy::kDataLocality;
-    /// Hybrid: ms of expected wait equivalent to one GB of locality.
-    double wait_per_gb_ms = 2'000.0;
-    /// Weight of tape-only copies in the locality score (the job must
-    /// stage them locally, so they are worth less than disk bytes).
-    double tape_locality_weight = 0.4;
-    /// Production jobs only run at T0/T1/T2 sites.
-    bool production_excludes_t3 = true;
   };
+
+  /// Hybrid: ms of expected wait equivalent to one GB of locality.
+  static constexpr double kWaitPerGbMs = 2'000.0;
+  /// Weight of tape-only copies in the locality score (the job must
+  /// stage them locally, so they are worth less than disk bytes).
+  static constexpr double kTapeLocalityWeight = 0.4;
 
   Brokerage(const grid::Topology& topology, const dms::FileCatalog& catalog,
             const dms::ReplicaCatalog& replicas, Params params);
@@ -56,8 +55,6 @@ class Brokerage {
       const Job& job, const SiteQueues& queues, util::Rng& rng,
       obs::FlowTracker* flows = nullptr) const;
 
-  [[nodiscard]] const Params& params() const noexcept { return params_; }
-
   /// Sites inside an outage fault window are skipped during selection.
   /// If *every* eligible site is down, brokerage falls back to ignoring
   /// outages (the job will queue and fail like it would in production).
@@ -69,7 +66,7 @@ class Brokerage {
   [[nodiscard]] bool eligible(const grid::Site& site, const Job& job) const;
   /// Locality score in bytes of every site, indexed by SiteId: disk
   /// replicas at full weight, tape-only residency discounted by
-  /// tape_locality_weight.  One walk over each input file's replicas;
+  /// kTapeLocalityWeight.  One walk over each input file's replicas;
   /// each site's bytes are summed in input-file order.
   [[nodiscard]] std::vector<double> resident_bytes(const Job& job) const;
   /// `resident` is resident_bytes(job); `scored` receives the number of

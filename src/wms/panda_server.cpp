@@ -10,6 +10,22 @@
 namespace pandarus::wms {
 namespace {
 
+/// Staging-stress hazard: when staging consumed more than
+/// kStressShareThreshold of a nontrivial queue wait, the same
+/// storage/site stress that slowed the transfers also endangers the
+/// payload (expired turls, lost heartbeats).  This is the paper's Fig. 9
+/// observation — the >75% transfer-time tail is almost entirely failed
+/// jobs — and its Fig. 11 caution that "it remains plausible that the
+/// lengthy transfer increased the likelihood of failure".
+constexpr double kStressShareThreshold = 0.45;
+constexpr util::SimDuration kStressMinQueue = util::seconds(30);
+constexpr double kStressFailureProb = 0.85;
+/// Lognormal sigma on execution time.
+constexpr double kWalltimeSigma = 0.35;
+/// Small bookkeeping delay between payload end and record close when
+/// no stage-out transfer is involved.
+constexpr util::SimDuration kFinalizeDelay = util::seconds(2);
+
 /// Composite (file, site) key for the shared-staging ledger.  FileIds are
 /// sequential and stay far below 2^44 even in the largest campaigns.
 std::uint64_t staging_key(dms::FileId file, grid::SiteId site) {
@@ -383,7 +399,7 @@ void PandaServer::start_execution(JobRuntime& rt) {
   const grid::Site& site = topology_.site(rt.job.computing_site);
   double exec_ms = static_cast<double>(rt.job.base_exec_ms) /
                    std::max(site.cpu_speed, 0.1) *
-                   rng_.lognormal_median(1.0, params_.walltime_sigma);
+                   rng_.lognormal_median(1.0, kWalltimeSigma);
   // Payloads with failed stage-ins abort early.
   if (rt.stage_failed) exec_ms *= 0.1;
   const JobId id = rt.job.pandaid;
@@ -422,13 +438,12 @@ void PandaServer::finish_execution(JobRuntime& rt) {
   // Staging-stress hazard: slow staging relative to the queue wait marks
   // a stressed storage path that also endangers the payload.
   const util::SimDuration queuing = rt.job.queuing_time();
-  if (rt.staging_completed_at != util::kNever &&
-      queuing > params_.stress_min_queue) {
+  if (rt.staging_completed_at != util::kNever && queuing > kStressMinQueue) {
     const double share =
         static_cast<double>(rt.staging_completed_at - rt.job.creation_time) /
         static_cast<double>(queuing);
-    if (share > params_.stress_share_threshold) {
-      failure_prob += params_.stress_failure_prob;
+    if (share > kStressShareThreshold) {
+      failure_prob += kStressFailureProb;
       if (error_code == errors::kExecutionFailure ||
           error_code == errors::kSiteServiceError) {
         error_code = errors::kLostHeartbeat;
@@ -517,7 +532,7 @@ void PandaServer::begin_stage_out(JobRuntime& rt, bool payload_failed,
   // No stage-out transfers: close the record after a bookkeeping delay.
   const JobId id = rt.job.pandaid;
   scheduler_.schedule_after(
-      params_.finalize_delay, [this, id, payload_failed, error_code] {
+      kFinalizeDelay, [this, id, payload_failed, error_code] {
         auto it = jobs_.find(id);
         if (it == jobs_.end()) return;
         finalize_job(*it->second, payload_failed, error_code);

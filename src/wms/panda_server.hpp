@@ -69,22 +69,6 @@ class PandaServer {
     double overlay_failure_prob = 0.6;
     /// Failure probability when a stage-in transfer terminally failed.
     double stage_fail_job_prob = 0.75;
-    /// Staging-stress hazard: when staging consumed more than
-    /// stress_share of a nontrivial queue wait, the same storage/site
-    /// stress that slowed the transfers also endangers the payload
-    /// (expired turls, lost heartbeats).  This is the paper's Fig. 9
-    /// observation — the >75% transfer-time tail is almost entirely
-    /// failed jobs — and its Fig. 11 caution that "it remains plausible
-    /// that the lengthy transfer increased the likelihood of failure".
-    double stress_share_threshold = 0.45;
-    util::SimDuration stress_min_queue = util::seconds(30);
-    double stress_failure_prob = 0.85;
-    /// Lognormal sigma on execution time.
-    double walltime_sigma = 0.35;
-    /// Small bookkeeping delay between payload end and record close when
-    /// no stage-out transfer is involved.
-    util::SimDuration finalize_delay = util::seconds(2);
-
     /// Failed jobs are resubmitted (new pandaid, fresh brokerage) with
     /// this probability, up to max_job_attempts total attempts.  The
     /// failed attempt still leaves a job record — PanDA's job table

@@ -6,6 +6,51 @@
 #include <unordered_set>
 
 namespace pandarus::wms {
+namespace {
+
+// -- catalog bootstrap ----------------------------------------------------
+constexpr std::uint32_t kFilesPerDatasetMin = 4;
+constexpr std::uint32_t kFilesPerDatasetMax = 40;
+/// Bytes; heavy-tailed (Fig. 10: 2-5 GB).
+constexpr double kFileSizeMedian = 2.5e9;
+constexpr double kFileSizeSigma = 0.8;
+/// Initial DISK replicas per dataset (all files at the same sites).
+constexpr std::uint32_t kMinDiskReplicas = 1;
+constexpr std::uint32_t kMaxDiskReplicas = 3;
+/// Fraction of datasets that also have a TAPE copy at a T0/T1 site
+/// (the Data Carousel population).  Tape placement is biased toward
+/// Tier-0, which is why the biggest staging diagonals sit there.
+constexpr double kTapeFraction = 0.5;
+/// Zipf exponent for dataset popularity.
+constexpr double kZipfS = 1.1;
+
+// -- arrivals ---------------------------------------------------------------
+constexpr double kUserJobsPerTaskMedian = 10.0;
+constexpr double kUserJobsPerTaskSigma = 1.0;
+constexpr std::uint32_t kMaxJobsPerTask = 400;
+constexpr double kProdJobsPerTaskMedian = 20.0;
+constexpr double kProdJobsPerTaskSigma = 0.8;
+/// Mean gap between successive job submissions within one task.
+constexpr util::SimDuration kJobStaggerMean = util::minutes(2);
+/// Batch priorities: production holds a fixed elevated share; each
+/// user task draws uniformly from [kUserPriorityMin, kUserPriorityMax].
+constexpr std::int32_t kProductionPriority = 500;
+constexpr std::int32_t kUserPriorityMin = 100;
+constexpr std::int32_t kUserPriorityMax = 900;
+
+// -- per-job shape ----------------------------------------------------------
+constexpr std::uint32_t kFilesPerJobMin = 1;
+constexpr std::uint32_t kFilesPerJobMax = 6;
+constexpr std::uint32_t kOutputsPerAnalysisJob = 1;
+constexpr std::uint32_t kOutputsPerProdJob = 3;
+constexpr double kOutputSizeMedian = 400e6;
+constexpr double kOutputSizeSigma = 0.8;
+/// Execution time: lognormal base plus input-proportional term.
+constexpr double kExecMedianMs = 12.0 * 60.0 * 1000.0;
+constexpr double kExecSigma = 0.9;
+constexpr double kExecBytesPerMs = 30e3;  ///< 30 MB/s nominal processing rate
+
+}  // namespace
 
 WorkloadGenerator::WorkloadGenerator(
     sim::Scheduler& scheduler, const grid::Topology& topology,
@@ -56,10 +101,10 @@ void WorkloadGenerator::bootstrap_catalog() {
     const dms::DatasetId ds =
         catalog_.create_dataset("mc23_13p6TeV", name);
     const auto n_files = static_cast<std::uint32_t>(rng_.uniform_int(
-        params_.files_per_dataset_min, params_.files_per_dataset_max));
+        kFilesPerDatasetMin, kFilesPerDatasetMax));
     for (std::uint32_t f = 0; f < n_files; ++f) {
       const auto size = static_cast<std::uint64_t>(rng_.lognormal_median(
-          params_.file_size_median, params_.file_size_sigma));
+          kFileSizeMedian, kFileSizeSigma));
       catalog_.add_file(ds, std::max<std::uint64_t>(size, 1'000'000));
     }
 
@@ -74,7 +119,7 @@ void WorkloadGenerator::bootstrap_catalog() {
 
     if (!tape_only) {
       const auto copies = static_cast<std::uint32_t>(rng_.uniform_int(
-          params_.min_disk_replicas, params_.max_disk_replicas));
+          kMinDiskReplicas, kMaxDiskReplicas));
       // Sample without replacement: remove each chosen host from a local
       // copy (weights of zero-storage sites are floored so every disk
       // host remains selectable).
@@ -97,7 +142,7 @@ void WorkloadGenerator::bootstrap_catalog() {
     // Tape archive copy (Data Carousel source); mandatory for tape-only
     // datasets.
     if (!tape_sites.empty() &&
-        (tape_only || rng_.bernoulli(params_.tape_fraction))) {
+        (tape_only || rng_.bernoulli(kTapeFraction))) {
       const grid::SiteId site = tape_sites[rng_.weighted_index(tape_weights)];
       const dms::RseId tape = rses_.tape_at(site);
       for (dms::FileId f : catalog_.files_of(ds)) {
@@ -114,7 +159,7 @@ void WorkloadGenerator::bootstrap_catalog() {
   popularity_.resize(input_datasets_.size());
   for (std::size_t k = 0; k < popularity_.size(); ++k) {
     popularity_[k] =
-        1.0 / std::pow(static_cast<double>(k + 1), params_.zipf_s);
+        1.0 / std::pow(static_cast<double>(k + 1), kZipfS);
   }
 }
 
@@ -174,16 +219,16 @@ void WorkloadGenerator::spawn_task(JobKind kind, util::SimTime until) {
   // per-task priority so heavy users do not starve light ones.
   const std::int32_t task_priority =
       user ? static_cast<std::int32_t>(rng_.uniform_int(
-                 params_.user_priority_min, params_.user_priority_max))
-           : params_.production_priority;
+                 kUserPriorityMin, kUserPriorityMax))
+           : kProductionPriority;
 
-  const double jobs_median = user ? params_.user_jobs_per_task_median
-                                  : params_.prod_jobs_per_task_median;
+  const double jobs_median =
+      user ? kUserJobsPerTaskMedian : kProdJobsPerTaskMedian;
   const double jobs_sigma =
-      user ? params_.user_jobs_per_task_sigma : params_.prod_jobs_per_task_sigma;
+      user ? kUserJobsPerTaskSigma : kProdJobsPerTaskSigma;
   const auto n_jobs = static_cast<std::uint32_t>(
       std::clamp(rng_.lognormal_median(jobs_median, jobs_sigma), 1.0,
-                 static_cast<double>(params_.max_jobs_per_task)));
+                 static_cast<double>(kMaxJobsPerTask)));
 
   // Jobs arrive staggered; submissions falling outside the window are
   // dropped, and total_jobs reflects only the jobs actually submitted so
@@ -201,7 +246,7 @@ void WorkloadGenerator::spawn_task(JobKind kind, util::SimTime until) {
     // job splitting produces (each job processes distinct files; chunks
     // only wrap and overlap once a task outgrows its dataset).
     const auto want = static_cast<std::uint32_t>(rng_.uniform_int(
-        params_.files_per_job_min, params_.files_per_job_max));
+        kFilesPerJobMin, kFilesPerJobMax));
     std::unordered_set<dms::FileId> inputs;
     const dms::DatasetId ds =
         task.input_datasets[j % task.input_datasets.size()];
@@ -221,11 +266,11 @@ void WorkloadGenerator::spawn_task(JobKind kind, util::SimTime until) {
 
     // Output files are registered in the catalog up front; replicas
     // appear when the job completes.
-    const std::uint32_t n_out = user ? params_.outputs_per_analysis_job
-                                     : params_.outputs_per_prod_job;
+    const std::uint32_t n_out =
+        user ? kOutputsPerAnalysisJob : kOutputsPerProdJob;
     for (std::uint32_t k = 0; k < n_out; ++k) {
       const auto size = static_cast<std::uint64_t>(rng_.lognormal_median(
-          params_.output_size_median, params_.output_size_sigma));
+          kOutputSizeMedian, kOutputSizeSigma));
       const dms::FileId f = catalog_.add_file(
           task.output_dataset, std::max<std::uint64_t>(size, 100'000));
       job.output_files.push_back(f);
@@ -233,11 +278,11 @@ void WorkloadGenerator::spawn_task(JobKind kind, util::SimTime until) {
     }
 
     job.base_exec_ms = static_cast<util::SimDuration>(
-        rng_.lognormal_median(params_.exec_median_ms, params_.exec_sigma) +
-        static_cast<double>(job.ninputfilebytes) / params_.exec_bytes_per_ms);
+        rng_.lognormal_median(kExecMedianMs, kExecSigma) +
+        static_cast<double>(job.ninputfilebytes) / kExecBytesPerMs);
 
     at += static_cast<util::SimDuration>(
-        rng_.exponential(static_cast<double>(params_.job_stagger_mean)));
+        rng_.exponential(static_cast<double>(kJobStaggerMean)));
     if (at >= until) break;
     scheduled.emplace_back(at, std::move(job));
   }

@@ -18,56 +18,22 @@
 
 namespace pandarus::wms {
 
+/// The workload settings a caller varies; the rest of the campaign's
+/// shape (file sizes, replica counts, Zipf skew, per-task and per-job
+/// draws) is constants in workload.cpp.
 struct WorkloadParams {
   // -- catalog bootstrap --------------------------------------------------
   std::uint32_t n_input_datasets = 400;
-  std::uint32_t files_per_dataset_min = 4;
-  std::uint32_t files_per_dataset_max = 40;
-  double file_size_median = 2.5e9;  ///< bytes; heavy-tailed (Fig. 10: 2-5 GB)
-  double file_size_sigma = 0.8;
-  /// Initial DISK replicas per dataset (all files at the same sites).
-  std::uint32_t min_disk_replicas = 1;
-  std::uint32_t max_disk_replicas = 3;
-  /// Fraction of datasets that also have a TAPE copy at a T0/T1 site
-  /// (the Data Carousel population).  Tape placement is biased toward
-  /// Tier-0, which is why the biggest staging diagonals sit there.
-  double tape_fraction = 0.5;
   /// The coldest `cold_fraction` of datasets (by Zipf rank) are
   /// tape-eligible; of those, `tape_only_fraction` live on tape only,
   /// with no permanent disk replica: jobs touching them must stage,
   /// producing the Analysis/Production Download populations of Table 1.
   double cold_fraction = 0.6;
   double tape_only_fraction = 0.75;
-  /// Zipf exponent for dataset popularity.
-  double zipf_s = 1.1;
 
   // -- arrivals -------------------------------------------------------------
   double user_tasks_per_day = 250.0;
   double prod_tasks_per_day = 50.0;
-  double user_jobs_per_task_median = 10.0;
-  double user_jobs_per_task_sigma = 1.0;
-  std::uint32_t max_jobs_per_task = 400;
-  double prod_jobs_per_task_median = 20.0;
-  double prod_jobs_per_task_sigma = 0.8;
-  /// Mean gap between successive job submissions within one task.
-  util::SimDuration job_stagger_mean = util::minutes(2);
-  /// Batch priorities: production holds a fixed elevated share; each
-  /// user task draws uniformly from [user_priority_min, max].
-  std::int32_t production_priority = 500;
-  std::int32_t user_priority_min = 100;
-  std::int32_t user_priority_max = 900;
-
-  // -- per-job shape ----------------------------------------------------
-  std::uint32_t files_per_job_min = 1;
-  std::uint32_t files_per_job_max = 6;
-  std::uint32_t outputs_per_analysis_job = 1;
-  std::uint32_t outputs_per_prod_job = 3;
-  double output_size_median = 400e6;
-  double output_size_sigma = 0.8;
-  /// Execution time: lognormal base plus input-proportional term.
-  double exec_median_ms = 12.0 * 60.0 * 1000.0;
-  double exec_sigma = 0.9;
-  double exec_bytes_per_ms = 30e3;  ///< 30 MB/s nominal processing rate
 };
 
 class WorkloadGenerator {

@@ -158,7 +158,8 @@ TEST(CampaignSampling, SampleRowsAreNumberedAndLeadTheirLinkSamples) {
     const std::string_view kind = event.get_string("kind");
     if (kind == "sample") {
       EXPECT_EQ(event.get_int("entity"), samples) << line;
-      EXPECT_EQ(event.get_int("ts"), (samples + 1) * config.sample_interval_ms)
+      EXPECT_EQ(event.get_int("ts"),
+                (samples + 1) * scenario::kSampleIntervalMs)
           << line;
       ASSERT_EQ(event.members.size(), 3 + columns.size()) << line;
       for (std::size_t i = 0; i < columns.size(); ++i) {

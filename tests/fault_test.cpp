@@ -6,6 +6,8 @@
 // and concurrently on two threads, each in its own obs::Session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +24,8 @@
 #include "obs/health.hpp"
 #include "scenario/campaign.hpp"
 #include "sim/scheduler.hpp"
+#include "telemetry/io.hpp"
+#include "util/crc32.hpp"
 #include "wms/panda_server.hpp"
 
 namespace pandarus {
@@ -120,6 +124,31 @@ TEST(FaultPlan, SampleIsDeterministicAndClamped) {
       EXPECT_GE(a.windows[i].begin, a.windows[i - 1].begin);
     }
   }
+
+  // The draw itself, pinned: a drifted rate, duration mean, brownout
+  // factor or abort boost changes the count per kind or the checksum.
+  std::array<std::size_t, fault::kFaultKindCount> per_kind{};
+  std::string bytes;
+  const auto put = [&bytes](auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const fault::FaultWindow& window : a.windows) {
+    ++per_kind[static_cast<std::size_t>(window.kind)];
+    put(window.kind);
+    put(window.begin);
+    put(window.end);
+    put(window.site);
+    put(window.link.src);
+    put(window.link.dst);
+    put(window.capacity_factor);
+    put(window.abort_boost);
+  }
+  // Site outage, link blackout, link brownout, storage outage, service
+  // brownout.
+  constexpr std::array<std::size_t, fault::kFaultKindCount> kPerKind = {
+      1, 4, 5, 1, 4};
+  EXPECT_EQ(per_kind, kPerKind);
+  EXPECT_EQ(util::crc32(bytes), 1'821'880'261u);
 
   const fault::Plan other = fault::Plan::sample(params, w.topo, horizon, 100);
   ASSERT_FALSE(other.empty());
@@ -543,18 +572,29 @@ TEST(CampaignFaults, SiteOutageKillsRunningJobsAndBrokerageSkips) {
 }
 
 TEST(CampaignFaults, IdenticalSeedAndPlanGiveByteIdenticalEvents) {
-  auto run = [] {
+  std::uint64_t store = 0;
+  auto run = [&store] {
     obs::EventLog log;
     scenario::ScenarioConfig config = scenario::ScenarioConfig::small();
     config.faults.intensity = 2.0;
     config.with_self_healing();
-    (void)scenario::run_campaign(config, {.events = &log});
+    const scenario::ScenarioResult r =
+        scenario::run_campaign(config, {.events = &log});
+    store = telemetry::store_digest(r.store);
     return log.to_ndjson();
   };
   const std::string a = run();
   const std::string b = run();
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"kind\":\"fault_window\""), std::string::npos);
+
+  // The faulted, self-healing path byte for byte, as the fault-free
+  // small campaign is pinned in scenario_test: a drifted fault-plan,
+  // backoff or workload constant moves these values.
+  EXPECT_EQ(std::count(a.begin(), a.end(), '\n'), 20'170);
+  EXPECT_EQ(a.size(), 3'847'647u);
+  EXPECT_EQ(util::crc32(a), 1'619'395'214u);
+  EXPECT_EQ(store, 18'109'657'316'336'177'579u);
 
   // The stream replays, carrying the fault windows and failure causes.
   std::istringstream in(a);

@@ -27,7 +27,7 @@ TEST(LoadModel, UtilizationBounded) {
   for (util::SimTime t = 0; t < util::days(2); t += util::minutes(7)) {
     const double u = model.utilization(t);
     EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, params.max_util);
+    EXPECT_LE(u, LoadModel::kMaxUtil);
     EXPECT_DOUBLE_EQ(model.available_fraction(t), 1.0 - u);
   }
 }

@@ -415,6 +415,18 @@ TEST(Config, PresetsDiffer) {
   EXPECT_LT(small.days, paper.days);
   EXPECT_GT(heatmap.days, paper.days);
   EXPECT_LT(small.topology.n_tier2, paper.topology.n_tier2);
+
+  // The digests every stream's first line carries.  config_digest also
+  // mixes fixed values (fault rates and means, corruption jitter and
+  // site seed, churn, eviction, sampling), so a drifted constant or a
+  // reordered slot moves them.
+  auto chaos = small;
+  chaos.faults.intensity = 2.0;
+  chaos.with_self_healing();
+  EXPECT_EQ(config_digest(small), 5'495'555'435'594'203'178u);
+  EXPECT_EQ(config_digest(paper), 16'395'794'016'460'271'708u);
+  EXPECT_EQ(config_digest(heatmap), 13'557'497'186'663'639'878u);
+  EXPECT_EQ(config_digest(chaos), 11'695'293'416'884'234'171u);
 }
 
 }  // namespace

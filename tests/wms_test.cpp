@@ -234,7 +234,7 @@ grid::SiteId reference_pick(const World& w, const Brokerage::Params& params,
       if (w.replicas.on_disk_at_site(f, site)) {
         bytes += size;
       } else if (w.replicas.resident_at_site(f, site)) {
-        bytes += params.tape_locality_weight * size;
+        bytes += Brokerage::kTapeLocalityWeight * size;
       }
     }
     return bytes;
@@ -244,8 +244,7 @@ grid::SiteId reference_pick(const World& w, const Brokerage::Params& params,
     double best_score = -1e300;
     for (const grid::Site& site : w.topo.sites()) {
       if (site.cpu_slots == 0) continue;
-      if (job.kind == JobKind::kProduction && params.production_excludes_t3 &&
-          site.tier == grid::Tier::kT3) {
+      if (job.kind == JobKind::kProduction && site.tier == grid::Tier::kT3) {
         continue;
       }
       if (skip_down && injector != nullptr && injector->site_down(site.id)) {
@@ -266,7 +265,7 @@ grid::SiteId reference_pick(const World& w, const Brokerage::Params& params,
           score = -queues.estimated_wait_ms(site.id);
           break;
         case BrokeragePolicy::kHybrid:
-          score = locality(site.id) / 1e9 * params.wait_per_gb_ms -
+          score = locality(site.id) / 1e9 * Brokerage::kWaitPerGbMs -
                   queues.estimated_wait_ms(site.id);
           break;
       }
